@@ -9,10 +9,6 @@ from .constitutive import (
     MemoryKernel,
     SingularOriginError,
     StrainMeasure,
-    eval_memory,
-    eval_strain,
-    eval_strain_deriv,
-    interval_mass,
     model_catalog,
     verify_h1,
     verify_h2,
@@ -30,7 +26,7 @@ from .diagnostics import (
 from .simulation import RunResult, run
 from .spectral import SpectralGrid, random_band_limited_velocity, taylor_green
 from .stepper import FlowState, advance_flow, cfl_dt, kinetic_energy, step_velocity
-from .stress import assemble_stress, stress_gradient_norm, y_integrand_now
+from .stress import assemble_stress, history_scan, stress_gradient_norm
 from .tensors import Tensor, contract, delta, frobenius_norm, invariants2
 from .transport import (
     DeformationHistory,

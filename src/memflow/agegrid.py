@@ -136,18 +136,25 @@ def quadrate(grid: AgeGrid, samples, kernel_weighted: bool = True):
     if samples.shape[0] != grid.n_nodes:
         raise ValueError(f"expected {grid.n_nodes} age samples, got {samples.shape[0]}")
     coeffs = grid.node_mass if kernel_weighted else grid.weights
-    return kahan_weighted_sum(coeffs, samples)
+    total = KahanSum(samples.shape[1:]).add(coeffs, samples).total
+    return float(total) if total.ndim == 0 else total
 
 
-def kahan_weighted_sum(coeffs: np.ndarray, samples: np.ndarray):
-    """Compensated sum_j coeffs[j] * samples[j] along the leading axis."""
-    total = np.zeros(samples.shape[1:])
-    comp = np.zeros_like(total)
-    for c, f in zip(coeffs, samples):
-        y = c * f - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    if total.ndim == 0:
-        return float(total)
-    return total
+class KahanSum:
+    """Compensated running sum of ``coeff * sample`` terms, added in call
+    order (so chunked calls give the same bits), updated in place."""
+
+    def __init__(self, shape=()):
+        self.total, self._t = np.zeros(shape), np.empty(shape)
+        self._comp, self._y = np.zeros(shape), np.empty(shape)
+
+    def add(self, coeffs, samples) -> "KahanSum":
+        y, comp = self._y, self._comp
+        for c, f in zip(coeffs, samples):
+            np.multiply(f, c, out=y)
+            y -= comp
+            np.add(self.total, y, out=self._t)
+            np.subtract(self._t, self.total, out=comp)
+            comp -= y
+            self.total, self._t = self._t, self.total
+        return self

@@ -92,11 +92,6 @@ class MemoryKernel:
         out = np.tensordot(self.weights / lam, np.exp(-np.multiply.outer(1.0 / lam, s)), axes=(0, 0))
         return float(out) if out.ndim == 0 else out
 
-    def density_slope_origin(self) -> float:
-        """|m'(0+)|, used to bound the trapezoid quadrature error."""
-        lam = self.relaxation_times
-        return float(np.sum(self.weights / lam**2))
-
     def interval_mass(self, a: float, b: float) -> float:
         """Closed-form integral of the density over [a, b] (b may be inf)."""
         if a < 0 or b < a:
@@ -105,14 +100,6 @@ class MemoryKernel:
         lo = np.exp(-a / lam)
         hi = np.zeros_like(lam) if math.isinf(b) else np.exp(-b / lam)
         return float(np.sum(self.weights * (lo - hi)))
-
-
-def eval_memory(kernel: MemoryKernel, s):
-    return kernel.density(s)
-
-
-def interval_mass(kernel: MemoryKernel, a: float, b: float) -> float:
-    return kernel.interval_mass(a, b)
 
 
 def single_exponential_kernel(relaxation_time: float = 1.0) -> MemoryKernel:
@@ -215,14 +202,6 @@ class StrainMeasure:
                 e[i, j] = 1.0
                 out[i, j] = self.directional_derivative(g, e)
         return Tensor(out)
-
-
-def eval_strain(measure: StrainMeasure, g):
-    return measure.stress(g)
-
-
-def eval_strain_deriv(measure: StrainMeasure, g, hmat):
-    return measure.directional_derivative(g, hmat)
 
 
 @dataclass(frozen=True)

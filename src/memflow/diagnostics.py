@@ -92,16 +92,20 @@ def monitor(
     measure,
     config: MonitorConfig,
     y_value: float,
+    scan: tuple[float, float, float] | None = None,
 ) -> DiagnosticsRecord:
     """Compute every monitored quantity and flag violated bounds.
 
     ``y_value`` is the caller-accumulated time integral of the gradient
-    functional's integrand (trapezoid in time).  Flags never raise here;
-    the simulation loop decides whether they are fatal.
+    functional's integrand (trapezoid in time).  ``scan`` is the history's
+    (y integrand, min det G, min |G|) if the step's stack pass computed it.
+    Flags never raise here; the simulation loop decides whether they are fatal.
     """
     grid = state.grid
     stress_sup = float(np.max(norm_field(tau)))
-    yi, min_det, min_abs = history_scan(history, grid, config.q, config.r, config.mu)
+    if scan is None:
+        scan = history_scan(history, grid, config.q, config.r, config.mu)
+    yi, min_det, min_abs = scan
 
     u_hat = state.u_hat
     du = grid.inv(grid.deriv_pair_hat(u_hat))

@@ -1,14 +1,18 @@
 """End-to-end simulation driver.
 
-Per base step: assemble the stress from the history, advance the velocity
+Per base step: advance the velocity with the stress of the previous step
 (substepping under the advective CFL bound with the stress frozen), advance
 the history and, when enabled, the differential oracle with the same pair of
-velocity samples, then monitor.  The loop is single-writer; all reductions
-run in fixed order, so identical configurations produce byte-identical
-diagnostics regardless of the FFT worker count.
+velocity samples, then monitor.  The history step is the step's only pass
+over the stack: it also assembles the new stress and, on monitored steps,
+runs the bound scan that the monitor reports.  The loop is single-writer;
+all reductions run in fixed order, so identical configurations produce
+byte-identical diagnostics regardless of the FFT worker count.
 
-Exit codes: 0 clean, 2 non-finite state (the last periodic checkpoint is
-left on disk), 3 monitored-bound violation when configured fatal.
+Exit codes: 0 clean, 2 non-finite or degenerate state (the last periodic
+checkpoint is left on disk), 3 monitored-bound violation when configured
+fatal.  A restart continues the ``diagnostics.csv`` it finds in the output
+directory: rows past the checkpoint time are dropped, the rest are kept.
 """
 
 from __future__ import annotations
@@ -31,9 +35,9 @@ from .diagnostics import (
 )
 from .snapshots import read_checkpoint, read_field, write_checkpoint, write_field
 from .spectral import SpectralGrid, random_band_limited_velocity, taylor_green
-from .stepper import FlowNaNError, FlowState, advance_flow
-from .stress import assemble_stress
-from .transport import DeformationHistory, HistoryNaNError, init_history, stretch_advect_step
+from .stepper import FlowState, advance_flow
+from .stress import StackReduction, assemble_stress
+from .transport import ChunkWorkspace, DeformationHistory, init_history, stretch_advect_step
 
 EXIT_OK = 0
 EXIT_NAN = 2
@@ -88,7 +92,9 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
     grid = SpectralGrid(cfg.n)
     params = {k: v for k, v in cfg.model_params.items() if v is not None}
     kernel, measure = model_catalog(cfg.model_name, **params)
-    max_nodes = int(cfg.memory_cap_mb * 2**20 // (4 * cfg.n * cfg.n * 8))
+    # the cap covers the stack and the largest chunk workspace of its passes
+    free_bytes = cfg.memory_cap_mb * 2**20 - ChunkWorkspace.nbytes_for(cfg.n)
+    max_nodes = max(0, int(free_bytes // (4 * cfg.n * cfg.n * 8)))
     age_grid = build_age_grid(kernel, cfg.dt, cfg.eps_tail, max_nodes=max_nodes)
 
     state = FlowState(grid, initial_velocity(cfg, grid), cfg.viscosity)
@@ -98,14 +104,9 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
     else:
         history = init_history(cfg.initial_history, grid, age_grid, mu=cfg.mu_min)
     oracle = OracleState(
-        np.zeros((2, 2, grid.n, grid.n)),
-        lam=float(params.get("lam", 1.0)),
-        mu_p=float(params.get("mu_p", 1.0)),
+        np.zeros((2, 2, grid.n, grid.n)), lam=float(params.get("lam", 1.0)), mu_p=float(params.get("mu_p", 1.0))
     ) if cfg.oracle else None
-
-    mcfg = MonitorConfig(
-        q=cfg.q, r=cfg.r, mu=cfg.mu_min, det_tol=cfg.det_tol, stress_tol=cfg.stress_tol
-    )
+    mcfg = MonitorConfig(q=cfg.q, r=cfg.r, mu=cfg.mu_min, det_tol=cfg.det_tol, stress_tol=cfg.stress_tol)
 
     step0 = 0
     y_value = 0.0
@@ -122,16 +123,17 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
 
     out_dir = Path(cfg.output_dir) if cfg.output_dir else None
     csv_fh = None
+    csv_first_row = True
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        csv_fh = open(out_dir / "diagnostics.csv", "w")
-        csv_fh.write(",".join(CSV_COLUMNS) + "\n")
+        t_restart = None if restart_from is None else state.t
+        csv_fh, csv_first_row = _open_diagnostics(out_dir / "diagnostics.csv", t_restart)
 
     records: list[DiagnosticsRecord] = []
 
-    def log(rec: DiagnosticsRecord):
+    def log(rec: DiagnosticsRecord, to_csv: bool = True):
         records.append(rec)
-        if csv_fh is not None:
+        if csv_fh is not None and to_csv:
             csv_fh.write(rec.csv_row() + "\n")
 
     def close(code: int, message: str, tau) -> RunResult:
@@ -140,43 +142,46 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
         gap = None
         if oracle is not None and tau is not None:
             gap = _relative_l2_gap(grid, tau, oracle.tau)
-        return RunResult(
-            exit_code=code,
-            records=records,
-            message=message,
-            state=state,
-            history=history,
-            oracle=oracle,
-            tau=tau,
-            measure=measure,
-            kernel=kernel,
-            oracle_gap=gap,
-        )
+        return RunResult(exit_code=code, records=records, message=message, state=state, history=history,
+                         oracle=oracle, tau=tau, measure=measure, kernel=kernel, oracle_gap=gap)
 
-    tau = assemble_stress(history, measure)
-    rec = monitor(state, history, tau, measure, mcfg, y_value)
+    def checkpoint(step: int):
+        if csv_fh is not None:
+            csv_fh.flush()  # a restart from this checkpoint finds every row up to it
+        write_checkpoint(out_dir / "checkpoint", step=step, t=state.t, y_value=y_value, y_integrand=yi_prev,
+                         u=state.u, history=history.payload, head=history.head,
+                         oracle_tau=None if oracle is None else oracle.tau)
+
+    try:
+        tau = assemble_stress(history, measure)
+        rec = monitor(state, history, tau, measure, mcfg, y_value)
+    except FloatingPointError as exc:  # a degenerate initial or restart history
+        return close(EXIT_NAN, str(exc), None)
     if yi_prev is None:
         yi_prev = rec.y_integrand
-    log(rec)
+    log(rec, to_csv=csv_first_row)
     if cfg.fatal_on_violation and rec.flags:
         return close(EXIT_VIOLATION, f"initial state violates bounds: {rec.flags}", tau)
 
     n_steps = cfg.n_steps
     log_dt = cfg.cadence * cfg.dt
+    scan_args = (mcfg.q, mcfg.r, mcfg.mu)
     for step in range(step0 + 1, n_steps + 1):
         u_old = state.u
+        monitored = step % cfg.cadence == 0 or step == n_steps
+        stack_pass = StackReduction(history, measure, grid, scan_args if monitored else None)
         try:
             advance_flow(state, tau, cfg.dt, cfg.cfl_safety)
             state.t = step * cfg.dt  # re-pin against substep roundoff drift
-            stretch_advect_step(history, grid, u_old, state.u, cfg.dt)
+            stretch_advect_step(history, grid, u_old, state.u, cfg.dt, stack_pass)
             if oracle is not None:
                 oldroyd_differential_step(oracle, grid, u_old, state.u, cfg.dt)
-            tau = assemble_stress(history, measure)
-        except (FlowNaNError, HistoryNaNError, FloatingPointError) as exc:
+        except FloatingPointError as exc:  # non-finite flow, history or oracle; degenerate history
             return close(EXIT_NAN, str(exc), None)
+        tau = stack_pass.tau.total
 
-        if step % cfg.cadence == 0 or step == n_steps:
-            rec = monitor(state, history, tau, measure, mcfg, y_value)
+        if monitored:
+            rec = monitor(state, history, tau, measure, mcfg, y_value, stack_pass.scan_result())
             y_value += 0.5 * log_dt * (yi_prev + rec.y_integrand)
             yi_prev = rec.y_integrand
             rec.y_value = y_value
@@ -189,31 +194,24 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
         if out_dir is not None and cfg.snapshot_every and step % cfg.snapshot_every == 0:
             _write_snapshots(out_dir, step, state, tau, history, cfg)
             if cfg.checkpoint:
-                write_checkpoint(
-                    out_dir / "checkpoint",
-                    step=step,
-                    t=state.t,
-                    y_value=y_value,
-                    y_integrand=yi_prev,
-                    u=state.u,
-                    history=history.payload,
-                    head=history.head,
-                    oracle_tau=None if oracle is None else oracle.tau,
-                )
+                checkpoint(step)
 
     if out_dir is not None and cfg.checkpoint:
-        write_checkpoint(
-            out_dir / "checkpoint",
-            step=n_steps,
-            t=state.t,
-            y_value=y_value,
-            y_integrand=yi_prev,
-            u=state.u,
-            history=history.payload,
-            head=history.head,
-            oracle_tau=None if oracle is None else oracle.tau,
-        )
+        checkpoint(n_steps)
     return close(EXIT_OK, "completed", tau)
+
+
+def _open_diagnostics(path: Path, t_restart: float | None):
+    """Open ``diagnostics.csv``, keeping a restarted run's rows up to ``t_restart``;
+    also returns whether the first record still needs a row."""
+    kept = []
+    if t_restart is not None and path.is_file():
+        rows = path.read_text().splitlines(keepends=True)[1:]
+        kept = [row for row in rows if row.endswith("\n") and float(row.split(",", 1)[0]) <= t_restart]
+    fh = open(path, "w")
+    fh.write(",".join(CSV_COLUMNS) + "\n")
+    fh.writelines(kept)
+    return fh, not (kept and float(kept[-1].split(",", 1)[0]) == t_restart)
 
 
 def _write_snapshots(out_dir: Path, step: int, state: FlowState, tau, history, cfg: SimulationConfig):

@@ -75,6 +75,9 @@ class SpectralGrid:
         self.inv_k_sq = inv
         cutoff = n / 3.0
         self.dealias_mask = (np.abs(self.k1) <= cutoff) & (np.abs(self.k2) <= cutoff)
+        # first-derivative multipliers with the cutoff folded in
+        self.d1_dealiased = np.where(self.dealias_mask, self.d1, 0.0)
+        self.d2_dealiased = np.where(self.dealias_mask, self.d2, 0.0)
         # Nyquist modes carry no usable direction for odd derivatives; the
         # projector removes them so its output is solenoidal under d1/d2
         nyq = np.ones((n, n // 2 + 1), dtype=bool)
@@ -93,8 +96,11 @@ class SpectralGrid:
     def fwd(self, f: np.ndarray) -> np.ndarray:
         return _fft.rfft2(f, axes=(-2, -1), workers=_workers)
 
-    def inv(self, f_hat: np.ndarray) -> np.ndarray:
-        return _fft.irfft2(f_hat, s=(self.n, self.n), axes=(-2, -1), workers=_workers)
+    def inv(self, f_hat: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """Inverse of :meth:`fwd`, one axis at a time as in ``irfft2``; with
+        ``overwrite`` the first pass runs in place in ``f_hat``, destroying it."""
+        f_hat = _fft.ifft(f_hat, axis=-2, workers=_workers, overwrite_x=overwrite)
+        return _fft.irfft(f_hat, n=self.n, axis=-1, workers=_workers, overwrite_x=True)
 
     # -- mode-wise operators ------------------------------------------------
 
@@ -114,10 +120,6 @@ class SpectralGrid:
 
     def dealias_hat(self, f_hat: np.ndarray) -> np.ndarray:
         return f_hat * self.dealias_mask
-
-    def dealias_hat_inplace(self, f_hat: np.ndarray) -> np.ndarray:
-        f_hat *= self.dealias_mask
-        return f_hat
 
     def leray_hat(self, v_hat: np.ndarray) -> np.ndarray:
         """Remove the gradient part: v - k (k.v) / |k|^2, mean mode unchanged.
@@ -188,9 +190,6 @@ class SpectralGrid:
         """Same as :meth:`l2_norm_sq` but from the half spectrum (Parseval)."""
         s = float(np.sum(self._parseval_w * (f_hat.real**2 + f_hat.imag**2)))
         return TWO_PI**2 * s / self.n**4
-
-    def sup_norm(self, pointwise: np.ndarray) -> float:
-        return float(np.max(np.abs(pointwise)))
 
 
 def _abs_pow(x: np.ndarray, q) -> np.ndarray:

@@ -8,16 +8,23 @@ the cumulative functional bounding the stress gradient), and the discrete
 L^q norm of the spectral stress gradient.  The gradient of the assembled
 stress is computed directly (one spectral gradient) rather than as an age
 integral of chain-rule terms; the two agree to quadrature tolerance.
+
+One pass over the stack accumulates both age integrals and the det G and
+|G| minima (:class:`StackReduction`): the history step feeds it each chunk
+it has just updated, and :func:`assemble_stress` and :func:`history_scan`
+(initial state, restart) feed it the stored stack.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .agegrid import AgeGrid
+from .agegrid import AgeGrid, KahanSum
 from .constitutive import AgeDependentStrainMeasure, StrainMeasure
 from .spectral import SpectralGrid
-from .transport import CHUNK_SLICES, DeformationHistory, det_field, norm_field
+from .transport import DeformationHistory, chunk_slices, det_field, norm_field
 
 
 class DegenerateDeformationError(FloatingPointError):
@@ -28,57 +35,86 @@ class DegenerateDeformationError(FloatingPointError):
     """
 
 
-def assemble_stress(
-    history: DeformationHistory,
-    measure,
-    age_grid: AgeGrid | None = None,
-) -> np.ndarray:
+class StackReduction:
+    """Age integrals of one pass over the history stack, fed chunk by chunk.
+
+    ``add_chunk(lo, g, g_hat)`` takes the fields of physical rows ``lo, lo +
+    1, ...`` (in increasing row order), weighted by the ages the history's
+    current head gives them.  A ``measure`` adds the stress ``tau``;
+    ``scan = (q, r, mu)`` adds the y integrand and the det G and |G| minima,
+    with grad G from the half spectrum ``g_hat`` (transformed if not given).
+    Sums are compensated (Kahan) in physical row order, so the result is
+    deterministic regardless of chunking or FFT worker counts.
+    """
+
+    def __init__(self, history: DeformationHistory, measure=None, grid: SpectralGrid | None = None,
+                 scan: tuple[float, float, float] | None = None, age_grid: AgeGrid | None = None):
+        self.age_grid = history.age_grid if age_grid is None else age_grid
+        if self.age_grid.n_nodes != history.n_slices:
+            raise ValueError("history and age grid disagree on the number of age nodes")
+        if measure is not None and not isinstance(measure, (StrainMeasure, AgeDependentStrainMeasure)):
+            raise TypeError(f"unsupported strain measure type {type(measure).__name__}")
+        self.history, self.measure, self.grid, self.scan = history, measure, grid, scan
+        self.tau = KahanSum((2, 2, history.grid_n, history.grid_n))
+        self.y = KahanSum()
+        self.min_det = self.min_abs = math.inf
+
+    def add_chunk(self, lo: int, g: np.ndarray, g_hat: np.ndarray | None = None):
+        ages = self.history.ages(lo, len(g))
+        if isinstance(self.measure, StrainMeasure):
+            self.tau.add(self.age_grid.node_mass[ages], self.measure.stress_stack(g))
+        elif self.measure is not None:
+            s = self.age_grid.nodes[ages]
+            self.tau.add(self.age_grid.weights[ages], [self.measure.integrand_stack(*a) for a in zip(s, g)])
+        if self.scan is not None:
+            self.y.add(self.age_grid.node_mass[ages], self._scan_chunk(g, g_hat))
+
+    def _scan_chunk(self, g: np.ndarray, g_hat: np.ndarray | None) -> list[float]:
+        """Per slice || |grad G| / |G| ||_{L^q}^r; updates the minima."""
+        q, r, mu = self.scan
+        grid = self.grid
+        g_hat = grid.fwd(g) if g_hat is None else g_hat
+        spec = self.history.workspace.spec[: len(g)]
+        grad_sq = 0.0
+        for d in (grid.d1, grid.d2):
+            dg = grid.inv(np.multiply(g_hat, d, out=spec), overwrite=True)
+            dg *= dg
+            grad_sq = grad_sq + dg.sum(axis=(1, 2))
+        g_mag = norm_field(g)
+        chunk_min = float(g_mag.min())
+        self.min_abs = min(self.min_abs, chunk_min)
+        self.min_det = min(self.min_det, float(det_field(g).min()))
+        floor = math.sqrt(2.0 * min(mu, 1.0)) / 2.0
+        if chunk_min < floor:
+            raise DegenerateDeformationError(f"deformation norm {chunk_min:.4g} fell below {floor:.4g}")
+        ratio = np.sqrt(grad_sq)
+        ratio /= g_mag
+        return [grid.lq_norm(ratio[i], q) ** r for i in range(len(g))]
+
+    def over_stack(self) -> "StackReduction":
+        """Feed the stored stack, unchanged."""
+        stack, size = self.history.payload, chunk_slices(self.history.grid_n)
+        for lo in range(0, stack.shape[0], size):
+            self.add_chunk(lo, stack[lo : lo + size])
+        return self
+
+    def scan_result(self) -> tuple[float, float, float]:
+        """(y integrand, min det G, min |G|)."""
+        return float(self.y.total), self.min_det, self.min_abs
+
+
+def assemble_stress(history: DeformationHistory, measure, age_grid: AgeGrid | None = None) -> np.ndarray:
     """Age-integrate the strain measure over the history stack.
 
     Returns the 2-tensor stress field, shape ``(2, 2, n, n)``.  Summation is
     compensated (Kahan) over the age axis in a fixed order, so the result is
     deterministic regardless of chunking or FFT worker counts.
     """
-    grid_ages = history.age_grid if age_grid is None else age_grid
-    if grid_ages.n_nodes != history.n_slices:
-        raise ValueError("history and age grid disagree on the number of age nodes")
-    n = history.grid_n
-    stack = history.payload
-    separable = isinstance(measure, StrainMeasure)
-    if separable:
-        coeffs = history.coeffs_physical(grid_ages.node_mass)
-    elif isinstance(measure, AgeDependentStrainMeasure):
-        coeffs = history.coeffs_physical(grid_ages.weights)
-        ages = history.coeffs_physical(grid_ages.nodes)
-    else:
-        raise TypeError(f"unsupported strain measure type {type(measure).__name__}")
-
-    total = np.zeros((2, 2, n, n))
-    comp = np.zeros_like(total)
-    for lo in range(0, stack.shape[0], CHUNK_SLICES):
-        g = stack[lo : lo + CHUNK_SLICES]
-        if separable:
-            integrand = measure.stress_stack(g)
-        else:
-            integrand = np.stack(
-                [measure.integrand_stack(ages[lo + i], g[i]) for i in range(g.shape[0])]
-            )
-        for i in range(g.shape[0]):
-            y = coeffs[lo + i] * integrand[i] - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-    return total
+    return StackReduction(history, measure, age_grid=age_grid).over_stack().tau.total
 
 
-def history_scan(
-    history: DeformationHistory,
-    grid: SpectralGrid,
-    q: float,
-    r: float,
-    mu: float = 1.0,
-    age_grid: AgeGrid | None = None,
-) -> tuple[float, float, float]:
+def history_scan(history: DeformationHistory, grid: SpectralGrid, q: float, r: float, mu: float = 1.0,
+                 age_grid: AgeGrid | None = None) -> tuple[float, float, float]:
     """One sweep over the stack: (y integrand, min det G, min |G|).
 
     The integrand is the kernel-weighted age integral of
@@ -87,51 +123,7 @@ def history_scan(
     :class:`DegenerateDeformationError` if any node's deformation norm
     falls below ``sqrt(2 min(mu, 1)) / 2``.
     """
-    grid_ages = history.age_grid if age_grid is None else age_grid
-    coeffs = history.coeffs_physical(grid_ages.node_mass)
-    floor = np.sqrt(2.0 * min(mu, 1.0)) / 2.0
-    stack = history.payload
-    vals = np.empty(stack.shape[0])
-    min_det = np.inf
-    min_abs = np.inf
-    for lo in range(0, stack.shape[0], CHUNK_SLICES):
-        g = stack[lo : lo + CHUNK_SLICES]
-        dg = grid.inv(grid.deriv_pair_hat(grid.fwd(g)))
-        dg *= dg
-        grad_sq = dg.sum(axis=(0, 2, 3))
-        g_mag = norm_field(g)
-        chunk_min = float(g_mag.min())
-        min_abs = min(min_abs, chunk_min)
-        min_det = min(min_det, float(det_field(g).min()))
-        if chunk_min < floor:
-            raise DegenerateDeformationError(
-                f"deformation norm {chunk_min:.4g} fell below {floor:.4g}"
-            )
-        ratio = np.sqrt(grad_sq)
-        ratio /= g_mag
-        for i in range(g.shape[0]):
-            vals[lo + i] = grid.lq_norm(ratio[i], q) ** r
-    # compensated scalar reduction over the age axis
-    total = 0.0
-    comp = 0.0
-    for c, v in zip(coeffs, vals):
-        y = c * v - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total, min_det, min_abs
-
-
-def y_integrand_now(
-    history: DeformationHistory,
-    grid: SpectralGrid,
-    q: float,
-    r: float,
-    mu: float = 1.0,
-    age_grid: AgeGrid | None = None,
-) -> float:
-    """Kernel-weighted age integral of || |grad G| / |G| ||_{L^q}^r; see history_scan."""
-    return history_scan(history, grid, q, r, mu, age_grid)[0]
+    return StackReduction(history, None, grid, (q, r, mu), age_grid).over_stack().scan_result()
 
 
 def stress_gradient_norm(tau: np.ndarray, grid: SpectralGrid, q: float) -> float:

@@ -13,6 +13,7 @@ component ``(i, j, k, l)`` of such a derivative is the sensitivity of the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,8 +78,9 @@ def contract(a: Tensor, b: Tensor, s: int):
 
 
 def frobenius_norm(a: Tensor) -> float:
-    """sqrt of the sum of squared components; equals sqrt(contract(a, a, order))."""
-    return float(np.sqrt(np.sum(a.components**2)))
+    """sqrt of the sum of squared components; equals sqrt(contract(a, a, order)).
+    Scaled, so subnormal components do not underflow to 0 nor huge ones overflow."""
+    return math.hypot(*a.components.ravel().tolist())
 
 
 def invariants2(g: Tensor) -> tuple[float, float, float]:

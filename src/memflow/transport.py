@@ -5,11 +5,15 @@ advances every slice by the react-advect stage of
 
     dG/dt = -u . grad G + G . grad u
 
-and then shifts the stack by one age index, injecting the identity at age
-zero.  Because the react-advect operator acts identically on every slice it
-commutes exactly with the shift; reacting first keeps the age-zero slice
-equal to the identity at the end of every full step, and the shift itself is
-an O(1) rotation of a circular buffer (slice-major layout, age outermost).
+and shifts the stack by one age index, injecting the identity at age zero.
+Because the react-advect operator acts identically on every slice it
+commutes exactly with the shift, and the shift itself is an O(1) rotation
+of a circular buffer (slice-major layout, age outermost).
+
+A step is the only pass over the stack: each chunk of ``chunk_slices(n)``
+rows, once updated and still in cache, goes with its new spectrum to an
+optional reduction (stress and bound scan, :mod:`memflow.stress`).  Chunk
+buffers live in one :class:`ChunkWorkspace` per history.
 
 Determinants are transported exactly by the continuum equations for
 divergence-free velocities, so their discrete drift is left uncorrected as a
@@ -25,7 +29,14 @@ import numpy as np
 from .agegrid import AgeGrid
 from .spectral import SpectralGrid
 
-CHUNK_SLICES = 48  # bounds transient FFT buffers during stack updates
+CHUNK_SLICES = 48  # most slices in one chunk of a stack pass
+CHUNK_BYTES = 2**20  # physical-field bytes of a chunk: small chunks keep a chunk's work in cache
+
+
+def chunk_slices(n: int) -> int:
+    """Slices per chunk of a stack pass on an n x n grid: ``CHUNK_BYTES`` of
+    fields, at least one and at most ``CHUNK_SLICES``."""
+    return max(1, min(CHUNK_SLICES, CHUNK_BYTES // (4 * n * n * 8)))
 
 
 class DegenerateHistoryError(ValueError):
@@ -41,8 +52,9 @@ class DeformationHistory:
 
     ``payload`` has shape ``(n_nodes, 2, 2, n, n)``; logical age index j
     lives at physical row ``(head + j) % n_nodes``.  ``generation`` counts
-    completed steps.  Single-writer: one stepper mutates the stack, readers
-    see a consistent snapshot between steps.
+    completed steps; ``workspace`` holds the chunk buffers of stack passes.
+    Single-writer: one stepper mutates the stack, readers see a consistent
+    snapshot between steps.
     """
 
     def __init__(self, payload: np.ndarray, age_grid: AgeGrid, head: int = 0, generation: int = 0):
@@ -52,6 +64,7 @@ class DeformationHistory:
         self.age_grid = age_grid
         self.head = head % age_grid.n_nodes
         self.generation = generation
+        self.workspace = ChunkWorkspace(self.n_slices, self.grid_n)
 
     @property
     def n_slices(self) -> int:
@@ -65,14 +78,25 @@ class DeformationHistory:
         """View of the age-j tensor field."""
         return self.payload[(self.head + j) % self.n_slices]
 
-    def logical_payload(self) -> np.ndarray:
-        """Copy of the stack in increasing-age order."""
-        idx = (self.head + np.arange(self.n_slices)) % self.n_slices
-        return self.payload[idx]
+    def ages(self, lo: int, count: int) -> np.ndarray:
+        """Logical age indices of the physical rows ``lo .. lo + count - 1``."""
+        return (np.arange(lo, lo + count) - self.head) % self.n_slices
 
-    def coeffs_physical(self, coeffs: np.ndarray) -> np.ndarray:
-        """Reorder per-age coefficients to match the physical row order."""
-        return np.roll(np.asarray(coeffs), self.head)
+
+class ChunkWorkspace:
+    """Buffers every chunk of a stack pass reuses: ``real`` for the physical
+    products that enter forward transforms, ``spec`` for a half spectrum an
+    inverse transform may destroy.  Shorter chunks use leading views."""
+
+    def __init__(self, n_slices: int, n: int):
+        c = min(chunk_slices(n), n_slices)
+        self.real = np.empty((c, 2, 2, n, n))
+        self.spec = np.empty((c, 2, 2, n, n // 2 + 1), dtype=complex)
+
+    @staticmethod
+    def nbytes_for(n: int) -> int:
+        """Bytes of the largest workspace on an n x n grid."""
+        return chunk_slices(n) * 4 * n * (n * 8 + (n // 2 + 1) * 16)
 
 
 def identity_stack(n_slices: int, n: int) -> np.ndarray:
@@ -129,23 +153,6 @@ def norm_field(g: np.ndarray) -> np.ndarray:
     )
 
 
-def history_min_det(history: DeformationHistory) -> float:
-    return min(
-        float(det_field(chunk).min()) for chunk in _chunks(history.payload)
-    )
-
-
-def history_min_norm(history: DeformationHistory) -> float:
-    return min(
-        float(norm_field(chunk).min()) for chunk in _chunks(history.payload)
-    )
-
-
-def _chunks(stack: np.ndarray, size: int = CHUNK_SLICES):
-    for lo in range(0, stack.shape[0], size):
-        yield stack[lo : lo + size]
-
-
 def age_shift(history: DeformationHistory) -> DeformationHistory:
     """Advance every slice one age index and inject the identity at age zero.
 
@@ -153,46 +160,43 @@ def age_shift(history: DeformationHistory) -> DeformationHistory:
     tail tolerance by construction.
     """
     history.head = (history.head - 1) % history.n_slices
-    newborn = history.payload[history.head]
-    newborn[:] = 0.0
-    newborn[0, 0] = 1.0
-    newborn[1, 1] = 1.0
+    _set_identity(history.payload[history.head])
     return history
 
 
-def _mat_times_gradu(g: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """(G . grad u)_{jk} = G_{jl} a_{lk} for stacks g ~ (c,2,2,n,n), a ~ (2,2,n,n)."""
-    out = np.empty_like(g)
-    for j in range(2):
-        for k in range(2):
-            out[:, j, k] = g[:, j, 0] * a[0, k] + g[:, j, 1] * a[1, k]
-    return out
+def _set_identity(g: np.ndarray, g_hat: np.ndarray | None = None):
+    """Write the identity field into ``g`` and, if given, its half spectrum into ``g_hat``."""
+    g[:] = 0.0
+    g[0, 0] = g[1, 1] = 1.0
+    if g_hat is not None:
+        g_hat[:] = 0.0
+        g_hat[0, 0, 0, 0] = g_hat[1, 1, 0, 0] = g.shape[-1] * g.shape[-2]
 
 
 def _react_rhs_hat(
-    grid: SpectralGrid,
-    g_phys: np.ndarray,
-    u: np.ndarray,
-    grad_u: np.ndarray,
+    grid: SpectralGrid, g_phys: np.ndarray, u: np.ndarray, grad_u: np.ndarray, work: ChunkWorkspace
 ) -> np.ndarray:
     """Dealiased spectral right-hand side of the react-advect stage.
 
     Advection uses the conservative form u . grad G = div(u G), exact for
     divergence-free u; it needs only forward transforms of physical
-    products, which is the cheaper direction for this stack size.
+    products, which is the cheaper direction for this stack size.  The
+    products are formed in ``work.real``; ``grad_u[l, k] = d_l u_k``.
     """
-    rhs_hat = grid.fwd(_mat_times_gradu(g_phys, grad_u))
-    rhs_hat -= grid.d1 * grid.fwd(u[0] * g_phys)
-    rhs_hat -= grid.d2 * grid.fwd(u[1] * g_phys)
-    return grid.dealias_hat_inplace(rhs_hat)
+    prod = work.real[: len(g_phys)]
+    np.einsum("cjlyx,lkyx->cjkyx", g_phys, grad_u, out=prod)  # (G . grad u)_{jk}
+    rhs_hat = grid.fwd(prod)
+    rhs_hat *= grid.dealias_mask
+    for u_l, d_l in ((u[0], grid.d1_dealiased), (u[1], grid.d2_dealiased)):
+        np.multiply(g_phys, u_l, out=prod)
+        flux_hat = grid.fwd(prod)
+        flux_hat *= d_l
+        rhs_hat -= flux_hat
+    return rhs_hat
 
 
 def stretch_advect_step(
-    history: DeformationHistory,
-    grid: SpectralGrid,
-    u_old: np.ndarray,
-    u_new: np.ndarray,
-    dt: float,
+    history: DeformationHistory, grid: SpectralGrid, u_old: np.ndarray, u_new: np.ndarray, dt: float, reduction=None
 ) -> DeformationHistory:
     """One full history step: Heun react-advect of every slice, then age shift.
 
@@ -201,28 +205,41 @@ def stretch_advect_step(
     identity injection make the age-zero boundary condition exact.  Slices
     are updated independently (data-parallel over age), and a non-finite
     result aborts with the offending slice located.
+
+    A ``reduction`` (such as :class:`memflow.stress.StackReduction`) gets
+    ``add_chunk(lo, g, g_hat)`` for each chunk of updated rows from physical
+    row ``lo``, after the shift (newborn identity included), with its spectrum.
     """
     a_old = grid.gradient(u_old)  # a[l, k] = d_l u_k
     a_new = a_old if u_new is u_old else grid.gradient(u_new)
-    stack = history.payload
-    for lo in range(0, stack.shape[0], CHUNK_SLICES):
-        g = stack[lo : lo + CHUNK_SLICES]
+    old_head = history.head
+    age_shift(history)  # the oldest row becomes the newborn; it is reset after its update
+    newborn = history.head
+    stack, work, size = history.payload, history.workspace, chunk_slices(grid.n)
+    for lo in range(0, stack.shape[0], size):
+        g = stack[lo : lo + size]
         g_hat = grid.fwd(g)
-        r1 = _react_rhs_hat(grid, g, u_old, a_old)
-        g_star = grid.inv(g_hat + dt * r1)
-        r2 = _react_rhs_hat(grid, g_star, u_new, a_new)
+        r1 = _react_rhs_hat(grid, g, u_old, a_old, work)
+        stage = work.spec[: len(g)]
+        np.multiply(r1, dt, out=stage)
+        stage += g_hat
+        r2 = _react_rhs_hat(grid, grid.inv(stage, overwrite=True), u_new, a_new, work)
         r1 += r2
         r1 *= 0.5 * dt
-        r1 += g_hat
-        g_new = grid.inv(r1)
+        r1 += g_hat  # r1 is now the spectrum of the new state
+        np.copyto(stage, r1)
+        g_new = grid.inv(stage, overwrite=True)
         if not np.isfinite(g_new).all():
             bad = np.argwhere(~np.isfinite(g_new))
             phys = lo + int(bad[0, 0])
-            age_j = (phys - history.head) % history.n_slices
+            age_j = (phys - old_head) % history.n_slices
             raise HistoryNaNError(
                 f"non-finite deformation at step {history.generation + 1}, age slice {age_j}"
             )
         g[:] = g_new
-    age_shift(history)
+        if lo <= newborn < lo + len(g):
+            _set_identity(g[newborn - lo], r1[newborn - lo])
+        if reduction is not None:  # it may overwrite work.spec, which this chunk no longer needs
+            reduction.add_chunk(lo, g, r1)
     history.generation += 1
     return history

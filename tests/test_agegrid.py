@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from memflow.agegrid import HistoryTooLongError, build_age_grid, quadrate
+from memflow.agegrid import HistoryTooLongError, KahanSum, build_age_grid, quadrate
 from memflow.constitutive import reptation_mode_kernel, single_exponential_kernel
 
 
@@ -95,3 +95,18 @@ def test_singular_kernel_node_mass_lumped():
     assert math.isclose(grid.node_mass[0], kernel.interval_mass(0.0, 0.025), rel_tol=1e-14)
     val = quadrate(grid, np.ones(grid.n_nodes))
     assert abs(val - (1.0 - grid.tail_error)) <= grid.quad_tol
+
+
+def test_kahan_sum_chunked_matches_reference_loop():
+    rng = np.random.default_rng(7)
+    coeffs, samples = rng.random(50), rng.standard_normal((50, 3, 4))
+    total, comp = np.zeros((3, 4)), np.zeros((3, 4))
+    for c, f in zip(coeffs, samples):  # textbook compensated summation
+        y = c * f - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    chunked = KahanSum((3, 4))
+    for lo in range(0, 50, 7):
+        chunked.add(coeffs[lo : lo + 7], samples[lo : lo + 7])
+    np.testing.assert_array_equal(chunked.total, total)

@@ -8,10 +8,6 @@ from memflow.constitutive import (
     SingularOriginError,
     WAGNER_RAW_H_SUP,
     WAGNER_RAW_HP_SUP,
-    eval_memory,
-    eval_strain,
-    eval_strain_deriv,
-    interval_mass,
     model_catalog,
     multi_mode_kernel,
     reptation_mode_kernel,
@@ -26,38 +22,38 @@ I2 = np.eye(2)
 class TestMemoryKernels:
     def test_single_exponential_values(self):
         k = single_exponential_kernel()
-        assert eval_memory(k, 0.0) == 1.0
-        assert math.isclose(eval_memory(k, math.log(2.0)), 0.5, rel_tol=1e-15)
+        assert k.density(0.0) == 1.0
+        assert math.isclose(k.density(math.log(2.0)), 0.5, rel_tol=1e-15)
 
     def test_two_mode_density(self):
         k = multi_mode_kernel([0.5, 0.5], [1.0, 2.0])
-        assert math.isclose(eval_memory(k, 0.0), 0.75, rel_tol=1e-15)
-        assert math.isclose(interval_mass(k, 0.0, math.inf), 1.0, rel_tol=1e-15)
+        assert math.isclose(k.density(0.0), 0.75, rel_tol=1e-15)
+        assert math.isclose(k.interval_mass(0.0, math.inf), 1.0, rel_tol=1e-15)
 
     def test_negative_age_rejected(self):
         with pytest.raises(ValueError):
-            eval_memory(single_exponential_kernel(), -0.1)
+            single_exponential_kernel().density(-0.1)
 
     def test_singular_origin_signal(self):
         k = reptation_mode_kernel()
         with pytest.raises(SingularOriginError):
-            eval_memory(k, 0.0)
-        assert eval_memory(k, 1e-9) > 0
+            k.density(0.0)
+        assert k.density(1e-9) > 0
 
     def test_exponential_tail(self):
         k = single_exponential_kernel()
         s_max = 7.3
-        assert math.isclose(interval_mass(k, s_max, math.inf), math.exp(-s_max), rel_tol=1e-14)
+        assert math.isclose(k.interval_mass(s_max, math.inf), math.exp(-s_max), rel_tol=1e-14)
 
     def test_interval_mass_additive(self):
         k = multi_mode_kernel([0.2, 0.5, 0.3], [0.5, 1.0, 3.0])
         a, b, c = 0.3, 1.7, 9.0
-        lhs = interval_mass(k, a, b) + interval_mass(k, b, c)
-        assert math.isclose(lhs, interval_mass(k, a, c), rel_tol=1e-14, abs_tol=1e-14)
+        lhs = k.interval_mass(a, b) + k.interval_mass(b, c)
+        assert math.isclose(lhs, k.interval_mass(a, c), rel_tol=1e-14, abs_tol=1e-14)
 
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError):
-            interval_mass(single_exponential_kernel(), 2.0, 1.0)
+            single_exponential_kernel().interval_mass(2.0, 1.0)
 
     def test_weights_normalized(self):
         k = multi_mode_kernel([2.0, 2.0], [1.0, 1.0])
@@ -73,30 +69,30 @@ class TestMemoryKernels:
 class TestStrainMeasures:
     def test_oldroyd_rest_state(self):
         _, m = model_catalog("oldroyd-b")
-        np.testing.assert_allclose(eval_strain(m, I2), np.zeros((2, 2)), atol=1e-15)
+        np.testing.assert_allclose(m.stress(I2), np.zeros((2, 2)), atol=1e-15)
         assert not m.h2_satisfied
 
     def test_psm_raw_at_identity(self):
         _, m = model_catalog("psm-raw")
-        np.testing.assert_allclose(eval_strain(m, I2), I2 / 3.0, rtol=1e-15)
+        np.testing.assert_allclose(m.stress(I2), I2 / 3.0, rtol=1e-15)
 
     def test_wagner_raw_at_identity(self):
         _, m = model_catalog("wagner-raw")
-        np.testing.assert_allclose(eval_strain(m, I2), math.exp(-math.sqrt(2.0)) * I2, rtol=1e-15)
+        np.testing.assert_allclose(m.stress(I2), math.exp(-math.sqrt(2.0)) * I2, rtol=1e-15)
 
     def test_normalized_variants_rest_state(self):
         for name in ("psm-normalized", "wagner-normalized"):
             _, m = model_catalog(name)
-            np.testing.assert_allclose(eval_strain(m, I2), I2, rtol=1e-12)
+            np.testing.assert_allclose(m.stress(I2), I2, rtol=1e-12)
 
     def test_derivative_linear_in_direction(self):
         _, m = model_catalog("psm-raw")
         g = np.array([[1.2, 0.3], [-0.4, 0.9]])
-        np.testing.assert_allclose(eval_strain_deriv(m, g, np.zeros((2, 2))), np.zeros((2, 2)), atol=1e-15)
+        np.testing.assert_allclose(m.directional_derivative(g, np.zeros((2, 2))), np.zeros((2, 2)), atol=1e-15)
 
     def test_oldroyd_derivative_at_identity(self):
         _, m = model_catalog("oldroyd-b")
-        np.testing.assert_allclose(eval_strain_deriv(m, I2, I2), 2.0 * I2, rtol=1e-15)
+        np.testing.assert_allclose(m.directional_derivative(I2, I2), 2.0 * I2, rtol=1e-15)
 
     @pytest.mark.parametrize("name", ["psm-raw", "wagner-raw", "oldroyd-b", "psm-normalized", "wagner-normalized"])
     def test_derivative_matches_finite_differences(self, name):

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from memflow import spectral
+from memflow.agegrid import HistoryTooLongError
 from memflow.config import SimulationConfig
 from memflow.simulation import EXIT_NAN, EXIT_OK, EXIT_VIOLATION, run
+from memflow.snapshots import read_checkpoint, write_checkpoint
+from memflow.transport import ChunkWorkspace
 
 
 def small_cfg(**over):
@@ -66,6 +69,36 @@ class TestRun:
         res = run(small_cfg(velocity_kind="random-band", velocity_seed=9, velocity_band=3))
         assert res.exit_code == EXIT_OK
 
+    def test_degenerate_history_exit_code(self, tmp_path):
+        # the under-resolved history collapses in the first step; an earlier checkpoint stays
+        out = tmp_path / "out"
+        run(small_cfg(output_dir=str(out)))
+        cfg = small_cfg(
+            dt=0.2, t_final=4.0, viscosity=0.01, eps_tail=1e-3, model_params={"alpha": 1.0, "lam": 1.0},
+            velocity_kind="random-band", velocity_seed=1, velocity_band=8, velocity_amplitude=5.0,
+            output_dir=str(out), snapshot_every=1,
+        )
+        res = run(cfg)
+        assert res.exit_code == EXIT_NAN
+        assert res.message == "deformation norm 0.5874 fell below 0.7071"
+        assert read_checkpoint(out / "checkpoint")["step"] == 10
+
+    def test_degenerate_restart_history_exit_code(self, tmp_path):
+        run(small_cfg(output_dir=str(tmp_path / "A")))
+        chk = read_checkpoint(tmp_path / "A" / "checkpoint")
+        chk["history"][3] *= 1e-3
+        write_checkpoint(tmp_path / "B", **chk)
+        res = run(small_cfg(t_final=1.0), restart_from=tmp_path / "B")
+        assert res.exit_code == EXIT_NAN
+        assert "deformation norm" in res.message
+
+    def test_memory_cap_counts_chunk_workspace(self):
+        stack_bytes = run(small_cfg(t_final=0.05)).history.payload.nbytes
+        with pytest.raises(HistoryTooLongError):
+            run(small_cfg(t_final=0.05, memory_cap_mb=stack_bytes / 2**20))
+        cap = (stack_bytes + ChunkWorkspace.nbytes_for(32)) / 2**20
+        assert run(small_cfg(t_final=0.05, memory_cap_mb=cap)).exit_code == EXIT_OK
+
 
 class TestDeterminism:
     def test_byte_identical_across_worker_counts(self):
@@ -119,3 +152,17 @@ class TestArtifacts:
                           "y_value", "y_integrand", "stress_grad_norm"):
                 a, b = getattr(rec, field), getattr(ref, field)
                 assert a == pytest.approx(b, rel=1e-14, abs=1e-14), field
+
+    def test_restart_continues_csv(self, tmp_path):
+        run(small_cfg(t_final=1.0, output_dir=str(tmp_path / "A")))
+        run(small_cfg(t_final=0.5, output_dir=str(tmp_path / "B")))
+        res = run(small_cfg(t_final=1.0, output_dir=str(tmp_path / "B")), restart_from=tmp_path / "B" / "checkpoint")
+        assert res.exit_code == EXIT_OK
+        assert res.records[0].t == 0.5  # the restart row stays in the records, not in the file
+        straight = (tmp_path / "A" / "diagnostics.csv").read_text().splitlines()
+        resumed = (tmp_path / "B" / "diagnostics.csv").read_text().splitlines()
+        assert len(resumed) == len(straight) == 22 and resumed[0] == straight[0]
+        for row_a, row_b in zip(straight[1:], resumed[1:]):
+            a, b = row_a.split(","), row_b.split(",")
+            assert a[0] == b[0] and a[-1] == b[-1]  # t and flags
+            assert [float(v) for v in b[1:-1]] == pytest.approx([float(v) for v in a[1:-1]], rel=1e-14, abs=1e-14)

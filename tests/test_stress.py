@@ -6,15 +6,22 @@ from scipy import integrate
 
 from memflow.agegrid import build_age_grid
 from memflow.constitutive import AgeDependentStrainMeasure, StrainMeasure, model_catalog, single_exponential_kernel
-from memflow.spectral import SpectralGrid
+from memflow.spectral import SpectralGrid, taylor_green
 from memflow.stress import (
     DegenerateDeformationError,
+    StackReduction,
     assemble_stress,
     history_scan,
     stress_gradient_norm,
-    y_integrand_now,
 )
-from memflow.transport import init_history
+from memflow.transport import (
+    CHUNK_SLICES,
+    DeformationHistory,
+    chunk_slices,
+    identity_stack,
+    init_history,
+    stretch_advect_step,
+)
 
 N = 32
 
@@ -109,11 +116,11 @@ class TestAssembly:
 class TestYIntegrand:
     def test_identity_history_zero(self, grid, age_grid):
         h = init_history("identity", grid, age_grid)
-        assert y_integrand_now(h, grid, 8, 4) == 0.0
+        assert history_scan(h, grid, 8, 4)[0] == 0.0
 
     def test_uniform_shear_zero(self, grid, age_grid):
         h = shear_history(grid, age_grid, 2.0)
-        assert y_integrand_now(h, grid, 8, 4) == 0.0
+        assert history_scan(h, grid, 8, 4)[0] == 0.0
 
     def test_scalar_multiple_of_identity_reduction(self, grid):
         # G = g(x) I per slice: ratio |grad G| / |G| = |grad g| / |g|
@@ -123,7 +130,7 @@ class TestYIntegrand:
         h.payload[:, 0, 0] = gfun
         h.payload[:, 1, 1] = gfun
         q, r = 8, 4
-        got = y_integrand_now(h, grid, q, r, mu=0.25)
+        got = history_scan(h, grid, q, r, mu=0.25)[0]
         dg = grid.spectral_derivative(gfun, 1)
         ratio_norm = grid.lq_norm(np.abs(dg) / gfun, q) ** r
         expect = float(np.sum(ag.node_mass)) * ratio_norm
@@ -133,7 +140,7 @@ class TestYIntegrand:
         h = init_history("identity", grid, age_grid)
         h.payload[4] *= 1e-4
         with pytest.raises(DegenerateDeformationError):
-            y_integrand_now(h, grid, 8, 4)
+            history_scan(h, grid, 8, 4)[0]
 
     def test_scan_minima(self, grid, age_grid):
         h = init_history("identity", grid, age_grid)
@@ -172,5 +179,64 @@ class TestStressGradient:
             stretch_advect_step(h, grid, u_old, st.u, ag.ds)
             tau = assemble_stress(h, m)
             lhs = stress_gradient_norm(tau, grid, q) ** r
-            rhs = m.sp_inf**r * y_integrand_now(h, grid, q, r)
+            rhs = m.sp_inf**r * history_scan(h, grid, q, r)[0]
             assert lhs <= rhs + 1e-6
+
+
+def perturbed_history(grid, age_grid, head, seed=0):
+    rng = np.random.default_rng(seed)
+    noise = grid.dealias(rng.standard_normal((age_grid.n_nodes, 2, 2, grid.n, grid.n)))
+    return DeformationHistory(identity_stack(age_grid.n_nodes, grid.n) + 0.1 * noise, age_grid, head=head)
+
+
+class TestFusedPass:
+    """The history step's single stack pass against the separate stress and scan passes."""
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("head_at_chunk_start", [0, 1])
+    def test_matches_separate_passes(self, n, head_at_chunk_start):
+        grid = SpectralGrid(n)
+        ag = build_age_grid(single_exponential_kernel(), 0.05, 1e-2)
+        size = chunk_slices(n)
+        assert ag.n_nodes > CHUNK_SLICES >= size and (n > 16 or size == CHUNK_SLICES)
+        new_head = head_at_chunk_start * size  # 0, or the first row of the second chunk
+        h = perturbed_history(grid, ag, new_head + 1, seed=n)
+        _, m = model_catalog("psm-raw")
+        u = taylor_green(grid)
+        fused = StackReduction(h, m, grid, (8, 4, 0.5))
+        stretch_advect_step(h, grid, u, 0.9 * u, 0.05, fused)
+        assert h.head == new_head
+        np.testing.assert_array_equal(fused.tau.total, assemble_stress(h, m))
+        assert fused.scan_result() == pytest.approx(history_scan(h, grid, 8, 4, mu=0.5), rel=1e-13)
+
+    def test_transforms_per_slice(self, monkeypatch):
+        counted = {"transforms": 0, "paused": False}
+
+        def counting(method):
+            def wrapper(self, f, *args, **kwargs):
+                if not counted["paused"]:
+                    counted["transforms"] += math.prod(f.shape[:-2])
+                return method(self, f, *args, **kwargs)
+            return wrapper
+
+        def uncounted(method):  # velocity gradients are per step, not per slice
+            def wrapper(*args, **kwargs):
+                counted["paused"] = True
+                try:
+                    return method(*args, **kwargs)
+                finally:
+                    counted["paused"] = False
+            return wrapper
+
+        monkeypatch.setattr(SpectralGrid, "fwd", counting(SpectralGrid.fwd))
+        monkeypatch.setattr(SpectralGrid, "inv", counting(SpectralGrid.inv))
+        monkeypatch.setattr(SpectralGrid, "gradient", uncounted(SpectralGrid.gradient))
+        grid = SpectralGrid(16)
+        ag = build_age_grid(single_exponential_kernel(), 0.05, 1e-2)
+        h = perturbed_history(grid, ag, 0)
+        _, m = model_catalog("psm-raw")
+        u = taylor_green(grid)
+        for scan, per_slice in ((None, 36), ((8, 4, 1.0), 44)):
+            counted["transforms"] = 0
+            stretch_advect_step(h, grid, u, 0.9 * u, 0.05, StackReduction(h, m, grid, scan))
+            assert counted["transforms"] == per_slice * h.n_slices

@@ -54,6 +54,13 @@ def test_frobenius_examples():
     assert math.isclose(frobenius_norm(shear), math.sqrt(2.0 + gd_s**2), rel_tol=1e-15)
 
 
+def test_frobenius_subnormal_example():
+    # squaring 3.5e-269 underflows to 0; the scaled norm keeps the Cauchy-Schwarz bound
+    a, b = Tensor(np.array([1.0, 0.0])), Tensor(np.array([3.5e-269, 0.0]))
+    assert frobenius_norm(b) == 3.5e-269
+    assert abs(contract(a, b, 1)) <= frobenius_norm(a) * frobenius_norm(b)
+
+
 def test_invariants_examples():
     assert invariants2(delta()) == (2.0, 1.0, 2.0)
     assert invariants2(2.0 * delta()) == (4.0, 4.0, 8.0)
