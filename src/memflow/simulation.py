@@ -97,25 +97,21 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
     max_nodes = max(0, int(free_bytes // (4 * cfg.n * cfg.n * 8)))
     age_grid = build_age_grid(kernel, cfg.dt, cfg.eps_tail, max_nodes=max_nodes)
 
-    state = FlowState(grid, initial_velocity(cfg, grid), cfg.viscosity)
-    if cfg.initial_history.startswith("snapshot:"):
-        stack = read_field(cfg.initial_history.split(":", 1)[1])
-        history = init_history(stack, grid, age_grid, mu=cfg.mu_min)
-    else:
-        history = init_history(cfg.initial_history, grid, age_grid, mu=cfg.mu_min)
     oracle = OracleState(
         np.zeros((2, 2, grid.n, grid.n)), lam=float(params.get("lam", 1.0)), mu_p=float(params.get("mu_p", 1.0))
     ) if cfg.oracle else None
     mcfg = MonitorConfig(q=cfg.q, r=cfg.r, mu=cfg.mu_min, det_tol=cfg.det_tol, stress_tol=cfg.stress_tol)
 
-    step0 = 0
-    y_value = 0.0
-    yi_prev = None
-    if restart_from is not None:
+    if restart_from is None:
+        step0, y_value, yi_prev = 0, 0.0, None
+        state = FlowState(grid, initial_velocity(cfg, grid), cfg.viscosity)
+        spec = cfg.initial_history
+        if spec.startswith("snapshot:"):
+            spec = read_field(spec.split(":", 1)[1])
+        history = init_history(spec, grid, age_grid, mu=cfg.mu_min)
+    else:  # the checkpoint's fields are the state: no initial velocity or history is built
         chk = read_checkpoint(restart_from)
-        step0 = chk["step"]
-        y_value = chk["y_value"]
-        yi_prev = chk["y_integrand"]
+        step0, y_value, yi_prev = chk["step"], chk["y_value"], chk["y_integrand"]
         state = FlowState(grid, chk["u"], cfg.viscosity, t=chk["t"])
         history = DeformationHistory(chk["history"], age_grid, head=chk["head"], generation=step0)
         if oracle is not None and chk["oracle_tau"] is not None:

@@ -3,59 +3,35 @@
 Format (all integers little-endian):
 
     bytes 0..7    magic "MEMFLW01"
-    4 x uint32    version, grid size N, component count, N_s
+    4 x uint32    version (2), grid size N, component count, N_s
                   (N_s is 0 for plain fields, the slice count for
                   age-history stacks)
     payload       float64, row-major
-    uint64        FNV-1a hash of the payload bytes
+    uint64        CRC-32 (zlib) of the payload bytes, zero-extended
 
+Version-1 files (FNV-1a trailer) are rejected.  Writes stream the array's
+own buffer and reads fill one preallocated array: no second payload copy.
 Reads validate magic, sizes, and checksum; a write/read round trip is
 bit-exact.  Checkpoints are directories holding one snapshot per state
 field plus a JSON metadata file with exact (hex) float values, so a
-restarted run reproduces the original bit for bit.
+restarted run reproduces the original bit for bit.  They are swapped into
+place whole (:func:`write_checkpoint`): a killed process leaves a complete
+checkpoint; nothing is fsynced, so a power loss is not covered.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
 
 MAGIC = b"MEMFLW01"
-VERSION = 1
-
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
-def _fnv1a_python(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for b in data:
-        h = ((h ^ b) * _FNV_PRIME) & _MASK64
-    return h
-
-
-try:  # numba gives ~100x on large payloads; results are identical
-    import numba
-
-    @numba.njit(cache=True)
-    def _fnv1a_numba(arr):  # pragma: no cover - thin wrapper
-        h = numba.uint64(_FNV_OFFSET)
-        prime = numba.uint64(_FNV_PRIME)
-        for i in range(arr.size):
-            h = (h ^ numba.uint64(arr[i])) * prime
-        return h
-
-    def fnv1a_64(data: bytes) -> int:
-        return int(_fnv1a_numba(np.frombuffer(data, dtype=np.uint8)))
-
-except Exception:  # pragma: no cover - numba optional
-
-    def fnv1a_64(data: bytes) -> int:
-        return _fnv1a_python(data)
+VERSION = 2
 
 
 class SnapshotFormatError(ValueError):
@@ -64,7 +40,7 @@ class SnapshotFormatError(ValueError):
 
 def write_field(path, array: np.ndarray, n_s: int = 0) -> None:
     """Write a field or history stack; shape is recovered from the header."""
-    arr = np.ascontiguousarray(array, dtype=np.float64)
+    arr = np.ascontiguousarray(array, dtype="<f8")
     n = arr.shape[-1]
     if arr.shape[-2] != n:
         raise SnapshotFormatError(f"field must end in square spatial axes, got {arr.shape}")
@@ -77,50 +53,55 @@ def write_field(path, array: np.ndarray, n_s: int = 0) -> None:
         ncomp = int(np.prod(lead, dtype=int)) if lead else 1
         if ncomp not in (1, 2, 4):
             raise SnapshotFormatError(f"unsupported component count {ncomp}")
-    payload = arr.tobytes()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<4I", VERSION, n, ncomp, n_s))
-        fh.write(payload)
-        fh.write(struct.pack("<Q", fnv1a_64(payload)))
+        fh.write(arr)
+        fh.write(struct.pack("<Q", zlib.crc32(arr)))
 
 
 def read_field(path) -> np.ndarray:
     """Read a snapshot, validating magic, sizes, and the payload checksum."""
-    raw = Path(path).read_bytes()
-    if len(raw) < len(MAGIC) + 16 + 8:
-        raise SnapshotFormatError(f"{path}: truncated header ({len(raw)} bytes)")
-    if raw[:8] != MAGIC:
-        raise SnapshotFormatError(f"{path}: bad magic {raw[:8]!r} at byte offset 0")
-    version, n, ncomp, n_s = struct.unpack_from("<4I", raw, 8)
-    if version != VERSION:
-        raise SnapshotFormatError(f"{path}: unsupported version {version}")
-    if n_s:
-        shape = (n_s, 2, 2, n, n)
-    elif ncomp == 1:
-        shape = (n, n)
-    elif ncomp == 2:
-        shape = (2, n, n)
-    elif ncomp == 4:
-        shape = (2, 2, n, n)
-    else:
-        raise SnapshotFormatError(f"{path}: bad component count {ncomp}")
-    n_payload = int(np.prod(shape, dtype=np.int64)) * 8
-    expected = 24 + n_payload + 8
-    if len(raw) != expected:
-        raise SnapshotFormatError(
-            f"{path}: size mismatch at byte offset {min(len(raw), expected)}: "
-            f"have {len(raw)} bytes, header implies {expected}"
-        )
-    payload = raw[24 : 24 + n_payload]
-    (stored,) = struct.unpack_from("<Q", raw, 24 + n_payload)
-    actual = fnv1a_64(payload)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < 24 + 8:
+            raise SnapshotFormatError(f"{path}: truncated header ({size} bytes)")
+        header = fh.read(24)
+        if header[:8] != MAGIC:
+            raise SnapshotFormatError(f"{path}: bad magic {header[:8]!r} at byte offset 0")
+        version, n, ncomp, n_s = struct.unpack_from("<4I", header, 8)
+        if version != VERSION:
+            raise SnapshotFormatError(f"{path}: unsupported version {version}")
+        if n_s:
+            shape = (n_s, 2, 2, n, n)
+        elif ncomp == 1:
+            shape = (n, n)
+        elif ncomp == 2:
+            shape = (2, n, n)
+        elif ncomp == 4:
+            shape = (2, 2, n, n)
+        else:
+            raise SnapshotFormatError(f"{path}: bad component count {ncomp}")
+        n_payload = int(np.prod(shape, dtype=np.int64)) * 8
+        expected = 24 + n_payload + 8
+        if size != expected:  # checked before allocating what a corrupt header may claim
+            raise SnapshotFormatError(
+                f"{path}: size mismatch at byte offset {min(size, expected)}: "
+                f"have {size} bytes, header implies {expected}"
+            )
+        out = np.empty(shape, dtype="<f8")
+        got = fh.readinto(memoryview(out).cast("B"))
+        trailer = fh.read(8)
+    if got != n_payload or len(trailer) != 8:  # the file shrank while it was read
+        raise SnapshotFormatError(f"{path}: truncated payload at byte offset {24 + got}")
+    (stored,) = struct.unpack("<Q", trailer)
+    actual = zlib.crc32(out)
     if stored != actual:
         raise SnapshotFormatError(
             f"{path}: checksum mismatch at byte offset {24 + n_payload}: "
-            f"stored {stored:#018x}, computed {actual:#018x}"
+            f"stored {stored:#010x}, computed {actual:#010x}"
         )
-    return np.frombuffer(payload, dtype=np.float64).reshape(shape).copy()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +110,11 @@ def read_field(path) -> np.ndarray:
 
 
 def write_checkpoint(directory, *, step, t, y_value, y_integrand, u, history, head, oracle_tau=None):
-    d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
-    write_field(d / "u.fld", u)
-    write_field(d / "history.fld", history, n_s=history.shape[0])
+    """Write a checkpoint into the sibling ``.<name>.new``, then swap it into
+    place: ``<name>`` moves to ``.<name>.old``, the new one to ``<name>``, and
+    the old one is deleted.  A process killed at any point leaves a complete
+    checkpoint that :func:`read_checkpoint` finds.  Nothing is fsynced: this
+    guards against a killed process, not against power loss."""
     meta = {
         "step": int(step),
         "t": float(t).hex(),
@@ -141,15 +123,33 @@ def write_checkpoint(directory, *, step, t, y_value, y_integrand, u, history, he
         "head": int(head),
         "has_oracle": oracle_tau is not None,
     }
-    if oracle_tau is not None:
-        write_field(d / "oracle_tau.fld", oracle_tau)
-    (d / "meta.json").write_text(json.dumps(meta, indent=1))
+    d = Path(directory)
+    new, old = (d.with_name(f".{d.name}.{tag}") for tag in ("new", "old"))
+    shutil.rmtree(new, ignore_errors=True)  # left by a killed write
+    new.mkdir(parents=True)
+    try:
+        write_field(new / "u.fld", u)
+        write_field(new / "history.fld", history, n_s=history.shape[0])
+        if oracle_tau is not None:
+            write_field(new / "oracle_tau.fld", oracle_tau)
+        (new / "meta.json").write_text(json.dumps(meta, indent=1))
+    except BaseException:
+        shutil.rmtree(new, ignore_errors=True)
+        raise
+    if d.exists():
+        shutil.rmtree(old, ignore_errors=True)
+        d.rename(old)
+    new.rename(d)
+    shutil.rmtree(old, ignore_errors=True)
 
 
 def read_checkpoint(directory) -> dict:
     d = Path(directory)
+    old = d.with_name(f".{d.name}.old")
+    if not d.exists() and old.is_dir():  # a write was killed between its two renames
+        d = old
     meta = json.loads((d / "meta.json").read_text())
-    out = {
+    return {
         "step": int(meta["step"]),
         "t": float.fromhex(meta["t"]),
         "y_value": float.fromhex(meta["y_value"]),
@@ -159,4 +159,3 @@ def read_checkpoint(directory) -> dict:
         "history": read_field(d / "history.fld"),
         "oracle_tau": read_field(d / "oracle_tau.fld") if meta.get("has_oracle") else None,
     }
-    return out

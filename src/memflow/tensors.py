@@ -1,4 +1,4 @@
-"""Dense tensor algebra in dimension 2 for orders 1 through 4.
+"""Dense tensor algebra in dimension 2: operands of order 1-4, products up to order 8.
 
 Provides the generalized s-fold contraction, the Frobenius norm extended to
 tensors of any order, and the scalar invariants of 2-tensors.  Everything is
@@ -23,7 +23,7 @@ DIM = 2
 
 @dataclass(frozen=True)
 class Tensor:
-    """A dense real tensor over R^2 with shape ``(2,) * order``.
+    """A dense real tensor over R^2 with shape ``(2,) * order``, order 1 to 8.
 
     Components are stored row-major: entry ``(i1, ..., ip)`` lives at
     ``components[i1, ..., ip]``.  Instances are immutable value objects and

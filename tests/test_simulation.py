@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from memflow import spectral
+from memflow import simulation, snapshots, spectral
 from memflow.agegrid import HistoryTooLongError
 from memflow.config import SimulationConfig
 from memflow.simulation import EXIT_NAN, EXIT_OK, EXIT_VIOLATION, run
@@ -135,13 +135,42 @@ class TestArtifacts:
         assert (snap / "g_00000.fld").exists()
         assert (snap / "g_00002.fld").exists()
         assert (tmp_path / "out" / "checkpoint" / "meta.json").exists()
+        # the checkpoint swap leaves no temporary directory behind
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "checkpoint", "diagnostics.csv", "snap_000005", "snap_000010"]
 
-    def test_restart_matches_straight_run(self, tmp_path):
+    def test_failed_checkpoint_keeps_previous(self, tmp_path, monkeypatch):
+        written = {}
+        write_field = snapshots.write_field
+
+        def failing_write(path, array, n_s=0):  # the second checkpoint fails on its history
+            if path.name == "history.fld" and "history.fld" in written:
+                raise OSError("disk full")
+            written.setdefault(path.name, np.array(array))
+            write_field(path, array, n_s)
+
+        monkeypatch.setattr(snapshots, "write_field", failing_write)
+        out = tmp_path / "out"
+        with pytest.raises(OSError, match="disk full"):
+            run(small_cfg(output_dir=str(out), snapshot_every=5))
+        chk = read_checkpoint(out / "checkpoint")
+        assert chk["step"] == 5
+        assert np.array_equal(chk["u"], written["u.fld"])
+        assert np.array_equal(chk["history"], written["history.fld"])
+        assert sorted(p.name for p in out.iterdir()) == ["checkpoint", "diagnostics.csv", "snap_000005", "snap_000010"]
+
+    def test_restart_matches_straight_run(self, tmp_path, monkeypatch):
         cfg_full = small_cfg(t_final=1.0, output_dir=str(tmp_path / "A"))
         rows_full = {rec.t: rec for rec in run(cfg_full).records}
 
         cfg_half = small_cfg(t_final=0.5, output_dir=str(tmp_path / "B"))
         run(cfg_half)
+
+        def unused(*args, **kwargs):
+            raise AssertionError("a resumed run builds no initial state")
+
+        monkeypatch.setattr(simulation, "init_history", unused)
+        monkeypatch.setattr(simulation, "initial_velocity", unused)
         cfg_resume = small_cfg(t_final=1.0)
         res = run(cfg_resume, restart_from=tmp_path / "B" / "checkpoint")
 

@@ -1,10 +1,13 @@
+import struct
+import tracemalloc
+import zlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from memflow.snapshots import (
     SnapshotFormatError,
-    fnv1a_64,
-    _fnv1a_python,
     read_checkpoint,
     read_field,
     write_checkpoint,
@@ -13,15 +16,19 @@ from memflow.snapshots import (
 
 
 class TestChecksum:
-    # published FNV-1a 64-bit test vectors
+    # published CRC-32 (ISO-HDLC, as in zlib) test vectors
     def test_known_vectors(self):
-        assert fnv1a_64(b"") == 0xCBF29CE484222325
-        assert fnv1a_64(b"a") == 0xAF63DC4C8601EC8C
-        assert fnv1a_64(b"foobar") == 0x85944171F73967E8
+        assert zlib.crc32(b"") == 0
+        assert zlib.crc32(b"123456789") == 0xCBF43926
 
-    def test_accelerated_matches_reference(self):
-        data = np.random.default_rng(0).bytes(4096)
-        assert fnv1a_64(data) == _fnv1a_python(data)
+    def test_trailer_is_zero_extended_crc32(self, tmp_path):
+        arr = np.random.default_rng(0).standard_normal((2, 16, 16))
+        path = tmp_path / "f.fld"
+        write_field(path, arr)
+        raw = path.read_bytes()
+        assert struct.unpack("<4I", raw[8:24])[0] == 2  # format version
+        assert raw[24:-8] == arr.astype("<f8").tobytes()
+        assert struct.unpack("<Q", raw[-8:])[0] == zlib.crc32(raw[24:-8])
 
 
 class TestRoundTrip:
@@ -39,6 +46,20 @@ class TestRoundTrip:
         path = tmp_path / "h.fld"
         write_field(path, stack, n_s=7)
         assert np.array_equal(read_field(path), stack)
+
+    @pytest.mark.parametrize("view", ["transposed", "strided stack", "history slice"])
+    def test_non_contiguous_input(self, tmp_path, view):
+        rng = np.random.default_rng(5)
+        stack = rng.standard_normal((8, 2, 2, 16, 16))
+        arr, n_s = {
+            "transposed": (rng.standard_normal((16, 16)).T, 0),
+            "strided stack": (stack[::2], 4),
+            "history slice": (stack[3, :, :, ::-1, :], 0),
+        }[view]
+        assert not arr.flags.c_contiguous
+        path = tmp_path / "v.fld"
+        write_field(path, arr, n_s=n_s)
+        assert np.array_equal(read_field(path), arr)
 
     def test_shape_policing(self, tmp_path):
         with pytest.raises(SnapshotFormatError):
@@ -59,6 +80,14 @@ class TestCorruption:
         raw[0] ^= 0xFF
         path.write_bytes(bytes(raw))
         with pytest.raises(SnapshotFormatError, match="magic"):
+            read_field(path)
+
+    def test_version_1_rejected(self, tmp_path):
+        path = self._write(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[8:12] = struct.pack("<I", 1)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SnapshotFormatError, match="unsupported version 1"):
             read_field(path)
 
     def test_truncation_reports_offset(self, tmp_path):
@@ -99,3 +128,60 @@ class TestCheckpoint:
         assert np.array_equal(chk["u"], u)
         assert np.array_equal(chk["history"], hist)
         assert chk["oracle_tau"] is None
+
+    def _write(self, directory, step):
+        rng = np.random.default_rng(step)
+        fields = dict(u=rng.standard_normal((2, 16, 16)), history=rng.standard_normal((5, 2, 2, 16, 16)))
+        write_checkpoint(directory, step=step, t=0.1 * step, y_value=0.0, y_integrand=0.0, head=0, **fields)
+        return fields
+
+    def test_rewrite_swaps_in_place(self, tmp_path):
+        self._write(tmp_path / "chk", 1)
+        second = self._write(tmp_path / "chk", 2)
+        chk = read_checkpoint(tmp_path / "chk")
+        assert chk["step"] == 2
+        assert np.array_equal(chk["history"], second["history"])
+        assert [p.name for p in tmp_path.iterdir()] == ["chk"]
+
+    def test_kill_between_renames_keeps_previous(self, tmp_path, monkeypatch):
+        first = self._write(tmp_path / "chk", 1)
+        rename = Path.rename
+
+        def killed(self, target):  # the process dies after moving the old checkpoint aside
+            if self.name.endswith(".new"):
+                raise KeyboardInterrupt
+            return rename(self, target)
+
+        monkeypatch.setattr(Path, "rename", killed)
+        with pytest.raises(KeyboardInterrupt):
+            self._write(tmp_path / "chk", 2)
+        chk = read_checkpoint(tmp_path / "chk")
+        assert chk["step"] == 1
+        assert np.array_equal(chk["u"], first["u"])
+        monkeypatch.undo()
+        self._write(tmp_path / "chk", 3)
+        assert read_checkpoint(tmp_path / "chk")["step"] == 3
+        assert [p.name for p in tmp_path.iterdir()] == ["chk"]
+
+
+class TestMemory:
+    # a (40, 2, 2, 32, 32) stack: 1.25 MiB of payload
+    STACK = (40, 2, 2, 32, 32)
+
+    @staticmethod
+    def _peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_read_holds_one_copy(self, tmp_path):
+        stack = np.random.default_rng(6).standard_normal(self.STACK)
+        write_field(tmp_path / "h.fld", stack, n_s=40)
+        assert self._peak(read_field, tmp_path / "h.fld") <= 1.25 * stack.nbytes
+
+    def test_write_copies_nothing(self, tmp_path):
+        stack = np.random.default_rng(6).standard_normal(self.STACK)
+        assert self._peak(write_field, tmp_path / "h.fld", stack, 40) <= 0.25 * stack.nbytes

@@ -81,6 +81,13 @@ def test_bad_shape_rejected():
         Tensor(np.ones((2, 3)))
 
 
+def test_order_limits():
+    # contractions of order-4 operands build products up to order 8
+    assert Tensor(np.ones((2,) * 8)).order == 8
+    with pytest.raises(ValueError):
+        Tensor(np.ones((2,) * 9))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     data=st.data(),
