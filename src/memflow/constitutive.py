@@ -161,17 +161,18 @@ class StrainMeasure:
         i1 = float(np.sum(g * g))
         return float(self.h(i1)) * b + self.iso_offset * np.eye(2)
 
-    def stress_stack(self, g, i1=None) -> np.ndarray:
+    def stress_stack(self, g, i1=None, out=None) -> np.ndarray:
         """Vectorized S(G) over arrays shaped (..., 2, 2, ny, nx).
 
         The tensor axes sit at positions -4, -3 so the spatial axes stay
-        contiguous for FFT work elsewhere.
+        contiguous for FFT work elsewhere.  ``out``, of the shape of ``g``,
+        takes the result in place of a new array.
         """
         g = np.asarray(g)
         if i1 is None:
             i1 = np.einsum("...ijyx,...ijyx->...yx", g, g)
-        b = np.einsum("...liyx,...ljyx->...ijyx", g, g)
-        out = self.h(i1)[..., None, None, :, :] * b
+        out = np.einsum("...liyx,...ljyx->...ijyx", g, g, out=out)
+        out *= self.h(i1)[..., None, None, :, :]
         if self.iso_offset != 0.0:
             out[..., 0, 0, :, :] += self.iso_offset
             out[..., 1, 1, :, :] += self.iso_offset

@@ -104,7 +104,7 @@ def monitor(
     grid = state.grid
     stress_sup = float(np.max(norm_field(tau)))
     if scan is None:
-        scan = history_scan(history, grid, config.q, config.r, config.mu)
+        scan = history_scan(history, config.q, config.r, config.mu)
     yi, min_det, min_abs = scan
 
     u_hat = state.u_hat

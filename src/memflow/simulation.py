@@ -17,6 +17,7 @@ directory: rows past the checkpoint time are dropped, the rest are kept.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from .diagnostics import (
 from .snapshots import read_checkpoint, read_field, write_checkpoint, write_field
 from .spectral import SpectralGrid, random_band_limited_velocity, taylor_green
 from .stepper import FlowState, advance_flow
-from .stress import StackReduction, assemble_stress
+from .stress import StackReduction, assemble_stress  # noqa: F401 (assemble_stress: traced by perfbench)
 from .transport import ChunkWorkspace, DeformationHistory, init_history, stretch_advect_step
 
 EXIT_OK = 0
@@ -92,9 +93,9 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
     grid = SpectralGrid(cfg.n)
     params = {k: v for k, v in cfg.model_params.items() if v is not None}
     kernel, measure = model_catalog(cfg.model_name, **params)
-    # the cap covers the stack and the largest chunk workspace of its passes
+    # the cap covers the band-spectrum stack and the largest chunk workspace of its passes
     free_bytes = cfg.memory_cap_mb * 2**20 - ChunkWorkspace.nbytes_for(cfg.n)
-    max_nodes = max(0, int(free_bytes // (4 * cfg.n * cfg.n * 8)))
+    max_nodes = max(0, int(free_bytes // (4 * 16 * math.prod(grid.band_shape))))
     age_grid = build_age_grid(kernel, cfg.dt, cfg.eps_tail, max_nodes=max_nodes)
 
     oracle = OracleState(
@@ -113,7 +114,7 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
         chk = read_checkpoint(restart_from)
         step0, y_value, yi_prev = chk["step"], chk["y_value"], chk["y_integrand"]
         state = FlowState(grid, chk["u"], cfg.viscosity, t=chk["t"])
-        history = DeformationHistory(chk["history"], age_grid, head=chk["head"], generation=step0)
+        history = DeformationHistory(chk["history"], age_grid, grid, head=chk["head"], generation=step0)
         if oracle is not None and chk["oracle_tau"] is not None:
             oracle.tau = chk["oracle_tau"]
 
@@ -132,9 +133,7 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
         if csv_fh is not None and to_csv:
             csv_fh.write(rec.csv_row() + "\n")
 
-    def close(code: int, message: str, tau) -> RunResult:
-        if csv_fh is not None:
-            csv_fh.close()
+    def finish(code: int, message: str, tau) -> RunResult:
         gap = None
         if oracle is not None and tau is not None:
             gap = _relative_l2_gap(grid, tau, oracle.tau)
@@ -148,53 +147,58 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
                          u=state.u, history=history.payload, head=history.head,
                          oracle_tau=None if oracle is None else oracle.tau)
 
-    try:
-        tau = assemble_stress(history, measure)
-        rec = monitor(state, history, tau, measure, mcfg, y_value)
-    except FloatingPointError as exc:  # a degenerate initial or restart history
-        return close(EXIT_NAN, str(exc), None)
-    if yi_prev is None:
-        yi_prev = rec.y_integrand
-    log(rec, to_csv=csv_first_row)
-    if cfg.fatal_on_violation and rec.flags:
-        return close(EXIT_VIOLATION, f"initial state violates bounds: {rec.flags}", tau)
-
-    n_steps = cfg.n_steps
-    log_dt = cfg.cadence * cfg.dt
     scan_args = (mcfg.q, mcfg.r, mcfg.mu)
-    for step in range(step0 + 1, n_steps + 1):
-        u_old = state.u
-        monitored = step % cfg.cadence == 0 or step == n_steps
-        stack_pass = StackReduction(history, measure, grid, scan_args if monitored else None)
-        try:
-            advance_flow(state, tau, cfg.dt, cfg.cfl_safety)
-            state.t = step * cfg.dt  # re-pin against substep roundoff drift
-            stretch_advect_step(history, grid, u_old, state.u, cfg.dt, stack_pass)
-            if oracle is not None:
-                oldroyd_differential_step(oracle, grid, u_old, state.u, cfg.dt)
-        except FloatingPointError as exc:  # non-finite flow, history or oracle; degenerate history
-            return close(EXIT_NAN, str(exc), None)
-        tau = stack_pass.tau.total
-
-        if monitored:
+    try:
+        try:  # the stored stack's stress and bound scan, in one pass
+            stack_pass = StackReduction(history, measure, scan_args).over_stack()
+            tau = stack_pass.tau.total
             rec = monitor(state, history, tau, measure, mcfg, y_value, stack_pass.scan_result())
-            y_value += 0.5 * log_dt * (yi_prev + rec.y_integrand)
+        except FloatingPointError as exc:  # a degenerate initial or restart history
+            return finish(EXIT_NAN, str(exc), None)
+        if yi_prev is None:
             yi_prev = rec.y_integrand
-            rec.y_value = y_value
-            log(rec)
-            if progress is not None:
-                progress(step, n_steps, rec)
-            if cfg.fatal_on_violation and rec.flags:
-                return close(EXIT_VIOLATION, f"bounds violated at t = {state.t:.6g}: {rec.flags}", tau)
+        log(rec, to_csv=csv_first_row)
+        if cfg.fatal_on_violation and rec.flags:
+            return finish(EXIT_VIOLATION, f"initial state violates bounds: {rec.flags}", tau)
 
-        if out_dir is not None and cfg.snapshot_every and step % cfg.snapshot_every == 0:
-            _write_snapshots(out_dir, step, state, tau, history, cfg)
-            if cfg.checkpoint:
-                checkpoint(step)
+        n_steps = cfg.n_steps
+        log_dt = cfg.cadence * cfg.dt
+        for step in range(step0 + 1, n_steps + 1):
+            u_old = state.u
+            monitored = step % cfg.cadence == 0 or step == n_steps
+            stack_pass = StackReduction(history, measure, scan_args if monitored else None)
+            try:
+                advance_flow(state, tau, cfg.dt, cfg.cfl_safety)
+                state.t = step * cfg.dt  # re-pin against substep roundoff drift
+                stretch_advect_step(history, u_old, state.u, cfg.dt, stack_pass)
+                if oracle is not None:
+                    oldroyd_differential_step(oracle, grid, u_old, state.u, cfg.dt)
+            except FloatingPointError as exc:  # non-finite flow, history or oracle; degenerate history
+                return finish(EXIT_NAN, str(exc), None)
+            tau = stack_pass.tau.total
 
-    if out_dir is not None and cfg.checkpoint:
-        checkpoint(n_steps)
-    return close(EXIT_OK, "completed", tau)
+            if monitored:
+                rec = monitor(state, history, tau, measure, mcfg, y_value, stack_pass.scan_result())
+                y_value += 0.5 * log_dt * (yi_prev + rec.y_integrand)
+                yi_prev = rec.y_integrand
+                rec.y_value = y_value
+                log(rec)
+                if progress is not None:
+                    progress(step, n_steps, rec)
+                if cfg.fatal_on_violation and rec.flags:
+                    return finish(EXIT_VIOLATION, f"bounds violated at t = {state.t:.6g}: {rec.flags}", tau)
+
+            if out_dir is not None and cfg.snapshot_every and step % cfg.snapshot_every == 0:
+                _write_snapshots(out_dir, step, state, tau, history, cfg)
+                if cfg.checkpoint:
+                    checkpoint(step)
+
+        if out_dir is not None and cfg.checkpoint:
+            checkpoint(n_steps)
+        return finish(EXIT_OK, "completed", tau)
+    finally:  # also when a checkpoint write raises
+        if csv_fh is not None:
+            csv_fh.close()
 
 
 def _open_diagnostics(path: Path, t_restart: float | None):
@@ -215,6 +219,7 @@ def _write_snapshots(out_dir: Path, step: int, state: FlowState, tau, history, c
     d.mkdir(parents=True, exist_ok=True)
     write_field(d / "u.fld", state.u)
     write_field(d / "tau.fld", tau)
+    g = np.empty((2, 2, cfg.n, cfg.n))
     for j in cfg.history_slices:
-        if 0 <= j < history.n_slices:
-            write_field(d / f"g_{j:05d}.fld", history.slice(j))
+        if 0 <= j < history.n_slices:  # physical fields, like every other snapshot
+            write_field(d / f"g_{j:05d}.fld", history.grid.inv(history.slice(j), out=g))

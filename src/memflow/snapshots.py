@@ -3,16 +3,19 @@
 Format (all integers little-endian):
 
     bytes 0..7    magic "MEMFLW01"
-    4 x uint32    version (2), grid size N, component count, N_s
-                  (N_s is 0 for plain fields, the slice count for
-                  age-history stacks)
-    payload       float64, row-major
+    6 x uint32    version (3), rows, columns, component count, N_s, kind
+                  (rows x columns are the trailing axes; N_s is 0 for plain
+                  fields, the slice count for age-history stacks; kind 0 is
+                  a float64 physical field, kind 1 a complex128 band
+                  spectrum of 2 kc + 1 rows and kc + 1 columns)
+    payload       row-major
     uint64        CRC-32 (zlib) of the payload bytes, zero-extended
 
-Version-1 files (FNV-1a trailer) are rejected.  Writes stream the array's
-own buffer and reads fill one preallocated array: no second payload copy.
-Reads validate magic, sizes, and checksum; a write/read round trip is
-bit-exact.  Checkpoints are directories holding one snapshot per state
+Older versions are rejected: version 1 had an FNV-1a trailer, version 2 a
+grid size in place of the trailing shape and physical history stacks only.
+Writes stream the array's own buffer and reads fill one preallocated array:
+no second payload copy.  Reads validate magic, sizes, and checksum; a
+write/read round trip is bit-exact.  Checkpoints are directories holding one snapshot per state
 field plus a JSON metadata file with exact (hex) float values, so a
 restarted run reproduces the original bit for bit.  They are swapped into
 place whole (:func:`write_checkpoint`): a killed process leaves a complete
@@ -31,7 +34,9 @@ from pathlib import Path
 import numpy as np
 
 MAGIC = b"MEMFLW01"
-VERSION = 2
+VERSION = 3
+KINDS = (np.dtype("<f8"), np.dtype("<c16"))  # physical field, band spectrum
+HEADER = struct.Struct("<6I")
 
 
 class SnapshotFormatError(ValueError):
@@ -39,66 +44,66 @@ class SnapshotFormatError(ValueError):
 
 
 def write_field(path, array: np.ndarray, n_s: int = 0) -> None:
-    """Write a field or history stack; shape is recovered from the header."""
-    arr = np.ascontiguousarray(array, dtype="<f8")
-    n = arr.shape[-1]
-    if arr.shape[-2] != n:
-        raise SnapshotFormatError(f"field must end in square spatial axes, got {arr.shape}")
+    """Write a field, a band spectrum or a stack of either; the shape is
+    recovered from the header."""
+    kind = int(np.iscomplexobj(array))
+    arr = np.ascontiguousarray(array, dtype=KINDS[kind])
+    rows, cols = arr.shape[-2:]
+    if rows != (2 * cols - 1 if kind else cols):
+        what = "band-spectrum axes (2 kc + 1, kc + 1)" if kind else "square spatial axes"
+        raise SnapshotFormatError(f"field must end in {what}, got {arr.shape}")
+    lead = arr.shape[:-2]
     if n_s:
-        if arr.shape != (n_s, 2, 2, n, n):
+        if lead != (n_s, 2, 2):
             raise SnapshotFormatError(f"history stack shape {arr.shape} inconsistent with N_s={n_s}")
         ncomp = 4
     else:
-        lead = arr.shape[:-2]
         ncomp = int(np.prod(lead, dtype=int)) if lead else 1
         if ncomp not in (1, 2, 4):
             raise SnapshotFormatError(f"unsupported component count {ncomp}")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<4I", VERSION, n, ncomp, n_s))
+        fh.write(HEADER.pack(VERSION, rows, cols, ncomp, n_s, kind))
         fh.write(arr)
         fh.write(struct.pack("<Q", zlib.crc32(arr)))
 
 
 def read_field(path) -> np.ndarray:
     """Read a snapshot, validating magic, sizes, and the payload checksum."""
+    start = len(MAGIC) + HEADER.size
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        if size < 24 + 8:
+        if size < start + 8:
             raise SnapshotFormatError(f"{path}: truncated header ({size} bytes)")
-        header = fh.read(24)
+        header = fh.read(start)
         if header[:8] != MAGIC:
             raise SnapshotFormatError(f"{path}: bad magic {header[:8]!r} at byte offset 0")
-        version, n, ncomp, n_s = struct.unpack_from("<4I", header, 8)
+        version, rows, cols, ncomp, n_s, kind = HEADER.unpack_from(header, 8)
         if version != VERSION:
-            raise SnapshotFormatError(f"{path}: unsupported version {version}")
-        if n_s:
-            shape = (n_s, 2, 2, n, n)
-        elif ncomp == 1:
-            shape = (n, n)
-        elif ncomp == 2:
-            shape = (2, n, n)
-        elif ncomp == 4:
-            shape = (2, 2, n, n)
-        else:
+            raise SnapshotFormatError(f"{path}: unsupported version {version} (this reader takes {VERSION})")
+        if kind >= len(KINDS):
+            raise SnapshotFormatError(f"{path}: bad kind {kind}")
+        lead = (n_s, 2, 2) if n_s else {1: (), 2: (2,), 4: (2, 2)}.get(ncomp)
+        if lead is None:
             raise SnapshotFormatError(f"{path}: bad component count {ncomp}")
-        n_payload = int(np.prod(shape, dtype=np.int64)) * 8
-        expected = 24 + n_payload + 8
+        shape, dtype = lead + (rows, cols), KINDS[kind]
+        n_payload = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        expected = start + n_payload + 8
         if size != expected:  # checked before allocating what a corrupt header may claim
             raise SnapshotFormatError(
                 f"{path}: size mismatch at byte offset {min(size, expected)}: "
                 f"have {size} bytes, header implies {expected}"
             )
-        out = np.empty(shape, dtype="<f8")
-        got = fh.readinto(memoryview(out).cast("B"))
+        out = np.empty(shape, dtype=dtype)
+        got = fh.readinto(out.view(np.uint8).reshape(-1))
         trailer = fh.read(8)
     if got != n_payload or len(trailer) != 8:  # the file shrank while it was read
-        raise SnapshotFormatError(f"{path}: truncated payload at byte offset {24 + got}")
+        raise SnapshotFormatError(f"{path}: truncated payload at byte offset {start + got}")
     (stored,) = struct.unpack("<Q", trailer)
     actual = zlib.crc32(out)
     if stored != actual:
         raise SnapshotFormatError(
-            f"{path}: checksum mismatch at byte offset {24 + n_payload}: "
+            f"{path}: checksum mismatch at byte offset {start + n_payload}: "
             f"stored {stored:#010x}, computed {actual:#010x}"
         )
     return out

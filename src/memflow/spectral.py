@@ -7,9 +7,13 @@ Hermitian half spectrum (last axis length ``n//2 + 1``).  Axis -2 carries
 the first coordinate, axis -1 the second.
 
 All operators are mode-wise multipliers, so they are spectrally accurate on
-band-limited data.  Transforms delegate to ``scipy.fft`` with a process-wide
-worker count; per-transform results do not depend on the worker count, which
-keeps every downstream reduction bit-deterministic.
+band-limited data.  Whole half spectra are transformed by ``scipy.fft`` with
+a process-wide worker count; per-transform results do not depend on the
+worker count, which keeps every downstream reduction bit-deterministic.
+Band spectra hold only the modes the 2/3 rule keeps, ``|k1|, |k2| <= kc``
+with ``kc = n // 3`` (:func:`band_shape`): rows ``k1 = 0..kc, -kc..-1``,
+columns ``k2 = 0..kc``.  Their transforms skip the discarded columns and run
+through ``numpy.fft`` into caller-supplied buffers.
 """
 
 from __future__ import annotations
@@ -37,6 +41,12 @@ def get_workers() -> int:
 
 if os.environ.get("MEMFLOW_THREADS"):
     set_workers(int(os.environ["MEMFLOW_THREADS"]))
+
+
+def band_shape(n: int) -> tuple[int, int]:
+    """Trailing shape ``(2 kc + 1, kc + 1)`` of a band spectrum on an n x n grid."""
+    kc = n // 3
+    return 2 * kc + 1, kc + 1
 
 
 class SpectralGrid:
@@ -75,9 +85,11 @@ class SpectralGrid:
         self.inv_k_sq = inv
         cutoff = n / 3.0
         self.dealias_mask = (np.abs(self.k1) <= cutoff) & (np.abs(self.k2) <= cutoff)
-        # first-derivative multipliers with the cutoff folded in
-        self.d1_dealiased = np.where(self.dealias_mask, self.d1, 0.0)
-        self.d2_dealiased = np.where(self.dealias_mask, self.d2, 0.0)
+        # the band the mask keeps, and the first-derivative multipliers on it
+        self.kc = kc = n // 3
+        self.band_shape = band_shape(n)
+        self.d1_band = self.d1[np.r_[0 : kc + 1, n - kc : n]]
+        self.d2_band = self.d2[:, : kc + 1]
         # Nyquist modes carry no usable direction for odd derivatives; the
         # projector removes them so its output is solenoidal under d1/d2
         nyq = np.ones((n, n // 2 + 1), dtype=bool)
@@ -93,23 +105,49 @@ class SpectralGrid:
 
     # -- transforms ---------------------------------------------------------
 
-    def fwd(self, f: np.ndarray) -> np.ndarray:
-        return _fft.rfft2(f, axes=(-2, -1), workers=_workers)
+    def fwd(self, f: np.ndarray, out: np.ndarray | None = None, rows: np.ndarray | None = None) -> np.ndarray:
+        """Forward transform over the two spatial axes.
 
-    def inv(self, f_hat: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        """Inverse of :meth:`fwd`, one axis at a time as in ``irfft2``; with
-        ``overwrite`` the first pass runs in place in ``f_hat``, destroying it."""
-        f_hat = _fft.ifft(f_hat, axis=-2, workers=_workers, overwrite_x=overwrite)
-        return _fft.irfft(f_hat, n=self.n, axis=-1, workers=_workers, overwrite_x=True)
+        Without ``out``: the half spectrum, shape ``(..., n, n//2 + 1)``.  An
+        ``out`` of shape ``(..., *band_shape)`` selects the band transform: a
+        row ``rfft`` into ``rows`` (complex scratch of the half-spectrum shape,
+        allocated if not given), then the column FFT of the kc + 1 kept
+        columns only, whose band rows are copied into ``out``.
+        """
+        if out is None:
+            return _fft.rfft2(f, axes=(-2, -1), workers=_workers)
+        n, kc = self.n, self.kc
+        rows = np.fft.rfft(f, axis=-1, out=rows)
+        cols = rows[..., : kc + 1]
+        np.fft.fft(cols, axis=-2, out=cols)
+        out[..., : kc + 1, :] = cols[..., : kc + 1, :]
+        out[..., kc + 1 :, :] = cols[..., n - kc :, :]
+        return out
+
+    def inv(self, f_hat: np.ndarray, out: np.ndarray | None = None, rows: np.ndarray | None = None) -> np.ndarray:
+        """Inverse of :meth:`fwd`, one axis at a time as in ``irfft2``.
+
+        Without ``out``: ``f_hat`` is a half spectrum, left intact.  With
+        ``out`` (the physical field, ``(..., n, n)``): ``f_hat`` is a band
+        spectrum, left intact; it is zero-padded into ``rows`` (as for
+        :meth:`fwd`), the kept columns take the column iFFT and every row the
+        ``irfft``.
+        """
+        if out is None:
+            f_hat = _fft.ifft(f_hat, axis=-2, workers=_workers)
+            return _fft.irfft(f_hat, n=self.n, axis=-1, workers=_workers, overwrite_x=True)
+        n, kc = self.n, self.kc
+        if rows is None:
+            rows = np.empty(f_hat.shape[:-2] + (n, n // 2 + 1), dtype=complex)
+        cols = rows[..., : kc + 1]
+        cols[..., : kc + 1, :] = f_hat[..., : kc + 1, :]
+        cols[..., kc + 1 : n - kc, :] = 0.0
+        cols[..., n - kc :, :] = f_hat[..., kc + 1 :, :]
+        rows[..., kc + 1 :] = 0.0
+        np.fft.ifft(cols, axis=-2, out=cols)
+        return np.fft.irfft(rows, n=n, axis=-1, out=out)
 
     # -- mode-wise operators ------------------------------------------------
-
-    def deriv_hat(self, f_hat: np.ndarray, direction: int) -> np.ndarray:
-        if direction == 1:
-            return self.d1 * f_hat
-        if direction == 2:
-            return self.d2 * f_hat
-        raise ValueError("direction must be 1 or 2")
 
     def deriv_pair_hat(self, f_hat: np.ndarray) -> np.ndarray:
         """(d1 f, d2 f) stacked on a new leading axis, allocated once."""
@@ -141,9 +179,6 @@ class SpectralGrid:
 
     # -- physical-space conveniences -----------------------------------------
 
-    def spectral_derivative(self, f: np.ndarray, direction: int) -> np.ndarray:
-        return self.inv(self.deriv_hat(self.fwd(f), direction))
-
     def gradient(self, f: np.ndarray) -> np.ndarray:
         """Stack (d1 f, d2 f) along a new leading axis."""
         f_hat = self.fwd(f)
@@ -173,14 +208,17 @@ class SpectralGrid:
 
     # -- norms ----------------------------------------------------------------
 
-    def lq_norm(self, pointwise: np.ndarray, q: float) -> float:
+    def lq_norm(self, pointwise: np.ndarray, q: float):
         """Discrete L^q norm: grid average scaled by (2 pi)^(2/q).
 
         ``pointwise`` is the scalar magnitude field (already reduced over
-        any component axes).
+        any component axes), or a stack of them: then a list, one norm per
+        field, with the same bits as one call per field.
         """
-        mean = float(np.mean(_abs_pow(pointwise, q)))
-        return (TWO_PI**2 * mean) ** (1.0 / q)
+        means = np.mean(_abs_pow(pointwise, q), axis=(-2, -1))
+        if means.ndim == 0:
+            return (TWO_PI**2 * float(means)) ** (1.0 / q)
+        return [(TWO_PI**2 * m) ** (1.0 / q) for m in means.tolist()]
 
     def l2_norm_sq(self, f: np.ndarray) -> float:
         """Squared L^2 norm, summed over any leading component axes."""

@@ -10,9 +10,13 @@ stress is computed directly (one spectral gradient) rather than as an age
 integral of chain-rule terms; the two agree to quadrature tolerance.
 
 One pass over the stack accumulates both age integrals and the det G and
-|G| minima (:class:`StackReduction`): the history step feeds it each chunk
-it has just updated, and :func:`assemble_stress` and :func:`history_scan`
-(initial state, restart) feed it the stored stack.
+|G| minima (:class:`StackReduction`).  It takes each chunk as physical
+fields (for the strain measure and the minima) and as band spectra (for
+grad G: 8 inverse transforms per slice, no forward one).  The history step
+feeds it each chunk it has just updated; :meth:`StackReduction.over_stack`
+feeds it the stored band stack, 4 inverse transforms per slice, at the
+initial state and on restart, and so do :func:`assemble_stress` and
+:func:`history_scan`.
 """
 
 from __future__ import annotations
@@ -38,46 +42,48 @@ class DegenerateDeformationError(FloatingPointError):
 class StackReduction:
     """Age integrals of one pass over the history stack, fed chunk by chunk.
 
-    ``add_chunk(lo, g, g_hat)`` takes the fields of physical rows ``lo, lo +
-    1, ...`` (in increasing row order), weighted by the ages the history's
-    current head gives them.  A ``measure`` adds the stress ``tau``;
+    ``add_chunk(lo, g, g_hat)`` takes the physical fields ``g`` and band
+    spectra ``g_hat`` of physical rows ``lo, lo + 1, ...`` (in increasing row
+    order), weighted by the ages the history's current head gives them.  A
+    ``measure`` adds the stress ``tau`` (formed in the history's workspace);
     ``scan = (q, r, mu)`` adds the y integrand and the det G and |G| minima,
-    with grad G from the half spectrum ``g_hat`` (transformed if not given).
-    Sums are compensated (Kahan) in physical row order, so the result is
-    deterministic regardless of chunking or FFT worker counts.
+    with grad G from ``g_hat`` on the history's grid.  Sums are compensated
+    (Kahan) in physical row order, so the result is deterministic regardless
+    of chunking or FFT worker counts.
     """
 
-    def __init__(self, history: DeformationHistory, measure=None, grid: SpectralGrid | None = None,
-                 scan: tuple[float, float, float] | None = None, age_grid: AgeGrid | None = None):
+    def __init__(self, history: DeformationHistory, measure=None, scan: tuple[float, float, float] | None = None,
+                 age_grid: AgeGrid | None = None):
         self.age_grid = history.age_grid if age_grid is None else age_grid
         if self.age_grid.n_nodes != history.n_slices:
             raise ValueError("history and age grid disagree on the number of age nodes")
         if measure is not None and not isinstance(measure, (StrainMeasure, AgeDependentStrainMeasure)):
             raise TypeError(f"unsupported strain measure type {type(measure).__name__}")
-        self.history, self.measure, self.grid, self.scan = history, measure, grid, scan
-        self.tau = KahanSum((2, 2, history.grid_n, history.grid_n))
+        self.history, self.measure, self.scan = history, measure, scan
+        self.grid = history.grid
+        self.tau = KahanSum((2, 2, self.grid.n, self.grid.n))
         self.y = KahanSum()
         self.min_det = self.min_abs = math.inf
 
-    def add_chunk(self, lo: int, g: np.ndarray, g_hat: np.ndarray | None = None):
+    def add_chunk(self, lo: int, g: np.ndarray, g_hat: np.ndarray):
         ages = self.history.ages(lo, len(g))
         if isinstance(self.measure, StrainMeasure):
-            self.tau.add(self.age_grid.node_mass[ages], self.measure.stress_stack(g))
+            stress = self.measure.stress_stack(g, out=self.history.workspace.prod[: len(g)])
+            self.tau.add(self.age_grid.node_mass[ages], stress)
         elif self.measure is not None:
             s = self.age_grid.nodes[ages]
             self.tau.add(self.age_grid.weights[ages], [self.measure.integrand_stack(*a) for a in zip(s, g)])
         if self.scan is not None:
             self.y.add(self.age_grid.node_mass[ages], self._scan_chunk(g, g_hat))
 
-    def _scan_chunk(self, g: np.ndarray, g_hat: np.ndarray | None) -> list[float]:
+    def _scan_chunk(self, g: np.ndarray, g_hat: np.ndarray) -> list[float]:
         """Per slice || |grad G| / |G| ||_{L^q}^r; updates the minima."""
         q, r, mu = self.scan
-        grid = self.grid
-        g_hat = grid.fwd(g) if g_hat is None else g_hat
-        spec = self.history.workspace.spec[: len(g)]
+        grid, work, c = self.grid, self.history.workspace, len(g)
+        spec, dg, rows = work.spec[:c], work.prod[:c], work.rows[:c]
         grad_sq = 0.0
-        for d in (grid.d1, grid.d2):
-            dg = grid.inv(np.multiply(g_hat, d, out=spec), overwrite=True)
+        for d in (grid.d1_band, grid.d2_band):
+            grid.inv(np.multiply(g_hat, d, out=spec), out=dg, rows=rows)
             dg *= dg
             grad_sq = grad_sq + dg.sum(axis=(1, 2))
         g_mag = norm_field(g)
@@ -89,13 +95,15 @@ class StackReduction:
             raise DegenerateDeformationError(f"deformation norm {chunk_min:.4g} fell below {floor:.4g}")
         ratio = np.sqrt(grad_sq)
         ratio /= g_mag
-        return [grid.lq_norm(ratio[i], q) ** r for i in range(len(g))]
+        return [norm**r for norm in grid.lq_norm(ratio, q)]
 
     def over_stack(self) -> "StackReduction":
-        """Feed the stored stack, unchanged."""
-        stack, size = self.history.payload, chunk_slices(self.history.grid_n)
+        """Feed the stored stack, unchanged, its fields transformed chunk by chunk."""
+        stack, work, size = self.history.payload, self.history.workspace, chunk_slices(self.grid.n)
         for lo in range(0, stack.shape[0], size):
-            self.add_chunk(lo, stack[lo : lo + size])
+            g_hat = stack[lo : lo + size]
+            c = len(g_hat)
+            self.add_chunk(lo, self.grid.inv(g_hat, out=work.g[:c], rows=work.rows[:c]), g_hat)
         return self
 
     def scan_result(self) -> tuple[float, float, float]:
@@ -113,7 +121,7 @@ def assemble_stress(history: DeformationHistory, measure, age_grid: AgeGrid | No
     return StackReduction(history, measure, age_grid=age_grid).over_stack().tau.total
 
 
-def history_scan(history: DeformationHistory, grid: SpectralGrid, q: float, r: float, mu: float = 1.0,
+def history_scan(history: DeformationHistory, q: float, r: float, mu: float = 1.0,
                  age_grid: AgeGrid | None = None) -> tuple[float, float, float]:
     """One sweep over the stack: (y integrand, min det G, min |G|).
 
@@ -123,7 +131,7 @@ def history_scan(history: DeformationHistory, grid: SpectralGrid, q: float, r: f
     :class:`DegenerateDeformationError` if any node's deformation norm
     falls below ``sqrt(2 min(mu, 1)) / 2``.
     """
-    return StackReduction(history, None, grid, (q, r, mu), age_grid).over_stack().scan_result()
+    return StackReduction(history, None, (q, r, mu), age_grid).over_stack().scan_result()
 
 
 def stress_gradient_norm(tau: np.ndarray, grid: SpectralGrid, q: float) -> float:

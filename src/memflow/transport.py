@@ -10,10 +10,18 @@ Because the react-advect operator acts identically on every slice it
 commutes exactly with the shift, and the shift itself is an O(1) rotation
 of a circular buffer (slice-major layout, age outermost).
 
+Each slice is stored as its 2/3-band spectrum (:func:`memflow.spectral.band_shape`),
+about 2.2x smaller than the physical field.  That loses nothing: the
+identity has only the mean mode and every right-hand side is dealiased, so
+an identity start never leaves the band (explicit initial histories are
+projected onto it).  Stage arithmetic runs on band spectra; the physical
+fields, needed for the products, exist one chunk at a time.
+
 A step is the only pass over the stack: each chunk of ``chunk_slices(n)``
-rows, once updated and still in cache, goes with its new spectrum to an
-optional reduction (stress and bound scan, :mod:`memflow.stress`).  Chunk
-buffers live in one :class:`ChunkWorkspace` per history.
+rows, once updated and still in cache, goes with its new fields and spectra
+to an optional reduction (stress and bound scan, :mod:`memflow.stress`).
+Every transform of a chunk writes into the buffers of one
+:class:`ChunkWorkspace` per history.
 
 Determinants are transported exactly by the continuum equations for
 divergence-free velocities, so their discrete drift is left uncorrected as a
@@ -22,12 +30,13 @@ visible diagnostic of discretization quality.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
 
 from .agegrid import AgeGrid
-from .spectral import SpectralGrid
+from .spectral import SpectralGrid, band_shape
 
 CHUNK_SLICES = 48  # most slices in one chunk of a stack pass
 CHUNK_BYTES = 2**20  # physical-field bytes of a chunk: small chunks keep a chunk's work in cache
@@ -48,34 +57,37 @@ class HistoryNaNError(FloatingPointError):
 
 
 class DeformationHistory:
-    """Circular-buffer stack of 2-tensor fields, one per age node.
+    """Circular-buffer stack of 2-tensor fields, one per age node, each
+    stored as its band spectrum.
 
-    ``payload`` has shape ``(n_nodes, 2, 2, n, n)``; logical age index j
-    lives at physical row ``(head + j) % n_nodes``.  ``generation`` counts
-    completed steps; ``workspace`` holds the chunk buffers of stack passes.
-    Single-writer: one stepper mutates the stack, readers see a consistent
-    snapshot between steps.
+    ``payload`` has shape ``(n_nodes, 2, 2, *band_shape(grid.n))``, complex;
+    logical age index j lives at physical row ``(head + j) % n_nodes``.
+    ``generation`` counts completed steps; ``workspace`` holds the chunk
+    buffers of stack passes.  Single-writer: one stepper mutates the stack,
+    readers see a consistent snapshot between steps.
     """
 
-    def __init__(self, payload: np.ndarray, age_grid: AgeGrid, head: int = 0, generation: int = 0):
-        if payload.shape[0] != age_grid.n_nodes or payload.shape[1:3] != (2, 2):
-            raise ValueError("payload shape does not match the age grid")
+    def __init__(self, payload: np.ndarray, age_grid: AgeGrid, grid: SpectralGrid, head: int = 0,
+                 generation: int = 0):
+        expected = (age_grid.n_nodes, 2, 2, *grid.band_shape)
+        if payload.shape != expected or payload.dtype != complex:
+            raise ValueError(
+                f"history payload must be the band-spectrum stack {expected} (complex128) of the "
+                f"age and spatial grids, got {payload.shape} ({payload.dtype})"
+            )
         self.payload = payload
         self.age_grid = age_grid
+        self.grid = grid
         self.head = head % age_grid.n_nodes
         self.generation = generation
-        self.workspace = ChunkWorkspace(self.n_slices, self.grid_n)
+        self.workspace = ChunkWorkspace(self.n_slices, grid.n)
 
     @property
     def n_slices(self) -> int:
         return self.payload.shape[0]
 
-    @property
-    def grid_n(self) -> int:
-        return self.payload.shape[-1]
-
     def slice(self, j: int) -> np.ndarray:
-        """View of the age-j tensor field."""
+        """View of the age-j band spectrum."""
         return self.payload[(self.head + j) % self.n_slices]
 
     def ages(self, lo: int, count: int) -> np.ndarray:
@@ -84,22 +96,28 @@ class DeformationHistory:
 
 
 class ChunkWorkspace:
-    """Buffers every chunk of a stack pass reuses: ``real`` for the physical
-    products that enter forward transforms, ``spec`` for a half spectrum an
-    inverse transform may destroy.  Shorter chunks use leading views."""
+    """Buffers every chunk of a stack pass reuses; shorter chunks use leading views.
+
+    ``g`` holds the chunk's physical fields and ``prod`` physical products
+    and scratch; ``rows`` is the row-transform scratch of band transforms;
+    ``rhs``, ``spec`` and ``flux`` hold band spectra.
+    """
 
     def __init__(self, n_slices: int, n: int):
         c = min(chunk_slices(n), n_slices)
-        self.real = np.empty((c, 2, 2, n, n))
-        self.spec = np.empty((c, 2, 2, n, n // 2 + 1), dtype=complex)
+        self.g, self.prod = (np.empty((c, 2, 2, n, n)) for _ in range(2))
+        self.rows = np.empty((c, 2, 2, n, n // 2 + 1), dtype=complex)
+        self.rhs, self.spec, self.flux = (np.empty((c, 2, 2, *band_shape(n)), dtype=complex) for _ in range(3))
 
     @staticmethod
     def nbytes_for(n: int) -> int:
         """Bytes of the largest workspace on an n x n grid."""
-        return chunk_slices(n) * 4 * n * (n * 8 + (n // 2 + 1) * 16)
+        rows, cols = band_shape(n)
+        return chunk_slices(n) * 4 * (2 * n * n * 8 + n * (n // 2 + 1) * 16 + 3 * rows * cols * 16)
 
 
 def identity_stack(n_slices: int, n: int) -> np.ndarray:
+    """Physical identity fields, shape ``(n_slices, 2, 2, n, n)``."""
     out = np.zeros((n_slices, 2, 2, n, n))
     out[:, 0, 0] = 1.0
     out[:, 1, 1] = 1.0
@@ -110,32 +128,38 @@ def init_history(spec, grid: SpectralGrid, age_grid: AgeGrid, mu: float = 1.0) -
     """Build the initial history.
 
     ``spec`` is either the string ``"identity"`` (quiescent past: every
-    slice is the identity) or an explicit array of per-age tensor fields in
-    increasing-age order.  Explicit data must keep ``det G >= mu > 0`` at
-    every node; data whose age-zero slice differs from the identity is
-    accepted with a warning (the boundary condition overwrites it after the
-    first step).
+    slice is the identity) or an explicit array of per-age physical tensor
+    fields in increasing-age order, which is projected onto the band.  The
+    projected fields must keep ``det G >= mu > 0`` at every node; data
+    whose age-zero slice differs from the identity is accepted with a
+    warning (the boundary condition overwrites it after the first step).
     """
+    payload = np.zeros((age_grid.n_nodes, 2, 2, *grid.band_shape), dtype=complex)
     if isinstance(spec, str):
         if spec != "identity":
             raise ValueError(f"unknown history spec {spec!r}")
-        return DeformationHistory(identity_stack(age_grid.n_nodes, grid.n), age_grid)
-    data = np.array(spec, dtype=float)
+        payload[:, 0, 0, 0, 0] = payload[:, 1, 1, 0, 0] = grid.n**2  # the mean mode
+        return DeformationHistory(payload, age_grid, grid)
+    data = np.asarray(spec, dtype=float)
     expected = (age_grid.n_nodes, 2, 2, grid.n, grid.n)
     if data.shape != expected:
         raise ValueError(f"explicit history must have shape {expected}, got {data.shape}")
     if mu <= 0:
         raise ValueError("determinant floor mu must be positive")
-    det = det_field(data)
-    min_det = float(det.min())
-    if min_det < mu:
+    history = DeformationHistory(payload, age_grid, grid)
+    work, size, min_det = history.workspace, chunk_slices(grid.n), math.inf
+    for lo in range(0, age_grid.n_nodes, size):
+        band = payload[lo : lo + size]
+        rows = work.rows[: len(band)]
+        grid.fwd(data[lo : lo + size], out=band, rows=rows)
+        min_det = np.minimum(min_det, det_field(grid.inv(band, out=work.g[: len(band)], rows=rows)).min())
+    if not min_det >= mu:  # NaN fails too
         raise DegenerateHistoryError(
             f"initial history has min det G = {min_det:.6g}, below the floor mu = {mu:.6g}"
         )
-    eye = identity_stack(1, grid.n)[0]
-    if not np.allclose(data[0], eye, atol=1e-12):
+    if not np.allclose(data[0], identity_stack(1, grid.n)[0], atol=1e-12):
         warnings.warn("age-zero slice of the supplied history differs from the identity", stacklevel=2)
-    return DeformationHistory(data, age_grid)
+    return history
 
 
 def det_field(g: np.ndarray) -> np.ndarray:
@@ -160,43 +184,43 @@ def age_shift(history: DeformationHistory) -> DeformationHistory:
     tail tolerance by construction.
     """
     history.head = (history.head - 1) % history.n_slices
-    _set_identity(history.payload[history.head])
+    _set_identity(None, history.payload[history.head], history.grid.n)
     return history
 
 
-def _set_identity(g: np.ndarray, g_hat: np.ndarray | None = None):
-    """Write the identity field into ``g`` and, if given, its half spectrum into ``g_hat``."""
-    g[:] = 0.0
-    g[0, 0] = g[1, 1] = 1.0
-    if g_hat is not None:
-        g_hat[:] = 0.0
-        g_hat[0, 0, 0, 0] = g_hat[1, 1, 0, 0] = g.shape[-1] * g.shape[-2]
+def _set_identity(g: np.ndarray | None, g_hat: np.ndarray, n: int):
+    """Write the identity into one slice's band spectrum ``g_hat`` and, if
+    given, its physical field ``g``."""
+    if g is not None:
+        g[:] = 0.0
+        g[0, 0] = g[1, 1] = 1.0
+    g_hat[:] = 0.0
+    g_hat[0, 0, 0, 0] = g_hat[1, 1, 0, 0] = n * n
 
 
-def _react_rhs_hat(
-    grid: SpectralGrid, g_phys: np.ndarray, u: np.ndarray, grad_u: np.ndarray, work: ChunkWorkspace
-) -> np.ndarray:
-    """Dealiased spectral right-hand side of the react-advect stage.
+def _react_rhs_hat(grid: SpectralGrid, g: np.ndarray, u: np.ndarray, grad_u: np.ndarray, work: ChunkWorkspace,
+                   out: np.ndarray) -> np.ndarray:
+    """Band spectrum of the react-advect right-hand side, written into ``out``.
 
     Advection uses the conservative form u . grad G = div(u G), exact for
     divergence-free u; it needs only forward transforms of physical
     products, which is the cheaper direction for this stack size.  The
-    products are formed in ``work.real``; ``grad_u[l, k] = d_l u_k``.
+    products are formed in ``work.prod``; ``grad_u[l, k] = d_l u_k``.
     """
-    prod = work.real[: len(g_phys)]
-    np.einsum("cjlyx,lkyx->cjkyx", g_phys, grad_u, out=prod)  # (G . grad u)_{jk}
-    rhs_hat = grid.fwd(prod)
-    rhs_hat *= grid.dealias_mask
-    for u_l, d_l in ((u[0], grid.d1_dealiased), (u[1], grid.d2_dealiased)):
-        np.multiply(g_phys, u_l, out=prod)
-        flux_hat = grid.fwd(prod)
-        flux_hat *= d_l
-        rhs_hat -= flux_hat
-    return rhs_hat
+    c = len(g)
+    prod, rows, flux = work.prod[:c], work.rows[:c], work.flux[:c]
+    np.einsum("cjlyx,lkyx->cjkyx", g, grad_u, out=prod)  # (G . grad u)_{jk}
+    grid.fwd(prod, out=out, rows=rows)
+    for u_l, d_l in ((u[0], grid.d1_band), (u[1], grid.d2_band)):
+        np.multiply(g, u_l, out=prod)
+        grid.fwd(prod, out=flux, rows=rows)
+        flux *= d_l
+        out -= flux
+    return out
 
 
 def stretch_advect_step(
-    history: DeformationHistory, grid: SpectralGrid, u_old: np.ndarray, u_new: np.ndarray, dt: float, reduction=None
+    history: DeformationHistory, u_old: np.ndarray, u_new: np.ndarray, dt: float, reduction=None
 ) -> DeformationHistory:
     """One full history step: Heun react-advect of every slice, then age shift.
 
@@ -204,12 +228,15 @@ def stretch_advect_step(
     which keeps the stage second-order accurate; the exact shift and the
     identity injection make the age-zero boundary condition exact.  Slices
     are updated independently (data-parallel over age), and a non-finite
-    result aborts with the offending slice located.
+    result aborts with the offending slice located, before its chunk is
+    stored.
 
     A ``reduction`` (such as :class:`memflow.stress.StackReduction`) gets
     ``add_chunk(lo, g, g_hat)`` for each chunk of updated rows from physical
-    row ``lo``, after the shift (newborn identity included), with its spectrum.
+    row ``lo``, after the shift (newborn identity included): the physical
+    fields and their band spectra.  Transforms run on the history's grid.
     """
+    grid = history.grid
     a_old = grid.gradient(u_old)  # a[l, k] = d_l u_k
     a_new = a_old if u_new is u_old else grid.gradient(u_new)
     old_head = history.head
@@ -217,29 +244,28 @@ def stretch_advect_step(
     newborn = history.head
     stack, work, size = history.payload, history.workspace, chunk_slices(grid.n)
     for lo in range(0, stack.shape[0], size):
-        g = stack[lo : lo + size]
-        g_hat = grid.fwd(g)
-        r1 = _react_rhs_hat(grid, g, u_old, a_old, work)
-        stage = work.spec[: len(g)]
+        g_hat = stack[lo : lo + size]
+        c = len(g_hat)
+        g, rows, r1, stage = work.g[:c], work.rows[:c], work.rhs[:c], work.spec[:c]
+        _react_rhs_hat(grid, grid.inv(g_hat, out=g, rows=rows), u_old, a_old, work, r1)
         np.multiply(r1, dt, out=stage)
         stage += g_hat
-        r2 = _react_rhs_hat(grid, grid.inv(stage, overwrite=True), u_new, a_new, work)
+        r2 = _react_rhs_hat(grid, grid.inv(stage, out=g, rows=rows), u_new, a_new, work, stage)
         r1 += r2
         r1 *= 0.5 * dt
-        r1 += g_hat  # r1 is now the spectrum of the new state
-        np.copyto(stage, r1)
-        g_new = grid.inv(stage, overwrite=True)
-        if not np.isfinite(g_new).all():
-            bad = np.argwhere(~np.isfinite(g_new))
+        r1 += g_hat  # r1 is now the band spectrum of the new state
+        grid.inv(r1, out=g, rows=rows)
+        if not np.isfinite(g).all():
+            bad = np.argwhere(~np.isfinite(g))
             phys = lo + int(bad[0, 0])
             age_j = (phys - old_head) % history.n_slices
             raise HistoryNaNError(
                 f"non-finite deformation at step {history.generation + 1}, age slice {age_j}"
             )
-        g[:] = g_new
-        if lo <= newborn < lo + len(g):
-            _set_identity(g[newborn - lo], r1[newborn - lo])
-        if reduction is not None:  # it may overwrite work.spec, which this chunk no longer needs
-            reduction.add_chunk(lo, g, r1)
+        if lo <= newborn < lo + c:
+            _set_identity(g[newborn - lo], r1[newborn - lo], grid.n)
+        g_hat[:] = r1
+        if reduction is not None:  # it may overwrite the scratch buffers, which this chunk no longer needs
+            reduction.add_chunk(lo, g, g_hat)
     history.generation += 1
     return history

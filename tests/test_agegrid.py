@@ -110,3 +110,13 @@ def test_kahan_sum_chunked_matches_reference_loop():
     for lo in range(0, 50, 7):
         chunked.add(coeffs[lo : lo + 7], samples[lo : lo + 7])
     np.testing.assert_array_equal(chunked.total, total)
+
+
+def test_kahan_sum_scalar_path_matches_array_path():
+    rng = np.random.default_rng(8)
+    coeffs, samples = rng.random(60), rng.standard_normal(60) * 10.0 ** rng.integers(-8, 8, 60)
+    scalar, vector = KahanSum(), KahanSum((1,))
+    for lo in range(0, 60, 7):
+        scalar.add(coeffs[lo : lo + 7], list(samples[lo : lo + 7]))
+        vector.add(coeffs[lo : lo + 7], samples[lo : lo + 7, None])
+    assert scalar.total.shape == () and float(scalar.total) == float(vector.total[0])

@@ -139,6 +139,15 @@ class TestStrainMeasures:
                 for x in range(3):
                     np.testing.assert_allclose(out[s, :, :, y, x], m.stress(stack[s, :, :, y, x]), rtol=1e-13)
 
+    def test_stress_stack_into_buffer(self):
+        rng = np.random.default_rng(9)
+        stack = rng.standard_normal((4, 2, 2, 3, 3))
+        for name in ("psm-raw", "oldroyd-b"):
+            _, m = model_catalog(name)
+            buf = np.empty_like(stack)
+            assert m.stress_stack(stack, out=buf) is buf
+            np.testing.assert_array_equal(buf, m.stress_stack(stack))
+
 
 class TestAssumptionChecks:
     def test_h1_catalog_kernels_pass(self):

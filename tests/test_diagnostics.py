@@ -20,7 +20,7 @@ from memflow.diagnostics import (
 from memflow.spectral import SpectralGrid, taylor_green
 from memflow.stepper import FlowState
 from memflow.stress import assemble_stress
-from memflow.transport import init_history
+from memflow.transport import identity_stack, init_history
 
 N = 32
 
@@ -90,7 +90,7 @@ class TestDifferentialOracle:
         for _ in range(10):
             u_old = st.u
             advance_flow(st, tau, ag.ds, 0.5)
-            stretch_advect_step(h, grid, u_old, st.u, ag.ds)
+            stretch_advect_step(h, u_old, st.u, ag.ds)
             oldroyd_differential_step(orc, grid, u_old, st.u, ag.ds)
             tau = assemble_stress(h, measure)
         gap = math.sqrt(grid.l2_norm_sq(tau - orc.tau) / grid.l2_norm_sq(orc.tau))
@@ -114,8 +114,9 @@ class TestMonitor:
     def test_corrupted_determinant_flagged(self, grid):
         kernel, measure = model_catalog("psm-raw")
         ag = build_age_grid(kernel, 0.05, 1e-4)
-        h = init_history("identity", grid, ag)
-        h.slice(2)[:, :, 5, 5] = np.array([[1.0, 1.0], [1.0, 1.0]])  # det 0
+        stack = identity_stack(ag.n_nodes, N)
+        stack[2] *= 1.0 - 0.05 * (1.0 + np.cos(grid.x1))  # det 0.81 at x1 = 0
+        h = init_history(stack, grid, ag, mu=0.5)
         st = FlowState(grid, np.zeros((2, N, N)), 1.0)
         tau = assemble_stress(h, measure)
         rec = monitor(st, h, tau, measure, MonitorConfig(mu=1.0), 0.0)

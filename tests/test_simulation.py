@@ -1,3 +1,8 @@
+import gc
+import struct
+import warnings
+import zlib
+
 import numpy as np
 import pytest
 
@@ -5,8 +10,8 @@ from memflow import simulation, snapshots, spectral
 from memflow.agegrid import HistoryTooLongError
 from memflow.config import SimulationConfig
 from memflow.simulation import EXIT_NAN, EXIT_OK, EXIT_VIOLATION, run
-from memflow.snapshots import read_checkpoint, write_checkpoint
-from memflow.transport import ChunkWorkspace
+from memflow.snapshots import SnapshotFormatError, read_checkpoint, read_field, write_checkpoint, write_field
+from memflow.transport import ChunkWorkspace, identity_stack
 
 
 def small_cfg(**over):
@@ -92,6 +97,17 @@ class TestRun:
         assert res.exit_code == EXIT_NAN
         assert "deformation norm" in res.message
 
+    def test_snapshot_history_projected_onto_band(self, tmp_path):
+        n_s = run(small_cfg(t_final=0.05)).history.n_slices
+        x1 = np.linspace(0.0, 2 * np.pi, 32, endpoint=False)[:, None] * np.ones((32, 32))
+        stack = identity_stack(n_s, 32)
+        # min det 0.81 in the band; the Nyquist mode outside it would take det down to about 0.36
+        stack[2, 0, 0] = stack[2, 1, 1] = 1.0 - 0.05 * (1.0 + np.cos(x1)) + 0.3 * np.cos(16 * x1)
+        write_field(tmp_path / "h.fld", stack, n_s=n_s)
+        res = run(small_cfg(t_final=0.05, initial_history=f"snapshot:{tmp_path / 'h.fld'}", mu_min=0.5))
+        assert res.exit_code == EXIT_OK
+        assert res.records[0].min_detG == pytest.approx(0.81, rel=1e-12)
+
     def test_memory_cap_counts_chunk_workspace(self):
         stack_bytes = run(small_cfg(t_final=0.05)).history.payload.nbytes
         with pytest.raises(HistoryTooLongError):
@@ -134,6 +150,8 @@ class TestArtifacts:
         assert (snap / "tau.fld").exists()
         assert (snap / "g_00000.fld").exists()
         assert (snap / "g_00002.fld").exists()
+        assert np.array_equal(read_field(snap / "g_00000.fld"), identity_stack(1, 32)[0])  # physical, not band
+        assert read_field(snap / "g_00002.fld").shape == (2, 2, 32, 32)
         assert (tmp_path / "out" / "checkpoint" / "meta.json").exists()
         # the checkpoint swap leaves no temporary directory behind
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
@@ -158,6 +176,33 @@ class TestArtifacts:
         assert np.array_equal(chk["u"], written["u.fld"])
         assert np.array_equal(chk["history"], written["history.fld"])
         assert sorted(p.name for p in out.iterdir()) == ["checkpoint", "diagnostics.csv", "snap_000005", "snap_000010"]
+
+    def test_failed_checkpoint_closes_diagnostics(self, tmp_path, monkeypatch):
+        def failing_checkpoint(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(simulation, "write_checkpoint", failing_checkpoint)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(OSError, match="disk full"):
+                run(small_cfg(output_dir=str(tmp_path / "out"), snapshot_every=5))
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_restart_from_physical_stack_rejected(self, tmp_path):
+        run(small_cfg(t_final=0.25, output_dir=str(tmp_path / "A")))
+        chk = read_checkpoint(tmp_path / "A" / "checkpoint")
+        stack = identity_stack(len(chk["history"]), 32)
+        # a physical stack in the current format is refused by shape and type ...
+        write_checkpoint(tmp_path / "B", **{**chk, "history": stack})
+        with pytest.raises(ValueError, match="band-spectrum stack"):
+            run(small_cfg(t_final=0.5), restart_from=tmp_path / "B")
+        # ... and a checkpoint of the previous format, whose stacks were physical, by its version
+        path = tmp_path / "B" / "history.fld"
+        path.write_bytes(b"MEMFLW01" + struct.pack("<4I", 2, 32, 4, len(stack)) + stack.tobytes()
+                         + struct.pack("<Q", zlib.crc32(stack)))
+        with pytest.raises(SnapshotFormatError, match="unsupported version 2"):
+            run(small_cfg(t_final=0.5), restart_from=tmp_path / "B")
 
     def test_restart_matches_straight_run(self, tmp_path, monkeypatch):
         cfg_full = small_cfg(t_final=1.0, output_dir=str(tmp_path / "A"))

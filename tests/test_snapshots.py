@@ -26,9 +26,9 @@ class TestChecksum:
         path = tmp_path / "f.fld"
         write_field(path, arr)
         raw = path.read_bytes()
-        assert struct.unpack("<4I", raw[8:24])[0] == 2  # format version
-        assert raw[24:-8] == arr.astype("<f8").tobytes()
-        assert struct.unpack("<Q", raw[-8:])[0] == zlib.crc32(raw[24:-8])
+        assert struct.unpack("<6I", raw[8:32]) == (3, 16, 16, 2, 0, 0)  # version, trailing shape, 2 components
+        assert raw[32:-8] == arr.astype("<f8").tobytes()
+        assert struct.unpack("<Q", raw[-8:])[0] == zlib.crc32(raw[32:-8])
 
 
 class TestRoundTrip:
@@ -46,6 +46,17 @@ class TestRoundTrip:
         path = tmp_path / "h.fld"
         write_field(path, stack, n_s=7)
         assert np.array_equal(read_field(path), stack)
+
+    def test_band_spectrum_stack(self, tmp_path):
+        rng = np.random.default_rng(7)
+        stack = rng.standard_normal((7, 2, 2, 11, 6)) + 1j * rng.standard_normal((7, 2, 2, 11, 6))  # n = 16
+        path = tmp_path / "h.fld"
+        write_field(path, stack, n_s=7)
+        assert struct.unpack("<6I", path.read_bytes()[8:32]) == (3, 11, 6, 4, 7, 1)
+        back = read_field(path)
+        assert back.dtype == np.complex128 and np.array_equal(back, stack)
+        with pytest.raises(SnapshotFormatError, match="band-spectrum axes"):
+            write_field(path, stack[..., :5], n_s=7)
 
     @pytest.mark.parametrize("view", ["transposed", "strided stack", "history slice"])
     def test_non_contiguous_input(self, tmp_path, view):
@@ -88,6 +99,15 @@ class TestCorruption:
         raw[8:12] = struct.pack("<I", 1)
         path.write_bytes(bytes(raw))
         with pytest.raises(SnapshotFormatError, match="unsupported version 1"):
+            read_field(path)
+
+    def test_version_2_rejected(self, tmp_path):
+        # version 2 held N in place of the trailing shape: never read as band data
+        path = tmp_path / "v2.fld"
+        stack = np.ones((3, 2, 2, 16, 16))
+        path.write_bytes(b"MEMFLW01" + struct.pack("<4I", 2, 16, 4, 3) + stack.tobytes()
+                         + struct.pack("<Q", zlib.crc32(stack)))
+        with pytest.raises(SnapshotFormatError, match="unsupported version 2"):
             read_field(path)
 
     def test_truncation_reports_offset(self, tmp_path):

@@ -23,30 +23,58 @@ def field(grid, expr):
 class TestDerivatives:
     def test_single_mode(self, grid):
         f = field(grid, lambda x1, x2: np.sin(x1))
-        np.testing.assert_allclose(grid.spectral_derivative(f, 1), field(grid, lambda x1, x2: np.cos(x1)), atol=1e-12)
+        np.testing.assert_allclose(grid.gradient(f)[0], field(grid, lambda x1, x2: np.cos(x1)), atol=1e-12)
 
     def test_constant(self, grid):
-        assert np.abs(grid.spectral_derivative(np.ones((64, 64)), 1)).max() == 0.0
+        assert np.abs(grid.gradient(np.ones((64, 64)))[0]).max() == 0.0
 
     def test_mixed_mode(self, grid):
         f = field(grid, lambda x1, x2: np.sin(3 * x1) * np.cos(2 * x2))
         expected = field(grid, lambda x1, x2: -2.0 * np.sin(3 * x1) * np.sin(2 * x2))
-        np.testing.assert_allclose(grid.spectral_derivative(f, 2), expected, atol=1e-12)
+        np.testing.assert_allclose(grid.gradient(f)[1], expected, atol=1e-12)
 
     def test_band_limited_exactness(self, grid):
         rng = np.random.default_rng(0)
         f_hat = np.zeros((64, 33), complex)
         f_hat[1:6, 1:6] = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         f = grid.inv(f_hat)
-        d_num = grid.spectral_derivative(f, 1)
+        d_num = grid.gradient(f)[0]
         d_exact = grid.inv(grid.d1 * grid.fwd(f))
         np.testing.assert_allclose(d_num, d_exact, atol=1e-13)
+
+
+class TestBandTransforms:
+    @pytest.mark.parametrize("n", [16, 32, 64, 128])
+    def test_band_is_the_dealiased_set(self, n):
+        g = SpectralGrid(n)
+        rows, cols = g.band_shape
+        kept = np.zeros((n, n // 2 + 1), dtype=bool)
+        kept[np.r_[0 : g.kc + 1, n - g.kc : n], :cols] = True
+        assert rows == 2 * g.kc + 1
+        np.testing.assert_array_equal(kept, g.dealias_mask)
+
+    def test_forward_is_the_band_of_the_half_spectrum(self, grid):
+        f = np.random.default_rng(7).standard_normal((3, 2, 64, 64))
+        band = grid.fwd(f, out=np.empty((3, 2, *grid.band_shape), dtype=complex))
+        full = grid.fwd(f)[..., np.r_[0:22, 43:64], :22]
+        np.testing.assert_array_equal(band, full)
+        np.testing.assert_array_equal(grid.d1_band * band, (grid.d1 * grid.fwd(f))[..., np.r_[0:22, 43:64], :22])
+
+    def test_inverse_round_trips_band_limited_fields(self, grid):
+        f = grid.dealias(np.random.default_rng(8).standard_normal((3, 64, 64)))
+        rows = np.full((3, 64, 33), np.nan, dtype=complex)  # scratch contents must not leak in
+        band = grid.fwd(f, out=np.empty((3, *grid.band_shape), dtype=complex), rows=rows)
+        kept = band.copy()
+        back = grid.inv(band, out=np.empty_like(f), rows=rows)
+        np.testing.assert_array_equal(band, kept)  # the band input is left intact
+        np.testing.assert_allclose(back, f, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(back, grid.inv(grid.dealias_hat(grid.fwd(f))))
 
 
 class TestLeray:
     def test_gradient_annihilated(self, grid):
         phi = field(grid, lambda x1, x2: np.sin(2 * x1) * np.cos(3 * x2))
-        grad = np.stack([grid.spectral_derivative(phi, 1), grid.spectral_derivative(phi, 2)])
+        grad = grid.gradient(phi)
         assert np.abs(grid.leray_project(grad)).max() < 1e-13
 
     def test_solenoidal_fixed(self, grid):
@@ -144,6 +172,11 @@ class TestNormsAndFields:
     def test_lq_norm_convention(self, grid):
         f = field(grid, lambda x1, x2: np.cos(x1))
         assert math.isclose(grid.lq_norm(f, 2), math.sqrt(2.0 * math.pi**2), rel_tol=1e-13)
+
+    def test_lq_norm_of_a_stack_is_per_field(self, grid):
+        fs = np.abs(np.random.default_rng(5).standard_normal((3, grid.n, grid.n)))
+        for q in (2, 3, 2.5):
+            assert grid.lq_norm(fs, q) == [grid.lq_norm(f, q) for f in fs]
 
     def test_random_band_limited_properties(self, grid):
         u = random_band_limited_velocity(grid, seed=11, band=4, amplitude=2.0)
