@@ -5,7 +5,6 @@ machine-checkable a priori bound runs as a falsifiable diagnostic."""
 from .agegrid import AgeGrid, HistoryTooLongError, build_age_grid, quadrate
 from .config import ConfigError, SimulationConfig, parse_config
 from .constitutive import (
-    AgeDependentStrainMeasure,
     MemoryKernel,
     SingularOriginError,
     StrainMeasure,

@@ -122,21 +122,18 @@ def _mass_quadrature_bound(kernel: MemoryKernel, ds: float) -> float:
     return 2.0 * float(per_mode.sum()) + 1e-14
 
 
-def quadrate(grid: AgeGrid, samples, kernel_weighted: bool = True):
+def quadrate(grid: AgeGrid, samples):
     """Integrate per-node samples against the kernel over the age axis.
 
     ``samples`` has the age axis first (length ``n_nodes``); any trailing
     shape is carried through.  Summation is compensated (Kahan) along the
     age axis, so the result is deterministic and independent of how outer
-    loops are parallelized.  With ``kernel_weighted=False`` the raw
-    trapezoid weights are used instead of the kernel-folded masses, for
-    integrands that carry their own age decay.
+    loops are parallelized.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.shape[0] != grid.n_nodes:
         raise ValueError(f"expected {grid.n_nodes} age samples, got {samples.shape[0]}")
-    coeffs = grid.node_mass if kernel_weighted else grid.weights
-    total = KahanSum(samples.shape[1:]).add(coeffs, samples).total
+    total = KahanSum(samples.shape[1:]).add(grid.node_mass, samples).total
     return float(total) if total.ndim == 0 else total
 
 

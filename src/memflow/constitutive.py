@@ -161,7 +161,7 @@ class StrainMeasure:
         i1 = float(np.sum(g * g))
         return float(self.h(i1)) * b + self.iso_offset * np.eye(2)
 
-    def stress_stack(self, g, i1=None, out=None) -> np.ndarray:
+    def stress_stack(self, g, out=None) -> np.ndarray:
         """Vectorized S(G) over arrays shaped (..., 2, 2, ny, nx).
 
         The tensor axes sit at positions -4, -3 so the spatial axes stay
@@ -169,8 +169,7 @@ class StrainMeasure:
         takes the result in place of a new array.
         """
         g = np.asarray(g)
-        if i1 is None:
-            i1 = np.einsum("...ijyx,...ijyx->...yx", g, g)
+        i1 = np.einsum("...ijyx,...ijyx->...yx", g, g)
         out = np.einsum("...liyx,...ljyx->...ijyx", g, g, out=out)
         out *= self.h(i1)[..., None, None, :, :]
         if self.iso_offset != 0.0:
@@ -203,25 +202,6 @@ class StrainMeasure:
                 e[i, j] = 1.0
                 out[i, j] = self.directional_derivative(g, e)
         return Tensor(out)
-
-
-@dataclass(frozen=True)
-class AgeDependentStrainMeasure:
-    """Non-separable law: stress integrand F(s, G) with age-dependent bounds.
-
-    ``bound_f(s)`` dominates ``|F(s, G)|`` and ``bound_df(s)`` dominates
-    ``|G| |d_G F(s, G)|``; both must be integrable, the second decreasing.
-    The bundled catalog contains only separable instances, but the stress
-    assembly accepts this form directly.
-    """
-
-    name: str
-    f: Callable  # f(s, g_stack) -> stress stack, same layout as stress_stack
-    bound_f: Callable
-    bound_df: Callable
-
-    def integrand_stack(self, s: float, g) -> np.ndarray:
-        return self.f(s, np.asarray(g))
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ constant, so its growth is reported as a fitted slope, never asserted.
 
 Two oracles are independent of the age-grid machinery: the differential
 upper-convected law stepped alongside the integral law on the same grid
-(sharing velocity samples and dealiasing so the comparison isolates the
-constitutive formulation), and adaptive quadrature of homogeneous-shear
-histories.
+(sharing velocity samples, dealiasing and the Heun stage kernel
+:func:`memflow.stepper.heun`, so the comparison isolates the constitutive
+formulation), and adaptive quadrature of homogeneous-shear histories.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from scipy import integrate
 from .constitutive import MemoryKernel, StrainMeasure
 from .spectral import SpectralGrid
 from .stress import history_scan, stress_gradient_norm
-from .stepper import FlowState, kinetic_energy
+from .stepper import FlowState, heun, kinetic_energy
 from .transport import DeformationHistory, norm_field
 
 CSV_COLUMNS = (
@@ -167,8 +167,7 @@ class OracleState:
 
 def _ucm_rhs_hat(grid: SpectralGrid, tau: np.ndarray, u: np.ndarray, a: np.ndarray, lam: float, mu_p: float):
     """a[l, k] = d_l u_k; the convected terms are L tau + tau L^T with L = a^T."""
-    tau_hat = grid.fwd(tau)
-    dtau = grid.inv(np.stack((grid.d1 * tau_hat, grid.d2 * tau_hat)))
+    dtau = grid.inv(grid.deriv_pair_hat(grid.fwd(tau)))
     rhs = np.empty_like(tau)
     for j in range(2):
         for k in range(2):
@@ -189,15 +188,12 @@ def oldroyd_differential_step(
     u_new: np.ndarray,
     dt: float,
 ) -> OracleState:
-    """Heun step with the velocity sampled at both time levels (matching
-    the history stepper), dealiased the same way."""
+    """Heun step (:func:`memflow.stepper.heun`) with the velocity sampled at
+    both time levels, like the history step, dealiased the same way."""
     a_old = grid.gradient(u_old)
     a_new = a_old if u_new is u_old else grid.gradient(u_new)
-    tau_hat = grid.fwd(oracle.tau)
-    r1 = _ucm_rhs_hat(grid, oracle.tau, u_old, a_old, oracle.lam, oracle.mu_p)
-    tau_star = grid.inv(tau_hat + dt * r1)
-    r2 = _ucm_rhs_hat(grid, tau_star, u_new, a_new, oracle.lam, oracle.mu_p)
-    oracle.tau = grid.inv(tau_hat + 0.5 * dt * (r1 + r2))
+    rhs = lambda tau, k: _ucm_rhs_hat(grid, tau, (u_old, u_new)[k], (a_old, a_new)[k], oracle.lam, oracle.mu_p)
+    _, oracle.tau = heun(oracle.tau, grid.fwd(oracle.tau), rhs, grid.inv, dt)
     if not np.isfinite(oracle.tau).all():
         raise FloatingPointError("non-finite oracle stress")
     return oracle

@@ -181,8 +181,7 @@ class SpectralGrid:
 
     def gradient(self, f: np.ndarray) -> np.ndarray:
         """Stack (d1 f, d2 f) along a new leading axis."""
-        f_hat = self.fwd(f)
-        return self.inv(np.stack((self.d1 * f_hat, self.d2 * f_hat)))
+        return self.inv(self.deriv_pair_hat(self.fwd(f)))
 
     def dealias(self, f: np.ndarray) -> np.ndarray:
         return self.inv(self.dealias_hat(self.fwd(f)))

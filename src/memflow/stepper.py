@@ -1,10 +1,13 @@
-"""Velocity update for the forced incompressible flow.
+"""The Heun/Lawson stage kernel and the velocity update of the forced flow.
 
-One substep applies a Heun (explicit second-order Runge-Kutta) stage to the
-projected advection and stress forcing, with the viscous term handled by its
-exact integrating factor, so stability is limited by advection only.  The
-pressure never appears: the solenoidal projection eliminates it, and it can
-be recovered on demand from the momentum balance.
+:func:`heun` advances all three evolving quantities: the velocity here, the
+deformation history (:mod:`memflow.transport`) and the differential oracle
+(:mod:`memflow.diagnostics`).  A flow substep is its Lawson form: Heun
+(explicit second-order Runge-Kutta) stages for the projected advection and
+stress forcing, the exact integrating factor for the viscous term, so
+stability is limited by advection only.  The pressure never appears: the
+solenoidal projection eliminates it, and it can be recovered on demand from
+the momentum balance.
 
 Within one base (age) step the stress is frozen; the flow may take several
 substeps under its advective CFL bound.  The optional forcing hook exists
@@ -37,12 +40,37 @@ class FlowState:
     def __post_init__(self):
         if self.eta <= 0:
             raise ValueError("viscosity must be positive")
-        u_hat = self.grid.dealias_hat(self.grid.leray_hat(self.grid.fwd(self.u)))
-        self.u_hat = u_hat
-        self.u = self.grid.inv(u_hat)
+        self.u_hat = self.grid.dealias_hat(self.grid.leray_hat(self.grid.fwd(self.u)))
+        self.u = self.grid.inv(self.u_hat)
 
 
-def cfl_dt(u: np.ndarray, grid: SpectralGrid, safety: float, base_dt: float, u_floor: float = 1e-12) -> float:
+def heun(y, y_hat, rhs, inv, dt: float, e=None, stage=None):
+    """One Heun step of dy/dt = N(y), or with ``e = exp(dt L)`` the
+    Lawson-Heun step of dy/dt = L y + N(y).
+
+    ``y`` is the physical field and ``y_hat`` its spectrum (left intact);
+    ``rhs(y, k)`` gives the spectrum of N at stage k (0: at t, 1: at the
+    predictor) and ``inv`` maps a spectrum to its physical field.  The
+    predictor spectrum goes into ``stage`` if given, and ``rhs(., 1)`` may
+    write into that same buffer: the predictor is dead once transformed.
+    Returns ``(new_hat, new)``; ``new_hat`` is the stage-0 rhs buffer,
+    overwritten.
+    """
+    r1 = rhs(y, 0)
+    stage = np.multiply(r1, dt, out=stage)
+    stage += y_hat
+    if e is not None:
+        stage *= e
+    r2 = rhs(inv(stage), 1)
+    if e is not None:
+        r1 *= e
+    r1 += r2
+    r1 *= 0.5 * dt
+    r1 += y_hat if e is None else e * y_hat
+    return r1, inv(r1)
+
+
+def cfl_dt(u: np.ndarray, grid: SpectralGrid, safety: float, base_dt: float) -> float:
     """Advective step bound safety * dx / |u|_inf, capped at the base step.
 
     The cap keeps the flow substeps aligned with the age step; diffusion
@@ -51,7 +79,7 @@ def cfl_dt(u: np.ndarray, grid: SpectralGrid, safety: float, base_dt: float, u_f
     if not 0.0 < safety <= 1.0:
         raise ValueError("safety must lie in (0, 1]")
     sup = float(np.max(np.sqrt(u[0] ** 2 + u[1] ** 2)))
-    return min(safety * grid.dx / max(sup, u_floor), base_dt)
+    return min(safety * grid.dx / max(sup, 1e-12), base_dt)
 
 
 def kinetic_energy(grid: SpectralGrid, u: np.ndarray) -> float:
@@ -61,8 +89,7 @@ def kinetic_energy(grid: SpectralGrid, u: np.ndarray) -> float:
 
 def _rhs_hat(grid: SpectralGrid, u: np.ndarray, div_tau_hat, forcing, t: float) -> np.ndarray:
     """Projected, dealiased spectral right-hand side: P(div tau - u.grad u + f)."""
-    u_hat = grid.fwd(u)
-    du = grid.inv(np.stack((grid.d1 * u_hat, grid.d2 * u_hat)))  # du[i, c] = d_i u_c
+    du = grid.inv(grid.deriv_pair_hat(grid.fwd(u)))  # du[i, c] = d_i u_c
     adv = np.stack(
         (
             u[0] * du[0, 0] + u[1] * du[1, 0],
@@ -77,36 +104,24 @@ def _rhs_hat(grid: SpectralGrid, u: np.ndarray, div_tau_hat, forcing, t: float) 
     return grid.leray_hat(grid.dealias_hat(rhs))
 
 
-def divergence_of_tensor_hat(grid: SpectralGrid, tau: np.ndarray) -> np.ndarray:
-    """(div tau)_k = d_j tau_{jk}, as a spectral vector field."""
-    tau_hat = grid.fwd(tau)
-    return np.stack(
-        (
-            grid.d1 * tau_hat[0, 0] + grid.d2 * tau_hat[1, 0],
-            grid.d1 * tau_hat[0, 1] + grid.d2 * tau_hat[1, 1],
-        )
-    )
+def _substep(state: FlowState, div_tau_hat, forcing, h: float):
+    """One Lawson-Heun substep of length h; the output stays divergence-free
+    to spectral accuracy because both stage increments are projected."""
+    grid, t = state.grid, state.t
+    rhs = lambda u, k: _rhs_hat(grid, u, div_tau_hat, forcing, (t, t + h)[k])
+    state.u_hat, state.u = heun(state.u, state.u_hat, rhs, grid.inv, h, e=grid.viscous_factor(state.eta, h))
+    state.t += h
+    if not np.isfinite(state.u).all():
+        raise FlowNaNError(f"non-finite velocity at t = {state.t:.6g}")
+
+
+def _div_hat(grid: SpectralGrid, tau: np.ndarray | None):
+    return None if tau is None else grid.divergence_hat(grid.fwd(tau))
 
 
 def step_velocity(state: FlowState, tau: np.ndarray | None, dt: float, forcing=None) -> FlowState:
-    """One substep of the momentum equation with the stress frozen.
-
-    Heun stages for the nonlinear part, exact exponential factor for the
-    diffusion (a Lawson scheme); the output stays divergence-free to
-    spectral accuracy because both stage increments are projected.
-    """
-    grid = state.grid
-    div_tau_hat = None if tau is None else divergence_of_tensor_hat(grid, tau)
-    e = grid.viscous_factor(state.eta, dt)
-    n1 = _rhs_hat(grid, state.u, div_tau_hat, forcing, state.t)
-    u_star_hat = e * (state.u_hat + dt * n1)
-    u_star = grid.inv(u_star_hat)
-    n2 = _rhs_hat(grid, u_star, div_tau_hat, forcing, state.t + dt)
-    state.u_hat = e * state.u_hat + 0.5 * dt * (e * n1 + n2)
-    state.u = grid.inv(state.u_hat)
-    state.t += dt
-    if not np.isfinite(state.u).all():
-        raise FlowNaNError(f"non-finite velocity at t = {state.t:.6g}")
+    """One substep of the momentum equation with the stress frozen."""
+    _substep(state, _div_hat(state.grid, tau), forcing, dt)
     return state
 
 
@@ -121,21 +136,11 @@ def advance_flow(
 
     The stress is held frozen across substeps.  Returns the substep count.
     """
-    grid = state.grid
-    div_tau_hat = None if tau is None else divergence_of_tensor_hat(grid, tau)
-    remaining = base_dt
-    n_sub = 0
+    div_tau_hat = _div_hat(state.grid, tau)
+    remaining, n_sub = base_dt, 0
     while remaining > 1e-14 * base_dt:
-        h = min(cfl_dt(state.u, grid, safety, base_dt), remaining)
-        e = grid.viscous_factor(state.eta, h)
-        n1 = _rhs_hat(grid, state.u, div_tau_hat, forcing, state.t)
-        u_star = grid.inv(e * (state.u_hat + h * n1))
-        n2 = _rhs_hat(grid, u_star, div_tau_hat, forcing, state.t + h)
-        state.u_hat = e * state.u_hat + 0.5 * h * (e * n1 + n2)
-        state.u = grid.inv(state.u_hat)
-        state.t += h
+        h = min(cfl_dt(state.u, state.grid, safety, base_dt), remaining)
+        _substep(state, div_tau_hat, forcing, h)
         remaining -= h
         n_sub += 1
-        if not np.isfinite(state.u).all():
-            raise FlowNaNError(f"non-finite velocity at t = {state.t:.6g}")
     return n_sub

@@ -25,8 +25,8 @@ import math
 
 import numpy as np
 
-from .agegrid import AgeGrid, KahanSum
-from .constitutive import AgeDependentStrainMeasure, StrainMeasure
+from .agegrid import KahanSum
+from .constitutive import StrainMeasure
 from .spectral import SpectralGrid
 from .transport import DeformationHistory, chunk_slices, det_field, norm_field
 
@@ -52,27 +52,20 @@ class StackReduction:
     of chunking or FFT worker counts.
     """
 
-    def __init__(self, history: DeformationHistory, measure=None, scan: tuple[float, float, float] | None = None,
-                 age_grid: AgeGrid | None = None):
-        self.age_grid = history.age_grid if age_grid is None else age_grid
-        if self.age_grid.n_nodes != history.n_slices:
-            raise ValueError("history and age grid disagree on the number of age nodes")
-        if measure is not None and not isinstance(measure, (StrainMeasure, AgeDependentStrainMeasure)):
+    def __init__(self, history: DeformationHistory, measure=None, scan: tuple[float, float, float] | None = None):
+        if measure is not None and not isinstance(measure, StrainMeasure):
             raise TypeError(f"unsupported strain measure type {type(measure).__name__}")
         self.history, self.measure, self.scan = history, measure, scan
-        self.grid = history.grid
+        self.grid, self.age_grid = history.grid, history.age_grid
         self.tau = KahanSum((2, 2, self.grid.n, self.grid.n))
         self.y = KahanSum()
         self.min_det = self.min_abs = math.inf
 
     def add_chunk(self, lo: int, g: np.ndarray, g_hat: np.ndarray):
         ages = self.history.ages(lo, len(g))
-        if isinstance(self.measure, StrainMeasure):
+        if self.measure is not None:
             stress = self.measure.stress_stack(g, out=self.history.workspace.prod[: len(g)])
             self.tau.add(self.age_grid.node_mass[ages], stress)
-        elif self.measure is not None:
-            s = self.age_grid.nodes[ages]
-            self.tau.add(self.age_grid.weights[ages], [self.measure.integrand_stack(*a) for a in zip(s, g)])
         if self.scan is not None:
             self.y.add(self.age_grid.node_mass[ages], self._scan_chunk(g, g_hat))
 
@@ -111,18 +104,17 @@ class StackReduction:
         return float(self.y.total), self.min_det, self.min_abs
 
 
-def assemble_stress(history: DeformationHistory, measure, age_grid: AgeGrid | None = None) -> np.ndarray:
+def assemble_stress(history: DeformationHistory, measure) -> np.ndarray:
     """Age-integrate the strain measure over the history stack.
 
     Returns the 2-tensor stress field, shape ``(2, 2, n, n)``.  Summation is
     compensated (Kahan) over the age axis in a fixed order, so the result is
     deterministic regardless of chunking or FFT worker counts.
     """
-    return StackReduction(history, measure, age_grid=age_grid).over_stack().tau.total
+    return StackReduction(history, measure).over_stack().tau.total
 
 
-def history_scan(history: DeformationHistory, q: float, r: float, mu: float = 1.0,
-                 age_grid: AgeGrid | None = None) -> tuple[float, float, float]:
+def history_scan(history: DeformationHistory, q: float, r: float, mu: float = 1.0) -> tuple[float, float, float]:
     """One sweep over the stack: (y integrand, min det G, min |G|).
 
     The integrand is the kernel-weighted age integral of
@@ -131,7 +123,7 @@ def history_scan(history: DeformationHistory, q: float, r: float, mu: float = 1.
     :class:`DegenerateDeformationError` if any node's deformation norm
     falls below ``sqrt(2 min(mu, 1)) / 2``.
     """
-    return StackReduction(history, None, (q, r, mu), age_grid).over_stack().scan_result()
+    return StackReduction(history, None, (q, r, mu)).over_stack().scan_result()
 
 
 def stress_gradient_norm(tau: np.ndarray, grid: SpectralGrid, q: float) -> float:

@@ -18,9 +18,10 @@ projected onto it).  Stage arithmetic runs on band spectra; the physical
 fields, needed for the products, exist one chunk at a time.
 
 A step is the only pass over the stack: each chunk of ``chunk_slices(n)``
-rows, once updated and still in cache, goes with its new fields and spectra
-to an optional reduction (stress and bound scan, :mod:`memflow.stress`).
-Every transform of a chunk writes into the buffers of one
+rows takes one Heun step (:func:`memflow.stepper.heun`) and, once updated
+and still in cache, goes with its new fields and spectra to an optional
+reduction (stress and bound scan, :mod:`memflow.stress`).  The stage
+arithmetic and every transform of a chunk write into the buffers of one
 :class:`ChunkWorkspace` per history.
 
 Determinants are transported exactly by the continuum equations for
@@ -37,6 +38,7 @@ import numpy as np
 
 from .agegrid import AgeGrid
 from .spectral import SpectralGrid, band_shape
+from .stepper import heun
 
 CHUNK_SLICES = 48  # most slices in one chunk of a stack pass
 CHUNK_BYTES = 2**20  # physical-field bytes of a chunk: small chunks keep a chunk's work in cache
@@ -246,15 +248,10 @@ def stretch_advect_step(
     for lo in range(0, stack.shape[0], size):
         g_hat = stack[lo : lo + size]
         c = len(g_hat)
-        g, rows, r1, stage = work.g[:c], work.rows[:c], work.rhs[:c], work.spec[:c]
-        _react_rhs_hat(grid, grid.inv(g_hat, out=g, rows=rows), u_old, a_old, work, r1)
-        np.multiply(r1, dt, out=stage)
-        stage += g_hat
-        r2 = _react_rhs_hat(grid, grid.inv(stage, out=g, rows=rows), u_new, a_new, work, stage)
-        r1 += r2
-        r1 *= 0.5 * dt
-        r1 += g_hat  # r1 is now the band spectrum of the new state
-        grid.inv(r1, out=g, rows=rows)
+        g, rows, out = work.g[:c], work.rows[:c], (work.rhs[:c], work.spec[:c])
+        inv = lambda f: grid.inv(f, out=g, rows=rows)
+        rhs = lambda y, k: _react_rhs_hat(grid, y, (u_old, u_new)[k], (a_old, a_new)[k], work, out[k])
+        r1, g = heun(inv(g_hat), g_hat, rhs, inv, dt, stage=out[1])  # r1: the band spectrum of the new state
         if not np.isfinite(g).all():
             bad = np.argwhere(~np.isfinite(g))
             phys = lo + int(bad[0, 0])

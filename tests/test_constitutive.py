@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from memflow.constitutive import (
-    AgeDependentStrainMeasure,
     SingularOriginError,
     WAGNER_RAW_H_SUP,
     WAGNER_RAW_HP_SUP,
@@ -240,22 +239,3 @@ class TestCatalog:
         assert math.isclose(tau[0, 1], 2.3 * 1.5, rel_tol=1e-9)
         assert math.isclose(tau[0, 0], 2.0 * 2.3 * 0.7 * 1.5**2, rel_tol=1e-9)
         assert abs(tau[1, 1]) < 1e-10
-
-
-class TestNonSeparable:
-    def test_age_dependent_form_matches_separable(self):
-        # F(s, G) = m(s) S(G) must reproduce the separable assembly
-        kernel, measure = model_catalog("psm-raw")
-
-        law = AgeDependentStrainMeasure(
-            name="psm-wrapped",
-            f=lambda s, g: kernel.density(s) * measure.stress_stack(g),
-            bound_f=lambda s: kernel.density(s) * measure.s_inf,
-            bound_df=lambda s: kernel.density(s) * measure.sp_inf,
-        )
-        rng = np.random.default_rng(1)
-        g = rng.standard_normal((2, 2, 4, 4))
-        s = 0.8
-        np.testing.assert_allclose(
-            law.integrand_stack(s, g), kernel.density(s) * measure.stress_stack(g), rtol=1e-14
-        )

@@ -9,6 +9,7 @@ from memflow.stepper import (
     FlowState,
     advance_flow,
     cfl_dt,
+    heun,
     kinetic_energy,
     step_velocity,
 )
@@ -112,3 +113,55 @@ class TestEnergyAndSubstepping:
     def test_viscosity_positive_required(self, grid):
         with pytest.raises(ValueError):
             FlowState(grid, taylor_green(grid), 0.0)
+
+
+class TestHeunKernel:
+    def test_zero_nonlinearity_is_the_integrating_factor(self, grid):
+        y = taylor_green(grid)
+        y_hat = grid.fwd(y)
+        e = grid.viscous_factor(0.3, 0.1)
+        new_hat, new = heun(y, y_hat, lambda u, k: np.zeros_like(y_hat), grid.inv, 0.1, e=e)
+        np.testing.assert_array_equal(new_hat, e * y_hat)
+        np.testing.assert_array_equal(new, grid.inv(e * y_hat))
+
+    @pytest.mark.parametrize("lawson", [True, False])
+    def test_scalar_mode_second_order(self, lawson):
+        # y' = lam y + a y^2, exact: 1/y = (1/y0 + a/lam) exp(-lam t) - a/lam
+        lam, a, y0, t_final = -2.0, 1.0, 0.5, 1.0
+        exact = 1.0 / ((1.0 / y0 + a / lam) * math.exp(-lam * t_final) - a / lam)
+        errs = []
+        for steps in (10, 20, 40, 80):
+            dt = t_final / steps
+            if lawson:
+                rhs, e = (lambda y, k: a * y * y), np.array([math.exp(lam * dt)])
+            else:
+                rhs, e = (lambda y, k: lam * y + a * y * y), None
+            y = np.array([y0])
+            for _ in range(steps):
+                _, y = heun(y, y.copy(), rhs, lambda f: f.copy(), dt, e=e)
+            errs.append(abs(float(y[0]) - exact))
+        for coarse, fine in zip(errs, errs[1:]):
+            assert coarse / fine == pytest.approx(4.0, rel=0.1)
+
+    @pytest.mark.parametrize("viscous", [True, False])
+    def test_stage_buffer_aliasing(self, viscous):
+        # an rhs writing stage 1 into the predictor buffer, as the history's
+        # chunk loop does, must give the bits of one that allocates
+        g16 = SpectralGrid(16, allow_small=True)
+        y = random_band_limited_velocity(g16, 5, 4)
+        y_hat = g16.fwd(y)
+        e = g16.viscous_factor(0.2, 0.05) if viscous else None
+        r1_buf, stage_buf = np.empty_like(y_hat), np.empty_like(y_hat)
+
+        def allocating(u, k):
+            return g16.dealias_hat(g16.fwd(u * u[::-1])) * (1.0 + k)
+
+        def into_buffers(u, k):
+            return np.multiply(allocating(u, k), 1.0, out=(r1_buf, stage_buf)[k])
+
+        want_hat, want = heun(y, y_hat, allocating, g16.inv, 0.05, e=e)
+        got_hat, got = heun(y, y_hat, into_buffers, g16.inv, 0.05, e=e, stage=stage_buf)
+        assert got_hat is r1_buf
+        np.testing.assert_array_equal(got_hat, want_hat)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(y_hat, g16.fwd(y))  # the input spectrum is left intact

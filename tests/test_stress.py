@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate
 
 from memflow.agegrid import build_age_grid
-from memflow.constitutive import AgeDependentStrainMeasure, StrainMeasure, model_catalog, single_exponential_kernel
+from memflow.constitutive import StrainMeasure, model_catalog, single_exponential_kernel
 from memflow.spectral import SpectralGrid, taylor_green
 from memflow.stress import (
     DegenerateDeformationError,
@@ -87,22 +87,6 @@ class TestAssembly:
         tau = assemble_stress(h, combo)
         expect = a * assemble_stress(h, m1) + b * assemble_stress(h, m2)
         np.testing.assert_allclose(tau, expect, atol=1e-12)
-
-    def test_age_dependent_law_matches_separable(self, grid):
-        ag = build_age_grid(single_exponential_kernel(), 0.02, 1e-6)
-        kernel, m = model_catalog("psm-raw")
-        law = AgeDependentStrainMeasure(
-            name="wrapped",
-            f=lambda s, g: kernel.density(s) * m.stress_stack(g[None])[0],
-            bound_f=lambda s: kernel.density(s) * m.s_inf,
-            bound_df=lambda s: kernel.density(s) * m.sp_inf,
-        )
-        h = shear_history(grid, ag, 1.0)
-        tau_sep = assemble_stress(h, m)
-        tau_gen = assemble_stress(h, law)
-        # trapezoid weights without kernel folding differ only at the lumped
-        # endpoints of the mass rule, within quadrature tolerance
-        np.testing.assert_allclose(tau_gen, tau_sep, atol=5 * ag.quad_tol)
 
     def test_stress_bound_identity_psm(self, grid, age_grid):
         _, m = model_catalog("psm-raw")
