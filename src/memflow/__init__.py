@@ -26,7 +26,7 @@ from .simulation import RunResult, run
 from .spectral import SpectralGrid, random_band_limited_velocity, taylor_green
 from .stepper import FlowState, advance_flow, cfl_dt, kinetic_energy, step_velocity
 from .stress import assemble_stress, history_scan, stress_gradient_norm
-from .tensors import Tensor, contract, delta, frobenius_norm, invariants2
+from .tensors import Tensor, contract, frobenius_norm
 from .transport import (
     DeformationHistory,
     age_shift,

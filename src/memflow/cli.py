@@ -8,7 +8,6 @@ fatal-on-violation set.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import spectral
@@ -17,13 +16,6 @@ from .convergence import coupled_self_convergence
 from .diagnostics import theorem_bound_report
 from .simulation import run
 from .verification import run_verification
-
-
-def _apply_threads(args):
-    if args.threads is not None:
-        spectral.set_workers(args.threads)
-    elif os.environ.get("MEMFLOW_THREADS"):
-        spectral.set_workers(int(os.environ["MEMFLOW_THREADS"]))
 
 
 def _progress(step, n_steps, rec):
@@ -127,7 +119,8 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_converge)
 
     args = parser.parse_args(argv)
-    _apply_threads(args)
+    if args.threads is not None:  # MEMFLOW_THREADS is applied when spectral is imported
+        spectral.set_workers(args.threads)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -6,10 +6,14 @@ floor and the norm lower bound it implies, the stress-gradient control
 inequality, and monotonicity of the cumulative gradient functional.  The
 double-exponential envelope of that functional involves an unknowable
 constant, so its growth is reported as a fitted slope, never asserted.
+The monitor reads the velocity gradient from the flow state's jet; it
+transforms only the divergence (one band inverse) and the stress, whose
+gradient (:func:`memflow.stress.stress_gradient_norm`) is the solver's one
+whole-spectrum transform.
 
 Two oracles are independent of the age-grid machinery: the differential
 upper-convected law stepped alongside the integral law on the same grid
-(sharing velocity samples, dealiasing and the Heun stage kernel
+(sharing velocity samples, the band representation and the Heun stage kernel
 :func:`memflow.stepper.heun`, so the comparison isolates the constitutive
 formulation), and adaptive quadrature of homogeneous-shear histories.
 """
@@ -107,10 +111,9 @@ def monitor(
         scan = history_scan(history, config.q, config.r, config.mu)
     yi, min_det, min_abs = scan
 
-    u_hat = state.u_hat
-    du = grid.inv(grid.deriv_pair_hat(u_hat))
+    du = state.jet[1:]
     gradu_sup = float(np.max(np.sqrt(np.einsum("icyx,icyx->yx", du, du))))
-    div_u = grid.inv(grid.divergence_hat(u_hat))
+    div_u = grid.inv(grid.divergence_hat(state.u_hat), out=np.empty((grid.n, grid.n)))
     divu_sup = float(np.max(np.abs(div_u))) / max(1.0, gradu_sup)
 
     sgn = stress_gradient_norm(tau, grid, config.q)
@@ -150,7 +153,6 @@ def monitor(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class OracleState:
     """Extra-stress evolved by the differential upper-convected law.
 
@@ -158,16 +160,32 @@ class OracleState:
     to the integral law with the single-mode kernel and the linear strain
     measure; the velocity-gradient layout matches the transport equation's
     convention, fixed by the steady-shear viscometric functions.
+
+    Like the velocity, the stress is held as its band spectrum ``tau_hat``
+    and its physical jet ``(tau, d1 tau, d2 tau)``: ``OracleState(grid, tau)``
+    projects a physical stress onto the band, and with ``tau_hat`` (and
+    ``tau`` None) the band spectrum is taken as it is (a restart).
     """
 
-    tau: np.ndarray
-    lam: float = 1.0
-    mu_p: float = 1.0
+    def __init__(self, grid: SpectralGrid, tau: np.ndarray | None, lam: float = 1.0, mu_p: float = 1.0,
+                 tau_hat: np.ndarray | None = None):
+        if tau_hat is None:
+            tau_hat = grid.band(tau)
+        else:
+            grid.check_band(tau_hat, (2, 2), "oracle stress")
+        self.grid, self.lam, self.mu_p = grid, lam, mu_p
+        self.tau_hat, self.jet = tau_hat, grid.jet(tau_hat)
+
+    @property
+    def tau(self) -> np.ndarray:
+        return self.jet[0]
 
 
-def _ucm_rhs_hat(grid: SpectralGrid, tau: np.ndarray, u: np.ndarray, a: np.ndarray, lam: float, mu_p: float):
-    """a[l, k] = d_l u_k; the convected terms are L tau + tau L^T with L = a^T."""
-    dtau = grid.inv(grid.deriv_pair_hat(grid.fwd(tau)))
+def _ucm_rhs_hat(grid: SpectralGrid, jet: np.ndarray, u_jet: np.ndarray, lam: float, mu_p: float):
+    """Band spectrum of the right-hand side from the jets of the stress and
+    the velocity; a[l, k] = d_l u_k, and the convected terms are
+    L tau + tau L^T with L = a^T."""
+    tau, dtau, u, a = jet[0], jet[1:], u_jet[0], u_jet[1:]
     rhs = np.empty_like(tau)
     for j in range(2):
         for k in range(2):
@@ -178,22 +196,16 @@ def _ucm_rhs_hat(grid: SpectralGrid, tau: np.ndarray, u: np.ndarray, a: np.ndarr
                 + conv
                 + (mu_p * (a[j, k] + a[k, j]) - tau[j, k]) / lam
             )
-    return grid.dealias_hat(grid.fwd(rhs))
+    return grid.band(rhs)
 
 
-def oldroyd_differential_step(
-    oracle: OracleState,
-    grid: SpectralGrid,
-    u_old: np.ndarray,
-    u_new: np.ndarray,
-    dt: float,
-) -> OracleState:
+def oldroyd_differential_step(oracle: OracleState, u_old: np.ndarray, u_new: np.ndarray, dt: float) -> OracleState:
     """Heun step (:func:`memflow.stepper.heun`) with the velocity sampled at
-    both time levels, like the history step, dealiased the same way."""
-    a_old = grid.gradient(u_old)
-    a_new = a_old if u_new is u_old else grid.gradient(u_new)
-    rhs = lambda tau, k: _ucm_rhs_hat(grid, tau, (u_old, u_new)[k], (a_old, a_new)[k], oracle.lam, oracle.mu_p)
-    _, oracle.tau = heun(oracle.tau, grid.fwd(oracle.tau), rhs, grid.inv, dt)
+    both time levels, like the history step: ``u_old`` and ``u_new`` are the
+    velocity jets (:attr:`memflow.stepper.FlowState.jet`)."""
+    grid = oracle.grid
+    rhs = lambda jet, k: _ucm_rhs_hat(grid, jet, (u_old, u_new)[k], oracle.lam, oracle.mu_p)
+    oracle.tau_hat, oracle.jet = heun(oracle.jet, oracle.tau_hat, rhs, grid.jet, dt)
     if not np.isfinite(oracle.tau).all():
         raise FloatingPointError("non-finite oracle stress")
     return oracle

@@ -3,16 +3,22 @@
 Per base step: advance the velocity with the stress of the previous step
 (substepping under the advective CFL bound with the stress frozen), advance
 the history and, when enabled, the differential oracle with the same pair of
-velocity samples, then monitor.  The history step is the step's only pass
-over the stack: it also assembles the new stress and, on monitored steps,
-runs the bound scan that the monitor reports.  The loop is single-writer;
-all reductions run in fixed order, so identical configurations produce
-byte-identical diagnostics regardless of the FFT worker count.
+velocity samples, then monitor.  A sample is the velocity's jet (the field
+and its gradient, :class:`memflow.stepper.FlowState`), formed once per time
+level and shared by the flow, the history, the oracle and the monitor.  The
+history step is the step's only pass over the stack: it also assembles the
+new stress and, on monitored steps, runs the bound scan that the monitor
+reports.  The loop is single-writer; all reductions run in fixed order,
+so identical configurations produce byte-identical diagnostics regardless
+of the FFT worker count.
 
 Exit codes: 0 clean, 2 non-finite or degenerate state (the last periodic
 checkpoint is left on disk), 3 monitored-bound violation when configured
 fatal.  A restart continues the ``diagnostics.csv`` it finds in the output
 directory: rows past the checkpoint time are dropped, the rest are kept.
+A checkpoint holds the band spectra of the velocity, the history and the
+oracle stress, which a restart takes as they are, so its rows are the
+straight run's bytes.
 """
 
 from __future__ import annotations
@@ -98,25 +104,25 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
     max_nodes = max(0, int(free_bytes // (4 * 16 * math.prod(grid.band_shape))))
     age_grid = build_age_grid(kernel, cfg.dt, cfg.eps_tail, max_nodes=max_nodes)
 
-    oracle = OracleState(
-        np.zeros((2, 2, grid.n, grid.n)), lam=float(params.get("lam", 1.0)), mu_p=float(params.get("mu_p", 1.0))
-    ) if cfg.oracle else None
+    lam, mu_p = float(params.get("lam", 1.0)), float(params.get("mu_p", 1.0))
     mcfg = MonitorConfig(q=cfg.q, r=cfg.r, mu=cfg.mu_min, det_tol=cfg.det_tol, stress_tol=cfg.stress_tol)
 
     if restart_from is None:
         step0, y_value, yi_prev = 0, 0.0, None
         state = FlowState(grid, initial_velocity(cfg, grid), cfg.viscosity)
+        oracle = OracleState(grid, np.zeros((2, 2, grid.n, grid.n)), lam, mu_p) if cfg.oracle else None
         spec = cfg.initial_history
         if spec.startswith("snapshot:"):
             spec = read_field(spec.split(":", 1)[1])
         history = init_history(spec, grid, age_grid, mu=cfg.mu_min)
     else:  # the checkpoint's fields are the state: no initial velocity or history is built
         chk = read_checkpoint(restart_from)
+        if cfg.oracle and chk["oracle_tau"] is None:
+            raise ConfigError(f"checkpoint {restart_from} holds no oracle stress to resume the oracle from")
         step0, y_value, yi_prev = chk["step"], chk["y_value"], chk["y_integrand"]
-        state = FlowState(grid, chk["u"], cfg.viscosity, t=chk["t"])
+        state = FlowState(grid, None, cfg.viscosity, t=chk["t"], u_hat=chk["u"])
+        oracle = OracleState(grid, None, lam, mu_p, tau_hat=chk["oracle_tau"]) if cfg.oracle else None
         history = DeformationHistory(chk["history"], age_grid, grid, head=chk["head"], generation=step0)
-        if oracle is not None and chk["oracle_tau"] is not None:
-            oracle.tau = chk["oracle_tau"]
 
     out_dir = Path(cfg.output_dir) if cfg.output_dir else None
     csv_fh = None
@@ -144,8 +150,8 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
         if csv_fh is not None:
             csv_fh.flush()  # a restart from this checkpoint finds every row up to it
         write_checkpoint(out_dir / "checkpoint", step=step, t=state.t, y_value=y_value, y_integrand=yi_prev,
-                         u=state.u, history=history.payload, head=history.head,
-                         oracle_tau=None if oracle is None else oracle.tau)
+                         u=state.u_hat, history=history.payload, head=history.head,
+                         oracle_tau=None if oracle is None else oracle.tau_hat)
 
     scan_args = (mcfg.q, mcfg.r, mcfg.mu)
     try:
@@ -164,15 +170,15 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
         n_steps = cfg.n_steps
         log_dt = cfg.cadence * cfg.dt
         for step in range(step0 + 1, n_steps + 1):
-            u_old = state.u
+            u_old = state.jet
             monitored = step % cfg.cadence == 0 or step == n_steps
             stack_pass = StackReduction(history, measure, scan_args if monitored else None)
             try:
                 advance_flow(state, tau, cfg.dt, cfg.cfl_safety)
                 state.t = step * cfg.dt  # re-pin against substep roundoff drift
-                stretch_advect_step(history, u_old, state.u, cfg.dt, stack_pass)
+                stretch_advect_step(history, u_old, state.jet, cfg.dt, stack_pass)
                 if oracle is not None:
-                    oldroyd_differential_step(oracle, grid, u_old, state.u, cfg.dt)
+                    oldroyd_differential_step(oracle, u_old, state.jet, cfg.dt)
             except FloatingPointError as exc:  # non-finite flow, history or oracle; degenerate history
                 return finish(EXIT_NAN, str(exc), None)
             tau = stack_pass.tau.total

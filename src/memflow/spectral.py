@@ -2,18 +2,23 @@
 
 Fields are plain float64 arrays with the two spatial axes last: scalars are
 ``(n, n)``, vectors ``(2, n, n)``, 2-tensors ``(2, 2, n, n)``, and stacks of
-tensor fields prepend further axes.  Real-to-complex transforms keep the
-Hermitian half spectrum (last axis length ``n//2 + 1``).  Axis -2 carries
-the first coordinate, axis -1 the second.
+tensor fields prepend further axes.  Axis -2 carries the first coordinate,
+axis -1 the second.
 
-All operators are mode-wise multipliers, so they are spectrally accurate on
-band-limited data.  Whole half spectra are transformed by ``scipy.fft`` with
-a process-wide worker count; per-transform results do not depend on the
-worker count, which keeps every downstream reduction bit-deterministic.
-Band spectra hold only the modes the 2/3 rule keeps, ``|k1|, |k2| <= kc``
-with ``kc = n // 3`` (:func:`band_shape`): rows ``k1 = 0..kc, -kc..-1``,
-columns ``k2 = 0..kc``.  Their transforms skip the discarded columns and run
-through ``numpy.fft`` into caller-supplied buffers.
+Every band-limited field (the velocity, the differential oracle's stress,
+each history slice) is held as its band spectrum: the modes the 2/3 rule
+keeps, ``|k1|, |k2| <= kc`` with ``kc = n // 3`` (:func:`band_shape`), rows
+``k1 = 0..kc, -kc..-1``, columns ``k2 = 0..kc``.  The forward transform of a
+product into the band is its dealiased spectrum, and no Nyquist mode lies
+in the band.  Band transforms skip the discarded columns and run through
+``numpy.fft`` into caller-supplied buffers; the operators on band spectra are
+mode-wise multipliers, spectrally accurate.
+
+The stress is not band-limited.  Its gradient (:meth:`SpectralGrid.gradient`)
+is the one transform of the whole Hermitian half spectrum (last axis
+``n//2 + 1``), by ``scipy.fft`` with a process-wide worker count;
+per-transform results do not depend on the worker count, which keeps every
+downstream reduction bit-deterministic.
 """
 
 from __future__ import annotations
@@ -53,8 +58,9 @@ class SpectralGrid:
     """Uniform n x n grid on the 2-torus with precomputed mode data.
 
     ``n`` must be a power of two, at least 16 (smaller grids are allowed in
-    tests via ``allow_small``).  Integer wavenumbers run over
-    ``-n/2+1 .. n/2``; first-derivative multipliers zero the Nyquist mode.
+    tests via ``allow_small``).  Integer wavenumbers of the whole spectrum
+    run over ``-n/2+1 .. n/2``; its first-derivative multipliers zero the
+    Nyquist mode.
     """
 
     def __init__(self, n: int, allow_small: bool = False):
@@ -69,39 +75,24 @@ class SpectralGrid:
         self.x2 = x[None, :]
         k1 = np.fft.fftfreq(n, d=1.0 / n)  # integer wavenumbers, full axis
         k2 = np.arange(n // 2 + 1, dtype=float)  # half axis
-        self.k1 = k1[:, None]
-        self.k2 = k2[None, :]
-        # first derivatives: i k with the (ambiguous-sign) Nyquist mode zeroed
+        # first derivatives on the whole half spectrum, for gradient(): i k
+        # with the (ambiguous-sign) Nyquist mode zeroed
         d1 = 1j * k1
         d1[n // 2] = 0.0
-        d2 = 1j * k2.copy()
+        d2 = 1j * k2
         d2[-1] = 0.0
         self.d1 = d1[:, None]
         self.d2 = d2[None, :]
-        self.k_sq = self.k1**2 + self.k2**2
-        inv = np.zeros_like(self.k_sq)
-        nz = self.k_sq > 0
-        inv[nz] = 1.0 / self.k_sq[nz]
-        self.inv_k_sq = inv
-        cutoff = n / 3.0
-        self.dealias_mask = (np.abs(self.k1) <= cutoff) & (np.abs(self.k2) <= cutoff)
-        # the band the mask keeps, and the first-derivative multipliers on it
+        # the band and its mode data; kc < n/2, so no Nyquist mode lies in it
         self.kc = kc = n // 3
         self.band_shape = band_shape(n)
-        self.d1_band = self.d1[np.r_[0 : kc + 1, n - kc : n]]
-        self.d2_band = self.d2[:, : kc + 1]
-        # Nyquist modes carry no usable direction for odd derivatives; the
-        # projector removes them so its output is solenoidal under d1/d2
-        nyq = np.ones((n, n // 2 + 1), dtype=bool)
-        nyq[n // 2, :] = False
-        nyq[:, -1] = False
-        self._no_nyquist = nyq
-        # Parseval weights for the half spectrum: interior columns count twice
-        w = np.full(n // 2 + 1, 2.0)
-        w[0] = 1.0
-        if n % 2 == 0:
-            w[-1] = 1.0
-        self._parseval_w = w[None, :]
+        self.k1_band = k1[np.r_[0 : kc + 1, n - kc : n], None]
+        self.k2_band = k2[None, : kc + 1]
+        self.d1_band = 1j * self.k1_band
+        self.d2_band = 1j * self.k2_band
+        self.k_sq_band = self.k1_band**2 + self.k2_band**2
+        self.inv_k_sq_band = np.divide(1.0, self.k_sq_band, out=np.zeros_like(self.k_sq_band),
+                                       where=self.k_sq_band > 0)
 
     # -- transforms ---------------------------------------------------------
 
@@ -147,63 +138,51 @@ class SpectralGrid:
         np.fft.ifft(cols, axis=-2, out=cols)
         return np.fft.irfft(rows, n=n, axis=-1, out=out)
 
-    # -- mode-wise operators ------------------------------------------------
+    def band(self, f: np.ndarray) -> np.ndarray:
+        """The band spectrum of ``f``, allocated: its 2/3-rule projection."""
+        return self.fwd(f, out=np.empty(f.shape[:-2] + self.band_shape, dtype=complex))
 
-    def deriv_pair_hat(self, f_hat: np.ndarray) -> np.ndarray:
-        """(d1 f, d2 f) stacked on a new leading axis, allocated once."""
-        out = np.empty((2,) + f_hat.shape, dtype=f_hat.dtype)
-        np.multiply(self.d1, f_hat, out=out[0])
-        np.multiply(self.d2, f_hat, out=out[1])
-        return out
+    def check_band(self, f_hat: np.ndarray, lead: tuple[int, ...], what: str):
+        """Refuse anything but a complex band spectrum with leading axes ``lead``."""
+        shape = lead + self.band_shape
+        if f_hat.shape != shape or f_hat.dtype != complex:
+            raise ValueError(
+                f"{what} must be the band spectrum {shape} (complex128) of the grid, "
+                f"got {f_hat.shape} ({f_hat.dtype})"
+            )
 
-    def dealias_hat(self, f_hat: np.ndarray) -> np.ndarray:
-        return f_hat * self.dealias_mask
+    def jet(self, f_hat: np.ndarray) -> np.ndarray:
+        """The physical fields ``(f, d1 f, d2 f)`` of a band spectrum, stacked
+        on a new leading axis: one band inverse of the spectrum and its two
+        derivative spectra, so a field and its gradient need no forward
+        transform."""
+        jet_hat = np.empty((3,) + f_hat.shape, dtype=complex)
+        jet_hat[0] = f_hat
+        np.multiply(self.d1_band, f_hat, out=jet_hat[1])
+        np.multiply(self.d2_band, f_hat, out=jet_hat[2])
+        return self.inv(jet_hat, out=np.empty(jet_hat.shape[:-2] + (self.n, self.n)))
+
+    # -- mode-wise operators on band spectra ----------------------------------
 
     def leray_hat(self, v_hat: np.ndarray) -> np.ndarray:
-        """Remove the gradient part: v - k (k.v) / |k|^2, mean mode unchanged.
-
-        Nyquist modes are zeroed (their wavevector sign is ambiguous in the
-        real transform, so they cannot be made solenoidal consistently).
-        """
-        k_dot_v = self.k1 * v_hat[0] + self.k2 * v_hat[1]
-        corr = k_dot_v * self.inv_k_sq
-        out = np.stack((v_hat[0] - self.k1 * corr, v_hat[1] - self.k2 * corr))
-        out *= self._no_nyquist
-        return out
+        """Remove the gradient part: v - k (k.v) / |k|^2, mean mode unchanged."""
+        k1, k2 = self.k1_band, self.k2_band
+        corr = (k1 * v_hat[0] + k2 * v_hat[1]) * self.inv_k_sq_band
+        return np.stack((v_hat[0] - k1 * corr, v_hat[1] - k2 * corr))
 
     def viscous_factor(self, eta: float, dt: float) -> np.ndarray:
-        return np.exp(-eta * dt * self.k_sq)
+        return np.exp(-eta * dt * self.k_sq_band)
 
     def divergence_hat(self, v_hat: np.ndarray) -> np.ndarray:
-        return self.d1 * v_hat[0] + self.d2 * v_hat[1]
+        return self.d1_band * v_hat[0] + self.d2_band * v_hat[1]
 
-    # -- physical-space conveniences -----------------------------------------
+    # -- whole half spectrum ----------------------------------------------------
 
     def gradient(self, f: np.ndarray) -> np.ndarray:
-        """Stack (d1 f, d2 f) along a new leading axis."""
-        return self.inv(self.deriv_pair_hat(self.fwd(f)))
-
-    def dealias(self, f: np.ndarray) -> np.ndarray:
-        return self.inv(self.dealias_hat(self.fwd(f)))
-
-    def leray_project(self, v: np.ndarray) -> np.ndarray:
-        return self.inv(self.leray_hat(self.fwd(v)))
-
-    def viscous_propagate(self, v: np.ndarray, eta: float, dt: float) -> np.ndarray:
-        if dt < 0:
-            raise ValueError("dt must be nonnegative")
-        return self.inv(self.fwd(v) * self.viscous_factor(eta, dt))
-
-    def pressure_recover(self, tau: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Zero-mean pressure from -(-lap)^{-1} div div (tau - u (x) u)."""
-        uu = self.dealias_hat(self.fwd(u[:, None] * u[None, :]))
-        m_hat = self.fwd(tau) - uu
-        kk = (
-            self.k1 * self.k1 * m_hat[0, 0]
-            + self.k1 * self.k2 * (m_hat[0, 1] + m_hat[1, 0])
-            + self.k2 * self.k2 * m_hat[1, 1]
-        )
-        return self.inv(kk * self.inv_k_sq)
+        """Stack (d1 f, d2 f) along a new leading axis.  The one whole-spectrum
+        path, for fields that are not band-limited (the stress)."""
+        f_hat = self.fwd(f)
+        return self.inv(np.stack((self.d1 * f_hat, self.d2 * f_hat)))
 
     # -- norms ----------------------------------------------------------------
 
@@ -222,11 +201,6 @@ class SpectralGrid:
     def l2_norm_sq(self, f: np.ndarray) -> float:
         """Squared L^2 norm, summed over any leading component axes."""
         return TWO_PI**2 * float(np.mean(f**2)) * float(np.prod(f.shape[:-2], dtype=float))
-
-    def l2_norm_sq_hat(self, f_hat: np.ndarray) -> float:
-        """Same as :meth:`l2_norm_sq` but from the half spectrum (Parseval)."""
-        s = float(np.sum(self._parseval_w * (f_hat.real**2 + f_hat.imag**2)))
-        return TWO_PI**2 * s / self.n**4
 
 
 def _abs_pow(x: np.ndarray, q) -> np.ndarray:
@@ -258,22 +232,15 @@ def taylor_green(grid: SpectralGrid, amplitude: float = 1.0) -> np.ndarray:
     return np.stack((u1, u2))
 
 
-def taylor_green_pressure(grid: SpectralGrid, amplitude: float = 1.0) -> np.ndarray:
-    # for this vortex orientation u.grad u = (sin 2x1, sin 2x2)/2 = -grad p
-    p = (amplitude**2) * (np.cos(2 * grid.x1) + np.cos(2 * grid.x2)) / 4.0
-    return np.broadcast_to(p, (grid.n, grid.n)).copy()
-
-
 def random_band_limited_velocity(
     grid: SpectralGrid, seed: int, band: int, amplitude: float = 1.0
 ) -> np.ndarray:
-    """Seeded divergence-free field supported on modes 0 < max|k| <= band."""
+    """Seeded divergence-free field supported on modes 0 < max|k| <= min(band, kc),
+    scaled to sup |u| = amplitude: a band field, which the flow keeps as it is."""
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal((2, grid.n, grid.n))
-    v_hat = grid.fwd(v)
-    keep = (np.abs(grid.k1) <= band) & (np.abs(grid.k2) <= band) & (grid.k_sq > 0)
-    v_hat *= keep
-    u = grid.inv(grid.leray_hat(v_hat))
+    v_hat = grid.band(rng.standard_normal((2, grid.n, grid.n)))
+    v_hat *= (np.abs(grid.k1_band) <= band) & (np.abs(grid.k2_band) <= band) & (grid.k_sq_band > 0)
+    u = grid.inv(grid.leray_hat(v_hat), out=np.empty((2, grid.n, grid.n)))
     sup = np.max(np.sqrt(u[0] ** 2 + u[1] ** 2))
     if sup > 0:
         u *= amplitude / sup

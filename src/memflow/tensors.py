@@ -1,10 +1,10 @@
 """Dense tensor algebra in dimension 2: operands of order 1-4, products up to order 8.
 
-Provides the generalized s-fold contraction, the Frobenius norm extended to
-tensors of any order, and the scalar invariants of 2-tensors.  Everything is
-fixed to spatial dimension 2 with row-major component storage (the first
-index varies slowest), so the contraction index mapping is unambiguous and
-the inner loops stay branch-free.
+Provides the generalized s-fold contraction and the Frobenius norm extended
+to tensors of any order.  Everything is fixed to spatial dimension 2 with
+row-major component storage (the first index varies slowest), so the
+contraction index mapping is unambiguous and the inner loops stay
+branch-free.
 
 The order-4 objects arise as derivatives of tensor-valued maps of 2-tensors:
 component ``(i, j, k, l)`` of such a derivative is the sensitivity of the
@@ -54,11 +54,6 @@ class Tensor:
     __rmul__ = __mul__
 
 
-def delta() -> Tensor:
-    """The 2x2 identity tensor."""
-    return Tensor(np.eye(DIM))
-
-
 def contract(a: Tensor, b: Tensor, s: int):
     """s-fold contraction of a p-tensor against a q-tensor.
 
@@ -81,18 +76,3 @@ def frobenius_norm(a: Tensor) -> float:
     """sqrt of the sum of squared components; equals sqrt(contract(a, a, order)).
     Scaled, so subnormal components do not underflow to 0 nor huge ones overflow."""
     return math.hypot(*a.components.ravel().tolist())
-
-
-def invariants2(g: Tensor) -> tuple[float, float, float]:
-    """(trace, determinant, I1) of a 2-tensor.
-
-    I1 = Tr(G^T G) is the squared Frobenius norm; in an incompressible flow
-    it is the only invariant of interest since det(G^T G) stays equal to 1.
-    """
-    if g.order != 2:
-        raise ValueError("invariants2 requires a 2-tensor")
-    m = g.components
-    trace = float(m[0, 0] + m[1, 1])
-    det = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    i1 = float(np.sum(m * m))
-    return trace, det, i1

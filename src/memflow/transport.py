@@ -12,10 +12,10 @@ of a circular buffer (slice-major layout, age outermost).
 
 Each slice is stored as its 2/3-band spectrum (:func:`memflow.spectral.band_shape`),
 about 2.2x smaller than the physical field.  That loses nothing: the
-identity has only the mean mode and every right-hand side is dealiased, so
-an identity start never leaves the band (explicit initial histories are
-projected onto it).  Stage arithmetic runs on band spectra; the physical
-fields, needed for the products, exist one chunk at a time.
+identity has only the mean mode and every right-hand side is a band
+spectrum, so an identity start never leaves the band (explicit initial
+histories are projected onto it).  Stage arithmetic runs on band spectra;
+the physical fields, needed for the products, exist one chunk at a time.
 
 A step is the only pass over the stack: each chunk of ``chunk_slices(n)``
 rows takes one Heun step (:func:`memflow.stepper.heun`) and, once updated
@@ -71,12 +71,7 @@ class DeformationHistory:
 
     def __init__(self, payload: np.ndarray, age_grid: AgeGrid, grid: SpectralGrid, head: int = 0,
                  generation: int = 0):
-        expected = (age_grid.n_nodes, 2, 2, *grid.band_shape)
-        if payload.shape != expected or payload.dtype != complex:
-            raise ValueError(
-                f"history payload must be the band-spectrum stack {expected} (complex128) of the "
-                f"age and spatial grids, got {payload.shape} ({payload.dtype})"
-            )
+        grid.check_band(payload, (age_grid.n_nodes, 2, 2), "history payload")
         self.payload = payload
         self.age_grid = age_grid
         self.grid = grid
@@ -200,16 +195,17 @@ def _set_identity(g: np.ndarray | None, g_hat: np.ndarray, n: int):
     g_hat[0, 0, 0, 0] = g_hat[1, 1, 0, 0] = n * n
 
 
-def _react_rhs_hat(grid: SpectralGrid, g: np.ndarray, u: np.ndarray, grad_u: np.ndarray, work: ChunkWorkspace,
+def _react_rhs_hat(grid: SpectralGrid, g: np.ndarray, u_jet: np.ndarray, work: ChunkWorkspace,
                    out: np.ndarray) -> np.ndarray:
     """Band spectrum of the react-advect right-hand side, written into ``out``.
 
     Advection uses the conservative form u . grad G = div(u G), exact for
     divergence-free u; it needs only forward transforms of physical
     products, which is the cheaper direction for this stack size.  The
-    products are formed in ``work.prod``; ``grad_u[l, k] = d_l u_k``.
+    products are formed in ``work.prod``; ``u_jet`` is the velocity's jet
+    ``(u, d1 u, d2 u)``, so ``grad_u[l, k] = d_l u_k``.
     """
-    c = len(g)
+    u, grad_u, c = u_jet[0], u_jet[1:], len(g)
     prod, rows, flux = work.prod[:c], work.rows[:c], work.flux[:c]
     np.einsum("cjlyx,lkyx->cjkyx", g, grad_u, out=prod)  # (G . grad u)_{jk}
     grid.fwd(prod, out=out, rows=rows)
@@ -227,6 +223,7 @@ def stretch_advect_step(
     """One full history step: Heun react-advect of every slice, then age shift.
 
     The two Heun stages sample the velocity at the old and new time levels,
+    given as jets ``(u, d1 u, d2 u)`` (:attr:`memflow.stepper.FlowState.jet`),
     which keeps the stage second-order accurate; the exact shift and the
     identity injection make the age-zero boundary condition exact.  Slices
     are updated independently (data-parallel over age), and a non-finite
@@ -239,8 +236,6 @@ def stretch_advect_step(
     fields and their band spectra.  Transforms run on the history's grid.
     """
     grid = history.grid
-    a_old = grid.gradient(u_old)  # a[l, k] = d_l u_k
-    a_new = a_old if u_new is u_old else grid.gradient(u_new)
     old_head = history.head
     age_shift(history)  # the oldest row becomes the newborn; it is reset after its update
     newborn = history.head
@@ -250,7 +245,7 @@ def stretch_advect_step(
         c = len(g_hat)
         g, rows, out = work.g[:c], work.rows[:c], (work.rhs[:c], work.spec[:c])
         inv = lambda f: grid.inv(f, out=g, rows=rows)
-        rhs = lambda y, k: _react_rhs_hat(grid, y, (u_old, u_new)[k], (a_old, a_new)[k], work, out[k])
+        rhs = lambda y, k: _react_rhs_hat(grid, y, (u_old, u_new)[k], work, out[k])
         r1, g = heun(inv(g_hat), g_hat, rhs, inv, dt, stage=out[1])  # r1: the band spectrum of the new state
         if not np.isfinite(g).all():
             bad = np.argwhere(~np.isfinite(g))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from memflow.diagnostics import OracleState, oldroyd_differential_step
 from memflow.spectral import SpectralGrid, random_band_limited_velocity, taylor_green
 from memflow.stepper import (
     FlowNaNError,
@@ -34,7 +35,7 @@ class TestTaylorGreen:
         state = FlowState(grid, taylor_green(grid), 0.05)
         for _ in range(20):
             step_velocity(state, None, 5e-3)
-            div = grid.inv(grid.divergence_hat(state.u_hat))
+            div = grid.inv(grid.divergence_hat(state.u_hat), out=np.empty((grid.n, grid.n)))
             rel = np.abs(div).max() / max(1.0, np.abs(grid.gradient(state.u)).max())
             assert rel <= 1e-10
 
@@ -118,11 +119,12 @@ class TestEnergyAndSubstepping:
 class TestHeunKernel:
     def test_zero_nonlinearity_is_the_integrating_factor(self, grid):
         y = taylor_green(grid)
-        y_hat = grid.fwd(y)
+        y_hat = grid.band(y)
         e = grid.viscous_factor(0.3, 0.1)
-        new_hat, new = heun(y, y_hat, lambda u, k: np.zeros_like(y_hat), grid.inv, 0.1, e=e)
+        inv = lambda f: grid.inv(f, out=np.empty_like(y))
+        new_hat, new = heun(y, y_hat, lambda u, k: np.zeros_like(y_hat), inv, 0.1, e=e)
         np.testing.assert_array_equal(new_hat, e * y_hat)
-        np.testing.assert_array_equal(new, grid.inv(e * y_hat))
+        np.testing.assert_array_equal(new, inv(e * y_hat))
 
     @pytest.mark.parametrize("lawson", [True, False])
     def test_scalar_mode_second_order(self, lawson):
@@ -149,19 +151,60 @@ class TestHeunKernel:
         # chunk loop does, must give the bits of one that allocates
         g16 = SpectralGrid(16, allow_small=True)
         y = random_band_limited_velocity(g16, 5, 4)
-        y_hat = g16.fwd(y)
+        y_hat = g16.band(y)
         e = g16.viscous_factor(0.2, 0.05) if viscous else None
         r1_buf, stage_buf = np.empty_like(y_hat), np.empty_like(y_hat)
+        inv = lambda f: g16.inv(f, out=np.empty_like(y))
 
         def allocating(u, k):
-            return g16.dealias_hat(g16.fwd(u * u[::-1])) * (1.0 + k)
+            return g16.band(u * u[::-1]) * (1.0 + k)
 
         def into_buffers(u, k):
             return np.multiply(allocating(u, k), 1.0, out=(r1_buf, stage_buf)[k])
 
-        want_hat, want = heun(y, y_hat, allocating, g16.inv, 0.05, e=e)
-        got_hat, got = heun(y, y_hat, into_buffers, g16.inv, 0.05, e=e, stage=stage_buf)
+        want_hat, want = heun(y, y_hat, allocating, inv, 0.05, e=e)
+        got_hat, got = heun(y, y_hat, into_buffers, inv, 0.05, e=e, stage=stage_buf)
         assert got_hat is r1_buf
         np.testing.assert_array_equal(got_hat, want_hat)
         np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(y_hat, g16.fwd(y))  # the input spectrum is left intact
+        np.testing.assert_array_equal(y_hat, g16.band(y))  # the input spectrum is left intact
+
+
+class TestTransformCounts:
+    """2-D transforms of one flow substep and one oracle step: a stage takes
+    its physical state and gradient from the spectrum it holds (one inverse
+    of its jet), and transforms forward only what it forms in physical space."""
+
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        counts = {"fwd": 0, "inv": 0}
+
+        def counting(name):
+            method = getattr(SpectralGrid, name)
+
+            def wrapper(self, f, *args, **kwargs):
+                counts[name] += math.prod(f.shape[:-2])
+                return method(self, f, *args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(SpectralGrid, name, counting(name))
+        return counts
+
+    def test_flow_substep(self, counted):
+        grid = SpectralGrid(32)
+        state = FlowState(grid, taylor_green(grid), 0.1)
+        tau = np.ones((2, 2, 32, 32))
+        counted.update(fwd=0, inv=0)
+        step_velocity(state, tau, 1e-2)
+        # forward: the stress 4 (once per base step) and the advection 2 per stage; inverse: the 6-field jet per stage
+        assert counted == {"fwd": 4 + 2 * 2, "inv": 2 * 6}
+
+    def test_oracle_step(self, counted):
+        grid = SpectralGrid(32)
+        u = FlowState(grid, taylor_green(grid), 0.1).jet
+        oracle = OracleState(grid, np.zeros((2, 2, 32, 32)))
+        counted.update(fwd=0, inv=0)
+        oldroyd_differential_step(oracle, u, 0.9 * u, 1e-2)
+        # forward: the right-hand side 4 per stage; inverse: the 12-field jet of the stress per stage
+        assert counted == {"fwd": 2 * 4, "inv": 2 * 12}

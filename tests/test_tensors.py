@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memflow.tensors import Tensor, contract, delta, frobenius_norm, invariants2
+from memflow.tensors import Tensor, contract, frobenius_norm
 
 
 def tensor_strategy(order):
@@ -16,7 +16,7 @@ def tensor_strategy(order):
 
 def test_identity_contraction_returns_operand():
     b = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    np.testing.assert_allclose(contract(delta(), b, 1).components, b.components)
+    np.testing.assert_allclose(contract(Tensor(np.eye(2)), b, 1).components, b.components)
 
 
 def test_full_contraction_is_squared_norm():
@@ -47,7 +47,7 @@ def test_contraction_bounds_rejected():
 
 
 def test_frobenius_examples():
-    assert math.isclose(frobenius_norm(delta()), math.sqrt(2.0))
+    assert math.isclose(frobenius_norm(Tensor(np.eye(2))), math.sqrt(2.0))
     assert frobenius_norm(Tensor(np.zeros((2, 2, 2)))) == 0.0
     gd_s = 1.7
     shear = Tensor(np.array([[1.0, 0.0], [gd_s, 1.0]]))
@@ -59,21 +59,6 @@ def test_frobenius_subnormal_example():
     a, b = Tensor(np.array([1.0, 0.0])), Tensor(np.array([3.5e-269, 0.0]))
     assert frobenius_norm(b) == 3.5e-269
     assert abs(contract(a, b, 1)) <= frobenius_norm(a) * frobenius_norm(b)
-
-
-def test_invariants_examples():
-    assert invariants2(delta()) == (2.0, 1.0, 2.0)
-    assert invariants2(2.0 * delta()) == (4.0, 4.0, 8.0)
-    gd_s = 0.9
-    tr, det, i1 = invariants2(Tensor(np.array([[1.0, 0.0], [gd_s, 1.0]])))
-    assert tr == 2.0
-    assert det == 1.0  # volume-preserving shear
-    assert math.isclose(i1, 2.0 + gd_s**2, rel_tol=1e-15)
-
-
-def test_invariants_rejects_wrong_order():
-    with pytest.raises(ValueError):
-        invariants2(Tensor(np.ones(2)))
 
 
 def test_bad_shape_rejected():
@@ -123,6 +108,6 @@ def test_full_contraction_inner_product(data, p):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_am_gm_norm_determinant(data):
-    g = data.draw(tensor_strategy(2))
-    _, det, i1 = invariants2(g)
-    assert i1 >= 2.0 * abs(det) * (1.0 - 1e-12)
+    m = data.draw(tensor_strategy(2)).components
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    assert np.sum(m * m) >= 2.0 * abs(det) * (1.0 - 1e-12)

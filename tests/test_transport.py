@@ -102,7 +102,8 @@ class TestInit:
     def test_band_limited_history_round_trips(self, grid, age_grid):
         rng = np.random.default_rng(12)
         stack = identity_like(init_history("identity", grid, age_grid))
-        stack[1:] += 0.1 * grid.dealias(rng.standard_normal((age_grid.n_nodes - 1, 2, 2, N, N)))
+        noise = rng.standard_normal((age_grid.n_nodes - 1, 2, 2, N, N))
+        stack[1:] += 0.1 * grid.inv(grid.band(noise), out=noise)  # band-limited
         h = init_history(stack, grid, age_grid, mu=0.1)
         np.testing.assert_allclose(fields(h), stack, rtol=0, atol=1e-14)
 
@@ -144,7 +145,7 @@ class TestStep:
         marker = np.array([[1.0, 0.3], [0.0, 1.0]])
         h = with_slice(grid, age_grid, 2, marker[:, :, None, None])
         moved = h.slice(2).copy()
-        u0 = np.zeros((2, N, N))
+        u0 = np.zeros((3, 2, N, N))  # the jet of the fluid at rest
         stretch_advect_step(h, u0, u0, age_grid.ds)
         # pure shift: marker moved, values untouched
         np.testing.assert_array_equal(h.slice(3), moved)
@@ -152,7 +153,7 @@ class TestStep:
     def test_finite_memory_flush(self, grid):
         ag = build_age_grid(single_exponential_kernel(), 0.1, 5e-2)
         h = with_slice(grid, ag, 1, np.array([[2.0, 0.5], [0.3, 1.5]])[:, :, None, None])
-        u0 = np.zeros((2, N, N))
+        u0 = np.zeros((3, 2, N, N))  # the jet of the fluid at rest
         for _ in range(h.n_slices):
             stretch_advect_step(h, u0, u0, ag.ds)
         np.testing.assert_array_equal(h.payload, identity_band(h))
@@ -160,7 +161,7 @@ class TestStep:
     def test_age_zero_boundary_after_step(self, grid, age_grid):
         h = init_history("identity", grid, age_grid)
         st = FlowState(grid, taylor_green(grid), eta=0.1)
-        stretch_advect_step(h, st.u, st.u, age_grid.ds)
+        stretch_advect_step(h, st.jet, st.jet, age_grid.ds)
         np.testing.assert_array_equal(h.slice(0), identity_band(h)[0])
         assert h.generation == 1
 
@@ -171,9 +172,9 @@ class TestStep:
         st = FlowState(grid, taylor_green(grid), eta=0.1)
         tau = None
         for _ in range(10):
-            u_old = st.u
+            u_old = st.jet
             advance_flow(st, tau, ag.ds, 0.5)
-            stretch_advect_step(h, u_old, st.u, ag.ds)
+            stretch_advect_step(h, u_old, st.jet, ag.ds)
         g = fields(h)
         dev = float(np.abs(det_field(g) - 1.0).max())
         assert dev < 1e-3
@@ -183,7 +184,7 @@ class TestStep:
     def test_nan_abort_locates_slice(self, grid, age_grid):
         h = init_history("identity", grid, age_grid)
         h.slice(5)[0, 0, 0, 0] = np.nan  # the mean mode: NaN over the whole component field
-        u0 = np.zeros((2, N, N))
+        u0 = np.zeros((3, 2, N, N))  # the jet of the fluid at rest
         with pytest.raises(HistoryNaNError, match="slice"):
             stretch_advect_step(h, u0, u0, age_grid.ds)
 
@@ -195,7 +196,7 @@ class TestAllocation:
         ag = build_age_grid(single_exponential_kernel(), 0.05, 1e-2)
         h = init_history("identity", grid, ag)
         _, measure = model_catalog("psm-raw")
-        u = taylor_green(grid)
+        u = FlowState(grid, taylor_green(grid), 0.1).jet
         chunk_bytes = chunk_slices(N) * 4 * N * N * 8
         assert h.n_slices > chunk_slices(N) and h.workspace.g.nbytes == chunk_bytes
         stretch_advect_step(h, u, 0.9 * u, ag.ds, StackReduction(h, measure))  # warm-up
