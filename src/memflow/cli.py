@@ -11,6 +11,7 @@ import argparse
 import sys
 
 from . import spectral
+from .agegrid import HistoryTooLongError
 from .config import ConfigError, parse_config
 from .convergence import coupled_self_convergence
 from .diagnostics import theorem_bound_report
@@ -123,7 +124,7 @@ def main(argv=None) -> int:
         spectral.set_workers(args.threads)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, HistoryTooLongError) as exc:  # the tail tolerance does not fit the memory cap
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,48 +3,24 @@
 Unknown sections or keys are fatal, so a typo cannot silently misconfigure
 a long run.  Every numeric invariant is checked here, naming the offending
 key; module code downstream can assume a valid configuration.
+Each INI key is named once, in ``_INI_FIELDS``: its type, its default and
+whether it is required come from :class:`SimulationConfig`, and the
+``[model]`` parameters with their defaults from ``constitutive.CATALOG``.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from .constitutive import CATALOG, INI_MODELS
 
 
 class ConfigError(ValueError):
     pass
-
-
-# model name -> parameter keys accepted in [model]
-_MODEL_PARAMS = {
-    "oldroyd-b": {"lam", "mu_p"},
-    "psm-raw": {"lam", "alpha"},
-    "psm-normalized": {"lam", "alpha"},
-    "wagner-raw": {"lam", "beta"},
-    "wagner-normalized": {"lam", "beta"},
-    "doi-edwards": {"lam", "alpha", "max_mode"},
-}
-
-_SCHEMA = {
-    "grid": {"n"},
-    "flow": {"viscosity", "dt", "t_final", "cfl_safety"},
-    "model": {"name", "lam", "mu_p", "alpha", "beta", "max_mode"},
-    "history": {"eps_tail", "mu_min", "initial", "memory_cap_mb"},
-    "velocity": {"kind", "amplitude", "seed", "band", "path"},
-    "diagnostics": {
-        "q",
-        "r",
-        "cadence",
-        "det_tol",
-        "stress_tol",
-        "fatal_on_violation",
-        "oracle",
-    },
-    "output": {"directory", "snapshot_every", "history_slices", "checkpoint"},
-}
-
-_REQUIRED = (("grid", "n"), ("flow", "viscosity"), ("flow", "dt"), ("flow", "t_final"), ("model", "name"))
 
 
 @dataclass
@@ -97,9 +73,9 @@ def validate(cfg: SimulationConfig):
         raise ConfigError("flow.t_final must cover at least one step")
     if not 0.0 < cfg.cfl_safety <= 1.0:
         raise ConfigError("flow.cfl_safety must lie in (0, 1]")
-    if cfg.model_name not in _MODEL_PARAMS:
-        raise ConfigError(f"model.name {cfg.model_name!r} not in catalog {sorted(_MODEL_PARAMS)}")
-    extra = set(cfg.model_params) - _MODEL_PARAMS[cfg.model_name]
+    if cfg.model_name not in INI_MODELS:
+        raise ConfigError(f"model.name {cfg.model_name!r} not in catalog {sorted(INI_MODELS)}")
+    extra = cfg.model_params.keys() - CATALOG[cfg.model_name].defaults.keys()
     if extra:
         raise ConfigError(f"model parameters {sorted(extra)} not valid for {cfg.model_name!r}")
     if not 0.0 < cfg.eps_tail < 0.1:
@@ -124,6 +100,43 @@ def validate(cfg: SimulationConfig):
         raise ConfigError("output.snapshot_every must be >= 0")
 
 
+# [section] -> {key: SimulationConfig field}; [model] also takes the
+# parameters of the catalog's INI models, which go to model_params
+_INI_FIELDS = {
+    "grid": {"n": "n"},
+    "flow": {key: key for key in ("viscosity", "dt", "t_final", "cfl_safety")},
+    "model": {"name": "model_name"},
+    "history": {
+        "eps_tail": "eps_tail", "mu_min": "mu_min", "initial": "initial_history", "memory_cap_mb": "memory_cap_mb",
+    },
+    "velocity": {key: f"velocity_{key}" for key in ("kind", "amplitude", "seed", "band", "path")},
+    "diagnostics": {
+        key: key for key in ("q", "r", "cadence", "det_tol", "stress_tol", "fatal_on_violation", "oracle")
+    },
+    "output": {
+        "directory": "output_dir", "snapshot_every": "snapshot_every", "history_slices": "history_slices",
+        "checkpoint": "checkpoint",
+    },
+}
+_MODEL_KEYS = {key: type(default) for name in INI_MODELS for key, default in CATALOG[name].defaults.items()}
+_REQUIRED_FIELDS = {
+    f.name for f in dataclasses.fields(SimulationConfig) if f.default is f.default_factory is dataclasses.MISSING
+}
+_TYPES = typing.get_type_hints(SimulationConfig)
+
+
+def _ini_value(parser: configparser.ConfigParser, section: str, key: str, kind):
+    raw = parser.get(section, key)
+    try:
+        if kind is bool:
+            return parser.getboolean(section, key)
+        if kind == tuple[int, ...]:  # comma- or space-separated
+            return tuple(int(tok) for tok in raw.replace(",", " ").split())
+        return kind(raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
+
+
 def parse_config(path) -> SimulationConfig:
     """Read and validate an INI configuration file (strict mode)."""
     path = Path(path)
@@ -136,66 +149,20 @@ def parse_config(path) -> SimulationConfig:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _INI_FIELDS:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser[section]:
-            if key not in _SCHEMA[section]:
+            if key not in _INI_FIELDS[section] and not (section == "model" and key in _MODEL_KEYS):
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-    for section, key in _REQUIRED:
-        if not parser.has_option(section, key):
-            raise ConfigError(f"missing required key {key!r} in section [{section}]")
 
-    def get(section, key, conv, default):
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
-            try:
-                if conv is bool:
-                    return parser.getboolean(section, key)
-                return conv(raw)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
-        return default
-
-    model_name = parser.get("model", "name").strip()
-    model_params = {}
-    for key in parser["model"]:
-        if key == "name":
-            continue
-        conv = int if key == "max_mode" else float
-        model_params[key] = get("model", key, conv, None)
-
-    slices_raw = get("output", "history_slices", str, "")
-    try:
-        history_slices = tuple(int(tok) for tok in slices_raw.replace(",", " ").split()) if slices_raw else ()
-    except ValueError as exc:
-        raise ConfigError(f"bad output.history_slices: {slices_raw!r}") from exc
-
-    return SimulationConfig(
-        n=get("grid", "n", int, None),
-        viscosity=get("flow", "viscosity", float, None),
-        dt=get("flow", "dt", float, None),
-        t_final=get("flow", "t_final", float, None),
-        cfl_safety=get("flow", "cfl_safety", float, 0.5),
-        model_name=model_name,
-        model_params=model_params,
-        eps_tail=get("history", "eps_tail", float, 1e-6),
-        mu_min=get("history", "mu_min", float, 1.0),
-        initial_history=get("history", "initial", str, "identity"),
-        memory_cap_mb=get("history", "memory_cap_mb", float, 4096.0),
-        velocity_kind=get("velocity", "kind", str, "taylor-green"),
-        velocity_amplitude=get("velocity", "amplitude", float, 1.0),
-        velocity_seed=get("velocity", "seed", int, 0),
-        velocity_band=get("velocity", "band", int, 4),
-        velocity_path=get("velocity", "path", str, ""),
-        q=get("diagnostics", "q", int, 8),
-        r=get("diagnostics", "r", int, 4),
-        cadence=get("diagnostics", "cadence", int, 1),
-        det_tol=get("diagnostics", "det_tol", float, 1e-2),
-        stress_tol=get("diagnostics", "stress_tol", float, 1e-8),
-        fatal_on_violation=get("diagnostics", "fatal_on_violation", bool, False),
-        oracle=get("diagnostics", "oracle", bool, False),
-        output_dir=get("output", "directory", str, ""),
-        snapshot_every=get("output", "snapshot_every", int, 0),
-        history_slices=history_slices,
-        checkpoint=get("output", "checkpoint", bool, True),
-    )
+    values = {}
+    for section, keys in _INI_FIELDS.items():
+        for key, name in keys.items():
+            if parser.has_option(section, key):
+                values[name] = _ini_value(parser, section, key, _TYPES[name])
+            elif name in _REQUIRED_FIELDS:
+                raise ConfigError(f"missing required key {key!r} in section [{section}]")
+    values["model_params"] = {
+        key: _ini_value(parser, "model", key, _MODEL_KEYS[key]) for key in parser["model"] if key != "name"
+    }
+    return SimulationConfig(**values)

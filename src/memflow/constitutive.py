@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import optimize
@@ -333,84 +333,43 @@ def verify_h2(measure, budget: int = 10_000, tol: float = 1e-6, seed: int = 2024
 # model catalog
 # ---------------------------------------------------------------------------
 
-CATALOG_NAMES = (
-    "oldroyd-b",
-    "psm-raw",
-    "psm-normalized",
-    "wagner-raw",
-    "wagner-normalized",
-    "kbkz-custom",
-    "doi-edwards",
-)
-
 WAGNER_RAW_H_SUP = 4.0 * math.exp(-2.0)  # x e^{-sqrt x} maximized at x = 4
 WAGNER_RAW_HP_SUP = 13.5 * math.exp(-3.0)  # x^2 |h'| = x^{3/2} e^{-sqrt x}/2 at x = 9
 
 
-def _psm_raw_measure(alpha: float) -> StrainMeasure:
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    c = cp = alpha  # sup of alpha x/(alpha+x) and of alpha x^2/(alpha+x)^2
-    s_inf, sp_inf = separable_h2_bounds(c, cp)
+def _psm_measure(name: str, alpha: float, shift: float) -> StrainMeasure:
+    """Rational damping h = alpha / (alpha - shift + x).
+
+    For alpha > shift both x h and x^2 |h'| rise monotonically to alpha as
+    x grows, so C = C' = alpha in closed form.
+    """
+    if alpha <= shift:
+        raise ValueError(f"{name} needs alpha > {shift:g}")
+    s_inf, sp_inf = separable_h2_bounds(alpha, alpha)
     return StrainMeasure(
-        name="psm-raw",
-        h=lambda x, a=alpha: a / (a + x),
-        hp=lambda x, a=alpha: -a / (a + x) ** 2,
+        name=name,
+        h=lambda x, a=alpha, c=alpha - shift: a / (c + x),
+        hp=lambda x, a=alpha, c=alpha - shift: -a / (c + x) ** 2,
         s_inf=s_inf,
         sp_inf=sp_inf,
         h2_satisfied=True,
     )
 
 
-def _psm_normalized_measure(alpha: float) -> StrainMeasure:
-    # h(2) = 1 so the stress of the rest state is exactly isotropic
-    if alpha <= 2:
-        raise ValueError("normalized variant needs alpha > 2")
-    c, _, _ = _log_grid_sup(lambda x: x * alpha / (alpha - 2 + x))
-    cp, _, _ = _log_grid_sup(lambda x: x**2 * alpha / (alpha - 2 + x) ** 2)
-    s_inf, sp_inf = separable_h2_bounds(max(c, alpha), max(cp, alpha))
-    return StrainMeasure(
-        name="psm-normalized",
-        h=lambda x, a=alpha: a / (a - 2 + x),
-        hp=lambda x, a=alpha: -a / (a - 2 + x) ** 2,
-        s_inf=s_inf,
-        sp_inf=sp_inf,
-        h2_satisfied=True,
-    )
+def _wagner_measure(name: str, beta: float, scale: float) -> StrainMeasure:
+    """Exponential damping h = scale exp(-beta sqrt x).
 
-
-def _wagner_raw_measure(beta: float) -> StrainMeasure:
+    Closed-form suprema: substituting t = beta sqrt(x) turns x h into
+    scale t^2 e^{-t} / beta^2 (max at t = 2) and x^2 |h'| into
+    scale t^3 e^{-t} / (2 beta^2) (max at t = 3).
+    """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    # closed-form suprema for h = exp(-beta sqrt x): substituting t = beta
-    # sqrt(x) turns x h into t^2 e^{-t} / beta^2 (max 4 e^{-2} at t = 2) and
-    # x^2 |h'| into t^3 e^{-t} / (2 beta^2) (max (27/2) e^{-3} at t = 3).
-    c = 4.0 * math.exp(-2.0) / beta**2
-    cp = 13.5 * math.exp(-3.0) / beta**2
-    s_inf, sp_inf = separable_h2_bounds(c, cp)
-    return StrainMeasure(
-        name="wagner-raw",
-        h=lambda x, b=beta: np.exp(-b * np.sqrt(x)),
-        hp=lambda x, b=beta: -b * np.exp(-b * np.sqrt(x)) / (2.0 * np.sqrt(np.maximum(x, 1e-300))),
-        s_inf=s_inf,
-        sp_inf=sp_inf,
-        h2_satisfied=True,
-    )
-
-
-def _wagner_normalized_measure(beta: float) -> StrainMeasure:
-    # h(x) = exp(-beta (sqrt x - sqrt 2)): h(2) = 1 and C^1 on x > 0.  The
-    # piecewise form exp(-beta sqrt(max(x-2, 0))) has an unbounded x^2 |h'|
-    # at x = 2+, so it cannot certify; this variant keeps the normalization
-    # while staying admissible.
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    scale = math.exp(beta * math.sqrt(2.0))
     c = scale * 4.0 * math.exp(-2.0) / beta**2
     cp = scale * 13.5 * math.exp(-3.0) / beta**2
     s_inf, sp_inf = separable_h2_bounds(c, cp)
     return StrainMeasure(
-        name="wagner-normalized",
+        name=name,
         h=lambda x, b=beta, a=scale: a * np.exp(-b * np.sqrt(x)),
         hp=lambda x, b=beta, a=scale: -a * b * np.exp(-b * np.sqrt(x)) / (2.0 * np.sqrt(np.maximum(x, 1e-300))),
         s_inf=s_inf,
@@ -445,7 +404,9 @@ def _validate_custom_derivative(h, hp, tol: float = 1e-4):
         raise ValueError("supplied damping derivative disagrees with finite differences")
 
 
-def _kbkz_custom_measure(h, hp=None) -> StrainMeasure:
+def _kbkz_custom_measure(h, hp) -> StrainMeasure:
+    if h is None:
+        raise ValueError("kbkz-custom needs a damping function h")
     if hp is None:
         eps = 1e-6
         hp = lambda x: (np.asarray(h(np.asarray(x) * (1 + eps))) - np.asarray(h(np.asarray(x) * (1 - eps)))) / (2 * eps * np.asarray(x))
@@ -460,51 +421,71 @@ def _kbkz_custom_measure(h, hp=None) -> StrainMeasure:
     )
 
 
+class CatalogModel(NamedTuple):
+    defaults: dict  # every parameter the model takes, with its default
+    build: Callable  # (**parameters) -> (MemoryKernel, StrainMeasure)
+
+
+# Raw variants use the damping functions exactly as commonly written; the
+# normalized variants make h(2) = 1, so the rest state carries a purely
+# isotropic stress (absorbed by the pressure gauge).  Normalized Wagner is
+# h(x) = exp(-beta (sqrt x - sqrt 2)), C^1 on x > 0; the piecewise form
+# exp(-beta sqrt(max(x-2, 0))) has an unbounded x^2 |h'| at x = 2+, so it
+# cannot certify.  doi-edwards exercises the mode-sum spectrum and pairs it
+# with the bounded rational damping so that the pair certifies.
+CATALOG = {
+    "oldroyd-b": CatalogModel(
+        {"lam": 1.0, "mu_p": 1.0},
+        lambda lam, mu_p: (single_exponential_kernel(lam), _oldroyd_measure(lam, mu_p)),
+    ),
+    "psm-raw": CatalogModel(
+        {"lam": 1.0, "alpha": 1.0},
+        lambda lam, alpha: (single_exponential_kernel(lam), _psm_measure("psm-raw", alpha, 0.0)),
+    ),
+    "psm-normalized": CatalogModel(
+        {"lam": 1.0, "alpha": 3.0},
+        lambda lam, alpha: (single_exponential_kernel(lam), _psm_measure("psm-normalized", alpha, 2.0)),
+    ),
+    "wagner-raw": CatalogModel(
+        {"lam": 1.0, "beta": 1.0},
+        lambda lam, beta: (single_exponential_kernel(lam), _wagner_measure("wagner-raw", beta, 1.0)),
+    ),
+    "wagner-normalized": CatalogModel(
+        {"lam": 1.0, "beta": 1.0},
+        lambda lam, beta: (
+            single_exponential_kernel(lam),
+            _wagner_measure("wagner-normalized", beta, math.exp(beta * math.sqrt(2.0))),
+        ),
+    ),
+    "kbkz-custom": CatalogModel(
+        {"lam": 1.0, "h": None, "hp": None},
+        lambda lam, h, hp: (single_exponential_kernel(lam), _kbkz_custom_measure(h, hp)),
+    ),
+    "doi-edwards": CatalogModel(
+        {"lam": 1.0, "alpha": 1.0, "max_mode": 31},
+        lambda lam, alpha, max_mode: (reptation_mode_kernel(lam, max_mode), _psm_measure("psm-raw", alpha, 0.0)),
+    ),
+}
+
+# the models whose parameters are all numbers, so that an INI file can set them
+INI_MODELS = tuple(name for name, model in CATALOG.items() if None not in model.defaults.values())
+
+
+def model_parameters(name: str, **params) -> dict:
+    """Every parameter of a named model: the given ones, converted to the
+    type of their default, over the defaults.  An unknown name or parameter
+    raises ``ValueError``."""
+    if name not in CATALOG:
+        raise ValueError(f"unknown model {name!r}; choose from {tuple(CATALOG)}")
+    defaults = CATALOG[name].defaults
+    extra = params.keys() - defaults.keys()
+    if extra:
+        raise ValueError(f"unknown parameters for model {name!r}: {sorted(extra)}")
+    return {key: value if defaults[key] is None else type(defaults[key])(value)
+            for key, value in {**defaults, **params}.items()}
+
+
 def model_catalog(name: str, **params) -> tuple[MemoryKernel, StrainMeasure]:
-    """Configured (kernel, measure) pair for a named model.
-
-    Raw variants use the damping functions exactly as commonly written; the
-    normalized variants shift ``h`` so that ``h(2) = 1`` and the rest state
-    carries a purely isotropic stress (absorbed by the pressure gauge).
-    """
-    lam = float(params.pop("lam", 1.0))
-    if lam <= 0:
-        raise ValueError("relaxation time must be positive")
-    if name == "oldroyd-b":
-        mu_p = float(params.pop("mu_p", 1.0))
-        _reject_extra(name, params)
-        return single_exponential_kernel(lam), _oldroyd_measure(lam, mu_p)
-    if name == "psm-raw":
-        alpha = float(params.pop("alpha", 1.0))
-        _reject_extra(name, params)
-        return single_exponential_kernel(lam), _psm_raw_measure(alpha)
-    if name == "psm-normalized":
-        alpha = float(params.pop("alpha", 3.0))
-        _reject_extra(name, params)
-        return single_exponential_kernel(lam), _psm_normalized_measure(alpha)
-    if name == "wagner-raw":
-        beta = float(params.pop("beta", 1.0))
-        _reject_extra(name, params)
-        return single_exponential_kernel(lam), _wagner_raw_measure(beta)
-    if name == "wagner-normalized":
-        beta = float(params.pop("beta", 1.0))
-        _reject_extra(name, params)
-        return single_exponential_kernel(lam), _wagner_normalized_measure(beta)
-    if name == "kbkz-custom":
-        h = params.pop("h")
-        hp = params.pop("hp", None)
-        _reject_extra(name, params)
-        return single_exponential_kernel(lam), _kbkz_custom_measure(h, hp)
-    if name == "doi-edwards":
-        max_mode = int(params.pop("max_mode", 31))
-        alpha = float(params.pop("alpha", 1.0))
-        _reject_extra(name, params)
-        # the mode-sum spectrum is what this entry exercises; it is paired
-        # with the bounded rational damping so the pair certifies.
-        return reptation_mode_kernel(lam, max_mode), _psm_raw_measure(alpha)
-    raise ValueError(f"unknown model {name!r}; choose from {CATALOG_NAMES}")
-
-
-def _reject_extra(name: str, params: dict):
-    if params:
-        raise ValueError(f"unknown parameters for model {name!r}: {sorted(params)}")
+    """Configured (kernel, measure) pair for a named model of :data:`CATALOG`."""
+    resolved = model_parameters(name, **params)  # first: it refuses an unknown name
+    return CATALOG[name].build(**resolved)

@@ -15,7 +15,7 @@ Three studies back the discretization orders claimed elsewhere:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -153,6 +153,8 @@ def shear_startup_study(
 def coupled_self_convergence(cfg: SimulationConfig, n_levels: int = 3) -> ConvergenceReport:
     """Richardson self-convergence under joint (dt, ds) halving at fixed n.
 
+    Each level runs ``cfg`` with its own ``dt`` and no output directory.
+
     Reports the consecutive-level gaps of the final velocity and stress,
     the fitted order (splitting-limited, expected at least first order),
     the determinant drift per level, and the final values of the cumulative
@@ -164,22 +166,7 @@ def coupled_self_convergence(cfg: SimulationConfig, n_levels: int = 3) -> Conver
     report = ConvergenceReport(levels=[])
     for i in range(n_levels):
         dt = cfg.dt / 2**i
-        level_cfg = SimulationConfig(
-            n=cfg.n,
-            viscosity=cfg.viscosity,
-            dt=dt,
-            t_final=cfg.t_final,
-            model_name=cfg.model_name,
-            model_params=dict(cfg.model_params),
-            cfl_safety=cfg.cfl_safety,
-            eps_tail=cfg.eps_tail,
-            q=cfg.q,
-            r=cfg.r,
-            velocity_kind=cfg.velocity_kind,
-            velocity_amplitude=cfg.velocity_amplitude,
-            velocity_seed=cfg.velocity_seed,
-            velocity_band=cfg.velocity_band,
-        )
+        level_cfg = replace(cfg, dt=dt, output_dir="")
         res = run(level_cfg)
         if not res.ok:
             raise RuntimeError(f"level {i} failed: {res.message}")

@@ -31,7 +31,7 @@ import numpy as np
 
 from .agegrid import build_age_grid
 from .config import ConfigError, SimulationConfig
-from .constitutive import model_catalog
+from .constitutive import model_catalog, model_parameters
 from .diagnostics import (
     CSV_COLUMNS,
     DiagnosticsRecord,
@@ -61,7 +61,6 @@ class RunResult:
     oracle: OracleState | None = None
     tau: np.ndarray | None = None
     measure: object = None
-    kernel: object = None
     oracle_gap: float | None = field(default=None)
 
     @property
@@ -92,37 +91,48 @@ def _relative_l2_gap(grid: SpectralGrid, a: np.ndarray, b: np.ndarray) -> float:
 
 
 def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
-    """Execute the configured simulation; never raises for solver failures."""
+    """Execute the configured simulation; never raises for solver failures.
+
+    Raises :class:`ConfigError` for a config it cannot run, including a
+    restart checkpoint that is unreadable or does not fit the config, and
+    :class:`~memflow.agegrid.HistoryTooLongError` when the age grid exceeds the memory cap.
+    """
     if cfg.oracle and cfg.model_name != "oldroyd-b":
         raise ConfigError("the differential oracle requires model.name = oldroyd-b")
 
     grid = SpectralGrid(cfg.n)
-    params = {k: v for k, v in cfg.model_params.items() if v is not None}
+    params = model_parameters(cfg.model_name, **{k: v for k, v in cfg.model_params.items() if v is not None})
     kernel, measure = model_catalog(cfg.model_name, **params)
     # the cap covers the band-spectrum stack and the largest chunk workspace of its passes
     free_bytes = cfg.memory_cap_mb * 2**20 - ChunkWorkspace.nbytes_for(cfg.n)
     max_nodes = max(0, int(free_bytes // (4 * 16 * math.prod(grid.band_shape))))
     age_grid = build_age_grid(kernel, cfg.dt, cfg.eps_tail, max_nodes=max_nodes)
 
-    lam, mu_p = float(params.get("lam", 1.0)), float(params.get("mu_p", 1.0))
     mcfg = MonitorConfig(q=cfg.q, r=cfg.r, mu=cfg.mu_min, det_tol=cfg.det_tol, stress_tol=cfg.stress_tol)
 
     if restart_from is None:
         step0, y_value, yi_prev = 0, 0.0, None
         state = FlowState(grid, initial_velocity(cfg, grid), cfg.viscosity)
-        oracle = OracleState(grid, np.zeros((2, 2, grid.n, grid.n)), lam, mu_p) if cfg.oracle else None
+        oracle = None
+        if cfg.oracle:
+            oracle = OracleState(grid, np.zeros((2, 2, grid.n, grid.n)), params["lam"], params["mu_p"])
         spec = cfg.initial_history
         if spec.startswith("snapshot:"):
             spec = read_field(spec.split(":", 1)[1])
         history = init_history(spec, grid, age_grid, mu=cfg.mu_min)
     else:  # the checkpoint's fields are the state: no initial velocity or history is built
-        chk = read_checkpoint(restart_from)
-        if cfg.oracle and chk["oracle_tau"] is None:
-            raise ConfigError(f"checkpoint {restart_from} holds no oracle stress to resume the oracle from")
-        step0, y_value, yi_prev = chk["step"], chk["y_value"], chk["y_integrand"]
-        state = FlowState(grid, None, cfg.viscosity, t=chk["t"], u_hat=chk["u"])
-        oracle = OracleState(grid, None, lam, mu_p, tau_hat=chk["oracle_tau"]) if cfg.oracle else None
-        history = DeformationHistory(chk["history"], age_grid, grid, head=chk["head"], generation=step0)
+        try:
+            chk = read_checkpoint(restart_from)
+            step0, y_value, yi_prev = chk["step"], chk["y_value"], chk["y_integrand"]
+            state = FlowState(grid, None, cfg.viscosity, t=chk["t"], u_hat=chk["u"])
+            history = DeformationHistory(chk["history"], age_grid, grid, head=chk["head"], generation=step0)
+            oracle = None
+            if cfg.oracle:
+                if chk["oracle_tau"] is None:
+                    raise ValueError("it holds no oracle stress to resume the oracle from")
+                oracle = OracleState(grid, None, params["lam"], params["mu_p"], tau_hat=chk["oracle_tau"])
+        except (OSError, KeyError, TypeError, ValueError) as exc:  # unreadable, or not of this config
+            raise ConfigError(f"cannot restart from {restart_from}: {exc}") from exc
 
     out_dir = Path(cfg.output_dir) if cfg.output_dir else None
     csv_fh = None
@@ -144,7 +154,7 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
         if oracle is not None and tau is not None:
             gap = _relative_l2_gap(grid, tau, oracle.tau)
         return RunResult(exit_code=code, records=records, message=message, state=state, history=history,
-                         oracle=oracle, tau=tau, measure=measure, kernel=kernel, oracle_gap=gap)
+                         oracle=oracle, tau=tau, measure=measure, oracle_gap=gap)
 
     def checkpoint(step: int):
         if csv_fh is not None:

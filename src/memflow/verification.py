@@ -1,11 +1,12 @@
 """Catalog certification and tensor-algebra property checks.
 
 Backs the ``verify`` command: checks the kernel admissibility conditions
-and the strain-measure boundedness conditions for every bundled model
-(reporting the measured suprema of the damping-function criteria), and runs
-randomized property checks of the tensor contraction: the generalized
-Cauchy-Schwarz inequality, inner-product axioms for the full contraction,
-and the arithmetic-geometric-mean bound linking the Frobenius norm to the
+and the strain-measure boundedness conditions for every INI model of the
+catalog at its defaults (reporting the measured suprema of the
+damping-function criteria), and runs randomized property checks of the
+tensor contraction: the generalized Cauchy-Schwarz inequality,
+inner-product axioms for the full contraction, and the
+arithmetic-geometric-mean bound linking the Frobenius norm to the
 determinant.
 """
 
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constitutive import (
+    INI_MODELS,
     WAGNER_RAW_H_SUP,
     WAGNER_RAW_HP_SUP,
     model_catalog,
@@ -87,15 +89,6 @@ def am_gm_checks(n: int = 2000, seed: int = 13) -> bool:
     return bool(np.all(norm_sq >= 2.0 * det * (1.0 - 1e-12)))
 
 
-_VERIFY_MODELS = (
-    ("oldroyd-b", {}),
-    ("psm-raw", {}),
-    ("psm-normalized", {}),
-    ("wagner-raw", {}),
-    ("wagner-normalized", {}),
-    ("doi-edwards", {}),
-)
-
 # reference suprema of the damping criteria where known in closed form
 _EXPECTED_H_SUP = {
     "psm-raw": 1.0,
@@ -123,8 +116,8 @@ def run_verification(budget: int = 10_000, cs_pairs: int = 10_000) -> Verificati
     lines.append(f"tensor  am-gm norm bound    {'PASS' if am_ok else 'FAIL'}")
 
     h2_data = {}
-    for name, params in _VERIFY_MODELS:
-        kernel, measure = model_catalog(name, **params)
+    for name in INI_MODELS:
+        kernel, measure = model_catalog(name)
         rep1 = verify_h1(kernel)
         ok &= rep1.passed
         lines.append(

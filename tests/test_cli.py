@@ -1,3 +1,5 @@
+import pytest
+
 from memflow.cli import main
 
 CONFIG = """
@@ -45,6 +47,30 @@ class TestRunCommand:
         assert main(["run", write_cfg(tmp_path, outdir=str(out))]) == 0
         code = main(["run", write_cfg(tmp_path, outdir=str(tmp_path / "out2")), "--restart", str(out / "checkpoint")])
         assert code == 0
+
+    @pytest.mark.parametrize("case", ["other-grid", "corrupt-meta", "missing"])
+    def test_bad_restart_exit_one(self, tmp_path, capsys, case):
+        out = tmp_path / "out"
+        assert main(["run", write_cfg(tmp_path, outdir=str(out))]) == 0
+        checkpoint = out / "checkpoint"
+        cfg = write_cfg(tmp_path)
+        if case == "other-grid":  # an n = 32 checkpoint under an n = 64 config
+            cfg = tmp_path / "n64.ini"
+            cfg.write_text(CONFIG.format(model="psm-raw", outdir="").replace("n = 32", "n = 64"))
+        elif case == "corrupt-meta":
+            (checkpoint / "meta.json").write_text('{"step": ')
+        else:
+            checkpoint = tmp_path / "nowhere"
+        capsys.readouterr()
+        assert main(["run", str(cfg), "--restart", str(checkpoint)]) == 1
+        assert f"config error: cannot restart from {checkpoint}: " in capsys.readouterr().err
+
+    def test_memory_cap_too_small_exit_one(self, tmp_path, capsys):
+        p = tmp_path / "capped.ini"
+        capped = CONFIG.format(model="psm-raw", outdir="").replace("[history]\n", "[history]\nmemory_cap_mb = 1\n")
+        p.write_text(capped)
+        assert main(["run", str(p)]) == 1
+        assert "config error: history too long" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

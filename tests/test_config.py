@@ -1,6 +1,11 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
 from memflow.config import ConfigError, SimulationConfig, parse_config
+from memflow.constitutive import CATALOG, INI_MODELS, model_catalog
 
 MINIMAL = """
 [grid]
@@ -111,3 +116,40 @@ class TestValidation:
         with pytest.raises(HistoryTooLongError, match="history too long") as err:
             run(cfg)
         assert err.value.required_nodes == 18422
+
+
+class TestCatalogAgreement:
+    @pytest.mark.parametrize("name", INI_MODELS)
+    def test_every_parameter_settable(self, tmp_path, name):
+        for key, default in CATALOG[name].defaults.items():
+            value = 2 * default
+            cfg = parse_config(write(tmp_path, MINIMAL.replace("oldroyd-b", name) + f"{key} = {value}\n"))
+            assert cfg.model_params == {key: value}
+            assert type(cfg.model_params[key]) is type(default)
+            model_catalog(name, **cfg.model_params)
+
+    @pytest.mark.parametrize("name", INI_MODELS)
+    def test_other_models_parameters_refused(self, tmp_path, name):
+        foreign = {key for other in INI_MODELS for key in CATALOG[other].defaults} - CATALOG[name].defaults.keys()
+        assert foreign
+        for key in sorted(foreign):
+            with pytest.raises(ConfigError, match="not valid"):
+                parse_config(write(tmp_path, MINIMAL.replace("oldroyd-b", name) + f"{key} = 2\n"))
+            with pytest.raises(ValueError, match="unknown parameters"):
+                model_catalog(name, **{key: 2.0})
+
+    def test_python_only_model_refused(self, tmp_path):
+        assert "kbkz-custom" in CATALOG and "kbkz-custom" not in INI_MODELS
+        with pytest.raises(ConfigError, match="not in catalog"):
+            parse_config(write(tmp_path, MINIMAL.replace("oldroyd-b", "kbkz-custom")))
+
+
+def test_readme_lists_the_defaults(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"Optional sections and their defaults:\s*```ini\n(.*?)```", readme, re.S).group(1)
+    required = "[flow]\nviscosity = 1.0\ndt = 1e-3\nt_final = 1.0\n"
+    text = "[grid]\nn = 64\n[model]\nname = oldroyd-b\n" + block.replace("[flow]\n", required, 1)
+    cfg = parse_config(write(tmp_path, text))
+    expected = SimulationConfig(n=64, viscosity=1.0, dt=1e-3, t_final=1.0, model_name="oldroyd-b")
+    for f in dataclasses.fields(SimulationConfig):
+        assert getattr(cfg, f.name) == getattr(expected, f.name), f.name

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from memflow.agegrid import HistoryTooLongError
 from memflow.config import SimulationConfig
 from memflow.convergence import (
     coupled_self_convergence,
@@ -8,6 +9,8 @@ from memflow.convergence import (
     shear_startup_study,
     taylor_green_decay_study,
 )
+from memflow.snapshots import write_field
+from memflow.spectral import SpectralGrid, taylor_green
 
 
 @pytest.fixture(scope="module")
@@ -102,3 +105,21 @@ class TestCoupledSelfConvergence:
         )
         again = coupled_self_convergence(cfg, n_levels=3)
         assert again.errors["tau_gap"] == report.errors["tau_gap"]
+
+
+class TestCoupledLevels:
+    """Each level is the given config with its own dt: no other field is dropped."""
+
+    @staticmethod
+    def cfg(**kw):
+        return SimulationConfig(n=16, viscosity=0.1, dt=0.1, t_final=0.2, model_name="psm-raw", eps_tail=1e-2, **kw)
+
+    def test_snapshot_velocity_kept(self, tmp_path):
+        path = tmp_path / "u.fld"
+        write_field(path, taylor_green(SpectralGrid(16)))
+        report = coupled_self_convergence(self.cfg(velocity_kind="snapshot", velocity_path=str(path)), n_levels=2)
+        assert report.errors == coupled_self_convergence(self.cfg(), n_levels=2).errors
+
+    def test_memory_cap_kept(self):
+        with pytest.raises(HistoryTooLongError):
+            coupled_self_convergence(self.cfg(memory_cap_mb=0.01), n_levels=2)

@@ -10,7 +10,7 @@ from memflow import simulation, snapshots, spectral
 from memflow.agegrid import HistoryTooLongError
 from memflow.config import ConfigError, SimulationConfig
 from memflow.simulation import EXIT_NAN, EXIT_OK, EXIT_VIOLATION, run
-from memflow.snapshots import SnapshotFormatError, read_checkpoint, read_field, write_checkpoint, write_field
+from memflow.snapshots import read_checkpoint, read_field, write_checkpoint, write_field
 from memflow.transport import ChunkWorkspace, identity_stack
 
 
@@ -203,7 +203,7 @@ class TestArtifacts:
         path = tmp_path / "B" / "history.fld"
         path.write_bytes(b"MEMFLW01" + struct.pack("<4I", 2, 32, 4, len(stack)) + stack.tobytes()
                          + struct.pack("<Q", zlib.crc32(stack)))
-        with pytest.raises(SnapshotFormatError, match="unsupported version 2"):
+        with pytest.raises(ConfigError, match="unsupported version 2"):
             run(small_cfg(t_final=0.5), restart_from=tmp_path / "B")
 
     def test_restart_matches_straight_run(self, tmp_path, monkeypatch):
