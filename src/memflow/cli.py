@@ -13,7 +13,7 @@ import sys
 from . import spectral
 from .agegrid import HistoryTooLongError
 from .config import ConfigError, parse_config
-from .convergence import coupled_self_convergence
+from .convergence import LevelFailedError, coupled_self_convergence
 from .diagnostics import theorem_bound_report
 from .simulation import run
 from .verification import run_verification
@@ -32,6 +32,10 @@ def cmd_run(args) -> int:
     cfg = parse_config(args.config)
     result = run(cfg, restart_from=args.restart, progress=_progress if args.verbose else None)
     print(f"run: {result.message} (exit {result.exit_code})")
+    history = result.history
+    ages = history.age_grid
+    print(f"history: N_s={history.n_slices}  s_max={ages.s_max:.6g}  tail_error={ages.tail_error:.4e}  "
+          f"rows stepped in last step={history.live if history.generation else 0}")
     if result.records:
         rec = result.records[-1]
         print(f"final t={rec.t:.6g}  |tau|_inf={rec.stress_sup:.6g}  min det G={rec.min_detG:.6g}  y={rec.y_value:.6g}")
@@ -75,7 +79,11 @@ def cmd_oracle(args) -> int:
 
 def cmd_converge(args) -> int:
     cfg = parse_config(args.config)
-    report = coupled_self_convergence(cfg, n_levels=args.levels)
+    try:
+        report = coupled_self_convergence(cfg, n_levels=args.levels)
+    except LevelFailedError as exc:
+        print(f"converge: {exc} (exit {exc.exit_code})")
+        return exc.exit_code
     print(report.table())
     print("det drift per level:", ", ".join(f"{d:.3e}" for d in report.extras["det_drift"]))
     print("y final per level:  ", ", ".join(f"{y:.6g}" for y in report.extras["y_final"]))

@@ -28,6 +28,14 @@ from .spectral import SpectralGrid, taylor_green
 from .stepper import FlowState, step_velocity
 
 
+class LevelFailedError(RuntimeError):
+    """A level run of a convergence study exited non-zero; ``exit_code`` is its code."""
+
+    def __init__(self, level: int, exit_code: int, message: str):
+        super().__init__(f"level {level} failed: {message}")
+        self.level, self.exit_code = level, exit_code
+
+
 @dataclass
 class ConvergenceReport:
     levels: list[dict]
@@ -153,7 +161,8 @@ def shear_startup_study(
 def coupled_self_convergence(cfg: SimulationConfig, n_levels: int = 3) -> ConvergenceReport:
     """Richardson self-convergence under joint (dt, ds) halving at fixed n.
 
-    Each level runs ``cfg`` with its own ``dt`` and no output directory.
+    Each level runs ``cfg`` with its own ``dt`` and no output directory; a
+    level that exits non-zero raises :class:`LevelFailedError`.
 
     Reports the consecutive-level gaps of the final velocity and stress,
     the fitted order (splitting-limited, expected at least first order),
@@ -169,7 +178,7 @@ def coupled_self_convergence(cfg: SimulationConfig, n_levels: int = 3) -> Conver
         level_cfg = replace(cfg, dt=dt, output_dir="")
         res = run(level_cfg)
         if not res.ok:
-            raise RuntimeError(f"level {i} failed: {res.message}")
+            raise LevelFailedError(i, res.exit_code, res.message)
         results.append(res)
         report.levels.append({"dt": dt, "n_s": res.history.n_slices})
 

@@ -125,7 +125,8 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
             chk = read_checkpoint(restart_from)
             step0, y_value, yi_prev = chk["step"], chk["y_value"], chk["y_integrand"]
             state = FlowState(grid, None, cfg.viscosity, t=chk["t"], u_hat=chk["u"])
-            history = DeformationHistory(chk["history"], age_grid, grid, head=chk["head"], generation=step0)
+            history = DeformationHistory(chk["history"], age_grid, grid, head=chk["head"], generation=step0,
+                                         live=chk["live"])
             oracle = None
             if cfg.oracle:
                 if chk["oracle_tau"] is None:
@@ -160,7 +161,7 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
         if csv_fh is not None:
             csv_fh.flush()  # a restart from this checkpoint finds every row up to it
         write_checkpoint(out_dir / "checkpoint", step=step, t=state.t, y_value=y_value, y_integrand=yi_prev,
-                         u=state.u_hat, history=history.payload, head=history.head,
+                         u=state.u_hat, history=history.payload, head=history.head, live=history.live,
                          oracle_tau=None if oracle is None else oracle.tau_hat)
 
     scan_args = (mcfg.q, mcfg.r, mcfg.mu)

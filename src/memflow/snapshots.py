@@ -114,12 +114,17 @@ def read_field(path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def write_checkpoint(directory, *, step, t, y_value, y_integrand, u, history, head, oracle_tau=None):
+def write_checkpoint(directory, *, step, t, y_value, y_integrand, u, history, head, live=None, oracle_tau=None):
     """Write a checkpoint into the sibling ``.<name>.new``, then swap it into
     place: ``<name>`` moves to ``.<name>.old``, the new one to ``<name>``, and
     the old one is deleted.  A process killed at any point leaves a complete
     checkpoint that :func:`read_checkpoint` finds.  Nothing is fsynced: this
-    guards against a killed process, not against power loss."""
+    guards against a killed process, not against power loss.
+
+    ``live``, the history's count of distinct ages, goes into ``meta.json``
+    only while it is below the slice count: a full history's checkpoint
+    has no ``"live"`` key, like every checkpoint written before the key
+    existed, and :func:`read_checkpoint` reads a missing key as full."""
     meta = {
         "step": int(step),
         "t": float(t).hex(),
@@ -128,6 +133,8 @@ def write_checkpoint(directory, *, step, t, y_value, y_integrand, u, history, he
         "head": int(head),
         "has_oracle": oracle_tau is not None,
     }
+    if live is not None and live < history.shape[0]:
+        meta["live"] = int(live)
     d = Path(directory)
     new, old = (d.with_name(f".{d.name}.{tag}") for tag in ("new", "old"))
     shutil.rmtree(new, ignore_errors=True)  # left by a killed write
@@ -160,6 +167,7 @@ def read_checkpoint(directory) -> dict:
         "y_value": float.fromhex(meta["y_value"]),
         "y_integrand": float.fromhex(meta["y_integrand"]),
         "head": int(meta["head"]),
+        "live": int(meta["live"]) if "live" in meta else None,  # None: a full history
         "u": read_field(d / "u.fld"),
         "history": read_field(d / "history.fld"),
         "oracle_tau": read_field(d / "oracle_tau.fld") if meta.get("has_oracle") else None,

@@ -17,6 +17,14 @@ feeds it each chunk it has just updated; :meth:`StackReduction.over_stack`
 feeds it the stored band stack, 4 inverse transforms per slice, at the
 initial state and on restart, and so do :func:`assemble_stress` and
 :func:`history_scan`.
+
+Only the live rows of the history are fed (:mod:`memflow.transport`): a
+flow started from rest k steps ago holds min(k + 1, N_s) of them.  Each
+row is weighted by :meth:`~memflow.transport.DeformationHistory.mass`, and
+the tail row by the kernel mass of every age it stands for
+(:attr:`~memflow.agegrid.AgeGrid.tail_mass`), so the sums cover the same
+integral as over every age; the minima over the live rows are the minima
+over every age.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ import numpy as np
 from .agegrid import KahanSum
 from .constitutive import StrainMeasure
 from .spectral import SpectralGrid
-from .transport import DeformationHistory, chunk_slices, det_field, norm_field
+from .transport import DeformationHistory, det_field, norm_field
 
 
 class DegenerateDeformationError(FloatingPointError):
@@ -43,8 +51,9 @@ class StackReduction:
     """Age integrals of one pass over the history stack, fed chunk by chunk.
 
     ``add_chunk(lo, g, g_hat)`` takes the physical fields ``g`` and band
-    spectra ``g_hat`` of physical rows ``lo, lo + 1, ...`` (in increasing row
-    order), weighted by the ages the history's current head gives them.  A
+    spectra ``g_hat`` of live physical rows ``lo, lo + 1, ...`` (in
+    increasing row order), weighted by the kernel mass the history's current
+    head and live count give them (:meth:`DeformationHistory.mass`).  A
     ``measure`` adds the stress ``tau`` (formed in the history's workspace);
     ``scan = (q, r, mu)`` adds the y integrand and the det G and |G| minima,
     with grad G from ``g_hat`` on the history's grid.  Sums are compensated
@@ -56,18 +65,18 @@ class StackReduction:
         if measure is not None and not isinstance(measure, StrainMeasure):
             raise TypeError(f"unsupported strain measure type {type(measure).__name__}")
         self.history, self.measure, self.scan = history, measure, scan
-        self.grid, self.age_grid = history.grid, history.age_grid
+        self.grid = history.grid
         self.tau = KahanSum((2, 2, self.grid.n, self.grid.n))
         self.y = KahanSum()
         self.min_det = self.min_abs = math.inf
 
     def add_chunk(self, lo: int, g: np.ndarray, g_hat: np.ndarray):
-        ages = self.history.ages(lo, len(g))
+        mass = self.history.mass(lo, len(g))
         if self.measure is not None:
             stress = self.measure.stress_stack(g, out=self.history.workspace.prod[: len(g)])
-            self.tau.add(self.age_grid.node_mass[ages], stress)
+            self.tau.add(mass, stress)
         if self.scan is not None:
-            self.y.add(self.age_grid.node_mass[ages], self._scan_chunk(g, g_hat))
+            self.y.add(mass, self._scan_chunk(g, g_hat))
 
     def _scan_chunk(self, g: np.ndarray, g_hat: np.ndarray) -> list[float]:
         """Per slice || |grad G| / |G| ||_{L^q}^r; updates the minima."""
@@ -91,11 +100,10 @@ class StackReduction:
         return [norm**r for norm in grid.lq_norm(ratio, q)]
 
     def over_stack(self) -> "StackReduction":
-        """Feed the stored stack, unchanged, its fields transformed chunk by chunk."""
-        stack, work, size = self.history.payload, self.history.workspace, chunk_slices(self.grid.n)
-        for lo in range(0, stack.shape[0], size):
-            g_hat = stack[lo : lo + size]
-            c = len(g_hat)
+        """Feed the stored live rows, unchanged, their fields transformed chunk by chunk."""
+        stack, work = self.history.payload, self.history.workspace
+        for lo, hi in self.history.chunks():
+            g_hat, c = stack[lo:hi], hi - lo
             self.add_chunk(lo, self.grid.inv(g_hat, out=work.g[:c], rows=work.rows[:c]), g_hat)
         return self
 

@@ -17,10 +17,21 @@ spectrum, so an identity start never leaves the band (explicit initial
 histories are projected onto it).  Stage arithmetic runs on band spectra;
 the physical fields, needed for the products, exist one chunk at a time.
 
-A step is the only pass over the stack: each chunk of ``chunk_slices(n)``
-rows takes one Heun step (:func:`memflow.stepper.heun`) and, once updated
-and still in cache, goes with its new fields and spectra to an optional
-reduction (stress and bound scan, :mod:`memflow.stress`).  The stage
+Only distinct ages are stored and stepped.  A flow started from rest has a
+quiescent past, so after k steps every age s >= k ds holds one field, the
+deformation since the start (the deformation-fields view of Hulsen, Peters
+& van den Brule, J. Non-Newtonian Fluid Mech. 98, 2001).  The history counts
+its ``live`` ages: ages 0 .. live - 2 have their own rows, and the tail row,
+age live - 1, is the exact field of every older age.  An identity start has
+live = 1 and an explicit one live = N_s; each step adds one, up to N_s, so
+step k from rest advances min(k + 1, N_s) rows (the newborn included), not N_s.
+
+A step is the only pass over the stack: each chunk of at most
+``chunk_slices(n)`` live rows (:meth:`DeformationHistory.chunks`) takes one
+Heun step (:func:`memflow.stepper.heun`) and, once updated and still in
+cache, goes with its new fields and spectra to an optional reduction (stress
+and bound scan, :mod:`memflow.stress`), which weights each row by the kernel
+mass of the ages it stands for (:meth:`DeformationHistory.mass`).  The stage
 arithmetic and every transform of a chunk write into the buffers of one
 :class:`ChunkWorkspace` per history.
 
@@ -64,19 +75,24 @@ class DeformationHistory:
 
     ``payload`` has shape ``(n_nodes, 2, 2, *band_shape(grid.n))``, complex;
     logical age index j lives at physical row ``(head + j) % n_nodes``.
-    ``generation`` counts completed steps; ``workspace`` holds the chunk
-    buffers of stack passes.  Single-writer: one stepper mutates the stack,
-    readers see a consistent snapshot between steps.
+    ``live`` (default ``n_nodes``) counts the distinct ages stored: ages from
+    ``live - 1`` on share the tail row, age ``live - 1``, and the other rows
+    are not read.  ``generation`` counts completed steps; ``workspace``
+    holds the chunk buffers of stack passes.  Single-writer: one stepper
+    mutates the stack, readers see a consistent snapshot between steps.
     """
 
     def __init__(self, payload: np.ndarray, age_grid: AgeGrid, grid: SpectralGrid, head: int = 0,
-                 generation: int = 0):
+                 generation: int = 0, live: int | None = None):
         grid.check_band(payload, (age_grid.n_nodes, 2, 2), "history payload")
         self.payload = payload
         self.age_grid = age_grid
         self.grid = grid
         self.head = head % age_grid.n_nodes
         self.generation = generation
+        self.live = age_grid.n_nodes if live is None else live
+        if not 1 <= self.live <= age_grid.n_nodes:
+            raise ValueError(f"live age count {self.live} outside 1 .. {age_grid.n_nodes}")
         self.workspace = ChunkWorkspace(self.n_slices, grid.n)
 
     @property
@@ -84,12 +100,32 @@ class DeformationHistory:
         return self.payload.shape[0]
 
     def slice(self, j: int) -> np.ndarray:
-        """View of the age-j band spectrum."""
-        return self.payload[(self.head + j) % self.n_slices]
+        """View of the age-j band spectrum (the tail row for ``j >= live - 1``)."""
+        return self.payload[(self.head + min(j, self.live - 1)) % self.n_slices]
 
-    def ages(self, lo: int, count: int) -> np.ndarray:
-        """Logical age indices of the physical rows ``lo .. lo + count - 1``."""
-        return (np.arange(lo, lo + count) - self.head) % self.n_slices
+    def chunks(self):
+        """``(lo, hi)`` physical row ranges of the live rows, at most
+        ``chunk_slices(n)`` rows each, in increasing row order; a full
+        history is cut from row 0 on."""
+        n_s, end = self.n_slices, self.head + self.live
+        if self.live == n_s:
+            spans = ((0, n_s),)
+        elif end <= n_s:
+            spans = ((self.head, end),)
+        else:  # the live range wraps around the buffer
+            spans = ((0, end - n_s), (self.head, n_s))
+        size = chunk_slices(self.grid.n)
+        for first, stop in spans:
+            for lo in range(first, stop, size):
+                yield lo, min(lo + size, stop)
+
+    def mass(self, lo: int, count: int) -> np.ndarray:
+        """Kernel mass of the live physical rows ``lo .. lo + count - 1``: the
+        node mass of each row's age, and for the tail row the mass of every
+        age from ``live - 1`` on (:attr:`AgeGrid.tail_mass`)."""
+        ages = (np.arange(lo, lo + count) - self.head) % self.n_slices
+        grid = self.age_grid
+        return np.where(ages == self.live - 1, grid.tail_mass[ages], grid.node_mass[ages])
 
 
 class ChunkWorkspace:
@@ -125,8 +161,9 @@ def init_history(spec, grid: SpectralGrid, age_grid: AgeGrid, mu: float = 1.0) -
     """Build the initial history.
 
     ``spec`` is either the string ``"identity"`` (quiescent past: every
-    slice is the identity) or an explicit array of per-age physical tensor
-    fields in increasing-age order, which is projected onto the band.  The
+    slice is the identity, held as one tail row, ``live = 1``) or an
+    explicit array of per-age physical tensor fields in increasing-age
+    order, which is projected onto the band (``live = n_nodes``).  The
     projected fields must keep ``det G >= mu > 0`` at every node; data
     whose age-zero slice differs from the identity is accepted with a
     warning (the boundary condition overwrites it after the first step).
@@ -135,8 +172,9 @@ def init_history(spec, grid: SpectralGrid, age_grid: AgeGrid, mu: float = 1.0) -
     if isinstance(spec, str):
         if spec != "identity":
             raise ValueError(f"unknown history spec {spec!r}")
-        payload[:, 0, 0, 0, 0] = payload[:, 1, 1, 0, 0] = grid.n**2  # the mean mode
-        return DeformationHistory(payload, age_grid, grid)
+        # the mean mode of the tail row: no other page is written, so rows not yet live stay unmapped
+        payload[0, 0, 0, 0, 0] = payload[0, 1, 1, 0, 0] = grid.n**2
+        return DeformationHistory(payload, age_grid, grid, live=1)
     data = np.asarray(spec, dtype=float)
     expected = (age_grid.n_nodes, 2, 2, grid.n, grid.n)
     if data.shape != expected:
@@ -177,10 +215,13 @@ def norm_field(g: np.ndarray) -> np.ndarray:
 def age_shift(history: DeformationHistory) -> DeformationHistory:
     """Advance every slice one age index and inject the identity at age zero.
 
-    The oldest slice is overwritten; its kernel mass is below the grid's
-    tail tolerance by construction.
+    The row before the head becomes the newborn: the oldest slice of a full
+    history, whose kernel mass is below the grid's tail tolerance by
+    construction, or else a row that is not live.  Every live row moves one
+    age up, so ``live`` grows by the newborn, up to ``n_slices``.
     """
     history.head = (history.head - 1) % history.n_slices
+    history.live = min(history.live + 1, history.n_slices)
     _set_identity(None, history.payload[history.head], history.grid.n)
     return history
 
@@ -220,7 +261,7 @@ def _react_rhs_hat(grid: SpectralGrid, g: np.ndarray, u_jet: np.ndarray, work: C
 def stretch_advect_step(
     history: DeformationHistory, u_old: np.ndarray, u_new: np.ndarray, dt: float, reduction=None
 ) -> DeformationHistory:
-    """One full history step: Heun react-advect of every slice, then age shift.
+    """One full history step: Heun react-advect of every live slice, then age shift.
 
     The two Heun stages sample the velocity at the old and new time levels,
     given as jets ``(u, d1 u, d2 u)`` (:attr:`memflow.stepper.FlowState.jet`),
@@ -228,7 +269,8 @@ def stretch_advect_step(
     identity injection make the age-zero boundary condition exact.  Slices
     are updated independently (data-parallel over age), and a non-finite
     result aborts with the offending slice located, before its chunk is
-    stored.
+    stored.  The rows stepped are the newborn and the rows live before the
+    step (:meth:`DeformationHistory.chunks` after the shift).
 
     A ``reduction`` (such as :class:`memflow.stress.StackReduction`) gets
     ``add_chunk(lo, g, g_hat)`` for each chunk of updated rows from physical
@@ -237,12 +279,12 @@ def stretch_advect_step(
     """
     grid = history.grid
     old_head = history.head
-    age_shift(history)  # the oldest row becomes the newborn; it is reset after its update
+    age_shift(history)  # the row before the head becomes the newborn; it is reset after its update
     newborn = history.head
-    stack, work, size = history.payload, history.workspace, chunk_slices(grid.n)
-    for lo in range(0, stack.shape[0], size):
-        g_hat = stack[lo : lo + size]
-        c = len(g_hat)
+    stack, work = history.payload, history.workspace
+    for lo, hi in history.chunks():
+        g_hat = stack[lo:hi]
+        c = hi - lo
         g, rows, out = work.g[:c], work.rows[:c], (work.rhs[:c], work.spec[:c])
         inv = lambda f: grid.inv(f, out=g, rows=rows)
         rhs = lambda y, k: _react_rhs_hat(grid, y, (u_old, u_new)[k], work, out[k])

@@ -1,6 +1,10 @@
+import re
+
 import pytest
 
+from memflow.agegrid import build_age_grid
 from memflow.cli import main
+from memflow.constitutive import model_catalog
 
 CONFIG = """
 [grid]
@@ -35,6 +39,15 @@ class TestRunCommand:
         assert code == 0
         assert (out / "diagnostics.csv").exists()
         assert "completed" in capsys.readouterr().out
+
+    def test_history_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", write_cfg(tmp_path, outdir=str(out))]) == 0
+        ages = build_age_grid(model_catalog("psm-raw")[0], 0.05, 1e-4)
+        line = (f"history: N_s={ages.n_nodes}  s_max={ages.s_max:.6g}  tail_error={ages.tail_error:.4e}  "
+                "rows stepped in last step=7")  # 6 steps from rest: the newborn and 6 older rows
+        assert line in capsys.readouterr().out.splitlines()
+        assert not re.search("N_s|rows stepped", (out / "diagnostics.csv").read_text())
 
     def test_bad_config_exit_one(self, tmp_path, capsys):
         p = tmp_path / "bad.ini"
@@ -98,3 +111,12 @@ class TestConvergeCommand:
         assert code == 0
         assert out_csv.exists()
         assert "order[" in capsys.readouterr().out
+
+    def test_failed_level_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "fatal.ini"
+        p.write_text(CONFIG.format(model="oldroyd-b", outdir="").replace("n = 32", "n = 16")
+                     + "\n[diagnostics]\nfatal_on_violation = true\ndet_tol = 1e-30\n")
+        assert main(["run", str(p)]) == 3
+        capsys.readouterr()
+        assert main(["converge", str(p), "--levels", "2"]) == 3
+        assert re.match(r"converge: level 0 failed: bounds violated at t = .* \(exit 3\)$", capsys.readouterr().out)

@@ -1,4 +1,6 @@
 import gc
+import json
+import math
 import struct
 import warnings
 import zlib
@@ -91,7 +93,7 @@ class TestRun:
     def test_degenerate_restart_history_exit_code(self, tmp_path):
         run(small_cfg(output_dir=str(tmp_path / "A")))
         chk = read_checkpoint(tmp_path / "A" / "checkpoint")
-        chk["history"][3] *= 1e-3
+        chk["history"][(chk["head"] + 3) % len(chk["history"])] *= 1e-3  # the row of age 3, a live row
         write_checkpoint(tmp_path / "B", **chk)
         res = run(small_cfg(t_final=1.0), restart_from=tmp_path / "B")
         assert res.exit_code == EXIT_NAN
@@ -243,3 +245,68 @@ class TestArtifacts:
         run(small_cfg(model_name="oldroyd-b", t_final=0.25, output_dir=str(tmp_path / "A")))
         with pytest.raises(ConfigError, match="no oracle stress"):
             run(small_cfg(model_name="oldroyd-b", oracle=True), restart_from=tmp_path / "A" / "checkpoint")
+
+
+class TestTailRow:
+    """A run from rest keeps its pre-start past as one tail row; the same run
+    from an explicit identity stack stores every age (``live = N_s`` throughout)."""
+
+    N_S = 11  # dt 0.3 and eps_tail 0.05: the run lasts 30 steps, more than 2 N_s
+
+    @staticmethod
+    def cfg(out="", **over):
+        return small_cfg(**{"n": 16, "dt": 0.3, "t_final": 9.0, "eps_tail": 0.05, "output_dir": str(out), **over})
+
+    def explicit(self, tmp_path, **over):
+        path = tmp_path / "identity.fld"
+        write_field(path, identity_stack(self.N_S, 16), n_s=self.N_S)
+        return self.cfg(initial_history=f"snapshot:{path}", **over)
+
+    def test_diagnostics_match_full_history(self, tmp_path):
+        tail = run(self.cfg(tmp_path / "tail"))
+        full = run(self.explicit(tmp_path, output_dir=str(tmp_path / "full")))
+        assert tail.history.n_slices == self.N_S and len(tail.records) > 2 * self.N_S
+        assert tail.exit_code == full.exit_code == EXIT_OK and tail.history.live == full.history.live == self.N_S
+        rows = [(tmp_path / side / "diagnostics.csv").read_text().splitlines() for side in ("tail", "full")]
+        assert rows[0][0] == rows[1][0] and len(rows[0]) == len(rows[1]) == 32
+        header = rows[0][0].split(",")
+        for a, b in zip(rows[0][1:], rows[1][1:]):
+            for name, x, y in zip(header, a.split(","), b.split(",")):
+                if name == "flags":
+                    assert x == y
+                else:  # divu_sup is a ratio to |grad u| at roundoff level (1e-17): compare it on that scale
+                    assert math.isclose(float(x), float(y), rel_tol=1e-13, abs_tol=1e-13 * (name == "divu_sup")), name
+
+    def test_restart_continues_csv(self, tmp_path):
+        straight = tmp_path / "A"
+        run(self.cfg(straight))
+        for steps, live in ((3, 4), (20, None)):  # live < N_s, and live grown to N_s (no key)
+            out = tmp_path / f"B{steps}"
+            run(self.cfg(out, t_final=0.3 * steps))
+            assert json.loads((out / "checkpoint" / "meta.json").read_text()).get("live") == live
+            res = run(self.cfg(out), restart_from=out / "checkpoint")
+            assert res.exit_code == EXIT_OK and res.history.live == self.N_S
+            assert (out / "diagnostics.csv").read_bytes() == (straight / "diagnostics.csv").read_bytes()
+
+    def test_checkpoint_without_live_key_is_full(self, tmp_path):
+        run(self.explicit(tmp_path, output_dir=str(tmp_path / "A")))
+        run(self.explicit(tmp_path, output_dir=str(tmp_path / "B"), t_final=0.9))
+        checkpoint = tmp_path / "B" / "checkpoint"
+        assert "live" not in json.loads((checkpoint / "meta.json").read_text())
+        assert read_checkpoint(checkpoint)["live"] is None
+        assert run(self.cfg(t_final=0.9), restart_from=checkpoint).history.live == self.N_S  # no step taken
+        res = run(self.cfg(tmp_path / "B"), restart_from=checkpoint)
+        assert res.exit_code == EXIT_OK
+        assert (tmp_path / "B" / "diagnostics.csv").read_bytes() == (tmp_path / "A" / "diagnostics.csv").read_bytes()
+
+    def test_snapshot_slices_past_tail(self, tmp_path):
+        slices = (1, 2, 5, self.N_S - 1)
+        for side, cfg in (("tail", self.cfg), ("full", lambda **kw: self.explicit(tmp_path, **kw))):
+            run(cfg(output_dir=str(tmp_path / side), t_final=0.6, snapshot_every=2, history_slices=slices))
+        tail, full = ({j: read_field(tmp_path / side / "snap_000002" / f"g_{j:05d}.fld") for j in slices}
+                      for side in ("tail", "full"))
+        # after 2 steps live = 3: the tail row, age 2, is the field of every older age
+        assert not np.array_equal(tail[1], tail[2])
+        for j in slices:
+            assert np.array_equal(tail[j], tail[max(1, min(j, 2))])
+            np.testing.assert_allclose(tail[j], full[j], rtol=0, atol=1e-13)

@@ -8,7 +8,7 @@ from scipy import integrate
 from memflow.agegrid import build_age_grid
 from memflow.constitutive import StrainMeasure, model_catalog, single_exponential_kernel
 from memflow.spectral import SpectralGrid, taylor_green
-from memflow.stepper import FlowState
+from memflow.stepper import FlowState, advance_flow
 from memflow.stress import (
     DegenerateDeformationError,
     StackReduction,
@@ -125,7 +125,7 @@ class TestYIntegrand:
         assert math.isclose(got, expect, rel_tol=1e-12)
 
     def test_degenerate_deformation_detected(self, grid, age_grid):
-        h = init_history("identity", grid, age_grid)
+        h = init_history(identity_stack(age_grid.n_nodes, N), grid, age_grid)  # every row live
         h.payload[4] *= 1e-4
         with pytest.raises(DegenerateDeformationError):
             history_scan(h, 8, 4)[0]
@@ -152,8 +152,6 @@ class TestStressGradient:
 
     def test_gradient_control_inequality_on_shear_flow(self, grid):
         # discrete version of the stress-gradient bound via the y integrand
-        from memflow.stepper import advance_flow
-
         ag = build_age_grid(single_exponential_kernel(), 0.05, 1e-5)
         kernel, m = model_catalog("psm-raw")
         h = init_history("identity", grid, ag)
@@ -181,6 +179,22 @@ def perturbed_history(grid, age_grid, head, seed=0):
     return h
 
 
+@pytest.fixture()
+def counted(monkeypatch):
+    """Counts the 2-D transforms of ``SpectralGrid.fwd`` and ``inv``, one per leading index."""
+    counted = {"transforms": 0}
+
+    def counting(method):
+        def wrapper(self, f, *args, **kwargs):
+            counted["transforms"] += math.prod(f.shape[:-2])
+            return method(self, f, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(SpectralGrid, "fwd", counting(SpectralGrid.fwd))
+    monkeypatch.setattr(SpectralGrid, "inv", counting(SpectralGrid.inv))
+    return counted
+
+
 class TestFusedPass:
     """The history step's single stack pass against the separate stress and scan passes."""
 
@@ -201,17 +215,7 @@ class TestFusedPass:
         np.testing.assert_array_equal(fused.tau.total, assemble_stress(h, m))
         assert fused.scan_result() == pytest.approx(history_scan(h, 8, 4, mu=0.5), rel=1e-13)
 
-    def test_transforms_per_slice(self, monkeypatch):
-        counted = {"transforms": 0}
-
-        def counting(method):
-            def wrapper(self, f, *args, **kwargs):
-                counted["transforms"] += math.prod(f.shape[:-2])
-                return method(self, f, *args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(SpectralGrid, "fwd", counting(SpectralGrid.fwd))
-        monkeypatch.setattr(SpectralGrid, "inv", counting(SpectralGrid.inv))
+    def test_transforms_per_slice(self, counted):
         grid = SpectralGrid(16)
         ag = build_age_grid(single_exponential_kernel(), 0.05, 1e-2)
         h = perturbed_history(grid, ag, 0)
@@ -221,3 +225,45 @@ class TestFusedPass:
             counted["transforms"] = 0
             stretch_advect_step(h, u, 0.9 * u, 0.05, StackReduction(h, m, scan))
             assert counted["transforms"] == per_slice * h.n_slices
+
+
+class TestTailRow:
+    """A history from rest keeps its whole pre-start past as one tail row; it
+    must give what a history storing every age (an explicit identity stack) gives."""
+
+    @staticmethod
+    def histories(n=16):
+        grid = SpectralGrid(n)
+        kernel, m = model_catalog("psm-raw")
+        ag = build_age_grid(kernel, 0.25, 0.1)
+        assert 5 <= ag.n_nodes <= 12
+        return grid, ag, m, init_history("identity", grid, ag), init_history(identity_stack(ag.n_nodes, n), grid, ag)
+
+    def test_matches_full_history(self):
+        grid, ag, m, tail, full = self.histories()
+        n_s = ag.n_nodes
+        assert (tail.live, full.live) == (1, n_s)
+        st = FlowState(grid, taylor_green(grid), 0.1)
+        tau = assemble_stress(full, m)
+        np.testing.assert_allclose(assemble_stress(tail, m), tau, rtol=1e-13)  # the identity's stress
+        for k in range(1, 2 * n_s + 3):
+            u_old = st.jet
+            advance_flow(st, tau, ag.ds, 0.5)
+            passes = [StackReduction(h, m, (8, 4, 1.0)) for h in (tail, full)]
+            for h, reduction in zip((tail, full), passes):
+                stretch_advect_step(h, u_old, st.jet, ag.ds, reduction)
+            assert tail.live == min(k + 1, n_s)
+            assert all(tail.slice(j).tobytes() == full.slice(j).tobytes() for j in range(n_s))
+            tau = passes[1].tau.total
+            np.testing.assert_allclose(passes[0].tau.total, tau, rtol=0, atol=1e-13 * np.abs(tau).max())
+            assert passes[0].scan_result() == pytest.approx(passes[1].scan_result(), rel=1e-13)
+
+    def test_transforms_per_step(self, counted):
+        grid, ag, m, unmonitored, _ = self.histories()
+        monitored = init_history("identity", grid, ag)
+        u = FlowState(grid, taylor_green(grid), 0.1).jet
+        for k in range(1, ag.n_nodes + 3):
+            for h, scan, per_slice in ((unmonitored, None, 36), (monitored, (8, 4, 1.0), 44)):
+                counted["transforms"] = 0
+                stretch_advect_step(h, u, 0.9 * u, ag.ds, StackReduction(h, m, scan))
+                assert counted["transforms"] == per_slice * min(k + 1, ag.n_nodes)

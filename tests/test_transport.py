@@ -12,6 +12,7 @@ from memflow.stepper import FlowState, advance_flow
 from memflow.stress import StackReduction
 from memflow.transport import (
     ChunkWorkspace,
+    DeformationHistory,
     DegenerateHistoryError,
     HistoryNaNError,
     age_shift,
@@ -47,9 +48,14 @@ def identity_band(history):
     return eye
 
 
+def by_age(history):
+    """Band spectra of every age, in age order (ages past the tail row repeat it)."""
+    return np.stack([history.slice(j) for j in range(history.n_slices)])
+
+
 def fields(history):
-    """Physical fields of the stored stack, in physical row order."""
-    return history.grid.inv(history.payload, out=np.empty((history.n_slices, 2, 2, N, N)))
+    """Physical fields of every age, in age order."""
+    return history.grid.inv(by_age(history), out=np.empty((history.n_slices, 2, 2, N, N)))
 
 
 def with_slice(grid, age_grid, j, value, mu=1.0):
@@ -63,8 +69,10 @@ class TestInit:
     def test_identity_spec(self, grid, age_grid):
         h = init_history("identity", grid, age_grid)
         assert float(det_field(fields(h)).min()) == 1.0
-        np.testing.assert_array_equal(h.payload, identity_band(h))
+        np.testing.assert_array_equal(by_age(h), identity_band(h))
         np.testing.assert_array_equal(fields(h), identity_like(h))
+        # one tail row stands for every age; no other row is written
+        assert h.live == 1 and np.flatnonzero(h.payload.reshape(h.n_slices, -1).any(axis=1)).tolist() == [0]
 
     def test_explicit_accepted_with_floor(self, grid, age_grid):
         scale = 1.0 + 0.5 * np.sin(grid.x1) * np.ones((N, N))
@@ -121,7 +129,8 @@ class TestShift:
     def test_identity_invariant(self, grid, age_grid):
         h = init_history("identity", grid, age_grid)
         age_shift(h)
-        np.testing.assert_array_equal(h.payload, identity_band(h))
+        assert h.live == 2
+        np.testing.assert_array_equal(by_age(h), identity_band(h))
 
     def test_marker_transport(self, grid, age_grid):
         marker = np.array([[1.0, 0.4], [0.1, 1.2]])
@@ -130,7 +139,7 @@ class TestShift:
         age_shift(h)
         np.testing.assert_array_equal(h.slice(4), moved)
         marker_field = marker[:, :, None, None] * np.ones((2, 2, N, N))
-        np.testing.assert_allclose(fields(h)[(h.head + 4) % h.n_slices], marker_field, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(fields(h)[4], marker_field, rtol=0, atol=1e-15)
         np.testing.assert_array_equal(h.slice(0), identity_band(h)[0])
 
     def test_oldest_slice_dropped(self, grid, age_grid):
@@ -138,6 +147,41 @@ class TestShift:
         h = with_slice(grid, age_grid, last, 7.0 * np.eye(2)[:, :, None, None])
         age_shift(h)
         assert float(np.abs(h.payload - identity_band(h)).max()) == 0.0
+
+
+class TestLiveRows:
+    def test_chunks_cover_live_rows_in_row_order(self, grid, age_grid):
+        h = init_history("identity", grid, age_grid)
+        n_s, size = h.n_slices, chunk_slices(N)
+        assert n_s > 2 * size
+        for head in (0, 1, size, n_s - 1):
+            for live in (1, 2, size + 3, n_s - 1, n_s):
+                h.head, h.live = head, live
+                spans = list(h.chunks())
+                rows = [row for lo, hi in spans for row in range(lo, hi)]
+                assert rows == sorted((head + j) % n_s for j in range(live))
+                assert all(0 < hi - lo <= size for lo, hi in spans)
+        assert spans == [(lo, min(lo + size, n_s)) for lo in range(0, n_s, size)]  # a full history: from row 0
+
+    def test_tail_row_mass_and_slices(self, grid, age_grid):
+        h = init_history("identity", grid, age_grid)
+        st = FlowState(grid, taylor_green(grid), eta=0.1)
+        for _ in range(3):
+            stretch_advect_step(h, st.jet, st.jet, age_grid.ds)
+        assert h.live == 4
+        lo, hi = next(h.chunks())
+        assert (lo, hi) == (0, 1)  # the tail row, age 3, wraps round to row 0
+        assert h.mass(0, 1)[0] == age_grid.tail_mass[3] == pytest.approx(age_grid.node_mass[3:].sum(), rel=1e-14)
+        assert h.mass(h.head, 3).tolist() == age_grid.node_mass[:3].tolist()
+        assert not np.shares_memory(h.slice(2), h.payload[0])
+        assert all(np.shares_memory(h.slice(j), h.payload[0]) for j in (3, 4, h.n_slices - 1))
+        assert age_grid.tail_mass[-1] == age_grid.node_mass[-1]
+
+    def test_live_count_checked(self, grid, age_grid):
+        payload = init_history("identity", grid, age_grid).payload
+        for live in (0, age_grid.n_nodes + 1):
+            with pytest.raises(ValueError, match="live age count"):
+                DeformationHistory(payload, age_grid, grid, live=live)
 
 
 class TestStep:
@@ -182,7 +226,7 @@ class TestStep:
         assert float(norm_field(g).min()) >= math.sqrt(2.0 * (1.0 - dev)) - 1e-12
 
     def test_nan_abort_locates_slice(self, grid, age_grid):
-        h = init_history("identity", grid, age_grid)
+        h = init_history(identity_stack(age_grid.n_nodes, N), grid, age_grid)  # every row live
         h.slice(5)[0, 0, 0, 0] = np.nan  # the mean mode: NaN over the whole component field
         u0 = np.zeros((3, 2, N, N))  # the jet of the fluid at rest
         with pytest.raises(HistoryNaNError, match="slice"):
