@@ -113,7 +113,7 @@ def monitor(
 
     du = state.jet[1:]
     gradu_sup = float(np.max(np.sqrt(np.einsum("icyx,icyx->yx", du, du))))
-    div_u = grid.inv(grid.divergence_hat(state.u_hat), out=np.empty((grid.n, grid.n)))
+    div_u = grid.field(grid.divergence_hat(state.u_hat))
     divu_sup = float(np.max(np.abs(div_u))) / max(1.0, gradu_sup)
 
     sgn = stress_gradient_norm(tau, grid, config.q)

@@ -16,9 +16,9 @@ Exit codes: 0 clean, 2 non-finite or degenerate state (the last periodic
 checkpoint is left on disk), 3 monitored-bound violation when configured
 fatal.  A restart continues the ``diagnostics.csv`` it finds in the output
 directory: rows past the checkpoint time are dropped, the rest are kept.
-A checkpoint holds the band spectra of the velocity, the history and the
-oracle stress, which a restart takes as they are, so its rows are the
-straight run's bytes.
+A checkpoint holds the band spectra of the velocity, the history (its live
+rows) and the oracle stress, which a restart takes as they are, back at
+their physical rows, so its rows are the straight run's bytes.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ Format (all integers little-endian):
     bytes 0..7    magic "MEMFLW01"
     6 x uint32    version (3), rows, columns, component count, N_s, kind
                   (rows x columns are the trailing axes; N_s is 0 for plain
-                  fields, the slice count for age-history stacks; kind 0 is
+                  fields, the row count for age-history stacks; kind 0 is
                   a float64 physical field, kind 1 a complex128 band
                   spectrum of 2 kc + 1 rows and kc + 1 columns)
     payload       row-major
@@ -13,13 +13,16 @@ Format (all integers little-endian):
 
 Older versions are rejected: version 1 had an FNV-1a trailer, version 2 a
 grid size in place of the trailing shape and physical history stacks only.
-Writes stream the array's own buffer and reads fill one preallocated array:
-no second payload copy.  Reads validate magic, sizes, and checksum; a
-write/read round trip is bit-exact.  Checkpoints are directories holding one snapshot per state
+Writes stream the array's own buffer (or the buffers of a list of stacks,
+back to back) and reads fill one preallocated array: no second payload
+copy.  Reads validate magic, sizes, and checksum; a write/read round trip
+is bit-exact.  Checkpoints are directories holding one snapshot per state
 field plus a JSON metadata file with exact (hex) float values, so a
-restarted run reproduces the original bit for bit.  They are swapped into
-place whole (:func:`write_checkpoint`): a killed process leaves a complete
-checkpoint; nothing is fsynced, so a power loss is not covered.
+restarted run reproduces the original bit for bit.  A history that holds
+fewer distinct ages than N_s is stored as its live rows only, in age order.
+Checkpoints are swapped into place whole (:func:`write_checkpoint`): a
+killed process leaves a complete checkpoint; nothing is fsynced, so a power
+loss is not covered.
 """
 
 from __future__ import annotations
@@ -43,29 +46,38 @@ class SnapshotFormatError(ValueError):
     pass
 
 
-def write_field(path, array: np.ndarray, n_s: int = 0) -> None:
+def write_field(path, array, n_s: int = 0) -> None:
     """Write a field, a band spectrum or a stack of either; the shape is
-    recovered from the header."""
-    kind = int(np.iscomplexobj(array))
-    arr = np.ascontiguousarray(array, dtype=KINDS[kind])
-    rows, cols = arr.shape[-2:]
+    recovered from the header.  ``array`` may also be a list of stacks, which
+    are written back to back as one stack of their rows (the rows of a
+    circular buffer in order, with no copy)."""
+    parts = array if isinstance(array, list) else [array]
+    kind = int(np.iscomplexobj(parts[0]))
+    parts = [np.ascontiguousarray(a, dtype=KINDS[kind]) for a in parts]
+    if len({a.shape[1:] for a in parts}) > 1:
+        raise SnapshotFormatError(f"stacked parts differ in shape: {[a.shape for a in parts]}")
+    shape = (sum(len(a) for a in parts),) + parts[0].shape[1:]
+    rows, cols = shape[-2:]
     if rows != (2 * cols - 1 if kind else cols):
         what = "band-spectrum axes (2 kc + 1, kc + 1)" if kind else "square spatial axes"
-        raise SnapshotFormatError(f"field must end in {what}, got {arr.shape}")
-    lead = arr.shape[:-2]
+        raise SnapshotFormatError(f"field must end in {what}, got {shape}")
+    lead = shape[:-2]
     if n_s:
         if lead != (n_s, 2, 2):
-            raise SnapshotFormatError(f"history stack shape {arr.shape} inconsistent with N_s={n_s}")
+            raise SnapshotFormatError(f"history stack shape {shape} inconsistent with N_s={n_s}")
         ncomp = 4
     else:
         ncomp = int(np.prod(lead, dtype=int)) if lead else 1
         if ncomp not in (1, 2, 4):
             raise SnapshotFormatError(f"unsupported component count {ncomp}")
+    crc = 0
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(HEADER.pack(VERSION, rows, cols, ncomp, n_s, kind))
-        fh.write(arr)
-        fh.write(struct.pack("<Q", zlib.crc32(arr)))
+        for arr in parts:
+            fh.write(arr)
+            crc = zlib.crc32(arr, crc)
+        fh.write(struct.pack("<Q", crc))
 
 
 def read_field(path) -> np.ndarray:
@@ -121,10 +133,15 @@ def write_checkpoint(directory, *, step, t, y_value, y_integrand, u, history, he
     checkpoint that :func:`read_checkpoint` finds.  Nothing is fsynced: this
     guards against a killed process, not against power loss.
 
-    ``live``, the history's count of distinct ages, goes into ``meta.json``
-    only while it is below the slice count: a full history's checkpoint
-    has no ``"live"`` key, like every checkpoint written before the key
-    existed, and :func:`read_checkpoint` reads a missing key as full."""
+    ``history`` is the stack of all N_s rows, age j at physical row
+    ``(head + j) % N_s``.  While ``live``, the history's count of distinct
+    ages, is below N_s, ``history.fld`` holds only the live rows, in age
+    order, and ``meta.json`` has the keys ``"live"`` and ``"n_slices"``
+    (N_s, which the rows no longer show).  A full history's checkpoint has
+    neither key and holds every row in physical order, as every checkpoint
+    written before the keys existed did; so does one with ``"live"`` alone
+    (written while every row was stored).  :func:`read_checkpoint` returns
+    every checkpoint's history as the whole stack in physical row order."""
     meta = {
         "step": int(step),
         "t": float(t).hex(),
@@ -133,15 +150,18 @@ def write_checkpoint(directory, *, step, t, y_value, y_integrand, u, history, he
         "head": int(head),
         "has_oracle": oracle_tau is not None,
     }
-    if live is not None and live < history.shape[0]:
-        meta["live"] = int(live)
+    rows = history
+    if live is not None and live < len(history):
+        meta["live"], meta["n_slices"] = int(live), len(history)
+        end = head + live  # the live rows in age order: from the head to the end of the buffer, then from row 0
+        rows = [history[head:end]] + ([history[: end - len(history)]] if end > len(history) else [])
     d = Path(directory)
     new, old = (d.with_name(f".{d.name}.{tag}") for tag in ("new", "old"))
     shutil.rmtree(new, ignore_errors=True)  # left by a killed write
     new.mkdir(parents=True)
     try:
         write_field(new / "u.fld", u)
-        write_field(new / "history.fld", history, n_s=history.shape[0])
+        write_field(new / "history.fld", rows, n_s=meta.get("live", len(history)))
         if oracle_tau is not None:
             write_field(new / "oracle_tau.fld", oracle_tau)
         (new / "meta.json").write_text(json.dumps(meta, indent=1))
@@ -169,6 +189,23 @@ def read_checkpoint(directory) -> dict:
         "head": int(meta["head"]),
         "live": int(meta["live"]) if "live" in meta else None,  # None: a full history
         "u": read_field(d / "u.fld"),
-        "history": read_field(d / "history.fld"),
+        "history": _history_stack(read_field(d / "history.fld"), meta),
         "oracle_tau": read_field(d / "oracle_tau.fld") if meta.get("has_oracle") else None,
     }
+
+
+def _history_stack(rows: np.ndarray, meta: dict) -> np.ndarray:
+    """The whole history stack of a checkpoint in physical row order.  Stored
+    live rows (``"n_slices"`` in ``meta``) go back to rows ``(head + j) %
+    N_s`` of a zero stack, whose other rows stay unmapped; otherwise every
+    row was stored, in that order."""
+    if "n_slices" not in meta:
+        return rows
+    n_s, head, live = int(meta["n_slices"]), int(meta["head"]), int(meta["live"])
+    if not len(rows) == live < n_s or not 0 <= head < n_s:
+        raise SnapshotFormatError(f"{len(rows)} history rows for {live} live of {n_s} from row {head}")
+    stack = np.zeros((n_s,) + rows.shape[1:], dtype=rows.dtype)
+    first = min(live, n_s - head)  # the ages up to the end of the buffer
+    stack[head : head + first] = rows[:first]
+    stack[: live - first] = rows[first:]
+    return stack

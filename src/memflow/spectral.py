@@ -142,6 +142,10 @@ class SpectralGrid:
         """The band spectrum of ``f``, allocated: its 2/3-rule projection."""
         return self.fwd(f, out=np.empty(f.shape[:-2] + self.band_shape, dtype=complex))
 
+    def field(self, f_hat: np.ndarray) -> np.ndarray:
+        """The physical field of a band spectrum, allocated: the inverse of :meth:`band`."""
+        return self.inv(f_hat, out=np.empty(f_hat.shape[:-2] + (self.n, self.n)))
+
     def check_band(self, f_hat: np.ndarray, lead: tuple[int, ...], what: str):
         """Refuse anything but a complex band spectrum with leading axes ``lead``."""
         shape = lead + self.band_shape
@@ -151,16 +155,22 @@ class SpectralGrid:
                 f"got {f_hat.shape} ({f_hat.dtype})"
             )
 
-    def jet(self, f_hat: np.ndarray) -> np.ndarray:
+    def jet(self, f_hat: np.ndarray, f: np.ndarray | None = None) -> np.ndarray:
         """The physical fields ``(f, d1 f, d2 f)`` of a band spectrum, stacked
         on a new leading axis: one band inverse of the spectrum and its two
         derivative spectra, so a field and its gradient need no forward
-        transform."""
+        transform.  A given ``f``, the field of ``f_hat`` as :meth:`field`
+        forms it (the same bits), is copied in, not transformed again."""
         jet_hat = np.empty((3,) + f_hat.shape, dtype=complex)
         jet_hat[0] = f_hat
         np.multiply(self.d1_band, f_hat, out=jet_hat[1])
         np.multiply(self.d2_band, f_hat, out=jet_hat[2])
-        return self.inv(jet_hat, out=np.empty(jet_hat.shape[:-2] + (self.n, self.n)))
+        if f is None:
+            return self.field(jet_hat)
+        out = np.empty((3,) + f.shape)
+        out[0] = f
+        self.inv(jet_hat[1:], out=out[1:])
+        return out
 
     # -- mode-wise operators on band spectra ----------------------------------
 
@@ -240,7 +250,7 @@ def random_band_limited_velocity(
     rng = np.random.default_rng(seed)
     v_hat = grid.band(rng.standard_normal((2, grid.n, grid.n)))
     v_hat *= (np.abs(grid.k1_band) <= band) & (np.abs(grid.k2_band) <= band) & (grid.k_sq_band > 0)
-    u = grid.inv(grid.leray_hat(v_hat), out=np.empty((2, grid.n, grid.n)))
+    u = grid.field(grid.leray_hat(v_hat))
     sup = np.max(np.sqrt(u[0] ** 2 + u[1] ** 2))
     if sup > 0:
         u *= amplitude / sup

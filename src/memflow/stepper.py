@@ -9,13 +9,20 @@ stability is limited by advection only.  The pressure never appears: the
 solenoidal projection eliminates it.
 
 The velocity is held as its divergence-free band spectrum
-(:mod:`memflow.spectral`), and its physical state is the jet ``(u, d1 u,
-d2 u)``, one band inverse of that spectrum.  So a stage transforms forward
-only the advection product (and the forcing), and the gradient of a step's
-final velocity is the one the history, the oracle and the monitor use.
+(:mod:`memflow.spectral`).  A substep carries the physical velocity u
+alone: the advection is in conservative form, d_l (u_l u_k), equal to
+u . grad u for divergence-free u, so a stage transforms forward the three
+distinct products u1 u1, u1 u2 and u2 u2 (and the forcing) and inverse
+only the new velocity: 3 forward and 2 inverse transforms, no gradient.
+The velocity's jet ``(u, d1 u, d2 u)`` (:attr:`FlowState.jet`) is formed
+once per base step, from its final spectrum; its gradient is the one the
+history, the oracle and the monitor use.
 
 Within one base (age) step the stress is frozen; the flow may take several
-substeps under its advective CFL bound.  The optional forcing hook exists
+substeps under its advective CFL bound.  A base step of s substeps takes
+4 + 6 s forward transforms (the frozen stress's divergence once) and
+4 s + 4 inverse ones (the jet's two derivative fields once; the field is
+the last substep's u, the same bits).  The optional forcing hook exists
 for manufactured-solution studies.
 """
 
@@ -32,7 +39,8 @@ class FlowNaNError(FloatingPointError):
 
 class FlowState:
     """Velocity state: the band spectrum ``u_hat`` of a divergence-free field,
-    its physical jet ``(u, d1 u, d2 u)`` of shape ``(3, 2, n, n)``, and time.
+    its physical jet ``(u, d1 u, d2 u)`` of shape ``(3, 2, n, n)`` (formed
+    at the end of each base step, not per substep), and time.
 
     ``FlowState(grid, u, eta)`` projects a physical field ``u`` onto the
     solenoidal part of the band; with ``u_hat`` (and ``u`` None) the band
@@ -98,16 +106,18 @@ def kinetic_energy(grid: SpectralGrid, u: np.ndarray) -> float:
     return 0.5 * grid.l2_norm_sq(u)
 
 
-def _rhs_hat(grid: SpectralGrid, jet: np.ndarray, div_tau_hat, forcing, t: float) -> np.ndarray:
-    """Projected band right-hand side P(div tau - u.grad u + f) from the velocity jet."""
-    u, du = jet[0], jet[1:]  # du[i, c] = d_i u_c
-    adv = np.stack(
-        (
-            u[0] * du[0, 0] + u[1] * du[1, 0],
-            u[0] * du[0, 1] + u[1] * du[1, 1],
-        )
-    )
-    rhs = -grid.band(adv)
+def _rhs_hat(grid: SpectralGrid, u: np.ndarray, div_tau_hat, forcing, t: float) -> np.ndarray:
+    """Projected band right-hand side P(div tau - div(u u) + f) from the physical velocity.
+
+    The advection is in conservative form, d_l band(u_l u_k), which is
+    u . grad u for divergence-free u: it needs the band spectra of the three
+    distinct products u1 u1, u1 u2 and u2 u2, not the velocity gradient.
+    """
+    uu = np.empty((3,) + u.shape[1:])
+    np.multiply(u[0], u, out=uu[:2])  # u1 u1, u1 u2
+    np.multiply(u[1], u[1], out=uu[2])
+    uu_hat, d1, d2 = grid.band(uu), grid.d1_band, grid.d2_band
+    rhs = -np.stack((d1 * uu_hat[0] + d2 * uu_hat[1], d1 * uu_hat[1] + d2 * uu_hat[2]))
     if div_tau_hat is not None:
         rhs += div_tau_hat
     if forcing is not None:
@@ -115,15 +125,18 @@ def _rhs_hat(grid: SpectralGrid, jet: np.ndarray, div_tau_hat, forcing, t: float
     return grid.leray_hat(rhs)
 
 
-def _substep(state: FlowState, div_tau_hat, forcing, h: float):
-    """One Lawson-Heun substep of length h; the output stays divergence-free
-    to spectral accuracy because both stage increments are projected."""
+def _substep(state: FlowState, u: np.ndarray, div_tau_hat, forcing, h: float) -> np.ndarray:
+    """One Lawson-Heun substep of length h from ``u``, the physical field of
+    ``state.u_hat``; returns the new one and leaves ``state.jet`` as it is.
+    The output stays divergence-free to spectral accuracy because both stage
+    increments are projected."""
     grid, t = state.grid, state.t
-    rhs = lambda jet, k: _rhs_hat(grid, jet, div_tau_hat, forcing, (t, t + h)[k])
-    state.u_hat, state.jet = heun(state.jet, state.u_hat, rhs, grid.jet, h, e=grid.viscous_factor(state.eta, h))
+    rhs = lambda v, k: _rhs_hat(grid, v, div_tau_hat, forcing, (t, t + h)[k])
+    state.u_hat, u = heun(u, state.u_hat, rhs, grid.field, h, e=grid.viscous_factor(state.eta, h))
     state.t += h
-    if not np.isfinite(state.u).all():
+    if not np.isfinite(u).all():
         raise FlowNaNError(f"non-finite velocity at t = {state.t:.6g}")
+    return u
 
 
 def _div_hat(grid: SpectralGrid, tau: np.ndarray | None):
@@ -132,7 +145,8 @@ def _div_hat(grid: SpectralGrid, tau: np.ndarray | None):
 
 def step_velocity(state: FlowState, tau: np.ndarray | None, dt: float, forcing=None) -> FlowState:
     """One substep of the momentum equation with the stress frozen."""
-    _substep(state, _div_hat(state.grid, tau), forcing, dt)
+    u = _substep(state, state.u, _div_hat(state.grid, tau), forcing, dt)
+    state.jet = state.grid.jet(state.u_hat, u)
     return state
 
 
@@ -145,13 +159,17 @@ def advance_flow(
 ) -> int:
     """Advance one base step, substepping under the advective CFL bound.
 
-    The stress is held frozen across substeps.  Returns the substep count.
+    The stress is held frozen across substeps, which carry the physical
+    velocity only; the jet is formed once, from the final spectrum.  Returns
+    the substep count.
     """
-    div_tau_hat = _div_hat(state.grid, tau)
-    remaining, n_sub = base_dt, 0
+    grid = state.grid
+    div_tau_hat = _div_hat(grid, tau)
+    u, remaining, n_sub = state.u, base_dt, 0
     while remaining > 1e-14 * base_dt:
-        h = min(cfl_dt(state.u, state.grid, safety, base_dt), remaining)
-        _substep(state, div_tau_hat, forcing, h)
+        h = min(cfl_dt(u, grid, safety, base_dt), remaining)
+        u = _substep(state, u, div_tau_hat, forcing, h)
         remaining -= h
         n_sub += 1
+    state.jet = grid.jet(state.u_hat, u)
     return n_sub

@@ -13,10 +13,14 @@ One pass over the stack accumulates both age integrals and the det G and
 |G| minima (:class:`StackReduction`).  It takes each chunk as physical
 fields (for the strain measure and the minima) and as band spectra (for
 grad G: 8 inverse transforms per slice, no forward one).  The history step
-feeds it each chunk it has just updated; :meth:`StackReduction.over_stack`
-feeds it the stored band stack, 4 inverse transforms per slice, at the
-initial state and on restart, and so do :func:`assemble_stress` and
-:func:`history_scan`.
+feeds it each chunk it has just updated, and the newborn row, which it
+sets to the identity, as that: the stress S(I), formed once per history
+workspace and measure, a y integrand of exactly 0 (grad I = 0), det G = 1
+and |G| = sqrt(2), with no transform (:meth:`StackReduction.add_identity`).  These
+are the terms the identity's fields would add, in the same place of the
+compensated sums.  :meth:`StackReduction.over_stack` feeds it the stored
+band stack, 4 inverse transforms per slice, at the initial state and on
+restart, and so do :func:`assemble_stress` and :func:`history_scan`.
 
 Only the live rows of the history are fed (:mod:`memflow.transport`): a
 flow started from rest k steps ago holds min(k + 1, N_s) of them.  Each
@@ -51,9 +55,10 @@ class StackReduction:
     """Age integrals of one pass over the history stack, fed chunk by chunk.
 
     ``add_chunk(lo, g, g_hat)`` takes the physical fields ``g`` and band
-    spectra ``g_hat`` of live physical rows ``lo, lo + 1, ...`` (in
-    increasing row order), weighted by the kernel mass the history's current
-    head and live count give them (:meth:`DeformationHistory.mass`).  A
+    spectra ``g_hat`` of live physical rows ``lo, lo + 1, ...`` and
+    ``add_identity(lo)`` row ``lo`` as the identity (both in increasing row
+    order), weighted by the kernel mass the history's current head and live
+    count give them (:meth:`DeformationHistory.mass`).  A
     ``measure`` adds the stress ``tau`` (formed in the history's workspace);
     ``scan = (q, r, mu)`` adds the y integrand and the det G and |G| minima,
     with grad G from ``g_hat`` on the history's grid.  Sums are compensated
@@ -77,6 +82,33 @@ class StackReduction:
             self.tau.add(mass, stress)
         if self.scan is not None:
             self.y.add(mass, self._scan_chunk(g, g_hat))
+
+    def add_identity(self, lo: int):
+        """Add physical row ``lo`` as the identity, the newborn a history step
+        sets: its stress S(I), a y integrand of exactly 0 (grad I = 0), det G
+        = 1 and |G| = sqrt(2), with no transform.  The terms are those
+        :meth:`add_chunk` adds for the identity's fields."""
+        mass = self.history.mass(lo, 1)
+        if self.measure is not None:
+            self.tau.add(mass, self._identity_stress())
+        if self.scan is not None:
+            self.y.add(mass, [0.0])
+            self.min_det = min(self.min_det, 1.0)
+            self.min_abs = min(self.min_abs, math.sqrt(2.0))
+
+    def _identity_stress(self) -> np.ndarray:
+        """S(I), formed once per workspace and measure from the identity's
+        fields as :meth:`add_chunk` forms a row's stress, in the workspace.
+        It is a constant field, so one point of it is kept, shape ``(1, 2,
+        2, 1, 1)``, and the compensated sum broadcasts it."""
+        work = self.history.workspace
+        if self.measure not in work.identity_stress:
+            g = work.g[:1]
+            g[:] = 0.0
+            g[:, 0, 0] = g[:, 1, 1] = 1.0
+            stress = self.measure.stress_stack(g, out=work.prod[:1])
+            work.identity_stress[self.measure] = stress[..., :1, :1].copy()
+        return work.identity_stress[self.measure]
 
     def _scan_chunk(self, g: np.ndarray, g_hat: np.ndarray) -> list[float]:
         """Per slice || |grad G| / |G| ||_{L^q}^r; updates the minima."""

@@ -24,16 +24,21 @@ deformation since the start (the deformation-fields view of Hulsen, Peters
 its ``live`` ages: ages 0 .. live - 2 have their own rows, and the tail row,
 age live - 1, is the exact field of every older age.  An identity start has
 live = 1 and an explicit one live = N_s; each step adds one, up to N_s, so
-step k from rest advances min(k + 1, N_s) rows (the newborn included), not N_s.
+step k from rest holds min(k + 1, N_s) live rows, not N_s.
+
+The newborn row, age 0, is known before a step does any work: the
+deformation at age zero is the identity, F(t, t) = I.  So a step sets it
+and does not step it; step k from rest advances min(k, N_s - 1) rows.
 
 A step is the only pass over the stack: each chunk of at most
-``chunk_slices(n)`` live rows (:meth:`DeformationHistory.chunks`) takes one
-Heun step (:func:`memflow.stepper.heun`) and, once updated and still in
-cache, goes with its new fields and spectra to an optional reduction (stress
-and bound scan, :mod:`memflow.stress`), which weights each row by the kernel
-mass of the ages it stands for (:meth:`DeformationHistory.mass`).  The stage
-arithmetic and every transform of a chunk write into the buffers of one
-:class:`ChunkWorkspace` per history.
+``chunk_slices(n)`` live rows (:meth:`DeformationHistory.chunks`) but the
+newborn's takes one Heun step (:func:`memflow.stepper.heun`) and, once
+updated and still in cache, goes with its new fields and spectra to an
+optional reduction (stress and bound scan, :mod:`memflow.stress`), which
+weights each row by the kernel mass of the ages it stands for
+(:meth:`DeformationHistory.mass`); the newborn goes to it as the identity,
+in its place in row order.  The stage arithmetic and every transform of a
+chunk write into the buffers of one :class:`ChunkWorkspace` per history.
 
 Determinants are transported exactly by the continuum equations for
 divergence-free velocities, so their discrete drift is left uncorrected as a
@@ -105,17 +110,14 @@ class DeformationHistory:
 
     def chunks(self):
         """``(lo, hi)`` physical row ranges of the live rows, at most
-        ``chunk_slices(n)`` rows each, in increasing row order; a full
-        history is cut from row 0 on."""
-        n_s, end = self.n_slices, self.head + self.live
-        if self.live == n_s:
-            spans = ((0, n_s),)
-        elif end <= n_s:
-            spans = ((self.head, end),)
-        else:  # the live range wraps around the buffer
-            spans = ((0, end - n_s), (self.head, n_s))
+        ``chunk_slices(n)`` rows each, in increasing row order.  The head
+        row (age 0) is a chunk of its own, so a step can set its newborn
+        instead of stepping it; the live range may wrap around the buffer,
+        and a full history is cut from row 0 on."""
+        head, n_s = self.head, self.n_slices
+        end = head + self.live
         size = chunk_slices(self.grid.n)
-        for first, stop in spans:
+        for first, stop in ((0, end - n_s), (head, head + 1), (head + 1, min(end, n_s))):
             for lo in range(first, stop, size):
                 yield lo, min(lo + size, stop)
 
@@ -141,6 +143,7 @@ class ChunkWorkspace:
         self.g, self.prod = (np.empty((c, 2, 2, n, n)) for _ in range(2))
         self.rows = np.empty((c, 2, 2, n, n // 2 + 1), dtype=complex)
         self.rhs, self.spec, self.flux = (np.empty((c, 2, 2, *band_shape(n)), dtype=complex) for _ in range(3))
+        self.identity_stress = {}  # strain measure -> S(I) at one point, for the newborn
 
     @staticmethod
     def nbytes_for(n: int) -> int:
@@ -222,18 +225,10 @@ def age_shift(history: DeformationHistory) -> DeformationHistory:
     """
     history.head = (history.head - 1) % history.n_slices
     history.live = min(history.live + 1, history.n_slices)
-    _set_identity(None, history.payload[history.head], history.grid.n)
+    newborn = history.payload[history.head]
+    newborn[:] = 0.0
+    newborn[0, 0, 0, 0] = newborn[1, 1, 0, 0] = history.grid.n**2  # the identity's mean mode
     return history
-
-
-def _set_identity(g: np.ndarray | None, g_hat: np.ndarray, n: int):
-    """Write the identity into one slice's band spectrum ``g_hat`` and, if
-    given, its physical field ``g``."""
-    if g is not None:
-        g[:] = 0.0
-        g[0, 0] = g[1, 1] = 1.0
-    g_hat[:] = 0.0
-    g_hat[0, 0, 0, 0] = g_hat[1, 1, 0, 0] = n * n
 
 
 def _react_rhs_hat(grid: SpectralGrid, g: np.ndarray, u_jet: np.ndarray, work: ChunkWorkspace,
@@ -261,7 +256,7 @@ def _react_rhs_hat(grid: SpectralGrid, g: np.ndarray, u_jet: np.ndarray, work: C
 def stretch_advect_step(
     history: DeformationHistory, u_old: np.ndarray, u_new: np.ndarray, dt: float, reduction=None
 ) -> DeformationHistory:
-    """One full history step: Heun react-advect of every live slice, then age shift.
+    """One full history step: age shift, then Heun react-advect of every live slice but the newborn.
 
     The two Heun stages sample the velocity at the old and new time levels,
     given as jets ``(u, d1 u, d2 u)`` (:attr:`memflow.stepper.FlowState.jet`),
@@ -269,20 +264,26 @@ def stretch_advect_step(
     identity injection make the age-zero boundary condition exact.  Slices
     are updated independently (data-parallel over age), and a non-finite
     result aborts with the offending slice located, before its chunk is
-    stored.  The rows stepped are the newborn and the rows live before the
-    step (:meth:`DeformationHistory.chunks` after the shift).
+    stored.  The rows stepped are the rows live before the step
+    (:meth:`DeformationHistory.chunks` after the shift, less the newborn's
+    chunk): the shift writes the identity into the newborn row, the exact
+    value a Heun step of it would be overwritten with.
 
-    A ``reduction`` (such as :class:`memflow.stress.StackReduction`) gets
-    ``add_chunk(lo, g, g_hat)`` for each chunk of updated rows from physical
-    row ``lo``, after the shift (newborn identity included): the physical
-    fields and their band spectra.  Transforms run on the history's grid.
+    A ``reduction`` (such as :class:`memflow.stress.StackReduction`) gets, in
+    physical row order after the shift, ``add_chunk(lo, g, g_hat)`` for each
+    chunk of updated rows from physical row ``lo`` (the physical fields and
+    their band spectra) and ``add_identity(lo)`` for the newborn's row.
+    Transforms run on the history's grid.
     """
     grid = history.grid
     old_head = history.head
-    age_shift(history)  # the row before the head becomes the newborn; it is reset after its update
-    newborn = history.head
+    age_shift(history)  # the row before the head becomes the newborn, the identity
     stack, work = history.payload, history.workspace
     for lo, hi in history.chunks():
+        if lo == history.head:  # the newborn is set, not stepped: F(t, t) = I
+            if reduction is not None:
+                reduction.add_identity(lo)
+            continue
         g_hat = stack[lo:hi]
         c = hi - lo
         g, rows, out = work.g[:c], work.rows[:c], (work.rhs[:c], work.spec[:c])
@@ -296,8 +297,6 @@ def stretch_advect_step(
             raise HistoryNaNError(
                 f"non-finite deformation at step {history.generation + 1}, age slice {age_j}"
             )
-        if lo <= newborn < lo + c:
-            _set_identity(g[newborn - lo], r1[newborn - lo], grid.n)
         g_hat[:] = r1
         if reduction is not None:  # it may overwrite the scratch buffers, which this chunk no longer needs
             reduction.add_chunk(lo, g, g_hat)

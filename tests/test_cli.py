@@ -45,7 +45,7 @@ class TestRunCommand:
         assert main(["run", write_cfg(tmp_path, outdir=str(out))]) == 0
         ages = build_age_grid(model_catalog("psm-raw")[0], 0.05, 1e-4)
         line = (f"history: N_s={ages.n_nodes}  s_max={ages.s_max:.6g}  tail_error={ages.tail_error:.4e}  "
-                "rows stepped in last step=7")  # 6 steps from rest: the newborn and 6 older rows
+                "rows stepped in last step=6")  # 6 steps from rest: 6 older rows; the newborn is set, not stepped
         assert line in capsys.readouterr().out.splitlines()
         assert not re.search("N_s|rows stepped", (out / "diagnostics.csv").read_text())
 

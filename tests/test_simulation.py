@@ -166,17 +166,16 @@ class TestArtifacts:
         def failing_write(path, array, n_s=0):  # the second checkpoint fails on its history
             if path.name == "history.fld" and "history.fld" in written:
                 raise OSError("disk full")
-            written.setdefault(path.name, np.array(array))
             write_field(path, array, n_s)
+            written.setdefault(path.name, path.read_bytes())
 
         monkeypatch.setattr(snapshots, "write_field", failing_write)
         out = tmp_path / "out"
         with pytest.raises(OSError, match="disk full"):
             run(small_cfg(output_dir=str(out), snapshot_every=5))
-        chk = read_checkpoint(out / "checkpoint")
-        assert chk["step"] == 5
-        assert np.array_equal(chk["u"], written["u.fld"])
-        assert np.array_equal(chk["history"], written["history.fld"])
+        assert read_checkpoint(out / "checkpoint")["step"] == 5
+        for name in ("u.fld", "history.fld"):
+            assert (out / "checkpoint" / name).read_bytes() == written[name]
         assert sorted(p.name for p in out.iterdir()) == ["checkpoint", "diagnostics.csv", "snap_000005", "snap_000010"]
 
     def test_failed_checkpoint_closes_diagnostics(self, tmp_path, monkeypatch):
@@ -284,9 +283,31 @@ class TestTailRow:
             out = tmp_path / f"B{steps}"
             run(self.cfg(out, t_final=0.3 * steps))
             assert json.loads((out / "checkpoint" / "meta.json").read_text()).get("live") == live
+            # the live rows only: header, (live or N_s) rows of 4 band spectra at n = 16, trailer
+            size = (out / "checkpoint" / "history.fld").stat().st_size
+            assert size == 32 + (live or self.N_S) * 4 * 11 * 6 * 16 + 8
             res = run(self.cfg(out), restart_from=out / "checkpoint")
             assert res.exit_code == EXIT_OK and res.history.live == self.N_S
             assert (out / "diagnostics.csv").read_bytes() == (straight / "diagnostics.csv").read_bytes()
+
+    def test_checkpoint_of_every_row_resumes(self, tmp_path):
+        # the layout before only live rows were stored: "live" in meta.json and all N_s rows in physical order
+        run(self.cfg(tmp_path / "A"))
+        out = tmp_path / "B"
+        run(self.cfg(out, t_final=0.9))
+        checkpoint = out / "checkpoint"
+        meta = json.loads((checkpoint / "meta.json").read_text())
+        assert meta.pop("n_slices") == self.N_S and meta["live"] == 4
+        write_field(checkpoint / "history.fld", read_checkpoint(checkpoint)["history"], n_s=self.N_S)
+        (checkpoint / "meta.json").write_text(json.dumps(meta))
+        res = run(self.cfg(out), restart_from=checkpoint)
+        assert res.exit_code == EXIT_OK
+        assert (out / "diagnostics.csv").read_bytes() == (tmp_path / "A" / "diagnostics.csv").read_bytes()
+
+    def test_live_rows_of_another_age_grid_rejected(self, tmp_path):
+        run(self.cfg(tmp_path / "B", t_final=0.9))
+        with pytest.raises(ConfigError, match="history payload"):  # N_s 11 saved, 17 in this config
+            run(self.cfg(eps_tail=0.01), restart_from=tmp_path / "B" / "checkpoint")
 
     def test_checkpoint_without_live_key_is_full(self, tmp_path):
         run(self.explicit(tmp_path, output_dir=str(tmp_path / "A")))

@@ -1,3 +1,4 @@
+import json
 import struct
 import tracemalloc
 import zlib
@@ -46,6 +47,14 @@ class TestRoundTrip:
         path = tmp_path / "h.fld"
         write_field(path, stack, n_s=7)
         assert np.array_equal(read_field(path), stack)
+
+    def test_stacked_parts_are_one_stack(self, tmp_path):
+        stack = np.random.default_rng(3).standard_normal((7, 2, 2, 11, 6)) * (1 + 1j)
+        write_field(tmp_path / "whole.fld", stack, n_s=7)
+        write_field(tmp_path / "parts.fld", [stack[:2], stack[2:]], n_s=7)
+        assert (tmp_path / "parts.fld").read_bytes() == (tmp_path / "whole.fld").read_bytes()
+        with pytest.raises(SnapshotFormatError, match="differ in shape"):
+            write_field(tmp_path / "bad.fld", [stack[:2], stack[2:, :1]], n_s=7)
 
     def test_band_spectrum_stack(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -148,6 +157,31 @@ class TestCheckpoint:
         assert np.array_equal(chk["u"], u)
         assert np.array_equal(chk["history"], hist)
         assert chk["oracle_tau"] is None
+
+    @pytest.mark.parametrize("head", [0, 3, 6])
+    def test_live_rows_only(self, tmp_path, head):
+        rng = np.random.default_rng(head)
+        stack = np.zeros((7, 2, 2, 11, 6), dtype=complex)
+        live_rows = [(head + j) % 7 for j in range(4)]
+        stack[live_rows] = rng.standard_normal((4, 2, 2, 11, 6))
+        write_checkpoint(tmp_path / "chk", step=3, t=0.3, y_value=0.0, y_integrand=0.0, u=stack[0, 0],
+                         history=stack, head=head, live=4)
+        raw = (tmp_path / "chk" / "history.fld").read_bytes()
+        assert struct.unpack("<6I", raw[8:32]) == (3, 11, 6, 4, 4, 1)  # N_s in the header is the live count
+        assert raw[32:-8] == stack[live_rows].tobytes()  # in age order
+        meta = json.loads((tmp_path / "chk" / "meta.json").read_text())
+        assert (meta["live"], meta["n_slices"]) == (4, 7)
+        chk = read_checkpoint(tmp_path / "chk")
+        assert chk["live"] == 4 and chk["history"].shape == stack.shape
+        assert np.array_equal(chk["history"], stack)  # back at their physical rows, the others zero
+
+    def test_full_history_bytes_unchanged(self, tmp_path):
+        stack = np.random.default_rng(5).standard_normal((7, 2, 2, 11, 6)) * (1 - 1j)
+        write_checkpoint(tmp_path / "chk", step=9, t=0.9, y_value=0.0, y_integrand=0.0, u=stack[0, 0],
+                         history=stack, head=5, live=7)
+        write_field(tmp_path / "h.fld", stack, n_s=7)
+        assert (tmp_path / "chk" / "history.fld").read_bytes() == (tmp_path / "h.fld").read_bytes()
+        assert "live" not in json.loads((tmp_path / "chk" / "meta.json").read_text())
 
     def _write(self, directory, step):
         rng = np.random.default_rng(step)

@@ -116,6 +116,48 @@ class TestEnergyAndSubstepping:
             FlowState(grid, taylor_green(grid), 0.0)
 
 
+def convective_rhs_hat(grid, jet, div_tau_hat, forcing, t):
+    """The advection u . grad u from the velocity jet: the convective reference form."""
+    u, du = jet[0], jet[1:]  # du[i, c] = d_i u_c
+    rhs = -grid.band(np.stack((u[0] * du[0, 0] + u[1] * du[1, 0], u[0] * du[0, 1] + u[1] * du[1, 1])))
+    if div_tau_hat is not None:
+        rhs += div_tau_hat
+    if forcing is not None:
+        rhs += grid.band(forcing(t, grid))
+    return grid.leray_hat(rhs)
+
+
+class TestConservativeAdvection:
+    """The flow advances u alone, with the conservative advection d_l (u_l u_k);
+    it must give what the convective u . grad u from the velocity jet gives."""
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_matches_convective_reference(self, n, forced):
+        grid = SpectralGrid(n)
+        u0 = random_band_limited_velocity(grid, 7, 5)
+        tau = np.stack((np.stack((np.sin(grid.x1 + grid.x2), np.cos(grid.x2) * np.ones((n, n)))),
+                        np.stack((np.cos(grid.x2) * np.ones((n, n)), np.sin(2 * grid.x1) * np.cos(grid.x2)))))
+        manufactured = lambda t, g: math.cos(3 * t) * np.stack((np.sin(g.x2) * np.cos(g.x1), np.sin(g.x1 - g.x2)))
+        forcing = manufactured if forced else None
+        state, ref = FlowState(grid, u0, 0.05), FlowState(grid, u0, 0.05)
+        div_tau_hat = grid.divergence_hat(grid.band(tau))
+        for step in range(6):
+            step_velocity(state, tau, 0.02, forcing=forcing)
+            rhs = lambda jet, k: convective_rhs_hat(grid, jet, div_tau_hat, forcing, ref.t + 0.02 * k)
+            ref.u_hat, ref.jet = heun(ref.jet, ref.u_hat, rhs, grid.jet, 0.02, e=grid.viscous_factor(0.05, 0.02))
+            ref.t += 0.02
+            scale = np.abs(ref.jet).max()
+            assert np.abs(state.jet - ref.jet).max() <= 1e-13 * scale, step
+
+    def test_jet_formed_from_final_spectrum(self, grid):
+        state = FlowState(grid, random_band_limited_velocity(grid, 2, 6), 0.05)
+        assert advance_flow(state, None, 0.2, 0.5) >= 2
+        np.testing.assert_array_equal(state.jet, grid.jet(state.u_hat))
+        step_velocity(state, None, 1e-2)
+        np.testing.assert_array_equal(state.jet, grid.jet(state.u_hat))
+
+
 class TestHeunKernel:
     def test_zero_nonlinearity_is_the_integrating_factor(self, grid):
         y = taylor_green(grid)
@@ -197,8 +239,19 @@ class TestTransformCounts:
         tau = np.ones((2, 2, 32, 32))
         counted.update(fwd=0, inv=0)
         step_velocity(state, tau, 1e-2)
-        # forward: the stress 4 (once per base step) and the advection 2 per stage; inverse: the 6-field jet per stage
-        assert counted == {"fwd": 4 + 2 * 2, "inv": 2 * 6}
+        # forward: the stress 4 (once per base step) and the 3 velocity products per stage; inverse: the
+        # velocity per stage, then the 4 derivative fields of the step's jet
+        assert counted == {"fwd": 4 + 2 * 3, "inv": 2 * 2 + 4}
+
+    def test_advance_flow(self, counted):
+        grid = SpectralGrid(32)
+        state = FlowState(grid, taylor_green(grid), 0.1)
+        tau = np.ones((2, 2, 32, 32))
+        counted.update(fwd=0, inv=0)
+        s = advance_flow(state, tau, 0.5, 0.5)
+        assert s >= 3  # CFL at unit speed forces substepping
+        # per substep 6 forward and 4 inverse; once per base step the stress 4 forward and the jet 4 inverse
+        assert counted == {"fwd": 4 + 6 * s, "inv": 4 * s + 4}
 
     def test_oracle_step(self, counted):
         grid = SpectralGrid(32)

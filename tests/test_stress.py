@@ -215,6 +215,18 @@ class TestFusedPass:
         np.testing.assert_array_equal(fused.tau.total, assemble_stress(h, m))
         assert fused.scan_result() == pytest.approx(history_scan(h, 8, 4, mu=0.5), rel=1e-13)
 
+    @pytest.mark.parametrize("name", ["oldroyd-b", "psm-normalized", "wagner-raw", "wagner-normalized", "doi-edwards"])
+    def test_newborn_stress_of_every_measure(self, name):
+        # the newborn's S(I) is kept as one point; the sum must equal that of the identity's whole field
+        grid = SpectralGrid(16)
+        ag = build_age_grid(single_exponential_kernel(), 0.05, 1e-2)
+        h = perturbed_history(grid, ag, 1, seed=3)
+        _, m = model_catalog(name)
+        u = FlowState(grid, taylor_green(grid), 0.1).jet
+        fused = StackReduction(h, m)
+        stretch_advect_step(h, u, 0.9 * u, 0.05, fused)
+        np.testing.assert_array_equal(fused.tau.total, assemble_stress(h, m))
+
     def test_transforms_per_slice(self, counted):
         grid = SpectralGrid(16)
         ag = build_age_grid(single_exponential_kernel(), 0.05, 1e-2)
@@ -224,7 +236,7 @@ class TestFusedPass:
         for scan, per_slice in ((None, 36), ((8, 4, 1.0), 44)):
             counted["transforms"] = 0
             stretch_advect_step(h, u, 0.9 * u, 0.05, StackReduction(h, m, scan))
-            assert counted["transforms"] == per_slice * h.n_slices
+            assert counted["transforms"] == per_slice * (h.n_slices - 1)  # the newborn is set, not stepped
 
 
 class TestTailRow:
@@ -266,4 +278,4 @@ class TestTailRow:
             for h, scan, per_slice in ((unmonitored, None, 36), (monitored, (8, 4, 1.0), 44)):
                 counted["transforms"] = 0
                 stretch_advect_step(h, u, 0.9 * u, ag.ds, StackReduction(h, m, scan))
-                assert counted["transforms"] == per_slice * min(k + 1, ag.n_nodes)
+                assert counted["transforms"] == per_slice * (min(k + 1, ag.n_nodes) - 1)

@@ -5,10 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
+from memflow import transport
 from memflow.agegrid import build_age_grid
 from memflow.constitutive import model_catalog, single_exponential_kernel
 from memflow.spectral import SpectralGrid, taylor_green
-from memflow.stepper import FlowState, advance_flow
+from memflow.stepper import FlowState, advance_flow, heun
 from memflow.stress import StackReduction
 from memflow.transport import (
     ChunkWorkspace,
@@ -161,7 +162,9 @@ class TestLiveRows:
                 rows = [row for lo, hi in spans for row in range(lo, hi)]
                 assert rows == sorted((head + j) % n_s for j in range(live))
                 assert all(0 < hi - lo <= size for lo, hi in spans)
-        assert spans == [(lo, min(lo + size, n_s)) for lo in range(0, n_s, size)]  # a full history: from row 0
+                assert (head, head + 1) in spans  # the head row, the newborn of a step, is a chunk of its own
+        # a full history: cut from row 0 on, the head row split off
+        assert spans == [(lo, min(lo + size, n_s - 1)) for lo in range(0, n_s - 1, size)] + [(n_s - 1, n_s)]
 
     def test_tail_row_mass_and_slices(self, grid, age_grid):
         h = init_history("identity", grid, age_grid)
@@ -208,6 +211,26 @@ class TestStep:
         stretch_advect_step(h, st.jet, st.jet, age_grid.ds)
         np.testing.assert_array_equal(h.slice(0), identity_band(h)[0])
         assert h.generation == 1
+
+    @pytest.mark.parametrize("start", ["identity", "explicit"])
+    def test_newborn_set_not_stepped(self, grid, monkeypatch, start):
+        ag = build_age_grid(single_exponential_kernel(), 0.25, 0.05)
+        h = init_history("identity" if start == "identity" else identity_stack(ag.n_nodes, N), grid, ag)
+        stepped = []
+
+        def spy(y, y_hat, *args, **kwargs):
+            stepped.append(y_hat)
+            return heun(y, y_hat, *args, **kwargs)
+
+        monkeypatch.setattr(transport, "heun", spy)
+        st = FlowState(grid, taylor_green(grid), eta=0.1)
+        for k in range(1, ag.n_nodes + 3):
+            stepped.clear()
+            stretch_advect_step(h, st.jet, 0.9 * st.jet, ag.ds)
+            assert h.slice(0).tobytes() == identity_band(h)[0].tobytes()
+            assert not any(np.shares_memory(y_hat, h.slice(0)) for y_hat in stepped)
+            rows = min(k + 1, ag.n_nodes) if start == "identity" else ag.n_nodes
+            assert sum(len(y_hat) for y_hat in stepped) == rows - 1
 
     def test_determinant_transport_taylor_green(self, grid):
         # det G is conserved along characteristics for divergence-free u
