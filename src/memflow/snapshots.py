@@ -14,8 +14,8 @@ Format (all integers little-endian):
 Older versions are rejected: version 1 had an FNV-1a trailer, version 2 a
 grid size in place of the trailing shape and physical history stacks only.
 Writes stream the array's own buffer (or the buffers of a list of stacks,
-back to back) and reads fill one preallocated array: no second payload
-copy.  Reads validate magic, sizes, and checksum; a write/read round trip
+back to back) and reads fill one preallocated array (or such a list): no
+second payload copy.  Reads validate magic, sizes, and checksum; a write/read round trip
 is bit-exact.  Checkpoints are directories holding one snapshot per state
 field plus a JSON metadata file with exact (hex) float values, so a
 restarted run reproduces the original bit for bit.  A history that holds
@@ -80,8 +80,13 @@ def write_field(path, array, n_s: int = 0) -> None:
         fh.write(struct.pack("<Q", crc))
 
 
-def read_field(path) -> np.ndarray:
-    """Read a snapshot, validating magic, sizes, and the payload checksum."""
+def read_field(path, into=None) -> np.ndarray:
+    """Read a snapshot, validating magic, sizes, and the payload checksum.
+
+    ``into(shape, dtype)``, called once the header is checked, may give the
+    memory to fill instead of a new array: a list of C-contiguous stacks
+    that take the payload's rows back to back (the rows of a circular
+    buffer).  The payload is then returned as that list."""
     start = len(MAGIC) + HEADER.size
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -106,13 +111,19 @@ def read_field(path) -> np.ndarray:
                 f"{path}: size mismatch at byte offset {min(size, expected)}: "
                 f"have {size} bytes, header implies {expected}"
             )
-        out = np.empty(shape, dtype=dtype)
-        got = fh.readinto(out.view(np.uint8).reshape(-1))
+        out = np.empty(shape, dtype=dtype) if into is None else into(shape, dtype)
+        parts = out if isinstance(out, list) else [out]
+        if sum(a.nbytes for a in parts) != n_payload or any(
+                a.shape[1:] != shape[1:] or a.dtype != dtype or not a.flags.c_contiguous for a in parts):
+            raise ValueError(f"{path}: the memory to read into does not hold {shape} {dtype}")
+        got, actual = 0, 0
+        for arr in parts:
+            got += fh.readinto(arr.view(np.uint8).reshape(-1))
+            actual = zlib.crc32(arr, actual)
         trailer = fh.read(8)
     if got != n_payload or len(trailer) != 8:  # the file shrank while it was read
         raise SnapshotFormatError(f"{path}: truncated payload at byte offset {start + got}")
     (stored,) = struct.unpack("<Q", trailer)
-    actual = zlib.crc32(out)
     if stored != actual:
         raise SnapshotFormatError(
             f"{path}: checksum mismatch at byte offset {start + n_payload}: "
@@ -189,23 +200,28 @@ def read_checkpoint(directory) -> dict:
         "head": int(meta["head"]),
         "live": int(meta["live"]) if "live" in meta else None,  # None: a full history
         "u": read_field(d / "u.fld"),
-        "history": _history_stack(read_field(d / "history.fld"), meta),
+        "history": _read_history(d / "history.fld", meta),
         "oracle_tau": read_field(d / "oracle_tau.fld") if meta.get("has_oracle") else None,
     }
 
 
-def _history_stack(rows: np.ndarray, meta: dict) -> np.ndarray:
+def _read_history(path, meta: dict) -> np.ndarray:
     """The whole history stack of a checkpoint in physical row order.  Stored
-    live rows (``"n_slices"`` in ``meta``) go back to rows ``(head + j) %
-    N_s`` of a zero stack, whose other rows stay unmapped; otherwise every
-    row was stored, in that order."""
+    live rows (``"n_slices"`` in ``meta``) are read straight into rows
+    ``(head + j) % N_s`` of a zero stack, whose other rows stay unmapped;
+    otherwise every row was stored, in that order."""
     if "n_slices" not in meta:
-        return rows
+        return read_field(path)
     n_s, head, live = int(meta["n_slices"]), int(meta["head"]), int(meta["live"])
-    if not len(rows) == live < n_s or not 0 <= head < n_s:
-        raise SnapshotFormatError(f"{len(rows)} history rows for {live} live of {n_s} from row {head}")
-    stack = np.zeros((n_s,) + rows.shape[1:], dtype=rows.dtype)
-    first = min(live, n_s - head)  # the ages up to the end of the buffer
-    stack[head : head + first] = rows[:first]
-    stack[: live - first] = rows[first:]
+    stack = None
+
+    def into(shape, dtype):
+        nonlocal stack
+        if not shape[0] == live < n_s or not 0 <= head < n_s:
+            raise SnapshotFormatError(f"{path}: {shape[0]} history rows for {live} live of {n_s} from row {head}")
+        stack = np.zeros((n_s,) + shape[1:], dtype=dtype)
+        first = min(live, n_s - head)  # the ages up to the end of the buffer
+        return [stack[head : head + first], stack[: live - first]]
+
+    read_field(path, into)
     return stack

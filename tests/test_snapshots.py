@@ -236,6 +236,13 @@ class TestMemory:
         write_field(tmp_path / "h.fld", stack, n_s=40)
         assert self._peak(read_field, tmp_path / "h.fld") <= 1.25 * stack.nbytes
 
+    def test_checkpoint_read_holds_one_stack(self, tmp_path):
+        # the live rows (39 of 40, wrapping round the buffer) are read straight into the whole stack
+        stack = np.random.default_rng(6).standard_normal(self.STACK)
+        write_checkpoint(tmp_path / "chk", step=1, t=0.0, y_value=0.0, y_integrand=0.0, u=stack[0, 0],
+                         history=stack, head=30, live=39)
+        assert self._peak(read_checkpoint, tmp_path / "chk") <= 1.25 * stack.nbytes
+
     def test_write_copies_nothing(self, tmp_path):
         stack = np.random.default_rng(6).standard_normal(self.STACK)
         assert self._peak(write_field, tmp_path / "h.fld", stack, 40) <= 0.25 * stack.nbytes
