@@ -164,8 +164,7 @@ def write_checkpoint(directory, *, step, t, y_value, y_integrand, u, history, he
     rows = history
     if live is not None and live < len(history):
         meta["live"], meta["n_slices"] = int(live), len(history)
-        end = head + live  # the live rows in age order: from the head to the end of the buffer, then from row 0
-        rows = [history[head:end]] + ([history[: end - len(history)]] if end > len(history) else [])
+        rows = _live_rows(history, head, live)
     d = Path(directory)
     new, old = (d.with_name(f".{d.name}.{tag}") for tag in ("new", "old"))
     shutil.rmtree(new, ignore_errors=True)  # left by a killed write
@@ -220,8 +219,14 @@ def _read_history(path, meta: dict) -> np.ndarray:
         if not shape[0] == live < n_s or not 0 <= head < n_s:
             raise SnapshotFormatError(f"{path}: {shape[0]} history rows for {live} live of {n_s} from row {head}")
         stack = np.zeros((n_s,) + shape[1:], dtype=dtype)
-        first = min(live, n_s - head)  # the ages up to the end of the buffer
-        return [stack[head : head + first], stack[: live - first]]
+        return _live_rows(stack, head, live)
 
     read_field(path, into)
     return stack
+
+
+def _live_rows(stack: np.ndarray, head: int, live: int) -> list[np.ndarray]:
+    """Views of the ``live`` rows of a circular history stack in age order:
+    from row ``head`` to the end of the buffer, then on from row 0."""
+    first = min(live, len(stack) - head)
+    return [stack[head : head + first], stack[: live - first]]
