@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import optimize
@@ -104,10 +104,6 @@ class MemoryKernel:
 
 def single_exponential_kernel(relaxation_time: float = 1.0) -> MemoryKernel:
     return MemoryKernel("single-exponential", np.array([relaxation_time]), np.array([1.0]))
-
-
-def multi_mode_kernel(weights: Sequence[float], relaxation_times: Sequence[float]) -> MemoryKernel:
-    return MemoryKernel("multi-mode", np.asarray(relaxation_times), np.asarray(weights))
 
 
 def reptation_mode_kernel(relaxation_time: float = 1.0, max_mode: int = 31) -> MemoryKernel:

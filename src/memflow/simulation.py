@@ -17,8 +17,11 @@ checkpoint is left on disk), 3 monitored-bound violation when configured
 fatal.  A restart continues the ``diagnostics.csv`` it finds in the output
 directory: rows past the checkpoint time are dropped, the rest are kept.
 A checkpoint holds the band spectra of the velocity, the history (its live
-rows) and the oracle stress, which a restart takes as they are, back at
-their physical rows, so its rows are the straight run's bytes.
+rows, in age order) and the oracle stress, which a restart takes as they
+are.  Every pass visits the history in age order, so the restarted rows
+are the straight run's bytes wherever the buffer's head sits.  Each
+checkpoint step is a record step, so a checkpoint's y integral belongs to
+its own time.
 """
 
 from __future__ import annotations
@@ -125,8 +128,7 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
             chk = read_checkpoint(restart_from)
             step0, y_value, yi_prev = chk["step"], chk["y_value"], chk["y_integrand"]
             state = FlowState(grid, None, cfg.viscosity, t=chk["t"], u_hat=chk["u"])
-            history = DeformationHistory(chk["history"], age_grid, grid, head=chk["head"], generation=step0,
-                                         live=chk["live"])
+            history = DeformationHistory(chk["history"], age_grid, grid, generation=step0, live=chk["live"])
             oracle = None
             if cfg.oracle:
                 if chk["oracle_tau"] is None:
@@ -161,7 +163,7 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
         if csv_fh is not None:
             csv_fh.flush()  # a restart from this checkpoint finds every row up to it
         write_checkpoint(out_dir / "checkpoint", step=step, t=state.t, y_value=y_value, y_integrand=yi_prev,
-                         u=state.u_hat, history=history.payload, head=history.head, live=history.live,
+                         u=state.u_hat, history=history.age_rows(), n_slices=history.n_slices,
                          oracle_tau=None if oracle is None else oracle.tau_hat)
 
     scan_args = (mcfg.q, mcfg.r, mcfg.mu)
@@ -178,11 +180,11 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
         if cfg.fatal_on_violation and rec.flags:
             return finish(EXIT_VIOLATION, f"initial state violates bounds: {rec.flags}", tau)
 
-        n_steps = cfg.n_steps
-        log_dt = cfg.cadence * cfg.dt
+        n_steps, logged = cfg.n_steps, step0  # logged: the step of the last record
         for step in range(step0 + 1, n_steps + 1):
             u_old = state.jet
-            monitored = step % cfg.cadence == 0 or step == n_steps
+            snapshot = out_dir is not None and cfg.snapshot_every and step % cfg.snapshot_every == 0
+            monitored = step % cfg.cadence == 0 or step == n_steps or (snapshot and cfg.checkpoint)
             stack_pass = StackReduction(history, measure, scan_args if monitored else None)
             try:
                 advance_flow(state, tau, cfg.dt, cfg.cfl_safety)
@@ -196,8 +198,9 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
 
             if monitored:
                 rec = monitor(state, history, tau, measure, mcfg, y_value, stack_pass.scan_result())
+                log_dt = (step - logged) * cfg.dt  # the trapezoid since the last record
                 y_value += 0.5 * log_dt * (yi_prev + rec.y_integrand)
-                yi_prev = rec.y_integrand
+                yi_prev, logged = rec.y_integrand, step
                 rec.y_value = y_value
                 log(rec)
                 if progress is not None:
@@ -205,7 +208,7 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
                 if cfg.fatal_on_violation and rec.flags:
                     return finish(EXIT_VIOLATION, f"bounds violated at t = {state.t:.6g}: {rec.flags}", tau)
 
-            if out_dir is not None and cfg.snapshot_every and step % cfg.snapshot_every == 0:
+            if snapshot:
                 _write_snapshots(out_dir, step, state, tau, history, cfg)
                 if cfg.checkpoint:
                     checkpoint(step)

@@ -14,15 +14,14 @@ Format (all integers little-endian):
 Older versions are rejected: version 1 had an FNV-1a trailer, version 2 a
 grid size in place of the trailing shape and physical history stacks only.
 Writes stream the array's own buffer (or the buffers of a list of stacks,
-back to back) and reads fill one preallocated array (or such a list): no
-second payload copy.  Reads validate magic, sizes, and checksum; a write/read round trip
+back to back) and reads fill one preallocated array: no second payload
+copy.  Reads validate magic, sizes, and checksum; a write/read round trip
 is bit-exact.  Checkpoints are directories holding one snapshot per state
 field plus a JSON metadata file with exact (hex) float values, so a
-restarted run reproduces the original bit for bit.  A history that holds
-fewer distinct ages than N_s is stored as its live rows only, in age order.
-Checkpoints are swapped into place whole (:func:`write_checkpoint`): a
-killed process leaves a complete checkpoint; nothing is fsynced, so a power
-loss is not covered.
+restarted run reproduces the original bit for bit.  A history is stored as
+its live rows, in age order.  Checkpoints are swapped into place whole
+(:func:`write_checkpoint`): a killed process leaves a complete checkpoint;
+nothing is fsynced, so a power loss is not covered.
 """
 
 from __future__ import annotations
@@ -84,9 +83,8 @@ def read_field(path, into=None) -> np.ndarray:
     """Read a snapshot, validating magic, sizes, and the payload checksum.
 
     ``into(shape, dtype)``, called once the header is checked, may give the
-    memory to fill instead of a new array: a list of C-contiguous stacks
-    that take the payload's rows back to back (the rows of a circular
-    buffer).  The payload is then returned as that list."""
+    memory to fill instead of a new array: a C-contiguous array of that
+    shape and dtype, which is then returned."""
     start = len(MAGIC) + HEADER.size
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -112,14 +110,10 @@ def read_field(path, into=None) -> np.ndarray:
                 f"have {size} bytes, header implies {expected}"
             )
         out = np.empty(shape, dtype=dtype) if into is None else into(shape, dtype)
-        parts = out if isinstance(out, list) else [out]
-        if sum(a.nbytes for a in parts) != n_payload or any(
-                a.shape[1:] != shape[1:] or a.dtype != dtype or not a.flags.c_contiguous for a in parts):
+        if out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:
             raise ValueError(f"{path}: the memory to read into does not hold {shape} {dtype}")
-        got, actual = 0, 0
-        for arr in parts:
-            got += fh.readinto(arr.view(np.uint8).reshape(-1))
-            actual = zlib.crc32(arr, actual)
+        got = fh.readinto(out.view(np.uint8).reshape(-1))
+        actual = zlib.crc32(out)
         trailer = fh.read(8)
     if got != n_payload or len(trailer) != 8:  # the file shrank while it was read
         raise SnapshotFormatError(f"{path}: truncated payload at byte offset {start + got}")
@@ -137,41 +131,35 @@ def read_field(path, into=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def write_checkpoint(directory, *, step, t, y_value, y_integrand, u, history, head, live=None, oracle_tau=None):
+def write_checkpoint(directory, *, step, t, y_value, y_integrand, u, history, n_slices, oracle_tau=None):
     """Write a checkpoint into the sibling ``.<name>.new``, then swap it into
     place: ``<name>`` moves to ``.<name>.old``, the new one to ``<name>``, and
     the old one is deleted.  A process killed at any point leaves a complete
     checkpoint that :func:`read_checkpoint` finds.  Nothing is fsynced: this
     guards against a killed process, not against power loss.
 
-    ``history`` is the stack of all N_s rows, age j at physical row
-    ``(head + j) % N_s``.  While ``live``, the history's count of distinct
-    ages, is below N_s, ``history.fld`` holds only the live rows, in age
-    order, and ``meta.json`` has the keys ``"live"`` and ``"n_slices"``
-    (N_s, which the rows no longer show).  A full history's checkpoint has
-    neither key and holds every row in physical order, as every checkpoint
-    written before the keys existed did; so does one with ``"live"`` alone
-    (written while every row was stored).  :func:`read_checkpoint` returns
-    every checkpoint's history as the whole stack in physical row order."""
+    ``history`` holds the history's live rows in age order, a stack or a
+    list of stacks (:meth:`memflow.transport.DeformationHistory.age_rows`);
+    ``history.fld`` holds them with their count in the header's N_s field,
+    and ``meta.json`` has that count as ``"live"`` and the history's row
+    count ``n_slices`` as ``"n_slices"``."""
+    live = sum(map(len, history)) if isinstance(history, list) else len(history)
     meta = {
         "step": int(step),
         "t": float(t).hex(),
         "y_value": float(y_value).hex(),
         "y_integrand": float(y_integrand).hex(),
-        "head": int(head),
+        "live": live,
+        "n_slices": int(n_slices),
         "has_oracle": oracle_tau is not None,
     }
-    rows = history
-    if live is not None and live < len(history):
-        meta["live"], meta["n_slices"] = int(live), len(history)
-        rows = _live_rows(history, head, live)
     d = Path(directory)
     new, old = (d.with_name(f".{d.name}.{tag}") for tag in ("new", "old"))
     shutil.rmtree(new, ignore_errors=True)  # left by a killed write
     new.mkdir(parents=True)
     try:
         write_field(new / "u.fld", u)
-        write_field(new / "history.fld", rows, n_s=meta.get("live", len(history)))
+        write_field(new / "history.fld", history, n_s=live)
         if oracle_tau is not None:
             write_field(new / "oracle_tau.fld", oracle_tau)
         (new / "meta.json").write_text(json.dumps(meta, indent=1))
@@ -186,47 +174,37 @@ def write_checkpoint(directory, *, step, t, y_value, y_integrand, u, history, he
 
 
 def read_checkpoint(directory) -> dict:
+    """The state a checkpoint holds.  ``"history"`` is a zero stack of
+    ``n_slices`` rows whose first ``"live"`` rows, read straight from
+    ``history.fld``, are the live ages in age order; the other rows stay
+    unmapped.  A checkpoint without ``"n_slices"`` in its ``meta.json``, of a
+    layout that stored every row in the order of a circular buffer, is
+    refused."""
     d = Path(directory)
     old = d.with_name(f".{d.name}.old")
     if not d.exists() and old.is_dir():  # a write was killed between its two renames
         d = old
     meta = json.loads((d / "meta.json").read_text())
+    if "n_slices" not in meta:
+        raise SnapshotFormatError(f"{d}: history of an older layout (no \"n_slices\" in meta.json)")
+    n_s, live = int(meta["n_slices"]), int(meta["live"])
+    stack = None
+
+    def into(shape, dtype):
+        nonlocal stack
+        if not shape[0] == live <= n_s:
+            raise SnapshotFormatError(f"{d}: {shape[0]} history rows for {live} live of {n_s}")
+        stack = np.zeros((n_s,) + shape[1:], dtype=dtype)
+        return stack[:live]
+
+    read_field(d / "history.fld", into)
     return {
         "step": int(meta["step"]),
         "t": float.fromhex(meta["t"]),
         "y_value": float.fromhex(meta["y_value"]),
         "y_integrand": float.fromhex(meta["y_integrand"]),
-        "head": int(meta["head"]),
-        "live": int(meta["live"]) if "live" in meta else None,  # None: a full history
+        "live": live,
         "u": read_field(d / "u.fld"),
-        "history": _read_history(d / "history.fld", meta),
+        "history": stack,
         "oracle_tau": read_field(d / "oracle_tau.fld") if meta.get("has_oracle") else None,
     }
-
-
-def _read_history(path, meta: dict) -> np.ndarray:
-    """The whole history stack of a checkpoint in physical row order.  Stored
-    live rows (``"n_slices"`` in ``meta``) are read straight into rows
-    ``(head + j) % N_s`` of a zero stack, whose other rows stay unmapped;
-    otherwise every row was stored, in that order."""
-    if "n_slices" not in meta:
-        return read_field(path)
-    n_s, head, live = int(meta["n_slices"]), int(meta["head"]), int(meta["live"])
-    stack = None
-
-    def into(shape, dtype):
-        nonlocal stack
-        if not shape[0] == live < n_s or not 0 <= head < n_s:
-            raise SnapshotFormatError(f"{path}: {shape[0]} history rows for {live} live of {n_s} from row {head}")
-        stack = np.zeros((n_s,) + shape[1:], dtype=dtype)
-        return _live_rows(stack, head, live)
-
-    read_field(path, into)
-    return stack
-
-
-def _live_rows(stack: np.ndarray, head: int, live: int) -> list[np.ndarray]:
-    """Views of the ``live`` rows of a circular history stack in age order:
-    from row ``head`` to the end of the buffer, then on from row 0."""
-    first = min(live, len(stack) - head)
-    return [stack[head : head + first], stack[: live - first]]

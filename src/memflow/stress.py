@@ -17,13 +17,14 @@ feeds it each chunk it has just updated, and the newborn row, which it
 sets to the identity, as that: the stress S(I), formed once per history
 workspace and measure, a y integrand of exactly 0 (grad I = 0), det G = 1
 and |G| = sqrt(2), with no transform (:meth:`StackReduction.add_identity`).  These
-are the terms the identity's fields would add, in the same place of the
-compensated sums.  :meth:`StackReduction.over_stack` feeds it the stored
+are the terms the identity's fields would add, first in the compensated
+sums, which run in age order.  :meth:`StackReduction.over_stack` feeds it the stored
 band stack, 4 inverse transforms per slice, at the initial state and on
 restart, and so do :func:`assemble_stress` and :func:`history_scan`.
 
 Only the live rows of the history are fed (:mod:`memflow.transport`): a
-flow started from rest k steps ago holds min(k + 1, N_s) of them.  Each
+flow started from rest k steps ago holds min(k + 1, N_s) of them, visited
+in age order (:meth:`~memflow.transport.DeformationHistory.chunks`).  Each
 row is weighted by :meth:`~memflow.transport.DeformationHistory.mass`, and
 the tail row by the kernel mass of every age it stands for
 (:attr:`~memflow.agegrid.AgeGrid.tail_mass`), so the sums cover the same
@@ -54,16 +55,16 @@ class DegenerateDeformationError(FloatingPointError):
 class StackReduction:
     """Age integrals of one pass over the history stack, fed chunk by chunk.
 
-    ``add_chunk(lo, g, g_hat)`` takes the physical fields ``g`` and band
-    spectra ``g_hat`` of live physical rows ``lo, lo + 1, ...`` and
-    ``add_identity(lo)`` row ``lo`` as the identity (both in increasing row
-    order), weighted by the kernel mass the history's current head and live
-    count give them (:meth:`DeformationHistory.mass`).  A
+    ``add_chunk(age, g, g_hat)`` takes the physical fields ``g`` and band
+    spectra ``g_hat`` of live ages ``age, age + 1, ...`` and
+    ``add_identity()`` the newborn, age 0, as the identity (both in age
+    order), weighted by the kernel mass the history's live count gives
+    them (:meth:`DeformationHistory.mass`).  A
     ``measure`` adds the stress ``tau`` (formed in the history's workspace);
     ``scan = (q, r, mu)`` adds the y integrand and the det G and |G| minima,
     with grad G from ``g_hat`` on the history's grid.  Sums are compensated
-    (Kahan) in physical row order, so the result is deterministic regardless
-    of chunking or FFT worker counts.
+    (Kahan) in age order, so the result is deterministic regardless of
+    chunking, the history's row layout or FFT worker counts.
     """
 
     def __init__(self, history: DeformationHistory, measure=None, scan: tuple[float, float, float] | None = None):
@@ -75,20 +76,20 @@ class StackReduction:
         self.y = KahanSum()
         self.min_det = self.min_abs = math.inf
 
-    def add_chunk(self, lo: int, g: np.ndarray, g_hat: np.ndarray):
-        mass = self.history.mass(lo, len(g))
+    def add_chunk(self, age: int, g: np.ndarray, g_hat: np.ndarray):
+        mass = self.history.mass(age, len(g))
         if self.measure is not None:
             stress = self.measure.stress_stack(g, out=self.history.workspace.prod[: len(g)])
             self.tau.add(mass, stress)
         if self.scan is not None:
             self.y.add(mass, self._scan_chunk(g, g_hat))
 
-    def add_identity(self, lo: int):
-        """Add physical row ``lo`` as the identity, the newborn a history step
-        sets: its stress S(I), a y integrand of exactly 0 (grad I = 0), det G
-        = 1 and |G| = sqrt(2), with no transform.  The terms are those
+    def add_identity(self):
+        """Add the newborn, age 0, as the identity a history step sets: its
+        stress S(I), a y integrand of exactly 0 (grad I = 0), det G = 1 and
+        |G| = sqrt(2), with no transform.  The terms are those
         :meth:`add_chunk` adds for the identity's fields."""
-        mass = self.history.mass(lo, 1)
+        mass = self.history.mass(0, 1)
         if self.measure is not None:
             self.tau.add(mass, self._identity_stress())
         if self.scan is not None:
@@ -133,10 +134,10 @@ class StackReduction:
 
     def over_stack(self) -> "StackReduction":
         """Feed the stored live rows, unchanged, their fields transformed chunk by chunk."""
-        stack, work = self.history.payload, self.history.workspace
-        for lo, hi in self.history.chunks():
-            g_hat, c = stack[lo:hi], hi - lo
-            self.add_chunk(lo, self.grid.inv(g_hat, out=work.g[:c], rows=work.rows[:c]), g_hat)
+        work = self.history.workspace
+        for age, g_hat in self.history.chunks():
+            c = len(g_hat)
+            self.add_chunk(age, self.grid.inv(g_hat, out=work.g[:c], rows=work.rows[:c]), g_hat)
         return self
 
     def scan_result(self) -> tuple[float, float, float]:

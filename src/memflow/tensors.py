@@ -42,17 +42,6 @@ class Tensor:
     def order(self) -> int:
         return self.components.ndim
 
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return Tensor(self.components + other.components)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return Tensor(self.components - other.components)
-
-    def __mul__(self, scalar: float) -> "Tensor":
-        return Tensor(self.components * scalar)
-
-    __rmul__ = __mul__
-
 
 def contract(a: Tensor, b: Tensor, s: int):
     """s-fold contraction of a p-tensor against a q-tensor.

@@ -30,15 +30,16 @@ The newborn row, age 0, is known before a step does any work: the
 deformation at age zero is the identity, F(t, t) = I.  So a step sets it
 and does not step it; step k from rest advances min(k, N_s - 1) rows.
 
-A step is the only pass over the stack: each chunk of at most
-``chunk_slices(n)`` live rows (:meth:`DeformationHistory.chunks`) but the
-newborn's takes one Heun step (:func:`memflow.stepper.heun`) and, once
-updated and still in cache, goes with its new fields and spectra to an
-optional reduction (stress and bound scan, :mod:`memflow.stress`), which
-weights each row by the kernel mass of the ages it stands for
-(:meth:`DeformationHistory.mass`); the newborn goes to it as the identity,
-in its place in row order.  The stage arithmetic and every transform of a
-chunk write into the buffers of one :class:`ChunkWorkspace` per history.
+Every pass visits the live rows in age order, newborn first, so its bits
+do not depend on where the circular buffer's head sits.  A step is the
+only pass over the stack: each chunk of at most ``chunk_slices(n)`` live
+rows (:meth:`DeformationHistory.chunks`) but the newborn's takes one Heun
+step (:func:`memflow.stepper.heun`) and, once updated and still in cache,
+goes with its new fields and spectra to an optional reduction (stress and
+bound scan, :mod:`memflow.stress`), which weights each age by its kernel
+mass (:meth:`DeformationHistory.mass`); the newborn goes to it as the
+identity.  The stage arithmetic and every transform of a chunk write into
+the buffers of one :class:`ChunkWorkspace` per history.
 
 Determinants are transported exactly by the continuum equations for
 divergence-free velocities, so their discrete drift is left uncorrected as a
@@ -79,7 +80,9 @@ class DeformationHistory:
     stored as its band spectrum.
 
     ``payload`` has shape ``(n_nodes, 2, 2, *band_shape(grid.n))``, complex;
-    logical age index j lives at physical row ``(head + j) % n_nodes``.
+    age j lives at row ``(head + j) % n_nodes``, which only this class and
+    :func:`age_shift` know: everything else visits the rows in age order
+    (:meth:`age_rows`, :meth:`chunks`).
     ``live`` (default ``n_nodes``) counts the distinct ages stored: ages from
     ``live - 1`` on share the tail row, age ``live - 1``, and the other rows
     are not read.  ``generation`` counts completed steps; ``workspace``
@@ -87,13 +90,13 @@ class DeformationHistory:
     mutates the stack, readers see a consistent snapshot between steps.
     """
 
-    def __init__(self, payload: np.ndarray, age_grid: AgeGrid, grid: SpectralGrid, head: int = 0,
-                 generation: int = 0, live: int | None = None):
+    def __init__(self, payload: np.ndarray, age_grid: AgeGrid, grid: SpectralGrid, generation: int = 0,
+                 live: int | None = None):
         grid.check_band(payload, (age_grid.n_nodes, 2, 2), "history payload")
         self.payload = payload
         self.age_grid = age_grid
         self.grid = grid
-        self.head = head % age_grid.n_nodes
+        self.head = 0
         self.generation = generation
         self.live = age_grid.n_nodes if live is None else live
         if not 1 <= self.live <= age_grid.n_nodes:
@@ -108,26 +111,35 @@ class DeformationHistory:
         """View of the age-j band spectrum (the tail row for ``j >= live - 1``)."""
         return self.payload[(self.head + min(j, self.live - 1)) % self.n_slices]
 
-    def chunks(self):
-        """``(lo, hi)`` physical row ranges of the live rows, at most
-        ``chunk_slices(n)`` rows each, in increasing row order.  The head
-        row (age 0) is a chunk of its own, so a step can set its newborn
-        instead of stepping it; the live range may wrap around the buffer,
-        and a full history is cut from row 0 on."""
-        head, n_s = self.head, self.n_slices
-        end = head + self.live
-        size = chunk_slices(self.grid.n)
-        for first, stop in ((0, end - n_s), (head, head + 1), (head + 1, min(end, n_s))):
-            for lo in range(first, stop, size):
-                yield lo, min(lo + size, stop)
+    def age_rows(self, first: int = 0) -> list[np.ndarray]:
+        """Views of the live rows of ages ``first .. live - 1``, in age order:
+        at most two, as the rows may wrap round the end of the buffer."""
+        n_s, lo, hi = self.n_slices, self.head + first, self.head + self.live
+        views = (self.payload[lo:hi], self.payload[max(lo - n_s, 0) : max(hi - n_s, 0)])
+        return [rows for rows in views if len(rows)]
 
-    def mass(self, lo: int, count: int) -> np.ndarray:
-        """Kernel mass of the live physical rows ``lo .. lo + count - 1``: the
-        node mass of each row's age, and for the tail row the mass of every
-        age from ``live - 1`` on (:attr:`AgeGrid.tail_mass`)."""
-        ages = (np.arange(lo, lo + count) - self.head) % self.n_slices
+    def chunks(self):
+        """``(age, rows)`` for the live rows in age order, ``rows`` a view of
+        at most ``chunk_slices(n)`` rows from age ``age`` on.  The newborn,
+        age 0, is a chunk of its own, so a step can set it instead of
+        stepping it."""
+        size = chunk_slices(self.grid.n)
+        yield 0, self.payload[self.head : self.head + 1]
+        age = 1
+        for rows in self.age_rows(1):
+            for lo in range(0, len(rows), size):
+                yield age + lo, rows[lo : lo + size]
+            age += len(rows)
+
+    def mass(self, age: int, count: int) -> np.ndarray:
+        """Kernel mass of the live ages ``age .. age + count - 1``: each age's
+        node mass, and for the tail row, age ``live - 1``, the mass of every
+        age from it on (:attr:`AgeGrid.tail_mass`)."""
         grid = self.age_grid
-        return np.where(ages == self.live - 1, grid.tail_mass[ages], grid.node_mass[ages])
+        mass = grid.node_mass[age : age + count]
+        if age + count == self.live:
+            mass = np.append(mass[:-1], grid.tail_mass[self.live - 1])
+        return mass
 
 
 class ChunkWorkspace:
@@ -185,12 +197,11 @@ def init_history(spec, grid: SpectralGrid, age_grid: AgeGrid, mu: float = 1.0) -
     if mu <= 0:
         raise ValueError("determinant floor mu must be positive")
     history = DeformationHistory(payload, age_grid, grid)
-    work, size, min_det = history.workspace, chunk_slices(grid.n), math.inf
-    for lo in range(0, age_grid.n_nodes, size):
-        band = payload[lo : lo + size]
-        rows = work.rows[: len(band)]
-        grid.fwd(data[lo : lo + size], out=band, rows=rows)
-        min_det = np.minimum(min_det, det_field(grid.inv(band, out=work.g[: len(band)], rows=rows)).min())
+    work, min_det = history.workspace, math.inf
+    for age, band in history.chunks():
+        c = len(band)
+        grid.fwd(data[age : age + c], out=band, rows=work.rows[:c])
+        min_det = np.minimum(min_det, det_field(grid.inv(band, out=work.g[:c], rows=work.rows[:c])).min())
     if not min_det >= mu:  # NaN fails too
         raise DegenerateHistoryError(
             f"initial history has min det G = {min_det:.6g}, below the floor mu = {mu:.6g}"
@@ -263,42 +274,36 @@ def stretch_advect_step(
     which keeps the stage second-order accurate; the exact shift and the
     identity injection make the age-zero boundary condition exact.  Slices
     are updated independently (data-parallel over age), and a non-finite
-    result aborts with the offending slice located, before its chunk is
-    stored.  The rows stepped are the rows live before the step
-    (:meth:`DeformationHistory.chunks` after the shift, less the newborn's
-    chunk): the shift writes the identity into the newborn row, the exact
-    value a Heun step of it would be overwritten with.
+    result aborts with the offending slice's age (after the shift) located,
+    before its chunk is stored.  The rows stepped are the rows live before
+    the step (:meth:`DeformationHistory.chunks` after the shift, less the
+    newborn's chunk): the shift writes the identity into the newborn row,
+    the exact value a Heun step of it would be overwritten with.
 
     A ``reduction`` (such as :class:`memflow.stress.StackReduction`) gets, in
-    physical row order after the shift, ``add_chunk(lo, g, g_hat)`` for each
-    chunk of updated rows from physical row ``lo`` (the physical fields and
-    their band spectra) and ``add_identity(lo)`` for the newborn's row.
-    Transforms run on the history's grid.
+    age order after the shift, ``add_identity()`` for the newborn and
+    ``add_chunk(age, g, g_hat)`` for each chunk of updated rows from age
+    ``age`` on (the physical fields and their band spectra).  Transforms
+    run on the history's grid.
     """
     grid = history.grid
-    old_head = history.head
     age_shift(history)  # the row before the head becomes the newborn, the identity
-    stack, work = history.payload, history.workspace
-    for lo, hi in history.chunks():
-        if lo == history.head:  # the newborn is set, not stepped: F(t, t) = I
+    work = history.workspace
+    for age, g_hat in history.chunks():
+        if age == 0:  # the newborn is set, not stepped: F(t, t) = I
             if reduction is not None:
-                reduction.add_identity(lo)
+                reduction.add_identity()
             continue
-        g_hat = stack[lo:hi]
-        c = hi - lo
+        c = len(g_hat)
         g, rows, out = work.g[:c], work.rows[:c], (work.rhs[:c], work.spec[:c])
         inv = lambda f: grid.inv(f, out=g, rows=rows)
         rhs = lambda y, k: _react_rhs_hat(grid, y, (u_old, u_new)[k], work, out[k])
         r1, g = heun(inv(g_hat), g_hat, rhs, inv, dt, stage=out[1])  # r1: the band spectrum of the new state
         if not np.isfinite(g).all():
-            bad = np.argwhere(~np.isfinite(g))
-            phys = lo + int(bad[0, 0])
-            age_j = (phys - old_head) % history.n_slices
-            raise HistoryNaNError(
-                f"non-finite deformation at step {history.generation + 1}, age slice {age_j}"
-            )
+            bad = age + int(np.argwhere(~np.isfinite(g))[0, 0])
+            raise HistoryNaNError(f"non-finite deformation at step {history.generation + 1}, age slice {bad}")
         g_hat[:] = r1
         if reduction is not None:  # it may overwrite the scratch buffers, which this chunk no longer needs
-            reduction.add_chunk(lo, g, g_hat)
+            reduction.add_chunk(age, g, g_hat)
     history.generation += 1
     return history

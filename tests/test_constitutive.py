@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from memflow.constitutive import (
+    MemoryKernel,
     SingularOriginError,
     WAGNER_RAW_H_SUP,
     WAGNER_RAW_HP_SUP,
     model_catalog,
-    multi_mode_kernel,
     reptation_mode_kernel,
     single_exponential_kernel,
     verify_h1,
@@ -25,7 +25,7 @@ class TestMemoryKernels:
         assert math.isclose(k.density(math.log(2.0)), 0.5, rel_tol=1e-15)
 
     def test_two_mode_density(self):
-        k = multi_mode_kernel([0.5, 0.5], [1.0, 2.0])
+        k = MemoryKernel("multi-mode", [1.0, 2.0], [0.5, 0.5])
         assert math.isclose(k.density(0.0), 0.75, rel_tol=1e-15)
         assert math.isclose(k.interval_mass(0.0, math.inf), 1.0, rel_tol=1e-15)
 
@@ -45,7 +45,7 @@ class TestMemoryKernels:
         assert math.isclose(k.interval_mass(s_max, math.inf), math.exp(-s_max), rel_tol=1e-14)
 
     def test_interval_mass_additive(self):
-        k = multi_mode_kernel([0.2, 0.5, 0.3], [0.5, 1.0, 3.0])
+        k = MemoryKernel("multi-mode", [0.5, 1.0, 3.0], [0.2, 0.5, 0.3])
         a, b, c = 0.3, 1.7, 9.0
         lhs = k.interval_mass(a, b) + k.interval_mass(b, c)
         assert math.isclose(lhs, k.interval_mass(a, c), rel_tol=1e-14, abs_tol=1e-14)
@@ -55,7 +55,7 @@ class TestMemoryKernels:
             single_exponential_kernel().interval_mass(2.0, 1.0)
 
     def test_weights_normalized(self):
-        k = multi_mode_kernel([2.0, 2.0], [1.0, 1.0])
+        k = MemoryKernel("multi-mode", [1.0, 1.0], [2.0, 2.0])
         assert math.isclose(k.weights.sum(), 1.0, rel_tol=1e-15)
 
     def test_nonpositive_relaxation_time_rejected(self):

@@ -16,6 +16,13 @@ from memflow.snapshots import read_checkpoint, read_field, write_checkpoint, wri
 from memflow.transport import ChunkWorkspace, identity_stack
 
 
+def checkpoint_fields(chk, **fields):
+    """What ``read_checkpoint`` gives, with ``fields`` changed, as ``write_checkpoint`` takes it."""
+    state = {**chk, **fields}
+    live, history = state.pop("live"), state["history"]
+    return {**state, "history": history[:live], "n_slices": len(history)}
+
+
 def small_cfg(**over):
     base = dict(
         n=32,
@@ -72,6 +79,26 @@ class TestRun:
         res = run(small_cfg(cadence=5))
         assert len(res.records) == 3  # t = 0, 0.25, 0.5
 
+    def test_y_value_is_the_trapezoid_over_records(self):
+        # 20 steps at cadence 3: records at steps 0, 3, ..., 18 and the final step 20, two steps after 18
+        res = run(small_cfg(n=16, dt=0.1, t_final=2.0, cadence=3))
+        t = [rec.t for rec in res.records]
+        assert t[-2:] == [pytest.approx(1.8), 2.0] and len(t) == 8
+        y = [rec.y_integrand for rec in res.records]
+        for k in range(1, len(t)):
+            assert res.records[k].y_value == pytest.approx(np.trapezoid(y[: k + 1], t[: k + 1]), rel=1e-13)
+
+    def test_checkpoint_steps_are_records(self, tmp_path):
+        # cadence 3 and a checkpoint every 10 steps: step 10 is logged, and a restart from it continues the file
+        cfg = lambda t_final, out: small_cfg(n=16, dt=0.1, t_final=t_final, cadence=3, snapshot_every=10,
+                                             output_dir=str(out))
+        straight = run(cfg(2.0, tmp_path / "A"))
+        assert [round(rec.t, 9) for rec in straight.records] == [0.0, 0.3, 0.6, 0.9, 1.0, 1.2, 1.5, 1.8, 2.0]
+        run(cfg(1.0, tmp_path / "B"))
+        res = run(cfg(2.0, tmp_path / "B"), restart_from=tmp_path / "B" / "checkpoint")
+        assert res.exit_code == EXIT_OK and res.records[-1] == straight.records[-1]
+        assert (tmp_path / "B" / "diagnostics.csv").read_bytes() == (tmp_path / "A" / "diagnostics.csv").read_bytes()
+
     def test_random_band_velocity_runs(self):
         res = run(small_cfg(velocity_kind="random-band", velocity_seed=9, velocity_band=3))
         assert res.exit_code == EXIT_OK
@@ -93,8 +120,9 @@ class TestRun:
     def test_degenerate_restart_history_exit_code(self, tmp_path):
         run(small_cfg(output_dir=str(tmp_path / "A")))
         chk = read_checkpoint(tmp_path / "A" / "checkpoint")
-        chk["history"][(chk["head"] + 3) % len(chk["history"])] *= 1e-3  # the row of age 3, a live row
-        write_checkpoint(tmp_path / "B", **chk)
+        assert chk["live"] > 3
+        chk["history"][3] *= 1e-3  # age 3, a live row
+        write_checkpoint(tmp_path / "B", **checkpoint_fields(chk))
         res = run(small_cfg(t_final=1.0), restart_from=tmp_path / "B")
         assert res.exit_code == EXIT_NAN
         assert "deformation norm" in res.message
@@ -196,7 +224,7 @@ class TestArtifacts:
         stack = identity_stack(len(chk["history"]), 32)
         # a physical stack or velocity in the current format is refused by shape and type ...
         for name, physical in (("history", stack), ("u", np.zeros((2, 32, 32)))):
-            write_checkpoint(tmp_path / "B", **{**chk, name: physical})
+            write_checkpoint(tmp_path / "B", **checkpoint_fields(chk, **{name: physical}))
             with pytest.raises(ValueError, match=f"{'history payload' if name == 'history' else 'velocity'} "
                                                  "must be the band spectrum"):
                 run(small_cfg(t_final=0.5), restart_from=tmp_path / "B")
@@ -279,46 +307,42 @@ class TestTailRow:
     def test_restart_continues_csv(self, tmp_path):
         straight = tmp_path / "A"
         run(self.cfg(straight))
-        for steps, live in ((3, 4), (20, None)):  # live < N_s, and live grown to N_s (no key)
-            out = tmp_path / f"B{steps}"
-            run(self.cfg(out, t_final=0.3 * steps))
-            assert json.loads((out / "checkpoint" / "meta.json").read_text()).get("live") == live
-            # the live rows only: header, (live or N_s) rows of 4 band spectra at n = 16, trailer
+        # after k steps from rest the head is at row -k mod N_s: the live rows wrap round the buffer for
+        # k = 3 (live < N_s) and k = 20 (live = N_s); at k = 22 the full history starts at row 0.
+        # An explicit history has every row live from the start.
+        for start, steps, live in (("rest", 3, 4), ("rest", 20, 11), ("rest", 22, 11), ("explicit", 3, 11)):
+            out = tmp_path / f"{start}{steps}"
+            cfg = self.cfg if start == "rest" else (
+                lambda out, **over: self.explicit(tmp_path, output_dir=str(out), **over))
+            if start == "explicit":
+                run(cfg(tmp_path / "explicit"))
+            run(cfg(out, t_final=0.3 * steps))
+            meta = json.loads((out / "checkpoint" / "meta.json").read_text())
+            assert (meta["live"], meta["n_slices"]) == (live, self.N_S) and "head" not in meta
+            # the live rows only: header, live rows of 4 band spectra at n = 16, trailer
             size = (out / "checkpoint" / "history.fld").stat().st_size
-            assert size == 32 + (live or self.N_S) * 4 * 11 * 6 * 16 + 8
-            res = run(self.cfg(out), restart_from=out / "checkpoint")
+            assert size == 32 + live * 4 * 11 * 6 * 16 + 8
+            res = run(cfg(out), restart_from=out / "checkpoint")
             assert res.exit_code == EXIT_OK and res.history.live == self.N_S
-            assert (out / "diagnostics.csv").read_bytes() == (straight / "diagnostics.csv").read_bytes()
+            reference = straight if start == "rest" else tmp_path / "explicit"
+            assert (out / "diagnostics.csv").read_bytes() == (reference / "diagnostics.csv").read_bytes(), steps
 
-    def test_checkpoint_of_every_row_resumes(self, tmp_path):
-        # the layout before only live rows were stored: "live" in meta.json and all N_s rows in physical order
-        run(self.cfg(tmp_path / "A"))
-        out = tmp_path / "B"
-        run(self.cfg(out, t_final=0.9))
-        checkpoint = out / "checkpoint"
+    def test_older_layout_refused(self, tmp_path):
+        # every row in the order of the circular buffer, with "head" and without "n_slices" in meta.json
+        run(self.cfg(tmp_path / "B", t_final=0.9))
+        checkpoint = tmp_path / "B" / "checkpoint"
+        chk = read_checkpoint(checkpoint)
         meta = json.loads((checkpoint / "meta.json").read_text())
-        assert meta.pop("n_slices") == self.N_S and meta["live"] == 4
-        write_field(checkpoint / "history.fld", read_checkpoint(checkpoint)["history"], n_s=self.N_S)
-        (checkpoint / "meta.json").write_text(json.dumps(meta))
-        res = run(self.cfg(out), restart_from=checkpoint)
-        assert res.exit_code == EXIT_OK
-        assert (out / "diagnostics.csv").read_bytes() == (tmp_path / "A" / "diagnostics.csv").read_bytes()
+        del meta["n_slices"]
+        (checkpoint / "meta.json").write_text(json.dumps({**meta, "head": 8}))
+        write_field(checkpoint / "history.fld", np.roll(chk["history"], 8, axis=0), n_s=self.N_S)
+        with pytest.raises(ConfigError, match="older layout"):
+            run(self.cfg(), restart_from=checkpoint)
 
     def test_live_rows_of_another_age_grid_rejected(self, tmp_path):
         run(self.cfg(tmp_path / "B", t_final=0.9))
         with pytest.raises(ConfigError, match="history payload"):  # N_s 11 saved, 17 in this config
             run(self.cfg(eps_tail=0.01), restart_from=tmp_path / "B" / "checkpoint")
-
-    def test_checkpoint_without_live_key_is_full(self, tmp_path):
-        run(self.explicit(tmp_path, output_dir=str(tmp_path / "A")))
-        run(self.explicit(tmp_path, output_dir=str(tmp_path / "B"), t_final=0.9))
-        checkpoint = tmp_path / "B" / "checkpoint"
-        assert "live" not in json.loads((checkpoint / "meta.json").read_text())
-        assert read_checkpoint(checkpoint)["live"] is None
-        assert run(self.cfg(t_final=0.9), restart_from=checkpoint).history.live == self.N_S  # no step taken
-        res = run(self.cfg(tmp_path / "B"), restart_from=checkpoint)
-        assert res.exit_code == EXIT_OK
-        assert (tmp_path / "B" / "diagnostics.csv").read_bytes() == (tmp_path / "A" / "diagnostics.csv").read_bytes()
 
     def test_snapshot_slices_past_tail(self, tmp_path):
         slices = (1, 2, 5, self.N_S - 1)

@@ -147,46 +147,48 @@ class TestCheckpoint:
             y_integrand=3.3e-7,
             u=u,
             history=hist,
-            head=3,
+            n_slices=5,
         )
         chk = read_checkpoint(tmp_path / "chk")
         assert chk["step"] == 17
         assert chk["t"] == 17 * 0.05  # exact float round trip via hex
         assert chk["y_value"] == 0.123456789123456789
-        assert chk["head"] == 3
+        assert chk["live"] == 5
         assert np.array_equal(chk["u"], u)
         assert np.array_equal(chk["history"], hist)
         assert chk["oracle_tau"] is None
-
-    @pytest.mark.parametrize("head", [0, 3, 6])
-    def test_live_rows_only(self, tmp_path, head):
-        rng = np.random.default_rng(head)
-        stack = np.zeros((7, 2, 2, 11, 6), dtype=complex)
-        live_rows = [(head + j) % 7 for j in range(4)]
-        stack[live_rows] = rng.standard_normal((4, 2, 2, 11, 6))
-        write_checkpoint(tmp_path / "chk", step=3, t=0.3, y_value=0.0, y_integrand=0.0, u=stack[0, 0],
-                         history=stack, head=head, live=4)
-        raw = (tmp_path / "chk" / "history.fld").read_bytes()
-        assert struct.unpack("<6I", raw[8:32]) == (3, 11, 6, 4, 4, 1)  # N_s in the header is the live count
-        assert raw[32:-8] == stack[live_rows].tobytes()  # in age order
         meta = json.loads((tmp_path / "chk" / "meta.json").read_text())
-        assert (meta["live"], meta["n_slices"]) == (4, 7)
-        chk = read_checkpoint(tmp_path / "chk")
-        assert chk["live"] == 4 and chk["history"].shape == stack.shape
-        assert np.array_equal(chk["history"], stack)  # back at their physical rows, the others zero
+        assert (meta["live"], meta["n_slices"]) == (5, 5) and "head" not in meta  # a full history has the keys too
 
-    def test_full_history_bytes_unchanged(self, tmp_path):
-        stack = np.random.default_rng(5).standard_normal((7, 2, 2, 11, 6)) * (1 - 1j)
-        write_checkpoint(tmp_path / "chk", step=9, t=0.9, y_value=0.0, y_integrand=0.0, u=stack[0, 0],
-                         history=stack, head=5, live=7)
-        write_field(tmp_path / "h.fld", stack, n_s=7)
-        assert (tmp_path / "chk" / "history.fld").read_bytes() == (tmp_path / "h.fld").read_bytes()
-        assert "live" not in json.loads((tmp_path / "chk" / "meta.json").read_text())
+    @pytest.mark.parametrize("split", [0, 3, 6])
+    def test_live_rows_only(self, tmp_path, split):
+        # 7 live rows of 9, in age order: one stack, or two parts as a wrapped circular buffer gives them
+        rows = np.random.default_rng(split).standard_normal((7, 2, 2, 11, 6)) * (1 + 1j)
+        write_checkpoint(tmp_path / "chk", step=3, t=0.3, y_value=0.0, y_integrand=0.0, u=rows[0, 0],
+                         history=[rows[:split], rows[split:]] if split else rows, n_slices=9)
+        raw = (tmp_path / "chk" / "history.fld").read_bytes()
+        assert struct.unpack("<6I", raw[8:32]) == (3, 11, 6, 4, 7, 1)  # N_s in the header is the live count
+        assert raw[32:-8] == rows.tobytes()
+        meta = json.loads((tmp_path / "chk" / "meta.json").read_text())
+        assert (meta["live"], meta["n_slices"]) == (7, 9) and "head" not in meta
+        chk = read_checkpoint(tmp_path / "chk")
+        assert chk["live"] == 7 and chk["history"].shape == (9, 2, 2, 11, 6)
+        assert np.array_equal(chk["history"][:7], rows) and not chk["history"][7:].any()  # from row 0, the others zero
+
+    def test_row_count_checked(self, tmp_path):
+        stack = np.zeros((4, 2, 2, 11, 6), dtype=complex)
+        meta_path = tmp_path / "chk" / "meta.json"
+        for n_slices, live in ((3, 4), (5, 5)):  # more live rows than the history has; other rows than live
+            write_checkpoint(tmp_path / "chk", step=1, t=0.1, y_value=0.0, y_integrand=0.0, u=stack[0, 0],
+                             history=stack, n_slices=n_slices)
+            meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), "live": live}))
+            with pytest.raises(SnapshotFormatError, match=f"4 history rows for {live} live of {n_slices}"):
+                read_checkpoint(tmp_path / "chk")
 
     def _write(self, directory, step):
         rng = np.random.default_rng(step)
         fields = dict(u=rng.standard_normal((2, 16, 16)), history=rng.standard_normal((5, 2, 2, 16, 16)))
-        write_checkpoint(directory, step=step, t=0.1 * step, y_value=0.0, y_integrand=0.0, head=0, **fields)
+        write_checkpoint(directory, step=step, t=0.1 * step, y_value=0.0, y_integrand=0.0, n_slices=5, **fields)
         return fields
 
     def test_rewrite_swaps_in_place(self, tmp_path):
@@ -237,10 +239,10 @@ class TestMemory:
         assert self._peak(read_field, tmp_path / "h.fld") <= 1.25 * stack.nbytes
 
     def test_checkpoint_read_holds_one_stack(self, tmp_path):
-        # the live rows (39 of 40, wrapping round the buffer) are read straight into the whole stack
+        # the live rows (39 of 40, written in two parts) are read straight into the whole stack
         stack = np.random.default_rng(6).standard_normal(self.STACK)
         write_checkpoint(tmp_path / "chk", step=1, t=0.0, y_value=0.0, y_integrand=0.0, u=stack[0, 0],
-                         history=stack, head=30, live=39)
+                         history=[stack[30:], stack[:29]], n_slices=40)
         assert self._peak(read_checkpoint, tmp_path / "chk") <= 1.25 * stack.nbytes
 
     def test_write_copies_nothing(self, tmp_path):

@@ -18,6 +18,7 @@ from memflow.stress import (
 )
 from memflow.transport import (
     CHUNK_SLICES,
+    DeformationHistory,
     chunk_slices,
     identity_stack,
     init_history,
@@ -168,15 +169,24 @@ class TestStressGradient:
             assert lhs <= rhs + 1e-6
 
 
-def perturbed_history(grid, age_grid, head, seed=0):
+def perturbed_history(grid, age_grid, seed=0):
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((age_grid.n_nodes, 2, 2, grid.n, grid.n))
     noise = grid.inv(grid.band(noise), out=noise)  # band-limited
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the age-zero slice is perturbed too
-        h = init_history(identity_stack(age_grid.n_nodes, grid.n) + 0.1 * noise, grid, age_grid, mu=0.1)
-    h.head = head
-    return h
+        return init_history(identity_stack(age_grid.n_nodes, grid.n) + 0.1 * noise, grid, age_grid, mu=0.1)
+
+
+def at_head(history, head, live=None):
+    """The first ``live`` ages of ``history`` (default all of its live ones)
+    in a new buffer, stored from row ``head`` on."""
+    live = history.live if live is None else live
+    payload = np.zeros_like(history.payload)
+    payload[(head + np.arange(live)) % history.n_slices] = np.concatenate(history.age_rows())[:live]
+    moved = DeformationHistory(payload, history.age_grid, history.grid, history.generation, live)
+    moved.head = head
+    return moved
 
 
 @pytest.fixture()
@@ -199,28 +209,47 @@ class TestFusedPass:
     """The history step's single stack pass against the separate stress and scan passes."""
 
     @pytest.mark.parametrize("n", [16, 32])
-    @pytest.mark.parametrize("head_at_chunk_start", [0, 1])
-    def test_matches_separate_passes(self, n, head_at_chunk_start):
+    @pytest.mark.parametrize("head", [0, 1])
+    def test_matches_separate_passes(self, n, head):
+        # stored from row 0 the live rows wrap round the buffer after the shift, from row 1 they do not
         grid = SpectralGrid(n)
         ag = build_age_grid(single_exponential_kernel(), 0.05, 1e-2)
         size = chunk_slices(n)
         assert ag.n_nodes > CHUNK_SLICES >= size and (n > 16 or size == CHUNK_SLICES)
-        new_head = head_at_chunk_start * size  # 0, or the first row of the second chunk
-        h = perturbed_history(grid, ag, new_head + 1, seed=n)
         _, m = model_catalog("psm-raw")
         u = FlowState(grid, taylor_green(grid), 0.1).jet
-        fused = StackReduction(h, m, (8, 4, 0.5))
-        stretch_advect_step(h, u, 0.9 * u, 0.05, fused)
-        assert h.head == new_head
-        np.testing.assert_array_equal(fused.tau.total, assemble_stress(h, m))
-        assert fused.scan_result() == pytest.approx(history_scan(h, 8, 4, mu=0.5), rel=1e-13)
+        for live in (size + 3, ag.n_nodes):
+            h = at_head(perturbed_history(grid, ag, seed=n), head, live)
+            fused = StackReduction(h, m, (8, 4, 0.5))
+            stretch_advect_step(h, u, 0.9 * u, 0.05, fused)
+            assert len(h.age_rows()) == 1 + (head == 0) and h.live == min(live + 1, ag.n_nodes)
+            np.testing.assert_array_equal(fused.tau.total, assemble_stress(h, m))
+            assert fused.scan_result() == pytest.approx(history_scan(h, 8, 4, mu=0.5), rel=1e-13)
+
+    def test_step_does_not_depend_on_head(self):
+        # the same ages stored from other rows give the same bits: rows, stress and scan
+        grid = SpectralGrid(32)
+        ag = build_age_grid(single_exponential_kernel(), 0.05, 1e-3)
+        n_s, size = ag.n_nodes, chunk_slices(32)
+        assert n_s > 4 * size
+        _, m = model_catalog("psm-raw")
+        u = FlowState(grid, taylor_green(grid), 0.1).jet
+        base = perturbed_history(grid, ag, seed=7)
+        for live in (n_s, n_s - size // 2 - 1):
+            results = []
+            for head in (0, 1, size, size + 14, n_s - 1):
+                h = at_head(base, head, live)
+                fused = StackReduction(h, m, (8, 4, 0.5))
+                stretch_advect_step(h, u, 0.9 * u, 0.05, fused)
+                results.append((np.concatenate(h.age_rows()).tobytes(), fused.tau.total.tobytes(), fused.scan_result()))
+            assert all(result == results[0] for result in results[1:]), live
 
     @pytest.mark.parametrize("name", ["oldroyd-b", "psm-normalized", "wagner-raw", "wagner-normalized", "doi-edwards"])
     def test_newborn_stress_of_every_measure(self, name):
         # the newborn's S(I) is kept as one point; the sum must equal that of the identity's whole field
         grid = SpectralGrid(16)
         ag = build_age_grid(single_exponential_kernel(), 0.05, 1e-2)
-        h = perturbed_history(grid, ag, 1, seed=3)
+        h = perturbed_history(grid, ag, seed=3)
         _, m = model_catalog(name)
         u = FlowState(grid, taylor_green(grid), 0.1).jet
         fused = StackReduction(h, m)
@@ -230,7 +259,7 @@ class TestFusedPass:
     def test_transforms_per_slice(self, counted):
         grid = SpectralGrid(16)
         ag = build_age_grid(single_exponential_kernel(), 0.05, 1e-2)
-        h = perturbed_history(grid, ag, 0)
+        h = perturbed_history(grid, ag)
         _, m = model_catalog("psm-raw")
         u = FlowState(grid, taylor_green(grid), 0.1).jet  # the velocity samples carry their gradient
         for scan, per_slice in ((None, 36), ((8, 4, 1.0), 44)):

@@ -151,20 +151,29 @@ class TestShift:
 
 
 class TestLiveRows:
-    def test_chunks_cover_live_rows_in_row_order(self, grid, age_grid):
+    def test_chunks_cover_live_rows_in_age_order(self, grid, age_grid):
         h = init_history("identity", grid, age_grid)
         n_s, size = h.n_slices, chunk_slices(N)
         assert n_s > 2 * size
         for head in (0, 1, size, n_s - 1):
             for live in (1, 2, size + 3, n_s - 1, n_s):
                 h.head, h.live = head, live
-                spans = list(h.chunks())
-                rows = [row for lo, hi in spans for row in range(lo, hi)]
-                assert rows == sorted((head + j) % n_s for j in range(live))
-                assert all(0 < hi - lo <= size for lo, hi in spans)
-                assert (head, head + 1) in spans  # the head row, the newborn of a step, is a chunk of its own
-        # a full history: cut from row 0 on, the head row split off
-        assert spans == [(lo, min(lo + size, n_s - 1)) for lo in range(0, n_s - 1, size)] + [(n_s - 1, n_s)]
+                views = h.age_rows()
+                assert len(views) == 1 + (head + live > n_s)  # the rows wrap round the end of the buffer
+                chunks = list(h.chunks())
+                assert chunks[0][0] == 0 and len(chunks[0][1]) == 1  # the newborn is a chunk of its own
+                assert all(0 < len(rows) <= size for _, rows in chunks)
+                ages = [age + i for age, rows in chunks for i in range(len(rows))]
+                assert ages == list(range(live))
+                assert all(np.shares_memory(row, h.slice(age + i)) for age, rows in chunks for i, row in enumerate(rows))
+                for first in (0, 1):
+                    stacked = [row for rows in h.age_rows(first) for row in rows]
+                    assert len(stacked) == live - first
+                    assert all(np.shares_memory(row, h.slice(first + j)) for j, row in enumerate(stacked))
+        # a full history from row 0: the newborn, then chunks of the other ages from age 1 on
+        h.head = 0
+        assert [(age, len(rows)) for age, rows in h.chunks()] == [(0, 1)] + [
+            (age, min(size, n_s - age)) for age in range(1, n_s, size)]
 
     def test_tail_row_mass_and_slices(self, grid, age_grid):
         h = init_history("identity", grid, age_grid)
@@ -172,10 +181,12 @@ class TestLiveRows:
         for _ in range(3):
             stretch_advect_step(h, st.jet, st.jet, age_grid.ds)
         assert h.live == 4
-        lo, hi = next(h.chunks())
-        assert (lo, hi) == (0, 1)  # the tail row, age 3, wraps round to row 0
-        assert h.mass(0, 1)[0] == age_grid.tail_mass[3] == pytest.approx(age_grid.node_mass[3:].sum(), rel=1e-14)
-        assert h.mass(h.head, 3).tolist() == age_grid.node_mass[:3].tolist()
+        # ages 0 .. 2 end the buffer; the tail row, age 3, wraps round to row 0
+        assert [(age, len(rows)) for age, rows in h.chunks()] == [(0, 1), (1, 2), (3, 1)]
+        assert np.shares_memory(list(h.chunks())[-1][1], h.payload[0])
+        assert h.mass(3, 1)[0] == age_grid.tail_mass[3] == pytest.approx(age_grid.node_mass[3:].sum(), rel=1e-14)
+        assert h.mass(0, 3).tolist() == age_grid.node_mass[:3].tolist()
+        assert h.mass(1, 3).tolist() == age_grid.node_mass[1:3].tolist() + [age_grid.tail_mass[3]]
         assert not np.shares_memory(h.slice(2), h.payload[0])
         assert all(np.shares_memory(h.slice(j), h.payload[0]) for j in (3, 4, h.n_slices - 1))
         assert age_grid.tail_mass[-1] == age_grid.node_mass[-1]
@@ -252,7 +263,7 @@ class TestStep:
         h = init_history(identity_stack(age_grid.n_nodes, N), grid, age_grid)  # every row live
         h.slice(5)[0, 0, 0, 0] = np.nan  # the mean mode: NaN over the whole component field
         u0 = np.zeros((3, 2, N, N))  # the jet of the fluid at rest
-        with pytest.raises(HistoryNaNError, match="slice"):
+        with pytest.raises(HistoryNaNError, match="step 1, age slice 6$"):  # its age after the shift
             stretch_advect_step(h, u0, u0, age_grid.ds)
 
 
