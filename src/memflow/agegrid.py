@@ -34,20 +34,17 @@ class HistoryTooLongError(ValueError):
 class AgeGrid:
     """Uniform age nodes s_j = j * ds on [0, s_max] with quadrature data.
 
-    ``weights`` are the raw trapezoid weights; ``node_mass`` folds in the
-    kernel density (with exact lumping at node 0 for singular kernels) so
-    that integrating a sampled quantity f against the kernel is just
-    ``sum(node_mass * f)``.  ``tail_mass[j]`` is ``sum(node_mass[j:])``, the
+    ``node_mass`` is the trapezoid weights times the kernel density (with
+    exact lumping at node 0 for singular kernels), so that integrating a
+    sampled quantity f against the kernel is just ``sum(node_mass * f)``.  ``tail_mass[j]`` is ``sum(node_mass[j:])``, the
     mass of a sample that stands for every node from j on (its last entry
     is ``node_mass[-1]`` exactly).  ``tail_error`` is the kernel mass beyond
     ``s_max`` and ``quad_tol`` an a priori bound on the trapezoid error of
     the kernel mass itself.
     """
 
-    kernel: MemoryKernel
     ds: float
     nodes: np.ndarray
-    weights: np.ndarray
     node_mass: np.ndarray
     tail_mass: np.ndarray
     tail_error: float
@@ -115,7 +112,7 @@ def build_age_grid(
     tail = kernel.interval_mass(nodes[-1], math.inf)
     quad_tol = _mass_quadrature_bound(kernel, dt)
     tail_mass = np.cumsum(node_mass[::-1])[::-1]  # summed from the smallest masses up
-    return AgeGrid(kernel, dt, nodes, weights, node_mass, tail_mass, tail, quad_tol)
+    return AgeGrid(dt, nodes, node_mass, tail_mass, tail, quad_tol)
 
 
 def _mass_quadrature_bound(kernel: MemoryKernel, ds: float) -> float:

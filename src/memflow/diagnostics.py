@@ -226,19 +226,24 @@ def _shear_tensor(gamma_dot: float, s) -> np.ndarray:
     return g
 
 
-def _quad_to_inf(f, abs_tol: float = 1e-10, singular_origin: bool = False) -> float:
+def _quad(what: str, f, lo: float, hi: float, abs_tol: float) -> tuple[float, float]:
+    """``integrate.quad`` of f over [lo, hi]: (value, error estimate); a
+    warning or failure of the quadrature raises :class:`QuadratureError`."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
-            if singular_origin:
-                # split so the origin singularity sits at an endpoint
-                v1, e1 = integrate.quad(f, 0.0, 1.0, epsabs=abs_tol / 2, limit=400)
-                v2, e2 = integrate.quad(f, 1.0, np.inf, epsabs=abs_tol / 2, limit=400)
-                val, err = v1 + v2, e1 + e2
-            else:
-                val, err = integrate.quad(f, 0.0, np.inf, epsabs=abs_tol, limit=400)
+            return integrate.quad(f, lo, hi, epsabs=abs_tol, limit=400)
         except (integrate.IntegrationWarning, Exception) as exc:  # noqa: BLE001
-            raise QuadratureError(f"shear-stress quadrature failed: {exc}") from exc
+            raise QuadratureError(f"{what} quadrature failed: {exc}") from exc
+
+
+def _quad_to_inf(f, abs_tol: float = 1e-10, singular_origin: bool = False) -> float:
+    if singular_origin:  # split so the origin singularity sits at an endpoint
+        v1, e1 = _quad("shear-stress", f, 0.0, 1.0, abs_tol / 2)
+        v2, e2 = _quad("shear-stress", f, 1.0, np.inf, abs_tol / 2)
+        val, err = v1 + v2, e1 + e2
+    else:
+        val, err = _quad("shear-stress", f, 0.0, np.inf, abs_tol)
     if not math.isfinite(val) or err > 100 * abs_tol:
         raise QuadratureError(f"shear-stress quadrature error {err:.3g} too large")
     return val
@@ -277,13 +282,7 @@ def shear_startup_stress(
         for k in range(2):
             def f(s, j=j, k=k):
                 return kernel.density(s) * measure.stress(_shear_tensor(gamma_dot, s))[j, k]
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", integrate.IntegrationWarning)
-                try:
-                    lo = 1e-12 if kernel.singular else 0.0
-                    val, _ = integrate.quad(f, lo, t, epsabs=1e-12, limit=400)
-                except (integrate.IntegrationWarning, Exception) as exc:  # noqa: BLE001
-                    raise QuadratureError(f"startup quadrature failed: {exc}") from exc
+            val, _ = _quad("startup", f, 1e-12 if kernel.singular else 0.0, t, 1e-12)
             out[j, k] = val + tail_mass * frozen[j, k]
     return out
 

@@ -16,6 +16,7 @@ Exit codes: 0 clean, 2 non-finite or degenerate state (the last periodic
 checkpoint is left on disk), 3 monitored-bound violation when configured
 fatal.  A restart continues the ``diagnostics.csv`` it finds in the output
 directory: rows past the checkpoint time are dropped, the rest are kept.
+A checkpoint past ``t_final`` is refused, before any file is touched.
 A checkpoint holds the band spectra of the velocity, the history (its live
 rows, in age order) and the oracle stress, which a restart takes as they
 are.  Every pass visits the history in age order, so the restarted rows
@@ -97,7 +98,8 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
     """Execute the configured simulation; never raises for solver failures.
 
     Raises :class:`ConfigError` for a config it cannot run, including a
-    restart checkpoint that is unreadable or does not fit the config, and
+    restart checkpoint that is unreadable, does not fit the config or lies
+    past ``t_final``, and
     :class:`~memflow.agegrid.HistoryTooLongError` when the age grid exceeds the memory cap.
     """
     if cfg.oracle and cfg.model_name != "oldroyd-b":
@@ -127,6 +129,8 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
         try:
             chk = read_checkpoint(restart_from)
             step0, y_value, yi_prev = chk["step"], chk["y_value"], chk["y_integrand"]
+            if step0 > cfg.n_steps:
+                raise ValueError(f"its step {step0} is past the last step, {cfg.n_steps}, of t_final = {cfg.t_final:g}")
             state = FlowState(grid, None, cfg.viscosity, t=chk["t"], u_hat=chk["u"])
             history = DeformationHistory(chk["history"], age_grid, grid, generation=step0, live=chk["live"])
             oracle = None

@@ -12,15 +12,18 @@ integral of chain-rule terms; the two agree to quadrature tolerance.
 One pass over the stack accumulates both age integrals and the det G and
 |G| minima (:class:`StackReduction`).  It takes each chunk as physical
 fields (for the strain measure and the minima) and as band spectra (for
-grad G: 8 inverse transforms per slice, no forward one).  The history step
+grad G: 8 inverse transforms per slice, no forward one), and works in the
+buffers of the chunk's workspace, which come with the chunk
+(:meth:`~memflow.transport.DeformationHistory.chunks`).  The history step
 feeds it each chunk it has just updated, and the newborn row, which it
-sets to the identity, as that: the stress S(I), formed once per history
-workspace and measure, a y integrand of exactly 0 (grad I = 0), det G = 1
-and |G| = sqrt(2), with no transform (:meth:`StackReduction.add_identity`).  These
-are the terms the identity's fields would add, first in the compensated
-sums, which run in age order.  :meth:`StackReduction.over_stack` feeds it the stored
-band stack, 4 inverse transforms per slice, at the initial state and on
-restart, and so do :func:`assemble_stress` and :func:`history_scan`.
+sets to the identity, as that: the stress S(I), formed once per pass at one
+point, a y integrand of exactly 0 (grad I = 0), det G = 1 and
+|G| = sqrt(2), with no transform (:meth:`StackReduction.add_identity`).
+These are the terms the identity's fields would add, first in the
+compensated sums, which run in age order.  :meth:`StackReduction.over_stack`
+feeds it the stored band stack, 4 inverse transforms per slice, at the
+initial state and on restart, and so do :func:`assemble_stress` and
+:func:`history_scan`.
 
 Only the live rows of the history are fed (:mod:`memflow.transport`): a
 flow started from rest k steps ago holds min(k + 1, N_s) of them, visited
@@ -41,7 +44,7 @@ import numpy as np
 from .agegrid import KahanSum
 from .constitutive import StrainMeasure
 from .spectral import SpectralGrid
-from .transport import DeformationHistory, det_field, norm_field
+from .transport import ChunkWorkspace, DeformationHistory, det_field, identity_stack, norm_field
 
 
 class DegenerateDeformationError(FloatingPointError):
@@ -55,16 +58,16 @@ class DegenerateDeformationError(FloatingPointError):
 class StackReduction:
     """Age integrals of one pass over the history stack, fed chunk by chunk.
 
-    ``add_chunk(age, g, g_hat)`` takes the physical fields ``g`` and band
-    spectra ``g_hat`` of live ages ``age, age + 1, ...`` and
+    ``add_chunk(age, g, g_hat, work)`` takes the physical fields ``g`` and
+    band spectra ``g_hat`` of live ages ``age, age + 1, ...`` with the
+    chunk's workspace ``work``, which it may overwrite, and
     ``add_identity()`` the newborn, age 0, as the identity (both in age
     order), weighted by the kernel mass the history's live count gives
-    them (:meth:`DeformationHistory.mass`).  A
-    ``measure`` adds the stress ``tau`` (formed in the history's workspace);
-    ``scan = (q, r, mu)`` adds the y integrand and the det G and |G| minima,
-    with grad G from ``g_hat`` on the history's grid.  Sums are compensated
-    (Kahan) in age order, so the result is deterministic regardless of
-    chunking, the history's row layout or FFT worker counts.
+    them (:meth:`DeformationHistory.mass`).  A ``measure`` adds the stress
+    ``tau``; ``scan = (q, r, mu)`` adds the y integrand and the det G and
+    |G| minima, with grad G from ``g_hat`` on the history's grid.  Sums are
+    compensated (Kahan) in age order, so the result is deterministic
+    regardless of chunking, the history's row layout or FFT worker counts.
     """
 
     def __init__(self, history: DeformationHistory, measure=None, scan: tuple[float, float, float] | None = None):
@@ -76,46 +79,32 @@ class StackReduction:
         self.y = KahanSum()
         self.min_det = self.min_abs = math.inf
 
-    def add_chunk(self, age: int, g: np.ndarray, g_hat: np.ndarray):
+    def add_chunk(self, age: int, g: np.ndarray, g_hat: np.ndarray, work: ChunkWorkspace):
         mass = self.history.mass(age, len(g))
         if self.measure is not None:
-            stress = self.measure.stress_stack(g, out=self.history.workspace.prod[: len(g)])
-            self.tau.add(mass, stress)
+            self.tau.add(mass, self.measure.stress_stack(g, out=work.prod))
         if self.scan is not None:
-            self.y.add(mass, self._scan_chunk(g, g_hat))
+            self.y.add(mass, self._scan_chunk(g, g_hat, work))
 
     def add_identity(self):
         """Add the newborn, age 0, as the identity a history step sets: its
         stress S(I), a y integrand of exactly 0 (grad I = 0), det G = 1 and
         |G| = sqrt(2), with no transform.  The terms are those
-        :meth:`add_chunk` adds for the identity's fields."""
+        :meth:`add_chunk` adds for the identity's fields: S(I) is a constant
+        field, so it is formed at one point, shape ``(1, 2, 2, 1, 1)``, which
+        the compensated sum broadcasts."""
         mass = self.history.mass(0, 1)
         if self.measure is not None:
-            self.tau.add(mass, self._identity_stress())
+            self.tau.add(mass, self.measure.stress_stack(identity_stack(1, 1)))
         if self.scan is not None:
             self.y.add(mass, [0.0])
             self.min_det = min(self.min_det, 1.0)
             self.min_abs = min(self.min_abs, math.sqrt(2.0))
 
-    def _identity_stress(self) -> np.ndarray:
-        """S(I), formed once per workspace and measure from the identity's
-        fields as :meth:`add_chunk` forms a row's stress, in the workspace.
-        It is a constant field, so one point of it is kept, shape ``(1, 2,
-        2, 1, 1)``, and the compensated sum broadcasts it."""
-        work = self.history.workspace
-        if self.measure not in work.identity_stress:
-            g = work.g[:1]
-            g[:] = 0.0
-            g[:, 0, 0] = g[:, 1, 1] = 1.0
-            stress = self.measure.stress_stack(g, out=work.prod[:1])
-            work.identity_stress[self.measure] = stress[..., :1, :1].copy()
-        return work.identity_stress[self.measure]
-
-    def _scan_chunk(self, g: np.ndarray, g_hat: np.ndarray) -> list[float]:
+    def _scan_chunk(self, g: np.ndarray, g_hat: np.ndarray, work: ChunkWorkspace) -> list[float]:
         """Per slice || |grad G| / |G| ||_{L^q}^r; updates the minima."""
         q, r, mu = self.scan
-        grid, work, c = self.grid, self.history.workspace, len(g)
-        spec, dg, rows = work.spec[:c], work.prod[:c], work.rows[:c]
+        grid, spec, dg, rows = self.grid, work.spec, work.prod, work.rows
         grad_sq = 0.0
         for d in (grid.d1_band, grid.d2_band):
             grid.inv(np.multiply(g_hat, d, out=spec), out=dg, rows=rows)
@@ -134,10 +123,8 @@ class StackReduction:
 
     def over_stack(self) -> "StackReduction":
         """Feed the stored live rows, unchanged, their fields transformed chunk by chunk."""
-        work = self.history.workspace
-        for age, g_hat in self.history.chunks():
-            c = len(g_hat)
-            self.add_chunk(age, self.grid.inv(g_hat, out=work.g[:c], rows=work.rows[:c]), g_hat)
+        for age, g_hat, work in self.history.chunks():
+            self.add_chunk(age, self.grid.inv(g_hat, out=work.g, rows=work.rows), g_hat, work)
         return self
 
     def scan_result(self) -> tuple[float, float, float]:

@@ -39,7 +39,8 @@ goes with its new fields and spectra to an optional reduction (stress and
 bound scan, :mod:`memflow.stress`), which weights each age by its kernel
 mass (:meth:`DeformationHistory.mass`); the newborn goes to it as the
 identity.  The stage arithmetic and every transform of a chunk write into
-the buffers of one :class:`ChunkWorkspace` per history.
+the buffers :meth:`DeformationHistory.chunks` hands it with its rows: the
+history's one :class:`ChunkWorkspace`, cut to the chunk.
 
 Determinants are transported exactly by the continuum equations for
 divergence-free velocities, so their discrete drift is left uncorrected as a
@@ -119,16 +120,18 @@ class DeformationHistory:
         return [rows for rows in views if len(rows)]
 
     def chunks(self):
-        """``(age, rows)`` for the live rows in age order, ``rows`` a view of
-        at most ``chunk_slices(n)`` rows from age ``age`` on.  The newborn,
-        age 0, is a chunk of its own, so a step can set it instead of
-        stepping it."""
-        size = chunk_slices(self.grid.n)
-        yield 0, self.payload[self.head : self.head + 1]
+        """``(age, rows, work)`` for the live rows in age order: ``rows`` a
+        view of at most ``chunk_slices(n)`` rows from age ``age`` on, and
+        ``work`` the buffers to process them in, :attr:`workspace` cut to
+        ``len(rows)`` (:meth:`ChunkWorkspace.cut`).  The newborn, age 0, is a
+        chunk of its own, so a step can set it instead of stepping it."""
+        size, work = chunk_slices(self.grid.n), self.workspace
+        yield 0, self.payload[self.head : self.head + 1], work.cut(1)
         age = 1
         for rows in self.age_rows(1):
             for lo in range(0, len(rows), size):
-                yield age + lo, rows[lo : lo + size]
+                chunk = rows[lo : lo + size]
+                yield age + lo, chunk, work.cut(len(chunk))
             age += len(rows)
 
     def mass(self, age: int, count: int) -> np.ndarray:
@@ -143,11 +146,12 @@ class DeformationHistory:
 
 
 class ChunkWorkspace:
-    """Buffers every chunk of a stack pass reuses; shorter chunks use leading views.
+    """Buffers every chunk of a stack pass reuses, each with one slice per row.
 
     ``g`` holds the chunk's physical fields and ``prod`` physical products
     and scratch; ``rows`` is the row-transform scratch of band transforms;
-    ``rhs``, ``spec`` and ``flux`` hold band spectra.
+    ``rhs``, ``spec`` and ``flux`` hold band spectra.  A chunk is handed the
+    workspace cut to its rows (:meth:`cut`) and uses every buffer whole.
     """
 
     def __init__(self, n_slices: int, n: int):
@@ -155,7 +159,12 @@ class ChunkWorkspace:
         self.g, self.prod = (np.empty((c, 2, 2, n, n)) for _ in range(2))
         self.rows = np.empty((c, 2, 2, n, n // 2 + 1), dtype=complex)
         self.rhs, self.spec, self.flux = (np.empty((c, 2, 2, *band_shape(n)), dtype=complex) for _ in range(3))
-        self.identity_stress = {}  # strain measure -> S(I) at one point, for the newborn
+
+    def cut(self, c: int) -> "ChunkWorkspace":
+        """The workspace of a chunk of ``c`` rows: views of the first ``c`` slices of each buffer."""
+        work = object.__new__(ChunkWorkspace)
+        vars(work).update((name, buf[:c]) for name, buf in vars(self).items())
+        return work
 
     @staticmethod
     def nbytes_for(n: int) -> int:
@@ -197,11 +206,10 @@ def init_history(spec, grid: SpectralGrid, age_grid: AgeGrid, mu: float = 1.0) -
     if mu <= 0:
         raise ValueError("determinant floor mu must be positive")
     history = DeformationHistory(payload, age_grid, grid)
-    work, min_det = history.workspace, math.inf
-    for age, band in history.chunks():
-        c = len(band)
-        grid.fwd(data[age : age + c], out=band, rows=work.rows[:c])
-        min_det = np.minimum(min_det, det_field(grid.inv(band, out=work.g[:c], rows=work.rows[:c])).min())
+    min_det = math.inf
+    for age, band, work in history.chunks():
+        grid.fwd(data[age : age + len(band)], out=band, rows=work.rows)
+        min_det = np.minimum(min_det, det_field(grid.inv(band, out=work.g, rows=work.rows)).min())
     if not min_det >= mu:  # NaN fails too
         raise DegenerateHistoryError(
             f"initial history has min det G = {min_det:.6g}, below the floor mu = {mu:.6g}"
@@ -249,11 +257,11 @@ def _react_rhs_hat(grid: SpectralGrid, g: np.ndarray, u_jet: np.ndarray, work: C
     Advection uses the conservative form u . grad G = div(u G), exact for
     divergence-free u; it needs only forward transforms of physical
     products, which is the cheaper direction for this stack size.  The
-    products are formed in ``work.prod``; ``u_jet`` is the velocity's jet
-    ``(u, d1 u, d2 u)``, so ``grad_u[l, k] = d_l u_k``.
+    products are formed in ``work.prod``, the chunk's workspace; ``u_jet``
+    is the velocity's jet ``(u, d1 u, d2 u)``, so ``grad_u[l, k] = d_l u_k``.
     """
-    u, grad_u, c = u_jet[0], u_jet[1:], len(g)
-    prod, rows, flux = work.prod[:c], work.rows[:c], work.flux[:c]
+    u, grad_u = u_jet[0], u_jet[1:]
+    prod, rows, flux = work.prod, work.rows, work.flux
     np.einsum("cjlyx,lkyx->cjkyx", g, grad_u, out=prod)  # (G . grad u)_{jk}
     grid.fwd(prod, out=out, rows=rows)
     for u_l, d_l in ((u[0], grid.d1_band), (u[1], grid.d2_band)):
@@ -282,21 +290,19 @@ def stretch_advect_step(
 
     A ``reduction`` (such as :class:`memflow.stress.StackReduction`) gets, in
     age order after the shift, ``add_identity()`` for the newborn and
-    ``add_chunk(age, g, g_hat)`` for each chunk of updated rows from age
-    ``age`` on (the physical fields and their band spectra).  Transforms
-    run on the history's grid.
+    ``add_chunk(age, g, g_hat, work)`` for each chunk of updated rows from
+    age ``age`` on (the physical fields, their band spectra and the chunk's
+    workspace).  Transforms run on the history's grid.
     """
     grid = history.grid
     age_shift(history)  # the row before the head becomes the newborn, the identity
-    work = history.workspace
-    for age, g_hat in history.chunks():
+    for age, g_hat, work in history.chunks():
         if age == 0:  # the newborn is set, not stepped: F(t, t) = I
             if reduction is not None:
                 reduction.add_identity()
             continue
-        c = len(g_hat)
-        g, rows, out = work.g[:c], work.rows[:c], (work.rhs[:c], work.spec[:c])
-        inv = lambda f: grid.inv(f, out=g, rows=rows)
+        out = (work.rhs, work.spec)
+        inv = lambda f: grid.inv(f, out=work.g, rows=work.rows)
         rhs = lambda y, k: _react_rhs_hat(grid, y, (u_old, u_new)[k], work, out[k])
         r1, g = heun(inv(g_hat), g_hat, rhs, inv, dt, stage=out[1])  # r1: the band spectrum of the new state
         if not np.isfinite(g).all():
@@ -304,6 +310,6 @@ def stretch_advect_step(
             raise HistoryNaNError(f"non-finite deformation at step {history.generation + 1}, age slice {bad}")
         g_hat[:] = r1
         if reduction is not None:  # it may overwrite the scratch buffers, which this chunk no longer needs
-            reduction.add_chunk(age, g, g_hat)
+            reduction.add_chunk(age, g, g_hat, work)
     history.generation += 1
     return history

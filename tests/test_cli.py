@@ -61,7 +61,7 @@ class TestRunCommand:
         code = main(["run", write_cfg(tmp_path, outdir=str(tmp_path / "out2")), "--restart", str(out / "checkpoint")])
         assert code == 0
 
-    @pytest.mark.parametrize("case", ["other-grid", "corrupt-meta", "missing"])
+    @pytest.mark.parametrize("case", ["other-grid", "corrupt-meta", "missing", "past-t-final"])
     def test_bad_restart_exit_one(self, tmp_path, capsys, case):
         out = tmp_path / "out"
         assert main(["run", write_cfg(tmp_path, outdir=str(out))]) == 0
@@ -70,6 +70,9 @@ class TestRunCommand:
         if case == "other-grid":  # an n = 32 checkpoint under an n = 64 config
             cfg = tmp_path / "n64.ini"
             cfg.write_text(CONFIG.format(model="psm-raw", outdir="").replace("n = 32", "n = 64"))
+        elif case == "past-t-final":  # a checkpoint at step 6 under a 2-step config
+            cfg = tmp_path / "short.ini"
+            cfg.write_text(CONFIG.format(model="psm-raw", outdir="").replace("t_final = 0.3", "t_final = 0.1"))
         elif case == "corrupt-meta":
             (checkpoint / "meta.json").write_text('{"step": ')
         else:

@@ -99,6 +99,17 @@ class TestRun:
         assert res.exit_code == EXIT_OK and res.records[-1] == straight.records[-1]
         assert (tmp_path / "B" / "diagnostics.csv").read_bytes() == (tmp_path / "A" / "diagnostics.csv").read_bytes()
 
+    def test_oracle_gap_converges_with_every_row_live(self):
+        # Oldroyd-B run past s_max: every row is live and the oldest one is dropped each step
+        gaps = []
+        for dt in (0.1, 0.05, 0.025):
+            res = run(small_cfg(n=16, viscosity=0.05, dt=dt, t_final=4.0, model_name="oldroyd-b", eps_tail=1e-6,
+                                model_params={"lam": 0.2}, oracle=True))
+            assert res.exit_code == EXIT_OK and res.history.live == res.history.n_slices
+            gaps.append(res.oracle_gap)
+        assert all(coarse >= 4 * fine for coarse, fine in zip(gaps, gaps[1:])), gaps
+        assert gaps[-1] < 5e-4, gaps
+
     def test_random_band_velocity_runs(self):
         res = run(small_cfg(velocity_kind="random-band", velocity_seed=9, velocity_band=3))
         assert res.exit_code == EXIT_OK
@@ -267,6 +278,17 @@ class TestArtifacts:
             assert (b / "diagnostics.csv").read_bytes() == (a / "diagnostics.csv").read_bytes()
             assert len((a / "diagnostics.csv").read_text().splitlines()) == 22
             assert res.oracle_gap == straight.oracle_gap and (res.oracle_gap is not None) == oracle
+
+    def test_restart_past_t_final_refused(self, tmp_path):
+        out = tmp_path / "A"
+        run(small_cfg(t_final=1.0, output_dir=str(out)))  # its checkpoint is at step 20
+        files = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        with pytest.raises(ConfigError, match="step 20 is past the last step, 10, of t_final = 0.5"):
+            run(small_cfg(t_final=0.5, output_dir=str(out)), restart_from=out / "checkpoint")
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == files
+        # a checkpoint at t_final itself resumes to the same state
+        assert run(small_cfg(t_final=1.0, output_dir=str(out)), restart_from=out / "checkpoint").exit_code == EXIT_OK
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == files
 
     def test_oracle_restart_needs_oracle_stress(self, tmp_path):
         run(small_cfg(model_name="oldroyd-b", t_final=0.25, output_dir=str(tmp_path / "A")))

@@ -18,7 +18,9 @@ from memflow.stress import (
 )
 from memflow.transport import (
     CHUNK_SLICES,
+    ChunkWorkspace,
     DeformationHistory,
+    age_shift,
     chunk_slices,
     identity_stack,
     init_history,
@@ -255,6 +257,31 @@ class TestFusedPass:
         fused = StackReduction(h, m)
         stretch_advect_step(h, u, 0.9 * u, 0.05, fused)
         np.testing.assert_array_equal(fused.tau.total, assemble_stress(h, m))
+
+    def test_reduction_uses_only_the_buffers_it_is_handed(self):
+        # with the history's workspace full of NaN, chunks reduced in spare buffers, one or two in
+        # turn, give the bits of a pass over a clean copy; the history's workspace is not touched
+        grid = SpectralGrid(32)
+        ag = build_age_grid(single_exponential_kernel(), 0.05, 1e-3)
+        _, m = model_catalog("psm-raw")
+        base = age_shift(perturbed_history(grid, ag, seed=5))  # the newborn is the identity
+        assert len(list(base.chunks())) > 3
+        clean = StackReduction(at_head(base, 0), m, (8, 4, 0.5)).over_stack()
+        for spares in (1, 2):
+            h = at_head(base, 0)
+            for buf in vars(h.workspace).values():
+                buf[:] = np.nan
+            works = [ChunkWorkspace(h.n_slices, grid.n) for _ in range(spares)]
+            fed = StackReduction(h, m, (8, 4, 0.5))
+            for i, (age, g_hat, _) in enumerate(h.chunks()):
+                if age == 0:
+                    fed.add_identity()
+                    continue
+                work = works[i % spares].cut(len(g_hat))
+                fed.add_chunk(age, grid.inv(g_hat, out=work.g, rows=work.rows), g_hat, work)
+            assert fed.tau.total.tobytes() == clean.tau.total.tobytes()
+            assert fed.scan_result() == clean.scan_result()
+            assert all(np.isnan(buf).all() for buf in vars(h.workspace).values())
 
     def test_transforms_per_slice(self, counted):
         grid = SpectralGrid(16)

@@ -162,17 +162,21 @@ class TestLiveRows:
                 assert len(views) == 1 + (head + live > n_s)  # the rows wrap round the end of the buffer
                 chunks = list(h.chunks())
                 assert chunks[0][0] == 0 and len(chunks[0][1]) == 1  # the newborn is a chunk of its own
-                assert all(0 < len(rows) <= size for _, rows in chunks)
-                ages = [age + i for age, rows in chunks for i in range(len(rows))]
+                assert all(0 < len(rows) <= size for _, rows, _ in chunks)
+                ages = [age + i for age, rows, _ in chunks for i in range(len(rows))]
                 assert ages == list(range(live))
-                assert all(np.shares_memory(row, h.slice(age + i)) for age, rows in chunks for i, row in enumerate(rows))
+                assert all(np.shares_memory(row, h.slice(age + i))
+                           for age, rows, _ in chunks for i, row in enumerate(rows))
+                # each chunk's workspace: the leading slices of the history's, one per row
+                assert all(len(buf) == len(rows) and np.shares_memory(buf, getattr(h.workspace, name))
+                           for _, rows, work in chunks for name, buf in vars(work).items())
                 for first in (0, 1):
                     stacked = [row for rows in h.age_rows(first) for row in rows]
                     assert len(stacked) == live - first
                     assert all(np.shares_memory(row, h.slice(first + j)) for j, row in enumerate(stacked))
         # a full history from row 0: the newborn, then chunks of the other ages from age 1 on
         h.head = 0
-        assert [(age, len(rows)) for age, rows in h.chunks()] == [(0, 1)] + [
+        assert [(age, len(rows)) for age, rows, _ in h.chunks()] == [(0, 1)] + [
             (age, min(size, n_s - age)) for age in range(1, n_s, size)]
 
     def test_tail_row_mass_and_slices(self, grid, age_grid):
@@ -182,7 +186,7 @@ class TestLiveRows:
             stretch_advect_step(h, st.jet, st.jet, age_grid.ds)
         assert h.live == 4
         # ages 0 .. 2 end the buffer; the tail row, age 3, wraps round to row 0
-        assert [(age, len(rows)) for age, rows in h.chunks()] == [(0, 1), (1, 2), (3, 1)]
+        assert [(age, len(rows)) for age, rows, _ in h.chunks()] == [(0, 1), (1, 2), (3, 1)]
         assert np.shares_memory(list(h.chunks())[-1][1], h.payload[0])
         assert h.mass(3, 1)[0] == age_grid.tail_mass[3] == pytest.approx(age_grid.node_mass[3:].sum(), rel=1e-14)
         assert h.mass(0, 3).tolist() == age_grid.node_mass[:3].tolist()
