@@ -128,8 +128,14 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_converge)
 
     args = parser.parse_args(argv)
-    if args.threads is not None:  # MEMFLOW_THREADS is applied when spectral is imported
-        spectral.set_workers(args.threads)
+    try:
+        if args.threads is not None:
+            spectral.set_workers(args.threads)
+        else:  # read MEMFLOW_THREADS now, so a bad value is a config error
+            spectral.get_workers()
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     try:
         return args.func(args)
     except (ConfigError, HistoryTooLongError) as exc:  # the tail tolerance does not fit the memory cap

@@ -186,14 +186,14 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
 
         n_steps, logged = cfg.n_steps, step0  # logged: the step of the last record
         for step in range(step0 + 1, n_steps + 1):
-            u_old = state.jet
+            u_old, u_old_hat = state.jet, state.u_hat  # advance_flow rebinds both
             snapshot = out_dir is not None and cfg.snapshot_every and step % cfg.snapshot_every == 0
             monitored = step % cfg.cadence == 0 or step == n_steps or (snapshot and cfg.checkpoint)
             stack_pass = StackReduction(history, measure, scan_args if monitored else None)
             try:
                 advance_flow(state, tau, cfg.dt, cfg.cfl_safety)
                 state.t = step * cfg.dt  # re-pin against substep roundoff drift
-                stretch_advect_step(history, u_old, state.jet, cfg.dt, stack_pass)
+                stretch_advect_step(history, u_old, state.jet, cfg.dt, stack_pass, u_old_hat)
                 if oracle is not None:
                     oldroyd_differential_step(oracle, u_old, state.jet, cfg.dt)
             except FloatingPointError as exc:  # non-finite flow, history or oracle; degenerate history

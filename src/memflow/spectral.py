@@ -31,21 +31,26 @@ import scipy.fft as _fft
 
 TWO_PI = 2.0 * math.pi
 
-_workers = max(1, min(4, os.cpu_count() or 1))
+_workers = None  # set on first use when set_workers has not set it
 
 
 def set_workers(n: int):
-    """Set the FFT worker count (also via the MEMFLOW_THREADS env var)."""
+    """Set the FFT worker count."""
     global _workers
     _workers = max(1, int(n))
 
 
 def get_workers() -> int:
+    """The FFT worker count: the one :func:`set_workers` set, else the
+    MEMFLOW_THREADS env var's, else the CPU count up to 4.  Raises
+    ``ValueError`` if MEMFLOW_THREADS is set but not an integer."""
+    if _workers is None:
+        value = os.environ.get("MEMFLOW_THREADS")
+        try:
+            set_workers(int(value) if value else min(4, os.cpu_count() or 1))
+        except ValueError:
+            raise ValueError(f"MEMFLOW_THREADS must be an integer, got {value!r}") from None
     return _workers
-
-
-if os.environ.get("MEMFLOW_THREADS"):
-    set_workers(int(os.environ["MEMFLOW_THREADS"]))
 
 
 def band_shape(n: int) -> tuple[int, int]:
@@ -96,20 +101,30 @@ class SpectralGrid:
 
     # -- transforms ---------------------------------------------------------
 
-    def fwd(self, f: np.ndarray, out: np.ndarray | None = None, rows: np.ndarray | None = None) -> np.ndarray:
+    def fwd(self, f: np.ndarray, out: np.ndarray | None = None, rows: np.ndarray | None = None,
+            less: np.ndarray | None = None) -> np.ndarray:
         """Forward transform over the two spatial axes.
 
         Without ``out``: the half spectrum, shape ``(..., n, n//2 + 1)``.  An
         ``out`` of shape ``(..., *band_shape)`` selects the band transform: a
         row ``rfft`` into ``rows`` (complex scratch of the half-spectrum shape,
         allocated if not given), then the column FFT of the kc + 1 kept
-        columns only, whose band rows are copied into ``out``.
+        columns only, whose band rows are copied into ``out``.  ``less``, of
+        the kept columns' shape ``(..., n, kc + 1)``, is subtracted from them
+        before their column FFT: a multiplier of whole columns (such as
+        ``d2_band``) commutes with it, so ``band(f) - d2 band(h)`` takes one
+        column FFT, with ``less = d2 R(h)``.  An ``out`` of the half-spectrum
+        shape selects that row transform R alone, which writes into ``out``.
         """
         if out is None:
-            return _fft.rfft2(f, axes=(-2, -1), workers=_workers)
+            return _fft.rfft2(f, axes=(-2, -1), workers=get_workers())
         n, kc = self.n, self.kc
+        if out.shape[-1] == n // 2 + 1:  # the row transform only
+            return np.fft.rfft(f, axis=-1, out=out)
         rows = np.fft.rfft(f, axis=-1, out=rows)
         cols = rows[..., : kc + 1]
+        if less is not None:
+            cols -= less
         np.fft.fft(cols, axis=-2, out=cols)
         out[..., : kc + 1, :] = cols[..., : kc + 1, :]
         out[..., kc + 1 :, :] = cols[..., n - kc :, :]
@@ -125,8 +140,9 @@ class SpectralGrid:
         ``irfft``.
         """
         if out is None:
-            f_hat = _fft.ifft(f_hat, axis=-2, workers=_workers)
-            return _fft.irfft(f_hat, n=self.n, axis=-1, workers=_workers, overwrite_x=True)
+            workers = get_workers()
+            f_hat = _fft.ifft(f_hat, axis=-2, workers=workers)
+            return _fft.irfft(f_hat, n=self.n, axis=-1, workers=workers, overwrite_x=True)
         n, kc = self.n, self.kc
         if rows is None:
             rows = np.empty(f_hat.shape[:-2] + (n, n // 2 + 1), dtype=complex)

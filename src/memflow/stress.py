@@ -155,7 +155,16 @@ def history_scan(history: DeformationHistory, q: float, r: float, mu: float = 1.
 
 
 def stress_gradient_norm(tau: np.ndarray, grid: SpectralGrid, q: float) -> float:
-    """Discrete L^q norm of the pointwise Frobenius norm of grad tau."""
-    dtau = grid.gradient(tau)  # (2, 2, 2, n, n): derivative axis first
+    """Discrete L^q norm of the pointwise Frobenius norm of grad tau.
+
+    A symmetric ``tau`` (every catalog measure's is, bit for bit) has three
+    distinct components; only they are transformed, and the gradient of
+    tau[0, 1] stands in for that of tau[1, 0], which gives the bits of
+    transforming all four."""
+    if np.array_equal(tau[0, 1], tau[1, 0]):
+        parts = grid.gradient(tau.reshape(4, *tau.shape[2:])[[0, 1, 3]])  # of tau_00, tau_01, tau_11
+        dtau = np.take(parts, [0, 1, 1, 2], axis=1).reshape((2,) + tau.shape)  # C order, as einsum's bits need
+    else:
+        dtau = grid.gradient(tau)  # (2, 2, 2, n, n): derivative axis first
     mag = np.sqrt(np.einsum("djkyx,djkyx->yx", dtau, dtau))
     return grid.lq_norm(mag, q)

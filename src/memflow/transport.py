@@ -29,6 +29,9 @@ step k from rest holds min(k + 1, N_s) live rows, not N_s.
 The newborn row, age 0, is known before a step does any work: the
 deformation at age zero is the identity, F(t, t) = I.  So a step sets it
 and does not step it; step k from rest advances min(k, N_s - 1) rows.
+The next step finds that row, now age 1, still the identity, and given
+the old velocity's spectrum takes its first Heun stage in closed form
+(:func:`_identity_stage`): 16 transforms, where every other row takes 36.
 
 Every pass visits the live rows in age order, newborn first, so its bits
 do not depend on where the circular buffer's head sits.  A step is the
@@ -160,10 +163,11 @@ class ChunkWorkspace:
         self.rows = np.empty((c, 2, 2, n, n // 2 + 1), dtype=complex)
         self.rhs, self.spec, self.flux = (np.empty((c, 2, 2, *band_shape(n)), dtype=complex) for _ in range(3))
 
-    def cut(self, c: int) -> "ChunkWorkspace":
-        """The workspace of a chunk of ``c`` rows: views of the first ``c`` slices of each buffer."""
+    def cut(self, stop: int, start: int = 0) -> "ChunkWorkspace":
+        """The workspace of the rows ``start .. stop - 1`` of a chunk: views of
+        those slices of each buffer."""
         work = object.__new__(ChunkWorkspace)
-        vars(work).update((name, buf[:c]) for name, buf in vars(self).items())
+        vars(work).update((name, buf[start:stop]) for name, buf in vars(self).items())
         return work
 
     @staticmethod
@@ -190,7 +194,9 @@ def init_history(spec, grid: SpectralGrid, age_grid: AgeGrid, mu: float = 1.0) -
     order, which is projected onto the band (``live = n_nodes``).  The
     projected fields must keep ``det G >= mu > 0`` at every node; data
     whose age-zero slice differs from the identity is accepted with a
-    warning (the boundary condition overwrites it after the first step).
+    warning.  That slice is not overwritten: the first step's shift carries
+    it to age 1 and steps it like every other age, and the identity enters
+    as the new age 0.
     """
     payload = np.zeros((age_grid.n_nodes, 2, 2, *grid.band_shape), dtype=complex)
     if isinstance(spec, str):
@@ -259,21 +265,79 @@ def _react_rhs_hat(grid: SpectralGrid, g: np.ndarray, u_jet: np.ndarray, work: C
     products, which is the cheaper direction for this stack size.  The
     products are formed in ``work.prod``, the chunk's workspace; ``u_jet``
     is the velocity's jet ``(u, d1 u, d2 u)``, so ``grad_u[l, k] = d_l u_k``.
+    d2 multiplies whole columns, so it commutes with the column FFT of a
+    band transform: band(G . grad u) - d2 band(u2 G) takes one column pass
+    (:meth:`SpectralGrid.fwd` with ``less``).  ``g`` is overwritten: once
+    the three products are formed, its memory holds d2 R(u2 G).
     """
     u, grad_u = u_jet[0], u_jet[1:]
     prod, rows, flux = work.prod, work.rows, work.flux
-    np.einsum("cjlyx,lkyx->cjkyx", g, grad_u, out=prod)  # (G . grad u)_{jk}
-    grid.fwd(prod, out=out, rows=rows)
-    for u_l, d_l in ((u[0], grid.d1_band), (u[1], grid.d2_band)):
-        np.multiply(g, u_l, out=prod)
-        grid.fwd(prod, out=flux, rows=rows)
-        flux *= d_l
-        out -= flux
+    np.multiply(g, u[0], out=prod)
+    grid.fwd(prod, out=flux, rows=rows)
+    flux *= grid.d1_band
+    np.multiply(g, u[1], out=prod)
+    grid.fwd(prod, out=rows)  # the row transform R(u2 G) alone
+    np.einsum("cjlyx,lkyx->cjkyx", g, grad_u, out=prod)  # (G . grad u)_{jk}: g is dead from here on
+    cols = rows[..., : grid.kc + 1]
+    d2_term = g.reshape(-1)[: 2 * cols.size].view(complex).reshape(cols.shape)
+    np.multiply(cols, grid.d2_band, out=d2_term)
+    grid.fwd(prod, out=out, rows=rows, less=d2_term)
+    out -= flux
     return out
 
 
+def _identity_stage(grid: SpectralGrid, u_jet: np.ndarray, u_hat: np.ndarray, dt: float):
+    """Stage-0 right-hand side spectrum and predictor field of a row that is the identity.
+
+    With G = I the right-hand side is grad u - (div u) I, that is
+    ``[[-d2 u2, d1 u2], [d2 u1, -d1 u1]]``: its band spectrum comes from
+    the velocity's band spectrum ``u_hat``, and the predictor field
+    I + dt (grad u - (div u) I) from its jet, with no transform."""
+    (d1u1, d1u2), (d2u1, d2u2) = u_jet[1:]
+    rhs = np.stack(((-grid.d2_band * u_hat[1], grid.d1_band * u_hat[1]),
+                    (grid.d2_band * u_hat[0], -grid.d1_band * u_hat[0])))
+    pred = np.stack(((-d2u2, d1u2), (d2u1, -d1u1)))
+    pred *= dt
+    pred[0, 0] += 1.0
+    pred[1, 1] += 1.0
+    return rhs, pred
+
+
+def _step_chunk(grid: SpectralGrid, g_hat: np.ndarray, work: ChunkWorkspace, u_old, u_new, dt: float,
+                identity=None):
+    """One Heun step of a chunk (:func:`memflow.stepper.heun`): its new band
+    spectra and fields.  With ``identity`` (:func:`_identity_stage`) the
+    chunk's first row is the identity and takes its stage-0 right-hand side
+    and predictor field from there, the transforms only from its stage-1
+    right-hand side on; the other rows take every transform."""
+    out, skip = (work.rhs, work.spec), int(identity is not None)
+    rest = work.cut(len(g_hat), skip)  # the workspace of the rows that take every transform
+
+    def rest_fields(f):
+        if len(rest.g):
+            grid.inv(f[skip:], out=rest.g, rows=rest.rows)
+        return work.g
+
+    def inv(f):  # heun writes its predictor into out[1]: the identity row's is known
+        if skip and f is out[1]:
+            work.g[0] = identity[1]
+            return rest_fields(f)
+        return grid.inv(f, out=work.g, rows=work.rows)
+
+    def rhs(y, k):
+        if k or not skip:
+            return _react_rhs_hat(grid, y, (u_old, u_new)[k], work, out[k])
+        out[0][0] = identity[0]
+        if len(rest.g):
+            _react_rhs_hat(grid, y[skip:], u_old, rest, out[0][skip:])
+        return out[0]
+
+    return heun(rest_fields(g_hat), g_hat, rhs, inv, dt, stage=out[1])
+
+
 def stretch_advect_step(
-    history: DeformationHistory, u_old: np.ndarray, u_new: np.ndarray, dt: float, reduction=None
+    history: DeformationHistory, u_old: np.ndarray, u_new: np.ndarray, dt: float, reduction=None,
+    u_old_hat: np.ndarray | None = None,
 ) -> DeformationHistory:
     """One full history step: age shift, then Heun react-advect of every live slice but the newborn.
 
@@ -293,18 +357,26 @@ def stretch_advect_step(
     ``add_chunk(age, g, g_hat, work)`` for each chunk of updated rows from
     age ``age`` on (the physical fields, their band spectra and the chunk's
     workspace).  Transforms run on the history's grid.
+
+    Given ``u_old_hat``, the band spectrum of ``u_old``'s field, the age-1
+    row, when it is bit for bit the identity spectrum the shift writes,
+    needs no transform until its second stage (:func:`_identity_stage`):
+    16 transforms, not 36.  It is so after every step (the newborn that
+    step set), in a history from rest (its tail row) and after a restart;
+    the rows of an explicit history are projections, which take the
+    transforms.
     """
     grid = history.grid
     age_shift(history)  # the row before the head becomes the newborn, the identity
+    identity = None
+    if u_old_hat is not None and np.array_equal(*(history.slice(j).view(np.uint64) for j in (1, 0))):
+        identity = _identity_stage(grid, u_old, u_old_hat, dt)  # the age-1 row has the newborn's bits
     for age, g_hat, work in history.chunks():
         if age == 0:  # the newborn is set, not stepped: F(t, t) = I
             if reduction is not None:
                 reduction.add_identity()
             continue
-        out = (work.rhs, work.spec)
-        inv = lambda f: grid.inv(f, out=work.g, rows=work.rows)
-        rhs = lambda y, k: _react_rhs_hat(grid, y, (u_old, u_new)[k], work, out[k])
-        r1, g = heun(inv(g_hat), g_hat, rhs, inv, dt, stage=out[1])  # r1: the band spectrum of the new state
+        r1, g = _step_chunk(grid, g_hat, work, u_old, u_new, dt, identity if age == 1 else None)
         if not np.isfinite(g).all():
             bad = age + int(np.argwhere(~np.isfinite(g))[0, 0])
             raise HistoryNaNError(f"non-finite deformation at step {history.generation + 1}, age slice {bad}")

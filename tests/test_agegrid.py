@@ -120,3 +120,24 @@ def test_kahan_sum_scalar_path_matches_array_path():
         scalar.add(coeffs[lo : lo + 7], list(samples[lo : lo + 7]))
         vector.add(coeffs[lo : lo + 7], samples[lo : lo + 7, None])
     assert scalar.total.shape == () and float(scalar.total) == float(vector.total[0])
+
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0, math.inf, -math.inf, math.nan, -1.5e-310])
+@np.errstate(invalid="ignore")  # inf - inf
+def test_kahan_sum_first_term_matches_textbook_bits(first):
+    # an empty sum's first term skips subtracting a zero compensation and a zero total: same bits
+    coeffs, samples = [0.5, 0.25, 3.0], [first, -0.0, 1e-17]
+    total, comp, steps = np.zeros(()), np.zeros(()), []
+    for c, f in zip(coeffs, samples):  # textbook compensated summation, every operation done
+        y = c * np.float64(f) - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        steps.append((total.tobytes(), comp.tobytes()))
+    for shape in ((), (3,)):
+        kahan = KahanSum(shape)
+        for (c, f), (total_bits, comp_bits) in zip(zip(coeffs, samples), steps):
+            kahan.add([c], [np.full(shape, f)])
+            for got, bits in ((kahan.total, total_bits), (kahan._comp, comp_bits)):
+                assert np.asarray(got).tobytes() == bits * math.prod(shape)

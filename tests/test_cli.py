@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +99,18 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "oldroyd-b" in out and "h2_satisfied=false" in out
+
+
+    def test_bad_thread_count_exit_one(self):
+        # MEMFLOW_THREADS is read when the command starts, not when memflow is imported
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, MEMFLOW_THREADS="abc",
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-m", "memflow.cli", "verify"], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 1
+        assert done.stderr == "config error: MEMFLOW_THREADS must be an integer, got 'abc'\n"
+        assert done.stdout == ""
 
 
 class TestOracleCommand:

@@ -6,7 +6,8 @@ import pytest
 from scipy import integrate
 
 from memflow.agegrid import build_age_grid
-from memflow.constitutive import StrainMeasure, model_catalog, single_exponential_kernel
+from memflow.constitutive import INI_MODELS, StrainMeasure, model_catalog, single_exponential_kernel
+from memflow.snapshots import read_checkpoint, write_checkpoint
 from memflow.spectral import SpectralGrid, taylor_green
 from memflow.stepper import FlowState, advance_flow
 from memflow.stress import (
@@ -327,11 +328,102 @@ class TestTailRow:
             assert passes[0].scan_result() == pytest.approx(passes[1].scan_result(), rel=1e-13)
 
     def test_transforms_per_step(self, counted):
+        # given the velocity spectrum, the age-1 row (the tail row at step 1, then the last newborn) is the
+        # identity: 16 transforms, 24 monitored; every older row takes 36, 44 monitored
         grid, ag, m, unmonitored, _ = self.histories()
         monitored = init_history("identity", grid, ag)
-        u = FlowState(grid, taylor_green(grid), 0.1).jet
+        st = FlowState(grid, taylor_green(grid), 0.1)
+        u = st.jet
         for k in range(1, ag.n_nodes + 3):
-            for h, scan, per_slice in ((unmonitored, None, 36), (monitored, (8, 4, 1.0), 44)):
+            for h, scan, first, per_slice in ((unmonitored, None, 16, 36), (monitored, (8, 4, 1.0), 24, 44)):
                 counted["transforms"] = 0
-                stretch_advect_step(h, u, 0.9 * u, ag.ds, StackReduction(h, m, scan))
-                assert counted["transforms"] == per_slice * (min(k + 1, ag.n_nodes) - 1)
+                stretch_advect_step(h, u, 0.9 * u, ag.ds, StackReduction(h, m, scan), u_old_hat=st.u_hat)
+                assert counted["transforms"] == first + per_slice * (min(k + 1, ag.n_nodes) - 2)
+
+
+class TestIdentityRow:
+    """Given the old velocity's spectrum, a step takes the age-1 row's first Heun stage in closed form
+    exactly when that row is bit for bit the identity spectrum: 16 transforms (24 monitored), not 36 (44).
+    From rest: :meth:`TestTailRow.test_transforms_per_step`."""
+
+    @staticmethod
+    def step(h, st, counted, scan=None):
+        """One step with a frozen velocity; returns its transforms."""
+        _, m = model_catalog("psm-raw")
+        counted["transforms"] = 0
+        stretch_advect_step(h, st.jet, st.jet, h.age_grid.ds, StackReduction(h, m, scan), u_old_hat=st.u_hat)
+        return counted["transforms"]
+
+    @staticmethod
+    def eye_bits(h):
+        """Whether the age-0 row holds the identity's bits as the shift writes them: n^2 at the mean mode."""
+        eye = np.zeros_like(h.slice(0))
+        eye[0, 0, 0, 0] = eye[1, 1, 0, 0] = h.grid.n**2
+        return h.slice(0).tobytes() == eye.tobytes()
+
+    @pytest.mark.parametrize("k", [3, 20])
+    def test_restart_from_wrapped_checkpoint(self, counted, tmp_path, k):
+        grid, ag, _, h, _ = TestTailRow.histories()
+        st = FlowState(grid, taylor_green(grid), 0.1)
+        for _ in range(k):
+            self.step(h, st, counted)
+        assert len(h.age_rows()) == 2 and h.live == min(k + 1, ag.n_nodes)  # the live rows wrap round the buffer
+        write_checkpoint(tmp_path / "chk", step=k, t=k * ag.ds, y_value=0.0, y_integrand=0.0, u=st.u_hat,
+                         history=h.age_rows(), n_slices=h.n_slices)
+        chk = read_checkpoint(tmp_path / "chk")
+        resumed = DeformationHistory(chk["history"], ag, grid, generation=k, live=chk["live"])
+        assert self.eye_bits(resumed)
+        for straight_or_resumed in (h, resumed):
+            assert self.step(straight_or_resumed, st, counted) == 16 + 36 * (min(k + 2, ag.n_nodes) - 2)
+        assert np.concatenate(resumed.age_rows()).tobytes() == np.concatenate(h.age_rows()).tobytes()
+
+    def test_explicit_stack(self, counted):
+        # an explicit identity stack is projected: its rows are the identity in value, not in bits (-0.0),
+        # so they take every transform; the row that carries the identity's exact bits does not
+        grid, ag, _, rest, full = TestTailRow.histories()
+        _, _, _, _, exact = TestTailRow.histories()
+        exact.slice(0)[:] = rest.slice(0)
+        np.testing.assert_array_equal(full.slice(0), exact.slice(0))
+        assert not self.eye_bits(full) and self.eye_bits(exact)
+        st = FlowState(grid, taylor_green(grid), 0.1)
+        n_s = ag.n_nodes
+        assert self.step(full, st, counted) == 36 * (n_s - 1)
+        assert self.step(exact, st, counted) == 16 + 36 * (n_s - 2)
+        for h in (full, exact):  # from the next step on, the age-1 row is the newborn
+            assert self.step(h, st, counted) == 16 + 36 * (n_s - 2)
+
+    def test_perturbed_explicit_history(self, counted):
+        grid = SpectralGrid(16)
+        ag = build_age_grid(single_exponential_kernel(), 0.05, 1e-2)
+        h = perturbed_history(grid, ag)
+        st = FlowState(grid, taylor_green(grid), 0.1)
+        assert self.step(h, st, counted, (8, 4, 1.0)) == 44 * (h.n_slices - 1)
+        assert self.step(h, st, counted, (8, 4, 1.0)) == 24 + 44 * (h.n_slices - 2)
+
+
+@pytest.mark.parametrize("name", INI_MODELS)
+def test_stress_gradient_norm_of_symmetric_stress(counted, name):
+    # the stress of every catalog measure is symmetric bit for bit: three components are transformed
+    # (3 forward and 6 inverse whole-spectrum transforms, not 4 and 8), with the bits of all four
+    grid = SpectralGrid(32)
+    ag = build_age_grid(single_exponential_kernel(), 0.05, 1e-2)
+    h = perturbed_history(grid, ag, seed=9)
+    _, m = model_catalog(name)
+    st = FlowState(grid, taylor_green(grid), 0.1)
+    for _ in range(2):
+        reduction = StackReduction(h, m)
+        stretch_advect_step(h, st.jet, 0.9 * st.jet, ag.ds, reduction, u_old_hat=st.u_hat)
+    tau = reduction.tau.total
+    assert tau[0, 1].tobytes() == tau[1, 0].tobytes() and np.abs(tau[0, 1]).max() > 1e-6
+    dtau = grid.gradient(tau)
+    for q in (2, 8):
+        expected = grid.lq_norm(np.sqrt(np.einsum("djkyx,djkyx->yx", dtau, dtau)), q)
+        counted["transforms"] = 0
+        assert stress_gradient_norm(tau, grid, q) == expected
+        assert counted["transforms"] == 9
+    asymmetric = tau.copy()
+    asymmetric[1, 0] *= 1.5
+    dtau = grid.gradient(asymmetric)
+    expected = grid.lq_norm(np.sqrt(np.einsum("djkyx,djkyx->yx", dtau, dtau)), 8)
+    counted["transforms"] = 0
+    assert stress_gradient_norm(asymmetric, grid, 8) == expected and counted["transforms"] == 12

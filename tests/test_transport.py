@@ -8,7 +8,7 @@ import pytest
 from memflow import transport
 from memflow.agegrid import build_age_grid
 from memflow.constitutive import model_catalog, single_exponential_kernel
-from memflow.spectral import SpectralGrid, taylor_green
+from memflow.spectral import SpectralGrid, random_band_limited_velocity, taylor_green
 from memflow.stepper import FlowState, advance_flow, heun
 from memflow.stress import StackReduction
 from memflow.transport import (
@@ -247,6 +247,19 @@ class TestStep:
             rows = min(k + 1, ag.n_nodes) if start == "identity" else ag.n_nodes
             assert sum(len(y_hat) for y_hat in stepped) == rows - 1
 
+    def test_explicit_age_zero_slice_is_stepped_not_overwritten(self, grid, age_grid):
+        # the shift carries a supplied age-0 slice of 1.1 I to age 1; at rest its step leaves it as it is
+        stack = identity_stack(age_grid.n_nodes, N)
+        stack[0] *= 1.1
+        with pytest.warns(UserWarning, match="age-zero slice"):
+            h = init_history(stack, grid, age_grid)
+        supplied = h.slice(0).copy()
+        assert supplied.tobytes() == grid.band(stack[0]).tobytes()
+        u0 = np.zeros((3, 2, N, N))  # the jet of the fluid at rest
+        stretch_advect_step(h, u0, u0, age_grid.ds, u_old_hat=grid.band(u0[0]))
+        assert h.slice(1).tobytes() == (supplied + 0.0).tobytes()  # the step adds zeros: -0.0 becomes 0.0
+        assert h.slice(0).tobytes() == identity_band(h)[0].tobytes()
+
     def test_determinant_transport_taylor_green(self, grid):
         # det G is conserved along characteristics for divergence-free u
         ag = build_age_grid(single_exponential_kernel(), 0.05, 1e-4)
@@ -269,6 +282,37 @@ class TestStep:
         u0 = np.zeros((3, 2, N, N))  # the jet of the fluid at rest
         with pytest.raises(HistoryNaNError, match="step 1, age slice 6$"):  # its age after the shift
             stretch_advect_step(h, u0, u0, age_grid.ds)
+
+
+class TestIdentityRow:
+    """The age-1 row, when it is the identity, takes its first Heun stage in closed form."""
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_closed_form_matches_transforms(self, n):
+        grid, dt = SpectralGrid(n), 0.05
+        st = FlowState(grid, random_band_limited_velocity(grid, seed=n, band=6), eta=0.1)
+        rhs, pred = transport._identity_stage(grid, st.jet, st.u_hat, dt)
+        work = ChunkWorkspace(1, n)
+        eye_hat = grid.band(identity_stack(1, n))
+        eye = grid.inv(eye_hat, out=work.g, rows=work.rows)
+        transformed = transport._react_rhs_hat(grid, eye, st.jet, work, np.empty_like(eye_hat))[0]
+        predictor = grid.field(eye_hat[0] + dt * transformed)
+        assert np.abs(transformed).max() > 1.0 and np.abs(predictor - identity_stack(1, n)[0]).max() > 1e-3
+        for closed, full in ((rhs, transformed), (pred, predictor)):
+            np.testing.assert_allclose(closed, full, rtol=0, atol=1e-14 * np.abs(full).max())
+
+    def test_step_matches_transformed_path(self, grid):
+        # with the velocity spectrum the age-1 row skips its first stage's transforms; the rows agree to roundoff
+        ag = build_age_grid(single_exponential_kernel(), 0.1, 1e-2)
+        fast, slow = init_history("identity", grid, ag), init_history("identity", grid, ag)
+        st = FlowState(grid, random_band_limited_velocity(grid, seed=4, band=5), eta=0.1)
+        for _ in range(ag.n_nodes + 2):
+            u_old, u_old_hat = st.jet, st.u_hat
+            advance_flow(st, None, ag.ds, 0.5)
+            stretch_advect_step(fast, u_old, st.jet, ag.ds, u_old_hat=u_old_hat)
+            stretch_advect_step(slow, u_old, st.jet, ag.ds)
+            np.testing.assert_allclose(by_age(fast), by_age(slow), rtol=0, atol=1e-13 * N * N)
+        assert by_age(fast).tobytes() != by_age(slow).tobytes()
 
 
 class TestAllocation:
