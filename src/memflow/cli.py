@@ -36,6 +36,7 @@ def cmd_run(args) -> int:
     ages = history.age_grid
     print(f"history: N_s={history.n_slices}  s_max={ages.s_max:.6g}  tail_error={ages.tail_error:.4e}  "
           f"rows stepped in last step={history.live - 1 if history.generation else 0}")
+    print(f"flow: substeps={result.substeps}")
     if result.records:
         rec = result.records[-1]
         print(f"final t={rec.t:.6g}  |tau|_inf={rec.stress_sup:.6g}  min det G={rec.min_detG:.6g}  y={rec.y_value:.6g}")

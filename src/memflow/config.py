@@ -98,6 +98,8 @@ def validate(cfg: SimulationConfig):
         raise ConfigError("diagnostics.cadence must be >= 1")
     if cfg.snapshot_every < 0:
         raise ConfigError("output.snapshot_every must be >= 0")
+    if any(j < 0 for j in cfg.history_slices):  # the upper end, N_s - 1, is known once the age grid is built
+        raise ConfigError(f"output.history_slices must be >= 0, got {list(cfg.history_slices)}")
 
 
 # [section] -> {key: SimulationConfig field}; [model] also takes the

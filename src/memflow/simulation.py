@@ -66,6 +66,7 @@ class RunResult:
     tau: np.ndarray | None = None
     measure: object = None
     oracle_gap: float | None = field(default=None)
+    substeps: int = 0  # flow substeps this run took, summed over its base steps
 
     @property
     def ok(self) -> bool:
@@ -112,6 +113,10 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
     free_bytes = cfg.memory_cap_mb * 2**20 - ChunkWorkspace.nbytes_for(cfg.n)
     max_nodes = max(0, int(free_bytes // (4 * 16 * math.prod(grid.band_shape))))
     age_grid = build_age_grid(kernel, cfg.dt, cfg.eps_tail, max_nodes=max_nodes)
+    past = [j for j in cfg.history_slices if j >= age_grid.n_nodes]
+    if past:
+        raise ConfigError(f"output.history_slices {past} outside 0 .. {age_grid.n_nodes - 1}: "
+                          f"the age grid has N_s = {age_grid.n_nodes} slices")
 
     mcfg = MonitorConfig(q=cfg.q, r=cfg.r, mu=cfg.mu_min, det_tol=cfg.det_tol, stress_tol=cfg.stress_tol)
 
@@ -150,6 +155,7 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
         csv_fh, csv_first_row = _open_diagnostics(out_dir / "diagnostics.csv", t_restart)
 
     records: list[DiagnosticsRecord] = []
+    substeps = 0
 
     def log(rec: DiagnosticsRecord, to_csv: bool = True):
         records.append(rec)
@@ -161,7 +167,7 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
         if oracle is not None and tau is not None:
             gap = _relative_l2_gap(grid, tau, oracle.tau)
         return RunResult(exit_code=code, records=records, message=message, state=state, history=history,
-                         oracle=oracle, tau=tau, measure=measure, oracle_gap=gap)
+                         oracle=oracle, tau=tau, measure=measure, oracle_gap=gap, substeps=substeps)
 
     def checkpoint(step: int):
         if csv_fh is not None:
@@ -191,7 +197,7 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
             monitored = step % cfg.cadence == 0 or step == n_steps or (snapshot and cfg.checkpoint)
             stack_pass = StackReduction(history, measure, scan_args if monitored else None)
             try:
-                advance_flow(state, tau, cfg.dt, cfg.cfl_safety)
+                substeps += advance_flow(state, tau, cfg.dt, cfg.cfl_safety)
                 state.t = step * cfg.dt  # re-pin against substep roundoff drift
                 stretch_advect_step(history, u_old, state.jet, cfg.dt, stack_pass, u_old_hat)
                 if oracle is not None:
@@ -244,6 +250,5 @@ def _write_snapshots(out_dir: Path, step: int, state: FlowState, tau, history, c
     write_field(d / "u.fld", state.u)
     write_field(d / "tau.fld", tau)
     g = np.empty((2, 2, cfg.n, cfg.n))
-    for j in cfg.history_slices:
-        if 0 <= j < history.n_slices:  # physical fields, like every other snapshot
-            write_field(d / f"g_{j:05d}.fld", history.grid.inv(history.slice(j), out=g))
+    for j in cfg.history_slices:  # physical fields, like every other snapshot
+        write_field(d / f"g_{j:05d}.fld", history.grid.inv(history.slice(j), out=g))

@@ -21,9 +21,12 @@ point, a y integrand of exactly 0 (grad I = 0), det G = 1 and
 |G| = sqrt(2), with no transform (:meth:`StackReduction.add_identity`).
 These are the terms the identity's fields would add, first in the
 compensated sums, which run in age order.  :meth:`StackReduction.over_stack`
-feeds it the stored band stack, 4 inverse transforms per slice, at the
-initial state and on restart, and so do :func:`assemble_stress` and
-:func:`history_scan`.
+feeds it the stored band stack at the initial state and on restart, and
+so do :func:`assemble_stress` and :func:`history_scan`: 4 inverse
+transforms per slice, 12 with the scan, but an age-0 row that is bit for
+bit the identity spectrum (:func:`~memflow.transport.is_identity`) goes
+as the newborn, with none.  So a run from rest starts with no history
+transform, and a restart's first pass takes 12 (live - 1).
 
 Only the live rows of the history are fed (:mod:`memflow.transport`): a
 flow started from rest k steps ago holds min(k + 1, N_s) of them, visited
@@ -44,7 +47,7 @@ import numpy as np
 from .agegrid import KahanSum
 from .constitutive import StrainMeasure
 from .spectral import SpectralGrid
-from .transport import ChunkWorkspace, DeformationHistory, det_field, identity_stack, norm_field
+from .transport import ChunkWorkspace, DeformationHistory, det_field, identity_stack, is_identity, norm_field
 
 
 class DegenerateDeformationError(FloatingPointError):
@@ -122,9 +125,15 @@ class StackReduction:
         return [norm**r for norm in grid.lq_norm(ratio, q)]
 
     def over_stack(self) -> "StackReduction":
-        """Feed the stored live rows, unchanged, their fields transformed chunk by chunk."""
+        """Feed the stored live rows, unchanged, their fields transformed chunk
+        by chunk; an age-0 row that is bit for bit the identity spectrum
+        (:func:`~memflow.transport.is_identity`) goes as the newborn a step
+        sets, :meth:`add_identity`, with no transform."""
         for age, g_hat, work in self.history.chunks():
-            self.add_chunk(age, self.grid.inv(g_hat, out=work.g, rows=work.rows), g_hat, work)
+            if age == 0 and is_identity(g_hat[0], self.grid.n):
+                self.add_identity()
+            else:
+                self.add_chunk(age, self.grid.inv(g_hat, out=work.g, rows=work.rows), g_hat, work)
         return self
 
     def scan_result(self) -> tuple[float, float, float]:

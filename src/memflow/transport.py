@@ -185,6 +185,22 @@ def identity_stack(n_slices: int, n: int) -> np.ndarray:
     return out
 
 
+def set_identity(row: np.ndarray, n: int) -> np.ndarray:
+    """Write the identity's band spectrum on an n x n grid into ``row``, shape
+    ``(2, 2, *band_shape(n))``: n^2 at the mean mode of the diagonal, +0.0
+    everywhere else."""
+    row[:] = 0.0
+    row[0, 0, 0, 0] = row[1, 1, 0, 0] = n**2
+    return row
+
+
+def is_identity(row: np.ndarray, n: int) -> bool:
+    """Whether ``row`` holds bit for bit the identity spectrum :func:`set_identity`
+    writes: n^2 at the two diagonal mean modes and no other nonzero word (a
+    projected identity's -0.0 is one), checked in one pass, with no buffer."""
+    return bool(row[0, 0, 0, 0] == n**2 and row[1, 1, 0, 0] == n**2 and np.count_nonzero(row.view(np.uint64)) == 2)
+
+
 def init_history(spec, grid: SpectralGrid, age_grid: AgeGrid, mu: float = 1.0) -> DeformationHistory:
     """Build the initial history.
 
@@ -202,8 +218,7 @@ def init_history(spec, grid: SpectralGrid, age_grid: AgeGrid, mu: float = 1.0) -
     if isinstance(spec, str):
         if spec != "identity":
             raise ValueError(f"unknown history spec {spec!r}")
-        # the mean mode of the tail row: no other page is written, so rows not yet live stay unmapped
-        payload[0, 0, 0, 0, 0] = payload[0, 1, 1, 0, 0] = grid.n**2
+        set_identity(payload[0], grid.n)  # the tail row: rows not yet live stay unmapped
         return DeformationHistory(payload, age_grid, grid, live=1)
     data = np.asarray(spec, dtype=float)
     expected = (age_grid.n_nodes, 2, 2, grid.n, grid.n)
@@ -250,9 +265,7 @@ def age_shift(history: DeformationHistory) -> DeformationHistory:
     """
     history.head = (history.head - 1) % history.n_slices
     history.live = min(history.live + 1, history.n_slices)
-    newborn = history.payload[history.head]
-    newborn[:] = 0.0
-    newborn[0, 0, 0, 0] = newborn[1, 1, 0, 0] = history.grid.n**2  # the identity's mean mode
+    set_identity(history.payload[history.head], history.grid.n)
     return history
 
 
@@ -359,9 +372,9 @@ def stretch_advect_step(
     workspace).  Transforms run on the history's grid.
 
     Given ``u_old_hat``, the band spectrum of ``u_old``'s field, the age-1
-    row, when it is bit for bit the identity spectrum the shift writes,
-    needs no transform until its second stage (:func:`_identity_stage`):
-    16 transforms, not 36.  It is so after every step (the newborn that
+    row, when it is bit for bit the identity spectrum the shift writes
+    (:func:`is_identity`), needs no transform until its second stage
+    (:func:`_identity_stage`): 16 transforms, not 36.  It is so after every step (the newborn that
     step set), in a history from rest (its tail row) and after a restart;
     the rows of an explicit history are projections, which take the
     transforms.
@@ -369,7 +382,7 @@ def stretch_advect_step(
     grid = history.grid
     age_shift(history)  # the row before the head becomes the newborn, the identity
     identity = None
-    if u_old_hat is not None and np.array_equal(*(history.slice(j).view(np.uint64) for j in (1, 0))):
+    if u_old_hat is not None and is_identity(history.slice(1), grid.n):
         identity = _identity_stage(grid, u_old, u_old_hat, dt)  # the age-1 row has the newborn's bits
     for age, g_hat, work in history.chunks():
         if age == 0:  # the newborn is set, not stepped: F(t, t) = I

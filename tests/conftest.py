@@ -1,0 +1,37 @@
+import math
+
+import pytest
+
+from memflow.spectral import SpectralGrid
+
+
+class TransformCounts:
+    """2-D transforms of ``SpectralGrid.fwd`` and ``inv`` since the last :meth:`reset`,
+    one per leading index of the transformed array."""
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self):
+        self.fwd = self.inv = 0
+
+    @property
+    def total(self) -> int:
+        return self.fwd + self.inv
+
+
+@pytest.fixture()
+def counted(monkeypatch) -> TransformCounts:
+    counts = TransformCounts()
+
+    def counting(name):
+        method = getattr(SpectralGrid, name)
+
+        def wrapper(self, f, *args, **kwargs):
+            setattr(counts, name, getattr(counts, name) + math.prod(f.shape[:-2]))
+            return method(self, f, *args, **kwargs)
+        return wrapper
+
+    for name in ("fwd", "inv"):
+        monkeypatch.setattr(SpectralGrid, name, counting(name))
+    return counts

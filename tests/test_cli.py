@@ -53,6 +53,29 @@ class TestRunCommand:
         assert line in capsys.readouterr().out.splitlines()
         assert not re.search("N_s|rows stepped", (out / "diagnostics.csv").read_text())
 
+    def test_substeps_line(self, tmp_path, capsys, monkeypatch):
+        from memflow import simulation
+
+        inner, returns = simulation.advance_flow, []
+
+        def counting(*args, **kwargs):
+            returns.append(inner(*args, **kwargs))
+            return returns[-1]
+
+        monkeypatch.setattr(simulation, "advance_flow", counting)
+        assert main(["run", write_cfg(tmp_path)]) == 0
+        assert len(returns) == 6 and f"flow: substeps={sum(returns)}" in capsys.readouterr().out.splitlines()
+
+    def test_history_slice_past_age_grid_exit_one(self, tmp_path, capsys):
+        n_s = build_age_grid(model_catalog("psm-raw")[0], 0.05, 1e-4).n_nodes
+        out = tmp_path / "out"
+        p = tmp_path / "slices.ini"
+        p.write_text(CONFIG.format(model="psm-raw", outdir=out) + f"snapshot_every = 1\nhistory_slices = 0, {n_s}\n")
+        assert main(["run", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: output.history_slices [{n_s}] outside 0 .. {n_s - 1}") and "N_s" in err
+        assert not out.exists()
+
     def test_bad_config_exit_one(self, tmp_path, capsys):
         p = tmp_path / "bad.ini"
         p.write_text("[grid]\nn = 48\n[flow]\nviscosity=1\ndt=0.1\nt_final=1\n[model]\nname=psm-raw\n")

@@ -96,6 +96,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match="eps_tail"):
             SimulationConfig(n=64, viscosity=1.0, dt=1e-3, t_final=1.0, model_name="oldroyd-b", eps_tail=0.5)
 
+    def test_negative_history_slice_refused(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"output.history_slices must be >= 0, got \[0, -3\]"):
+            parse_config(write(tmp_path, MINIMAL + "\n[output]\nhistory_slices = 0, -3\n"))
+
+    @pytest.mark.parametrize("name", ["taylor-green-psm.ini", "oldroyd-oracle.ini"])
+    def test_bundled_history_slices_inside_age_grid(self, name):
+        from memflow.agegrid import build_age_grid
+
+        cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / name)
+        kernel, _ = model_catalog(cfg.model_name, **cfg.model_params)
+        assert all(0 <= j < build_age_grid(kernel, cfg.dt, cfg.eps_tail).n_nodes for j in cfg.history_slices)
+
     def test_oracle_requires_oldroyd(self):
         from memflow.simulation import run
 

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from memflow import simulation, snapshots, spectral
-from memflow.agegrid import HistoryTooLongError
+from memflow.agegrid import HistoryTooLongError, build_age_grid
 from memflow.config import ConfigError, SimulationConfig
+from memflow.constitutive import model_catalog
 from memflow.simulation import EXIT_NAN, EXIT_OK, EXIT_VIOLATION, run
 from memflow.snapshots import read_checkpoint, read_field, write_checkpoint, write_field
 from memflow.transport import ChunkWorkspace, identity_stack
@@ -157,6 +158,24 @@ class TestRun:
         assert run(small_cfg(t_final=0.05, memory_cap_mb=cap)).exit_code == EXIT_OK
 
 
+def test_substeps_summed_over_the_run(tmp_path, monkeypatch):
+    # the run's flow substeps are the sum of what advance_flow returns, on a straight run and on a resume
+    inner, returns = simulation.advance_flow, []
+
+    def counting(*args, **kwargs):
+        returns.append(inner(*args, **kwargs))
+        return returns[-1]
+
+    monkeypatch.setattr(simulation, "advance_flow", counting)
+    cfg = small_cfg(velocity_amplitude=4.0, output_dir=str(tmp_path / "out"))
+    res = run(cfg)
+    assert res.ok and len(returns) == cfg.n_steps and res.substeps == sum(returns) > cfg.n_steps
+    run(small_cfg(velocity_amplitude=4.0, t_final=0.3, output_dir=str(tmp_path / "half")))
+    returns.clear()
+    resumed = run(cfg, restart_from=tmp_path / "half" / "checkpoint")  # steps 7 .. 10
+    assert resumed.ok and len(returns) == 4 and resumed.substeps == sum(returns)
+
+
 class TestDeterminism:
     def test_byte_identical_across_worker_counts(self):
         cfg = small_cfg()
@@ -228,6 +247,17 @@ class TestArtifacts:
                 run(small_cfg(output_dir=str(tmp_path / "out"), snapshot_every=5))
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_history_slice_past_age_grid_refused(self, tmp_path):
+        # refused once the age grid is built, before the output directory is made
+        n_s = build_age_grid(model_catalog("psm-raw")[0], 0.05, 1e-4).n_nodes
+        out = tmp_path / "out"
+        message = rf"output.history_slices \[{n_s}, {n_s + 4}\] outside 0 .. {n_s - 1}: .* N_s = {n_s} "
+        with pytest.raises(ConfigError, match=message):
+            run(small_cfg(output_dir=str(out), snapshot_every=1, history_slices=(0, n_s, n_s - 1, n_s + 4)))
+        assert not out.exists()
+        run(small_cfg(t_final=0.05, output_dir=str(out), snapshot_every=1, history_slices=(n_s - 1,)))
+        assert read_field(out / "snap_000001" / f"g_{n_s - 1:05d}.fld").shape == (2, 2, 32, 32)
 
     def test_restart_from_physical_stack_rejected(self, tmp_path):
         run(small_cfg(t_final=0.25, output_dir=str(tmp_path / "A")))

@@ -25,6 +25,8 @@ from memflow.transport import (
     chunk_slices,
     identity_stack,
     init_history,
+    is_identity,
+    set_identity,
     stretch_advect_step,
 )
 
@@ -192,20 +194,12 @@ def at_head(history, head, live=None):
     return moved
 
 
-@pytest.fixture()
-def counted(monkeypatch):
-    """Counts the 2-D transforms of ``SpectralGrid.fwd`` and ``inv``, one per leading index."""
-    counted = {"transforms": 0}
-
-    def counting(method):
-        def wrapper(self, f, *args, **kwargs):
-            counted["transforms"] += math.prod(f.shape[:-2])
-            return method(self, f, *args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(SpectralGrid, "fwd", counting(SpectralGrid.fwd))
-    monkeypatch.setattr(SpectralGrid, "inv", counting(SpectralGrid.inv))
-    return counted
+def transformed_pass(h, m, scan=None):
+    """The stored-stack pass with every row, an identity age-0 row too, transformed and fed to ``add_chunk``."""
+    fed = StackReduction(h, m, scan)
+    for age, g_hat, work in h.chunks():
+        fed.add_chunk(age, h.grid.inv(g_hat, out=work.g, rows=work.rows), g_hat, work)
+    return fed
 
 
 class TestFusedPass:
@@ -257,7 +251,7 @@ class TestFusedPass:
         u = FlowState(grid, taylor_green(grid), 0.1).jet
         fused = StackReduction(h, m)
         stretch_advect_step(h, u, 0.9 * u, 0.05, fused)
-        np.testing.assert_array_equal(fused.tau.total, assemble_stress(h, m))
+        np.testing.assert_array_equal(fused.tau.total, transformed_pass(h, m).tau.total)
 
     def test_reduction_uses_only_the_buffers_it_is_handed(self):
         # with the history's workspace full of NaN, chunks reduced in spare buffers, one or two in
@@ -291,9 +285,9 @@ class TestFusedPass:
         _, m = model_catalog("psm-raw")
         u = FlowState(grid, taylor_green(grid), 0.1).jet  # the velocity samples carry their gradient
         for scan, per_slice in ((None, 36), ((8, 4, 1.0), 44)):
-            counted["transforms"] = 0
+            counted.reset()
             stretch_advect_step(h, u, 0.9 * u, 0.05, StackReduction(h, m, scan))
-            assert counted["transforms"] == per_slice * (h.n_slices - 1)  # the newborn is set, not stepped
+            assert counted.total == per_slice * (h.n_slices - 1)  # the newborn is set, not stepped
 
 
 class TestTailRow:
@@ -336,9 +330,9 @@ class TestTailRow:
         u = st.jet
         for k in range(1, ag.n_nodes + 3):
             for h, scan, first, per_slice in ((unmonitored, None, 16, 36), (monitored, (8, 4, 1.0), 24, 44)):
-                counted["transforms"] = 0
+                counted.reset()
                 stretch_advect_step(h, u, 0.9 * u, ag.ds, StackReduction(h, m, scan), u_old_hat=st.u_hat)
-                assert counted["transforms"] == first + per_slice * (min(k + 1, ag.n_nodes) - 2)
+                assert counted.total == first + per_slice * (min(k + 1, ag.n_nodes) - 2)
 
 
 class TestIdentityRow:
@@ -350,9 +344,9 @@ class TestIdentityRow:
     def step(h, st, counted, scan=None):
         """One step with a frozen velocity; returns its transforms."""
         _, m = model_catalog("psm-raw")
-        counted["transforms"] = 0
+        counted.reset()
         stretch_advect_step(h, st.jet, st.jet, h.age_grid.ds, StackReduction(h, m, scan), u_old_hat=st.u_hat)
-        return counted["transforms"]
+        return counted.total
 
     @staticmethod
     def eye_bits(h):
@@ -401,6 +395,79 @@ class TestIdentityRow:
         assert self.step(h, st, counted, (8, 4, 1.0)) == 24 + 44 * (h.n_slices - 2)
 
 
+class TestFirstPass:
+    """:meth:`StackReduction.over_stack`, the pass behind a run's initial state and a restart's first
+    record, adds an age-0 row that is bit for bit the identity spectrum as the newborn a step sets: no
+    transform.  Every other row takes 4 inverse transforms, 12 with the bound scan."""
+
+    SCAN = (8, 4, 1.0)
+
+    def test_history_from_rest_takes_no_transform(self, counted):
+        grid, ag, m, h, _ = TestTailRow.histories()
+        for scan in (None, self.SCAN):
+            counted.reset()
+            StackReduction(h, m, scan).over_stack()
+            assert counted.total == 0
+
+    @pytest.mark.parametrize("k", [3, 20])
+    def test_restart_first_pass(self, counted, tmp_path, k):
+        # every live row but the newborn is transformed: 12 (live - 1) transforms monitored, 4 (live - 1) not
+        grid, ag, m, h, _ = TestTailRow.histories()
+        st = FlowState(grid, taylor_green(grid), 0.1)
+        for _ in range(k):
+            TestIdentityRow.step(h, st, counted)
+        write_checkpoint(tmp_path / "chk", step=k, t=k * ag.ds, y_value=0.0, y_integrand=0.0, u=st.u_hat,
+                         history=h.age_rows(), n_slices=h.n_slices)
+        chk = read_checkpoint(tmp_path / "chk")
+        resumed = DeformationHistory(chk["history"], ag, grid, generation=k, live=chk["live"])
+        assert resumed.live == min(k + 1, ag.n_nodes) > 1
+        for scan, per_row in ((self.SCAN, 12), (None, 4)):
+            counted.reset()
+            first = StackReduction(resumed, m, scan).over_stack()
+            assert (counted.fwd, counted.inv) == (0, per_row * (resumed.live - 1))
+            reference = transformed_pass(h, m, scan)
+            assert first.tau.total.tobytes() == reference.tau.total.tobytes()
+            assert first.scan_result() == reference.scan_result()
+
+    @pytest.mark.parametrize("word", [(0, 1, 0, 0), (1, 1, 0, 1)])
+    def test_negative_zero_takes_the_transforms(self, counted, word):
+        # a -0.0 where the identity spectrum holds +0.0 (the real part of G01's mean mode, the imaginary
+        # part of G11's) is the identity in value, not in bits
+        grid, ag, m, h, _ = TestTailRow.histories()
+        h.slice(0).view(float)[word] = -0.0
+        assert not is_identity(h.slice(0), grid.n) and not TestIdentityRow.eye_bits(h)
+        counted.reset()
+        first = StackReduction(h, m, self.SCAN).over_stack()
+        assert counted.total == 12
+        exact = StackReduction(init_history("identity", grid, ag), m, self.SCAN).over_stack()
+        np.testing.assert_array_equal(first.tau.total, exact.tau.total)
+        assert first.scan_result() == exact.scan_result()
+
+    @pytest.mark.parametrize("steps", [0, 2])
+    def test_identity_path_matches_transformed_row(self, steps):
+        # the tail row from rest (tail mass) and a newborn (node mass): the bits of transforming it
+        grid, ag, m, h, _ = TestTailRow.histories()
+        st = FlowState(grid, taylor_green(grid), 0.1)
+        for _ in range(steps):
+            stretch_advect_step(h, st.jet, 0.9 * st.jet, ag.ds)
+        assert h.live == steps + 1 and is_identity(h.slice(0), grid.n)
+        fast = StackReduction(h, m, self.SCAN).over_stack()
+        reference = transformed_pass(h, m, self.SCAN)
+        assert fast.tau.total.tobytes() == reference.tau.total.tobytes()
+        assert fast.scan_result() == reference.scan_result()
+
+    def test_is_identity_is_the_bits_of_set_identity(self):
+        grid = SpectralGrid(16)
+        row = set_identity(np.full((2, 2, *grid.band_shape), np.nan, dtype=complex), 16)
+        assert is_identity(row, 16) and row.tobytes() == init_history("identity", grid, build_age_grid(
+            single_exponential_kernel(), 0.25, 0.1)).slice(0).tobytes()
+        for index, value in (((0, 0, 0, 0), 2 * 16**2), ((0, 0, 0, 0), 16**2 + 1e-13j), ((1, 0, 3, 2), 1e-300),
+                             ((0, 1, 0, 0), complex(-0.0, 0.0))):
+            bent = row.copy()
+            bent[index] = value
+            assert not is_identity(bent, 16), index
+
+
 @pytest.mark.parametrize("name", INI_MODELS)
 def test_stress_gradient_norm_of_symmetric_stress(counted, name):
     # the stress of every catalog measure is symmetric bit for bit: three components are transformed
@@ -418,12 +485,12 @@ def test_stress_gradient_norm_of_symmetric_stress(counted, name):
     dtau = grid.gradient(tau)
     for q in (2, 8):
         expected = grid.lq_norm(np.sqrt(np.einsum("djkyx,djkyx->yx", dtau, dtau)), q)
-        counted["transforms"] = 0
+        counted.reset()
         assert stress_gradient_norm(tau, grid, q) == expected
-        assert counted["transforms"] == 9
+        assert counted.total == 9
     asymmetric = tau.copy()
     asymmetric[1, 0] *= 1.5
     dtau = grid.gradient(asymmetric)
     expected = grid.lq_norm(np.sqrt(np.einsum("djkyx,djkyx->yx", dtau, dtau)), 8)
-    counted["transforms"] = 0
-    assert stress_gradient_norm(asymmetric, grid, 8) == expected and counted["transforms"] == 12
+    counted.reset()
+    assert stress_gradient_norm(asymmetric, grid, 8) == expected and counted.total == 12
