@@ -131,7 +131,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.threads is not None:
-            spectral.set_workers(args.threads)
+            spectral.set_workers(args.threads, "--threads")
         else:  # read MEMFLOW_THREADS now, so a bad value is a config error
             spectral.get_workers()
     except ValueError as exc:

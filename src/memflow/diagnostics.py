@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 from scipy import integrate
@@ -33,23 +33,10 @@ from .stress import history_scan, stress_gradient_norm
 from .stepper import FlowState, heun, kinetic_energy
 from .transport import DeformationHistory, norm_field
 
-CSV_COLUMNS = (
-    "t",
-    "stress_sup",
-    "min_detG",
-    "min_absG",
-    "energy",
-    "gradu_sup",
-    "divu_sup",
-    "y_value",
-    "y_integrand",
-    "stress_grad_norm",
-    "flags",
-)
-
-
 @dataclass
 class DiagnosticsRecord:
+    """One ``diagnostics.csv`` row; its fields, in order, are the columns."""
+
     t: float
     stress_sup: float
     min_detG: float
@@ -63,19 +50,12 @@ class DiagnosticsRecord:
     flags: tuple[str, ...] = ()
 
     def csv_row(self) -> str:
-        vals = [
-            self.t,
-            self.stress_sup,
-            self.min_detG,
-            self.min_absG,
-            self.energy,
-            self.gradu_sup,
-            self.divu_sup,
-            self.y_value,
-            self.y_integrand,
-            self.stress_grad_norm,
-        ]
-        return ",".join(f"{v:.17g}" for v in vals) + "," + ";".join(self.flags)
+        """Every number at 17 significant digits, then the flags joined by ``;``."""
+        *vals, flags = astuple(self)
+        return ",".join(f"{v:.17g}" for v in vals) + "," + ";".join(flags)
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 @dataclass

@@ -19,10 +19,9 @@ directory: rows past the checkpoint time are dropped, the rest are kept.
 A checkpoint past ``t_final`` is refused, before any file is touched.
 A checkpoint holds the band spectra of the velocity, the history (its live
 rows, in age order) and the oracle stress, which a restart takes as they
-are.  Every pass visits the history in age order, so the restarted rows
-are the straight run's bytes wherever the buffer's head sits.  Each
-checkpoint step is a record step, so a checkpoint's y integral belongs to
-its own time.
+are: the history stores age j at row j, so its live rows on disk are the
+leading rows of its stack, byte for byte.  Each checkpoint step is a
+record step, so a checkpoint's y integral belongs to its own time.
 """
 
 from __future__ import annotations
@@ -173,7 +172,7 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
         if csv_fh is not None:
             csv_fh.flush()  # a restart from this checkpoint finds every row up to it
         write_checkpoint(out_dir / "checkpoint", step=step, t=state.t, y_value=y_value, y_integrand=yi_prev,
-                         u=state.u_hat, history=history.age_rows(), n_slices=history.n_slices,
+                         u=state.u_hat, history=history.payload[:history.live], n_slices=history.n_slices,
                          oracle_tau=None if oracle is None else oracle.tau_hat)
 
     scan_args = (mcfg.q, mcfg.r, mcfg.mu)

@@ -13,13 +13,13 @@ Format (all integers little-endian):
 
 Older versions are rejected: version 1 had an FNV-1a trailer, version 2 a
 grid size in place of the trailing shape and physical history stacks only.
-Writes stream the array's own buffer (or the buffers of a list of stacks,
-back to back) and reads fill one preallocated array: no second payload
-copy.  Reads validate magic, sizes, and checksum; a write/read round trip
-is bit-exact.  Checkpoints are directories holding one snapshot per state
-field plus a JSON metadata file with exact (hex) float values, so a
-restarted run reproduces the original bit for bit.  A history is stored as
-its live rows, in age order.  Checkpoints are swapped into place whole
+Writes stream the array's own buffer and reads fill one preallocated
+array: no second payload copy.  Reads validate magic, sizes, and
+checksum; a write/read round trip is bit-exact.  Checkpoints are
+directories holding one snapshot per state field plus a JSON metadata file
+with exact (hex) float values, so a restarted run reproduces the original
+bit for bit.  A history is stored as its live rows, in age order: the
+leading rows of its stack.  Checkpoints are swapped into place whole
 (:func:`write_checkpoint`): a killed process leaves a complete checkpoint;
 nothing is fsynced, so a power loss is not covered.
 """
@@ -47,36 +47,27 @@ class SnapshotFormatError(ValueError):
 
 def write_field(path, array, n_s: int = 0) -> None:
     """Write a field, a band spectrum or a stack of either; the shape is
-    recovered from the header.  ``array`` may also be a list of stacks, which
-    are written back to back as one stack of their rows (the rows of a
-    circular buffer in order, with no copy)."""
-    parts = array if isinstance(array, list) else [array]
-    kind = int(np.iscomplexobj(parts[0]))
-    parts = [np.ascontiguousarray(a, dtype=KINDS[kind]) for a in parts]
-    if len({a.shape[1:] for a in parts}) > 1:
-        raise SnapshotFormatError(f"stacked parts differ in shape: {[a.shape for a in parts]}")
-    shape = (sum(len(a) for a in parts),) + parts[0].shape[1:]
-    rows, cols = shape[-2:]
+    recovered from the header."""
+    kind = int(np.iscomplexobj(array))
+    array = np.ascontiguousarray(array, dtype=KINDS[kind])
+    rows, cols = array.shape[-2:]
     if rows != (2 * cols - 1 if kind else cols):
         what = "band-spectrum axes (2 kc + 1, kc + 1)" if kind else "square spatial axes"
-        raise SnapshotFormatError(f"field must end in {what}, got {shape}")
-    lead = shape[:-2]
+        raise SnapshotFormatError(f"field must end in {what}, got {array.shape}")
+    lead = array.shape[:-2]
     if n_s:
         if lead != (n_s, 2, 2):
-            raise SnapshotFormatError(f"history stack shape {shape} inconsistent with N_s={n_s}")
+            raise SnapshotFormatError(f"history stack shape {array.shape} inconsistent with N_s={n_s}")
         ncomp = 4
     else:
         ncomp = int(np.prod(lead, dtype=int)) if lead else 1
         if ncomp not in (1, 2, 4):
             raise SnapshotFormatError(f"unsupported component count {ncomp}")
-    crc = 0
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(HEADER.pack(VERSION, rows, cols, ncomp, n_s, kind))
-        for arr in parts:
-            fh.write(arr)
-            crc = zlib.crc32(arr, crc)
-        fh.write(struct.pack("<Q", crc))
+        fh.write(array)
+        fh.write(struct.pack("<Q", zlib.crc32(array)))
 
 
 def read_field(path, into=None) -> np.ndarray:
@@ -138,12 +129,12 @@ def write_checkpoint(directory, *, step, t, y_value, y_integrand, u, history, n_
     checkpoint that :func:`read_checkpoint` finds.  Nothing is fsynced: this
     guards against a killed process, not against power loss.
 
-    ``history`` holds the history's live rows in age order, a stack or a
-    list of stacks (:meth:`memflow.transport.DeformationHistory.age_rows`);
+    ``history`` holds the history's live rows in age order, the leading
+    rows of :attr:`memflow.transport.DeformationHistory.payload`;
     ``history.fld`` holds them with their count in the header's N_s field,
     and ``meta.json`` has that count as ``"live"`` and the history's row
     count ``n_slices`` as ``"n_slices"``."""
-    live = sum(map(len, history)) if isinstance(history, list) else len(history)
+    live = len(history)
     meta = {
         "step": int(step),
         "t": float(t).hex(),
@@ -177,8 +168,8 @@ def read_checkpoint(directory) -> dict:
     """The state a checkpoint holds.  ``"history"`` is a zero stack of
     ``n_slices`` rows whose first ``"live"`` rows, read straight from
     ``history.fld``, are the live ages in age order; the other rows stay
-    unmapped.  A checkpoint without ``"n_slices"`` in its ``meta.json``, of a
-    layout that stored every row in the order of a circular buffer, is
+    unmapped.  A checkpoint without ``"n_slices"`` in its ``meta.json``, of an
+    older layout that stored every row from a rotating start row, is
     refused."""
     d = Path(directory)
     old = d.with_name(f".{d.name}.old")

@@ -34,22 +34,29 @@ TWO_PI = 2.0 * math.pi
 _workers = None  # set on first use when set_workers has not set it
 
 
-def set_workers(n: int):
-    """Set the FFT worker count."""
+def set_workers(n: int, name: str = "the FFT worker count"):
+    """Set the FFT worker count; ``ValueError``, naming its source ``name``,
+    if ``n`` is below 1."""
     global _workers
-    _workers = max(1, int(n))
+    if n < 1:
+        raise ValueError(f"{name} must be a positive integer, got {n}")
+    _workers = int(n)
 
 
 def get_workers() -> int:
     """The FFT worker count: the one :func:`set_workers` set, else the
     MEMFLOW_THREADS env var's, else the CPU count up to 4.  Raises
-    ``ValueError`` if MEMFLOW_THREADS is set but not an integer."""
+    ``ValueError`` if MEMFLOW_THREADS is set but not a positive integer."""
     if _workers is None:
         value = os.environ.get("MEMFLOW_THREADS")
-        try:
-            set_workers(int(value) if value else min(4, os.cpu_count() or 1))
-        except ValueError:
-            raise ValueError(f"MEMFLOW_THREADS must be an integer, got {value!r}") from None
+        if not value:
+            set_workers(min(4, os.cpu_count() or 1))
+        else:
+            try:
+                n = int(value)
+            except ValueError:
+                raise ValueError(f"MEMFLOW_THREADS must be an integer, got {value!r}") from None
+            set_workers(n, "MEMFLOW_THREADS")
     return _workers
 
 
@@ -62,16 +69,15 @@ def band_shape(n: int) -> tuple[int, int]:
 class SpectralGrid:
     """Uniform n x n grid on the 2-torus with precomputed mode data.
 
-    ``n`` must be a power of two, at least 16 (smaller grids are allowed in
-    tests via ``allow_small``).  Integer wavenumbers of the whole spectrum
-    run over ``-n/2+1 .. n/2``; its first-derivative multipliers zero the
-    Nyquist mode.
+    ``n`` must be a power of two, at least 16.  Integer wavenumbers of the
+    whole spectrum run over ``-n/2+1 .. n/2``; its first-derivative
+    multipliers zero the Nyquist mode.
     """
 
-    def __init__(self, n: int, allow_small: bool = False):
+    def __init__(self, n: int):
         if n & (n - 1) or n <= 0:
             raise ValueError("grid size must be a power of two")
-        if n < 16 and not allow_small:
+        if n < 16:
             raise ValueError("grid size must be at least 16")
         self.n = n
         self.dx = TWO_PI / n

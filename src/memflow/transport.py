@@ -7,8 +7,9 @@ advances every slice by the react-advect stage of
 
 and shifts the stack by one age index, injecting the identity at age zero.
 Because the react-advect operator acts identically on every slice it
-commutes exactly with the shift, and the shift itself is an O(1) rotation
-of a circular buffer (slice-major layout, age outermost).
+commutes exactly with the shift.  Age j is stored at row j (slice-major
+layout, age outermost), the layout of a checkpoint's ``history.fld``; the
+shift moves each live row down one row.
 
 Each slice is stored as its 2/3-band spectrum (:func:`memflow.spectral.band_shape`),
 about 2.2x smaller than the physical field.  That loses nothing: the
@@ -33,10 +34,9 @@ The next step finds that row, now age 1, still the identity, and given
 the old velocity's spectrum takes its first Heun stage in closed form
 (:func:`_identity_stage`): 16 transforms, where every other row takes 36.
 
-Every pass visits the live rows in age order, newborn first, so its bits
-do not depend on where the circular buffer's head sits.  A step is the
-only pass over the stack: each chunk of at most ``chunk_slices(n)`` live
-rows (:meth:`DeformationHistory.chunks`) but the newborn's takes one Heun
+Every pass visits the live rows in age order, newborn first.  A step is
+the only pass over the stack: each chunk of at most ``chunk_slices(n)``
+live rows (:meth:`DeformationHistory.chunks`) but the newborn's takes one Heun
 step (:func:`memflow.stepper.heun`) and, once updated and still in cache,
 goes with its new fields and spectra to an optional reduction (stress and
 bound scan, :mod:`memflow.stress`), which weights each age by its kernel
@@ -80,18 +80,16 @@ class HistoryNaNError(FloatingPointError):
 
 
 class DeformationHistory:
-    """Circular-buffer stack of 2-tensor fields, one per age node, each
-    stored as its band spectrum.
+    """Stack of 2-tensor fields, one per age node, each stored as its band
+    spectrum.
 
     ``payload`` has shape ``(n_nodes, 2, 2, *band_shape(grid.n))``, complex;
-    age j lives at row ``(head + j) % n_nodes``, which only this class and
-    :func:`age_shift` know: everything else visits the rows in age order
-    (:meth:`age_rows`, :meth:`chunks`).
-    ``live`` (default ``n_nodes``) counts the distinct ages stored: ages from
-    ``live - 1`` on share the tail row, age ``live - 1``, and the other rows
-    are not read.  ``generation`` counts completed steps; ``workspace``
-    holds the chunk buffers of stack passes.  Single-writer: one stepper
-    mutates the stack, readers see a consistent snapshot between steps.
+    age j lives at row j.  ``live`` (default ``n_nodes``) counts the
+    distinct ages stored, rows ``0 .. live - 1``: ages from ``live - 1`` on
+    share the tail row, age ``live - 1``, and the other rows are not read.
+    ``generation`` counts completed steps; ``workspace`` holds the chunk
+    buffers of stack passes.  Single-writer: one stepper mutates the stack,
+    readers see a consistent snapshot between steps.
     """
 
     def __init__(self, payload: np.ndarray, age_grid: AgeGrid, grid: SpectralGrid, generation: int = 0,
@@ -100,7 +98,6 @@ class DeformationHistory:
         self.payload = payload
         self.age_grid = age_grid
         self.grid = grid
-        self.head = 0
         self.generation = generation
         self.live = age_grid.n_nodes if live is None else live
         if not 1 <= self.live <= age_grid.n_nodes:
@@ -113,29 +110,19 @@ class DeformationHistory:
 
     def slice(self, j: int) -> np.ndarray:
         """View of the age-j band spectrum (the tail row for ``j >= live - 1``)."""
-        return self.payload[(self.head + min(j, self.live - 1)) % self.n_slices]
-
-    def age_rows(self, first: int = 0) -> list[np.ndarray]:
-        """Views of the live rows of ages ``first .. live - 1``, in age order:
-        at most two, as the rows may wrap round the end of the buffer."""
-        n_s, lo, hi = self.n_slices, self.head + first, self.head + self.live
-        views = (self.payload[lo:hi], self.payload[max(lo - n_s, 0) : max(hi - n_s, 0)])
-        return [rows for rows in views if len(rows)]
+        return self.payload[min(j, self.live - 1)]
 
     def chunks(self):
-        """``(age, rows, work)`` for the live rows in age order: ``rows`` a
-        view of at most ``chunk_slices(n)`` rows from age ``age`` on, and
-        ``work`` the buffers to process them in, :attr:`workspace` cut to
-        ``len(rows)`` (:meth:`ChunkWorkspace.cut`).  The newborn, age 0, is a
-        chunk of its own, so a step can set it instead of stepping it."""
+        """``(age, rows, work)`` for the live rows in age order: ``rows`` the
+        rows of at most ``chunk_slices(n)`` ages from ``age`` on, and ``work``
+        the buffers to process them in, :attr:`workspace` cut to ``len(rows)``
+        (:meth:`ChunkWorkspace.cut`).  The newborn, age 0, is a chunk of its
+        own, so a step can set it instead of stepping it."""
         size, work = chunk_slices(self.grid.n), self.workspace
-        yield 0, self.payload[self.head : self.head + 1], work.cut(1)
-        age = 1
-        for rows in self.age_rows(1):
-            for lo in range(0, len(rows), size):
-                chunk = rows[lo : lo + size]
-                yield age + lo, chunk, work.cut(len(chunk))
-            age += len(rows)
+        yield 0, self.payload[:1], work.cut(1)
+        for age in range(1, self.live, size):
+            rows = self.payload[age : min(age + size, self.live)]
+            yield age, rows, work.cut(len(rows))
 
     def mass(self, age: int, count: int) -> np.ndarray:
         """Kernel mass of the live ages ``age .. age + count - 1``: each age's
@@ -258,14 +245,16 @@ def norm_field(g: np.ndarray) -> np.ndarray:
 def age_shift(history: DeformationHistory) -> DeformationHistory:
     """Advance every slice one age index and inject the identity at age zero.
 
-    The row before the head becomes the newborn: the oldest slice of a full
-    history, whose kernel mass is below the grid's tail tolerance by
-    construction, or else a row that is not live.  Every live row moves one
-    age up, so ``live`` grows by the newborn, up to ``n_slices``.
+    Each live row moves down one row, one at a time from the oldest, so no
+    second stack is needed; a full history overwrites its oldest row, whose
+    kernel mass is below the grid's tail tolerance by construction.  Row 0
+    becomes the newborn, and ``live`` grows by it, up to ``n_slices``.
     """
-    history.head = (history.head - 1) % history.n_slices
+    payload = history.payload
     history.live = min(history.live + 1, history.n_slices)
-    set_identity(history.payload[history.head], history.grid.n)
+    for j in range(history.live - 1, 0, -1):
+        payload[j] = payload[j - 1]
+    set_identity(payload[0], history.grid.n)
     return history
 
 
@@ -380,7 +369,7 @@ def stretch_advect_step(
     transforms.
     """
     grid = history.grid
-    age_shift(history)  # the row before the head becomes the newborn, the identity
+    age_shift(history)  # row 0 becomes the newborn, the identity
     identity = None
     if u_old_hat is not None and is_identity(history.slice(1), grid.n):
         identity = _identity_stage(grid, u_old, u_old_hat, dt)  # the age-1 row has the newborn's bits

@@ -135,6 +135,24 @@ class TestVerifyCommand:
         assert done.stderr == "config error: MEMFLOW_THREADS must be an integer, got 'abc'\n"
         assert done.stdout == ""
 
+    def test_zero_thread_count_exit_one(self):
+        # a count below 1 is refused, not run with 1 worker
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, MEMFLOW_THREADS="0",
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-m", "memflow.cli", "verify"], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 1
+        assert done.stderr == "config error: MEMFLOW_THREADS must be a positive integer, got 0\n"
+        assert done.stdout == ""
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_flag_below_one_exit_one(self, capsys, threads):
+        assert main(["--threads", threads, "verify"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: --threads must be a positive integer, got {threads}\n"
+        assert captured.out == ""
+
 
 class TestOracleCommand:
     def test_oracle_gap_reported(self, tmp_path, capsys):

@@ -359,9 +359,8 @@ class TestTailRow:
     def test_restart_continues_csv(self, tmp_path):
         straight = tmp_path / "A"
         run(self.cfg(straight))
-        # after k steps from rest the head is at row -k mod N_s: the live rows wrap round the buffer for
-        # k = 3 (live < N_s) and k = 20 (live = N_s); at k = 22 the full history starts at row 0.
-        # An explicit history has every row live from the start.
+        # after k steps from rest min(k + 1, N_s) rows are live: k = 3 (live < N_s), k = 20 and 22
+        # (live = N_s, the oldest row dropped each step).  An explicit history has every row live from the start.
         for start, steps, live in (("rest", 3, 4), ("rest", 20, 11), ("rest", 22, 11), ("explicit", 3, 11)):
             out = tmp_path / f"{start}{steps}"
             cfg = self.cfg if start == "rest" else (
@@ -379,8 +378,15 @@ class TestTailRow:
             reference = straight if start == "rest" else tmp_path / "explicit"
             assert (out / "diagnostics.csv").read_bytes() == (reference / "diagnostics.csv").read_bytes(), steps
 
+    @pytest.mark.parametrize("k", [3, 20])
+    def test_memory_layout_is_disk_layout(self, tmp_path, k):
+        # age j at row j: the live rows in memory are the bytes of the checkpoint's history.fld
+        h = run(self.cfg(tmp_path, t_final=0.3 * k)).history
+        assert h.generation == k and h.live == min(k + 1, self.N_S)
+        assert h.payload[: h.live].tobytes() == read_field(tmp_path / "checkpoint" / "history.fld").tobytes()
+
     def test_older_layout_refused(self, tmp_path):
-        # every row in the order of the circular buffer, with "head" and without "n_slices" in meta.json
+        # every row stored from a rotating start row, with "head" and without "n_slices" in meta.json
         run(self.cfg(tmp_path / "B", t_final=0.9))
         checkpoint = tmp_path / "B" / "checkpoint"
         chk = read_checkpoint(checkpoint)

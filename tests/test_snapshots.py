@@ -48,14 +48,6 @@ class TestRoundTrip:
         write_field(path, stack, n_s=7)
         assert np.array_equal(read_field(path), stack)
 
-    def test_stacked_parts_are_one_stack(self, tmp_path):
-        stack = np.random.default_rng(3).standard_normal((7, 2, 2, 11, 6)) * (1 + 1j)
-        write_field(tmp_path / "whole.fld", stack, n_s=7)
-        write_field(tmp_path / "parts.fld", [stack[:2], stack[2:]], n_s=7)
-        assert (tmp_path / "parts.fld").read_bytes() == (tmp_path / "whole.fld").read_bytes()
-        with pytest.raises(SnapshotFormatError, match="differ in shape"):
-            write_field(tmp_path / "bad.fld", [stack[:2], stack[2:, :1]], n_s=7)
-
     def test_band_spectrum_stack(self, tmp_path):
         rng = np.random.default_rng(7)
         stack = rng.standard_normal((7, 2, 2, 11, 6)) + 1j * rng.standard_normal((7, 2, 2, 11, 6))  # n = 16
@@ -160,12 +152,12 @@ class TestCheckpoint:
         meta = json.loads((tmp_path / "chk" / "meta.json").read_text())
         assert (meta["live"], meta["n_slices"]) == (5, 5) and "head" not in meta  # a full history has the keys too
 
-    @pytest.mark.parametrize("split", [0, 3, 6])
-    def test_live_rows_only(self, tmp_path, split):
-        # 7 live rows of 9, in age order: one stack, or two parts as a wrapped circular buffer gives them
-        rows = np.random.default_rng(split).standard_normal((7, 2, 2, 11, 6)) * (1 + 1j)
+    def test_live_rows_only(self, tmp_path):
+        # 7 live rows of 9, in age order: the leading rows of the history's stack
+        stack = np.zeros((9, 2, 2, 11, 6), dtype=complex)
+        stack[:7] = rows = np.random.default_rng(0).standard_normal((7, 2, 2, 11, 6)) * (1 + 1j)
         write_checkpoint(tmp_path / "chk", step=3, t=0.3, y_value=0.0, y_integrand=0.0, u=rows[0, 0],
-                         history=[rows[:split], rows[split:]] if split else rows, n_slices=9)
+                         history=stack[:7], n_slices=9)
         raw = (tmp_path / "chk" / "history.fld").read_bytes()
         assert struct.unpack("<6I", raw[8:32]) == (3, 11, 6, 4, 7, 1)  # N_s in the header is the live count
         assert raw[32:-8] == rows.tobytes()
@@ -239,10 +231,10 @@ class TestMemory:
         assert self._peak(read_field, tmp_path / "h.fld") <= 1.25 * stack.nbytes
 
     def test_checkpoint_read_holds_one_stack(self, tmp_path):
-        # the live rows (39 of 40, written in two parts) are read straight into the whole stack
+        # the live rows (39 of 40) are read straight into the whole stack
         stack = np.random.default_rng(6).standard_normal(self.STACK)
         write_checkpoint(tmp_path / "chk", step=1, t=0.0, y_value=0.0, y_integrand=0.0, u=stack[0, 0],
-                         history=[stack[30:], stack[:29]], n_slices=40)
+                         history=stack[:39], n_slices=40)
         assert self._peak(read_checkpoint, tmp_path / "chk") <= 1.25 * stack.nbytes
 
     def test_write_copies_nothing(self, tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from memflow import spectral
 from memflow.spectral import SpectralGrid, random_band_limited_velocity, taylor_green
 from memflow.stepper import FlowState
 
@@ -196,4 +197,12 @@ class TestNormsAndFields:
             SpectralGrid(48)
         with pytest.raises(ValueError):
             SpectralGrid(8)
-        assert SpectralGrid(8, allow_small=True).n == 8
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_count_below_one_refused(self, n):
+        saved = spectral.get_workers()
+        with pytest.raises(ValueError, match=f"the FFT worker count must be a positive integer, got {n}"):
+            spectral.set_workers(n)
+        assert spectral.get_workers() == saved

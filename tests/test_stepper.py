@@ -191,7 +191,7 @@ class TestHeunKernel:
     def test_stage_buffer_aliasing(self, viscous):
         # an rhs writing stage 1 into the predictor buffer, as the history's
         # chunk loop does, must give the bits of one that allocates
-        g16 = SpectralGrid(16, allow_small=True)
+        g16 = SpectralGrid(16)
         y = random_band_limited_velocity(g16, 5, 4)
         y_hat = g16.band(y)
         e = g16.viscous_factor(0.2, 0.05) if viscous else None

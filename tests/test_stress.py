@@ -183,17 +183,6 @@ def perturbed_history(grid, age_grid, seed=0):
         return init_history(identity_stack(age_grid.n_nodes, grid.n) + 0.1 * noise, grid, age_grid, mu=0.1)
 
 
-def at_head(history, head, live=None):
-    """The first ``live`` ages of ``history`` (default all of its live ones)
-    in a new buffer, stored from row ``head`` on."""
-    live = history.live if live is None else live
-    payload = np.zeros_like(history.payload)
-    payload[(head + np.arange(live)) % history.n_slices] = np.concatenate(history.age_rows())[:live]
-    moved = DeformationHistory(payload, history.age_grid, history.grid, history.generation, live)
-    moved.head = head
-    return moved
-
-
 def transformed_pass(h, m, scan=None):
     """The stored-stack pass with every row, an identity age-0 row too, transformed and fed to ``add_chunk``."""
     fed = StackReduction(h, m, scan)
@@ -206,9 +195,7 @@ class TestFusedPass:
     """The history step's single stack pass against the separate stress and scan passes."""
 
     @pytest.mark.parametrize("n", [16, 32])
-    @pytest.mark.parametrize("head", [0, 1])
-    def test_matches_separate_passes(self, n, head):
-        # stored from row 0 the live rows wrap round the buffer after the shift, from row 1 they do not
+    def test_matches_separate_passes(self, n):
         grid = SpectralGrid(n)
         ag = build_age_grid(single_exponential_kernel(), 0.05, 1e-2)
         size = chunk_slices(n)
@@ -216,30 +203,13 @@ class TestFusedPass:
         _, m = model_catalog("psm-raw")
         u = FlowState(grid, taylor_green(grid), 0.1).jet
         for live in (size + 3, ag.n_nodes):
-            h = at_head(perturbed_history(grid, ag, seed=n), head, live)
+            h = perturbed_history(grid, ag, seed=n)
+            h.live = live
             fused = StackReduction(h, m, (8, 4, 0.5))
             stretch_advect_step(h, u, 0.9 * u, 0.05, fused)
-            assert len(h.age_rows()) == 1 + (head == 0) and h.live == min(live + 1, ag.n_nodes)
+            assert h.live == min(live + 1, ag.n_nodes)
             np.testing.assert_array_equal(fused.tau.total, assemble_stress(h, m))
             assert fused.scan_result() == pytest.approx(history_scan(h, 8, 4, mu=0.5), rel=1e-13)
-
-    def test_step_does_not_depend_on_head(self):
-        # the same ages stored from other rows give the same bits: rows, stress and scan
-        grid = SpectralGrid(32)
-        ag = build_age_grid(single_exponential_kernel(), 0.05, 1e-3)
-        n_s, size = ag.n_nodes, chunk_slices(32)
-        assert n_s > 4 * size
-        _, m = model_catalog("psm-raw")
-        u = FlowState(grid, taylor_green(grid), 0.1).jet
-        base = perturbed_history(grid, ag, seed=7)
-        for live in (n_s, n_s - size // 2 - 1):
-            results = []
-            for head in (0, 1, size, size + 14, n_s - 1):
-                h = at_head(base, head, live)
-                fused = StackReduction(h, m, (8, 4, 0.5))
-                stretch_advect_step(h, u, 0.9 * u, 0.05, fused)
-                results.append((np.concatenate(h.age_rows()).tobytes(), fused.tau.total.tobytes(), fused.scan_result()))
-            assert all(result == results[0] for result in results[1:]), live
 
     @pytest.mark.parametrize("name", ["oldroyd-b", "psm-normalized", "wagner-raw", "wagner-normalized", "doi-edwards"])
     def test_newborn_stress_of_every_measure(self, name):
@@ -261,9 +231,9 @@ class TestFusedPass:
         _, m = model_catalog("psm-raw")
         base = age_shift(perturbed_history(grid, ag, seed=5))  # the newborn is the identity
         assert len(list(base.chunks())) > 3
-        clean = StackReduction(at_head(base, 0), m, (8, 4, 0.5)).over_stack()
+        clean = StackReduction(base, m, (8, 4, 0.5)).over_stack()
         for spares in (1, 2):
-            h = at_head(base, 0)
+            h = DeformationHistory(base.payload.copy(), ag, grid, base.generation, base.live)
             for buf in vars(h.workspace).values():
                 buf[:] = np.nan
             works = [ChunkWorkspace(h.n_slices, grid.n) for _ in range(spares)]
@@ -361,15 +331,15 @@ class TestIdentityRow:
         st = FlowState(grid, taylor_green(grid), 0.1)
         for _ in range(k):
             self.step(h, st, counted)
-        assert len(h.age_rows()) == 2 and h.live == min(k + 1, ag.n_nodes)  # the live rows wrap round the buffer
+        assert h.live == min(k + 1, ag.n_nodes)  # k = 20: a full history, its oldest row dropped each step
         write_checkpoint(tmp_path / "chk", step=k, t=k * ag.ds, y_value=0.0, y_integrand=0.0, u=st.u_hat,
-                         history=h.age_rows(), n_slices=h.n_slices)
+                         history=h.payload[:h.live], n_slices=h.n_slices)
         chk = read_checkpoint(tmp_path / "chk")
         resumed = DeformationHistory(chk["history"], ag, grid, generation=k, live=chk["live"])
         assert self.eye_bits(resumed)
         for straight_or_resumed in (h, resumed):
             assert self.step(straight_or_resumed, st, counted) == 16 + 36 * (min(k + 2, ag.n_nodes) - 2)
-        assert np.concatenate(resumed.age_rows()).tobytes() == np.concatenate(h.age_rows()).tobytes()
+        assert resumed.payload[:resumed.live].tobytes() == h.payload[:h.live].tobytes()
 
     def test_explicit_stack(self, counted):
         # an explicit identity stack is projected: its rows are the identity in value, not in bits (-0.0),
@@ -417,7 +387,7 @@ class TestFirstPass:
         for _ in range(k):
             TestIdentityRow.step(h, st, counted)
         write_checkpoint(tmp_path / "chk", step=k, t=k * ag.ds, y_value=0.0, y_integrand=0.0, u=st.u_hat,
-                         history=h.age_rows(), n_slices=h.n_slices)
+                         history=h.payload[:h.live], n_slices=h.n_slices)
         chk = read_checkpoint(tmp_path / "chk")
         resumed = DeformationHistory(chk["history"], ag, grid, generation=k, live=chk["live"])
         assert resumed.live == min(k + 1, ag.n_nodes) > 1

@@ -143,6 +143,17 @@ class TestShift:
         np.testing.assert_allclose(fields(h)[4], marker_field, rtol=0, atol=1e-15)
         np.testing.assert_array_equal(h.slice(0), identity_band(h)[0])
 
+    def test_shift_moves_rows_down(self, grid, age_grid):
+        # age j at row j: each live row moves down one row and the identity enters at row 0
+        n_s = age_grid.n_nodes
+        payload = np.random.default_rng(1).standard_normal((n_s, 2, 2, *grid.band_shape)) * (1 + 1j)
+        for live in (1, 3, n_s - 1, n_s):
+            h = age_shift(DeformationHistory(payload.copy(), age_grid, grid, live=live))
+            assert h.live == min(live + 1, n_s)
+            assert h.payload[1 : h.live].tobytes() == payload[: h.live - 1].tobytes()
+            assert h.payload[0].tobytes() == identity_band(h)[0].tobytes()
+            assert h.payload[h.live :].tobytes() == payload[h.live :].tobytes()  # rows not live are not touched
+
     def test_oldest_slice_dropped(self, grid, age_grid):
         last = age_grid.n_nodes - 1
         h = with_slice(grid, age_grid, last, 7.0 * np.eye(2)[:, :, None, None])
@@ -155,29 +166,21 @@ class TestLiveRows:
         h = init_history("identity", grid, age_grid)
         n_s, size = h.n_slices, chunk_slices(N)
         assert n_s > 2 * size
-        for head in (0, 1, size, n_s - 1):
-            for live in (1, 2, size + 3, n_s - 1, n_s):
-                h.head, h.live = head, live
-                views = h.age_rows()
-                assert len(views) == 1 + (head + live > n_s)  # the rows wrap round the end of the buffer
-                chunks = list(h.chunks())
-                assert chunks[0][0] == 0 and len(chunks[0][1]) == 1  # the newborn is a chunk of its own
-                assert all(0 < len(rows) <= size for _, rows, _ in chunks)
-                ages = [age + i for age, rows, _ in chunks for i in range(len(rows))]
-                assert ages == list(range(live))
-                assert all(np.shares_memory(row, h.slice(age + i))
-                           for age, rows, _ in chunks for i, row in enumerate(rows))
-                # each chunk's workspace: the leading slices of the history's, one per row
-                assert all(len(buf) == len(rows) and np.shares_memory(buf, getattr(h.workspace, name))
-                           for _, rows, work in chunks for name, buf in vars(work).items())
-                for first in (0, 1):
-                    stacked = [row for rows in h.age_rows(first) for row in rows]
-                    assert len(stacked) == live - first
-                    assert all(np.shares_memory(row, h.slice(first + j)) for j, row in enumerate(stacked))
-        # a full history from row 0: the newborn, then chunks of the other ages from age 1 on
-        h.head = 0
-        assert [(age, len(rows)) for age, rows, _ in h.chunks()] == [(0, 1)] + [
-            (age, min(size, n_s - age)) for age in range(1, n_s, size)]
+        for live in (1, 2, size + 3, n_s - 1, n_s):
+            h.live = live
+            chunks = list(h.chunks())
+            assert chunks[0][0] == 0 and len(chunks[0][1]) == 1  # the newborn is a chunk of its own
+            assert all(0 < len(rows) <= size for _, rows, _ in chunks)
+            ages = [age + i for age, rows, _ in chunks for i in range(len(rows))]
+            assert ages == list(range(live))
+            assert all(np.shares_memory(row, h.slice(age + i)) and np.shares_memory(row, h.payload[age + i])
+                       for age, rows, _ in chunks for i, row in enumerate(rows))  # age j at row j
+            # each chunk's workspace: the leading slices of the history's, one per row
+            assert all(len(buf) == len(rows) and np.shares_memory(buf, getattr(h.workspace, name))
+                       for _, rows, work in chunks for name, buf in vars(work).items())
+            # the newborn, then chunks of the other ages from age 1 on
+            assert [(age, len(rows)) for age, rows, _ in chunks] == [(0, 1)] + [
+                (age, min(size, live - age)) for age in range(1, live, size)]
 
     def test_tail_row_mass_and_slices(self, grid, age_grid):
         h = init_history("identity", grid, age_grid)
@@ -185,14 +188,14 @@ class TestLiveRows:
         for _ in range(3):
             stretch_advect_step(h, st.jet, st.jet, age_grid.ds)
         assert h.live == 4
-        # ages 0 .. 2 end the buffer; the tail row, age 3, wraps round to row 0
-        assert [(age, len(rows)) for age, rows, _ in h.chunks()] == [(0, 1), (1, 2), (3, 1)]
-        assert np.shares_memory(list(h.chunks())[-1][1], h.payload[0])
+        # ages 0 .. 2 at rows 0 .. 2; the tail row, age 3, at row 3
+        assert [(age, len(rows)) for age, rows, _ in h.chunks()] == [(0, 1), (1, 3)]
+        assert np.shares_memory(list(h.chunks())[-1][1][-1], h.payload[3])
         assert h.mass(3, 1)[0] == age_grid.tail_mass[3] == pytest.approx(age_grid.node_mass[3:].sum(), rel=1e-14)
         assert h.mass(0, 3).tolist() == age_grid.node_mass[:3].tolist()
         assert h.mass(1, 3).tolist() == age_grid.node_mass[1:3].tolist() + [age_grid.tail_mass[3]]
-        assert not np.shares_memory(h.slice(2), h.payload[0])
-        assert all(np.shares_memory(h.slice(j), h.payload[0]) for j in (3, 4, h.n_slices - 1))
+        assert not np.shares_memory(h.slice(2), h.payload[3])
+        assert all(np.shares_memory(h.slice(j), h.payload[3]) for j in (3, 4, h.n_slices - 1))
         assert age_grid.tail_mass[-1] == age_grid.node_mass[-1]
 
     def test_live_count_checked(self, grid, age_grid):
