@@ -152,19 +152,21 @@ class TestCheckpoint:
         meta = json.loads((tmp_path / "chk" / "meta.json").read_text())
         assert (meta["live"], meta["n_slices"]) == (5, 5) and "head" not in meta  # a full history has the keys too
 
-    def test_live_rows_only(self, tmp_path):
-        # 7 live rows of 9, in age order: the leading rows of the history's stack
-        stack = np.zeros((9, 2, 2, 11, 6), dtype=complex)
-        stack[:7] = rows = np.random.default_rng(0).standard_normal((7, 2, 2, 11, 6)) * (1 + 1j)
+    @pytest.mark.parametrize("dead", [0, 3, 6])
+    def test_live_rows_only(self, tmp_path, dead):
+        # 7 live rows of 7 + dead, in age order: the leading rows of the history's stack, the dead rows stale
+        rng = np.random.default_rng(dead)
+        stack = rng.standard_normal((7 + dead, 2, 2, 11, 6)) * (1 + 1j)
+        rows = stack[:7]
         write_checkpoint(tmp_path / "chk", step=3, t=0.3, y_value=0.0, y_integrand=0.0, u=rows[0, 0],
-                         history=stack[:7], n_slices=9)
+                         history=stack[:7], n_slices=7 + dead)
         raw = (tmp_path / "chk" / "history.fld").read_bytes()
         assert struct.unpack("<6I", raw[8:32]) == (3, 11, 6, 4, 7, 1)  # N_s in the header is the live count
         assert raw[32:-8] == rows.tobytes()
         meta = json.loads((tmp_path / "chk" / "meta.json").read_text())
-        assert (meta["live"], meta["n_slices"]) == (7, 9) and "head" not in meta
+        assert (meta["live"], meta["n_slices"]) == (7, 7 + dead) and "head" not in meta
         chk = read_checkpoint(tmp_path / "chk")
-        assert chk["live"] == 7 and chk["history"].shape == (9, 2, 2, 11, 6)
+        assert chk["live"] == 7 and chk["history"].shape == (7 + dead, 2, 2, 11, 6)
         assert np.array_equal(chk["history"][:7], rows) and not chk["history"][7:].any()  # from row 0, the others zero
 
     def test_row_count_checked(self, tmp_path):

@@ -195,7 +195,9 @@ class TestFusedPass:
     """The history step's single stack pass against the separate stress and scan passes."""
 
     @pytest.mark.parametrize("n", [16, 32])
-    def test_matches_separate_passes(self, n):
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_matches_separate_passes(self, n, steps):
+        # after one step first, the previous newborn is an identity row among the rows stepped
         grid = SpectralGrid(n)
         ag = build_age_grid(single_exponential_kernel(), 0.05, 1e-2)
         size = chunk_slices(n)
@@ -205,9 +207,12 @@ class TestFusedPass:
         for live in (size + 3, ag.n_nodes):
             h = perturbed_history(grid, ag, seed=n)
             h.live = live
+            for _ in range(steps):
+                stretch_advect_step(h, u, 0.9 * u, 0.05)
+            assert is_identity(h.payload[0], n) == (steps > 0)
             fused = StackReduction(h, m, (8, 4, 0.5))
             stretch_advect_step(h, u, 0.9 * u, 0.05, fused)
-            assert h.live == min(live + 1, ag.n_nodes)
+            assert is_identity(h.payload[0], n) and h.live == min(live + 1 + steps, ag.n_nodes)
             np.testing.assert_array_equal(fused.tau.total, assemble_stress(h, m))
             assert fused.scan_result() == pytest.approx(history_scan(h, 8, 4, mu=0.5), rel=1e-13)
 
