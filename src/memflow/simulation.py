@@ -198,7 +198,7 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
             try:
                 substeps += advance_flow(state, tau, cfg.dt, cfg.cfl_safety)
                 state.t = step * cfg.dt  # re-pin against substep roundoff drift
-                stretch_advect_step(history, u_old, state.jet, cfg.dt, stack_pass, u_old_hat)
+                stretch_advect_step(history, u_old, state.jet, stack_pass, u_old_hat)
                 if oracle is not None:
                     oldroyd_differential_step(oracle, u_old, state.jet, cfg.dt)
             except FloatingPointError as exc:  # non-finite flow, history or oracle; degenerate history

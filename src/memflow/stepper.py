@@ -22,8 +22,9 @@ Within one base (age) step the stress is frozen; the flow may take several
 substeps under its advective CFL bound.  A base step of s substeps takes
 4 + 6 s forward transforms (the frozen stress's divergence once) and
 4 s + 4 inverse ones (the jet's two derivative fields once; the field is
-the last substep's u, the same bits).  The optional forcing hook exists
-for manufactured-solution studies.
+the last substep's u, the same bits).  The optional forcing hook of
+:func:`step_velocity` exists for manufactured-solution studies;
+:func:`advance_flow`, the solver's step, has none.
 """
 
 from __future__ import annotations
@@ -151,13 +152,7 @@ def step_velocity(state: FlowState, tau: np.ndarray | None, dt: float, forcing=N
     return state
 
 
-def advance_flow(
-    state: FlowState,
-    tau: np.ndarray | None,
-    base_dt: float,
-    safety: float,
-    forcing=None,
-) -> int:
+def advance_flow(state: FlowState, tau: np.ndarray | None, base_dt: float, safety: float) -> int:
     """Advance one base step, substepping under the advective CFL bound.
 
     The stress is held frozen across substeps, which carry the physical
@@ -169,7 +164,7 @@ def advance_flow(
     u, remaining, n_sub = state.u, base_dt, 0
     while remaining > 1e-14 * base_dt:
         h = min(cfl_dt(u, grid, safety, base_dt), remaining)
-        u = _substep(state, u, div_tau_hat, forcing, h)
+        u = _substep(state, u, div_tau_hat, None, h)
         remaining -= h
         n_sub += 1
     state.jet = grid.jet(state.u_hat, u)

@@ -32,18 +32,19 @@ deformation at age zero is the identity, F(t, t) = I.  So a step sets it
 and does not step it; step k from rest advances min(k, N_s - 1) rows.
 The next step finds that row, now age 1, still the identity, and given
 the old velocity's spectrum takes its first Heun stage in closed form
-(:func:`_identity_stage`): 16 transforms, where every other row takes 36.
+(:func:`_step_identity`): 16 transforms, where every other row takes 36.
 
-Every pass visits the live rows in age order, newborn first.  A step is
-the only pass over the stack: each chunk of at most ``chunk_slices(n)``
-live rows (:meth:`DeformationHistory.chunks`) but the newborn's takes one Heun
-step (:func:`memflow.stepper.heun`) and, once updated and still in cache,
-goes with its new fields and spectra to an optional reduction (stress and
-bound scan, :mod:`memflow.stress`), which weights each age by its kernel
-mass (:meth:`DeformationHistory.mass`); the newborn goes to it as the
-identity.  The stage arithmetic and every transform of a chunk write into
-the buffers :meth:`DeformationHistory.chunks` hands it with its rows: the
-history's one :class:`ChunkWorkspace`, cut to the chunk.
+Every pass visits the live rows in age order (:meth:`DeformationHistory.chunks`):
+the newborn, then age 1, each a chunk of one row, then chunks of at most
+``chunk_slices(n)`` rows from age 2 on.  A step is the only pass over the
+stack: each chunk but the newborn's takes one Heun step of ``ds``
+(:func:`memflow.stepper.heun`) and, once updated and still in cache, goes
+with its new fields and spectra to an optional reduction (stress and bound
+scan, :mod:`memflow.stress`), which weights each age by its kernel mass
+(:meth:`DeformationHistory.mass`); the newborn goes to it as the identity.
+The stage arithmetic and every transform of a chunk write into the buffers
+:meth:`DeformationHistory.chunks` hands it with its rows: the history's one
+:class:`ChunkWorkspace`, cut to the chunk.
 
 Determinants are transported exactly by the continuum equations for
 divergence-free velocities, so their discrete drift is left uncorrected as a
@@ -114,13 +115,16 @@ class DeformationHistory:
 
     def chunks(self):
         """``(age, rows, work)`` for the live rows in age order: ``rows`` the
-        rows of at most ``chunk_slices(n)`` ages from ``age`` on, and ``work``
-        the buffers to process them in, :attr:`workspace` cut to ``len(rows)``
-        (:meth:`ChunkWorkspace.cut`).  The newborn, age 0, is a chunk of its
-        own, so a step can set it instead of stepping it."""
+        rows of the ages from ``age`` on, and ``work`` the buffers to process
+        them in, :attr:`workspace` cut to ``len(rows)`` (:meth:`ChunkWorkspace.cut`).
+        The newborn, age 0, and age 1 are chunks of one row each, so a step can
+        set the one and take the other's first stage in closed form; from age 2
+        on a chunk holds at most ``chunk_slices(n)`` rows.  A step advances
+        each stepped row by ``age_grid.ds``, the spacing of the ages."""
         size, work = chunk_slices(self.grid.n), self.workspace
-        yield 0, self.payload[:1], work.cut(1)
-        for age in range(1, self.live, size):
+        for age in range(min(2, self.live)):
+            yield age, self.payload[age : age + 1], work.cut(1)
+        for age in range(2, self.live, size):
             rows = self.payload[age : min(age + size, self.live)]
             yield age, rows, work.cut(len(rows))
 
@@ -150,11 +154,11 @@ class ChunkWorkspace:
         self.rows = np.empty((c, 2, 2, n, n // 2 + 1), dtype=complex)
         self.rhs, self.spec, self.flux = (np.empty((c, 2, 2, *band_shape(n)), dtype=complex) for _ in range(3))
 
-    def cut(self, stop: int, start: int = 0) -> "ChunkWorkspace":
-        """The workspace of the rows ``start .. stop - 1`` of a chunk: views of
-        those slices of each buffer."""
+    def cut(self, rows: int) -> "ChunkWorkspace":
+        """The workspace of a chunk of ``rows`` rows: views of the leading
+        ``rows`` slices of each buffer."""
         work = object.__new__(ChunkWorkspace)
-        vars(work).update((name, buf[start:stop]) for name, buf in vars(self).items())
+        vars(work).update((name, buf[:rows]) for name, buf in vars(self).items())
         return work
 
     @staticmethod
@@ -288,70 +292,56 @@ def _react_rhs_hat(grid: SpectralGrid, g: np.ndarray, u_jet: np.ndarray, work: C
     return out
 
 
-def _identity_stage(grid: SpectralGrid, u_jet: np.ndarray, u_hat: np.ndarray, dt: float):
-    """Stage-0 right-hand side spectrum and predictor field of a row that is the identity.
+def _step_chunk(grid: SpectralGrid, g_hat: np.ndarray, work: ChunkWorkspace, u_old, u_new, dt: float):
+    """One Heun step of a chunk (:func:`memflow.stepper.heun`): its new band
+    spectra and fields."""
+    rhs = lambda g, k: _react_rhs_hat(grid, g, (u_old, u_new)[k], work, (work.rhs, work.spec)[k])
+    inv = lambda f: grid.inv(f, out=work.g, rows=work.rows)
+    return heun(inv(g_hat), g_hat, rhs, inv, dt, stage=work.spec)
+
+
+def _step_identity(grid: SpectralGrid, g_hat: np.ndarray, work: ChunkWorkspace, u_old, u_new,
+                   u_old_hat: np.ndarray, dt: float):
+    """The Heun step of :func:`_step_chunk` for a one-row chunk that holds the
+    identity, with its first stage in closed form.
 
     With G = I the right-hand side is grad u - (div u) I, that is
-    ``[[-d2 u2, d1 u2], [d2 u1, -d1 u1]]``: its band spectrum comes from
-    the velocity's band spectrum ``u_hat``, and the predictor field
-    I + dt (grad u - (div u) I) from its jet, with no transform."""
-    (d1u1, d1u2), (d2u1, d2u2) = u_jet[1:]
-    rhs = np.stack(((-grid.d2_band * u_hat[1], grid.d1_band * u_hat[1]),
-                    (grid.d2_band * u_hat[0], -grid.d1_band * u_hat[0])))
-    pred = np.stack(((-d2u2, d1u2), (d2u1, -d1u1)))
+    ``[[-d2 u2, d1 u2], [d2 u1, -d1 u1]]``: its band spectrum comes from the
+    old velocity's band spectrum ``u_old_hat``, and the predictor field
+    I + dt (grad u - (div u) I) from its jet, with no transform.  The second
+    stage and the new field take theirs: 16 transforms, where a row of
+    :func:`_step_chunk` takes 36."""
+    (d1u1, d1u2), (d2u1, d2u2) = u_old[1:]
+    d1, d2 = grid.d1_band, grid.d2_band
+    r1, pred = work.rhs, work.g
+    np.stack(((-d2 * u_old_hat[1], d1 * u_old_hat[1]), (d2 * u_old_hat[0], -d1 * u_old_hat[0])), out=r1[0])
+    np.stack(((-d2u2, d1u2), (d2u1, -d1u1)), out=pred[0])
     pred *= dt
-    pred[0, 0] += 1.0
-    pred[1, 1] += 1.0
-    return rhs, pred
-
-
-def _step_chunk(grid: SpectralGrid, g_hat: np.ndarray, work: ChunkWorkspace, u_old, u_new, dt: float,
-                identity=None):
-    """One Heun step of a chunk (:func:`memflow.stepper.heun`): its new band
-    spectra and fields.  With ``identity`` (:func:`_identity_stage`) the
-    chunk's first row is the identity and takes its stage-0 right-hand side
-    and predictor field from there, the transforms only from its stage-1
-    right-hand side on; the other rows take every transform."""
-    out, skip = (work.rhs, work.spec), int(identity is not None)
-    rest = work.cut(len(g_hat), skip)  # the workspace of the rows that take every transform
-
-    def rest_fields(f):
-        if len(rest.g):
-            grid.inv(f[skip:], out=rest.g, rows=rest.rows)
-        return work.g
-
-    def inv(f):  # heun writes its predictor into out[1]: the identity row's is known
-        if skip and f is out[1]:
-            work.g[0] = identity[1]
-            return rest_fields(f)
-        return grid.inv(f, out=work.g, rows=work.rows)
-
-    def rhs(y, k):
-        if k or not skip:
-            return _react_rhs_hat(grid, y, (u_old, u_new)[k], work, out[k])
-        out[0][0] = identity[0]
-        if len(rest.g):
-            _react_rhs_hat(grid, y[skip:], u_old, rest, out[0][skip:])
-        return out[0]
-
-    return heun(rest_fields(g_hat), g_hat, rhs, inv, dt, stage=out[1])
+    pred[0, 0, 0] += 1.0
+    pred[0, 1, 1] += 1.0
+    r1 += _react_rhs_hat(grid, pred, u_new, work, work.spec)
+    r1 *= 0.5 * dt
+    r1 += g_hat
+    return r1, grid.inv(r1, out=work.g, rows=work.rows)
 
 
 def stretch_advect_step(
-    history: DeformationHistory, u_old: np.ndarray, u_new: np.ndarray, dt: float, reduction=None,
+    history: DeformationHistory, u_old: np.ndarray, u_new: np.ndarray, reduction=None,
     u_old_hat: np.ndarray | None = None,
 ) -> DeformationHistory:
-    """One full history step: age shift, then Heun react-advect of every live slice but the newborn.
+    """One full history step of ``history.age_grid.ds``: age shift, then Heun
+    react-advect of every live slice but the newborn.
 
     The two Heun stages sample the velocity at the old and new time levels,
     given as jets ``(u, d1 u, d2 u)`` (:attr:`memflow.stepper.FlowState.jet`),
     which keeps the stage second-order accurate; the exact shift and the
-    identity injection make the age-zero boundary condition exact.  Slices
-    are updated independently (data-parallel over age), and a non-finite
-    result aborts with the offending slice's age (after the shift) located,
-    before its chunk is stored.  The rows stepped are the rows live before
-    the step (:meth:`DeformationHistory.chunks` after the shift, less the
-    newborn's chunk): the shift writes the identity into the newborn row,
+    identity injection make the age-zero boundary condition exact, and the
+    one-index shift is exact because the step is the age spacing ``ds``.
+    Slices are updated independently (data-parallel over age), and a
+    non-finite result aborts with the offending slice's age (after the shift)
+    located, before its chunk is stored.  The rows stepped are the rows live
+    before the step (:meth:`DeformationHistory.chunks` after the shift, less
+    the newborn's chunk): the shift writes the identity into the newborn row,
     the exact value a Heun step of it would be overwritten with.
 
     A ``reduction`` (such as :class:`memflow.stress.StackReduction`) gets, in
@@ -361,24 +351,25 @@ def stretch_advect_step(
     workspace).  Transforms run on the history's grid.
 
     Given ``u_old_hat``, the band spectrum of ``u_old``'s field, the age-1
-    row, when it is bit for bit the identity spectrum the shift writes
-    (:func:`is_identity`), needs no transform until its second stage
-    (:func:`_identity_stage`): 16 transforms, not 36.  It is so after every step (the newborn that
-    step set), in a history from rest (its tail row) and after a restart;
-    the rows of an explicit history are projections, which take the
-    transforms.
+    chunk, when its row is bit for bit the identity spectrum the shift
+    writes (:func:`is_identity`), takes its first stage in closed form
+    (:func:`_step_identity`): 16 transforms, not 36.  It is so after every
+    step (the newborn that step set), in a history from rest (its tail row)
+    and after a restart; the rows of an explicit history are projections,
+    which take the transforms.  Without ``u_old_hat`` every chunk takes
+    :func:`_step_chunk`.
     """
-    grid = history.grid
+    grid, dt = history.grid, history.age_grid.ds
     age_shift(history)  # row 0 becomes the newborn, the identity
-    identity = None
-    if u_old_hat is not None and is_identity(history.slice(1), grid.n):
-        identity = _identity_stage(grid, u_old, u_old_hat, dt)  # the age-1 row has the newborn's bits
     for age, g_hat, work in history.chunks():
         if age == 0:  # the newborn is set, not stepped: F(t, t) = I
             if reduction is not None:
                 reduction.add_identity()
             continue
-        r1, g = _step_chunk(grid, g_hat, work, u_old, u_new, dt, identity if age == 1 else None)
+        if age == 1 and u_old_hat is not None and is_identity(g_hat[0], grid.n):  # the last newborn or a tail row
+            r1, g = _step_identity(grid, g_hat, work, u_old, u_new, u_old_hat, dt)
+        else:
+            r1, g = _step_chunk(grid, g_hat, work, u_old, u_new, dt)
         if not np.isfinite(g).all():
             bad = age + int(np.argwhere(~np.isfinite(g))[0, 0])
             raise HistoryNaNError(f"non-finite deformation at step {history.generation + 1}, age slice {bad}")

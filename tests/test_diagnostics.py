@@ -91,7 +91,7 @@ class TestDifferentialOracle:
         for _ in range(10):
             u_old = st.jet
             advance_flow(st, tau, ag.ds, 0.5)
-            stretch_advect_step(h, u_old, st.jet, ag.ds)
+            stretch_advect_step(h, u_old, st.jet)
             oldroyd_differential_step(orc, u_old, st.jet, ag.ds)
             tau = assemble_stress(h, measure)
         gap = math.sqrt(grid.l2_norm_sq(tau - orc.tau) / grid.l2_norm_sq(orc.tau))

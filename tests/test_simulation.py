@@ -2,16 +2,20 @@ import gc
 import json
 import math
 import struct
+import tempfile
 import warnings
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memflow import simulation, snapshots, spectral
 from memflow.agegrid import HistoryTooLongError, build_age_grid
 from memflow.config import ConfigError, SimulationConfig
-from memflow.constitutive import model_catalog
+from memflow.constitutive import INI_MODELS, model_catalog
 from memflow.simulation import EXIT_NAN, EXIT_OK, EXIT_VIOLATION, run
 from memflow.snapshots import read_checkpoint, read_field, write_checkpoint, write_field
 from memflow.transport import ChunkWorkspace, identity_stack
@@ -308,6 +312,28 @@ class TestArtifacts:
             assert (b / "diagnostics.csv").read_bytes() == (a / "diagnostics.csv").read_bytes()
             assert len((a / "diagnostics.csv").read_text().splitlines()) == 22
             assert res.oracle_gap == straight.oracle_gap and (res.oracle_gap is not None) == oracle
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(model=st.sampled_from(INI_MODELS), dt=st.sampled_from([0.05, 0.1, 0.2]),
+           eps_tail=st.sampled_from([5e-2, 1e-2, 1e-3]), cadence=st.integers(1, 3),
+           snapshot_every=st.integers(1, 4), steps=st.integers(4, 30),
+           kind=st.sampled_from(["taylor-green", "random-band"]), amplitude=st.sampled_from([0.5, 1.0, 3.0]),
+           data=st.data())
+    def test_restart_at_snapshot_step_reproduces_straight_csv(self, model, dt, eps_tail, cadence, snapshot_every,
+                                                              steps, kind, amplitude, data):
+        # a run cut at a snapshot step and resumed into its directory writes the straight run's diagnostics.csv
+        cut = snapshot_every * data.draw(st.integers(1, steps // snapshot_every), label="cut / snapshot_every")
+        with tempfile.TemporaryDirectory() as tmp:
+            straight, resumed = Path(tmp, "A"), Path(tmp, "B")
+            cfg = lambda out, k: small_cfg(
+                n=16, model_name=model, dt=dt, t_final=dt * k, eps_tail=eps_tail, cadence=cadence,
+                snapshot_every=snapshot_every, velocity_kind=kind, velocity_amplitude=amplitude, output_dir=str(out))
+            codes = [run(cfg(straight, steps)).exit_code, run(cfg(resumed, cut)).exit_code]
+            if codes[1] == EXIT_OK:
+                codes.append(run(cfg(resumed, steps), restart_from=resumed / "checkpoint").exit_code)
+            assert set(codes) <= {EXIT_OK, EXIT_NAN, EXIT_VIOLATION}
+            if codes == [EXIT_OK] * 3:
+                assert (resumed / "diagnostics.csv").read_bytes() == (straight / "diagnostics.csv").read_bytes()
 
     def test_restart_past_t_final_refused(self, tmp_path):
         out = tmp_path / "A"

@@ -167,7 +167,7 @@ class TestStressGradient:
         for _ in range(8):
             u_old = st.jet
             advance_flow(st, tau, ag.ds, 0.5)
-            stretch_advect_step(h, u_old, st.jet, ag.ds)
+            stretch_advect_step(h, u_old, st.jet)
             tau = assemble_stress(h, m)
             lhs = stress_gradient_norm(tau, grid, q) ** r
             rhs = m.sp_inf**r * history_scan(h, q, r)[0]
@@ -208,10 +208,10 @@ class TestFusedPass:
             h = perturbed_history(grid, ag, seed=n)
             h.live = live
             for _ in range(steps):
-                stretch_advect_step(h, u, 0.9 * u, 0.05)
+                stretch_advect_step(h, u, 0.9 * u)
             assert is_identity(h.payload[0], n) == (steps > 0)
             fused = StackReduction(h, m, (8, 4, 0.5))
-            stretch_advect_step(h, u, 0.9 * u, 0.05, fused)
+            stretch_advect_step(h, u, 0.9 * u, fused)
             assert is_identity(h.payload[0], n) and h.live == min(live + 1 + steps, ag.n_nodes)
             np.testing.assert_array_equal(fused.tau.total, assemble_stress(h, m))
             assert fused.scan_result() == pytest.approx(history_scan(h, 8, 4, mu=0.5), rel=1e-13)
@@ -225,7 +225,7 @@ class TestFusedPass:
         _, m = model_catalog(name)
         u = FlowState(grid, taylor_green(grid), 0.1).jet
         fused = StackReduction(h, m)
-        stretch_advect_step(h, u, 0.9 * u, 0.05, fused)
+        stretch_advect_step(h, u, 0.9 * u, fused)
         np.testing.assert_array_equal(fused.tau.total, transformed_pass(h, m).tau.total)
 
     def test_reduction_uses_only_the_buffers_it_is_handed(self):
@@ -261,7 +261,7 @@ class TestFusedPass:
         u = FlowState(grid, taylor_green(grid), 0.1).jet  # the velocity samples carry their gradient
         for scan, per_slice in ((None, 36), ((8, 4, 1.0), 44)):
             counted.reset()
-            stretch_advect_step(h, u, 0.9 * u, 0.05, StackReduction(h, m, scan))
+            stretch_advect_step(h, u, 0.9 * u, StackReduction(h, m, scan))
             assert counted.total == per_slice * (h.n_slices - 1)  # the newborn is set, not stepped
 
 
@@ -289,7 +289,7 @@ class TestTailRow:
             advance_flow(st, tau, ag.ds, 0.5)
             passes = [StackReduction(h, m, (8, 4, 1.0)) for h in (tail, full)]
             for h, reduction in zip((tail, full), passes):
-                stretch_advect_step(h, u_old, st.jet, ag.ds, reduction)
+                stretch_advect_step(h, u_old, st.jet, reduction)
             assert tail.live == min(k + 1, n_s)
             assert all(tail.slice(j).tobytes() == full.slice(j).tobytes() for j in range(n_s))
             tau = passes[1].tau.total
@@ -306,7 +306,7 @@ class TestTailRow:
         for k in range(1, ag.n_nodes + 3):
             for h, scan, first, per_slice in ((unmonitored, None, 16, 36), (monitored, (8, 4, 1.0), 24, 44)):
                 counted.reset()
-                stretch_advect_step(h, u, 0.9 * u, ag.ds, StackReduction(h, m, scan), u_old_hat=st.u_hat)
+                stretch_advect_step(h, u, 0.9 * u, StackReduction(h, m, scan), u_old_hat=st.u_hat)
                 assert counted.total == first + per_slice * (min(k + 1, ag.n_nodes) - 2)
 
 
@@ -320,7 +320,7 @@ class TestIdentityRow:
         """One step with a frozen velocity; returns its transforms."""
         _, m = model_catalog("psm-raw")
         counted.reset()
-        stretch_advect_step(h, st.jet, st.jet, h.age_grid.ds, StackReduction(h, m, scan), u_old_hat=st.u_hat)
+        stretch_advect_step(h, st.jet, st.jet, StackReduction(h, m, scan), u_old_hat=st.u_hat)
         return counted.total
 
     @staticmethod
@@ -424,7 +424,7 @@ class TestFirstPass:
         grid, ag, m, h, _ = TestTailRow.histories()
         st = FlowState(grid, taylor_green(grid), 0.1)
         for _ in range(steps):
-            stretch_advect_step(h, st.jet, 0.9 * st.jet, ag.ds)
+            stretch_advect_step(h, st.jet, 0.9 * st.jet)
         assert h.live == steps + 1 and is_identity(h.slice(0), grid.n)
         fast = StackReduction(h, m, self.SCAN).over_stack()
         reference = transformed_pass(h, m, self.SCAN)
@@ -454,7 +454,7 @@ def test_stress_gradient_norm_of_symmetric_stress(counted, name):
     st = FlowState(grid, taylor_green(grid), 0.1)
     for _ in range(2):
         reduction = StackReduction(h, m)
-        stretch_advect_step(h, st.jet, 0.9 * st.jet, ag.ds, reduction, u_old_hat=st.u_hat)
+        stretch_advect_step(h, st.jet, 0.9 * st.jet, reduction, u_old_hat=st.u_hat)
     tau = reduction.tau.total
     assert tau[0, 1].tobytes() == tau[1, 0].tobytes() and np.abs(tau[0, 1]).max() > 1e-6
     dtau = grid.gradient(tau)

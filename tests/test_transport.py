@@ -21,7 +21,9 @@ from memflow.transport import (
     det_field,
     identity_stack,
     init_history,
+    is_identity,
     norm_field,
+    set_identity,
     stretch_advect_step,
 )
 
@@ -178,18 +180,18 @@ class TestLiveRows:
             # each chunk's workspace: the leading slices of the history's, one per row
             assert all(len(buf) == len(rows) and np.shares_memory(buf, getattr(h.workspace, name))
                        for _, rows, work in chunks for name, buf in vars(work).items())
-            # the newborn, then chunks of the other ages from age 1 on
-            assert [(age, len(rows)) for age, rows, _ in chunks] == [(0, 1)] + [
-                (age, min(size, live - age)) for age in range(1, live, size)]
+            # the newborn and age 1, one row each, then chunks of the other ages from age 2 on
+            assert [(age, len(rows)) for age, rows, _ in chunks] == [(0, 1), (1, 1)][:live] + [
+                (age, min(size, live - age)) for age in range(2, live, size)]
 
     def test_tail_row_mass_and_slices(self, grid, age_grid):
         h = init_history("identity", grid, age_grid)
         st = FlowState(grid, taylor_green(grid), eta=0.1)
         for _ in range(3):
-            stretch_advect_step(h, st.jet, st.jet, age_grid.ds)
+            stretch_advect_step(h, st.jet, st.jet)
         assert h.live == 4
         # ages 0 .. 2 at rows 0 .. 2; the tail row, age 3, at row 3
-        assert [(age, len(rows)) for age, rows, _ in h.chunks()] == [(0, 1), (1, 3)]
+        assert [(age, len(rows)) for age, rows, _ in h.chunks()] == [(0, 1), (1, 1), (2, 2)]
         assert np.shares_memory(list(h.chunks())[-1][1][-1], h.payload[3])
         assert h.mass(3, 1)[0] == age_grid.tail_mass[3] == pytest.approx(age_grid.node_mass[3:].sum(), rel=1e-14)
         assert h.mass(0, 3).tolist() == age_grid.node_mass[:3].tolist()
@@ -211,7 +213,7 @@ class TestStep:
         h = with_slice(grid, age_grid, 2, marker[:, :, None, None])
         moved = h.slice(2).copy()
         u0 = np.zeros((3, 2, N, N))  # the jet of the fluid at rest
-        stretch_advect_step(h, u0, u0, age_grid.ds)
+        stretch_advect_step(h, u0, u0)
         # pure shift: marker moved, values untouched
         np.testing.assert_array_equal(h.slice(3), moved)
 
@@ -220,13 +222,13 @@ class TestStep:
         h = with_slice(grid, ag, 1, np.array([[2.0, 0.5], [0.3, 1.5]])[:, :, None, None])
         u0 = np.zeros((3, 2, N, N))  # the jet of the fluid at rest
         for _ in range(h.n_slices):
-            stretch_advect_step(h, u0, u0, ag.ds)
+            stretch_advect_step(h, u0, u0)
         np.testing.assert_array_equal(h.payload, identity_band(h))
 
     def test_age_zero_boundary_after_step(self, grid, age_grid):
         h = init_history("identity", grid, age_grid)
         st = FlowState(grid, taylor_green(grid), eta=0.1)
-        stretch_advect_step(h, st.jet, st.jet, age_grid.ds)
+        stretch_advect_step(h, st.jet, st.jet)
         np.testing.assert_array_equal(h.slice(0), identity_band(h)[0])
         assert h.generation == 1
 
@@ -244,7 +246,7 @@ class TestStep:
         st = FlowState(grid, taylor_green(grid), eta=0.1)
         for k in range(1, ag.n_nodes + 3):
             stepped.clear()
-            stretch_advect_step(h, st.jet, 0.9 * st.jet, ag.ds)
+            stretch_advect_step(h, st.jet, 0.9 * st.jet)
             assert h.slice(0).tobytes() == identity_band(h)[0].tobytes()
             assert not any(np.shares_memory(y_hat, h.slice(0)) for y_hat in stepped)
             rows = min(k + 1, ag.n_nodes) if start == "identity" else ag.n_nodes
@@ -259,7 +261,7 @@ class TestStep:
         supplied = h.slice(0).copy()
         assert supplied.tobytes() == grid.band(stack[0]).tobytes()
         u0 = np.zeros((3, 2, N, N))  # the jet of the fluid at rest
-        stretch_advect_step(h, u0, u0, age_grid.ds, u_old_hat=grid.band(u0[0]))
+        stretch_advect_step(h, u0, u0, u_old_hat=grid.band(u0[0]))
         assert h.slice(1).tobytes() == (supplied + 0.0).tobytes()  # the step adds zeros: -0.0 becomes 0.0
         assert h.slice(0).tobytes() == identity_band(h)[0].tobytes()
 
@@ -272,7 +274,7 @@ class TestStep:
         for _ in range(10):
             u_old = st.jet
             advance_flow(st, tau, ag.ds, 0.5)
-            stretch_advect_step(h, u_old, st.jet, ag.ds)
+            stretch_advect_step(h, u_old, st.jet)
         g = fields(h)
         dev = float(np.abs(det_field(g) - 1.0).max())
         assert dev < 1e-3
@@ -284,7 +286,7 @@ class TestStep:
         h.slice(5)[0, 0, 0, 0] = np.nan  # the mean mode: NaN over the whole component field
         u0 = np.zeros((3, 2, N, N))  # the jet of the fluid at rest
         with pytest.raises(HistoryNaNError, match="step 1, age slice 6$"):  # its age after the shift
-            stretch_advect_step(h, u0, u0, age_grid.ds)
+            stretch_advect_step(h, u0, u0)
 
 
 class TestIdentityRow:
@@ -292,17 +294,19 @@ class TestIdentityRow:
 
     @pytest.mark.parametrize("n", [32, 64])
     def test_closed_form_matches_transforms(self, n):
+        # one identity row stepped by the closed form and by the transforms, with distinct velocities
+        # at the two stages: the same new band spectrum and field to roundoff
         grid, dt = SpectralGrid(n), 0.05
-        st = FlowState(grid, random_band_limited_velocity(grid, seed=n, band=6), eta=0.1)
-        rhs, pred = transport._identity_stage(grid, st.jet, st.u_hat, dt)
-        work = ChunkWorkspace(1, n)
-        eye_hat = grid.band(identity_stack(1, n))
-        eye = grid.inv(eye_hat, out=work.g, rows=work.rows)
-        transformed = transport._react_rhs_hat(grid, eye, st.jet, work, np.empty_like(eye_hat))[0]
-        predictor = grid.field(eye_hat[0] + dt * transformed)
-        assert np.abs(transformed).max() > 1.0 and np.abs(predictor - identity_stack(1, n)[0]).max() > 1e-3
-        for closed, full in ((rhs, transformed), (pred, predictor)):
-            np.testing.assert_allclose(closed, full, rtol=0, atol=1e-14 * np.abs(full).max())
+        old, new = (FlowState(grid, random_band_limited_velocity(grid, seed=seed, band=6), eta=0.1)
+                    for seed in (n, n + 1))
+        eye_hat = np.empty((1, 2, 2, *grid.band_shape), dtype=complex)
+        set_identity(eye_hat[0], n)
+        fast_hat, fast = transport._step_identity(grid, eye_hat, ChunkWorkspace(1, n), old.jet, new.jet, old.u_hat, dt)
+        full_hat, full = transport._step_chunk(grid, eye_hat, ChunkWorkspace(1, n), old.jet, new.jet, dt)
+        assert is_identity(eye_hat[0], n)  # left intact
+        assert np.abs(full - identity_stack(1, n)).max() > 1e-3
+        for closed, transformed in ((fast_hat, full_hat), (fast, full)):
+            np.testing.assert_allclose(closed, transformed, rtol=0, atol=1e-14 * np.abs(transformed).max())
 
     def test_step_matches_transformed_path(self, grid):
         # with the velocity spectrum the age-1 row skips its first stage's transforms; the rows agree to roundoff
@@ -312,8 +316,8 @@ class TestIdentityRow:
         for _ in range(ag.n_nodes + 2):
             u_old, u_old_hat = st.jet, st.u_hat
             advance_flow(st, None, ag.ds, 0.5)
-            stretch_advect_step(fast, u_old, st.jet, ag.ds, u_old_hat=u_old_hat)
-            stretch_advect_step(slow, u_old, st.jet, ag.ds)
+            stretch_advect_step(fast, u_old, st.jet, u_old_hat=u_old_hat)
+            stretch_advect_step(slow, u_old, st.jet)
             np.testing.assert_allclose(by_age(fast), by_age(slow), rtol=0, atol=1e-13 * N * N)
         assert by_age(fast).tobytes() != by_age(slow).tobytes()
 
@@ -328,10 +332,10 @@ class TestAllocation:
         u = FlowState(grid, taylor_green(grid), 0.1).jet
         chunk_bytes = chunk_slices(N) * 4 * N * N * 8
         assert h.n_slices > chunk_slices(N) and h.workspace.g.nbytes == chunk_bytes
-        stretch_advect_step(h, u, 0.9 * u, ag.ds, StackReduction(h, measure))  # warm-up
+        stretch_advect_step(h, u, 0.9 * u, StackReduction(h, measure))  # warm-up
         tracemalloc.start()
         try:
-            stretch_advect_step(h, u, 0.9 * u, ag.ds, StackReduction(h, measure))
+            stretch_advect_step(h, u, 0.9 * u, StackReduction(h, measure))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
