@@ -140,12 +140,13 @@ def quadrate(grid: AgeGrid, samples):
 
 class KahanSum:
     """Compensated running sum of ``coeff * sample`` terms, added in call
-    order (so chunked calls give the same bits), updated in place."""
+    order (so chunked calls give the same bits), updated in place.  Every
+    term, the first too, takes the textbook update y = c f - comp,
+    t = total + y, comp = (t - total) - y, total = t."""
 
     def __init__(self, shape=()):
         self.total, self._t = np.zeros(shape), np.empty(shape)
         self._comp, self._y = np.zeros(shape), np.empty(shape)
-        self._empty = True  # no term added yet: total and comp are 0
 
     def add(self, coeffs, samples) -> "KahanSum":
         if not self.total.shape:  # scalars: the same operations on Python floats, which are faster
@@ -160,14 +161,9 @@ class KahanSum:
         y, comp = self._y, self._comp
         for c, f in zip(coeffs, samples):
             np.multiply(f, c, out=y)
-            if self._empty:  # y - 0 is y and t - 0 is t (t = 0 + y is never -0): the same bits in 3 passes
-                np.add(y, 0.0, out=self._t)
-                np.subtract(self._t, y, out=comp)
-                self._empty = False
-            else:
-                y -= comp
-                np.add(self.total, y, out=self._t)
-                np.subtract(self._t, self.total, out=comp)
-                comp -= y
+            y -= comp
+            np.add(self.total, y, out=self._t)
+            np.subtract(self._t, self.total, out=comp)
+            comp -= y
             self.total, self._t = self._t, self.total
         return self

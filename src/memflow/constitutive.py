@@ -126,12 +126,6 @@ def reptation_mode_kernel(relaxation_time: float = 1.0, max_mode: int = 31) -> M
 # ---------------------------------------------------------------------------
 
 
-def _as_matrix(g) -> np.ndarray:
-    if isinstance(g, Tensor):
-        return g.components
-    return np.asarray(g, dtype=float)
-
-
 @dataclass(frozen=True)
 class StrainMeasure:
     """Separable strain measure S(G) = h(I1) G^T G + iso_offset * I.
@@ -152,7 +146,7 @@ class StrainMeasure:
 
     def stress(self, g: np.ndarray) -> np.ndarray:
         """S(G) for a single 2x2 matrix."""
-        g = _as_matrix(g)
+        g = np.asarray(g, dtype=float)
         b = g.T @ g
         i1 = float(np.sum(g * g))
         return float(self.h(i1)) * b + self.iso_offset * np.eye(2)
@@ -179,8 +173,8 @@ class StrainMeasure:
         For the separable form this is
         ``2 h'(I1) (G:H) G^T G + h(I1) (H^T G + G^T H)``.
         """
-        g = _as_matrix(g)
-        hmat = _as_matrix(hmat)
+        g = np.asarray(g, dtype=float)
+        hmat = np.asarray(hmat, dtype=float)
         i1 = float(np.sum(g * g))
         gh = float(np.sum(g * hmat))
         return (
@@ -190,7 +184,7 @@ class StrainMeasure:
 
     def derivative_tensor(self, g) -> Tensor:
         """The full order-4 derivative; component (i,j,k,l) = dS_kl / dG_ij."""
-        g = _as_matrix(g)
+        g = np.asarray(g, dtype=float)
         out = np.empty((2, 2, 2, 2))
         for i in range(2):
             for j in range(2):

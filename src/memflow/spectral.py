@@ -107,30 +107,20 @@ class SpectralGrid:
 
     # -- transforms ---------------------------------------------------------
 
-    def fwd(self, f: np.ndarray, out: np.ndarray | None = None, rows: np.ndarray | None = None,
-            less: np.ndarray | None = None) -> np.ndarray:
+    def fwd(self, f: np.ndarray, out: np.ndarray | None = None, rows: np.ndarray | None = None) -> np.ndarray:
         """Forward transform over the two spatial axes.
 
-        Without ``out``: the half spectrum, shape ``(..., n, n//2 + 1)``.  An
-        ``out`` of shape ``(..., *band_shape)`` selects the band transform: a
-        row ``rfft`` into ``rows`` (complex scratch of the half-spectrum shape,
+        Without ``out``: the half spectrum, shape ``(..., n, n//2 + 1)``.  With
+        ``out``, of shape ``(..., *band_shape)``: the band transform, a row
+        ``rfft`` into ``rows`` (complex scratch of the half-spectrum shape,
         allocated if not given), then the column FFT of the kc + 1 kept
-        columns only, whose band rows are copied into ``out``.  ``less``, of
-        the kept columns' shape ``(..., n, kc + 1)``, is subtracted from them
-        before their column FFT: a multiplier of whole columns (such as
-        ``d2_band``) commutes with it, so ``band(f) - d2 band(h)`` takes one
-        column FFT, with ``less = d2 R(h)``.  An ``out`` of the half-spectrum
-        shape selects that row transform R alone, which writes into ``out``.
+        columns only, whose band rows are copied into ``out``.
         """
         if out is None:
             return _fft.rfft2(f, axes=(-2, -1), workers=get_workers())
         n, kc = self.n, self.kc
-        if out.shape[-1] == n // 2 + 1:  # the row transform only
-            return np.fft.rfft(f, axis=-1, out=out)
         rows = np.fft.rfft(f, axis=-1, out=rows)
         cols = rows[..., : kc + 1]
-        if less is not None:
-            cols -= less
         np.fft.fft(cols, axis=-2, out=cols)
         out[..., : kc + 1, :] = cols[..., : kc + 1, :]
         out[..., kc + 1 :, :] = cols[..., n - kc :, :]

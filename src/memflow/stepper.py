@@ -73,8 +73,7 @@ def heun(y, y_hat, rhs, inv, dt: float, e=None, stage=None):
     gives the spectrum of N at stage k (0: at t, 1: at the predictor) and
     ``inv`` maps a spectrum to its physical state.  The predictor spectrum
     goes into ``stage`` if given, and ``rhs(., 1)`` may write into that same
-    buffer: the predictor is dead once transformed.  ``rhs(y, k)`` may also
-    overwrite ``y``, which is not read after it.  Returns ``(new_hat,
+    buffer: the predictor is dead once transformed.  Returns ``(new_hat,
     new)``; ``new_hat`` is the stage-0 rhs buffer, overwritten.
     """
     r1 = rhs(y, 0)

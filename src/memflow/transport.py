@@ -271,24 +271,19 @@ def _react_rhs_hat(grid: SpectralGrid, g: np.ndarray, u_jet: np.ndarray, work: C
     products, which is the cheaper direction for this stack size.  The
     products are formed in ``work.prod``, the chunk's workspace; ``u_jet``
     is the velocity's jet ``(u, d1 u, d2 u)``, so ``grad_u[l, k] = d_l u_k``.
-    d2 multiplies whole columns, so it commutes with the column FFT of a
-    band transform: band(G . grad u) - d2 band(u2 G) takes one column pass
-    (:meth:`SpectralGrid.fwd` with ``less``).  ``g`` is overwritten: once
-    the three products are formed, its memory holds d2 R(u2 G).
+    Each product takes its own band transform: G . grad u into ``out``, then
+    u1 G and u2 G into ``work.flux``, times ``d1_band`` and ``d2_band`` and
+    subtracted from ``out``.  ``g`` is read, never written.
     """
     u, grad_u = u_jet[0], u_jet[1:]
     prod, rows, flux = work.prod, work.rows, work.flux
-    np.multiply(g, u[0], out=prod)
-    grid.fwd(prod, out=flux, rows=rows)
-    flux *= grid.d1_band
-    np.multiply(g, u[1], out=prod)
-    grid.fwd(prod, out=rows)  # the row transform R(u2 G) alone
-    np.einsum("cjlyx,lkyx->cjkyx", g, grad_u, out=prod)  # (G . grad u)_{jk}: g is dead from here on
-    cols = rows[..., : grid.kc + 1]
-    d2_term = g.reshape(-1)[: 2 * cols.size].view(complex).reshape(cols.shape)
-    np.multiply(cols, grid.d2_band, out=d2_term)
-    grid.fwd(prod, out=out, rows=rows, less=d2_term)
-    out -= flux
+    np.einsum("cjlyx,lkyx->cjkyx", g, grad_u, out=prod)  # (G . grad u)_{jk}
+    grid.fwd(prod, out=out, rows=rows)
+    for u_l, d_l in ((u[0], grid.d1_band), (u[1], grid.d2_band)):
+        np.multiply(g, u_l, out=prod)
+        grid.fwd(prod, out=flux, rows=rows)
+        flux *= d_l
+        out -= flux
     return out
 
 

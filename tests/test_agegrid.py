@@ -126,7 +126,7 @@ def test_kahan_sum_scalar_path_matches_array_path():
 @pytest.mark.parametrize("first", [0.0, -0.0, math.inf, -math.inf, math.nan, -1.5e-310])
 @np.errstate(invalid="ignore")  # inf - inf
 def test_kahan_sum_first_term_matches_textbook_bits(first):
-    # an empty sum's first term skips subtracting a zero compensation and a zero total: same bits
+    # every term, the first of an empty sum too, takes the five operations of the textbook update: same bits
     coeffs, samples = [0.5, 0.25, 3.0], [first, -0.0, 1e-17]
     total, comp, steps = np.zeros(()), np.zeros(()), []
     for c, f in zip(coeffs, samples):  # textbook compensated summation, every operation done

@@ -1,0 +1,49 @@
+"""Smoke test of ``tools/bitgate.py`` on one case at n = 16."""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bitgate.py"
+
+
+def bitgate(*args):
+    return subprocess.run([sys.executable, str(TOOL), *map(str, args)], capture_output=True, text=True)
+
+
+@pytest.fixture(scope="module")
+def manifest(tmp_path_factory):
+    out = tmp_path_factory.mktemp("bitgate")
+    proc = bitgate("run", out, "--n", "16", "--case", "oldroyd-oracle")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return out
+
+
+def test_threads_and_restart_are_byte_identical(manifest):
+    runs = json.loads((manifest / "manifest.json").read_text())["cases"]["oldroyd-oracle"]
+    records = [runs[threads][kind] for threads in ("threads1", "threads2") for kind in ("straight", "resumed")]
+    reference = records[0]
+    assert {"diagnostics.csv", "checkpoint/oracle_tau.fld", "snap_000020/g_00005.fld"} <= reference["files"].keys()
+    assert len(reference["columns"]["t"]) == 21  # the initial record and 20 steps
+    for rec in records[1:]:
+        assert rec == reference
+
+
+def test_compare_reports_equal_files_and_flags_a_changed_one(manifest, tmp_path):
+    proc = bitgate("compare", manifest, manifest)
+    assert proc.returncode == 0 and "0 files differ" in proc.stdout
+    spec = importlib.util.spec_from_file_location("bitgate", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    changed = json.loads((manifest / "manifest.json").read_text())
+    changed["cases"]["oldroyd-oracle"]["threads2"]["resumed"]["files"]["diagnostics.csv"] = "0" * 64
+    assert tool.check(changed["cases"]) == [
+        "oldroyd-oracle: threads2 resumed differs from threads1 straight in ['diagnostics.csv']"]
+    changed["cases"]["oldroyd-oracle"]["threads1"]["straight"]["files"]["diagnostics.csv"] = "0" * 64
+    (tmp_path / "manifest.json").write_text(json.dumps(changed))
+    proc = bitgate("compare", manifest, tmp_path)
+    assert proc.returncode == 1 and "DIFFER  diagnostics.csv" in proc.stdout

@@ -289,6 +289,23 @@ class TestStep:
             stretch_advect_step(h, u0, u0)
 
 
+class TestReactRhs:
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_reads_g_and_matches_band_of_each_product(self, n):
+        # fails before the right-hand side took one band transform per product: g held its d2 term after it
+        grid, rng, rows = SpectralGrid(n), np.random.default_rng(n), 3
+        g = grid.field(grid.band(identity_stack(rows, n) + 0.1 * rng.standard_normal((rows, 2, 2, n, n))))
+        work, out = ChunkWorkspace(rows, n), np.empty((rows, 2, 2, *grid.band_shape), dtype=complex)
+        for velocity in (taylor_green(grid, 0.7), random_band_limited_velocity(grid, seed=n, band=6)):
+            jet, before = FlowState(grid, velocity, eta=0.1).jet, g.copy()
+            transport._react_rhs_hat(grid, g, jet, work, out)
+            assert g.tobytes() == before.tobytes()
+            u, grad_u = jet[0], jet[1:]
+            expected = (grid.band(np.einsum("cjlyx,lkyx->cjkyx", g, grad_u))
+                        - grid.d1_band * grid.band(g * u[0]) - grid.d2_band * grid.band(g * u[1]))
+            np.testing.assert_allclose(out, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
+
+
 class TestIdentityRow:
     """The age-1 row, when it is the identity, takes its first Heun stage in closed form."""
 
