@@ -149,15 +149,6 @@ class KahanSum:
         self._comp, self._y = np.zeros(shape), np.empty(shape)
 
     def add(self, coeffs, samples) -> "KahanSum":
-        if not self.total.shape:  # scalars: the same operations on Python floats, which are faster
-            total, comp = float(self.total), float(self._comp)
-            for c, f in zip(np.asarray(coeffs, dtype=float).tolist(), np.asarray(samples, dtype=float).tolist()):
-                y = f * c - comp
-                t = total + y
-                comp = (t - total) - y
-                total = t
-            self.total, self._comp = np.array(total), np.array(comp)
-            return self
         y, comp = self._y, self._comp
         for c, f in zip(coeffs, samples):
             np.multiply(f, c, out=y)

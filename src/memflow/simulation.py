@@ -97,9 +97,11 @@ def _relative_l2_gap(grid: SpectralGrid, a: np.ndarray, b: np.ndarray) -> float:
 def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
     """Execute the configured simulation; never raises for solver failures.
 
-    Raises :class:`ConfigError` for a config it cannot run, including a
+    Raises :class:`ConfigError` for a config it cannot run: an initial
+    history or velocity snapshot that is missing, unreadable, of the wrong
+    shape or below the ``mu_min`` det floor, an unknown history spec, or a
     restart checkpoint that is unreadable, does not fit the config or lies
-    past ``t_final``, and
+    past ``t_final``; and
     :class:`~memflow.agegrid.HistoryTooLongError` when the age grid exceeds the memory cap.
     """
     if cfg.oracle and cfg.model_name != "oldroyd-b":
@@ -119,18 +121,18 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
 
     mcfg = MonitorConfig(q=cfg.q, r=cfg.r, mu=cfg.mu_min, det_tol=cfg.det_tol, stress_tol=cfg.stress_tol)
 
-    if restart_from is None:
-        step0, y_value, yi_prev = 0, 0.0, None
-        state = FlowState(grid, initial_velocity(cfg, grid), cfg.viscosity)
-        oracle = None
-        if cfg.oracle:
-            oracle = OracleState(grid, np.zeros((2, 2, grid.n, grid.n)), params["lam"], params["mu_p"])
-        spec = cfg.initial_history
-        if spec.startswith("snapshot:"):
-            spec = read_field(spec.split(":", 1)[1])
-        history = init_history(spec, grid, age_grid, mu=cfg.mu_min)
-    else:  # the checkpoint's fields are the state: no initial velocity or history is built
-        try:
+    try:
+        if restart_from is None:
+            step0, y_value, yi_prev = 0, 0.0, None
+            state = FlowState(grid, initial_velocity(cfg, grid), cfg.viscosity)
+            oracle = None
+            if cfg.oracle:
+                oracle = OracleState(grid, np.zeros((2, 2, grid.n, grid.n)), params["lam"], params["mu_p"])
+            spec = cfg.initial_history
+            if spec.startswith("snapshot:"):
+                spec = read_field(spec.split(":", 1)[1])
+            history = init_history(spec, grid, age_grid, mu=cfg.mu_min)
+        else:  # the checkpoint's fields are the state: no initial velocity or history is built
             chk = read_checkpoint(restart_from)
             step0, y_value, yi_prev = chk["step"], chk["y_value"], chk["y_integrand"]
             if step0 > cfg.n_steps:
@@ -142,8 +144,9 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
                 if chk["oracle_tau"] is None:
                     raise ValueError("it holds no oracle stress to resume the oracle from")
                 oracle = OracleState(grid, None, params["lam"], params["mu_p"], tau_hat=chk["oracle_tau"])
-        except (OSError, KeyError, TypeError, ValueError) as exc:  # unreadable, or not of this config
-            raise ConfigError(f"cannot restart from {restart_from}: {exc}") from exc
+    except (OSError, KeyError, TypeError, ValueError) as exc:  # unreadable, or not of this config
+        start = "build the initial state" if restart_from is None else f"restart from {restart_from}"
+        raise ConfigError(f"cannot {start}: {exc}") from exc
 
     out_dir = Path(cfg.output_dir) if cfg.output_dir else None
     csv_fh = None

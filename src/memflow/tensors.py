@@ -6,9 +6,9 @@ row-major component storage (the first index varies slowest), so the
 contraction index mapping is unambiguous and the inner loops stay
 branch-free.
 
-The order-4 objects arise as derivatives of tensor-valued maps of 2-tensors:
-component ``(i, j, k, l)`` of such a derivative is the sensitivity of the
-``(k, l)`` output entry to the ``(i, j)`` input entry.
+Order-4 operands serve the contraction property checks of ``memflow
+verify``; the package builds no order-4 derivative (the strain measures
+give directional derivatives, ``StrainMeasure.directional_derivative``).
 """
 
 from __future__ import annotations

@@ -9,6 +9,8 @@ import pytest
 from memflow.agegrid import build_age_grid
 from memflow.cli import main
 from memflow.constitutive import model_catalog
+from memflow.snapshots import write_field
+from memflow.transport import identity_stack
 
 CONFIG = """
 [grid]
@@ -107,6 +109,17 @@ class TestRunCommand:
         capsys.readouterr()
         assert main(["run", str(cfg), "--restart", str(checkpoint)]) == 1
         assert f"config error: cannot restart from {checkpoint}: " in capsys.readouterr().err
+
+    def test_degenerate_initial_history_exit_one(self, tmp_path, capsys):
+        # an unusable initial history used to end in a traceback, not in exit code 1
+        n_s = build_age_grid(model_catalog("psm-raw")[0], 0.05, 1e-4).n_nodes
+        path = tmp_path / "history.fld"
+        write_field(path, 0.5 * identity_stack(n_s, 32), n_s=n_s)  # det G = 0.25, below mu_min = 1
+        p = tmp_path / "degenerate.ini"
+        p.write_text(CONFIG.format(model="psm-raw", outdir="").replace("[history]\n", f"[history]\ninitial = snapshot:{path}\n"))
+        capsys.readouterr()
+        assert main(["run", str(p)]) == 1
+        assert capsys.readouterr().err.startswith("config error: cannot build the initial state: ")
 
     def test_memory_cap_too_small_exit_one(self, tmp_path, capsys):
         p = tmp_path / "capped.ini"

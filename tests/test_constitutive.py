@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from memflow.constitutive import (
+    INI_MODELS,
     MemoryKernel,
     SingularOriginError,
     WAGNER_RAW_H_SUP,
@@ -115,18 +116,17 @@ class TestStrainMeasures:
             g = rng.standard_normal((2, 2))
             np.testing.assert_allclose(m.stress(qrot @ g), m.stress(g), rtol=1e-12, atol=1e-13)
 
-    def test_derivative_tensor_index_convention(self):
-        # component (i, j, k, l) is the sensitivity of S_kl to G_ij
-        _, m = model_catalog("oldroyd-b")
-        g = np.array([[1.0, 0.2], [0.0, 1.0]])
-        d4 = m.derivative_tensor(g).components
-        eps = 1e-7
-        for i in range(2):
-            for j in range(2):
-                e = np.zeros((2, 2))
-                e[i, j] = 1.0
-                fd = (m.stress(g + eps * e) - m.stress(g - eps * e)) / (2 * eps)
-                np.testing.assert_allclose(d4[i, j], fd, atol=1e-6)
+    @pytest.mark.parametrize("name", INI_MODELS)
+    def test_derivative_broadcasts_over_stacks(self, name):
+        # a stack of k matrices gives the bits of k single calls (g.T and a full np.sum once mixed the stack)
+        _, m = model_catalog(name)
+        rng = np.random.default_rng(12)
+        g = rng.standard_normal((6, 2, 2)) * rng.lognormal(0, 2, (6, 1, 1))
+        h = rng.standard_normal((6, 2, 2))
+        stack = m.directional_derivative(g, h)
+        assert stack.shape == (6, 2, 2)
+        for k in range(6):
+            assert stack[k].tobytes() == m.directional_derivative(g[k], h[k]).tobytes()
 
     def test_stress_stack_matches_scalar_path(self):
         _, m = model_catalog("psm-raw")

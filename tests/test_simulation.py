@@ -154,6 +154,22 @@ class TestRun:
         assert res.exit_code == EXIT_OK
         assert res.records[0].min_detG == pytest.approx(0.81, rel=1e-12)
 
+    @pytest.mark.parametrize("case", ["missing", "short", "degenerate", "unknown-spec", "missing-velocity"])
+    def test_unusable_initial_state_is_config_error(self, tmp_path, case):
+        # a fresh start used to let each of these errors out of run() as it was raised, a traceback in the CLI
+        n_s, path = 11, tmp_path / "history.fld"  # dt 0.3 and eps_tail 0.05: N_s = 11
+        over = {"initial_history": f"snapshot:{path}"}
+        if case == "short":
+            write_field(path, identity_stack(n_s - 1, 16), n_s=n_s - 1)
+        elif case == "degenerate":
+            write_field(path, 0.5 * identity_stack(n_s, 16), n_s=n_s)  # det G = 0.25, below mu_min = 1
+        elif case == "unknown-spec":
+            over = {"initial_history": "foo"}
+        elif case == "missing-velocity":
+            over = {"velocity_kind": "snapshot", "velocity_path": str(tmp_path / "u.fld")}
+        with pytest.raises(ConfigError, match="^cannot build the initial state: "):
+            run(small_cfg(n=16, dt=0.3, t_final=0.6, eps_tail=0.05, **over))
+
     def test_memory_cap_counts_chunk_workspace(self):
         stack_bytes = run(small_cfg(t_final=0.05)).history.payload.nbytes
         with pytest.raises(HistoryTooLongError):

@@ -9,8 +9,11 @@ checkout that holds this file), each run in a fresh process through
 the sha256 of each output file and the column values of its
 ``diagnostics.csv``.  The matrix (:data:`CASES`) takes both bundled configs
 with ``snapshot_every = 4`` and ``history_slices = 0, 3, 5``, plus
-``oldroyd-oracle.ini`` at n = 32, ``eps_tail = 1e-2`` and ``t_final = 6``
-(N_s = 94, so the history fills up).  Each case runs straight and resumed
+``oldroyd-oracle.ini`` at n = 32 and ``eps_tail = 1e-2`` (N_s = 94) twice:
+from rest to ``t_final = 6``, so the history fills up, and to
+``t_final = 3`` from an explicit identity stack of N_s rows, written by the
+checkout's own sources, so every row is live from step 0 and the first
+passes transform the projected identity.  Each case runs straight and resumed
 from the final checkpoint of a run to its middle step, at 1 and at 2 FFT
 threads.  ``run`` exits 1 if a run fails, or if a case's files differ
 between 1 and 2 threads or between its straight and resumed runs.  ``--n``
@@ -50,15 +53,35 @@ CASES = {
     "oldroyd-oracle-n32": ("oldroyd-oracle.ini", {
         "grid": {"n": "32"}, "history": {"eps_tail": "1e-2"}, "flow": {"t_final": "6"}, "output": OUTPUT,
     }),
+    "oldroyd-oracle-n32-explicit": ("oldroyd-oracle.ini", {
+        "grid": {"n": "32"}, "history": {"eps_tail": "1e-2"}, "flow": {"t_final": "3"}, "output": OUTPUT,
+    }),
 }
+# cases started from an explicit identity stack of N_s rows, so that every row is live from step 0
+EXPLICIT = {"oldroyd-oracle-n32-explicit"}
+# writes that stack for the config argv[1] into argv[2], run on the checkout's own sources
+IDENTITY_STACK = """
+import sys
+from memflow.agegrid import build_age_grid
+from memflow.config import parse_config
+from memflow.constitutive import model_catalog
+from memflow.snapshots import write_field
+from memflow.transport import identity_stack
+
+cfg = parse_config(sys.argv[1])
+n_s = build_age_grid(model_catalog(cfg.model_name, **cfg.model_params)[0], cfg.dt, cfg.eps_tail).n_nodes
+write_field(sys.argv[2], identity_stack(n_s, cfg.n), n_s=n_s)
+"""
 THREADS = (1, 2)
 ABSOLUTE = {"divu_sup"}  # columns compared in absolute terms
 TEXT = {"flags"}  # columns compared as strings
 
 
-def write_config(case: str, path: Path, output_dir: Path, n: int | None, steps: int | None = None):
+def write_config(case: str, path: Path, output_dir: Path, n: int | None, steps: int | None = None,
+                 history: Path | None = None):
     """The case's INI at ``path``, writing into ``output_dir``; ``steps`` cuts
-    ``t_final`` to that many steps.  Returns the case's step count."""
+    ``t_final`` to that many steps, and ``history`` is a snapshot file to
+    start from.  Returns the case's step count."""
     bundled, overrides = CASES[case]
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.read(ROOT / "configs" / bundled)
@@ -69,6 +92,8 @@ def write_config(case: str, path: Path, output_dir: Path, n: int | None, steps: 
     if n is not None:
         parser["grid"]["n"] = str(n)
     parser["output"]["directory"] = str(output_dir)
+    if history is not None:
+        parser["history"]["initial"] = f"snapshot:{history}"
     dt = float(parser["flow"]["dt"])
     n_steps = round(float(parser["flow"]["t_final"]) / dt)
     if steps is not None:
@@ -78,14 +103,18 @@ def write_config(case: str, path: Path, output_dir: Path, n: int | None, steps: 
     return n_steps
 
 
-def run_memflow(checkout: Path, threads: int, *args) -> None:
-    """``memflow run *args`` on the sources of ``checkout`` at ``threads`` FFT
-    threads; ``RuntimeError``, with its output, if it exits non-zero."""
-    proc = subprocess.run([sys.executable, "-m", "memflow.cli", "--threads", str(threads), "run", *map(str, args)],
-                          env=dict(os.environ, PYTHONPATH=str(checkout / "src")), capture_output=True, text=True)
+def python(checkout: Path, *args) -> None:
+    """``python *args`` on the sources of ``checkout``; ``RuntimeError``, with
+    its output, if it exits non-zero."""
+    proc = subprocess.run([sys.executable, *map(str, args)], env=dict(os.environ, PYTHONPATH=str(checkout / "src")),
+                          capture_output=True, text=True)
     if proc.returncode:
-        raise RuntimeError(f"memflow run {' '.join(map(str, args))} exited {proc.returncode}:\n"
-                           f"{proc.stdout}{proc.stderr}")
+        raise RuntimeError(f"python {' '.join(map(str, args))} exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")
+
+
+def run_memflow(checkout: Path, threads: int, *args) -> None:
+    """``memflow run *args`` on the sources of ``checkout`` at ``threads`` FFT threads."""
+    python(checkout, "-m", "memflow.cli", "--threads", threads, "run", *args)
 
 
 def record(directory: Path) -> dict:
@@ -106,9 +135,12 @@ def run_case(checkout: Path, out: Path, case: str, threads: int, n: int | None) 
     shutil.rmtree(base, ignore_errors=True)
     base.mkdir(parents=True)
     straight, half, resumed = (base / name for name in ("straight", "half", "resumed"))
-    n_steps = write_config(case, base / "straight.ini", straight, n)
-    write_config(case, base / "half.ini", half, n, steps=n_steps // 2)
-    write_config(case, base / "resumed.ini", resumed, n)
+    history = base / "identity.fld" if case in EXPLICIT else None
+    n_steps = write_config(case, base / "straight.ini", straight, n, history=history)
+    write_config(case, base / "half.ini", half, n, steps=n_steps // 2, history=history)
+    write_config(case, base / "resumed.ini", resumed, n, history=history)
+    if history is not None:  # in the checkout's own file format
+        python(checkout, "-c", IDENTITY_STACK, base / "straight.ini", history)
     run_memflow(checkout, threads, base / "straight.ini")
     run_memflow(checkout, threads, base / "half.ini")
     shutil.copytree(half, resumed)  # the diagnostics and snapshots a resumed run continues
