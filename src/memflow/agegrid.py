@@ -142,19 +142,21 @@ class KahanSum:
     """Compensated running sum of ``coeff * sample`` terms, added in call
     order (so chunked calls give the same bits), updated in place.  Every
     term, the first too, takes the textbook update y = c f - comp,
-    t = total + y, comp = (t - total) - y, total = t."""
+    t = total + y, comp = (t - total) - y, total = t: the same five
+    operations in three buffers.  t goes into the compensation's buffer,
+    which y has absorbed, and the new compensation into the old total's;
+    then the two swap names."""
 
     def __init__(self, shape=()):
-        self.total, self._t = np.zeros(shape), np.empty(shape)
-        self._comp, self._y = np.zeros(shape), np.empty(shape)
+        self.total, self._comp, self._y = np.zeros(shape), np.zeros(shape), np.empty(shape)
 
     def add(self, coeffs, samples) -> "KahanSum":
-        y, comp = self._y, self._comp
+        y = self._y
         for c, f in zip(coeffs, samples):
             np.multiply(f, c, out=y)
-            y -= comp
-            np.add(self.total, y, out=self._t)
-            np.subtract(self._t, self.total, out=comp)
+            y -= self._comp
+            t = np.add(self.total, y, out=self._comp)  # the compensation is dead once y holds it
+            comp = np.subtract(t, self.total, out=self.total)
             comp -= y
-            self.total, self._t = self._t, self.total
+            self.total, self._comp = t, comp
         return self

@@ -8,15 +8,22 @@ and its gradient, :class:`memflow.stepper.FlowState`), formed once per time
 level and shared by the flow, the history, the oracle and the monitor.  The
 history step is the step's only pass over the stack: it also assembles the
 new stress and, on monitored steps, runs the bound scan that the monitor
-reports.  The loop is single-writer; all reductions run in fixed order,
-so identical configurations produce byte-identical diagnostics regardless
-of the FFT worker count.
+reports.  A step holds one step's working set at a time: the pass's sums
+are allocated after the flow step, once the old stress has gone; the old
+jet goes once the history and the oracle have used it, and the pass's
+scratch sums before the monitor runs.  The loop is single-writer; all
+reductions run in fixed order, so identical configurations produce
+byte-identical diagnostics regardless of the FFT worker count.
 
 Exit codes: 0 clean, 2 non-finite or degenerate state (the last periodic
 checkpoint is left on disk), 3 monitored-bound violation when configured
 fatal.  A restart continues the ``diagnostics.csv`` it finds in the output
-directory: rows past the checkpoint time are dropped, the rest are kept.
-A checkpoint past ``t_final`` is refused, before any file is touched.
+directory as the straight run writes it: the rows at this config's record
+steps up to the checkpoint's step are kept, their ``y_value`` summed again
+from their ``y_integrand``, and the rest dropped; a file that lacks one of
+those rows is refused.  Without the file a restart takes the checkpoint's y
+integral and logs its first record.  A checkpoint past ``t_final`` is
+refused, before any file is touched.
 A checkpoint holds the band spectra of the velocity, the history (its live
 rows, in age order) and the oracle stress, which a restart takes as they
 are: the history stores age j at row j, so its live rows on disk are the
@@ -99,9 +106,10 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
 
     Raises :class:`ConfigError` for a config it cannot run: an initial
     history or velocity snapshot that is missing, unreadable, of the wrong
-    shape or below the ``mu_min`` det floor, an unknown history spec, or a
+    shape or below the ``mu_min`` det floor, an unknown history spec, a
     restart checkpoint that is unreadable, does not fit the config or lies
-    past ``t_final``; and
+    past ``t_final``, or a ``diagnostics.csv`` to continue that lacks a row
+    of this config up to the checkpoint's step; and
     :class:`~memflow.agegrid.HistoryTooLongError` when the age grid exceeds the memory cap.
     """
     if cfg.oracle and cfg.model_name != "oldroyd-b":
@@ -149,12 +157,25 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
         raise ConfigError(f"cannot {start}: {exc}") from exc
 
     out_dir = Path(cfg.output_dir) if cfg.output_dir else None
+
+    def snapshot_step(step: int) -> bool:
+        return out_dir is not None and bool(cfg.snapshot_every) and step % cfg.snapshot_every == 0
+
+    def record_step(step: int) -> bool:  # the monitored steps, step 0 among them
+        return step % cfg.cadence == 0 or step == cfg.n_steps or (snapshot_step(step) and cfg.checkpoint)
+
     csv_fh = None
-    csv_first_row = True
+    log_first = csv_first_row = True
+    logged = step0  # the step of the last record
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        t_restart = None if restart_from is None else state.t
-        csv_fh, csv_first_row = _open_diagnostics(out_dir / "diagnostics.csv", t_restart)
+        path, kept = out_dir / "diagnostics.csv", []
+        if restart_from is not None and path.is_file():  # continue it as the straight run wrote it
+            kept, y_value, yi_prev, logged = _resume_diagnostics(path, cfg.dt, step0, record_step)
+            log_first, csv_first_row = record_step(step0), False
+        csv_fh = open(path, "w")
+        csv_fh.write(",".join(CSV_COLUMNS) + "\n")
+        csv_fh.writelines(kept)
 
     records: list[DiagnosticsRecord] = []
     substeps = 0
@@ -182,36 +203,38 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
     try:
         try:  # the stored stack's stress and bound scan, in one pass
             stack_pass = StackReduction(history, measure, scan_args).over_stack()
-            tau = stack_pass.tau.total
-            rec = monitor(state, history, tau, measure, mcfg, y_value, stack_pass.scan_result())
+            tau, scan = stack_pass.tau.total, stack_pass.scan_result()
+            del stack_pass
+            rec = monitor(state, history, tau, measure, mcfg, y_value, scan)
         except FloatingPointError as exc:  # a degenerate initial or restart history
             return finish(EXIT_NAN, str(exc), None)
         if yi_prev is None:
             yi_prev = rec.y_integrand
-        log(rec, to_csv=csv_first_row)
-        if cfg.fatal_on_violation and rec.flags:
-            return finish(EXIT_VIOLATION, f"initial state violates bounds: {rec.flags}", tau)
+        if log_first:
+            log(rec, to_csv=csv_first_row)
+            if cfg.fatal_on_violation and rec.flags:
+                return finish(EXIT_VIOLATION, f"initial state violates bounds: {rec.flags}", tau)
 
-        n_steps, logged = cfg.n_steps, step0  # logged: the step of the last record
+        n_steps = cfg.n_steps
         for step in range(step0 + 1, n_steps + 1):
             u_old, u_old_hat = state.jet, state.u_hat  # advance_flow rebinds both
-            snapshot = out_dir is not None and cfg.snapshot_every and step % cfg.snapshot_every == 0
-            monitored = step % cfg.cadence == 0 or step == n_steps or (snapshot and cfg.checkpoint)
-            stack_pass = StackReduction(history, measure, scan_args if monitored else None)
+            snapshot, monitored = snapshot_step(step), record_step(step)
             try:
                 substeps += advance_flow(state, tau, cfg.dt, cfg.cfl_safety)
                 state.t = step * cfg.dt  # re-pin against substep roundoff drift
+                tau = None  # the flow has used it: it goes before the pass's sums are allocated
+                stack_pass = StackReduction(history, measure, scan_args if monitored else None)
                 stretch_advect_step(history, u_old, state.jet, stack_pass, u_old_hat)
                 if oracle is not None:
                     oldroyd_differential_step(oracle, u_old, state.jet, cfg.dt)
             except FloatingPointError as exc:  # non-finite flow, history or oracle; degenerate history
                 return finish(EXIT_NAN, str(exc), None)
-            tau = stack_pass.tau.total
+            tau, scan = stack_pass.tau.total, stack_pass.scan_result() if monitored else None
+            del u_old, u_old_hat, stack_pass  # the old jet and the pass's scratch sums go before the monitor
 
             if monitored:
-                rec = monitor(state, history, tau, measure, mcfg, y_value, stack_pass.scan_result())
-                log_dt = (step - logged) * cfg.dt  # the trapezoid since the last record
-                y_value += 0.5 * log_dt * (yi_prev + rec.y_integrand)
+                rec = monitor(state, history, tau, measure, mcfg, y_value, scan)
+                y_value = _trapezoid(y_value, (step - logged) * cfg.dt, yi_prev, rec.y_integrand)
                 yi_prev, logged = rec.y_integrand, step
                 rec.y_value = y_value
                 log(rec)
@@ -233,17 +256,41 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
             csv_fh.close()
 
 
-def _open_diagnostics(path: Path, t_restart: float | None):
-    """Open ``diagnostics.csv``, keeping a restarted run's rows up to ``t_restart``;
-    also returns whether the first record still needs a row."""
-    kept = []
-    if t_restart is not None and path.is_file():
-        rows = path.read_text().splitlines(keepends=True)[1:]
-        kept = [row for row in rows if row.endswith("\n") and float(row.split(",", 1)[0]) <= t_restart]
-    fh = open(path, "w")
-    fh.write(",".join(CSV_COLUMNS) + "\n")
-    fh.writelines(kept)
-    return fh, not (kept and float(kept[-1].split(",", 1)[0]) == t_restart)
+def _trapezoid(y_value: float, dt: float, yi_prev: float, yi: float) -> float:
+    """The y integral after one more record ``dt`` after the last."""
+    return y_value + 0.5 * dt * (yi_prev + yi)
+
+
+_Y_VALUE, _Y_INTEGRAND = CSV_COLUMNS.index("y_value"), CSV_COLUMNS.index("y_integrand")
+
+
+def _resume_diagnostics(path: Path, dt: float, step0: int, record_step) -> tuple[list[str], float, float, int]:
+    """The rows of ``diagnostics.csv`` at the record steps 0 .. ``step0``
+    (``record_step(k)``), with ``y_value`` summed again from their
+    ``y_integrand`` by the run's own trapezoid, and the trapezoid state after
+    them: ``(rows, y_value, y_integrand, step)``.  Every number is written at
+    17 digits, so it reads back to the bits the straight run summed.  Raises
+    :class:`ConfigError`, naming the step, if a record step has no row."""
+    rows = {}
+    for row in path.read_text().splitlines(keepends=True)[1:]:
+        if row.endswith("\n"):  # a row cut short by a killed run is not kept
+            t = float(row.split(",", 1)[0])
+            step = round(t / dt)
+            if step * dt == t:
+                rows[step] = row.split(",")
+    kept, y_value, yi_prev, logged = [], 0.0, None, None
+    for step in filter(record_step, range(step0 + 1)):
+        if step not in rows:
+            raise ConfigError(f"cannot continue {path} from step {step0}: it has no row at step {step} "
+                              f"(t = {step * dt:.17g}), which this config records")
+        cols = rows[step]
+        yi = float(cols[_Y_INTEGRAND])
+        if logged is not None:
+            y_value = _trapezoid(y_value, (step - logged) * dt, yi_prev, yi)
+        cols[_Y_VALUE] = f"{y_value:.17g}"
+        kept.append(",".join(cols))
+        yi_prev, logged = yi, step
+    return kept, y_value, yi_prev, logged
 
 
 def _write_snapshots(out_dir: Path, step: int, state: FlowState, tau, history, cfg: SimulationConfig):

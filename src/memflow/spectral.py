@@ -263,7 +263,7 @@ def random_band_limited_velocity(
     v_hat = grid.band(rng.standard_normal((2, grid.n, grid.n)))
     v_hat *= (np.abs(grid.k1_band) <= band) & (np.abs(grid.k2_band) <= band) & (grid.k_sq_band > 0)
     u = grid.field(grid.leray_hat(v_hat))
-    sup = np.max(np.sqrt(u[0] ** 2 + u[1] ** 2))
+    sup = np.sqrt(np.max(u[0] ** 2 + u[1] ** 2))  # the max before the sqrt, same bits
     if sup > 0:
         u *= amplitude / sup
     return u

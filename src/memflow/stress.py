@@ -166,14 +166,22 @@ def history_scan(history: DeformationHistory, q: float, r: float, mu: float = 1.
 def stress_gradient_norm(tau: np.ndarray, grid: SpectralGrid, q: float) -> float:
     """Discrete L^q norm of the pointwise Frobenius norm of grad tau.
 
-    A symmetric ``tau`` (every catalog measure's is, bit for bit) has three
-    distinct components; only they are transformed, and the gradient of
-    tau[0, 1] stands in for that of tau[1, 0], which gives the bits of
-    transforming all four."""
+    The components are forward-transformed once; then one derivative
+    direction at a time is inverted and its squares added into one field,
+    in the order of ``einsum("djkyx,djkyx->yx")`` over :meth:`SpectralGrid.gradient`
+    (direction, then j, then k), whose bits it gives.  A symmetric ``tau``
+    (every catalog measure's is, bit for bit) has three distinct components;
+    only they are transformed, and tau[0, 1]'s derivative stands in for
+    tau[1, 0]'s: 3 forward and 6 inverse transforms, not 4 and 8."""
+    flat = tau.reshape(4, *tau.shape[2:])
     if np.array_equal(tau[0, 1], tau[1, 0]):
-        parts = grid.gradient(tau.reshape(4, *tau.shape[2:])[[0, 1, 3]])  # of tau_00, tau_01, tau_11
-        dtau = np.take(parts, [0, 1, 1, 2], axis=1).reshape((2,) + tau.shape)  # C order, as einsum's bits need
+        f_hat, order = grid.fwd(flat[[0, 1, 3]]), (0, 1, 1, 2)  # of tau_00, tau_01, tau_11
     else:
-        dtau = grid.gradient(tau)  # (2, 2, 2, n, n): derivative axis first
-    mag = np.sqrt(np.einsum("djkyx,djkyx->yx", dtau, dtau))
-    return grid.lq_norm(mag, q)
+        f_hat, order = grid.fwd(flat), range(4)
+    mag_sq = np.zeros(tau.shape[2:])
+    for d in (grid.d1, grid.d2):
+        dtau = grid.inv(d * f_hat)
+        dtau *= dtau
+        for c in order:
+            mag_sq += dtau[c]
+    return grid.lq_norm(np.sqrt(mag_sq, out=mag_sq), q)

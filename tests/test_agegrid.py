@@ -123,6 +123,32 @@ def test_kahan_sum_scalar_path_matches_array_path():
 
 
 
+@pytest.mark.parametrize("shape", [(), (7,), (2, 3, 4)])
+def test_kahan_sum_three_buffers_match_four_buffer_reference(shape):
+    # t goes into the compensation's buffer and the new compensation into the old total's: the five
+    # operations of the four-buffer loop below, on the same operands in the same order, so the same bits;
+    # the terms mix signed zeros, subnormals and values near overflow into magnitudes from 1e-300 to 1e300
+    rng = np.random.default_rng(12)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 4e307, -4e307, 1.0]
+    samples = rng.standard_normal((60, *shape)) * 10.0 ** rng.integers(-300, 300, (60, *shape))
+    samples = np.where(rng.random(samples.shape) < 0.5, rng.choice(special, samples.shape), samples)
+    coeffs = rng.choice([1.0, 0.5, 0.25, 1e-3, 2.0 ** -1074], 60)
+    total, t, comp, y = np.zeros(shape), np.empty(shape), np.zeros(shape), np.empty(shape)
+    kahan = KahanSum(shape)
+    assert sum(isinstance(v, np.ndarray) for v in vars(kahan).values()) == 3
+    for lo in range(0, 60, 7):
+        for c, f in zip(coeffs[lo : lo + 7], samples[lo : lo + 7]):  # the textbook update, four buffers
+            np.multiply(f, c, out=y)
+            y -= comp
+            np.add(total, y, out=t)
+            np.subtract(t, total, out=comp)
+            comp -= y
+            total, t = t, total
+        kahan.add(coeffs[lo : lo + 7], samples[lo : lo + 7])
+        assert kahan.total.tobytes() == total.tobytes() and kahan._comp.tobytes() == comp.tobytes()
+    assert np.isfinite(total).all() and (np.abs(total) > 1e300).any()
+
+
 @pytest.mark.parametrize("first", [0.0, -0.0, math.inf, -math.inf, math.nan, -1.5e-310])
 @np.errstate(invalid="ignore")  # inf - inf
 def test_kahan_sum_first_term_matches_textbook_bits(first):

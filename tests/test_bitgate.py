@@ -33,6 +33,14 @@ def test_threads_and_restart_are_byte_identical(manifest):
         assert rec == reference
 
 
+def test_manifest_holds_each_runs_peak_rss(manifest):
+    rss = json.loads((manifest / "manifest.json").read_text())["peak_rss_mib"]["oldroyd-oracle"]
+    assert rss.keys() == {"threads1", "threads2"}
+    for kinds in rss.values():
+        assert kinds.keys() == {"straight", "half", "resumed"} and all(v > 0 for v in kinds.values())
+    assert "peak RSS" in bitgate("compare", manifest, manifest).stdout
+
+
 def test_compare_reports_equal_files_and_flags_a_changed_one(manifest, tmp_path):
     proc = bitgate("compare", manifest, manifest)
     assert proc.returncode == 0 and "0 files differ" in proc.stdout

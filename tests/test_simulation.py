@@ -3,6 +3,7 @@ import json
 import math
 import struct
 import tempfile
+import tracemalloc
 import warnings
 import zlib
 from pathlib import Path
@@ -177,6 +178,26 @@ class TestRun:
         cap = (stack_bytes + ChunkWorkspace.nbytes_for(32)) / 2**20
         assert run(small_cfg(t_final=0.05, memory_cap_mb=cap)).exit_code == EXIT_OK
 
+    def test_run_holds_one_steps_working_set(self):
+        # a from-rest run at n = 256 with N_s = 4 holds, beside the stack and the chunk workspace, the two
+        # velocity jets while the history steps (2 x 6 n^2 doubles: 3 tensor fields of 4 n^2), one stack
+        # pass's three compensated sums (3 fields) and in the monitor one derivative direction of the
+        # stress gradient (2-3 fields): 10 fields bound tracemalloc's peak
+        n = 256
+        cfg = SimulationConfig(n=n, viscosity=0.01, dt=0.02, t_final=0.02 * 6, cfl_safety=0.2, model_name="psm-raw",
+                               model_params={"lam": 0.01}, eps_tail=1e-2, velocity_kind="random-band",
+                               velocity_band=8, cadence=1)
+        run(cfg)  # a warm-up run, so one-time allocations do not count
+        tracemalloc.start()
+        try:
+            res = run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.exit_code == EXIT_OK and res.history.n_slices == 4
+        fields = (peak - res.history.payload.nbytes - ChunkWorkspace.nbytes_for(n)) / (4 * n * n * 8)
+        assert fields <= 10, f"{fields:.2f} tensor fields beside the stack and the workspace"
+
 
 def test_substeps_summed_over_the_run(tmp_path, monkeypatch):
     # the run's flow substeps are the sum of what advance_flow returns, on a straight run and on a resume
@@ -335,10 +356,11 @@ class TestArtifacts:
            snapshot_every=st.integers(1, 4), steps=st.integers(4, 30),
            kind=st.sampled_from(["taylor-green", "random-band"]), amplitude=st.sampled_from([0.5, 1.0, 3.0]),
            data=st.data())
-    def test_restart_at_snapshot_step_reproduces_straight_csv(self, model, dt, eps_tail, cadence, snapshot_every,
-                                                              steps, kind, amplitude, data):
-        # a run cut at a snapshot step and resumed into its directory writes the straight run's diagnostics.csv
-        cut = snapshot_every * data.draw(st.integers(1, steps // snapshot_every), label="cut / snapshot_every")
+    def test_restart_at_any_step_reproduces_straight_csv(self, model, dt, eps_tail, cadence, snapshot_every,
+                                                         steps, kind, amplitude, data):
+        # a shorter run's final checkpoint, at any step, resumed into its directory writes the straight
+        # run's diagnostics.csv, also when the cut is not a step the straight run records
+        cut = data.draw(st.integers(1, steps - 1), label="cut")
         with tempfile.TemporaryDirectory() as tmp:
             straight, resumed = Path(tmp, "A"), Path(tmp, "B")
             cfg = lambda out, k: small_cfg(
@@ -350,6 +372,40 @@ class TestArtifacts:
             assert set(codes) <= {EXIT_OK, EXIT_NAN, EXIT_VIOLATION}
             if codes == [EXIT_OK] * 3:
                 assert (resumed / "diagnostics.csv").read_bytes() == (straight / "diagnostics.csv").read_bytes()
+
+    @staticmethod
+    def oldroyd_cfg(out, steps, **over):
+        return small_cfg(n=16, model_name="oldroyd-b", t_final=0.05 * steps, output_dir=str(out or ""), **over)
+
+    @pytest.mark.parametrize("writer, reader", [
+        # the cut, step 1, is not a record step of the longer run
+        (dict(steps=1, cadence=2, snapshot_every=2), dict(steps=4, cadence=2, snapshot_every=2)),
+        # the writer records every step, the reader every second one
+        (dict(steps=4, cadence=1), dict(steps=8, cadence=2)),
+    ])
+    def test_restart_from_shorter_run_reproduces_straight_csv(self, tmp_path, writer, reader):
+        straight, resumed = tmp_path / "A", tmp_path / "B"
+        assert run(self.oldroyd_cfg(straight, **reader)).exit_code == EXIT_OK
+        assert run(self.oldroyd_cfg(resumed, **writer)).exit_code == EXIT_OK
+        res = run(self.oldroyd_cfg(resumed, **reader), restart_from=resumed / "checkpoint")
+        assert res.exit_code == EXIT_OK
+        assert (resumed / "diagnostics.csv").read_bytes() == (straight / "diagnostics.csv").read_bytes()
+        # the records are the straight run's from the restart on, the restart itself only if it is a record step
+        rows = {rec.t: rec for rec in run(self.oldroyd_cfg(None, **reader)).records}
+        assert [rec.t for rec in res.records] == [t for t in rows if t >= 0.05 * writer["steps"]]
+        assert all(rec == rows[rec.t] for rec in res.records)
+
+    def test_restart_refuses_csv_without_a_needed_row(self, tmp_path):
+        # the writer recorded every second step; a reader recording every step needs step 1
+        out = tmp_path / "A"
+        run(self.oldroyd_cfg(out, steps=4, cadence=2))
+        files = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        with pytest.raises(ConfigError, match=r"no row at step 1 \(t = 0.050000000000000003\)"):
+            run(self.oldroyd_cfg(out, steps=8, cadence=1), restart_from=out / "checkpoint")
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == files
+        # without the file the checkpoint's own y integral is taken, as for a fresh directory
+        (out / "diagnostics.csv").unlink()
+        assert run(self.oldroyd_cfg(out, steps=8, cadence=1), restart_from=out / "checkpoint").exit_code == EXIT_OK
 
     def test_restart_past_t_final_refused(self, tmp_path):
         out = tmp_path / "A"

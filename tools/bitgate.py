@@ -7,8 +7,10 @@
 checkout that holds this file), each run in a fresh process through
 ``python -m memflow.cli``, and writes ``OUT/manifest.json``: for every run
 the sha256 of each output file and the column values of its
-``diagnostics.csv``.  The matrix (:data:`CASES`) takes both bundled configs
-with ``snapshot_every = 4`` and ``history_slices = 0, 3, 5``, plus
+``diagnostics.csv``, and under ``peak_rss_mib`` the peak RSS of every run's
+process (``ru_maxrss`` from ``os.wait4``).  The matrix (:data:`CASES`)
+takes both bundled configs with ``snapshot_every = 4`` and
+``history_slices = 0, 3, 5``, plus
 ``oldroyd-oracle.ini`` at n = 32 and ``eps_tail = 1e-2`` (N_s = 94) twice:
 from rest to ``t_final = 6``, so the history fills up, and to
 ``t_final = 3`` from an explicit identity stack of N_s rows, written by the
@@ -23,10 +25,11 @@ named cases.
 ``compare A B`` reads the manifests of two ``OUT`` directories and prints,
 for each case, the byte equality of each file and the largest relative
 difference of each ``diagnostics.csv`` column; ``divu_sup``, a
-roundoff-level quantity, is compared in absolute terms.  It exits 1 if any
-file differs.  To compare against another commit, check it out locally
-(``git worktree add`` or ``git archive``) and run the matrix there with
-``--checkout``.
+roundoff-level quantity, is compared in absolute terms.  It also prints each
+case's largest peak RSS on either side, for information only: RSS depends on
+the machine, so it never fails the gate.  It exits 1 if any file differs.
+To compare against another commit, check it out locally (``git worktree
+add`` or ``git archive``) and run the matrix there with ``--checkout``.
 """
 
 from __future__ import annotations
@@ -103,18 +106,24 @@ def write_config(case: str, path: Path, output_dir: Path, n: int | None, steps: 
     return n_steps
 
 
-def python(checkout: Path, *args) -> None:
-    """``python *args`` on the sources of ``checkout``; ``RuntimeError``, with
-    its output, if it exits non-zero."""
-    proc = subprocess.run([sys.executable, *map(str, args)], env=dict(os.environ, PYTHONPATH=str(checkout / "src")),
-                          capture_output=True, text=True)
+def python(checkout: Path, *args) -> float:
+    """``python *args`` on the sources of ``checkout``: the child's peak RSS in
+    MiB, from ``os.wait4``; ``RuntimeError``, with its output, if it exits non-zero."""
+    proc = subprocess.Popen([sys.executable, *map(str, args)], env=dict(os.environ, PYTHONPATH=str(checkout / "src")),
+                            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    with proc.stdout:
+        output = proc.stdout.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, for its resource usage
     if proc.returncode:
-        raise RuntimeError(f"python {' '.join(map(str, args))} exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")
+        raise RuntimeError(f"python {' '.join(map(str, args))} exited {proc.returncode}:\n{output}")
+    return usage.ru_maxrss / 1024.0  # KiB on Linux
 
 
-def run_memflow(checkout: Path, threads: int, *args) -> None:
-    """``memflow run *args`` on the sources of ``checkout`` at ``threads`` FFT threads."""
-    python(checkout, "-m", "memflow.cli", "--threads", threads, "run", *args)
+def run_memflow(checkout: Path, threads: int, *args) -> float:
+    """``memflow run *args`` on the sources of ``checkout`` at ``threads`` FFT
+    threads: its peak RSS in MiB."""
+    return python(checkout, "-m", "memflow.cli", "--threads", threads, "run", *args)
 
 
 def record(directory: Path) -> dict:
@@ -129,8 +138,9 @@ def record(directory: Path) -> dict:
     return {"files": files, "columns": columns}
 
 
-def run_case(checkout: Path, out: Path, case: str, threads: int, n: int | None) -> dict:
-    """A case's straight and resumed runs at ``threads`` threads, in ``out``."""
+def run_case(checkout: Path, out: Path, case: str, threads: int, n: int | None) -> tuple[dict, dict]:
+    """A case's straight and resumed runs at ``threads`` threads, in ``out``,
+    and the peak RSS in MiB of its straight, half and resumed runs."""
     base = out / case / f"threads{threads}"
     shutil.rmtree(base, ignore_errors=True)
     base.mkdir(parents=True)
@@ -141,11 +151,11 @@ def run_case(checkout: Path, out: Path, case: str, threads: int, n: int | None) 
     write_config(case, base / "resumed.ini", resumed, n, history=history)
     if history is not None:  # in the checkout's own file format
         python(checkout, "-c", IDENTITY_STACK, base / "straight.ini", history)
-    run_memflow(checkout, threads, base / "straight.ini")
-    run_memflow(checkout, threads, base / "half.ini")
+    rss = {"straight": run_memflow(checkout, threads, base / "straight.ini"),
+           "half": run_memflow(checkout, threads, base / "half.ini")}
     shutil.copytree(half, resumed)  # the diagnostics and snapshots a resumed run continues
-    run_memflow(checkout, threads, base / "resumed.ini", "--restart", half / "checkpoint")
-    return {"straight": record(straight), "resumed": record(resumed)}
+    rss["resumed"] = run_memflow(checkout, threads, base / "resumed.ini", "--restart", half / "checkpoint")
+    return {"straight": record(straight), "resumed": record(resumed)}, rss
 
 
 def check(cases: dict) -> list[str]:
@@ -165,17 +175,19 @@ def check(cases: dict) -> list[str]:
 def cmd_run(args) -> int:
     out, checkout = Path(args.out).resolve(), Path(args.checkout).resolve()
     out.mkdir(parents=True, exist_ok=True)
-    start, cases = time.perf_counter(), {}
+    start, cases, rss = time.perf_counter(), {}, {}
     for case in args.case or CASES:
-        cases[case] = {}
+        cases[case], rss[case] = {}, {}
         for threads in THREADS:
             try:
-                cases[case][f"threads{threads}"] = run_case(checkout, out, case, threads, args.n)
+                cases[case][f"threads{threads}"], rss[case][f"threads{threads}"] = run_case(
+                    checkout, out, case, threads, args.n)
             except RuntimeError as exc:
                 print(f"bitgate: {case} at {threads} threads: {exc}", file=sys.stderr)
                 return 1
     seconds = time.perf_counter() - start
-    manifest = {"checkout": str(checkout), "n": args.n, "seconds": round(seconds, 1), "cases": cases}
+    manifest = {"checkout": str(checkout), "n": args.n, "seconds": round(seconds, 1), "cases": cases,
+                "peak_rss_mib": rss}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
     faults = check(cases)
     for fault in faults:
@@ -210,6 +222,9 @@ def cmd_compare(args) -> int:
         # run asserts each case's runs alike, so its straight run at 1 thread stands for them
         ra, rb = (m["cases"][case]["threads1"]["straight"] for m in (a, b))
         print(f"== {case}")
+        peaks = [max((v for kinds in m.get("peak_rss_mib", {}).get(case, {}).values() for v in kinds.values()),
+                     default=math.nan) for m in (a, b)]
+        print(f"  peak RSS {peaks[0]:.1f} MiB vs {peaks[1]:.1f} MiB (largest run; informational)")
         for name in sorted(ra["files"].keys() | rb["files"].keys()):
             same = ra["files"].get(name) == rb["files"].get(name)
             differ += not same
