@@ -18,6 +18,21 @@ spectrum, so an identity start never leaves the band (explicit initial
 histories are projected onto it).  Stage arithmetic runs on band spectra;
 the physical fields, needed for the products, exist one chunk at a time.
 
+Each row G_j of G = F^T is divergence-free, D_j = d_l G_jl = 0: the Piola
+identity for det F = 1, which an incompressible flow keeps.  With div u = 0
+and D_j = 0 the right-hand side of row j is the 2D curl of one scalar,
+
+    G_jl d_l u_k - d_l (u_l G_jk) = (-d2 w_j, d1 w_j)_k,   w_j = G_j1 u2 - G_j2 u1,
+
+(:func:`_react_rhs_hat`), which takes 2 forward band transforms a stage
+(one per w_j) instead of 12.  For any G the two sides differ by the band
+part of u_k D_j.  Band products are exact (n > 3 kc), so under the left
+side D_j obeys dD_j/dt = -P d_l (u_l D_j) and stays 0, and under the
+curl form it does not change at all.  So from a divergence-free start the
+two forms step the same fields in exact arithmetic.  The identity is such
+a start, and explicit histories have their rows projected onto
+divergence-free ones on load (:func:`init_history`).
+
 Only distinct ages are stored and stepped.  A flow started from rest has a
 quiescent past, so after k steps every age s >= k ds holds one field, the
 deformation since the start (the deformation-fields view of Hulsen, Peters
@@ -32,7 +47,7 @@ deformation at age zero is the identity, F(t, t) = I.  So a step sets it
 and does not step it; step k from rest advances min(k, N_s - 1) rows.
 The next step finds that row, now age 1, still the identity, and given
 the old velocity's spectrum takes its first Heun stage in closed form
-(:func:`_step_identity`): 16 transforms, where every other row takes 36.
+(:func:`_step_identity`): 6 transforms, where every other row takes 16.
 
 Every pass visits the live rows in age order (:meth:`DeformationHistory.chunks`):
 the newborn, then age 1, each a chunk of one row, then chunks of at most
@@ -144,7 +159,7 @@ class ChunkWorkspace:
 
     ``g`` holds the chunk's physical fields and ``prod`` physical products
     and scratch; ``rows`` is the row-transform scratch of band transforms;
-    ``rhs``, ``spec`` and ``flux`` hold band spectra.  A chunk is handed the
+    ``rhs`` and ``spec`` hold band spectra.  A chunk is handed the
     workspace cut to its rows (:meth:`cut`) and uses every buffer whole.
     """
 
@@ -152,7 +167,7 @@ class ChunkWorkspace:
         c = min(chunk_slices(n), n_slices)
         self.g, self.prod = (np.empty((c, 2, 2, n, n)) for _ in range(2))
         self.rows = np.empty((c, 2, 2, n, n // 2 + 1), dtype=complex)
-        self.rhs, self.spec, self.flux = (np.empty((c, 2, 2, *band_shape(n)), dtype=complex) for _ in range(3))
+        self.rhs, self.spec = (np.empty((c, 2, 2, *band_shape(n)), dtype=complex) for _ in range(2))
 
     def cut(self, rows: int) -> "ChunkWorkspace":
         """The workspace of a chunk of ``rows`` rows: views of the leading
@@ -165,7 +180,7 @@ class ChunkWorkspace:
     def nbytes_for(n: int) -> int:
         """Bytes of the largest workspace on an n x n grid."""
         rows, cols = band_shape(n)
-        return chunk_slices(n) * 4 * (2 * n * n * 8 + n * (n // 2 + 1) * 16 + 3 * rows * cols * 16)
+        return chunk_slices(n) * 4 * (2 * n * n * 8 + n * (n // 2 + 1) * 16 + 2 * rows * cols * 16)
 
 
 def identity_stack(n_slices: int, n: int) -> np.ndarray:
@@ -198,12 +213,13 @@ def init_history(spec, grid: SpectralGrid, age_grid: AgeGrid, mu: float = 1.0) -
     ``spec`` is either the string ``"identity"`` (quiescent past: every
     slice is the identity, held as one tail row, ``live = 1``) or an
     explicit array of per-age physical tensor fields in increasing-age
-    order, which is projected onto the band (``live = n_nodes``).  The
-    projected fields must keep ``det G >= mu > 0`` at every node; data
-    whose age-zero slice differs from the identity is accepted with a
-    warning.  That slice is not overwritten: the first step's shift carries
-    it to age 1 and steps it like every other age, and the identity enters
-    as the new age 0.
+    order, which is projected onto the band, and then each row G_j onto its
+    divergence-free part (:func:`_divergence_free_rows`; ``live =
+    n_nodes``).  The projected fields must keep ``det G >= mu > 0`` at every
+    node; data that the second projection moves, or whose age-zero slice
+    differs from the identity, is accepted with a warning.  That slice is
+    not overwritten: the first step's shift carries it to age 1 and steps it
+    like every other age, and the identity enters as the new age 0.
     """
     payload = np.zeros((age_grid.n_nodes, 2, 2, *grid.band_shape), dtype=complex)
     if isinstance(spec, str):
@@ -218,17 +234,34 @@ def init_history(spec, grid: SpectralGrid, age_grid: AgeGrid, mu: float = 1.0) -
     if mu <= 0:
         raise ValueError("determinant floor mu must be positive")
     history = DeformationHistory(payload, age_grid, grid)
-    min_det = math.inf
+    min_det, moved = math.inf, 0.0
     for age, band, work in history.chunks():
         grid.fwd(data[age : age + len(band)], out=band, rows=work.rows)
+        moved = max(moved, _divergence_free_rows(grid, band, work))
         min_det = np.minimum(min_det, det_field(grid.inv(band, out=work.g, rows=work.rows)).min())
     if not min_det >= mu:  # NaN fails too
         raise DegenerateHistoryError(
             f"initial history has min det G = {min_det:.6g}, below the floor mu = {mu:.6g}"
         )
+    if moved > 1e-12:
+        warnings.warn(f"rows of the supplied history are not divergence-free: their projection moved a field "
+                      f"by up to {moved:.3g}", stacklevel=2)
     if not np.allclose(data[0], identity_stack(1, grid.n)[0], atol=1e-12):
         warnings.warn("age-zero slice of the supplied history differs from the identity", stacklevel=2)
     return history
+
+
+def _divergence_free_rows(grid: SpectralGrid, g_hat: np.ndarray, work: ChunkWorkspace) -> float:
+    """Project each row of the band spectra ``g_hat``, shape ``(c, 2, 2,
+    *band_shape)``, onto its divergence-free part in place: the Leray
+    projection of the vector G_j (:meth:`SpectralGrid.leray_hat`), mean mode
+    unchanged.  Returns the largest pointwise change of a field; the removed
+    part goes through ``work.spec``, ``work.prod`` and ``work.rows``."""
+    rows = np.moveaxis(g_hat, 2, 0)  # rows[l, :, j] = G_jl
+    kept = grid.leray_hat(rows)
+    np.subtract(rows, kept, out=np.moveaxis(work.spec, 2, 0))  # the removed part
+    rows[:] = kept
+    return float(np.abs(grid.inv(work.spec, out=work.prod, rows=work.rows)).max())
 
 
 def det_field(g: np.ndarray) -> np.ndarray:
@@ -266,24 +299,30 @@ def _react_rhs_hat(grid: SpectralGrid, g: np.ndarray, u_jet: np.ndarray, work: C
                    out: np.ndarray) -> np.ndarray:
     """Band spectrum of the react-advect right-hand side, written into ``out``.
 
-    Advection uses the conservative form u . grad G = div(u G), exact for
-    divergence-free u; it needs only forward transforms of physical
-    products, which is the cheaper direction for this stack size.  The
-    products are formed in ``work.prod``, the chunk's workspace; ``u_jet``
-    is the velocity's jet ``(u, d1 u, d2 u)``, so ``grad_u[l, k] = d_l u_k``.
-    Each product takes its own band transform: G . grad u into ``out``, then
-    u1 G and u2 G into ``work.flux``, times ``d1_band`` and ``d2_band`` and
-    subtracted from ``out``.  ``g`` is read, never written.
+    For divergence-free u and rows G_j, G . grad u - div(u G) is row by row
+    the curl (-d2 w_j, d1 w_j) of w_j = G_j1 u2 - G_j2 u1 (module docstring): the
+    two products w_j are formed in ``work.prod``, the chunk's workspace, and
+    take one band transform into ``out[:, :, 0]``, which :func:`_curl` turns
+    into the rows.  Only forward transforms of physical products are needed,
+    the cheaper direction for this stack size.  ``u_jet`` is the velocity's
+    jet ``(u, d1 u, d2 u)``, of which the field is read; ``g`` is read,
+    never written.
     """
-    u, grad_u = u_jet[0], u_jet[1:]
-    prod, rows, flux = work.prod, work.rows, work.flux
-    np.einsum("cjlyx,lkyx->cjkyx", g, grad_u, out=prod)  # (G . grad u)_{jk}
-    grid.fwd(prod, out=out, rows=rows)
-    for u_l, d_l in ((u[0], grid.d1_band), (u[1], grid.d2_band)):
-        np.multiply(g, u_l, out=prod)
-        grid.fwd(prod, out=flux, rows=rows)
-        flux *= d_l
-        out -= flux
+    u, w, scratch = u_jet[0], work.prod[:, 0], work.prod[:, 1]
+    np.multiply(g[:, :, 0], u[1], out=w)
+    w -= np.multiply(g[:, :, 1], u[0], out=scratch)
+    grid.fwd(w, out=out[:, :, 0], rows=work.rows[:, 0])
+    return _curl(grid, out)
+
+
+def _curl(grid: SpectralGrid, out: np.ndarray) -> np.ndarray:
+    """Replace the band spectra w_j in ``out[:, j, 0]`` by the rows
+    ``(-d2 w_j, d1 w_j)`` of ``out[:, j]``, in place.  The minus is taken as
+    0 - d2 w, so a zero product gives +0.0."""
+    w = out[:, :, 0]
+    np.multiply(grid.d1_band, w, out=out[:, :, 1])
+    np.multiply(grid.d2_band, w, out=w)
+    np.subtract(0.0, w, out=w)
     return out
 
 
@@ -300,17 +339,21 @@ def _step_identity(grid: SpectralGrid, g_hat: np.ndarray, work: ChunkWorkspace, 
     """The Heun step of :func:`_step_chunk` for a one-row chunk that holds the
     identity, with its first stage in closed form.
 
-    With G = I the right-hand side is grad u - (div u) I, that is
-    ``[[-d2 u2, d1 u2], [d2 u1, -d1 u1]]``: its band spectrum comes from the
-    old velocity's band spectrum ``u_old_hat``, and the predictor field
-    I + dt (grad u - (div u) I) from its jet, with no transform.  The second
-    stage and the new field take theirs: 16 transforms, where a row of
-    :func:`_step_chunk` takes 36."""
+    With G = I the curl form's scalars are w = (u2, -u1), so the right-hand
+    side is ``[[-d2 u2, d1 u2], [d2 u1, -d1 u1]]``: its band spectrum comes
+    from the old velocity's band spectrum ``u_old_hat``, and the predictor
+    field I + dt (that right-hand side) from its jet, with no transform.
+    The second stage and the new field take theirs: 6 transforms, where a
+    row of :func:`_step_chunk` takes 16."""
     (d1u1, d1u2), (d2u1, d2u2) = u_old[1:]
-    d1, d2 = grid.d1_band, grid.d2_band
     r1, pred = work.rhs, work.g
-    np.stack(((-d2 * u_old_hat[1], d1 * u_old_hat[1]), (d2 * u_old_hat[0], -d1 * u_old_hat[0])), out=r1[0])
-    np.stack(((-d2u2, d1u2), (d2u1, -d1u1)), out=pred[0])
+    r1[0, 0, 0] = u_old_hat[1]
+    np.negative(u_old_hat[0], out=r1[0, 1, 0])
+    _curl(grid, r1)
+    np.negative(d2u2, out=pred[0, 0, 0])
+    pred[0, 0, 1] = d1u2
+    pred[0, 1, 0] = d2u1
+    np.negative(d1u1, out=pred[0, 1, 1])
     pred *= dt
     pred[0, 0, 0] += 1.0
     pred[0, 1, 1] += 1.0
@@ -348,7 +391,7 @@ def stretch_advect_step(
     Given ``u_old_hat``, the band spectrum of ``u_old``'s field, the age-1
     chunk, when its row is bit for bit the identity spectrum the shift
     writes (:func:`is_identity`), takes its first stage in closed form
-    (:func:`_step_identity`): 16 transforms, not 36.  It is so after every
+    (:func:`_step_identity`): 6 transforms, not 16.  It is so after every
     step (the newborn that step set), in a history from rest (its tail row)
     and after a restart; the rows of an explicit history are projections,
     which take the transforms.  Without ``u_old_hat`` every chunk takes

@@ -116,7 +116,8 @@ class TestMonitor:
         kernel, measure = model_catalog("psm-raw")
         ag = build_age_grid(kernel, 0.05, 1e-4)
         stack = identity_stack(ag.n_nodes, N)
-        stack[2] *= 1.0 - 0.05 * (1.0 + np.cos(grid.x1))  # det 0.81 at x1 = 0
+        f = lambda x: 1.0 - 0.05 * (1.0 + np.cos(x))
+        stack[2, 0, 0], stack[2, 1, 1] = f(grid.x2), f(grid.x1)  # divergence-free rows: det 0.81 at x = 0
         h = init_history(stack, grid, ag, mu=0.5)
         st = FlowState(grid, np.zeros((2, N, N)), 1.0)
         tau = assemble_stress(h, measure)

@@ -146,10 +146,12 @@ class TestRun:
 
     def test_snapshot_history_projected_onto_band(self, tmp_path):
         n_s = run(small_cfg(t_final=0.05)).history.n_slices
-        x1 = np.linspace(0.0, 2 * np.pi, 32, endpoint=False)[:, None] * np.ones((32, 32))
+        x = np.linspace(0.0, 2 * np.pi, 32, endpoint=False)
+        f = lambda x: 1.0 - 0.05 * (1.0 + np.cos(x)) + 0.3 * np.cos(16 * x)
         stack = identity_stack(n_s, 32)
-        # min det 0.81 in the band; the Nyquist mode outside it would take det down to about 0.36
-        stack[2, 0, 0] = stack[2, 1, 1] = 1.0 - 0.05 * (1.0 + np.cos(x1)) + 0.3 * np.cos(16 * x1)
+        # divergence-free rows, G = diag(f(x2), f(x1)): min det 0.81 in the band; the Nyquist mode outside
+        # it would take det down to about 0.36
+        stack[2, 0, 0], stack[2, 1, 1] = f(x[None, :]), f(x[:, None])
         write_field(tmp_path / "h.fld", stack, n_s=n_s)
         res = run(small_cfg(t_final=0.05, initial_history=f"snapshot:{tmp_path / 'h.fld'}", mu_min=0.5))
         assert res.exit_code == EXIT_OK

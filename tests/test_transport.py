@@ -68,6 +68,20 @@ def with_slice(grid, age_grid, j, value, mu=1.0):
     return init_history(stack, grid, age_grid, mu=mu)
 
 
+def divergence_free_rows(grid, rng, count, amplitude):
+    """``count`` band-limited physical fields I + grad-perp psi_j, psi_j random: each row G_j =
+    e_j + (-d2 psi_j, d1 psi_j) is divergence-free; the perturbation is scaled to sup ``amplitude``."""
+    psi_hat = grid.band(rng.standard_normal((count, 2, grid.n, grid.n)))
+    g = grid.field(np.stack((-grid.d2_band * psi_hat, grid.d1_band * psi_hat), axis=2))  # g[:, j, l]
+    g *= amplitude / np.abs(g).max()
+    return identity_stack(count, grid.n) + g
+
+
+def row_divergence(grid, g_hat):
+    """k . G_j, the band spectrum of each row's divergence D_j divided by i: shape ``(..., 2, *band_shape)``."""
+    return grid.k1_band * g_hat[..., 0, :, :] + grid.k2_band * g_hat[..., 1, :, :]
+
+
 class TestInit:
     def test_identity_spec(self, grid, age_grid):
         h = init_history("identity", grid, age_grid)
@@ -111,12 +125,25 @@ class TestInit:
             init_history("rest", grid, age_grid)
 
     def test_band_limited_history_round_trips(self, grid, age_grid):
-        rng = np.random.default_rng(12)
         stack = identity_like(init_history("identity", grid, age_grid))
-        noise = rng.standard_normal((age_grid.n_nodes - 1, 2, 2, N, N))
-        stack[1:] += 0.1 * grid.inv(grid.band(noise), out=noise)  # band-limited
-        h = init_history(stack, grid, age_grid, mu=0.1)
+        stack[1:] = divergence_free_rows(grid, np.random.default_rng(12), age_grid.n_nodes - 1, 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # divergence-free rows: the row projection moves nothing
+            h = init_history(stack, grid, age_grid, mu=0.1)
         np.testing.assert_allclose(fields(h), stack, rtol=0, atol=1e-14)
+
+    def test_rows_with_divergence_projected(self, grid, age_grid):
+        # fails before explicit histories had their rows projected: row j of diag(f(x1), f(x1)) has
+        # divergence d_j1 f'(x1); the projection keeps its mean and drops the rest, so G = diag(1, f(x1))
+        f = 1.0 + 0.2 * np.sin(grid.x1) * np.ones((N, N))
+        stack = identity_like(init_history("identity", grid, age_grid))
+        stack[3, 0, 0] = stack[3, 1, 1] = f
+        with pytest.warns(UserWarning, match="not divergence-free"):
+            h = init_history(stack, grid, age_grid, mu=0.5)
+        assert float(np.abs(row_divergence(grid, h.payload)).max()) <= 1e-14 * N * N
+        expect = identity_like(h)
+        expect[3, 1, 1] = f
+        np.testing.assert_allclose(fields(h), expect, rtol=0, atol=1e-14)
 
     def test_out_of_band_modes_projected_away(self, grid, age_grid):
         stack = identity_like(init_history("identity", grid, age_grid))
@@ -290,20 +317,59 @@ class TestStep:
 
 
 class TestReactRhs:
+    @staticmethod
+    def reference(grid, g, jet):
+        """G . grad u - div(u G), one band transform per product."""
+        u, grad_u = jet[0], jet[1:]
+        return (grid.band(np.einsum("cjlyx,lkyx->cjkyx", g, grad_u))
+                - grid.d1_band * grid.band(g * u[0]) - grid.d2_band * grid.band(g * u[1]))
+
+    @staticmethod
+    def velocities(grid, n):
+        return [FlowState(grid, velocity, eta=0.1).jet
+                for velocity in (taylor_green(grid, 0.7), random_band_limited_velocity(grid, seed=n, band=6))]
+
     @pytest.mark.parametrize("n", [32, 64])
     def test_reads_g_and_matches_band_of_each_product(self, n):
-        # fails before the right-hand side took one band transform per product: g held its d2 term after it
+        # rows that are divergence-free, as a history's are: the curl form is the product form
+        grid, rows = SpectralGrid(n), 3
+        g = divergence_free_rows(grid, np.random.default_rng(n), rows, 0.1)
+        work, out = ChunkWorkspace(rows, n), np.empty((rows, 2, 2, *grid.band_shape), dtype=complex)
+        for jet in self.velocities(grid, n):
+            before = g.copy()
+            transport._react_rhs_hat(grid, g, jet, work, out)
+            assert g.tobytes() == before.tobytes()
+            expected = self.reference(grid, g, jet)
+            np.testing.assert_allclose(out, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_differs_by_band_of_u_times_row_divergence(self, n):
+        # for any G the product form is the curl form less P(u_k D_j), D_j = d_l G_jl: band products are exact
         grid, rng, rows = SpectralGrid(n), np.random.default_rng(n), 3
         g = grid.field(grid.band(identity_stack(rows, n) + 0.1 * rng.standard_normal((rows, 2, 2, n, n))))
         work, out = ChunkWorkspace(rows, n), np.empty((rows, 2, 2, *grid.band_shape), dtype=complex)
-        for velocity in (taylor_green(grid, 0.7), random_band_limited_velocity(grid, seed=n, band=6)):
-            jet, before = FlowState(grid, velocity, eta=0.1).jet, g.copy()
-            transport._react_rhs_hat(grid, g, jet, work, out)
-            assert g.tobytes() == before.tobytes()
-            u, grad_u = jet[0], jet[1:]
-            expected = (grid.band(np.einsum("cjlyx,lkyx->cjkyx", g, grad_u))
-                        - grid.d1_band * grid.band(g * u[0]) - grid.d2_band * grid.band(g * u[1]))
-            np.testing.assert_allclose(out, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
+        div = grid.field(1j * row_divergence(grid, grid.band(g)))  # D_j
+        for jet in self.velocities(grid, n):
+            u_div = grid.band(div[:, :, None] * jet[0])  # P(u_k D_j)
+            expected = self.reference(grid, g, jet)
+            assert np.abs(u_div).max() > 0.01 * np.abs(expected).max()  # D is far from 0
+            curl = transport._react_rhs_hat(grid, g, jet, work, out)
+            np.testing.assert_allclose(curl - u_div, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
+
+    def test_rows_stay_divergence_free(self):
+        # a history from rest stepped 60 times by an evolving random-band flow: k . G_j stays at roundoff
+        n = 64
+        grid = SpectralGrid(n)
+        ag = build_age_grid(single_exponential_kernel(), 0.05, 1e-2)
+        assert ag.n_nodes > 60
+        h = init_history("identity", grid, ag)
+        st = FlowState(grid, random_band_limited_velocity(grid, seed=7, band=8, amplitude=0.5), eta=0.01)
+        for _ in range(60):
+            u_old, u_old_hat = st.jet, st.u_hat
+            advance_flow(st, None, ag.ds, 0.5)
+            stretch_advect_step(h, u_old, st.jet, u_old_hat=u_old_hat)
+            assert float(np.abs(row_divergence(grid, h.payload[: h.live])).max()) <= 1e-14 * n * n
+        assert float(np.abs(grid.field(h.payload[: h.live]) - identity_stack(h.live, n)).max()) > 0.1
 
 
 class TestIdentityRow:
@@ -362,4 +428,4 @@ class TestAllocation:
         for n in (16, 32, 128, 256):
             work = ChunkWorkspace(10**4, n)
             assert ChunkWorkspace.nbytes_for(n) == sum(
-                a.nbytes for a in (work.g, work.prod, work.rows, work.rhs, work.spec, work.flux))
+                a.nbytes for a in (work.g, work.prod, work.rows, work.rhs, work.spec))
