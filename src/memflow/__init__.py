@@ -14,7 +14,6 @@ from .constitutive import (
 )
 from .diagnostics import (
     DiagnosticsRecord,
-    MonitorConfig,
     OracleState,
     monitor,
     oldroyd_differential_step,
@@ -26,7 +25,6 @@ from .simulation import RunResult, run
 from .spectral import SpectralGrid, random_band_limited_velocity, taylor_green
 from .stepper import FlowState, advance_flow, cfl_dt, kinetic_energy, step_velocity
 from .stress import assemble_stress, history_scan, stress_gradient_norm
-from .tensors import Tensor, contract, frobenius_norm
 from .transport import (
     DeformationHistory,
     age_shift,

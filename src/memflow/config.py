@@ -44,7 +44,7 @@ class SimulationConfig:
     q: int = 8
     r: int = 4
     cadence: int = 1
-    det_tol: float = 1e-2
+    det_tol: float = 1e-2  # discretization-dependent; documented for n = 128
     stress_tol: float = 1e-8
     fatal_on_violation: bool = False
     oracle: bool = False

@@ -27,6 +27,7 @@ from dataclasses import astuple, dataclass, field, fields
 import numpy as np
 from scipy import integrate
 
+from .config import SimulationConfig
 from .constitutive import MemoryKernel, StrainMeasure
 from .spectral import SpectralGrid
 from .stress import history_scan, stress_gradient_norm
@@ -58,15 +59,8 @@ class DiagnosticsRecord:
 CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
-@dataclass
-class MonitorConfig:
-    q: int = 8
-    r: int = 4
-    mu: float = 1.0
-    det_tol: float = 1e-2  # discretization-dependent; documented for n = 128
-    stress_tol: float = 1e-8
-    div_tol: float = 1e-10
-    grad_tol: float = 1e-6
+DIV_TOL = 1e-10  # divu flag: sup |div u| relative to max(1, sup |grad u|)
+GRAD_TOL = 1e-6  # gradcontrol flag: absolute slack of |grad tau|^r <= Sp_inf^r y
 
 
 def monitor(
@@ -74,12 +68,14 @@ def monitor(
     history: DeformationHistory,
     tau: np.ndarray,
     measure,
-    config: MonitorConfig,
+    cfg: SimulationConfig,
     y_value: float,
     scan: tuple[float, float, float] | None = None,
 ) -> DiagnosticsRecord:
     """Compute every monitored quantity and flag violated bounds.
 
+    The run's config gives the exponents ``q``, ``r``, the det floor
+    ``mu_min`` and the tolerances ``det_tol`` and ``stress_tol``.
     ``y_value`` is the caller-accumulated time integral of the gradient
     functional's integrand (trapezoid in time).  ``scan`` is the history's
     (y integrand, min det G, min |G|) if the step's stack pass computed it.
@@ -88,7 +84,7 @@ def monitor(
     grid = state.grid
     stress_sup = float(np.max(norm_field(tau)))
     if scan is None:
-        scan = history_scan(history, config.q, config.r, config.mu)
+        scan = history_scan(history, cfg.q, cfg.r, cfg.mu_min)
     yi, min_det, min_abs = scan
 
     du = state.jet[1:]
@@ -96,21 +92,21 @@ def monitor(
     div_u = grid.field(grid.divergence_hat(state.u_hat))
     divu_sup = float(np.max(np.abs(div_u))) / max(1.0, gradu_sup)
 
-    sgn = stress_gradient_norm(tau, grid, config.q)
+    sgn = stress_gradient_norm(tau, grid, cfg.q)
 
     flags = []
     tail = history.age_grid.tail_error
     if measure is not None and getattr(measure, "h2_satisfied", False):
-        if stress_sup > measure.s_inf * (1.0 - tail) + config.stress_tol:
+        if stress_sup > measure.s_inf * (1.0 - tail) + cfg.stress_tol:
             flags.append("stress")
-        if measure.sp_inf is not None and sgn**config.r > measure.sp_inf**config.r * yi + config.grad_tol:
+        if measure.sp_inf is not None and sgn**cfg.r > measure.sp_inf**cfg.r * yi + GRAD_TOL:
             flags.append("gradcontrol")
-    floor = min(config.mu, 1.0)
-    if min_det < floor - config.det_tol:
+    floor = min(cfg.mu_min, 1.0)
+    if min_det < floor - cfg.det_tol:
         flags.append("det")
-    if min_abs < math.sqrt(2.0 * floor) - config.det_tol:
+    if min_abs < math.sqrt(2.0 * floor) - cfg.det_tol:
         flags.append("normg")
-    if divu_sup > config.div_tol:
+    if divu_sup > DIV_TOL:
         flags.append("divu")
 
     return DiagnosticsRecord(

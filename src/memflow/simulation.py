@@ -33,7 +33,6 @@ record step, so a checkpoint's y integral belongs to its own time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,7 +44,6 @@ from .constitutive import model_catalog, model_parameters
 from .diagnostics import (
     CSV_COLUMNS,
     DiagnosticsRecord,
-    MonitorConfig,
     OracleState,
     monitor,
     oldroyd_differential_step,
@@ -54,7 +52,7 @@ from .snapshots import read_checkpoint, read_field, write_checkpoint, write_fiel
 from .spectral import SpectralGrid, random_band_limited_velocity, taylor_green
 from .stepper import FlowState, advance_flow
 from .stress import StackReduction, assemble_stress  # noqa: F401 (assemble_stress: traced by perfbench)
-from .transport import ChunkWorkspace, DeformationHistory, init_history, stretch_advect_step
+from .transport import DeformationHistory, init_history, stack_rows_within, stretch_advect_step
 
 EXIT_OK = 0
 EXIT_NAN = 2
@@ -118,16 +116,11 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
     grid = SpectralGrid(cfg.n)
     params = model_parameters(cfg.model_name, **{k: v for k, v in cfg.model_params.items() if v is not None})
     kernel, measure = model_catalog(cfg.model_name, **params)
-    # the cap covers the band-spectrum stack and the largest chunk workspace of its passes
-    free_bytes = cfg.memory_cap_mb * 2**20 - ChunkWorkspace.nbytes_for(cfg.n)
-    max_nodes = max(0, int(free_bytes // (4 * 16 * math.prod(grid.band_shape))))
-    age_grid = build_age_grid(kernel, cfg.dt, cfg.eps_tail, max_nodes=max_nodes)
+    age_grid = build_age_grid(kernel, cfg.dt, cfg.eps_tail, max_nodes=stack_rows_within(cfg.memory_cap_mb, cfg.n))
     past = [j for j in cfg.history_slices if j >= age_grid.n_nodes]
     if past:
         raise ConfigError(f"output.history_slices {past} outside 0 .. {age_grid.n_nodes - 1}: "
                           f"the age grid has N_s = {age_grid.n_nodes} slices")
-
-    mcfg = MonitorConfig(q=cfg.q, r=cfg.r, mu=cfg.mu_min, det_tol=cfg.det_tol, stress_tol=cfg.stress_tol)
 
     try:
         if restart_from is None:
@@ -199,13 +192,13 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
                          u=state.u_hat, history=history.payload[:history.live], n_slices=history.n_slices,
                          oracle_tau=None if oracle is None else oracle.tau_hat)
 
-    scan_args = (mcfg.q, mcfg.r, mcfg.mu)
+    scan_args = (cfg.q, cfg.r, cfg.mu_min)
     try:
         try:  # the stored stack's stress and bound scan, in one pass
             stack_pass = StackReduction(history, measure, scan_args).over_stack()
             tau, scan = stack_pass.tau.total, stack_pass.scan_result()
             del stack_pass
-            rec = monitor(state, history, tau, measure, mcfg, y_value, scan)
+            rec = monitor(state, history, tau, measure, cfg, y_value, scan)
         except FloatingPointError as exc:  # a degenerate initial or restart history
             return finish(EXIT_NAN, str(exc), None)
         if yi_prev is None:
@@ -233,7 +226,7 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
             del u_old, u_old_hat, stack_pass  # the old jet and the pass's scratch sums go before the monitor
 
             if monitored:
-                rec = monitor(state, history, tau, measure, mcfg, y_value, scan)
+                rec = monitor(state, history, tau, measure, cfg, y_value, scan)
                 y_value = _trapezoid(y_value, (step - logged) * cfg.dt, yi_prev, rec.y_integrand)
                 yi_prev, logged = rec.y_integrand, step
                 rec.y_value = y_value

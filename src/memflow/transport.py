@@ -183,6 +183,14 @@ class ChunkWorkspace:
         return chunk_slices(n) * 4 * (2 * n * n * 8 + n * (n // 2 + 1) * 16 + 2 * rows * cols * 16)
 
 
+def stack_rows_within(cap_mb: float, n: int) -> int:
+    """History rows that fit in ``cap_mb`` MiB on an n x n grid beside the
+    largest chunk workspace of a stack pass: a row is 4 band spectra of
+    complex128."""
+    free_bytes = cap_mb * 2**20 - ChunkWorkspace.nbytes_for(n)
+    return max(0, int(free_bytes // (4 * 16 * math.prod(band_shape(n)))))
+
+
 def identity_stack(n_slices: int, n: int) -> np.ndarray:
     """Physical identity fields, shape ``(n_slices, 2, 2, n, n)``."""
     out = np.zeros((n_slices, 2, 2, n, n))

@@ -8,7 +8,7 @@ import pytest
 
 from memflow.agegrid import build_age_grid
 from memflow.cli import main
-from memflow.constitutive import model_catalog
+from memflow.constitutive import INI_MODELS, model_catalog
 from memflow.snapshots import write_field
 from memflow.transport import identity_stack
 
@@ -133,9 +133,19 @@ class TestVerifyCommand:
     def test_verify_passes_catalog(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
-        assert "PASS" in out
-        assert "oldroyd-b" in out and "h2_satisfied=false" in out
+        lines = out.splitlines()
 
+        def passed(kind, name):
+            return any(re.match(rf"{kind:<8}{re.escape(name)}\s+PASS\b", line) for line in lines)
+
+        # every check has its PASS line, so a check that is dropped fails here
+        for check in ("cauchy-schwarz", "inner-product", "am-gm norm bound"):
+            assert passed("tensor", check), check
+        for name in INI_MODELS:
+            assert passed("kernel", name) and passed("measure", name), name
+        assert "oldroyd-b" in out and "h2_satisfied=false" in out
+        assert "FAIL" not in out
+        assert lines[-1] == "verify: PASS"
 
     def test_bad_thread_count_exit_one(self):
         # MEMFLOW_THREADS is read when the command starts, not when memflow is imported

@@ -5,10 +5,10 @@ import pytest
 from scipy import integrate
 
 from memflow.agegrid import build_age_grid
+from memflow.config import SimulationConfig
 from memflow.constitutive import model_catalog
 from memflow.diagnostics import (
     DiagnosticsRecord,
-    MonitorConfig,
     OracleState,
     QuadratureError,
     monitor,
@@ -98,6 +98,11 @@ class TestDifferentialOracle:
         assert gap < 2e-3
 
 
+def monitor_cfg(**over) -> SimulationConfig:
+    """A run config with default tolerances unless given: the monitor reads its q, r, mu_min, det_tol and stress_tol."""
+    return SimulationConfig(n=N, viscosity=1.0, dt=0.05, t_final=0.05, model_name="psm-raw", **over)
+
+
 class TestMonitor:
     def test_quiescent_state_clean(self, grid):
         kernel, measure = model_catalog("oldroyd-b")
@@ -105,7 +110,7 @@ class TestMonitor:
         h = init_history("identity", grid, ag)
         st = FlowState(grid, np.zeros((2, N, N)), 1.0)
         tau = assemble_stress(h, measure)
-        rec = monitor(st, h, tau, measure, MonitorConfig(), 0.0)
+        rec = monitor(st, h, tau, measure, monitor_cfg(), 0.0)
         assert rec.stress_sup == 0.0
         assert rec.min_detG == 1.0
         assert rec.y_integrand == 0.0
@@ -121,7 +126,7 @@ class TestMonitor:
         h = init_history(stack, grid, ag, mu=0.5)
         st = FlowState(grid, np.zeros((2, N, N)), 1.0)
         tau = assemble_stress(h, measure)
-        rec = monitor(st, h, tau, measure, MonitorConfig(mu=1.0), 0.0)
+        rec = monitor(st, h, tau, measure, monitor_cfg(mu_min=1.0), 0.0)
         assert "det" in rec.flags
 
     def test_stress_bound_flag(self, grid):
@@ -130,7 +135,7 @@ class TestMonitor:
         h = init_history("identity", grid, ag)
         st = FlowState(grid, np.zeros((2, N, N)), 1.0)
         tau = assemble_stress(h, measure)
-        rec = monitor(st, h, tau, measure, MonitorConfig(stress_tol=-1.0), 0.0)
+        rec = monitor(st, h, tau, measure, monitor_cfg(stress_tol=-1.0), 0.0)
         assert "stress" in rec.flags
 
     def test_csv_row_layout(self):
