@@ -30,7 +30,7 @@ from scipy import integrate
 from .config import SimulationConfig
 from .constitutive import MemoryKernel, StrainMeasure
 from .spectral import SpectralGrid
-from .stress import history_scan, stress_gradient_norm
+from .stress import history_scan, stress_gradient_norm  # noqa: F401 (history_scan: traced by perfbench)
 from .stepper import FlowState, heun, kinetic_energy
 from .transport import DeformationHistory, norm_field
 
@@ -70,7 +70,7 @@ def monitor(
     measure,
     cfg: SimulationConfig,
     y_value: float,
-    scan: tuple[float, float, float] | None = None,
+    scan: tuple[float, float, float],
 ) -> DiagnosticsRecord:
     """Compute every monitored quantity and flag violated bounds.
 
@@ -78,13 +78,11 @@ def monitor(
     ``mu_min`` and the tolerances ``det_tol`` and ``stress_tol``.
     ``y_value`` is the caller-accumulated time integral of the gradient
     functional's integrand (trapezoid in time).  ``scan`` is the history's
-    (y integrand, min det G, min |G|) if the step's stack pass computed it.
+    (y integrand, min det G, min |G|), which the step's stack pass computed.
     Flags never raise here; the simulation loop decides whether they are fatal.
     """
     grid = state.grid
     stress_sup = float(np.max(norm_field(tau)))
-    if scan is None:
-        scan = history_scan(history, cfg.q, cfg.r, cfg.mu_min)
     yi, min_det, min_abs = scan
 
     du = state.jet[1:]

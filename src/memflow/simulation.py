@@ -24,11 +24,11 @@ from their ``y_integrand``, and the rest dropped; a file that lacks one of
 those rows is refused.  Without the file a restart takes the checkpoint's y
 integral and logs its first record.  A checkpoint past ``t_final`` is
 refused, before any file is touched.
-A checkpoint holds the band spectra of the velocity, the history (its live
-rows, in age order) and the oracle stress, which a restart takes as they
-are: the history stores age j at row j, so its live rows on disk are the
-leading rows of its stack, byte for byte.  Each checkpoint step is a
-record step, so a checkpoint's y integral belongs to its own time.
+A checkpoint holds the band spectra of the velocity, the history (its
+live rows' potentials, in age order) and the oracle stress, which a
+restart takes as they are: the history stores age j at row j, so its live
+rows on disk are the leading rows of its stack, byte for byte.  Each
+checkpoint step is a record step, so its y integral belongs to its time.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .snapshots import read_checkpoint, read_field, write_checkpoint, write_fiel
 from .spectral import SpectralGrid, random_band_limited_velocity, taylor_green
 from .stepper import FlowState, advance_flow
 from .stress import StackReduction, assemble_stress  # noqa: F401 (assemble_stress: traced by perfbench)
-from .transport import DeformationHistory, init_history, stack_rows_within, stretch_advect_step
+from .transport import DeformationHistory, init_history, row_fields, stack_rows_within, stretch_advect_step
 
 EXIT_OK = 0
 EXIT_NAN = 2
@@ -241,8 +241,8 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
                 if cfg.checkpoint:
                     checkpoint(step)
 
-        if out_dir is not None and cfg.checkpoint:
-            checkpoint(n_steps)
+        if out_dir is not None and cfg.checkpoint and (step0 == n_steps or not snapshot_step(n_steps)):
+            checkpoint(n_steps)  # unless the last step wrote it
         return finish(EXIT_OK, "completed", tau)
     finally:  # also when a checkpoint write raises
         if csv_fh is not None:
@@ -291,6 +291,6 @@ def _write_snapshots(out_dir: Path, step: int, state: FlowState, tau, history, c
     d.mkdir(parents=True, exist_ok=True)
     write_field(d / "u.fld", state.u)
     write_field(d / "tau.fld", tau)
-    g = np.empty((2, 2, cfg.n, cfg.n))
+    work = history.workspace.cut(1)  # free between steps
     for j in cfg.history_slices:  # physical fields, like every other snapshot
-        write_field(d / f"g_{j:05d}.fld", history.grid.inv(history.slice(j), out=g))
+        write_field(d / f"g_{j:05d}.fld", row_fields(history.grid, history.slice(j)[None], work)[0])

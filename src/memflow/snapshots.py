@@ -5,9 +5,10 @@ Format (all integers little-endian):
     bytes 0..7    magic "MEMFLW01"
     6 x uint32    version (3), rows, columns, component count, N_s, kind
                   (rows x columns are the trailing axes; N_s is 0 for plain
-                  fields, the row count for age-history stacks; kind 0 is
-                  a float64 physical field, kind 1 a complex128 band
-                  spectrum of 2 kc + 1 rows and kc + 1 columns)
+                  fields, the row count for age-history stacks of 2 or 4
+                  components a row; kind 0 is a float64 physical field,
+                  kind 1 a complex128 band spectrum of 2 kc + 1 rows and
+                  kc + 1 columns)
     payload       row-major
     uint64        CRC-32 (zlib) of the payload bytes, zero-extended
 
@@ -19,9 +20,10 @@ checksum; a write/read round trip is bit-exact.  Checkpoints are
 directories holding one snapshot per state field plus a JSON metadata file
 with exact (hex) float values, so a restarted run reproduces the original
 bit for bit.  A history is stored as its live rows, in age order: the
-leading rows of its stack.  Checkpoints are swapped into place whole
-(:func:`write_checkpoint`): a killed process leaves a complete checkpoint;
-nothing is fsynced, so a power loss is not covered.
+leading rows of its stack, each the band spectra of 2 potentials.
+Checkpoints are swapped into place whole (:func:`write_checkpoint`): a
+killed process leaves a complete checkpoint; nothing is fsynced, so a
+power loss is not covered.
 """
 
 from __future__ import annotations
@@ -55,14 +57,11 @@ def write_field(path, array, n_s: int = 0) -> None:
         what = "band-spectrum axes (2 kc + 1, kc + 1)" if kind else "square spatial axes"
         raise SnapshotFormatError(f"field must end in {what}, got {array.shape}")
     lead = array.shape[:-2]
-    if n_s:
-        if lead != (n_s, 2, 2):
-            raise SnapshotFormatError(f"history stack shape {array.shape} inconsistent with N_s={n_s}")
-        ncomp = 4
-    else:
-        ncomp = int(np.prod(lead, dtype=int)) if lead else 1
-        if ncomp not in (1, 2, 4):
-            raise SnapshotFormatError(f"unsupported component count {ncomp}")
+    if n_s and lead not in ((n_s, 2), (n_s, 2, 2)):
+        raise SnapshotFormatError(f"history stack shape {array.shape} inconsistent with N_s={n_s}")
+    ncomp = int(np.prod(lead[1:] if n_s else lead, dtype=int))
+    if ncomp not in (1, 2, 4):
+        raise SnapshotFormatError(f"unsupported component count {ncomp}")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(HEADER.pack(VERSION, rows, cols, ncomp, n_s, kind))
@@ -89,10 +88,10 @@ def read_field(path, into=None) -> np.ndarray:
             raise SnapshotFormatError(f"{path}: unsupported version {version} (this reader takes {VERSION})")
         if kind >= len(KINDS):
             raise SnapshotFormatError(f"{path}: bad kind {kind}")
-        lead = (n_s, 2, 2) if n_s else {1: (), 2: (2,), 4: (2, 2)}.get(ncomp)
-        if lead is None:
+        lead = {1: (), 2: (2,), 4: (2, 2)}.get(ncomp)
+        if lead is None or (n_s and ncomp == 1):
             raise SnapshotFormatError(f"{path}: bad component count {ncomp}")
-        shape, dtype = lead + (rows, cols), KINDS[kind]
+        shape, dtype = ((n_s,) if n_s else ()) + lead + (rows, cols), KINDS[kind]
         n_payload = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
         expected = start + n_payload + 8
         if size != expected:  # checked before allocating what a corrupt header may claim

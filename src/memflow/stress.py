@@ -11,9 +11,9 @@ integral of chain-rule terms; the two agree to quadrature tolerance.
 
 One pass over the stack accumulates both age integrals and the det G and
 |G| minima (:class:`StackReduction`).  It takes each chunk as physical
-fields (for the strain measure and the minima) and as band spectra (for
-grad G: 8 inverse transforms per slice, no forward one), and works in the
-buffers of the chunk's workspace, which come with the chunk
+fields (for the strain measure and the minima) and as its rows' potentials
+(for grad G: 6 inverse transforms per slice, no forward one), and works in
+the buffers of the chunk's workspace, which come with the chunk
 (:meth:`~memflow.transport.DeformationHistory.chunks`).  The history step
 feeds it each chunk it has just updated, and the newborn row, which it
 sets to the identity, as that: the stress S(I), formed once per pass at one
@@ -23,10 +23,11 @@ These are the terms the identity's fields would add, first in the
 compensated sums, which run in age order.  :meth:`StackReduction.over_stack`
 feeds it the stored band stack at the initial state and on restart, and
 so do :func:`assemble_stress` and :func:`history_scan`: 4 inverse
-transforms per slice, 12 with the scan, but an age-0 row that is bit for
-bit the identity spectrum (:func:`~memflow.transport.is_identity`) goes
-as the newborn, with none.  So a run from rest starts with no history
-transform, and a restart's first pass takes 12 (live - 1).
+transforms per slice (:func:`~memflow.transport.row_fields`), 10 with the
+scan, but an age-0 row that is bit for bit the identity
+(:func:`~memflow.transport.is_identity`) goes as the newborn, with none.
+So a run from rest starts with no history transform, and a restart's
+first pass takes 10 (live - 1).
 
 Only the live rows of the history are fed (:mod:`memflow.transport`): a
 flow started from rest k steps ago holds min(k + 1, N_s) of them, visited
@@ -47,7 +48,7 @@ import numpy as np
 from .agegrid import KahanSum
 from .constitutive import StrainMeasure
 from .spectral import SpectralGrid
-from .transport import ChunkWorkspace, DeformationHistory, det_field, identity_stack, is_identity, norm_field
+from .transport import ChunkWorkspace, DeformationHistory, det_field, identity_stack, is_identity, norm_field, row_fields
 
 
 class DegenerateDeformationError(FloatingPointError):
@@ -61,14 +62,14 @@ class DegenerateDeformationError(FloatingPointError):
 class StackReduction:
     """Age integrals of one pass over the history stack, fed chunk by chunk.
 
-    ``add_chunk(age, g, g_hat, work)`` takes the physical fields ``g`` and
-    band spectra ``g_hat`` of live ages ``age, age + 1, ...`` with the
+    ``add_chunk(age, g, psi, work)`` takes the physical fields ``g`` and
+    potentials ``psi`` of live ages ``age, age + 1, ...`` with the
     chunk's workspace ``work``, which it may overwrite, and
     ``add_identity()`` the newborn, age 0, as the identity (both in age
     order), weighted by the kernel mass the history's live count gives
     them (:meth:`DeformationHistory.mass`).  A ``measure`` adds the stress
     ``tau``; ``scan = (q, r, mu)`` adds the y integrand and the det G and
-    |G| minima, with grad G from ``g_hat`` on the history's grid.  Sums are
+    |G| minima, with grad G from ``psi`` on the history's grid.  Sums are
     compensated (Kahan) in age order, so the result is deterministic
     regardless of chunking, the history's row layout or FFT worker counts.
     """
@@ -77,17 +78,19 @@ class StackReduction:
         if measure is not None and not isinstance(measure, StrainMeasure):
             raise TypeError(f"unsupported strain measure type {type(measure).__name__}")
         self.history, self.measure, self.scan = history, measure, scan
-        self.grid = history.grid
+        self.grid = grid = history.grid
+        k1, k2 = grid.k1_band, grid.k2_band
+        self.hessian = (k1 * k1, math.sqrt(2.0) * k1 * k2, k2 * k2)  # d1 d1, sqrt 2 d1 d2, d2 d2 but the sign
         self.tau = KahanSum((2, 2, self.grid.n, self.grid.n))
         self.y = KahanSum()
         self.min_det = self.min_abs = math.inf
 
-    def add_chunk(self, age: int, g: np.ndarray, g_hat: np.ndarray, work: ChunkWorkspace):
+    def add_chunk(self, age: int, g: np.ndarray, psi: np.ndarray, work: ChunkWorkspace):
         mass = self.history.mass(age, len(g))
         if self.measure is not None:
             self.tau.add(mass, self.measure.stress_stack(g, out=work.prod))
         if self.scan is not None:
-            self.y.add(mass, self._scan_chunk(g, g_hat, work))
+            self.y.add(mass, self._scan_chunk(g, psi, work))
 
     def add_identity(self):
         """Add the newborn, age 0, as the identity a history step sets: its
@@ -104,15 +107,16 @@ class StackReduction:
             self.min_det = min(self.min_det, 1.0)
             self.min_abs = min(self.min_abs, math.sqrt(2.0))
 
-    def _scan_chunk(self, g: np.ndarray, g_hat: np.ndarray, work: ChunkWorkspace) -> list[float]:
-        """Per slice || |grad G| / |G| ||_{L^q}^r; updates the minima."""
+    def _scan_chunk(self, g: np.ndarray, psi: np.ndarray, work: ChunkWorkspace) -> list[float]:
+        """Per slice || |grad G| / |G| ||_{L^q}^r; updates the minima.  Of a row mean_j + (-d2 psi_j,
+        d1 psi_j), |grad G_j|^2 = (d1 d1 psi_j)^2 + 2 (d1 d2 psi_j)^2 + (d2 d2 psi_j)^2."""
         q, r, mu = self.scan
-        grid, spec, dg, rows = self.grid, work.spec, work.prod, work.rows
+        grid, spec, dg, rows = self.grid, work.spec[:, 0], work.prod[:, 0], work.rows[:, 0]
         grad_sq = 0.0
-        for d in (grid.d1_band, grid.d2_band):
-            grid.inv(np.multiply(g_hat, d, out=spec), out=dg, rows=rows)
+        for d in self.hessian:
+            grid.inv(np.multiply(psi, d, out=spec), out=dg, rows=rows)
             dg *= dg
-            grad_sq = grad_sq + dg.sum(axis=(1, 2))
+            grad_sq = grad_sq + dg.sum(axis=1)
         g_mag = norm_field(g)
         chunk_min = float(g_mag.min())
         self.min_abs = min(self.min_abs, chunk_min)
@@ -126,14 +130,14 @@ class StackReduction:
 
     def over_stack(self) -> "StackReduction":
         """Feed the stored live rows, unchanged, their fields transformed chunk
-        by chunk; an age-0 row that is bit for bit the identity spectrum
+        by chunk; an age-0 row that is bit for bit the identity
         (:func:`~memflow.transport.is_identity`) goes as the newborn a step
         sets, :meth:`add_identity`, with no transform."""
-        for age, g_hat, work in self.history.chunks():
-            if age == 0 and is_identity(g_hat[0], self.grid.n):
+        for age, psi, work in self.history.chunks():
+            if age == 0 and is_identity(psi[0], self.grid.n):
                 self.add_identity()
             else:
-                self.add_chunk(age, self.grid.inv(g_hat, out=work.g, rows=work.rows), g_hat, work)
+                self.add_chunk(age, row_fields(self.grid, psi, work), psi, work)
         return self
 
     def scan_result(self) -> tuple[float, float, float]:

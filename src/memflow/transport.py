@@ -11,27 +11,25 @@ commutes exactly with the shift.  Age j is stored at row j (slice-major
 layout, age outermost), the layout of a checkpoint's ``history.fld``; the
 shift moves each live row down one row.
 
-Each slice is stored as its 2/3-band spectrum (:func:`memflow.spectral.band_shape`),
-about 2.2x smaller than the physical field.  That loses nothing: the
-identity has only the mean mode and every right-hand side is a band
-spectrum, so an identity start never leaves the band (explicit initial
-histories are projected onto it).  Stage arithmetic runs on band spectra;
-the physical fields, needed for the products, exist one chunk at a time.
+Each row G_j of G = F^T is divergence-free (the Piola identity for
+det F = 1, which an incompressible flow keeps), so on the periodic band it
+is its constant mean plus a curl, G_j = mean_j + (-d2 psi_j, d1 psi_j).  A
+slice is stored as the 2/3-band spectra (:func:`memflow.spectral.band_shape`)
+of its two potentials psi_j, with n^2 (mean_j1 + i mean_j2) in the mean
+mode of psi_j, a slot no derivative reads: about 4.5x fewer bytes than the
+physical field.  That loses nothing: the identity is psi = 0 with the
+means e_j, every right-hand side is a band spectrum, and an explicit
+history is projected onto the band and each row onto its divergence-free
+part (:func:`init_history`).  Every inverse transform of a slice starts
+from its components' spectra (:func:`rows_hat`); the physical fields,
+needed for the products, exist one chunk at a time.
 
-Each row G_j of G = F^T is divergence-free, D_j = d_l G_jl = 0: the Piola
-identity for det F = 1, which an incompressible flow keeps.  With div u = 0
-and D_j = 0 the right-hand side of row j is the 2D curl of one scalar,
+With div u = 0 the right-hand side of row j is the curl of one scalar,
 
     G_jl d_l u_k - d_l (u_l G_jk) = (-d2 w_j, d1 w_j)_k,   w_j = G_j1 u2 - G_j2 u1,
 
-(:func:`_react_rhs_hat`), which takes 2 forward band transforms a stage
-(one per w_j) instead of 12.  For any G the two sides differ by the band
-part of u_k D_j.  Band products are exact (n > 3 kc), so under the left
-side D_j obeys dD_j/dt = -P d_l (u_l D_j) and stays 0, and under the
-curl form it does not change at all.  So from a divergence-free start the
-two forms step the same fields in exact arithmetic.  The identity is such
-a start, and explicit histories have their rows projected onto
-divergence-free ones on load (:func:`init_history`).
+so the means never change and d psi_j/dt is the band part of w_j less its
+mean (:func:`_react_rhs_hat`): 2 forward band transforms a stage.
 
 Only distinct ages are stored and stepped.  A flow started from rest has a
 quiescent past, so after k steps every age s >= k ds holds one field, the
@@ -96,10 +94,10 @@ class HistoryNaNError(FloatingPointError):
 
 
 class DeformationHistory:
-    """Stack of 2-tensor fields, one per age node, each stored as its band
-    spectrum.
+    """Stack of 2-tensor fields, one per age node, each stored as the band
+    spectra of its rows' potentials (module docstring).
 
-    ``payload`` has shape ``(n_nodes, 2, 2, *band_shape(grid.n))``, complex;
+    ``payload`` has shape ``(n_nodes, 2, *band_shape(grid.n))``, complex;
     age j lives at row j.  ``live`` (default ``n_nodes``) counts the
     distinct ages stored, rows ``0 .. live - 1``: ages from ``live - 1`` on
     share the tail row, age ``live - 1``, and the other rows are not read.
@@ -110,7 +108,7 @@ class DeformationHistory:
 
     def __init__(self, payload: np.ndarray, age_grid: AgeGrid, grid: SpectralGrid, generation: int = 0,
                  live: int | None = None):
-        grid.check_band(payload, (age_grid.n_nodes, 2, 2), "history payload")
+        grid.check_band(payload, (age_grid.n_nodes, 2), "history payload")
         self.payload = payload
         self.age_grid = age_grid
         self.grid = grid
@@ -125,7 +123,7 @@ class DeformationHistory:
         return self.payload.shape[0]
 
     def slice(self, j: int) -> np.ndarray:
-        """View of the age-j band spectrum (the tail row for ``j >= live - 1``)."""
+        """View of the age-j potentials' spectra (the tail row for ``j >= live - 1``)."""
         return self.payload[min(j, self.live - 1)]
 
     def chunks(self):
@@ -159,8 +157,9 @@ class ChunkWorkspace:
 
     ``g`` holds the chunk's physical fields and ``prod`` physical products
     and scratch; ``rows`` is the row-transform scratch of band transforms;
-    ``rhs`` and ``spec`` hold band spectra.  A chunk is handed the
-    workspace cut to its rows (:meth:`cut`) and uses every buffer whole.
+    ``rhs`` holds the potentials' stage spectra, two per row, and ``spec``
+    the four components' spectra of :func:`rows_hat`.  A chunk is handed the
+    workspace cut to its rows (:meth:`cut`).
     """
 
     def __init__(self, n_slices: int, n: int):
@@ -185,34 +184,48 @@ class ChunkWorkspace:
 
 def stack_rows_within(cap_mb: float, n: int) -> int:
     """History rows that fit in ``cap_mb`` MiB on an n x n grid beside the
-    largest chunk workspace of a stack pass: a row is 4 band spectra of
+    largest chunk workspace of a stack pass: a row is 2 band spectra of
     complex128."""
     free_bytes = cap_mb * 2**20 - ChunkWorkspace.nbytes_for(n)
-    return max(0, int(free_bytes // (4 * 16 * math.prod(band_shape(n)))))
+    return max(0, int(free_bytes // (2 * 16 * math.prod(band_shape(n)))))
 
 
 def identity_stack(n_slices: int, n: int) -> np.ndarray:
     """Physical identity fields, shape ``(n_slices, 2, 2, n, n)``."""
     out = np.zeros((n_slices, 2, 2, n, n))
-    out[:, 0, 0] = 1.0
-    out[:, 1, 1] = 1.0
+    out[:, 0, 0] = out[:, 1, 1] = 1.0
     return out
 
 
 def set_identity(row: np.ndarray, n: int) -> np.ndarray:
-    """Write the identity's band spectrum on an n x n grid into ``row``, shape
-    ``(2, 2, *band_shape(n))``: n^2 at the mean mode of the diagonal, +0.0
-    everywhere else."""
+    """Write the identity on an n x n grid into ``row``, shape ``(2,
+    *band_shape(n))``: psi = 0 with the means e_1 and e_2, so n^2 and i n^2
+    at the two mean modes and +0.0 everywhere else."""
     row[:] = 0.0
-    row[0, 0, 0, 0] = row[1, 1, 0, 0] = n**2
+    row[0, 0, 0], row[1, 0, 0] = n**2, complex(0.0, n**2)
     return row
 
 
 def is_identity(row: np.ndarray, n: int) -> bool:
-    """Whether ``row`` holds bit for bit the identity spectrum :func:`set_identity`
-    writes: n^2 at the two diagonal mean modes and no other nonzero word (a
-    projected identity's -0.0 is one), checked in one pass, with no buffer."""
-    return bool(row[0, 0, 0, 0] == n**2 and row[1, 1, 0, 0] == n**2 and np.count_nonzero(row.view(np.uint64)) == 2)
+    """Whether ``row`` holds bit for bit the identity :func:`set_identity`
+    writes: its two mean-mode words and no other nonzero word (a -0.0 is
+    one), checked in one pass, with no buffer."""
+    return bool(row[0, 0, 0] == n**2 and row[1, 0, 0] == 1j * n**2 and np.count_nonzero(row.view(np.uint64)) == 2)
+
+
+def rows_hat(grid: SpectralGrid, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The band spectra of the rows of the potentials ``psi``, ``(..., 2, *band_shape)``,
+    written into ``out``, ``(..., 2, 2, *band_shape)``: the means from psi_j's
+    mean mode, and -d2 psi_j taken as 0 - d2 psi_j, so a zero psi gives +0.0."""
+    np.subtract(0.0, np.multiply(grid.d2_band, psi, out=out[..., 0, :, :]), out=out[..., 0, :, :])
+    np.multiply(grid.d1_band, psi, out=out[..., 1, :, :])
+    out[..., 0, 0, 0], out[..., 1, 0, 0] = psi[..., 0, 0].real, psi[..., 0, 0].imag
+    return out
+
+
+def row_fields(grid: SpectralGrid, psi: np.ndarray, work: "ChunkWorkspace") -> np.ndarray:
+    """The fields of a chunk's potentials in ``work.g``, through ``work.spec``: 4 inverse transforms a slice."""
+    return grid.inv(rows_hat(grid, psi, work.spec), out=work.g, rows=work.rows)
 
 
 def init_history(spec, grid: SpectralGrid, age_grid: AgeGrid, mu: float = 1.0) -> DeformationHistory:
@@ -221,15 +234,16 @@ def init_history(spec, grid: SpectralGrid, age_grid: AgeGrid, mu: float = 1.0) -
     ``spec`` is either the string ``"identity"`` (quiescent past: every
     slice is the identity, held as one tail row, ``live = 1``) or an
     explicit array of per-age physical tensor fields in increasing-age
-    order, which is projected onto the band, and then each row G_j onto its
-    divergence-free part (:func:`_divergence_free_rows`; ``live =
-    n_nodes``).  The projected fields must keep ``det G >= mu > 0`` at every
-    node; data that the second projection moves, or whose age-zero slice
-    differs from the identity, is accepted with a warning.  That slice is
-    not overwritten: the first step's shift carries it to age 1 and steps it
-    like every other age, and the identity enters as the new age 0.
+    order, projected onto the band and stored as its rows' means and
+    potentials, which projects each row onto its divergence-free part
+    (:func:`_potentials`; ``live = n_nodes``).  The projected fields must
+    keep ``det G >= mu > 0`` at every node; data that the row projection
+    moves, or whose age-zero slice differs from the identity, is accepted
+    with a warning.  That slice is not overwritten: the first
+    step's shift carries it to age 1 and steps it like every other age, and
+    the identity enters as the new age 0.
     """
-    payload = np.zeros((age_grid.n_nodes, 2, 2, *grid.band_shape), dtype=complex)
+    payload = np.zeros((age_grid.n_nodes, 2, *grid.band_shape), dtype=complex)
     if isinstance(spec, str):
         if spec != "identity":
             raise ValueError(f"unknown history spec {spec!r}")
@@ -243,10 +257,11 @@ def init_history(spec, grid: SpectralGrid, age_grid: AgeGrid, mu: float = 1.0) -
         raise ValueError("determinant floor mu must be positive")
     history = DeformationHistory(payload, age_grid, grid)
     min_det, moved = math.inf, 0.0
-    for age, band, work in history.chunks():
-        grid.fwd(data[age : age + len(band)], out=band, rows=work.rows)
-        moved = max(moved, _divergence_free_rows(grid, band, work))
-        min_det = np.minimum(min_det, det_field(grid.inv(band, out=work.g, rows=work.rows)).min())
+    for age, psi, work in history.chunks():
+        g_hat = grid.fwd(data[age : age + len(psi)], out=work.rhs, rows=work.rows)
+        min_det = np.minimum(min_det, det_field(row_fields(grid, _potentials(grid, g_hat, psi), work)).min())
+        g_hat -= work.spec  # the part the row projection removed
+        moved = max(moved, float(np.abs(grid.inv(g_hat, out=work.prod, rows=work.rows)).max()))
     if not min_det >= mu:  # NaN fails too
         raise DegenerateHistoryError(
             f"initial history has min det G = {min_det:.6g}, below the floor mu = {mu:.6g}"
@@ -259,17 +274,14 @@ def init_history(spec, grid: SpectralGrid, age_grid: AgeGrid, mu: float = 1.0) -
     return history
 
 
-def _divergence_free_rows(grid: SpectralGrid, g_hat: np.ndarray, work: ChunkWorkspace) -> float:
-    """Project each row of the band spectra ``g_hat``, shape ``(c, 2, 2,
-    *band_shape)``, onto its divergence-free part in place: the Leray
-    projection of the vector G_j (:meth:`SpectralGrid.leray_hat`), mean mode
-    unchanged.  Returns the largest pointwise change of a field; the removed
-    part goes through ``work.spec``, ``work.prod`` and ``work.rows``."""
-    rows = np.moveaxis(g_hat, 2, 0)  # rows[l, :, j] = G_jl
-    kept = grid.leray_hat(rows)
-    np.subtract(rows, kept, out=np.moveaxis(work.spec, 2, 0))  # the removed part
-    rows[:] = kept
-    return float(np.abs(grid.inv(work.spec, out=work.prod, rows=work.rows)).max())
+def _potentials(grid: SpectralGrid, g_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The potentials of the rows' divergence-free parts of the band spectra ``g_hat``, ``(c, 2, 2,
+    *band_shape)``, written into ``out``: psi_j = -curl G_j / |k|^2 with n^2 (mean_j1 + i mean_j2) in
+    its mean mode, and +0.0 for -0.0, so the identity's fields give the bits of :func:`set_identity`."""
+    np.multiply(grid.d2_band * g_hat[:, :, 0] - grid.d1_band * g_hat[:, :, 1], grid.inv_k_sq_band, out=out)
+    out[:, :, 0, 0] = g_hat[:, :, 0, 0, 0].real + 1j * g_hat[:, :, 1, 0, 0].real
+    out += 0.0
+    return out
 
 
 def det_field(g: np.ndarray) -> np.ndarray:
@@ -305,70 +317,55 @@ def age_shift(history: DeformationHistory) -> DeformationHistory:
 
 def _react_rhs_hat(grid: SpectralGrid, g: np.ndarray, u_jet: np.ndarray, work: ChunkWorkspace,
                    out: np.ndarray) -> np.ndarray:
-    """Band spectrum of the react-advect right-hand side, written into ``out``.
-
-    For divergence-free u and rows G_j, G . grad u - div(u G) is row by row
-    the curl (-d2 w_j, d1 w_j) of w_j = G_j1 u2 - G_j2 u1 (module docstring): the
-    two products w_j are formed in ``work.prod``, the chunk's workspace, and
-    take one band transform into ``out[:, :, 0]``, which :func:`_curl` turns
-    into the rows.  Only forward transforms of physical products are needed,
-    the cheaper direction for this stack size.  ``u_jet`` is the velocity's
-    jet ``(u, d1 u, d2 u)``, of which the field is read; ``g`` is read,
-    never written.
-    """
+    """Band spectra of the potentials' right-hand side, written into ``out``,
+    ``(c, 2, *band_shape)``: the band part of each w_j = G_j1 u2 - G_j2 u1
+    (module docstring) with its mean mode 0.0, as the means do not change.
+    The products are formed in ``work.prod``, the chunk's workspace, and take
+    one forward band transform each.  ``u_jet`` is the velocity's jet
+    ``(u, d1 u, d2 u)``, of which the field is read; ``g`` is read, never
+    written."""
     u, w, scratch = u_jet[0], work.prod[:, 0], work.prod[:, 1]
     np.multiply(g[:, :, 0], u[1], out=w)
     w -= np.multiply(g[:, :, 1], u[0], out=scratch)
-    grid.fwd(w, out=out[:, :, 0], rows=work.rows[:, 0])
-    return _curl(grid, out)
-
-
-def _curl(grid: SpectralGrid, out: np.ndarray) -> np.ndarray:
-    """Replace the band spectra w_j in ``out[:, j, 0]`` by the rows
-    ``(-d2 w_j, d1 w_j)`` of ``out[:, j]``, in place.  The minus is taken as
-    0 - d2 w, so a zero product gives +0.0."""
-    w = out[:, :, 0]
-    np.multiply(grid.d1_band, w, out=out[:, :, 1])
-    np.multiply(grid.d2_band, w, out=w)
-    np.subtract(0.0, w, out=w)
+    grid.fwd(w, out=out, rows=work.rows[:, 0])
+    out[..., 0, 0] = 0.0
     return out
 
 
-def _step_chunk(grid: SpectralGrid, g_hat: np.ndarray, work: ChunkWorkspace, u_old, u_new, dt: float):
-    """One Heun step of a chunk (:func:`memflow.stepper.heun`): its new band
-    spectra and fields."""
-    rhs = lambda g, k: _react_rhs_hat(grid, g, (u_old, u_new)[k], work, (work.rhs, work.spec)[k])
-    inv = lambda f: grid.inv(f, out=work.g, rows=work.rows)
-    return heun(inv(g_hat), g_hat, rhs, inv, dt, stage=work.spec)
+def _step_chunk(grid: SpectralGrid, psi: np.ndarray, work: ChunkWorkspace, u_old, u_new, dt: float):
+    """One Heun step of a chunk's potentials ``psi`` (:func:`memflow.stepper.heun`):
+    their new band spectra and the new fields."""
+    rhs = lambda g, k: _react_rhs_hat(grid, g, (u_old, u_new)[k], work, work.rhs[:, :, k])
+    inv = lambda f: row_fields(grid, f, work)
+    return heun(inv(psi), psi, rhs, inv, dt, stage=work.rhs[:, :, 1])
 
 
-def _step_identity(grid: SpectralGrid, g_hat: np.ndarray, work: ChunkWorkspace, u_old, u_new,
+def _step_identity(grid: SpectralGrid, psi: np.ndarray, work: ChunkWorkspace, u_old, u_new,
                    u_old_hat: np.ndarray, dt: float):
     """The Heun step of :func:`_step_chunk` for a one-row chunk that holds the
     identity, with its first stage in closed form.
 
-    With G = I the curl form's scalars are w = (u2, -u1), so the right-hand
-    side is ``[[-d2 u2, d1 u2], [d2 u1, -d1 u1]]``: its band spectrum comes
-    from the old velocity's band spectrum ``u_old_hat``, and the predictor
-    field I + dt (that right-hand side) from its jet, with no transform.
+    With G = I the scalars are w = (u2, -u1), so the first right-hand side
+    is their band spectra from the old velocity's band spectrum
+    ``u_old_hat``, and the predictor field is I + dt times their curl
+    ``[[-d2 u2, d1 u2], [d2 u1, -d1 u1]]`` from its jet, with no transform.
     The second stage and the new field take theirs: 6 transforms, where a
     row of :func:`_step_chunk` takes 16."""
     (d1u1, d1u2), (d2u1, d2u2) = u_old[1:]
-    r1, pred = work.rhs, work.g
-    r1[0, 0, 0] = u_old_hat[1]
-    np.negative(u_old_hat[0], out=r1[0, 1, 0])
-    _curl(grid, r1)
+    r1, pred = work.rhs[:, :, 0], work.g
+    r1[0, 0] = u_old_hat[1]
+    np.negative(u_old_hat[0], out=r1[0, 1])
+    r1[..., 0, 0] = 0.0
     np.negative(d2u2, out=pred[0, 0, 0])
-    pred[0, 0, 1] = d1u2
-    pred[0, 1, 0] = d2u1
+    pred[0, 0, 1], pred[0, 1, 0] = d1u2, d2u1
     np.negative(d1u1, out=pred[0, 1, 1])
     pred *= dt
     pred[0, 0, 0] += 1.0
     pred[0, 1, 1] += 1.0
-    r1 += _react_rhs_hat(grid, pred, u_new, work, work.spec)
+    r1 += _react_rhs_hat(grid, pred, u_new, work, work.rhs[:, :, 1])
     r1 *= 0.5 * dt
-    r1 += g_hat
-    return r1, grid.inv(r1, out=work.g, rows=work.rows)
+    r1 += psi
+    return r1, row_fields(grid, r1, work)
 
 
 def stretch_advect_step(
@@ -392,35 +389,35 @@ def stretch_advect_step(
 
     A ``reduction`` (such as :class:`memflow.stress.StackReduction`) gets, in
     age order after the shift, ``add_identity()`` for the newborn and
-    ``add_chunk(age, g, g_hat, work)`` for each chunk of updated rows from
-    age ``age`` on (the physical fields, their band spectra and the chunk's
-    workspace).  Transforms run on the history's grid.
+    ``add_chunk(age, g, psi, work)`` for each chunk of updated rows from
+    age ``age`` on (the physical fields, the potentials' band spectra and
+    the chunk's workspace).  Transforms run on the history's grid.
 
     Given ``u_old_hat``, the band spectrum of ``u_old``'s field, the age-1
-    chunk, when its row is bit for bit the identity spectrum the shift
+    chunk, when its row is bit for bit the identity the shift
     writes (:func:`is_identity`), takes its first stage in closed form
     (:func:`_step_identity`): 6 transforms, not 16.  It is so after every
-    step (the newborn that step set), in a history from rest (its tail row)
-    and after a restart; the rows of an explicit history are projections,
-    which take the transforms.  Without ``u_old_hat`` every chunk takes
+    step (the newborn that step set), in a history from rest (its tail row),
+    after a restart and in an explicit identity stack, whose projection
+    gives the identity's bits.  Without ``u_old_hat`` every chunk takes
     :func:`_step_chunk`.
     """
     grid, dt = history.grid, history.age_grid.ds
     age_shift(history)  # row 0 becomes the newborn, the identity
-    for age, g_hat, work in history.chunks():
+    for age, psi, work in history.chunks():
         if age == 0:  # the newborn is set, not stepped: F(t, t) = I
             if reduction is not None:
                 reduction.add_identity()
             continue
-        if age == 1 and u_old_hat is not None and is_identity(g_hat[0], grid.n):  # the last newborn or a tail row
-            r1, g = _step_identity(grid, g_hat, work, u_old, u_new, u_old_hat, dt)
+        if age == 1 and u_old_hat is not None and is_identity(psi[0], grid.n):  # the last newborn or a tail row
+            r1, g = _step_identity(grid, psi, work, u_old, u_new, u_old_hat, dt)
         else:
-            r1, g = _step_chunk(grid, g_hat, work, u_old, u_new, dt)
+            r1, g = _step_chunk(grid, psi, work, u_old, u_new, dt)
         if not np.isfinite(g).all():
             bad = age + int(np.argwhere(~np.isfinite(g))[0, 0])
             raise HistoryNaNError(f"non-finite deformation at step {history.generation + 1}, age slice {bad}")
-        g_hat[:] = r1
+        psi[:] = r1
         if reduction is not None:  # it may overwrite the scratch buffers, which this chunk no longer needs
-            reduction.add_chunk(age, g, g_hat, work)
+            reduction.add_chunk(age, g, psi, work)
     history.generation += 1
     return history

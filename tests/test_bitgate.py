@@ -1,4 +1,4 @@
-"""Smoke test of ``tools/bitgate.py`` on one case at n = 16."""
+"""Smoke test of ``tools/bitgate.py`` on two cases at n = 16: one from rest and one from an explicit history."""
 
 import importlib.util
 import json
@@ -18,7 +18,7 @@ def bitgate(*args):
 @pytest.fixture(scope="module")
 def manifest(tmp_path_factory):
     out = tmp_path_factory.mktemp("bitgate")
-    proc = bitgate("run", out, "--n", "16", "--case", "oldroyd-oracle")
+    proc = bitgate("run", out, "--n", "16", "--case", "oldroyd-oracle", "--case", "oldroyd-oracle-n32-explicit")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     return out
 
@@ -29,6 +29,17 @@ def test_threads_and_restart_are_byte_identical(manifest):
     reference = records[0]
     assert {"diagnostics.csv", "checkpoint/oracle_tau.fld", "snap_000020/g_00005.fld"} <= reference["files"].keys()
     assert len(reference["columns"]["t"]) == 21  # the initial record and 20 steps
+    for rec in records[1:]:
+        assert rec == reference
+
+
+def test_explicit_history_is_byte_identical(manifest):
+    # every row live from step 0: the runs start from the potentials extracted from a physical identity stack
+    runs = json.loads((manifest / "manifest.json").read_text())["cases"]["oldroyd-oracle-n32-explicit"]
+    records = [runs[threads][kind] for threads in ("threads1", "threads2") for kind in ("straight", "resumed")]
+    reference = records[0]
+    assert {"diagnostics.csv", "checkpoint/history.fld", "snap_000060/g_00005.fld"} <= reference["files"].keys()
+    assert len(reference["columns"]["t"]) == 61  # the initial record and 60 steps
     for rec in records[1:]:
         assert rec == reference
 

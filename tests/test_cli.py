@@ -4,13 +4,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from memflow.agegrid import build_age_grid
 from memflow.cli import main
 from memflow.constitutive import INI_MODELS, model_catalog
-from memflow.snapshots import write_field
-from memflow.transport import identity_stack
+from memflow.snapshots import read_checkpoint, write_field
+from memflow.spectral import SpectralGrid
+from memflow.transport import identity_stack, rows_hat
 
 CONFIG = """
 [grid]
@@ -90,7 +92,7 @@ class TestRunCommand:
         code = main(["run", write_cfg(tmp_path, outdir=str(tmp_path / "out2")), "--restart", str(out / "checkpoint")])
         assert code == 0
 
-    @pytest.mark.parametrize("case", ["other-grid", "corrupt-meta", "missing", "past-t-final"])
+    @pytest.mark.parametrize("case", ["other-grid", "corrupt-meta", "missing", "past-t-final", "four-field"])
     def test_bad_restart_exit_one(self, tmp_path, capsys, case):
         out = tmp_path / "out"
         assert main(["run", write_cfg(tmp_path, outdir=str(out))]) == 0
@@ -104,6 +106,11 @@ class TestRunCommand:
             cfg.write_text(CONFIG.format(model="psm-raw", outdir="").replace("t_final = 0.3", "t_final = 0.1"))
         elif case == "corrupt-meta":
             (checkpoint / "meta.json").write_text('{"step": ')
+        elif case == "four-field":  # an older layout: each row as the band spectra of its four components
+            chk = read_checkpoint(checkpoint)
+            psi = chk["history"][: chk["live"]]
+            four = rows_hat(SpectralGrid(32), psi, np.empty((len(psi), 2, 2, *psi.shape[2:]), dtype=complex))
+            write_field(checkpoint / "history.fld", four, n_s=chk["live"])
         else:
             checkpoint = tmp_path / "nowhere"
         capsys.readouterr()

@@ -19,7 +19,7 @@ from memflow.diagnostics import (
 )
 from memflow.spectral import SpectralGrid, taylor_green
 from memflow.stepper import FlowState
-from memflow.stress import assemble_stress
+from memflow.stress import assemble_stress, history_scan
 from memflow.transport import identity_stack, init_history
 
 N = 32
@@ -109,8 +109,8 @@ class TestMonitor:
         ag = build_age_grid(kernel, 0.05, 1e-4)
         h = init_history("identity", grid, ag)
         st = FlowState(grid, np.zeros((2, N, N)), 1.0)
-        tau = assemble_stress(h, measure)
-        rec = monitor(st, h, tau, measure, monitor_cfg(), 0.0)
+        tau, cfg = assemble_stress(h, measure), monitor_cfg()
+        rec = monitor(st, h, tau, measure, cfg, 0.0, history_scan(h, cfg.q, cfg.r, cfg.mu_min))
         assert rec.stress_sup == 0.0
         assert rec.min_detG == 1.0
         assert rec.y_integrand == 0.0
@@ -125,8 +125,8 @@ class TestMonitor:
         stack[2, 0, 0], stack[2, 1, 1] = f(grid.x2), f(grid.x1)  # divergence-free rows: det 0.81 at x = 0
         h = init_history(stack, grid, ag, mu=0.5)
         st = FlowState(grid, np.zeros((2, N, N)), 1.0)
-        tau = assemble_stress(h, measure)
-        rec = monitor(st, h, tau, measure, monitor_cfg(mu_min=1.0), 0.0)
+        tau, cfg = assemble_stress(h, measure), monitor_cfg(mu_min=1.0)
+        rec = monitor(st, h, tau, measure, cfg, 0.0, history_scan(h, cfg.q, cfg.r, cfg.mu_min))
         assert "det" in rec.flags
 
     def test_stress_bound_flag(self, grid):
@@ -134,8 +134,8 @@ class TestMonitor:
         ag = build_age_grid(kernel, 0.05, 1e-4)
         h = init_history("identity", grid, ag)
         st = FlowState(grid, np.zeros((2, N, N)), 1.0)
-        tau = assemble_stress(h, measure)
-        rec = monitor(st, h, tau, measure, monitor_cfg(stress_tol=-1.0), 0.0)
+        tau, cfg = assemble_stress(h, measure), monitor_cfg(stress_tol=-1.0)
+        rec = monitor(st, h, tau, measure, cfg, 0.0, history_scan(h, cfg.q, cfg.r, cfg.mu_min))
         assert "stress" in rec.flags
 
     def test_csv_row_layout(self):

@@ -260,6 +260,24 @@ class TestArtifacts:
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
             "checkpoint", "diagnostics.csv", "snap_000005", "snap_000010"]
 
+    def test_final_checkpoint_written_once(self, tmp_path, monkeypatch):
+        # a 10-step run at snapshot_every = 2 used to write step 10 twice: from the loop and after it
+        steps, write = [], simulation.write_checkpoint
+
+        def counting(directory, **kwargs):
+            steps.append(kwargs["step"])
+            write(directory, **kwargs)
+
+        monkeypatch.setattr(simulation, "write_checkpoint", counting)
+        run(small_cfg(output_dir=str(tmp_path / "A"), snapshot_every=2))
+        assert steps == [2, 4, 6, 8, 10]
+        steps.clear()  # a last step that is no snapshot step is written after the loop
+        run(small_cfg(output_dir=str(tmp_path / "B"), snapshot_every=4))
+        assert steps == [4, 8, 10]
+        steps.clear()  # a restart at the last step into a fresh directory takes no step and writes its checkpoint
+        run(small_cfg(output_dir=str(tmp_path / "C"), snapshot_every=2), restart_from=tmp_path / "A" / "checkpoint")
+        assert steps == [10] and read_checkpoint(tmp_path / "C" / "checkpoint")["step"] == 10
+
     def test_failed_checkpoint_keeps_previous(self, tmp_path, monkeypatch):
         written = {}
         write_field = snapshots.write_field
@@ -470,9 +488,9 @@ class TestTailRow:
             run(cfg(out, t_final=0.3 * steps))
             meta = json.loads((out / "checkpoint" / "meta.json").read_text())
             assert (meta["live"], meta["n_slices"]) == (live, self.N_S) and "head" not in meta
-            # the live rows only: header, live rows of 4 band spectra at n = 16, trailer
+            # the live rows only: header, live rows of 2 band spectra (the potentials) at n = 16, trailer
             size = (out / "checkpoint" / "history.fld").stat().st_size
-            assert size == 32 + live * 4 * 11 * 6 * 16 + 8
+            assert size == 32 + live * 2 * 11 * 6 * 16 + 8
             res = run(cfg(out), restart_from=out / "checkpoint")
             assert res.exit_code == EXIT_OK and res.history.live == self.N_S
             reference = straight if start == "rest" else tmp_path / "explicit"

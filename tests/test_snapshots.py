@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from memflow import snapshots
 from memflow.snapshots import (
     SnapshotFormatError,
     read_checkpoint,
@@ -58,6 +59,17 @@ class TestRoundTrip:
         assert back.dtype == np.complex128 and np.array_equal(back, stack)
         with pytest.raises(SnapshotFormatError, match="band-spectrum axes"):
             write_field(path, stack[..., :5], n_s=7)
+
+    def test_potentials_stack(self, tmp_path):
+        # a history's stack: 2 band spectra a row, the potentials
+        rng = np.random.default_rng(8)
+        stack = rng.standard_normal((5, 2, 11, 6)) + 1j * rng.standard_normal((5, 2, 11, 6))  # n = 16
+        path = tmp_path / "h.fld"
+        write_field(path, stack, n_s=5)
+        assert struct.unpack("<6I", path.read_bytes()[8:32]) == (3, 11, 6, 2, 5, 1)
+        assert np.array_equal(read_field(path), stack)
+        with pytest.raises(SnapshotFormatError, match="inconsistent with N_s=5"):
+            write_field(path, stack[:, :1], n_s=5)
 
     @pytest.mark.parametrize("view", ["transposed", "strided stack", "history slice"])
     def test_non_contiguous_input(self, tmp_path, view):
@@ -192,6 +204,26 @@ class TestCheckpoint:
         assert chk["step"] == 2
         assert np.array_equal(chk["history"], second["history"])
         assert [p.name for p in tmp_path.iterdir()] == ["chk"]
+
+    def test_failed_history_write_keeps_previous(self, tmp_path, monkeypatch):
+        # an OSError while history.fld is written leaves the previous checkpoint readable, with its step and
+        # bytes, and no .chk.new behind
+        self._write(tmp_path / "chk", 1)
+        before = {path.name: path.read_bytes() for path in (tmp_path / "chk").iterdir()}
+        write_field = snapshots.write_field
+
+        def failing(path, array, n_s=0):
+            if path.name == "history.fld":
+                path.write_bytes(b"half a stack")
+                raise OSError("disk full")
+            write_field(path, array, n_s)
+
+        monkeypatch.setattr(snapshots, "write_field", failing)
+        with pytest.raises(OSError, match="disk full"):
+            self._write(tmp_path / "chk", 2)
+        assert read_checkpoint(tmp_path / "chk")["step"] == 1
+        assert {path.name: path.read_bytes() for path in (tmp_path / "chk").iterdir()} == before
+        assert [path.name for path in tmp_path.iterdir()] == ["chk"]
 
     def test_kill_between_renames_keeps_previous(self, tmp_path, monkeypatch):
         first = self._write(tmp_path / "chk", 1)

@@ -26,6 +26,7 @@ from memflow.transport import (
     identity_stack,
     init_history,
     is_identity,
+    row_fields,
     set_identity,
     stretch_advect_step,
 )
@@ -113,19 +114,20 @@ class TestYIntegrand:
         h = shear_history(grid, age_grid, 2.0)
         assert history_scan(h, 8, 4)[0] == 0.0
 
-    def test_scalar_multiple_of_identity_reduction(self, grid):
-        # G = g(x) I per slice: ratio |grad G| / |G| = |grad g| / |g|
+    def test_diagonal_reduction(self, grid):
+        # G = diag(f(x2), f(x1)) per slice, divergence-free rows: ratio |grad G| / |G| =
+        # sqrt(f'(x2)^2 + f'(x1)^2) / sqrt(f(x2)^2 + f(x1)^2)
         ag = build_age_grid(single_exponential_kernel(), 0.05, 1e-4)
-        gfun = 1.0 + 0.5 * np.sin(grid.x1) * np.ones((N, N))
+        f, fp = lambda x: 1.0 + 0.5 * np.sin(x), lambda x: 0.5 * np.cos(x)
         stack = np.zeros((ag.n_nodes, 2, 2, N, N))
-        stack[:, 0, 0] = gfun
-        stack[:, 1, 1] = gfun
-        h = DeformationHistory(grid.band(stack), ag, grid)  # taken as it is: init_history would project its rows
+        stack[:, 0, 0], stack[:, 1, 1] = f(grid.x2), f(grid.x1)
+        with pytest.warns(UserWarning, match="age-zero slice") as caught:
+            h = init_history(stack, grid, ag, mu=0.25)
+        assert len(caught) == 1  # the rows are divergence-free: their projection moves nothing
         q, r = 8, 4
         got = history_scan(h, q, r, mu=0.25)[0]
-        dg = grid.gradient(gfun)[0]
-        ratio_norm = grid.lq_norm(np.abs(dg) / gfun, q) ** r
-        expect = float(np.sum(ag.node_mass)) * ratio_norm
+        ratio = np.sqrt((fp(grid.x2) ** 2 + fp(grid.x1) ** 2) / (f(grid.x2) ** 2 + f(grid.x1) ** 2))
+        expect = float(np.sum(ag.node_mass)) * grid.lq_norm(ratio, q) ** r
         assert math.isclose(got, expect, rel_tol=1e-12)
 
     def test_degenerate_deformation_detected(self, grid, age_grid):
@@ -185,8 +187,8 @@ def perturbed_history(grid, age_grid, seed=0):
 def transformed_pass(h, m, scan=None):
     """The stored-stack pass with every row, an identity age-0 row too, transformed and fed to ``add_chunk``."""
     fed = StackReduction(h, m, scan)
-    for age, g_hat, work in h.chunks():
-        fed.add_chunk(age, h.grid.inv(g_hat, out=work.g, rows=work.rows), g_hat, work)
+    for age, psi, work in h.chunks():
+        fed.add_chunk(age, row_fields(h.grid, psi, work), psi, work)
     return fed
 
 
@@ -242,12 +244,12 @@ class TestFusedPass:
                 buf[:] = np.nan
             works = [ChunkWorkspace(h.n_slices, grid.n) for _ in range(spares)]
             fed = StackReduction(h, m, (8, 4, 0.5))
-            for i, (age, g_hat, _) in enumerate(h.chunks()):
+            for i, (age, psi, _) in enumerate(h.chunks()):
                 if age == 0:
                     fed.add_identity()
                     continue
-                work = works[i % spares].cut(len(g_hat))
-                fed.add_chunk(age, grid.inv(g_hat, out=work.g, rows=work.rows), g_hat, work)
+                work = works[i % spares].cut(len(psi))
+                fed.add_chunk(age, row_fields(grid, psi, work), psi, work)
             assert fed.tau.total.tobytes() == clean.tau.total.tobytes()
             assert fed.scan_result() == clean.scan_result()
             assert all(np.isnan(buf).all() for buf in vars(h.workspace).values())
@@ -258,7 +260,7 @@ class TestFusedPass:
         h = perturbed_history(grid, ag)
         _, m = model_catalog("psm-raw")
         u = FlowState(grid, taylor_green(grid), 0.1).jet  # the velocity samples carry their gradient
-        for scan, per_slice in ((None, 16), ((8, 4, 1.0), 24)):
+        for scan, per_slice in ((None, 16), ((8, 4, 1.0), 22)):
             counted.reset()
             stretch_advect_step(h, u, 0.9 * u, StackReduction(h, m, scan))
             assert counted.total == per_slice * (h.n_slices - 1)  # the newborn is set, not stepped
@@ -297,13 +299,13 @@ class TestTailRow:
 
     def test_transforms_per_step(self, counted):
         # given the velocity spectrum, the age-1 row (the tail row at step 1, then the last newborn) is the
-        # identity: 6 transforms, 14 monitored; every older row takes 16, 24 monitored
+        # identity: 6 transforms, 12 monitored; every older row takes 16, 22 monitored
         grid, ag, m, unmonitored, _ = self.histories()
         monitored = init_history("identity", grid, ag)
         st = FlowState(grid, taylor_green(grid), 0.1)
         u = st.jet
         for k in range(1, ag.n_nodes + 3):
-            for h, scan, first, per_slice in ((unmonitored, None, 6, 16), (monitored, (8, 4, 1.0), 14, 24)):
+            for h, scan, first, per_slice in ((unmonitored, None, 6, 16), (monitored, (8, 4, 1.0), 12, 22)):
                 counted.reset()
                 stretch_advect_step(h, u, 0.9 * u, StackReduction(h, m, scan), u_old_hat=st.u_hat)
                 assert counted.total == first + per_slice * (min(k + 1, ag.n_nodes) - 2)
@@ -311,7 +313,7 @@ class TestTailRow:
 
 class TestIdentityRow:
     """Given the old velocity's spectrum, a step takes the age-1 row's first Heun stage in closed form
-    exactly when that row is bit for bit the identity spectrum: 6 transforms (14 monitored), not 16 (24).
+    exactly when that row is bit for bit the identity: 6 transforms (12 monitored), not 16 (22).
     From rest: :meth:`TestTailRow.test_transforms_per_step`."""
 
     @staticmethod
@@ -324,9 +326,9 @@ class TestIdentityRow:
 
     @staticmethod
     def eye_bits(h):
-        """Whether the age-0 row holds the identity's bits as the shift writes them: n^2 at the mean mode."""
+        """Whether the age-0 row holds the identity's bits as the shift writes them: n^2 and i n^2 at the mean modes."""
         eye = np.zeros_like(h.slice(0))
-        eye[0, 0, 0, 0] = eye[1, 1, 0, 0] = h.grid.n**2
+        eye[0, 0, 0], eye[1, 0, 0] = h.grid.n**2, 1j * h.grid.n**2
         return h.slice(0).tobytes() == eye.tobytes()
 
     @pytest.mark.parametrize("k", [3, 20])
@@ -346,18 +348,18 @@ class TestIdentityRow:
         assert resumed.payload[:resumed.live].tobytes() == h.payload[:h.live].tobytes()
 
     def test_explicit_stack(self, counted):
-        # an explicit identity stack is projected: its rows are the identity in value, not in bits (-0.0),
-        # so they take every transform; the row that carries the identity's exact bits does not
+        # an explicit identity stack is projected onto the identity's exact bits (+0.0, not -0.0), so its
+        # age-1 row takes the closed form; a row that is the identity in value, not in bits, takes every transform
         grid, ag, _, rest, full = TestTailRow.histories()
-        _, _, _, _, exact = TestTailRow.histories()
-        exact.slice(0)[:] = rest.slice(0)
-        np.testing.assert_array_equal(full.slice(0), exact.slice(0))
-        assert not self.eye_bits(full) and self.eye_bits(exact)
+        _, _, _, _, bent = TestTailRow.histories()
+        bent.slice(0)[0, 0, 1] = -0.0
+        np.testing.assert_array_equal(full.slice(0), bent.slice(0))
+        assert self.eye_bits(full) and full.slice(0).tobytes() == rest.slice(0).tobytes() and not self.eye_bits(bent)
         st = FlowState(grid, taylor_green(grid), 0.1)
         n_s = ag.n_nodes
-        assert self.step(full, st, counted) == 16 * (n_s - 1)
-        assert self.step(exact, st, counted) == 6 + 16 * (n_s - 2)
-        for h in (full, exact):  # from the next step on, the age-1 row is the newborn
+        assert self.step(bent, st, counted) == 16 * (n_s - 1)
+        assert self.step(full, st, counted) == 6 + 16 * (n_s - 2)
+        for h in (full, bent):  # from the next step on, the age-1 row is the newborn
             assert self.step(h, st, counted) == 6 + 16 * (n_s - 2)
 
     def test_perturbed_explicit_history(self, counted):
@@ -365,14 +367,14 @@ class TestIdentityRow:
         ag = build_age_grid(single_exponential_kernel(), 0.05, 1e-2)
         h = perturbed_history(grid, ag)
         st = FlowState(grid, taylor_green(grid), 0.1)
-        assert self.step(h, st, counted, (8, 4, 1.0)) == 24 * (h.n_slices - 1)
-        assert self.step(h, st, counted, (8, 4, 1.0)) == 14 + 24 * (h.n_slices - 2)
+        assert self.step(h, st, counted, (8, 4, 1.0)) == 22 * (h.n_slices - 1)
+        assert self.step(h, st, counted, (8, 4, 1.0)) == 12 + 22 * (h.n_slices - 2)
 
 
 class TestFirstPass:
     """:meth:`StackReduction.over_stack`, the pass behind a run's initial state and a restart's first
     record, adds an age-0 row that is bit for bit the identity spectrum as the newborn a step sets: no
-    transform.  Every other row takes 4 inverse transforms, 12 with the bound scan."""
+    transform.  Every other row takes 4 inverse transforms, 10 with the bound scan."""
 
     SCAN = (8, 4, 1.0)
 
@@ -385,7 +387,7 @@ class TestFirstPass:
 
     @pytest.mark.parametrize("k", [3, 20])
     def test_restart_first_pass(self, counted, tmp_path, k):
-        # every live row but the newborn is transformed: 12 (live - 1) transforms monitored, 4 (live - 1) not
+        # every live row but the newborn is transformed: 10 (live - 1) transforms monitored, 4 (live - 1) not
         grid, ag, m, h, _ = TestTailRow.histories()
         st = FlowState(grid, taylor_green(grid), 0.1)
         for _ in range(k):
@@ -395,7 +397,7 @@ class TestFirstPass:
         chk = read_checkpoint(tmp_path / "chk")
         resumed = DeformationHistory(chk["history"], ag, grid, generation=k, live=chk["live"])
         assert resumed.live == min(k + 1, ag.n_nodes) > 1
-        for scan, per_row in ((self.SCAN, 12), (None, 4)):
+        for scan, per_row in ((self.SCAN, 10), (None, 4)):
             counted.reset()
             first = StackReduction(resumed, m, scan).over_stack()
             assert (counted.fwd, counted.inv) == (0, per_row * (resumed.live - 1))
@@ -403,16 +405,16 @@ class TestFirstPass:
             assert first.tau.total.tobytes() == reference.tau.total.tobytes()
             assert first.scan_result() == reference.scan_result()
 
-    @pytest.mark.parametrize("word", [(0, 1, 0, 0), (1, 1, 0, 1)])
+    @pytest.mark.parametrize("word", [(0, 0, 1), (1, 0, 0)])
     def test_negative_zero_takes_the_transforms(self, counted, word):
-        # a -0.0 where the identity spectrum holds +0.0 (the real part of G01's mean mode, the imaginary
-        # part of G11's) is the identity in value, not in bits
+        # a -0.0 where the identity holds +0.0 (the imaginary part of psi_1's mean mode, G12's mean, and the
+        # real part of psi_2's, G21's mean) is the identity in value, not in bits
         grid, ag, m, h, _ = TestTailRow.histories()
         h.slice(0).view(float)[word] = -0.0
         assert not is_identity(h.slice(0), grid.n) and not TestIdentityRow.eye_bits(h)
         counted.reset()
         first = StackReduction(h, m, self.SCAN).over_stack()
-        assert counted.total == 12
+        assert counted.total == 10
         exact = StackReduction(init_history("identity", grid, ag), m, self.SCAN).over_stack()
         np.testing.assert_array_equal(first.tau.total, exact.tau.total)
         assert first.scan_result() == exact.scan_result()
@@ -432,11 +434,11 @@ class TestFirstPass:
 
     def test_is_identity_is_the_bits_of_set_identity(self):
         grid = SpectralGrid(16)
-        row = set_identity(np.full((2, 2, *grid.band_shape), np.nan, dtype=complex), 16)
+        row = set_identity(np.full((2, *grid.band_shape), np.nan, dtype=complex), 16)
         assert is_identity(row, 16) and row.tobytes() == init_history("identity", grid, build_age_grid(
             single_exponential_kernel(), 0.25, 0.1)).slice(0).tobytes()
-        for index, value in (((0, 0, 0, 0), 2 * 16**2), ((0, 0, 0, 0), 16**2 + 1e-13j), ((1, 0, 3, 2), 1e-300),
-                             ((0, 1, 0, 0), complex(-0.0, 0.0))):
+        for index, value in (((0, 0, 0), 2 * 16**2), ((0, 0, 0), 16**2 + 1e-13j), ((1, 0, 0), 16**2),
+                             ((1, 3, 2), 1e-300), ((1, 0, 0), complex(-0.0, 16**2))):
             bent = row.copy()
             bent[index] = value
             assert not is_identity(bent, 16), index

@@ -23,6 +23,7 @@ from memflow.transport import (
     init_history,
     is_identity,
     norm_field,
+    rows_hat,
     set_identity,
     stretch_advect_step,
 )
@@ -45,9 +46,9 @@ def identity_like(history):
 
 
 def identity_band(history):
-    """The stored identity: the mean mode N^2 of both diagonal components."""
+    """The stored identity: zero potentials with the means e_1, e_2, so N^2 and i N^2 at the two mean modes."""
     eye = np.zeros_like(history.payload)
-    eye[:, 0, 0, 0, 0] = eye[:, 1, 1, 0, 0] = N * N
+    eye[:, 0, 0, 0], eye[:, 1, 0, 0] = N * N, 1j * N * N
     return eye
 
 
@@ -56,9 +57,14 @@ def by_age(history):
     return np.stack([history.slice(j) for j in range(history.n_slices)])
 
 
+def spectra(grid, psi):
+    """The band spectra of the rows of the potentials ``psi``, allocated: shape ``(..., 2, 2, *band_shape)``."""
+    return rows_hat(grid, psi, np.empty(psi.shape[:-3] + (2, 2, *grid.band_shape), dtype=complex))
+
+
 def fields(history):
     """Physical fields of every age, in age order."""
-    return history.grid.inv(by_age(history), out=np.empty((history.n_slices, 2, 2, N, N)))
+    return history.grid.field(spectra(history.grid, by_age(history)))
 
 
 def with_slice(grid, age_grid, j, value, mu=1.0):
@@ -140,7 +146,7 @@ class TestInit:
         stack[3, 0, 0] = stack[3, 1, 1] = f
         with pytest.warns(UserWarning, match="not divergence-free"):
             h = init_history(stack, grid, age_grid, mu=0.5)
-        assert float(np.abs(row_divergence(grid, h.payload)).max()) <= 1e-14 * N * N
+        assert float(np.abs(row_divergence(grid, spectra(grid, h.payload))).max()) <= 1e-14 * N * N
         expect = identity_like(h)
         expect[3, 1, 1] = f
         np.testing.assert_allclose(fields(h), expect, rtol=0, atol=1e-14)
@@ -175,7 +181,7 @@ class TestShift:
     def test_shift_moves_rows_down(self, grid, age_grid):
         # age j at row j: each live row moves down one row and the identity enters at row 0
         n_s = age_grid.n_nodes
-        payload = np.random.default_rng(1).standard_normal((n_s, 2, 2, *grid.band_shape)) * (1 + 1j)
+        payload = np.random.default_rng(1).standard_normal((n_s, 2, *grid.band_shape)) * (1 + 1j)
         for live in (1, 3, n_s - 1, n_s):
             h = age_shift(DeformationHistory(payload.copy(), age_grid, grid, live=live))
             assert h.live == min(live + 1, n_s)
@@ -286,10 +292,11 @@ class TestStep:
         with pytest.warns(UserWarning, match="age-zero slice"):
             h = init_history(stack, grid, age_grid)
         supplied = h.slice(0).copy()
-        assert supplied.tobytes() == grid.band(stack[0]).tobytes()
+        # zero potentials with the means 1.1 e_j: two nonzero words
+        assert supplied[:, 0, 0].tolist() == [1.1 * N * N, 1.1j * N * N] and np.count_nonzero(supplied.view(np.uint64)) == 2
         u0 = np.zeros((3, 2, N, N))  # the jet of the fluid at rest
         stretch_advect_step(h, u0, u0, u_old_hat=grid.band(u0[0]))
-        assert h.slice(1).tobytes() == (supplied + 0.0).tobytes()  # the step adds zeros: -0.0 becomes 0.0
+        assert h.slice(1).tobytes() == supplied.tobytes()  # the step adds zeros
         assert h.slice(0).tobytes() == identity_band(h)[0].tobytes()
 
     def test_determinant_transport_taylor_green(self, grid):
@@ -310,7 +317,7 @@ class TestStep:
 
     def test_nan_abort_locates_slice(self, grid, age_grid):
         h = init_history(identity_stack(age_grid.n_nodes, N), grid, age_grid)  # every row live
-        h.slice(5)[0, 0, 0, 0] = np.nan  # the mean mode: NaN over the whole component field
+        h.slice(5)[0, 0, 0] = np.nan  # psi_1's mean mode: NaN over the whole fields of row 1
         u0 = np.zeros((3, 2, N, N))  # the jet of the fluid at rest
         with pytest.raises(HistoryNaNError, match="step 1, age slice 6$"):  # its age after the shift
             stretch_advect_step(h, u0, u0)
@@ -331,45 +338,36 @@ class TestReactRhs:
 
     @pytest.mark.parametrize("n", [32, 64])
     def test_reads_g_and_matches_band_of_each_product(self, n):
-        # rows that are divergence-free, as a history's are: the curl form is the product form
+        # rows that are divergence-free, as a history's are: the curl of the potentials' right-hand side is
+        # the product form, and the means do not change (mean mode 0.0)
         grid, rows = SpectralGrid(n), 3
         g = divergence_free_rows(grid, np.random.default_rng(n), rows, 0.1)
-        work, out = ChunkWorkspace(rows, n), np.empty((rows, 2, 2, *grid.band_shape), dtype=complex)
+        work, out = ChunkWorkspace(rows, n), np.empty((rows, 2, *grid.band_shape), dtype=complex)
         for jet in self.velocities(grid, n):
             before = g.copy()
             transport._react_rhs_hat(grid, g, jet, work, out)
             assert g.tobytes() == before.tobytes()
+            assert out[:, :, 0, 0].tobytes() == np.zeros((rows, 2), dtype=complex).tobytes()
             expected = self.reference(grid, g, jet)
-            np.testing.assert_allclose(out, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
-
-    @pytest.mark.parametrize("n", [32, 64])
-    def test_differs_by_band_of_u_times_row_divergence(self, n):
-        # for any G the product form is the curl form less P(u_k D_j), D_j = d_l G_jl: band products are exact
-        grid, rng, rows = SpectralGrid(n), np.random.default_rng(n), 3
-        g = grid.field(grid.band(identity_stack(rows, n) + 0.1 * rng.standard_normal((rows, 2, 2, n, n))))
-        work, out = ChunkWorkspace(rows, n), np.empty((rows, 2, 2, *grid.band_shape), dtype=complex)
-        div = grid.field(1j * row_divergence(grid, grid.band(g)))  # D_j
-        for jet in self.velocities(grid, n):
-            u_div = grid.band(div[:, :, None] * jet[0])  # P(u_k D_j)
-            expected = self.reference(grid, g, jet)
-            assert np.abs(u_div).max() > 0.01 * np.abs(expected).max()  # D is far from 0
-            curl = transport._react_rhs_hat(grid, g, jet, work, out)
-            np.testing.assert_allclose(curl - u_div, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
+            np.testing.assert_allclose(spectra(grid, out), expected, rtol=0, atol=1e-14 * np.abs(expected).max())
 
     def test_rows_stay_divergence_free(self):
-        # a history from rest stepped 60 times by an evolving random-band flow: k . G_j stays at roundoff
+        # a history from rest stepped 60 times by an evolving random-band flow: each row keeps the identity's
+        # mean bit for bit, and k . G_j stays at roundoff while the fields move
         n = 64
         grid = SpectralGrid(n)
         ag = build_age_grid(single_exponential_kernel(), 0.05, 1e-2)
         assert ag.n_nodes > 60
         h = init_history("identity", grid, ag)
+        means = set_identity(np.empty_like(h.payload[0]), n)[:, 0, 0]
         st = FlowState(grid, random_band_limited_velocity(grid, seed=7, band=8, amplitude=0.5), eta=0.01)
         for _ in range(60):
             u_old, u_old_hat = st.jet, st.u_hat
             advance_flow(st, None, ag.ds, 0.5)
             stretch_advect_step(h, u_old, st.jet, u_old_hat=u_old_hat)
-            assert float(np.abs(row_divergence(grid, h.payload[: h.live])).max()) <= 1e-14 * n * n
-        assert float(np.abs(grid.field(h.payload[: h.live]) - identity_stack(h.live, n)).max()) > 0.1
+            assert h.payload[: h.live, :, 0, 0].tobytes() == np.tile(means, (h.live, 1)).tobytes()
+            assert float(np.abs(row_divergence(grid, spectra(grid, h.payload[: h.live]))).max()) <= 1e-14 * n * n
+        assert float(np.abs(grid.field(spectra(grid, h.payload[: h.live])) - identity_stack(h.live, n)).max()) > 0.1
 
 
 class TestIdentityRow:
@@ -382,7 +380,7 @@ class TestIdentityRow:
         grid, dt = SpectralGrid(n), 0.05
         old, new = (FlowState(grid, random_band_limited_velocity(grid, seed=seed, band=6), eta=0.1)
                     for seed in (n, n + 1))
-        eye_hat = np.empty((1, 2, 2, *grid.band_shape), dtype=complex)
+        eye_hat = np.empty((1, 2, *grid.band_shape), dtype=complex)
         set_identity(eye_hat[0], n)
         fast_hat, fast = transport._step_identity(grid, eye_hat, ChunkWorkspace(1, n), old.jet, new.jet, old.u_hat, dt)
         full_hat, full = transport._step_chunk(grid, eye_hat, ChunkWorkspace(1, n), old.jet, new.jet, dt)

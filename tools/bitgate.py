@@ -15,7 +15,7 @@ takes both bundled configs with ``snapshot_every = 4`` and
 from rest to ``t_final = 6``, so the history fills up, and to
 ``t_final = 3`` from an explicit identity stack of N_s rows, written by the
 checkout's own sources, so every row is live from step 0 and the first
-passes transform the projected identity.  Each case runs straight and resumed
+passes transform its extracted rows.  Each case runs straight and resumed
 from the final checkpoint of a run to its middle step, at 1 and at 2 FFT
 threads.  ``run`` exits 1 if a run fails, or if a case's files differ
 between 1 and 2 threads or between its straight and resumed runs.  ``--n``
