@@ -145,14 +145,20 @@ class KahanSum:
     t = total + y, comp = (t - total) - y, total = t: the same five
     operations in three buffers.  t goes into the compensation's buffer,
     which y has absorbed, and the new compensation into the old total's;
-    then the two swap names."""
+    then the two swap names.  The first term, into total = comp = 0.0, takes
+    them on its own shape (one point for a constant field), then broadcast."""
 
     def __init__(self, shape=()):
         self.total, self._comp, self._y = np.zeros(shape), np.zeros(shape), np.empty(shape)
+        self._empty = True
 
     def add(self, coeffs, samples) -> "KahanSum":
         y = self._y
         for c, f in zip(coeffs, samples):
+            if self._empty:
+                first = np.multiply(f, c) - 0.0
+                self.total[...], self._comp[...], self._empty = 0.0 + first, (0.0 + first - 0.0) - first, False
+                continue
             np.multiply(f, c, out=y)
             y -= self._comp
             t = np.add(self.total, y, out=self._comp)  # the compensation is dead once y holds it

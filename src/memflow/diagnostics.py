@@ -87,7 +87,7 @@ def monitor(
 
     du = state.jet[1:]
     gradu_sup = math.sqrt(np.max(np.einsum("icyx,icyx->yx", du, du)))  # the max before the sqrt, same bits
-    div_u = grid.field(grid.divergence_hat(state.u_hat))
+    div_u = grid.field(grid.divergence_hat(grid.curl_hat(state.psi_hat)))
     divu_sup = float(np.max(np.abs(div_u))) / max(1.0, gradu_sup)
 
     sgn = stress_gradient_norm(tau, grid, cfg.q)
@@ -135,7 +135,7 @@ class OracleState:
     measure; the velocity-gradient layout matches the transport equation's
     convention, fixed by the steady-shear viscometric functions.
 
-    Like the velocity, the stress is held as its band spectrum ``tau_hat``
+    Like the velocity, the stress is held as a band spectrum, ``tau_hat``,
     and its physical jet ``(tau, d1 tau, d2 tau)``: ``OracleState(grid, tau)``
     projects a physical stress onto the band, and with ``tau_hat`` (and
     ``tau`` None) the band spectrum is taken as it is (a restart).

@@ -24,11 +24,12 @@ from their ``y_integrand``, and the rest dropped; a file that lacks one of
 those rows is refused.  Without the file a restart takes the checkpoint's y
 integral and logs its first record.  A checkpoint past ``t_final`` is
 refused, before any file is touched.
-A checkpoint holds the band spectra of the velocity, the history (its
-live rows' potentials, in age order) and the oracle stress, which a
-restart takes as they are: the history stores age j at row j, so its live
-rows on disk are the leading rows of its stack, byte for byte.  Each
-checkpoint step is a record step, so its y integral belongs to its time.
+A checkpoint holds the band spectra of the velocity's stream function, the
+history (its live rows' potentials, in age order) and the oracle stress,
+which a restart takes as they are: the history stores age j at row j, so
+its live rows on disk are the leading rows of its stack, byte for byte.
+Each checkpoint step is a record step, so its y integral belongs to its
+time.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
             step0, y_value, yi_prev = chk["step"], chk["y_value"], chk["y_integrand"]
             if step0 > cfg.n_steps:
                 raise ValueError(f"its step {step0} is past the last step, {cfg.n_steps}, of t_final = {cfg.t_final:g}")
-            state = FlowState(grid, None, cfg.viscosity, t=chk["t"], u_hat=chk["u"])
+            state = FlowState(grid, None, cfg.viscosity, t=chk["t"], psi_hat=chk["u"])
             history = DeformationHistory(chk["history"], age_grid, grid, generation=step0, live=chk["live"])
             oracle = None
             if cfg.oracle:
@@ -189,14 +190,14 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
         if csv_fh is not None:
             csv_fh.flush()  # a restart from this checkpoint finds every row up to it
         write_checkpoint(out_dir / "checkpoint", step=step, t=state.t, y_value=y_value, y_integrand=yi_prev,
-                         u=state.u_hat, history=history.payload[:history.live], n_slices=history.n_slices,
+                         u=state.psi_hat, history=history.payload[:history.live], n_slices=history.n_slices,
                          oracle_tau=None if oracle is None else oracle.tau_hat)
 
     scan_args = (cfg.q, cfg.r, cfg.mu_min)
     try:
         try:  # the stored stack's stress and bound scan, in one pass
             stack_pass = StackReduction(history, measure, scan_args).over_stack()
-            tau, scan = stack_pass.tau.total, stack_pass.scan_result()
+            tau, scan = stack_pass.stress(), stack_pass.scan_result()
             del stack_pass
             rec = monitor(state, history, tau, measure, cfg, y_value, scan)
         except FloatingPointError as exc:  # a degenerate initial or restart history
@@ -210,20 +211,20 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
 
         n_steps = cfg.n_steps
         for step in range(step0 + 1, n_steps + 1):
-            u_old, u_old_hat = state.jet, state.u_hat  # advance_flow rebinds both
+            u_old, u_old_psi = state.jet, state.psi_hat  # advance_flow rebinds both
             snapshot, monitored = snapshot_step(step), record_step(step)
             try:
                 substeps += advance_flow(state, tau, cfg.dt, cfg.cfl_safety)
                 state.t = step * cfg.dt  # re-pin against substep roundoff drift
                 tau = None  # the flow has used it: it goes before the pass's sums are allocated
                 stack_pass = StackReduction(history, measure, scan_args if monitored else None)
-                stretch_advect_step(history, u_old, state.jet, stack_pass, u_old_hat)
+                stretch_advect_step(history, u_old, state.jet, stack_pass, u_old_psi)
                 if oracle is not None:
                     oldroyd_differential_step(oracle, u_old, state.jet, cfg.dt)
             except FloatingPointError as exc:  # non-finite flow, history or oracle; degenerate history
                 return finish(EXIT_NAN, str(exc), None)
-            tau, scan = stack_pass.tau.total, stack_pass.scan_result() if monitored else None
-            del u_old, u_old_hat, stack_pass  # the old jet and the pass's scratch sums go before the monitor
+            tau, scan = stack_pass.stress(), stack_pass.scan_result() if monitored else None
+            del u_old, u_old_psi, stack_pass  # the old jet and the pass's scratch sums go before the monitor
 
             if monitored:
                 rec = monitor(state, history, tau, measure, cfg, y_value, scan)

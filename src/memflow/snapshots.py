@@ -19,7 +19,8 @@ array: no second payload copy.  Reads validate magic, sizes, and
 checksum; a write/read round trip is bit-exact.  Checkpoints are
 directories holding one snapshot per state field plus a JSON metadata file
 with exact (hex) float values, so a restarted run reproduces the original
-bit for bit.  A history is stored as its live rows, in age order: the
+bit for bit.  ``u.fld`` holds the band spectrum of the velocity's stream
+function.  A history is stored as its live rows, in age order: the
 leading rows of its stack, each the band spectra of 2 potentials.
 Checkpoints are swapped into place whole (:func:`write_checkpoint`): a
 killed process leaves a complete checkpoint; nothing is fsynced, so a

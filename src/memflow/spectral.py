@@ -12,7 +12,8 @@ keeps, ``|k1|, |k2| <= kc`` with ``kc = n // 3`` (:func:`band_shape`), rows
 product into the band is its dealiased spectrum, and no Nyquist mode lies
 in the band.  Band transforms skip the discarded columns and run through
 ``numpy.fft`` into caller-supplied buffers; the operators on band spectra are
-mode-wise multipliers, spectrally accurate.
+mode-wise multipliers, spectrally accurate.  A divergence-free field (the
+velocity, a history row) is held as its potential (:meth:`SpectralGrid.curl_hat`).
 
 The stress is not band-limited.  Its gradient (:meth:`SpectralGrid.gradient`)
 is the one transform of the whole Hermitian half spectrum (last axis
@@ -167,30 +168,38 @@ class SpectralGrid:
                 f"got {f_hat.shape} ({f_hat.dtype})"
             )
 
-    def jet(self, f_hat: np.ndarray, f: np.ndarray | None = None) -> np.ndarray:
+    def jet(self, f_hat: np.ndarray) -> np.ndarray:
         """The physical fields ``(f, d1 f, d2 f)`` of a band spectrum, stacked
         on a new leading axis: one band inverse of the spectrum and its two
         derivative spectra, so a field and its gradient need no forward
-        transform.  A given ``f``, the field of ``f_hat`` as :meth:`field`
-        forms it (the same bits), is copied in, not transformed again."""
+        transform."""
         jet_hat = np.empty((3,) + f_hat.shape, dtype=complex)
         jet_hat[0] = f_hat
         np.multiply(self.d1_band, f_hat, out=jet_hat[1])
         np.multiply(self.d2_band, f_hat, out=jet_hat[2])
-        if f is None:
-            return self.field(jet_hat)
-        out = np.empty((3,) + f.shape)
-        out[0] = f
-        self.inv(jet_hat[1:], out=out[1:])
-        return out
+        return self.field(jet_hat)
 
     # -- mode-wise operators on band spectra ----------------------------------
 
-    def leray_hat(self, v_hat: np.ndarray) -> np.ndarray:
-        """Remove the gradient part: v - k (k.v) / |k|^2, mean mode unchanged."""
-        k1, k2 = self.k1_band, self.k2_band
-        corr = (k1 * v_hat[0] + k2 * v_hat[1]) * self.inv_k_sq_band
-        return np.stack((v_hat[0] - k1 * corr, v_hat[1] - k2 * corr))
+    def curl_hat(self, psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The band spectra ``(..., 2, *band_shape)`` of the divergence-free fields mean + (-d2 psi, d1 psi)
+        of the potentials ``psi``, ``(..., *band_shape)``, which hold n^2 (mean_1 + i mean_2) in their mean
+        mode, a slot no derivative reads.  -d2 psi is 0 - d2 psi, so a zero psi gives +0.0."""
+        out = np.empty(psi.shape[:-2] + (2,) + psi.shape[-2:], dtype=complex) if out is None else out
+        np.subtract(0.0, np.multiply(self.d2_band, psi, out=out[..., 0, :, :]), out=out[..., 0, :, :])
+        np.multiply(self.d1_band, psi, out=out[..., 1, :, :])
+        out[..., 0, 0, 0], out[..., 1, 0, 0] = psi[..., 0, 0].real, psi[..., 0, 0].imag
+        return out
+
+    def potential_hat(self, v_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The potentials of the divergence-free parts of the band spectra ``v_hat``, ``(..., 2, *band_shape)``,
+        inverting :meth:`curl_hat`: psi = -curl v / |k|^2 with n^2 (mean_1 + i mean_2) in its mean mode, and
+        +0.0 for -0.0, so the identity's rows give :func:`~memflow.transport.set_identity`'s bits."""
+        out = np.multiply(self.d2_band * v_hat[..., 0, :, :] - self.d1_band * v_hat[..., 1, :, :],
+                          self.inv_k_sq_band, out=out)
+        out[..., 0, 0] = v_hat[..., 0, 0, 0].real + 1j * v_hat[..., 1, 0, 0].real
+        out += 0.0
+        return out
 
     def viscous_factor(self, eta: float, dt: float) -> np.ndarray:
         return np.exp(-eta * dt * self.k_sq_band)
@@ -262,7 +271,7 @@ def random_band_limited_velocity(
     rng = np.random.default_rng(seed)
     v_hat = grid.band(rng.standard_normal((2, grid.n, grid.n)))
     v_hat *= (np.abs(grid.k1_band) <= band) & (np.abs(grid.k2_band) <= band) & (grid.k_sq_band > 0)
-    u = grid.field(grid.leray_hat(v_hat))
+    u = grid.field(grid.curl_hat(grid.potential_hat(v_hat)))
     sup = np.sqrt(np.max(u[0] ** 2 + u[1] ** 2))  # the max before the sqrt, same bits
     if sup > 0:
         u *= amplitude / sup

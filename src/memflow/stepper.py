@@ -3,26 +3,28 @@
 :func:`heun` advances all three evolving quantities: the velocity here, the
 deformation history (:mod:`memflow.transport`) and the differential oracle
 (:mod:`memflow.diagnostics`).  A flow substep is its Lawson form: Heun
-(explicit second-order Runge-Kutta) stages for the projected advection and
-stress forcing, the exact integrating factor for the viscous term, so
-stability is limited by advection only.  The pressure never appears: the
-solenoidal projection eliminates it.
+(explicit second-order Runge-Kutta) stages for the advection and stress
+forcing, the exact integrating factor for the viscous term, so stability is
+limited by advection only.  The pressure never appears: it is a gradient,
+and the flow evolves the curl of the momentum equation.
 
-The velocity is held as its divergence-free band spectrum
-(:mod:`memflow.spectral`).  A substep carries the physical velocity u
-alone: the advection is in conservative form, d_l (u_l u_k), equal to
-u . grad u for divergence-free u, so a stage transforms forward the three
-distinct products u1 u1, u1 u2 and u2 u2 (and the forcing) and inverse
-only the new velocity: 3 forward and 2 inverse transforms, no gradient.
-The velocity's jet ``(u, d1 u, d2 u)`` (:attr:`FlowState.jet`) is formed
-once per base step, from its final spectrum; its gradient is the one the
-history, the oracle and the monitor use.
+The velocity is held as the band spectrum of its stream function psi,
+u = U + (-d2 psi, d1 psi) (:meth:`~memflow.spectral.SpectralGrid.curl_hat`),
+divergence-free with no projection.  The curl of the advection over
+-|k|^2 needs only b = u1 u2 and c = u1^2 - u2^2, as the isotropic part of
+u u is a gradient: psi's right-hand side is B c + A b, with
+B = k1 k2 / |k|^2, A = -(k1^2 - k2^2) / |k|^2 and its mean mode 0.0 (U is
+kept).  A stage transforms b and c forward and the new velocity back: 2 and
+2 transforms.  The symmetric stress adds B (tau_22 - tau_11) - A tau_12.
+The jet ``(u, d1 u, d2 u)`` (:attr:`FlowState.jet`) is formed once per base
+step, from the final spectrum, with d2 u2 = -d1 u1 bit for bit; its gradient
+is the one the history, the oracle and the monitor use.
 
 Within one base (age) step the stress is frozen; the flow may take several
 substeps under its advective CFL bound.  A base step of s substeps takes
-4 + 6 s forward transforms (the frozen stress's divergence once) and
-4 s + 4 inverse ones (the jet's two derivative fields once; the field is
-the last substep's u, the same bits).  The optional forcing hook of
+2 + 4 s forward transforms (the frozen stress's two once) and 4 s + 3
+inverse ones (the jet's three Hessian fields once; its field is the last
+substep's u, the same bits).  The optional forcing hook of
 :func:`step_velocity` exists for manufactured-solution studies;
 :func:`advance_flow`, the solver's step, has none.
 """
@@ -41,29 +43,43 @@ class FlowNaNError(FloatingPointError):
 
 
 class FlowState:
-    """Velocity state: the band spectrum ``u_hat`` of a divergence-free field,
-    its physical jet ``(u, d1 u, d2 u)`` of shape ``(3, 2, n, n)`` (formed
-    at the end of each base step, not per substep), and time.
+    """Velocity state: the band spectrum ``psi_hat`` of the stream function
+    (module docstring), the physical jet ``(u, d1 u, d2 u)`` of shape
+    ``(3, 2, n, n)`` (formed at the end of each base step), and time.
 
-    ``FlowState(grid, u, eta)`` projects a physical field ``u`` onto the
-    solenoidal part of the band; with ``u_hat`` (and ``u`` None) the band
-    spectrum is taken as it is, which a restart needs to continue bit for bit.
-    """
+    ``FlowState(grid, u, eta)`` takes the stream function of a physical
+    field ``u``'s divergence-free part on the band, mean included; with
+    ``psi_hat`` (and ``u`` None) the spectrum is taken as it is (a restart)."""
 
     def __init__(self, grid: SpectralGrid, u: np.ndarray | None, eta: float, t: float = 0.0,
-                 u_hat: np.ndarray | None = None):
+                 psi_hat: np.ndarray | None = None):
         if eta <= 0:
             raise ValueError("viscosity must be positive")
-        if u_hat is None:
-            u_hat = grid.leray_hat(grid.band(u))
+        if psi_hat is None:
+            psi_hat = grid.potential_hat(grid.band(u))
         else:
-            grid.check_band(u_hat, (2,), "velocity")
+            grid.check_band(psi_hat, (), "velocity")
+        k1, k2 = grid.k1_band, grid.k2_band
         self.grid, self.eta, self.t = grid, eta, t
-        self.u_hat, self.jet = u_hat, grid.jet(u_hat)
+        self.mix = (k1 * k2 * grid.inv_k_sq_band, (k2 * k2 - k1 * k1) * grid.inv_k_sq_band)  # B, A
+        self.psi_hat, self.jet = psi_hat, _jet(grid, psi_hat)
 
     @property
     def u(self) -> np.ndarray:
         return self.jet[0]
+
+
+def _jet(grid: SpectralGrid, psi_hat: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
+    """The velocity's jet ``(u, d1 u, d2 u)``: one inverse transform each of
+    d1 u1 = -d1 d2 psi, d1 u2 = d1 d1 psi and d2 u1 = -d2 d2 psi, and
+    d2 u2 = -d1 u1.  A given ``u``, the field of ``psi_hat``, is copied in."""
+    k1, k2 = grid.k1_band, grid.k2_band
+    jet = np.empty((3, 2, grid.n, grid.n))
+    jet[0] = grid.field(grid.curl_hat(psi_hat)) if u is None else u
+    du = jet[1:].reshape(4, grid.n, grid.n)  # d1 u1, d1 u2, d2 u1, d2 u2
+    grid.inv(np.stack((k1 * k2 * psi_hat, -k1 * k1 * psi_hat, k2 * k2 * psi_hat)), out=du[:3])
+    np.negative(du[0], out=du[3])
+    return jet
 
 
 def heun(y, y_hat, rhs, inv, dt: float, e=None, stage=None):
@@ -109,47 +125,50 @@ def kinetic_energy(grid: SpectralGrid, u: np.ndarray) -> float:
     return 0.5 * grid.l2_norm_sq(u)
 
 
-def _rhs_hat(grid: SpectralGrid, u: np.ndarray, div_tau_hat, forcing, t: float) -> np.ndarray:
-    """Projected band right-hand side P(div tau - div(u u) + f) from the physical velocity.
+def _mix(state: FlowState, parts: np.ndarray) -> np.ndarray:
+    """B p_1 + A p_2 of the band spectra of the two physical fields ``parts``: 2 forward transforms."""
+    (b, a), parts_hat = state.mix, state.grid.band(parts)
+    out = np.multiply(b, parts_hat[0])
+    out += np.multiply(a, parts_hat[1], out=parts_hat[1])
+    return out
 
-    The advection is in conservative form, d_l band(u_l u_k), which is
-    u . grad u for divergence-free u: it needs the band spectra of the three
-    distinct products u1 u1, u1 u2 and u2 u2, not the velocity gradient.
-    """
-    uu = np.empty((3,) + u.shape[1:])
-    np.multiply(u[0], u, out=uu[:2])  # u1 u1, u1 u2
-    np.multiply(u[1], u[1], out=uu[2])
-    uu_hat, d1, d2 = grid.band(uu), grid.d1_band, grid.d2_band
-    rhs = -np.stack((d1 * uu_hat[0] + d2 * uu_hat[1], d1 * uu_hat[1] + d2 * uu_hat[2]))
-    if div_tau_hat is not None:
-        rhs += div_tau_hat
+
+def _rhs_hat(state: FlowState, u: np.ndarray, stress_hat, forcing, t: float) -> np.ndarray:
+    """psi's band right-hand side from the physical velocity (module
+    docstring), mean mode 0.0; a forcing adds its band potential, mean included."""
+    prod = np.multiply(u[0], u)  # c = u1 u1 - u2 u2, b = u1 u2
+    prod[0] -= u[1] * u[1]
+    rhs = _mix(state, prod)
+    if stress_hat is not None:
+        rhs += stress_hat
+    rhs[0, 0] = 0.0
     if forcing is not None:
-        rhs += grid.band(forcing(t, grid))
-    return grid.leray_hat(rhs)
+        rhs += state.grid.potential_hat(state.grid.band(forcing(t, state.grid)))
+    return rhs
 
 
-def _substep(state: FlowState, u: np.ndarray, div_tau_hat, forcing, h: float) -> np.ndarray:
+def _substep(state: FlowState, u: np.ndarray, stress_hat, forcing, h: float) -> np.ndarray:
     """One Lawson-Heun substep of length h from ``u``, the physical field of
-    ``state.u_hat``; returns the new one and leaves ``state.jet`` as it is.
-    The output stays divergence-free to spectral accuracy because both stage
-    increments are projected."""
+    ``state.psi_hat``; returns the new one and leaves ``state.jet`` as it is."""
     grid, t = state.grid, state.t
-    rhs = lambda v, k: _rhs_hat(grid, v, div_tau_hat, forcing, (t, t + h)[k])
-    state.u_hat, u = heun(u, state.u_hat, rhs, grid.field, h, e=grid.viscous_factor(state.eta, h))
+    rhs = lambda v, k: _rhs_hat(state, v, stress_hat, forcing, (t, t + h)[k])
+    inv = lambda f: grid.field(grid.curl_hat(f))
+    state.psi_hat, u = heun(u, state.psi_hat, rhs, inv, h, e=grid.viscous_factor(state.eta, h))
     state.t += h
     if not np.isfinite(u).all():
         raise FlowNaNError(f"non-finite velocity at t = {state.t:.6g}")
     return u
 
 
-def _div_hat(grid: SpectralGrid, tau: np.ndarray | None):
-    return None if tau is None else grid.divergence_hat(grid.band(tau))
+def _stress_hat(state: FlowState, tau: np.ndarray | None):
+    """psi's share of div tau for a symmetric stress, B (tau_22 - tau_11) - A tau_12."""
+    return None if tau is None else _mix(state, np.stack((tau[1, 1] - tau[0, 0], -tau[0, 1])))
 
 
 def step_velocity(state: FlowState, tau: np.ndarray | None, dt: float, forcing=None) -> FlowState:
     """One substep of the momentum equation with the stress frozen."""
-    u = _substep(state, state.u, _div_hat(state.grid, tau), forcing, dt)
-    state.jet = state.grid.jet(state.u_hat, u)
+    u = _substep(state, state.u, _stress_hat(state, tau), forcing, dt)
+    state.jet = _jet(state.grid, state.psi_hat, u)
     return state
 
 
@@ -161,12 +180,12 @@ def advance_flow(state: FlowState, tau: np.ndarray | None, base_dt: float, safet
     the substep count.
     """
     grid = state.grid
-    div_tau_hat = _div_hat(grid, tau)
+    stress_hat = _stress_hat(state, tau)
     u, remaining, n_sub = state.u, base_dt, 0
     while remaining > 1e-14 * base_dt:
         h = min(cfl_dt(u, grid, safety, base_dt), remaining)
-        u = _substep(state, u, div_tau_hat, None, h)
+        u = _substep(state, u, stress_hat, None, h)
         remaining -= h
         n_sub += 1
-    state.jet = grid.jet(state.u_hat, u)
+    state.jet = _jet(grid, state.psi_hat, u)
     return n_sub

@@ -68,10 +68,12 @@ class StackReduction:
     ``add_identity()`` the newborn, age 0, as the identity (both in age
     order), weighted by the kernel mass the history's live count gives
     them (:meth:`DeformationHistory.mass`).  A ``measure`` adds the stress
-    ``tau``; ``scan = (q, r, mu)`` adds the y integrand and the det G and
-    |G| minima, with grad G from ``psi`` on the history's grid.  Sums are
-    compensated (Kahan) in age order, so the result is deterministic
-    regardless of chunking, the history's row layout or FFT worker counts.
+    (:meth:`stress`: every catalog measure's has tau_21 == tau_12 bit for
+    bit, so tau_11, tau_12 and tau_22 are summed); ``scan = (q, r, mu)``
+    adds the y integrand and the det G and |G| minima, with grad G from
+    ``psi`` on the history's grid.  Sums are compensated (Kahan) in age
+    order, so the result is deterministic regardless of chunking, the
+    history's row layout or FFT worker counts.
     """
 
     def __init__(self, history: DeformationHistory, measure=None, scan: tuple[float, float, float] | None = None):
@@ -81,14 +83,14 @@ class StackReduction:
         self.grid = grid = history.grid
         k1, k2 = grid.k1_band, grid.k2_band
         self.hessian = (k1 * k1, math.sqrt(2.0) * k1 * k2, k2 * k2)  # d1 d1, sqrt 2 d1 d2, d2 d2 but the sign
-        self.tau = KahanSum((2, 2, self.grid.n, self.grid.n))
+        self.tau = KahanSum((2, grid.n, grid.n)), KahanSum((1, grid.n, grid.n))  # (tau_11, tau_12), tau_22
         self.y = KahanSum()
         self.min_det = self.min_abs = math.inf
 
     def add_chunk(self, age: int, g: np.ndarray, psi: np.ndarray, work: ChunkWorkspace):
         mass = self.history.mass(age, len(g))
         if self.measure is not None:
-            self.tau.add(mass, self.measure.stress_stack(g, out=work.prod))
+            self._add_stress(mass, self.measure.stress_stack(g, out=work.prod))
         if self.scan is not None:
             self.y.add(mass, self._scan_chunk(g, psi, work))
 
@@ -101,11 +103,21 @@ class StackReduction:
         the compensated sum broadcasts."""
         mass = self.history.mass(0, 1)
         if self.measure is not None:
-            self.tau.add(mass, self.measure.stress_stack(identity_stack(1, 1)))
+            self._add_stress(mass, self.measure.stress_stack(identity_stack(1, 1)))
         if self.scan is not None:
             self.y.add(mass, [0.0])
             self.min_det = min(self.min_det, 1.0)
             self.min_abs = min(self.min_abs, math.sqrt(2.0))
+
+    def _add_stress(self, mass: np.ndarray, stress: np.ndarray):
+        flat = stress.reshape(len(stress), 4, *stress.shape[-2:])  # tau_11, tau_12, tau_21, tau_22
+        self.tau[0].add(mass, flat[:, :2])
+        self.tau[1].add(mass, flat[:, 3:])
+
+    def stress(self) -> np.ndarray:
+        """The stress summed so far, ``(2, 2, n, n)``, with tau_21 a copy of tau_12."""
+        (tau_11, tau_12), (tau_22,) = self.tau[0].total, self.tau[1].total
+        return np.stack((tau_11, tau_12, tau_12, tau_22)).reshape(2, 2, *tau_11.shape)
 
     def _scan_chunk(self, g: np.ndarray, psi: np.ndarray, work: ChunkWorkspace) -> list[float]:
         """Per slice || |grad G| / |G| ||_{L^q}^r; updates the minima.  Of a row mean_j + (-d2 psi_j,
@@ -152,7 +164,7 @@ def assemble_stress(history: DeformationHistory, measure) -> np.ndarray:
     compensated (Kahan) over the age axis in a fixed order, so the result is
     deterministic regardless of chunking or FFT worker counts.
     """
-    return StackReduction(history, measure).over_stack().tau.total
+    return StackReduction(history, measure).over_stack().stress()
 
 
 def history_scan(history: DeformationHistory, q: float, r: float, mu: float = 1.0) -> tuple[float, float, float]:

@@ -12,16 +12,13 @@ layout, age outermost), the layout of a checkpoint's ``history.fld``; the
 shift moves each live row down one row.
 
 Each row G_j of G = F^T is divergence-free (the Piola identity for
-det F = 1, which an incompressible flow keeps), so on the periodic band it
-is its constant mean plus a curl, G_j = mean_j + (-d2 psi_j, d1 psi_j).  A
-slice is stored as the 2/3-band spectra (:func:`memflow.spectral.band_shape`)
-of its two potentials psi_j, with n^2 (mean_j1 + i mean_j2) in the mean
-mode of psi_j, a slot no derivative reads: about 4.5x fewer bytes than the
-physical field.  That loses nothing: the identity is psi = 0 with the
-means e_j, every right-hand side is a band spectrum, and an explicit
-history is projected onto the band and each row onto its divergence-free
-part (:func:`init_history`).  Every inverse transform of a slice starts
-from its components' spectra (:func:`rows_hat`); the physical fields,
+det F = 1, which an incompressible flow keeps), so like the velocity it is
+its mean plus a curl, G_j = mean_j + (-d2 psi_j, d1 psi_j), stored as the
+band spectrum of psi_j (:meth:`~memflow.spectral.SpectralGrid.curl_hat`):
+about 4.5x fewer bytes than the physical field.  That loses nothing: the
+identity is psi = 0 with the means e_j, every right-hand side is a band
+spectrum, and an explicit history is projected onto the band and each row
+onto its divergence-free part (:func:`init_history`).  The physical fields,
 needed for the products, exist one chunk at a time.
 
 With div u = 0 the right-hand side of row j is the curl of one scalar,
@@ -44,7 +41,7 @@ The newborn row, age 0, is known before a step does any work: the
 deformation at age zero is the identity, F(t, t) = I.  So a step sets it
 and does not step it; step k from rest advances min(k, N_s - 1) rows.
 The next step finds that row, now age 1, still the identity, and given
-the old velocity's spectrum takes its first Heun stage in closed form
+the old velocity's stream function takes its first Heun stage in closed form
 (:func:`_step_identity`): 6 transforms, where every other row takes 16.
 
 Every pass visits the live rows in age order (:meth:`DeformationHistory.chunks`):
@@ -158,7 +155,7 @@ class ChunkWorkspace:
     ``g`` holds the chunk's physical fields and ``prod`` physical products
     and scratch; ``rows`` is the row-transform scratch of band transforms;
     ``rhs`` holds the potentials' stage spectra, two per row, and ``spec``
-    the four components' spectra of :func:`rows_hat`.  A chunk is handed the
+    the four components' spectra of :func:`row_fields`.  A chunk is handed the
     workspace cut to its rows (:meth:`cut`).
     """
 
@@ -213,19 +210,9 @@ def is_identity(row: np.ndarray, n: int) -> bool:
     return bool(row[0, 0, 0] == n**2 and row[1, 0, 0] == 1j * n**2 and np.count_nonzero(row.view(np.uint64)) == 2)
 
 
-def rows_hat(grid: SpectralGrid, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The band spectra of the rows of the potentials ``psi``, ``(..., 2, *band_shape)``,
-    written into ``out``, ``(..., 2, 2, *band_shape)``: the means from psi_j's
-    mean mode, and -d2 psi_j taken as 0 - d2 psi_j, so a zero psi gives +0.0."""
-    np.subtract(0.0, np.multiply(grid.d2_band, psi, out=out[..., 0, :, :]), out=out[..., 0, :, :])
-    np.multiply(grid.d1_band, psi, out=out[..., 1, :, :])
-    out[..., 0, 0, 0], out[..., 1, 0, 0] = psi[..., 0, 0].real, psi[..., 0, 0].imag
-    return out
-
-
 def row_fields(grid: SpectralGrid, psi: np.ndarray, work: "ChunkWorkspace") -> np.ndarray:
     """The fields of a chunk's potentials in ``work.g``, through ``work.spec``: 4 inverse transforms a slice."""
-    return grid.inv(rows_hat(grid, psi, work.spec), out=work.g, rows=work.rows)
+    return grid.inv(grid.curl_hat(psi, work.spec), out=work.g, rows=work.rows)
 
 
 def init_history(spec, grid: SpectralGrid, age_grid: AgeGrid, mu: float = 1.0) -> DeformationHistory:
@@ -234,10 +221,10 @@ def init_history(spec, grid: SpectralGrid, age_grid: AgeGrid, mu: float = 1.0) -
     ``spec`` is either the string ``"identity"`` (quiescent past: every
     slice is the identity, held as one tail row, ``live = 1``) or an
     explicit array of per-age physical tensor fields in increasing-age
-    order, projected onto the band and stored as its rows' means and
-    potentials, which projects each row onto its divergence-free part
-    (:func:`_potentials`; ``live = n_nodes``).  The projected fields must
-    keep ``det G >= mu > 0`` at every node; data that the row projection
+    order, projected onto the band and stored as its rows' potentials, which
+    projects each row onto its divergence-free part
+    (:meth:`~memflow.spectral.SpectralGrid.potential_hat`; ``live = n_nodes``).
+    The projected fields must keep ``det G >= mu > 0`` at every node; data that the row projection
     moves, or whose age-zero slice differs from the identity, is accepted
     with a warning.  That slice is not overwritten: the first
     step's shift carries it to age 1 and steps it like every other age, and
@@ -259,7 +246,7 @@ def init_history(spec, grid: SpectralGrid, age_grid: AgeGrid, mu: float = 1.0) -
     min_det, moved = math.inf, 0.0
     for age, psi, work in history.chunks():
         g_hat = grid.fwd(data[age : age + len(psi)], out=work.rhs, rows=work.rows)
-        min_det = np.minimum(min_det, det_field(row_fields(grid, _potentials(grid, g_hat, psi), work)).min())
+        min_det = np.minimum(min_det, det_field(row_fields(grid, grid.potential_hat(g_hat, psi), work)).min())
         g_hat -= work.spec  # the part the row projection removed
         moved = max(moved, float(np.abs(grid.inv(g_hat, out=work.prod, rows=work.rows)).max()))
     if not min_det >= mu:  # NaN fails too
@@ -272,16 +259,6 @@ def init_history(spec, grid: SpectralGrid, age_grid: AgeGrid, mu: float = 1.0) -
     if not np.allclose(data[0], identity_stack(1, grid.n)[0], atol=1e-12):
         warnings.warn("age-zero slice of the supplied history differs from the identity", stacklevel=2)
     return history
-
-
-def _potentials(grid: SpectralGrid, g_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The potentials of the rows' divergence-free parts of the band spectra ``g_hat``, ``(c, 2, 2,
-    *band_shape)``, written into ``out``: psi_j = -curl G_j / |k|^2 with n^2 (mean_j1 + i mean_j2) in
-    its mean mode, and +0.0 for -0.0, so the identity's fields give the bits of :func:`set_identity`."""
-    np.multiply(grid.d2_band * g_hat[:, :, 0] - grid.d1_band * g_hat[:, :, 1], grid.inv_k_sq_band, out=out)
-    out[:, :, 0, 0] = g_hat[:, :, 0, 0, 0].real + 1j * g_hat[:, :, 1, 0, 0].real
-    out += 0.0
-    return out
 
 
 def det_field(g: np.ndarray) -> np.ndarray:
@@ -341,20 +318,21 @@ def _step_chunk(grid: SpectralGrid, psi: np.ndarray, work: ChunkWorkspace, u_old
 
 
 def _step_identity(grid: SpectralGrid, psi: np.ndarray, work: ChunkWorkspace, u_old, u_new,
-                   u_old_hat: np.ndarray, dt: float):
+                   u_old_psi: np.ndarray, dt: float):
     """The Heun step of :func:`_step_chunk` for a one-row chunk that holds the
     identity, with its first stage in closed form.
 
     With G = I the scalars are w = (u2, -u1), so the first right-hand side
-    is their band spectra from the old velocity's band spectrum
-    ``u_old_hat``, and the predictor field is I + dt times their curl
+    is their band spectra less their means, the gradient (d1 phi, d2 phi) of
+    the old velocity's stream function, whose band spectrum is
+    ``u_old_psi``, and the predictor field is I + dt times their curl
     ``[[-d2 u2, d1 u2], [d2 u1, -d1 u1]]`` from its jet, with no transform.
     The second stage and the new field take theirs: 6 transforms, where a
     row of :func:`_step_chunk` takes 16."""
     (d1u1, d1u2), (d2u1, d2u2) = u_old[1:]
     r1, pred = work.rhs[:, :, 0], work.g
-    r1[0, 0] = u_old_hat[1]
-    np.negative(u_old_hat[0], out=r1[0, 1])
+    np.multiply(grid.d1_band, u_old_psi, out=r1[0, 0])
+    np.multiply(grid.d2_band, u_old_psi, out=r1[0, 1])
     r1[..., 0, 0] = 0.0
     np.negative(d2u2, out=pred[0, 0, 0])
     pred[0, 0, 1], pred[0, 1, 0] = d1u2, d2u1
@@ -370,7 +348,7 @@ def _step_identity(grid: SpectralGrid, psi: np.ndarray, work: ChunkWorkspace, u_
 
 def stretch_advect_step(
     history: DeformationHistory, u_old: np.ndarray, u_new: np.ndarray, reduction=None,
-    u_old_hat: np.ndarray | None = None,
+    u_old_psi: np.ndarray | None = None,
 ) -> DeformationHistory:
     """One full history step of ``history.age_grid.ds``: age shift, then Heun
     react-advect of every live slice but the newborn.
@@ -393,13 +371,14 @@ def stretch_advect_step(
     age ``age`` on (the physical fields, the potentials' band spectra and
     the chunk's workspace).  Transforms run on the history's grid.
 
-    Given ``u_old_hat``, the band spectrum of ``u_old``'s field, the age-1
+    Given ``u_old_psi``, the band spectrum of ``u_old``'s stream function
+    (:attr:`memflow.stepper.FlowState.psi_hat`), the age-1
     chunk, when its row is bit for bit the identity the shift
     writes (:func:`is_identity`), takes its first stage in closed form
     (:func:`_step_identity`): 6 transforms, not 16.  It is so after every
     step (the newborn that step set), in a history from rest (its tail row),
     after a restart and in an explicit identity stack, whose projection
-    gives the identity's bits.  Without ``u_old_hat`` every chunk takes
+    gives the identity's bits.  Without ``u_old_psi`` every chunk takes
     :func:`_step_chunk`.
     """
     grid, dt = history.grid, history.age_grid.ds
@@ -409,8 +388,8 @@ def stretch_advect_step(
             if reduction is not None:
                 reduction.add_identity()
             continue
-        if age == 1 and u_old_hat is not None and is_identity(psi[0], grid.n):  # the last newborn or a tail row
-            r1, g = _step_identity(grid, psi, work, u_old, u_new, u_old_hat, dt)
+        if age == 1 and u_old_psi is not None and is_identity(psi[0], grid.n):  # the last newborn or a tail row
+            r1, g = _step_identity(grid, psi, work, u_old, u_new, u_old_psi, dt)
         else:
             r1, g = _step_chunk(grid, psi, work, u_old, u_new, dt)
         if not np.isfinite(g).all():

@@ -152,7 +152,8 @@ def test_kahan_sum_three_buffers_match_four_buffer_reference(shape):
 @pytest.mark.parametrize("first", [0.0, -0.0, math.inf, -math.inf, math.nan, -1.5e-310])
 @np.errstate(invalid="ignore")  # inf - inf
 def test_kahan_sum_first_term_matches_textbook_bits(first):
-    # every term, the first of an empty sum too, takes the five operations of the textbook update: same bits
+    # every term, the first of an empty sum too, takes the five operations of the textbook update: same bits,
+    # also when the first is a constant sample at one point, broadcast into the sum
     coeffs, samples = [0.5, 0.25, 3.0], [first, -0.0, 1e-17]
     total, comp, steps = np.zeros(()), np.zeros(()), []
     for c, f in zip(coeffs, samples):  # textbook compensated summation, every operation done
@@ -161,9 +162,9 @@ def test_kahan_sum_first_term_matches_textbook_bits(first):
         comp = (t - total) - y
         total = t
         steps.append((total.tobytes(), comp.tobytes()))
-    for shape in ((), (3,)):
+    for shape, first_shape in (((), ()), ((3,), (3,)), ((3,), (1,)), ((2, 3), (2, 1))):
         kahan = KahanSum(shape)
-        for (c, f), (total_bits, comp_bits) in zip(zip(coeffs, samples), steps):
-            kahan.add([c], [np.full(shape, f)])
+        for k, ((c, f), (total_bits, comp_bits)) in enumerate(zip(zip(coeffs, samples), steps)):
+            kahan.add([c], [np.full(first_shape if k == 0 else shape, f)])
             for got, bits in ((kahan.total, total_bits), (kahan._comp, comp_bits)):
                 assert np.asarray(got).tobytes() == bits * math.prod(shape)

@@ -54,7 +54,7 @@ def test_manifest_holds_each_runs_peak_rss(manifest):
 
 def test_compare_reports_equal_files_and_flags_a_changed_one(manifest, tmp_path):
     proc = bitgate("compare", manifest, manifest)
-    assert proc.returncode == 0 and "0 files differ" in proc.stdout
+    assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == "bitgate: 0 files differ; largest relative column gap 0"
     spec = importlib.util.spec_from_file_location("bitgate", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
@@ -63,6 +63,12 @@ def test_compare_reports_equal_files_and_flags_a_changed_one(manifest, tmp_path)
     assert tool.check(changed["cases"]) == [
         "oldroyd-oracle: threads2 resumed differs from threads1 straight in ['diagnostics.csv']"]
     changed["cases"]["oldroyd-oracle"]["threads1"]["straight"]["files"]["diagnostics.csv"] = "0" * 64
+    columns = changed["cases"]["oldroyd-oracle"]["threads1"]["straight"]["columns"]
+    columns["energy"][-1] *= 1.0 + 1e-12  # the largest relative gap, over one at roundoff
+    columns["stress_sup"][-1] *= 1.0 + 1e-15
+    columns["divu_sup"][-1] += 1.0  # compared in absolute terms: not a relative gap
     (tmp_path / "manifest.json").write_text(json.dumps(changed))
     proc = bitgate("compare", manifest, tmp_path)
     assert proc.returncode == 1 and "DIFFER  diagnostics.csv" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == (
+        "bitgate: 1 files differ; largest relative column gap 1e-12 (oldroyd-oracle, energy)")

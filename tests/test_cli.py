@@ -4,7 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from memflow.agegrid import build_age_grid
@@ -12,7 +11,7 @@ from memflow.cli import main
 from memflow.constitutive import INI_MODELS, model_catalog
 from memflow.snapshots import read_checkpoint, write_field
 from memflow.spectral import SpectralGrid
-from memflow.transport import identity_stack, rows_hat
+from memflow.transport import identity_stack
 
 CONFIG = """
 [grid]
@@ -92,7 +91,8 @@ class TestRunCommand:
         code = main(["run", write_cfg(tmp_path, outdir=str(tmp_path / "out2")), "--restart", str(out / "checkpoint")])
         assert code == 0
 
-    @pytest.mark.parametrize("case", ["other-grid", "corrupt-meta", "missing", "past-t-final", "four-field"])
+    @pytest.mark.parametrize("case", ["other-grid", "corrupt-meta", "missing", "past-t-final", "four-field",
+                                      "two-component-velocity"])
     def test_bad_restart_exit_one(self, tmp_path, capsys, case):
         out = tmp_path / "out"
         assert main(["run", write_cfg(tmp_path, outdir=str(out))]) == 0
@@ -109,13 +109,17 @@ class TestRunCommand:
         elif case == "four-field":  # an older layout: each row as the band spectra of its four components
             chk = read_checkpoint(checkpoint)
             psi = chk["history"][: chk["live"]]
-            four = rows_hat(SpectralGrid(32), psi, np.empty((len(psi), 2, 2, *psi.shape[2:]), dtype=complex))
-            write_field(checkpoint / "history.fld", four, n_s=chk["live"])
+            write_field(checkpoint / "history.fld", SpectralGrid(32).curl_hat(psi), n_s=chk["live"])
+        elif case == "two-component-velocity":  # an older layout: the velocity as the band spectra of its components
+            write_field(checkpoint / "u.fld", SpectralGrid(32).curl_hat(read_checkpoint(checkpoint)["u"]))
         else:
             checkpoint = tmp_path / "nowhere"
         capsys.readouterr()
         assert main(["run", str(cfg), "--restart", str(checkpoint)]) == 1
-        assert f"config error: cannot restart from {checkpoint}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config error: cannot restart from {checkpoint}: " in err
+        if case == "two-component-velocity":
+            assert "velocity must be the band spectrum" in err
 
     def test_degenerate_initial_history_exit_one(self, tmp_path, capsys):
         # an unusable initial history used to end in a traceback, not in exit code 1

@@ -23,7 +23,8 @@ def band_round_trip(grid, f):
 
 
 def leray_project(grid, v):
-    return grid.inv(grid.leray_hat(grid.band(v)), out=np.empty_like(v))
+    """The divergence-free part of a field with its mean: the curl of the potential of its band spectrum."""
+    return grid.inv(grid.curl_hat(grid.potential_hat(grid.band(v))), out=np.empty_like(v))
 
 
 class TestDerivatives:

@@ -35,7 +35,7 @@ class TestTaylorGreen:
         state = FlowState(grid, taylor_green(grid), 0.05)
         for _ in range(20):
             step_velocity(state, None, 5e-3)
-            div = grid.inv(grid.divergence_hat(state.u_hat), out=np.empty((grid.n, grid.n)))
+            div = grid.inv(grid.divergence_hat(grid.curl_hat(state.psi_hat)), out=np.empty((grid.n, grid.n)))
             rel = np.abs(div).max() / max(1.0, np.abs(grid.gradient(state.u)).max())
             assert rel <= 1e-10
 
@@ -116,6 +116,13 @@ class TestEnergyAndSubstepping:
             FlowState(grid, taylor_green(grid), 0.0)
 
 
+def leray_hat(grid, v_hat):
+    """Remove the gradient part: v - k (k.v) / |k|^2, mean mode unchanged."""
+    k1, k2 = grid.k1_band, grid.k2_band
+    corr = (k1 * v_hat[0] + k2 * v_hat[1]) * grid.inv_k_sq_band
+    return np.stack((v_hat[0] - k1 * corr, v_hat[1] - k2 * corr))
+
+
 def convective_rhs_hat(grid, jet, div_tau_hat, forcing, t):
     """The advection u . grad u from the velocity jet: the convective reference form."""
     u, du = jet[0], jet[1:]  # du[i, c] = d_i u_c
@@ -124,12 +131,14 @@ def convective_rhs_hat(grid, jet, div_tau_hat, forcing, t):
         rhs += div_tau_hat
     if forcing is not None:
         rhs += grid.band(forcing(t, grid))
-    return grid.leray_hat(rhs)
+    return leray_hat(grid, rhs)
 
 
 class TestConservativeAdvection:
-    """The flow advances u alone, with the conservative advection d_l (u_l u_k);
-    it must give what the convective u . grad u from the velocity jet gives."""
+    """The flow advances the stream function alone, with the curl of the
+    conservative advection d_l (u_l u_k); it must give what the Leray-projected
+    convective u . grad u from the velocity jet gives, stepped on the velocity's
+    two components."""
 
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize("forced", [False, True])
@@ -140,22 +149,46 @@ class TestConservativeAdvection:
                         np.stack((np.cos(grid.x2) * np.ones((n, n)), np.sin(2 * grid.x1) * np.cos(grid.x2)))))
         manufactured = lambda t, g: math.cos(3 * t) * np.stack((np.sin(g.x2) * np.cos(g.x1), np.sin(g.x1 - g.x2)))
         forcing = manufactured if forced else None
-        state, ref = FlowState(grid, u0, 0.05), FlowState(grid, u0, 0.05)
+        state = FlowState(grid, u0, 0.05)
+        ref_hat = leray_hat(grid, grid.band(u0))  # the reference holds the velocity's two components
+        ref_jet, ref_t = grid.jet(ref_hat), 0.0
         div_tau_hat = grid.divergence_hat(grid.band(tau))
         for step in range(6):
             step_velocity(state, tau, 0.02, forcing=forcing)
-            rhs = lambda jet, k: convective_rhs_hat(grid, jet, div_tau_hat, forcing, ref.t + 0.02 * k)
-            ref.u_hat, ref.jet = heun(ref.jet, ref.u_hat, rhs, grid.jet, 0.02, e=grid.viscous_factor(0.05, 0.02))
-            ref.t += 0.02
-            scale = np.abs(ref.jet).max()
-            assert np.abs(state.jet - ref.jet).max() <= 1e-13 * scale, step
+            rhs = lambda jet, k: convective_rhs_hat(grid, jet, div_tau_hat, forcing, ref_t + 0.02 * k)
+            ref_hat, ref_jet = heun(ref_jet, ref_hat, rhs, grid.jet, 0.02, e=grid.viscous_factor(0.05, 0.02))
+            ref_t += 0.02
+            scale = np.abs(ref_jet).max()
+            assert np.abs(state.jet - ref_jet).max() <= 1e-13 * scale, step
 
     def test_jet_formed_from_final_spectrum(self, grid):
         state = FlowState(grid, random_band_limited_velocity(grid, 2, 6), 0.05)
         assert advance_flow(state, None, 0.2, 0.5) >= 2
-        np.testing.assert_array_equal(state.jet, grid.jet(state.u_hat))
+        np.testing.assert_array_equal(state.jet, FlowState(grid, None, 0.05, psi_hat=state.psi_hat).jet)
         step_velocity(state, None, 1e-2)
-        np.testing.assert_array_equal(state.jet, grid.jet(state.u_hat))
+        np.testing.assert_array_equal(state.jet, FlowState(grid, None, 0.05, psi_hat=state.psi_hat).jet)
+
+    def test_jet_is_trace_free(self, grid):
+        # d2 u2 is -d1 u1 bit for bit: div u = 0 holds exactly in the gradient the history and the oracle read
+        state = FlowState(grid, random_band_limited_velocity(grid, 4, 8), 0.05)
+        tau = np.stack((np.stack((np.sin(grid.x1 + grid.x2), np.cos(grid.x2) * np.ones((64, 64)))),
+                        np.stack((np.cos(grid.x2) * np.ones((64, 64)), np.sin(2 * grid.x1) * np.cos(grid.x2)))))
+        for jet in (state.jet, step_velocity(state, tau, 1e-2).jet):
+            assert jet[1, 0].tobytes() == np.negative(jet[2, 1]).tobytes()
+        np.testing.assert_allclose(state.jet, grid.jet(grid.curl_hat(state.psi_hat)), rtol=0, atol=1e-13)
+
+    def test_mean_velocity_kept_bit_for_bit(self, grid):
+        # a snapshot velocity with a nonzero mean: no right-hand side reaches the mean mode
+        u0 = random_band_limited_velocity(grid, 9, 6, amplitude=0.5) + np.array([0.3, -0.7])[:, None, None]
+        state = FlowState(grid, u0, 0.05)
+        mean = state.psi_hat[0, 0]
+        assert mean == pytest.approx(64**2 * complex(0.3, -0.7), rel=1e-14)
+        tau = np.zeros((2, 2, 64, 64))
+        tau[0, 1] = tau[1, 0] = np.sin(grid.x1 - 2 * grid.x2)
+        for _ in range(20):
+            step_velocity(state, tau, 1e-2)
+        assert state.psi_hat[0, 0].tobytes() == mean.tobytes()
+        np.testing.assert_allclose(state.u.mean(axis=(1, 2)), [0.3, -0.7], rtol=0, atol=1e-14)
 
 
 class TestHeunKernel:
@@ -223,9 +256,9 @@ class TestTransformCounts:
         tau = np.ones((2, 2, 32, 32))
         counted.reset()
         step_velocity(state, tau, 1e-2)
-        # forward: the stress 4 (once per base step) and the 3 velocity products per stage; inverse: the
-        # velocity per stage, then the 4 derivative fields of the step's jet
-        assert (counted.fwd, counted.inv) == (4 + 2 * 3, 2 * 2 + 4)
+        # forward: the stress 2 (once per base step) and the 2 velocity products per stage; inverse: the
+        # velocity per stage, then the 3 Hessian fields of the step's jet
+        assert (counted.fwd, counted.inv) == (2 + 2 * 2, 2 * 2 + 3)
 
     def test_advance_flow(self, counted):
         grid = SpectralGrid(32)
@@ -234,8 +267,8 @@ class TestTransformCounts:
         counted.reset()
         s = advance_flow(state, tau, 0.5, 0.5)
         assert s >= 3  # CFL at unit speed forces substepping
-        # per substep 6 forward and 4 inverse; once per base step the stress 4 forward and the jet 4 inverse
-        assert (counted.fwd, counted.inv) == (4 + 6 * s, 4 * s + 4)
+        # per substep 4 forward and 4 inverse; once per base step the stress 2 forward and the jet 3 inverse
+        assert (counted.fwd, counted.inv) == (2 + 4 * s, 4 * s + 3)
 
     def test_oracle_step(self, counted):
         grid = SpectralGrid(32)

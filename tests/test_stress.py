@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from memflow.agegrid import build_age_grid
+from memflow.agegrid import KahanSum, build_age_grid
 from memflow.constitutive import INI_MODELS, StrainMeasure, model_catalog, single_exponential_kernel
 from memflow.snapshots import read_checkpoint, write_checkpoint
 from memflow.spectral import SpectralGrid, taylor_green
@@ -214,7 +214,7 @@ class TestFusedPass:
             fused = StackReduction(h, m, (8, 4, 0.5))
             stretch_advect_step(h, u, 0.9 * u, fused)
             assert is_identity(h.payload[0], n) and h.live == min(live + 1 + steps, ag.n_nodes)
-            np.testing.assert_array_equal(fused.tau.total, assemble_stress(h, m))
+            np.testing.assert_array_equal(fused.stress(), assemble_stress(h, m))
             assert fused.scan_result() == pytest.approx(history_scan(h, 8, 4, mu=0.5), rel=1e-13)
 
     @pytest.mark.parametrize("name", ["oldroyd-b", "psm-normalized", "wagner-raw", "wagner-normalized", "doi-edwards"])
@@ -227,7 +227,23 @@ class TestFusedPass:
         u = FlowState(grid, taylor_green(grid), 0.1).jet
         fused = StackReduction(h, m)
         stretch_advect_step(h, u, 0.9 * u, fused)
-        np.testing.assert_array_equal(fused.tau.total, transformed_pass(h, m).tau.total)
+        np.testing.assert_array_equal(fused.stress(), transformed_pass(h, m).stress())
+
+    @pytest.mark.parametrize("name", ["psm-raw", "oldroyd-b"])
+    def test_three_component_sum_matches_four_component_sum(self, name):
+        # only tau_11, tau_12 and tau_22 are summed, and tau_21 is tau_12's sum: the bits of a compensated
+        # sum of all four components of the same fields in the same order, the newborn's at one point
+        grid = SpectralGrid(16)
+        ag = build_age_grid(single_exponential_kernel(), 0.05, 1e-2)
+        h = age_shift(perturbed_history(grid, ag, seed=7))  # the newborn is the identity
+        _, m = model_catalog(name)
+        reference = KahanSum((2, 2, 16, 16))
+        for age, psi, work in h.chunks():
+            g = identity_stack(1, 1) if age == 0 else row_fields(grid, psi, work)
+            reference.add(h.mass(age, len(g)), m.stress_stack(g))
+        tau = StackReduction(h, m).over_stack().stress()
+        assert tau.shape == (2, 2, 16, 16) and tau.tobytes() == reference.total.tobytes()
+        assert tau[1, 0].tobytes() == tau[0, 1].tobytes()
 
     def test_reduction_uses_only_the_buffers_it_is_handed(self):
         # with the history's workspace full of NaN, chunks reduced in spare buffers, one or two in
@@ -250,7 +266,7 @@ class TestFusedPass:
                     continue
                 work = works[i % spares].cut(len(psi))
                 fed.add_chunk(age, row_fields(grid, psi, work), psi, work)
-            assert fed.tau.total.tobytes() == clean.tau.total.tobytes()
+            assert fed.stress().tobytes() == clean.stress().tobytes()
             assert fed.scan_result() == clean.scan_result()
             assert all(np.isnan(buf).all() for buf in vars(h.workspace).values())
 
@@ -293,8 +309,8 @@ class TestTailRow:
                 stretch_advect_step(h, u_old, st.jet, reduction)
             assert tail.live == min(k + 1, n_s)
             assert all(tail.slice(j).tobytes() == full.slice(j).tobytes() for j in range(n_s))
-            tau = passes[1].tau.total
-            np.testing.assert_allclose(passes[0].tau.total, tau, rtol=0, atol=1e-13 * np.abs(tau).max())
+            tau = passes[1].stress()
+            np.testing.assert_allclose(passes[0].stress(), tau, rtol=0, atol=1e-13 * np.abs(tau).max())
             assert passes[0].scan_result() == pytest.approx(passes[1].scan_result(), rel=1e-13)
 
     def test_transforms_per_step(self, counted):
@@ -307,7 +323,7 @@ class TestTailRow:
         for k in range(1, ag.n_nodes + 3):
             for h, scan, first, per_slice in ((unmonitored, None, 6, 16), (monitored, (8, 4, 1.0), 12, 22)):
                 counted.reset()
-                stretch_advect_step(h, u, 0.9 * u, StackReduction(h, m, scan), u_old_hat=st.u_hat)
+                stretch_advect_step(h, u, 0.9 * u, StackReduction(h, m, scan), u_old_psi=st.psi_hat)
                 assert counted.total == first + per_slice * (min(k + 1, ag.n_nodes) - 2)
 
 
@@ -321,7 +337,7 @@ class TestIdentityRow:
         """One step with a frozen velocity; returns its transforms."""
         _, m = model_catalog("psm-raw")
         counted.reset()
-        stretch_advect_step(h, st.jet, st.jet, StackReduction(h, m, scan), u_old_hat=st.u_hat)
+        stretch_advect_step(h, st.jet, st.jet, StackReduction(h, m, scan), u_old_psi=st.psi_hat)
         return counted.total
 
     @staticmethod
@@ -338,7 +354,7 @@ class TestIdentityRow:
         for _ in range(k):
             self.step(h, st, counted)
         assert h.live == min(k + 1, ag.n_nodes)  # k = 20: a full history, its oldest row dropped each step
-        write_checkpoint(tmp_path / "chk", step=k, t=k * ag.ds, y_value=0.0, y_integrand=0.0, u=st.u_hat,
+        write_checkpoint(tmp_path / "chk", step=k, t=k * ag.ds, y_value=0.0, y_integrand=0.0, u=st.psi_hat,
                          history=h.payload[:h.live], n_slices=h.n_slices)
         chk = read_checkpoint(tmp_path / "chk")
         resumed = DeformationHistory(chk["history"], ag, grid, generation=k, live=chk["live"])
@@ -392,7 +408,7 @@ class TestFirstPass:
         st = FlowState(grid, taylor_green(grid), 0.1)
         for _ in range(k):
             TestIdentityRow.step(h, st, counted)
-        write_checkpoint(tmp_path / "chk", step=k, t=k * ag.ds, y_value=0.0, y_integrand=0.0, u=st.u_hat,
+        write_checkpoint(tmp_path / "chk", step=k, t=k * ag.ds, y_value=0.0, y_integrand=0.0, u=st.psi_hat,
                          history=h.payload[:h.live], n_slices=h.n_slices)
         chk = read_checkpoint(tmp_path / "chk")
         resumed = DeformationHistory(chk["history"], ag, grid, generation=k, live=chk["live"])
@@ -402,7 +418,7 @@ class TestFirstPass:
             first = StackReduction(resumed, m, scan).over_stack()
             assert (counted.fwd, counted.inv) == (0, per_row * (resumed.live - 1))
             reference = transformed_pass(h, m, scan)
-            assert first.tau.total.tobytes() == reference.tau.total.tobytes()
+            assert first.stress().tobytes() == reference.stress().tobytes()
             assert first.scan_result() == reference.scan_result()
 
     @pytest.mark.parametrize("word", [(0, 0, 1), (1, 0, 0)])
@@ -416,7 +432,7 @@ class TestFirstPass:
         first = StackReduction(h, m, self.SCAN).over_stack()
         assert counted.total == 10
         exact = StackReduction(init_history("identity", grid, ag), m, self.SCAN).over_stack()
-        np.testing.assert_array_equal(first.tau.total, exact.tau.total)
+        np.testing.assert_array_equal(first.stress(), exact.stress())
         assert first.scan_result() == exact.scan_result()
 
     @pytest.mark.parametrize("steps", [0, 2])
@@ -429,7 +445,7 @@ class TestFirstPass:
         assert h.live == steps + 1 and is_identity(h.slice(0), grid.n)
         fast = StackReduction(h, m, self.SCAN).over_stack()
         reference = transformed_pass(h, m, self.SCAN)
-        assert fast.tau.total.tobytes() == reference.tau.total.tobytes()
+        assert fast.stress().tobytes() == reference.stress().tobytes()
         assert fast.scan_result() == reference.scan_result()
 
     def test_is_identity_is_the_bits_of_set_identity(self):
@@ -456,8 +472,8 @@ def test_stress_gradient_norm_of_symmetric_stress(counted, monkeypatch, name):
     st = FlowState(grid, taylor_green(grid), 0.1)
     for _ in range(2):
         reduction = StackReduction(h, m)
-        stretch_advect_step(h, st.jet, 0.9 * st.jet, reduction, u_old_hat=st.u_hat)
-    tau = reduction.tau.total
+        stretch_advect_step(h, st.jet, 0.9 * st.jet, reduction, u_old_psi=st.psi_hat)
+    tau = reduction.stress()
     assert tau[0, 1].tobytes() == tau[1, 0].tobytes() and np.abs(tau[0, 1]).max() > 1e-6
     if name == "asymmetric":
         tau[1, 0] *= 1.5

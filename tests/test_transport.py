@@ -23,7 +23,6 @@ from memflow.transport import (
     init_history,
     is_identity,
     norm_field,
-    rows_hat,
     set_identity,
     stretch_advect_step,
 )
@@ -59,7 +58,7 @@ def by_age(history):
 
 def spectra(grid, psi):
     """The band spectra of the rows of the potentials ``psi``, allocated: shape ``(..., 2, 2, *band_shape)``."""
-    return rows_hat(grid, psi, np.empty(psi.shape[:-3] + (2, 2, *grid.band_shape), dtype=complex))
+    return grid.curl_hat(psi)
 
 
 def fields(history):
@@ -295,7 +294,7 @@ class TestStep:
         # zero potentials with the means 1.1 e_j: two nonzero words
         assert supplied[:, 0, 0].tolist() == [1.1 * N * N, 1.1j * N * N] and np.count_nonzero(supplied.view(np.uint64)) == 2
         u0 = np.zeros((3, 2, N, N))  # the jet of the fluid at rest
-        stretch_advect_step(h, u0, u0, u_old_hat=grid.band(u0[0]))
+        stretch_advect_step(h, u0, u0, u_old_psi=np.zeros(grid.band_shape, dtype=complex))
         assert h.slice(1).tobytes() == supplied.tobytes()  # the step adds zeros
         assert h.slice(0).tobytes() == identity_band(h)[0].tobytes()
 
@@ -362,9 +361,9 @@ class TestReactRhs:
         means = set_identity(np.empty_like(h.payload[0]), n)[:, 0, 0]
         st = FlowState(grid, random_band_limited_velocity(grid, seed=7, band=8, amplitude=0.5), eta=0.01)
         for _ in range(60):
-            u_old, u_old_hat = st.jet, st.u_hat
+            u_old, u_old_psi = st.jet, st.psi_hat
             advance_flow(st, None, ag.ds, 0.5)
-            stretch_advect_step(h, u_old, st.jet, u_old_hat=u_old_hat)
+            stretch_advect_step(h, u_old, st.jet, u_old_psi=u_old_psi)
             assert h.payload[: h.live, :, 0, 0].tobytes() == np.tile(means, (h.live, 1)).tobytes()
             assert float(np.abs(row_divergence(grid, spectra(grid, h.payload[: h.live]))).max()) <= 1e-14 * n * n
         assert float(np.abs(grid.field(spectra(grid, h.payload[: h.live])) - identity_stack(h.live, n)).max()) > 0.1
@@ -382,7 +381,7 @@ class TestIdentityRow:
                     for seed in (n, n + 1))
         eye_hat = np.empty((1, 2, *grid.band_shape), dtype=complex)
         set_identity(eye_hat[0], n)
-        fast_hat, fast = transport._step_identity(grid, eye_hat, ChunkWorkspace(1, n), old.jet, new.jet, old.u_hat, dt)
+        fast_hat, fast = transport._step_identity(grid, eye_hat, ChunkWorkspace(1, n), old.jet, new.jet, old.psi_hat, dt)
         full_hat, full = transport._step_chunk(grid, eye_hat, ChunkWorkspace(1, n), old.jet, new.jet, dt)
         assert is_identity(eye_hat[0], n)  # left intact
         assert np.abs(full - identity_stack(1, n)).max() > 1e-3
@@ -390,14 +389,14 @@ class TestIdentityRow:
             np.testing.assert_allclose(closed, transformed, rtol=0, atol=1e-14 * np.abs(transformed).max())
 
     def test_step_matches_transformed_path(self, grid):
-        # with the velocity spectrum the age-1 row skips its first stage's transforms; the rows agree to roundoff
+        # with the velocity's stream function the age-1 row skips its first stage's transforms; the rows agree to roundoff
         ag = build_age_grid(single_exponential_kernel(), 0.1, 1e-2)
         fast, slow = init_history("identity", grid, ag), init_history("identity", grid, ag)
         st = FlowState(grid, random_band_limited_velocity(grid, seed=4, band=5), eta=0.1)
         for _ in range(ag.n_nodes + 2):
-            u_old, u_old_hat = st.jet, st.u_hat
+            u_old, u_old_psi = st.jet, st.psi_hat
             advance_flow(st, None, ag.ds, 0.5)
-            stretch_advect_step(fast, u_old, st.jet, u_old_hat=u_old_hat)
+            stretch_advect_step(fast, u_old, st.jet, u_old_psi=u_old_psi)
             stretch_advect_step(slow, u_old, st.jet)
             np.testing.assert_allclose(by_age(fast), by_age(slow), rtol=0, atol=1e-13 * N * N)
         assert by_age(fast).tobytes() != by_age(slow).tobytes()

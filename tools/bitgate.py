@@ -27,7 +27,9 @@ for each case, the byte equality of each file and the largest relative
 difference of each ``diagnostics.csv`` column; ``divu_sup``, a
 roundoff-level quantity, is compared in absolute terms.  It also prints each
 case's largest peak RSS on either side, for information only: RSS depends on
-the machine, so it never fails the gate.  It exits 1 if any file differs.
+the machine, so it never fails the gate.  Its last line counts the files
+that differ and gives the largest relative column gap over all cases, with
+its case and column.  It exits 1 if any file differs.
 To compare against another commit, check it out locally (``git worktree
 add`` or ``git archive``) and run the matrix there with ``--checkout``.
 """
@@ -197,27 +199,28 @@ def cmd_run(args) -> int:
     return 1 if faults else 0
 
 
-def column_gap(name: str, a: list, b: list) -> str:
-    """The largest difference between two runs' values of column ``name``:
-    each row's relative to the larger magnitude, absolute for ``ABSOLUTE``
-    columns, equality for ``TEXT`` ones."""
+def column_gap(name: str, a: list, b: list) -> tuple[str, float | None]:
+    """The largest difference between two runs' values of column ``name``,
+    as text and as the relative gap (None for the other kinds): each row's
+    relative to the larger magnitude, absolute for ``ABSOLUTE`` columns,
+    equality for ``TEXT`` ones."""
     if len(a) != len(b):
-        return f"{len(a)} rows vs {len(b)}"
+        return f"{len(a)} rows vs {len(b)}", None
     if name in TEXT:
-        return "equal" if a == b else "differ"
+        return "equal" if a == b else "differ", None
     if name in ABSOLUTE:
-        return f"abs {max((abs(x - y) for x, y in zip(a, b)), default=0.0):.3g}"
+        return f"abs {max((abs(x - y) for x, y in zip(a, b)), default=0.0):.3g}", None
     gap = 0.0
     for x, y in zip(a, b):
         if x != y:
             scale = max(abs(x), abs(y))
             gap = max(gap, abs(x - y) / scale if scale and math.isfinite(scale) else math.inf)
-    return f"rel {gap:.3g}"
+    return f"rel {gap:.3g}", gap
 
 
 def cmd_compare(args) -> int:
     a, b = (json.loads((Path(out) / "manifest.json").read_text()) for out in (args.a, args.b))
-    differ = 0
+    differ, largest = 0, (0.0, "")
     for case in [case for case in a["cases"] if case in b["cases"]]:
         # run asserts each case's runs alike, so its straight run at 1 thread stands for them
         ra, rb = (m["cases"][case]["threads1"]["straight"] for m in (a, b))
@@ -230,8 +233,11 @@ def cmd_compare(args) -> int:
             differ += not same
             print(f"  {'equal ' if same else 'DIFFER'}  {name}")
         for name in [name for name in ra["columns"] if name in rb["columns"]]:
-            print(f"  column {name:<16} {column_gap(name, ra['columns'][name], rb['columns'][name])}")
-    print(f"bitgate: {differ} files differ")
+            text, gap = column_gap(name, ra["columns"][name], rb["columns"][name])
+            print(f"  column {name:<16} {text}")
+            if gap is not None and gap > largest[0]:
+                largest = (gap, f" ({case}, {name})")
+    print(f"bitgate: {differ} files differ; largest relative column gap {largest[0]:.3g}{largest[1]}")
     return 1 if differ else 0
 
 
