@@ -40,9 +40,18 @@ step k from rest holds min(k + 1, N_s) live rows, not N_s.
 The newborn row, age 0, is known before a step does any work: the
 deformation at age zero is the identity, F(t, t) = I.  So a step sets it
 and does not step it; step k from rest advances min(k, N_s - 1) rows.
-The next step finds that row, now age 1, still the identity, and given
-the old velocity's stream function takes its first Heun stage in closed form
-(:func:`_step_identity`): 6 transforms, where every other row takes 16.
+The next step finds that row, now age 1, still the identity, and takes
+its first Heun stage in closed form (:func:`_step_identity`): 6 transforms,
+where a row whose first stage is formed from its spectra takes 16.
+
+Every other row's first stage is the right-hand side at its fields and the
+old velocity, and the row's last transform gave those fields one step
+before, when that velocity was the new one (first same as last: Dormand &
+Prince, J. Comput. Appl. Math. 6, 1980).  So each step forms, while a row's
+new fields are in cache, the next step's first right-hand side, 2 forward
+transforms, into the row's ``carry`` beside its potentials, and the next
+step starts from it: 12 transforms a row, and 8 for the identity row
+(:func:`stretch_advect_step`).
 
 Every pass visits the live rows in age order (:meth:`DeformationHistory.chunks`):
 the newborn, then age 1, each a chunk of one row, then chunks of at most
@@ -99,8 +108,12 @@ class DeformationHistory:
     distinct ages stored, rows ``0 .. live - 1``: ages from ``live - 1`` on
     share the tail row, age ``live - 1``, and the other rows are not read.
     ``generation`` counts completed steps; ``workspace`` holds the chunk
-    buffers of stack passes.  Single-writer: one stepper mutates the stack,
-    readers see a consistent snapshot between steps.
+    buffers of stack passes.  ``carry``, shaped as ``payload``, holds each
+    live row's next first-stage right-hand side, valid at the velocity jet
+    ``carry_jet`` (None: at none), as :func:`stretch_advect_step` formed them;
+    rows not yet live are never written, so their pages stay unmapped.
+    Single-writer: one stepper mutates the stack, readers see a consistent
+    snapshot between steps.
     """
 
     def __init__(self, payload: np.ndarray, age_grid: AgeGrid, grid: SpectralGrid, generation: int = 0,
@@ -114,6 +127,7 @@ class DeformationHistory:
         if not 1 <= self.live <= age_grid.n_nodes:
             raise ValueError(f"live age count {self.live} outside 1 .. {age_grid.n_nodes}")
         self.workspace = ChunkWorkspace(self.n_slices, grid.n)
+        self.carry, self.carry_jet = np.zeros(payload.shape, dtype=payload.dtype), None
 
     @property
     def n_slices(self) -> int:
@@ -181,10 +195,10 @@ class ChunkWorkspace:
 
 def stack_rows_within(cap_mb: float, n: int) -> int:
     """History rows that fit in ``cap_mb`` MiB on an n x n grid beside the
-    largest chunk workspace of a stack pass: a row is 2 band spectra of
-    complex128."""
+    largest chunk workspace of a stack pass: a row is 4 band spectra of
+    complex128, its 2 potentials and their carry."""
     free_bytes = cap_mb * 2**20 - ChunkWorkspace.nbytes_for(n)
-    return max(0, int(free_bytes // (2 * 16 * math.prod(band_shape(n)))))
+    return max(0, int(free_bytes // (4 * 16 * math.prod(band_shape(n)))))
 
 
 def identity_stack(n_slices: int, n: int) -> np.ndarray:
@@ -279,15 +293,16 @@ def norm_field(g: np.ndarray) -> np.ndarray:
 def age_shift(history: DeformationHistory) -> DeformationHistory:
     """Advance every slice one age index and inject the identity at age zero.
 
-    Each live row moves down one row, one at a time from the oldest, so no
-    second stack is needed; a full history overwrites its oldest row, whose
-    kernel mass is below the grid's tail tolerance by construction.  Row 0
-    becomes the newborn, and ``live`` grows by it, up to ``n_slices``.
+    Each live row moves down one row with its carry, one at a time from the
+    oldest, so no second stack is needed; a full history overwrites its
+    oldest row, whose kernel mass is below the grid's tail tolerance by
+    construction.  Row 0 becomes the newborn, and ``live`` grows by it, up to
+    ``n_slices``; its carry is left as it was.
     """
-    payload = history.payload
+    payload, carry = history.payload, history.carry
     history.live = min(history.live + 1, history.n_slices)
     for j in range(history.live - 1, 0, -1):
-        payload[j] = payload[j - 1]
+        payload[j], carry[j] = payload[j - 1], carry[j - 1]
     set_identity(payload[0], history.grid.n)
     return history
 
@@ -309,38 +324,52 @@ def _react_rhs_hat(grid: SpectralGrid, g: np.ndarray, u_jet: np.ndarray, work: C
     return out
 
 
-def _step_chunk(grid: SpectralGrid, psi: np.ndarray, work: ChunkWorkspace, u_old, u_new, dt: float):
+def _step_chunk(grid: SpectralGrid, psi: np.ndarray, work: ChunkWorkspace, u_old, u_new, dt: float,
+                first: np.ndarray | None = None):
     """One Heun step of a chunk's potentials ``psi`` (:func:`memflow.stepper.heun`):
-    their new band spectra and the new fields."""
-    rhs = lambda g, k: _react_rhs_hat(grid, g, (u_old, u_new)[k], work, work.rhs[:, :, k])
+    their new band spectra and the new fields.  ``first``, if given, is the
+    first stage's right-hand side, at ``psi``'s fields and ``u_old``, and is
+    copied in: the step then transforms no field of ``psi``, 10 transforms a
+    row, not 16."""
+    def rhs(g, k):
+        if k == 0 and first is not None:
+            work.rhs[:, :, 0] = first
+            return work.rhs[:, :, 0]
+        return _react_rhs_hat(grid, g, (u_old, u_new)[k], work, work.rhs[:, :, k])
     inv = lambda f: row_fields(grid, f, work)
-    return heun(inv(psi), psi, rhs, inv, dt, stage=work.rhs[:, :, 1])
+    return heun(None if first is not None else inv(psi), psi, rhs, inv, dt, stage=work.rhs[:, :, 1])
+
+
+def _identity_rhs(grid: SpectralGrid, psi_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The right-hand side of one identity row at a velocity of stream
+    function spectrum ``psi_hat``, written into ``out``, ``(1, 2,
+    *band_shape)``, with no transform.  With G = I the scalars are
+    w = (u2, -u1), so it is their band spectra less their means: the
+    gradient (d1 phi, d2 phi) of the stream function."""
+    np.multiply(grid.d1_band, psi_hat, out=out[:, 0])
+    np.multiply(grid.d2_band, psi_hat, out=out[:, 1])
+    out[..., 0, 0] = 0.0
+    return out
 
 
 def _step_identity(grid: SpectralGrid, psi: np.ndarray, work: ChunkWorkspace, u_old, u_new,
-                   u_old_psi: np.ndarray, dt: float):
+                   first: np.ndarray, dt: float):
     """The Heun step of :func:`_step_chunk` for a one-row chunk that holds the
-    identity, with its first stage in closed form.
-
-    With G = I the scalars are w = (u2, -u1), so the first right-hand side
-    is their band spectra less their means, the gradient (d1 phi, d2 phi) of
-    the old velocity's stream function, whose band spectrum is
-    ``u_old_psi``, and the predictor field is I + dt times their curl
-    ``[[-d2 u2, d1 u2], [d2 u1, -d1 u1]]`` from its jet, with no transform.
-    The second stage and the new field take theirs: 6 transforms, where a
-    row of :func:`_step_chunk` takes 16."""
+    identity, with its first stage in closed form: ``first``, the
+    right-hand side :func:`_identity_rhs` gives at ``u_old``, and the
+    predictor field I + dt times the curl of w = (u2, -u1),
+    ``[[-d2 u2, d1 u2], [d2 u1, -d1 u1]]`` from the old jet, with no
+    transform.  The second stage and the new field take theirs: 6
+    transforms, where a row of :func:`_step_chunk` takes 16."""
     (d1u1, d1u2), (d2u1, d2u2) = u_old[1:]
-    r1, pred = work.rhs[:, :, 0], work.g
-    np.multiply(grid.d1_band, u_old_psi, out=r1[0, 0])
-    np.multiply(grid.d2_band, u_old_psi, out=r1[0, 1])
-    r1[..., 0, 0] = 0.0
+    pred = work.g
     np.negative(d2u2, out=pred[0, 0, 0])
     pred[0, 0, 1], pred[0, 1, 0] = d1u2, d2u1
     np.negative(d1u1, out=pred[0, 1, 1])
     pred *= dt
     pred[0, 0, 0] += 1.0
     pred[0, 1, 1] += 1.0
-    r1 += _react_rhs_hat(grid, pred, u_new, work, work.rhs[:, :, 1])
+    r1 = np.add(first, _react_rhs_hat(grid, pred, u_new, work, work.rhs[:, :, 1]), out=work.rhs[:, :, 0])
     r1 *= 0.5 * dt
     r1 += psi
     return r1, row_fields(grid, r1, work)
@@ -348,7 +377,7 @@ def _step_identity(grid: SpectralGrid, psi: np.ndarray, work: ChunkWorkspace, u_
 
 def stretch_advect_step(
     history: DeformationHistory, u_old: np.ndarray, u_new: np.ndarray, reduction=None,
-    u_old_psi: np.ndarray | None = None,
+    u_old_psi: np.ndarray | None = None, u_new_psi: np.ndarray | None = None,
 ) -> DeformationHistory:
     """One full history step of ``history.age_grid.ds``: age shift, then Heun
     react-advect of every live slice but the newborn.
@@ -372,31 +401,54 @@ def stretch_advect_step(
     the chunk's workspace).  Transforms run on the history's grid.
 
     Given ``u_old_psi``, the band spectrum of ``u_old``'s stream function
-    (:attr:`memflow.stepper.FlowState.psi_hat`), the age-1
-    chunk, when its row is bit for bit the identity the shift
-    writes (:func:`is_identity`), takes its first stage in closed form
-    (:func:`_step_identity`): 6 transforms, not 16.  It is so after every
-    step (the newborn that step set), in a history from rest (its tail row),
-    after a restart and in an explicit identity stack, whose projection
-    gives the identity's bits.  Without ``u_old_psi`` every chunk takes
-    :func:`_step_chunk`.
+    (:attr:`memflow.stepper.FlowState.psi_hat`), the age-1 chunk, when its
+    row is bit for bit the identity the shift writes (:func:`is_identity`),
+    takes its first stage in closed form (:func:`_step_identity`): 6
+    transforms, not 16.  It is so after every step (the newborn that step
+    set), in a history from rest (its tail row), after a restart and in an
+    explicit identity stack, whose projection gives the identity's bits.
+
+    Given ``u_new_psi``, ``u_new``'s stream function spectrum, the step
+    leaves in ``history.carry`` each row's next first stage, the right-hand
+    side at its new fields and ``u_new``: 2 forward transforms while the
+    fields are in cache, none for the newborn (:func:`_identity_rhs`), and
+    none for the row at age ``n_slices - 1``, which the next shift drops.
+    A next step whose ``u_old`` is that ``u_new`` object (``carry_jet``),
+    with it and the rows unchanged in between, takes them in place of 4
+    inverse and 2 forward transforms a row, with the same bits: a stepped
+    row takes 12 transforms (18 with a bound scan's 6), the age-1 identity
+    row 8 (14), and no ``u_old_psi`` is needed.  Any other ``u_old``, as on
+    a run's or a restart's first step, has its first stage formed from the
+    stored spectra.
     """
     grid, dt = history.grid, history.age_grid.ds
+    carried, carry = u_old is history.carry_jet, history.carry
+    history.carry_jet = None  # until every row's carry is formed again
     age_shift(history)  # row 0 becomes the newborn, the identity
     for age, psi, work in history.chunks():
         if age == 0:  # the newborn is set, not stepped: F(t, t) = I
+            if u_new_psi is not None:
+                _identity_rhs(grid, u_new_psi, carry[:1])
             if reduction is not None:
                 reduction.add_identity()
             continue
-        if age == 1 and u_old_psi is not None and is_identity(psi[0], grid.n):  # the last newborn or a tail row
-            r1, g = _step_identity(grid, psi, work, u_old, u_new, u_old_psi, dt)
+        first = carry[age : age + len(psi)] if carried else None
+        if age == 1 and (carried or u_old_psi is not None) and is_identity(psi[0], grid.n):  # a newborn or tail row
+            if first is None:
+                first = _identity_rhs(grid, u_old_psi, work.rhs[:, :, 0])
+            r1, g = _step_identity(grid, psi, work, u_old, u_new, first, dt)
         else:
-            r1, g = _step_chunk(grid, psi, work, u_old, u_new, dt)
+            r1, g = _step_chunk(grid, psi, work, u_old, u_new, dt, first)
         if not np.isfinite(g).all():
             bad = age + int(np.argwhere(~np.isfinite(g))[0, 0])
             raise HistoryNaNError(f"non-finite deformation at step {history.generation + 1}, age slice {bad}")
         psi[:] = r1
+        ahead = min(len(psi), history.n_slices - 1 - age)  # the rows the next shift keeps
+        if u_new_psi is not None and ahead > 0:
+            _react_rhs_hat(grid, g[:ahead], u_new, work.cut(ahead), carry[age : age + ahead])
         if reduction is not None:  # it may overwrite the scratch buffers, which this chunk no longer needs
             reduction.add_chunk(age, g, psi, work)
     history.generation += 1
+    if u_new_psi is not None:
+        history.carry_jet = u_new
     return history

@@ -1,4 +1,5 @@
-"""Smoke test of ``tools/bitgate.py`` on two cases at n = 16: one from rest and one from an explicit history."""
+"""Smoke test of ``tools/bitgate.py`` on three cases at n = 16: two from rest, one of them through the
+fill-up and the wrap of its history, and one from an explicit history."""
 
 import importlib.util
 import json
@@ -18,30 +19,40 @@ def bitgate(*args):
 @pytest.fixture(scope="module")
 def manifest(tmp_path_factory):
     out = tmp_path_factory.mktemp("bitgate")
-    proc = bitgate("run", out, "--n", "16", "--case", "oldroyd-oracle", "--case", "oldroyd-oracle-n32-explicit")
+    proc = bitgate("run", out, "--n", "16", "--case", "oldroyd-oracle", "--case", "oldroyd-oracle-n32-explicit",
+                   "--case", "oldroyd-oracle-n32")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     return out
 
 
-def test_threads_and_restart_are_byte_identical(manifest):
-    runs = json.loads((manifest / "manifest.json").read_text())["cases"]["oldroyd-oracle"]
+def alike_runs(manifest, case):
+    """The case's straight run at 1 thread, once its straight and resumed runs at 1 and 2 threads are equal."""
+    runs = json.loads((manifest / "manifest.json").read_text())["cases"][case]
     records = [runs[threads][kind] for threads in ("threads1", "threads2") for kind in ("straight", "resumed")]
-    reference = records[0]
+    for rec in records[1:]:
+        assert rec == records[0]
+    return records[0]
+
+
+def test_threads_and_restart_are_byte_identical(manifest):
+    reference = alike_runs(manifest, "oldroyd-oracle")
     assert {"diagnostics.csv", "checkpoint/oracle_tau.fld", "snap_000020/g_00005.fld"} <= reference["files"].keys()
     assert len(reference["columns"]["t"]) == 21  # the initial record and 20 steps
-    for rec in records[1:]:
-        assert rec == reference
 
 
 def test_explicit_history_is_byte_identical(manifest):
     # every row live from step 0: the runs start from the potentials extracted from a physical identity stack
-    runs = json.loads((manifest / "manifest.json").read_text())["cases"]["oldroyd-oracle-n32-explicit"]
-    records = [runs[threads][kind] for threads in ("threads1", "threads2") for kind in ("straight", "resumed")]
-    reference = records[0]
+    reference = alike_runs(manifest, "oldroyd-oracle-n32-explicit")
     assert {"diagnostics.csv", "checkpoint/history.fld", "snap_000060/g_00005.fld"} <= reference["files"].keys()
     assert len(reference["columns"]["t"]) == 61  # the initial record and 60 steps
-    for rec in records[1:]:
-        assert rec == reference
+
+
+def test_history_through_fill_up_and_wrap_is_byte_identical(manifest):
+    # from rest, N_s = 94 rows fill at step 93 and drop the oldest from then on; the resumed runs start at
+    # step 60 with no carried first stage, so carried and recomputed first stages must give the same bits
+    reference = alike_runs(manifest, "oldroyd-oracle-n32")
+    assert {"diagnostics.csv", "checkpoint/history.fld", "snap_000120/g_00005.fld"} <= reference["files"].keys()
+    assert len(reference["columns"]["t"]) == 121  # the initial record and 120 steps
 
 
 def test_manifest_holds_each_runs_peak_rss(manifest):

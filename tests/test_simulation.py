@@ -174,14 +174,20 @@ class TestRun:
             run(small_cfg(n=16, dt=0.3, t_final=0.6, eps_tail=0.05, **over))
 
     def test_memory_cap_counts_chunk_workspace(self):
-        stack_bytes = run(small_cfg(t_final=0.05)).history.payload.nbytes
+        # a row is its potentials and their carry, 4 band spectra: a cap one row short of the stack, the
+        # carry and the workspace is refused
+        history = run(small_cfg(t_final=0.05)).history
+        stack_bytes = history.payload.nbytes + history.carry.nbytes
         with pytest.raises(HistoryTooLongError):
             run(small_cfg(t_final=0.05, memory_cap_mb=stack_bytes / 2**20))
         cap = (stack_bytes + ChunkWorkspace.nbytes_for(32)) / 2**20
+        row_mib = stack_bytes / history.n_slices / 2**20
+        with pytest.raises(HistoryTooLongError):
+            run(small_cfg(t_final=0.05, memory_cap_mb=cap - row_mib))
         assert run(small_cfg(t_final=0.05, memory_cap_mb=cap)).exit_code == EXIT_OK
 
     def test_run_holds_one_steps_working_set(self):
-        # a from-rest run at n = 256 with N_s = 4 holds, beside the stack and the chunk workspace, the two
+        # a from-rest run at n = 256 with N_s = 4 holds, beside the stack, its carry and the chunk workspace, the two
         # velocity jets while the history steps (2 x 6 n^2 doubles: 3 tensor fields of 4 n^2), one stack
         # pass's three compensated sums (3 fields) and in the monitor one derivative direction of the
         # stress gradient (2-3 fields): 10 fields bound tracemalloc's peak
@@ -197,8 +203,9 @@ class TestRun:
         finally:
             tracemalloc.stop()
         assert res.exit_code == EXIT_OK and res.history.n_slices == 4
-        fields = (peak - res.history.payload.nbytes - ChunkWorkspace.nbytes_for(n)) / (4 * n * n * 8)
-        assert fields <= 10, f"{fields:.2f} tensor fields beside the stack and the workspace"
+        stack = res.history.payload.nbytes + res.history.carry.nbytes
+        fields = (peak - stack - ChunkWorkspace.nbytes_for(n)) / (4 * n * n * 8)
+        assert fields <= 10, f"{fields:.2f} tensor fields beside the stack, its carry and the workspace"
 
 
 def test_substeps_summed_over_the_run(tmp_path, monkeypatch):

@@ -387,6 +387,111 @@ class TestIdentityRow:
         assert self.step(h, st, counted, (8, 4, 1.0)) == 12 + 22 * (h.n_slices - 2)
 
 
+class TestCarry:
+    """A step given both stream functions, as ``run()`` steps the history, leaves each row's next first-stage
+    right-hand side in ``history.carry``, and the next step, at that velocity jet, starts from it: 12
+    transforms a stepped row (18 monitored) and 8 for the age-1 identity row (14), with the bits of
+    forming the first stage from the stored spectra."""
+
+    SCAN = (8, 4, 1.0)
+
+    @staticmethod
+    def flow(st, ds, tau=None):
+        """Advance the flow one step; returns the old jet and stream function."""
+        old = st.jet, st.psi_hat
+        advance_flow(st, tau, ds, 0.5)
+        return old
+
+    def test_transforms_per_step(self, counted):
+        # from rest, with `rows` live rows after the shift: 8 + 12 (rows - 2), 14 + 18 (rows - 2) monitored,
+        # and 2 fewer once the history is full, as the row at age N_s - 1 forms no carry (the next shift
+        # drops it).  Forming every first stage from the spectra took 6 + 16 (rows - 2) and 12 + 22 (rows - 2).
+        grid, ag, m, _, _ = TestTailRow.histories()
+        n_s = ag.n_nodes
+        for scan, first, per_row in ((None, 8, 12), (self.SCAN, 14, 18)):
+            h, st = init_history("identity", grid, ag), FlowState(grid, taylor_green(grid), 0.1)
+            for k in range(1, 2 * n_s + 3):
+                jet, psi = self.flow(st, ag.ds)
+                counted.reset()
+                stretch_advect_step(h, jet, st.jet, StackReduction(h, m, scan), psi, st.psi_hat)
+                rows = min(k + 1, n_s)
+                assert counted.total == first + per_row * (rows - 2) - 2 * (rows == n_s), k
+
+    @pytest.mark.parametrize("start", ["rest", "explicit"])
+    def test_carry_gives_the_recomputed_bits(self, start):
+        # two histories stepped with the same velocities past the fill-up and the wrap, one starting each
+        # step from its carry and one, handed a copy of the old jet, forming every first stage from its
+        # spectra: the same rows, stress and scan, byte for byte
+        grid, ag, m, rest, full = TestTailRow.histories()
+        carried = rest if start == "rest" else full
+        recomputed = init_history("identity" if start == "rest" else identity_stack(ag.n_nodes, 16), grid, ag)
+        st, tau = FlowState(grid, taylor_green(grid), 0.1), None
+        for _ in range(2 * ag.n_nodes + 3):
+            jet, psi = self.flow(st, ag.ds, tau)
+            fast, slow = (StackReduction(h, m, self.SCAN) for h in (carried, recomputed))
+            stretch_advect_step(carried, jet, st.jet, fast, psi, st.psi_hat)
+            stretch_advect_step(recomputed, jet.copy(), st.jet, slow, psi)
+            assert carried.carry_jet is st.jet and recomputed.carry_jet is None
+            assert carried.live == recomputed.live
+            assert carried.payload[: carried.live].tobytes() == recomputed.payload[: recomputed.live].tobytes()
+            tau = fast.stress()
+            assert tau.tobytes() == slow.stress().tobytes() and fast.scan_result() == slow.scan_result()
+
+    def test_carry_used_only_at_its_jet(self, counted):
+        # a carry formed at the jet u is not used for another jet, 0.9 u: that step forms every first stage
+        # from the spectra, 4 more inverse and 2 more forward transforms a row, and gives the bits of a
+        # history that never carried
+        grid, ag, m, h, _ = TestTailRow.histories()
+        twin, plain = init_history("identity", grid, ag), init_history("identity", grid, ag)
+        st = FlowState(grid, taylor_green(grid), 0.1)
+        for _ in range(4):
+            jet, psi = self.flow(st, ag.ds)
+            for carried in (h, twin):
+                stretch_advect_step(carried, jet, st.jet, None, psi, st.psi_hat)
+            stretch_advect_step(plain, jet.copy(), st.jet, None, psi)
+        u, psi, rows = st.jet, st.psi_hat, h.live + 1
+        counts = []
+        for hist, u_old, psi_old in ((twin, u, psi), (h, 0.9 * u, 0.9 * psi), (plain, 0.9 * u, 0.9 * psi)):
+            counted.reset()
+            stretch_advect_step(hist, u_old, u, None, psi_old, psi if hist is not plain else None)
+            counts.append((counted.fwd, counted.inv))
+        assert counts[0] == (4 * (rows - 1), 4 + 8 * (rows - 2))
+        assert counts[1] == (counts[0][0] + 2 * (rows - 2), counts[0][1] + 4 * (rows - 2))
+        assert h.payload[:rows].tobytes() == plain.payload[:rows].tobytes()
+        assert h.payload[2:rows].tobytes() != twin.payload[2:rows].tobytes()  # not stepped from the carry at u
+
+    @pytest.mark.parametrize("k", [3, 20])
+    def test_resume_matches_straight_rows(self, counted, tmp_path, k):
+        # a history resumed from a checkpoint has no carry: its first step forms every first stage from the
+        # spectra, and forms the carries, 2 transforms a row more than a step before; then it steps as the
+        # straight history does, with its bits
+        grid, ag, m, h, _ = TestTailRow.histories()
+        n_s, st, tau = ag.n_nodes, FlowState(grid, taylor_green(grid), 0.1), None
+        for _ in range(k):
+            jet, psi = self.flow(st, ag.ds, tau)
+            reduction = StackReduction(h, m)
+            stretch_advect_step(h, jet, st.jet, reduction, psi, st.psi_hat)
+            tau = reduction.stress()
+        write_checkpoint(tmp_path / "chk", step=k, t=k * ag.ds, y_value=0.0, y_integrand=0.0, u=st.psi_hat,
+                         history=h.payload[:h.live], n_slices=n_s)
+        chk = read_checkpoint(tmp_path / "chk")
+        resumed = DeformationHistory(chk["history"], ag, grid, generation=k, live=chk["live"])
+        for step in range(k + 1, k + n_s + 2):
+            jet, psi = self.flow(st, ag.ds, tau)
+            rows, counts, passes = min(step + 1, n_s), [], []
+            for hist in (h, resumed):
+                counted.reset()
+                passes.append(StackReduction(hist, m))
+                stretch_advect_step(hist, jet, st.jet, passes[-1], psi, st.psi_hat)
+                counts.append(counted.total)
+            full = 2 * (rows == n_s)
+            assert counts[0] == 8 + 12 * (rows - 2) - full
+            assert counts[1] == (8 + 18 * (rows - 2) - full if step == k + 1 else counts[0])
+            assert resumed.payload[:resumed.live].tobytes() == h.payload[:h.live].tobytes()
+            tau = passes[0].stress()
+            assert tau.tobytes() == passes[1].stress().tobytes()
+
+
 class TestFirstPass:
     """:meth:`StackReduction.over_stack`, the pass behind a run's initial state and a restart's first
     record, adds an age-0 row that is bit for bit the identity spectrum as the newborn a step sets: no
