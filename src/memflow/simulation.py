@@ -28,8 +28,7 @@ A checkpoint holds the band spectra of the velocity's stream function, the
 history (its live rows' potentials, in age order) and the oracle stress,
 which a restart takes as they are: the history stores age j at row j, so
 its live rows on disk are the leading rows of its stack, byte for byte.
-The history's carry, each row's next first stage (formed from the new
-stream function that each step hands it as well), is not saved: a
+The history's carry, each row's next first stage, is not saved: a
 restart's first step forms those stages from the rows, with the same bits.
 Each checkpoint step is a record step, so its y integral belongs to its
 time.
@@ -221,7 +220,7 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
                 state.t = step * cfg.dt  # re-pin against substep roundoff drift
                 tau = None  # the flow has used it: it goes before the pass's sums are allocated
                 stack_pass = StackReduction(history, measure, scan_args if monitored else None)
-                stretch_advect_step(history, u_old, state.jet, stack_pass, u_old_psi, state.psi_hat)
+                stretch_advect_step(history, u_old, state.jet, stack_pass, u_old_psi)
                 if oracle is not None:
                     oldroyd_differential_step(oracle, u_old, state.jet, cfg.dt)
             except FloatingPointError as exc:  # non-finite flow, history or oracle; degenerate history

@@ -109,7 +109,7 @@ class DeformationHistory:
     share the tail row, age ``live - 1``, and the other rows are not read.
     ``generation`` counts completed steps; ``workspace`` holds the chunk
     buffers of stack passes.  ``carry``, shaped as ``payload``, holds each
-    live row's next first-stage right-hand side, valid at the velocity jet
+    stepped row's next first-stage right-hand side, valid at the velocity jet
     ``carry_jet`` (None: at none), as :func:`stretch_advect_step` formed them;
     rows not yet live are never written, so their pages stay unmapped.
     Single-writer: one stepper mutates the stack, readers see a consistent
@@ -328,48 +328,41 @@ def _step_chunk(grid: SpectralGrid, psi: np.ndarray, work: ChunkWorkspace, u_old
                 first: np.ndarray | None = None):
     """One Heun step of a chunk's potentials ``psi`` (:func:`memflow.stepper.heun`):
     their new band spectra and the new fields.  ``first``, if given, is the
-    first stage's right-hand side, at ``psi``'s fields and ``u_old``, and is
-    copied in: the step then transforms no field of ``psi``, 10 transforms a
-    row, not 16."""
+    first stage's right-hand side, at ``psi``'s fields and ``u_old``: the
+    step then transforms no field of ``psi``, 10 transforms a row, not 16,
+    and returns the new spectra in ``first``'s buffer."""
     def rhs(g, k):
         if k == 0 and first is not None:
-            work.rhs[:, :, 0] = first
-            return work.rhs[:, :, 0]
+            return first
         return _react_rhs_hat(grid, g, (u_old, u_new)[k], work, work.rhs[:, :, k])
     inv = lambda f: row_fields(grid, f, work)
     return heun(None if first is not None else inv(psi), psi, rhs, inv, dt, stage=work.rhs[:, :, 1])
 
 
-def _identity_rhs(grid: SpectralGrid, psi_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The right-hand side of one identity row at a velocity of stream
-    function spectrum ``psi_hat``, written into ``out``, ``(1, 2,
-    *band_shape)``, with no transform.  With G = I the scalars are
-    w = (u2, -u1), so it is their band spectra less their means: the
-    gradient (d1 phi, d2 phi) of the stream function."""
-    np.multiply(grid.d1_band, psi_hat, out=out[:, 0])
-    np.multiply(grid.d2_band, psi_hat, out=out[:, 1])
-    out[..., 0, 0] = 0.0
-    return out
-
-
 def _step_identity(grid: SpectralGrid, psi: np.ndarray, work: ChunkWorkspace, u_old, u_new,
-                   first: np.ndarray, dt: float):
+                   u_old_psi: np.ndarray, dt: float):
     """The Heun step of :func:`_step_chunk` for a one-row chunk that holds the
-    identity, with its first stage in closed form: ``first``, the
-    right-hand side :func:`_identity_rhs` gives at ``u_old``, and the
-    predictor field I + dt times the curl of w = (u2, -u1),
-    ``[[-d2 u2, d1 u2], [d2 u1, -d1 u1]]`` from the old jet, with no
-    transform.  The second stage and the new field take theirs: 6
-    transforms, where a row of :func:`_step_chunk` takes 16."""
+    identity, with its first stage in closed form.
+
+    With G = I the scalars are w = (u2, -u1), so the first right-hand side
+    is their band spectra less their means, the gradient (d1 phi, d2 phi) of
+    the old velocity's stream function, whose band spectrum is
+    ``u_old_psi``, and the predictor field is I + dt times their curl
+    ``[[-d2 u2, d1 u2], [d2 u1, -d1 u1]]`` from its jet, with no transform.
+    The second stage and the new field take theirs: 6 transforms, where a
+    row of :func:`_step_chunk` takes 16."""
     (d1u1, d1u2), (d2u1, d2u2) = u_old[1:]
-    pred = work.g
+    r1, pred = work.rhs[:, :, 0], work.g
+    np.multiply(grid.d1_band, u_old_psi, out=r1[0, 0])
+    np.multiply(grid.d2_band, u_old_psi, out=r1[0, 1])
+    r1[..., 0, 0] = 0.0
     np.negative(d2u2, out=pred[0, 0, 0])
     pred[0, 0, 1], pred[0, 1, 0] = d1u2, d2u1
     np.negative(d1u1, out=pred[0, 1, 1])
     pred *= dt
     pred[0, 0, 0] += 1.0
     pred[0, 1, 1] += 1.0
-    r1 = np.add(first, _react_rhs_hat(grid, pred, u_new, work, work.rhs[:, :, 1]), out=work.rhs[:, :, 0])
+    r1 += _react_rhs_hat(grid, pred, u_new, work, work.rhs[:, :, 1])
     r1 *= 0.5 * dt
     r1 += psi
     return r1, row_fields(grid, r1, work)
@@ -377,7 +370,7 @@ def _step_identity(grid: SpectralGrid, psi: np.ndarray, work: ChunkWorkspace, u_
 
 def stretch_advect_step(
     history: DeformationHistory, u_old: np.ndarray, u_new: np.ndarray, reduction=None,
-    u_old_psi: np.ndarray | None = None, u_new_psi: np.ndarray | None = None,
+    u_old_psi: np.ndarray | None = None,
 ) -> DeformationHistory:
     """One full history step of ``history.age_grid.ds``: age shift, then Heun
     react-advect of every live slice but the newborn.
@@ -401,25 +394,26 @@ def stretch_advect_step(
     the chunk's workspace).  Transforms run on the history's grid.
 
     Given ``u_old_psi``, the band spectrum of ``u_old``'s stream function
-    (:attr:`memflow.stepper.FlowState.psi_hat`), the age-1 chunk, when its
-    row is bit for bit the identity the shift writes (:func:`is_identity`),
-    takes its first stage in closed form (:func:`_step_identity`): 6
-    transforms, not 16.  It is so after every step (the newborn that step
-    set), in a history from rest (its tail row), after a restart and in an
-    explicit identity stack, whose projection gives the identity's bits.
+    (:attr:`memflow.stepper.FlowState.psi_hat`), the age-1
+    chunk, when its row is bit for bit the identity the shift
+    writes (:func:`is_identity`), takes its first stage in closed form
+    (:func:`_step_identity`): 6 transforms, not 16.  It is so after every
+    step (the newborn that step set), in a history from rest (its tail row),
+    after a restart and in an explicit identity stack, whose projection
+    gives the identity's bits.  Without ``u_old_psi`` every chunk takes
+    :func:`_step_chunk`.
 
-    Given ``u_new_psi``, ``u_new``'s stream function spectrum, the step
-    leaves in ``history.carry`` each row's next first stage, the right-hand
-    side at its new fields and ``u_new``: 2 forward transforms while the
-    fields are in cache, none for the newborn (:func:`_identity_rhs`), and
-    none for the row at age ``n_slices - 1``, which the next shift drops.
-    A next step whose ``u_old`` is that ``u_new`` object (``carry_jet``),
-    with it and the rows unchanged in between, takes them in place of 4
-    inverse and 2 forward transforms a row, with the same bits: a stepped
-    row takes 12 transforms (18 with a bound scan's 6), the age-1 identity
-    row 8 (14), and no ``u_old_psi`` is needed.  Any other ``u_old``, as on
-    a run's or a restart's first step, has its first stage formed from the
-    stored spectra.
+    Each stepped row leaves in ``history.carry`` its next first stage, the
+    right-hand side at its new fields and ``u_new``: 2 forward transforms
+    while the fields are in cache, none for the row at age ``n_slices - 1``,
+    which the next shift drops.  A next step whose ``u_old`` is that
+    ``u_new`` object (``carry_jet``), with it and the rows unchanged in
+    between, starts each row from age 2 on from its carry in place of 4
+    inverse and 2 forward transforms, with the same bits: a stepped row
+    takes 12 transforms (18 with a bound scan's 6), the age-1 identity row
+    8 (14).  Any other ``u_old``, as on a run's or a restart's first step,
+    has its first stages formed from the stored spectra: 18 transforms a
+    row that forms a carry.
     """
     grid, dt = history.grid, history.age_grid.ds
     carried, carry = u_old is history.carry_jet, history.carry
@@ -427,28 +421,23 @@ def stretch_advect_step(
     age_shift(history)  # row 0 becomes the newborn, the identity
     for age, psi, work in history.chunks():
         if age == 0:  # the newborn is set, not stepped: F(t, t) = I
-            if u_new_psi is not None:
-                _identity_rhs(grid, u_new_psi, carry[:1])
             if reduction is not None:
                 reduction.add_identity()
             continue
-        first = carry[age : age + len(psi)] if carried else None
-        if age == 1 and (carried or u_old_psi is not None) and is_identity(psi[0], grid.n):  # a newborn or tail row
-            if first is None:
-                first = _identity_rhs(grid, u_old_psi, work.rhs[:, :, 0])
-            r1, g = _step_identity(grid, psi, work, u_old, u_new, first, dt)
-        else:
+        if age == 1 and u_old_psi is not None and is_identity(psi[0], grid.n):  # the last newborn or a tail row
+            r1, g = _step_identity(grid, psi, work, u_old, u_new, u_old_psi, dt)
+        else:  # the age-1 row, the last newborn when carried, has no carry
+            first = carry[age : age + len(psi)] if carried and age > 1 else None
             r1, g = _step_chunk(grid, psi, work, u_old, u_new, dt, first)
         if not np.isfinite(g).all():
             bad = age + int(np.argwhere(~np.isfinite(g))[0, 0])
             raise HistoryNaNError(f"non-finite deformation at step {history.generation + 1}, age slice {bad}")
         psi[:] = r1
         ahead = min(len(psi), history.n_slices - 1 - age)  # the rows the next shift keeps
-        if u_new_psi is not None and ahead > 0:
+        if ahead > 0:
             _react_rhs_hat(grid, g[:ahead], u_new, work.cut(ahead), carry[age : age + ahead])
         if reduction is not None:  # it may overwrite the scratch buffers, which this chunk no longer needs
             reduction.add_chunk(age, g, psi, work)
     history.generation += 1
-    if u_new_psi is not None:
-        history.carry_jet = u_new
+    history.carry_jet = u_new
     return history

@@ -276,10 +276,11 @@ class TestFusedPass:
         h = perturbed_history(grid, ag)
         _, m = model_catalog("psm-raw")
         u = FlowState(grid, taylor_green(grid), 0.1).jet  # the velocity samples carry their gradient
-        for scan, per_slice in ((None, 16), ((8, 4, 1.0), 22)):
+        for scan, per_slice in ((None, 18), ((8, 4, 1.0), 24)):
             counted.reset()
             stretch_advect_step(h, u, 0.9 * u, StackReduction(h, m, scan))
-            assert counted.total == per_slice * (h.n_slices - 1)  # the newborn is set, not stepped
+            # the newborn is set, not stepped, and the oldest row forms no carry: the next shift drops it
+            assert counted.total == per_slice * (h.n_slices - 1) - 2
 
 
 class TestTailRow:
@@ -315,22 +316,25 @@ class TestTailRow:
 
     def test_transforms_per_step(self, counted):
         # given the velocity spectrum, the age-1 row (the tail row at step 1, then the last newborn) is the
-        # identity: 6 transforms, 12 monitored; every older row takes 16, 22 monitored
+        # identity: 6 transforms, 12 monitored; every older row takes 16, 22 monitored; as the old jet is
+        # never the last new one, no carry is used, and each row but the oldest of a full history forms one: 2 more
         grid, ag, m, unmonitored, _ = self.histories()
         monitored = init_history("identity", grid, ag)
         st = FlowState(grid, taylor_green(grid), 0.1)
         u = st.jet
         for k in range(1, ag.n_nodes + 3):
-            for h, scan, first, per_slice in ((unmonitored, None, 6, 16), (monitored, (8, 4, 1.0), 12, 22)):
+            rows = min(k + 1, ag.n_nodes)
+            for h, scan, first, per_slice in ((unmonitored, None, 8, 18), (monitored, (8, 4, 1.0), 14, 24)):
                 counted.reset()
                 stretch_advect_step(h, u, 0.9 * u, StackReduction(h, m, scan), u_old_psi=st.psi_hat)
-                assert counted.total == first + per_slice * (min(k + 1, ag.n_nodes) - 2)
+                assert counted.total == first + per_slice * (rows - 2) - 2 * (rows == ag.n_nodes)
 
 
 class TestIdentityRow:
     """Given the old velocity's spectrum, a step takes the age-1 row's first Heun stage in closed form
-    exactly when that row is bit for bit the identity: 6 transforms (12 monitored), not 16 (22).
-    From rest: :meth:`TestTailRow.test_transforms_per_step`."""
+    exactly when that row is bit for bit the identity: 6 transforms (12 monitored), not 16 (22), and 2 more
+    for its carry.  From rest: :meth:`TestTailRow.test_transforms_per_step`.  The velocity here is frozen,
+    one jet, so from a history's second step on every row from age 2 starts from its carry (:class:`TestCarry`)."""
 
     @staticmethod
     def step(h, st, counted, scan=None):
@@ -359,8 +363,10 @@ class TestIdentityRow:
         chk = read_checkpoint(tmp_path / "chk")
         resumed = DeformationHistory(chk["history"], ag, grid, generation=k, live=chk["live"])
         assert self.eye_bits(resumed)
-        for straight_or_resumed in (h, resumed):
-            assert self.step(straight_or_resumed, st, counted) == 6 + 16 * (min(k + 2, ag.n_nodes) - 2)
+        rows = min(k + 2, ag.n_nodes)
+        full = 2 * (rows == ag.n_nodes)  # the oldest row forms no carry
+        assert self.step(h, st, counted) == 8 + 12 * (rows - 2) - full
+        assert self.step(resumed, st, counted) == 8 + 18 * (rows - 2) - full  # a restart has no carry
         assert resumed.payload[:resumed.live].tobytes() == h.payload[:h.live].tobytes()
 
     def test_explicit_stack(self, counted):
@@ -373,25 +379,25 @@ class TestIdentityRow:
         assert self.eye_bits(full) and full.slice(0).tobytes() == rest.slice(0).tobytes() and not self.eye_bits(bent)
         st = FlowState(grid, taylor_green(grid), 0.1)
         n_s = ag.n_nodes
-        assert self.step(bent, st, counted) == 16 * (n_s - 1)
-        assert self.step(full, st, counted) == 6 + 16 * (n_s - 2)
-        for h in (full, bent):  # from the next step on, the age-1 row is the newborn
-            assert self.step(h, st, counted) == 6 + 16 * (n_s - 2)
+        assert self.step(bent, st, counted) == 18 * (n_s - 1) - 2  # the oldest row forms no carry
+        assert self.step(full, st, counted) == 8 + 18 * (n_s - 2) - 2
+        for h in (full, bent):  # from the next step on, the age-1 row is the newborn, and the others carried
+            assert self.step(h, st, counted) == 8 + 12 * (n_s - 2) - 2
 
     def test_perturbed_explicit_history(self, counted):
         grid = SpectralGrid(16)
         ag = build_age_grid(single_exponential_kernel(), 0.05, 1e-2)
         h = perturbed_history(grid, ag)
         st = FlowState(grid, taylor_green(grid), 0.1)
-        assert self.step(h, st, counted, (8, 4, 1.0)) == 22 * (h.n_slices - 1)
-        assert self.step(h, st, counted, (8, 4, 1.0)) == 12 + 22 * (h.n_slices - 2)
+        assert self.step(h, st, counted, (8, 4, 1.0)) == 24 * (h.n_slices - 1) - 2
+        assert self.step(h, st, counted, (8, 4, 1.0)) == 14 + 18 * (h.n_slices - 2) - 2
 
 
 class TestCarry:
-    """A step given both stream functions, as ``run()`` steps the history, leaves each row's next first-stage
-    right-hand side in ``history.carry``, and the next step, at that velocity jet, starts from it: 12
-    transforms a stepped row (18 monitored) and 8 for the age-1 identity row (14), with the bits of
-    forming the first stage from the stored spectra."""
+    """A step leaves each row's next first-stage right-hand side in ``history.carry``, and the next step, at
+    that velocity jet, as ``run()`` steps the history, starts from it: 12 transforms a stepped row (18
+    monitored) and 8 for the age-1 identity row (14), with the bits of forming the first stage from the
+    stored spectra."""
 
     SCAN = (8, 4, 1.0)
 
@@ -405,7 +411,8 @@ class TestCarry:
     def test_transforms_per_step(self, counted):
         # from rest, with `rows` live rows after the shift: 8 + 12 (rows - 2), 14 + 18 (rows - 2) monitored,
         # and 2 fewer once the history is full, as the row at age N_s - 1 forms no carry (the next shift
-        # drops it).  Forming every first stage from the spectra took 6 + 16 (rows - 2) and 12 + 22 (rows - 2).
+        # drops it).  A step that forms every first stage from the spectra takes 6 more a row from age 2
+        # (:meth:`TestTailRow.test_transforms_per_step`).
         grid, ag, m, _, _ = TestTailRow.histories()
         n_s = ag.n_nodes
         for scan, first, per_row in ((None, 8, 12), (self.SCAN, 14, 18)):
@@ -413,15 +420,15 @@ class TestCarry:
             for k in range(1, 2 * n_s + 3):
                 jet, psi = self.flow(st, ag.ds)
                 counted.reset()
-                stretch_advect_step(h, jet, st.jet, StackReduction(h, m, scan), psi, st.psi_hat)
+                stretch_advect_step(h, jet, st.jet, StackReduction(h, m, scan), psi)
                 rows = min(k + 1, n_s)
                 assert counted.total == first + per_row * (rows - 2) - 2 * (rows == n_s), k
 
     @pytest.mark.parametrize("start", ["rest", "explicit"])
     def test_carry_gives_the_recomputed_bits(self, start):
         # two histories stepped with the same velocities past the fill-up and the wrap, one starting each
-        # step from its carry and one, handed a copy of the old jet, forming every first stage from its
-        # spectra: the same rows, stress and scan, byte for byte
+        # step from its carry and one, handed a copy of the old jet, not the jet its carry was formed at,
+        # forming every first stage from its spectra: the same rows, stress and scan, byte for byte
         grid, ag, m, rest, full = TestTailRow.histories()
         carried = rest if start == "rest" else full
         recomputed = init_history("identity" if start == "rest" else identity_stack(ag.n_nodes, 16), grid, ag)
@@ -429,9 +436,9 @@ class TestCarry:
         for _ in range(2 * ag.n_nodes + 3):
             jet, psi = self.flow(st, ag.ds, tau)
             fast, slow = (StackReduction(h, m, self.SCAN) for h in (carried, recomputed))
-            stretch_advect_step(carried, jet, st.jet, fast, psi, st.psi_hat)
+            stretch_advect_step(carried, jet, st.jet, fast, psi)
             stretch_advect_step(recomputed, jet.copy(), st.jet, slow, psi)
-            assert carried.carry_jet is st.jet and recomputed.carry_jet is None
+            assert carried.carry_jet is st.jet and recomputed.carry_jet is st.jet
             assert carried.live == recomputed.live
             assert carried.payload[: carried.live].tobytes() == recomputed.payload[: recomputed.live].tobytes()
             tau = fast.stress()
@@ -440,20 +447,20 @@ class TestCarry:
     def test_carry_used_only_at_its_jet(self, counted):
         # a carry formed at the jet u is not used for another jet, 0.9 u: that step forms every first stage
         # from the spectra, 4 more inverse and 2 more forward transforms a row, and gives the bits of a
-        # history that never carried
+        # history that never started a step from its carry
         grid, ag, m, h, _ = TestTailRow.histories()
         twin, plain = init_history("identity", grid, ag), init_history("identity", grid, ag)
         st = FlowState(grid, taylor_green(grid), 0.1)
         for _ in range(4):
             jet, psi = self.flow(st, ag.ds)
             for carried in (h, twin):
-                stretch_advect_step(carried, jet, st.jet, None, psi, st.psi_hat)
+                stretch_advect_step(carried, jet, st.jet, None, psi)
             stretch_advect_step(plain, jet.copy(), st.jet, None, psi)
         u, psi, rows = st.jet, st.psi_hat, h.live + 1
         counts = []
         for hist, u_old, psi_old in ((twin, u, psi), (h, 0.9 * u, 0.9 * psi), (plain, 0.9 * u, 0.9 * psi)):
             counted.reset()
-            stretch_advect_step(hist, u_old, u, None, psi_old, psi if hist is not plain else None)
+            stretch_advect_step(hist, u_old, u, None, psi_old)
             counts.append((counted.fwd, counted.inv))
         assert counts[0] == (4 * (rows - 1), 4 + 8 * (rows - 2))
         assert counts[1] == (counts[0][0] + 2 * (rows - 2), counts[0][1] + 4 * (rows - 2))
@@ -470,7 +477,7 @@ class TestCarry:
         for _ in range(k):
             jet, psi = self.flow(st, ag.ds, tau)
             reduction = StackReduction(h, m)
-            stretch_advect_step(h, jet, st.jet, reduction, psi, st.psi_hat)
+            stretch_advect_step(h, jet, st.jet, reduction, psi)
             tau = reduction.stress()
         write_checkpoint(tmp_path / "chk", step=k, t=k * ag.ds, y_value=0.0, y_integrand=0.0, u=st.psi_hat,
                          history=h.payload[:h.live], n_slices=n_s)
@@ -482,7 +489,7 @@ class TestCarry:
             for hist in (h, resumed):
                 counted.reset()
                 passes.append(StackReduction(hist, m))
-                stretch_advect_step(hist, jet, st.jet, passes[-1], psi, st.psi_hat)
+                stretch_advect_step(hist, jet, st.jet, passes[-1], psi)
                 counts.append(counted.total)
             full = 2 * (rows == n_s)
             assert counts[0] == 8 + 12 * (rows - 2) - full

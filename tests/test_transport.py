@@ -381,8 +381,7 @@ class TestIdentityRow:
                     for seed in (n, n + 1))
         eye_hat = np.empty((1, 2, *grid.band_shape), dtype=complex)
         set_identity(eye_hat[0], n)
-        first = transport._identity_rhs(grid, old.psi_hat, np.empty_like(eye_hat))
-        fast_hat, fast = transport._step_identity(grid, eye_hat, ChunkWorkspace(1, n), old.jet, new.jet, first, dt)
+        fast_hat, fast = transport._step_identity(grid, eye_hat, ChunkWorkspace(1, n), old.jet, new.jet, old.psi_hat, dt)
         full_hat, full = transport._step_chunk(grid, eye_hat, ChunkWorkspace(1, n), old.jet, new.jet, dt)
         assert is_identity(eye_hat[0], n)  # left intact
         assert np.abs(full - identity_stack(1, n)).max() > 1e-3
