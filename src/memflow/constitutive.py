@@ -129,6 +129,12 @@ def reptation_mode_kernel(relaxation_time: float = 1.0, max_mode: int = 31) -> M
 # ---------------------------------------------------------------------------
 
 
+def symmetric_tensor(tau: np.ndarray) -> np.ndarray:
+    """A stress, S(G) too, is symmetric and held as its three distinct components (tau_11, tau_12, tau_22),
+    (j, k) at index j + k before the two spatial axes; this is its 2 x 2 tensor, a new (..., 2, 2, ny, nx)."""
+    return tau[..., [0, 1, 1, 2], :, :].reshape(tau.shape[:-3] + (2, 2) + tau.shape[-2:])
+
+
 @dataclass(frozen=True)
 class StrainMeasure:
     """Separable strain measure S(G) = h(I1) G^T G + iso_offset * I.
@@ -155,19 +161,21 @@ class StrainMeasure:
         return float(self.h(i1)) * b + self.iso_offset * np.eye(2)
 
     def stress_stack(self, g, out=None) -> np.ndarray:
-        """Vectorized S(G) over arrays shaped (..., 2, 2, ny, nx).
+        """Vectorized S(G) over arrays shaped (..., 2, 2, ny, nx), as its three
+        distinct components (:func:`symmetric_tensor`), (..., 3, ny, nx).
 
-        The tensor axes sit at positions -4, -3 so the spatial axes stay
-        contiguous for FFT work elsewhere.  ``out``, of the shape of ``g``,
-        takes the result in place of a new array.
+        The spatial axes stay last and contiguous for FFT work elsewhere.
+        ``out``, of the result's shape, takes it in place of a new array.
         """
         g = np.asarray(g)
         i1 = np.einsum("...ijyx,...ijyx->...yx", g, g)
-        out = np.einsum("...liyx,...ljyx->...ijyx", g, g, out=out)
-        out *= self.h(i1)[..., None, None, :, :]
+        out = np.empty(g.shape[:-4] + (3,) + g.shape[-2:]) if out is None else out
+        for j, k in ((0, 0), (0, 1), (1, 1)):  # (G^T G)_jk = sum_l G_lj G_lk
+            np.einsum("...lyx,...lyx->...yx", g[..., j, :, :], g[..., k, :, :], out=out[..., j + k, :, :])
+        out *= self.h(i1)[..., None, :, :]
         if self.iso_offset != 0.0:
-            out[..., 0, 0, :, :] += self.iso_offset
-            out[..., 1, 1, :, :] += self.iso_offset
+            out[..., 0, :, :] += self.iso_offset
+            out[..., 2, :, :] += self.iso_offset
         return out
 
     def directional_derivative(self, g, hmat) -> np.ndarray:
@@ -286,7 +294,7 @@ def verify_h2(measure: StrainMeasure) -> H2Report:
     i1 = np.exp(rng.uniform(math.log(H2_GRID_LO), math.log(H2_GRID_HI), H2_SAMPLES))
     g = rng.standard_normal((H2_SAMPLES, 2, 2))
     g *= np.sqrt(i1 / np.sum(g * g, axis=(1, 2)))[:, None, None]
-    s_norm = np.linalg.norm(measure.stress_stack(g[..., None, None])[..., 0, 0], axis=(1, 2))
+    s_norm = np.linalg.norm(symmetric_tensor(measure.stress_stack(g[..., None, None]))[..., 0, 0], axis=(1, 2))
     d = measure.directional_derivative(g[:, None], np.eye(4).reshape(4, 2, 2))  # d[:, 2i + j] = S'(G):E_ij
     gsp = np.sqrt(i1) * np.sqrt(np.sum(d * d, axis=(1, 2, 3)))
     s_sup, gsp_sup = float(s_norm.max()), float(gsp.max())

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .agegrid import build_age_grid, quadrate
-from .config import SimulationConfig
-from .constitutive import model_catalog
+from .config import ConfigError, SimulationConfig
+from .constitutive import model_catalog, symmetric_tensor
 from .diagnostics import shear_startup_stress
 from .simulation import run
 from .spectral import SpectralGrid, taylor_green
@@ -170,7 +170,7 @@ def coupled_self_convergence(cfg: SimulationConfig, n_levels: int = 3) -> Conver
     gradient functional.
     """
     if n_levels < 2:
-        raise ValueError("need at least two refinement levels")
+        raise ConfigError(f"need at least two refinement levels, got {n_levels}")
     results = []
     report = ConvergenceReport(levels=[])
     for i in range(n_levels):
@@ -186,7 +186,7 @@ def coupled_self_convergence(cfg: SimulationConfig, n_levels: int = 3) -> Conver
     du, dtau = [], []
     for a, b in zip(results, results[1:]):
         du.append(math.sqrt(grid.l2_norm_sq(a.state.u - b.state.u)))
-        dtau.append(math.sqrt(grid.l2_norm_sq(a.tau - b.tau)))
+        dtau.append(math.sqrt(grid.l2_norm_sq(symmetric_tensor(a.tau - b.tau))))
     report.errors["u_gap"] = du
     report.errors["tau_gap"] = dtau
     hs = [cfg.dt / 2**i for i in range(n_levels - 1)]

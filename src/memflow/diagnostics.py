@@ -32,7 +32,7 @@ from .constitutive import MemoryKernel, StrainMeasure
 from .spectral import SpectralGrid
 from .stress import history_scan, stress_gradient_norm  # noqa: F401 (history_scan: traced by perfbench)
 from .stepper import FlowState, heun, kinetic_energy
-from .transport import DeformationHistory, norm_field
+from .transport import DeformationHistory
 
 @dataclass
 class DiagnosticsRecord:
@@ -82,7 +82,7 @@ def monitor(
     Flags never raise here; the simulation loop decides whether they are fatal.
     """
     grid = state.grid
-    stress_sup = float(np.max(norm_field(tau)))
+    stress_sup = float(np.max(np.sqrt(tau[0] ** 2 + tau[1] ** 2 + tau[1] ** 2 + tau[2] ** 2)))  # Frobenius
     yi, min_det, min_abs = scan
 
     du = state.jet[1:]
@@ -136,9 +136,10 @@ class OracleState:
     convention, fixed by the steady-shear viscometric functions.
 
     Like the velocity, the stress is held as a band spectrum, ``tau_hat``,
-    and its physical jet ``(tau, d1 tau, d2 tau)``: ``OracleState(grid, tau)``
-    projects a physical stress onto the band, and with ``tau_hat`` (and
-    ``tau`` None) the band spectrum is taken as it is (a restart).
+    and its physical jet ``(tau, d1 tau, d2 tau)``, of its three distinct
+    components: ``OracleState(grid, tau)`` projects a physical stress
+    onto the band, and with ``tau_hat`` (and ``tau`` None) the band spectrum
+    is taken as it is (a restart).
     """
 
     def __init__(self, grid: SpectralGrid, tau: np.ndarray | None, lam: float = 1.0, mu_p: float = 1.0,
@@ -146,7 +147,7 @@ class OracleState:
         if tau_hat is None:
             tau_hat = grid.band(tau)
         else:
-            grid.check_band(tau_hat, (2, 2), "oracle stress")
+            grid.check_band(tau_hat, (3,), "oracle stress")
         self.grid, self.lam, self.mu_p = grid, lam, mu_p
         self.tau_hat, self.jet = tau_hat, grid.jet(tau_hat)
 
@@ -158,25 +159,22 @@ class OracleState:
 def _ucm_rhs_hat(grid: SpectralGrid, jet: np.ndarray, u_jet: np.ndarray, lam: float, mu_p: float):
     """Band spectrum of the right-hand side from the jets of the stress and
     the velocity; a[l, k] = d_l u_k, and the convected terms are
-    L tau + tau L^T with L = a^T."""
+    L tau + tau L^T with L = a^T; tau_jk is ``tau[j + k]``."""
     tau, dtau, u, a = jet[0], jet[1:], u_jet[0], u_jet[1:]
     rhs = np.empty_like(tau)
-    for j in range(2):
-        for k in range(2):
-            conv = a[0, j] * tau[0, k] + a[1, j] * tau[1, k]  # (L tau)_{jk}
-            conv += tau[j, 0] * a[0, k] + tau[j, 1] * a[1, k]  # (tau L^T)_{jk}
-            rhs[j, k] = (
-                -(u[0] * dtau[0, j, k] + u[1] * dtau[1, j, k])
-                + conv
-                + (mu_p * (a[j, k] + a[k, j]) - tau[j, k]) / lam
-            )
+    for j, k in ((0, 0), (0, 1), (1, 1)):
+        conv = a[0, j] * tau[k] + a[1, j] * tau[1 + k]  # (L tau)_{jk}
+        conv += tau[j] * a[0, k] + tau[j + 1] * a[1, k]  # (tau L^T)_{jk}
+        advect = u[0] * dtau[0, j + k] + u[1] * dtau[1, j + k]
+        rhs[j + k] = -advect + conv + (mu_p * (a[j, k] + a[k, j]) - tau[j + k]) / lam
     return grid.band(rhs)
 
 
 def oldroyd_differential_step(oracle: OracleState, u_old: np.ndarray, u_new: np.ndarray, dt: float) -> OracleState:
     """Heun step (:func:`memflow.stepper.heun`) with the velocity sampled at
     both time levels, like the history step: ``u_old`` and ``u_new`` are the
-    velocity jets (:attr:`memflow.stepper.FlowState.jet`)."""
+    velocity jets (:attr:`memflow.stepper.FlowState.jet`): 3 + 9 band
+    transforms a stage."""
     grid = oracle.grid
     rhs = lambda jet, k: _ucm_rhs_hat(grid, jet, (u_old, u_new)[k], oracle.lam, oracle.mu_p)
     oracle.tau_hat, oracle.jet = heun(oracle.jet, oracle.tau_hat, rhs, grid.jet, dt)
@@ -231,12 +229,11 @@ def steady_shear_stress(measure: StrainMeasure, kernel: MemoryKernel, gamma_dot:
     against.
     """
     out = np.empty((2, 2))
-    for j in range(2):
-        for k in range(2):
-            out[j, k] = _quad_to_inf(
-                lambda s, j=j, k=k: kernel.density(s) * measure.stress(_shear_tensor(gamma_dot, s))[j, k],
-                singular_origin=kernel.singular,
-            )
+    for j, k in ((0, 0), (0, 1), (1, 1)):  # S(G) is symmetric
+        out[j, k] = out[k, j] = _quad_to_inf(
+            lambda s, j=j, k=k: kernel.density(s) * measure.stress(_shear_tensor(gamma_dot, s))[j, k],
+            singular_origin=kernel.singular,
+        )
     return out
 
 
@@ -252,12 +249,11 @@ def shear_startup_stress(
     out = np.empty((2, 2))
     frozen = measure.stress(_shear_tensor(gamma_dot, t))
     tail_mass = kernel.interval_mass(t, math.inf)
-    for j in range(2):
-        for k in range(2):
-            def f(s, j=j, k=k):
-                return kernel.density(s) * measure.stress(_shear_tensor(gamma_dot, s))[j, k]
-            val, _ = _quad("startup", f, 1e-12 if kernel.singular else 0.0, t, 1e-12)
-            out[j, k] = val + tail_mass * frozen[j, k]
+    for j, k in ((0, 0), (0, 1), (1, 1)):  # S(G) is symmetric
+        def f(s, j=j, k=k):
+            return kernel.density(s) * measure.stress(_shear_tensor(gamma_dot, s))[j, k]
+        val, _ = _quad("startup", f, 1e-12 if kernel.singular else 0.0, t, 1e-12)
+        out[j, k] = out[k, j] = val + tail_mass * frozen[j, k]
     return out
 
 

@@ -28,6 +28,8 @@ A checkpoint holds the band spectra of the velocity's stream function, the
 history (its live rows' potentials, in age order) and the oracle stress,
 which a restart takes as they are: the history stores age j at row j, so
 its live rows on disk are the leading rows of its stack, byte for byte.
+The stress files (``tau.fld``, ``oracle_tau.fld``) hold the 2 x 2 tensor,
+of which a restart takes the oracle stress's three distinct components.
 The history's carry, each row's next first stage, is not saved: a
 restart's first step forms those stages from the rows, with the same bits.
 Each checkpoint step is a record step, so its y integral belongs to its
@@ -43,7 +45,7 @@ import numpy as np
 
 from .agegrid import build_age_grid
 from .config import ConfigError, SimulationConfig
-from .constitutive import model_catalog, model_parameters
+from .constitutive import model_catalog, model_parameters, symmetric_tensor
 from .diagnostics import (
     CSV_COLUMNS,
     DiagnosticsRecord,
@@ -70,7 +72,7 @@ class RunResult:
     state: FlowState | None = None
     history: DeformationHistory | None = None
     oracle: OracleState | None = None
-    tau: np.ndarray | None = None
+    tau: np.ndarray | None = None  # (tau_11, tau_12, tau_22)
     measure: object = None
     oracle_gap: float | None = field(default=None)
     substeps: int = 0  # flow substeps this run took, summed over its base steps
@@ -96,21 +98,16 @@ def initial_velocity(cfg: SimulationConfig, grid: SpectralGrid) -> np.ndarray:
     raise ConfigError(f"unknown velocity kind {kind!r}")
 
 
-def _relative_l2_gap(grid: SpectralGrid, a: np.ndarray, b: np.ndarray) -> float:
-    num = np.sqrt(grid.l2_norm_sq(a - b))
-    den = np.sqrt(grid.l2_norm_sq(b))
-    return float(num / max(den, 1e-300))
-
-
 def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
     """Execute the configured simulation; never raises for solver failures.
 
     Raises :class:`ConfigError` for a config it cannot run: an initial
     history or velocity snapshot that is missing, unreadable, of the wrong
     shape or below the ``mu_min`` det floor, an unknown history spec, a
-    restart checkpoint that is unreadable, does not fit the config or lies
-    past ``t_final``, or a ``diagnostics.csv`` to continue that lacks a row
-    of this config up to the checkpoint's step; and
+    restart checkpoint that is unreadable, does not fit the config (another
+    dt, an asymmetric oracle stress) or lies past ``t_final``, or a
+    ``diagnostics.csv`` to continue that lacks a row of this config up to
+    the checkpoint's step; and
     :class:`~memflow.agegrid.HistoryTooLongError` when the age grid exceeds the memory cap.
     """
     if cfg.oracle and cfg.model_name != "oldroyd-b":
@@ -131,7 +128,7 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
             state = FlowState(grid, initial_velocity(cfg, grid), cfg.viscosity)
             oracle = None
             if cfg.oracle:
-                oracle = OracleState(grid, np.zeros((2, 2, grid.n, grid.n)), params["lam"], params["mu_p"])
+                oracle = OracleState(grid, np.zeros((3, grid.n, grid.n)), params["lam"], params["mu_p"])
             spec = cfg.initial_history
             if spec.startswith("snapshot:"):
                 spec = read_field(spec.split(":", 1)[1])
@@ -139,15 +136,21 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
         else:  # the checkpoint's fields are the state: no initial velocity or history is built
             chk = read_checkpoint(restart_from)
             step0, y_value, yi_prev = chk["step"], chk["y_value"], chk["y_integrand"]
+            if chk["t"] != step0 * cfg.dt:  # a run pins t to step * dt before it writes a checkpoint
+                raise ValueError(f"its time {chk['t']!r} is not its step {step0} times dt = {cfg.dt!r}")
             if step0 > cfg.n_steps:
                 raise ValueError(f"its step {step0} is past the last step, {cfg.n_steps}, of t_final = {cfg.t_final:g}")
             state = FlowState(grid, None, cfg.viscosity, t=chk["t"], psi_hat=chk["u"])
             history = DeformationHistory(chk["history"], age_grid, grid, generation=step0, live=chk["live"])
             oracle = None
             if cfg.oracle:
-                if chk["oracle_tau"] is None:
+                tau_hat = chk["oracle_tau"]
+                if tau_hat is None:
                     raise ValueError("it holds no oracle stress to resume the oracle from")
-                oracle = OracleState(grid, None, params["lam"], params["mu_p"], tau_hat=chk["oracle_tau"])
+                grid.check_band(tau_hat, (2, 2), "its oracle stress")
+                if tau_hat[0, 1].tobytes() != tau_hat[1, 0].tobytes():
+                    raise ValueError("its oracle stress is not symmetric: tau_21 is not tau_12 bit for bit")
+                oracle = OracleState(grid, None, params["lam"], params["mu_p"], tau_hat=tau_hat[[0, 0, 1], [0, 1, 1]])
     except (OSError, KeyError, TypeError, ValueError) as exc:  # unreadable, or not of this config
         start = "build the initial state" if restart_from is None else f"restart from {restart_from}"
         raise ConfigError(f"cannot {start}: {exc}") from exc
@@ -183,8 +186,9 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
 
     def finish(code: int, message: str, tau) -> RunResult:
         gap = None
-        if oracle is not None and tau is not None:
-            gap = _relative_l2_gap(grid, tau, oracle.tau)
+        if oracle is not None and tau is not None:  # the relative L2 gap of the 2 x 2 tensors
+            num, den = (np.sqrt(grid.l2_norm_sq(symmetric_tensor(f))) for f in (tau - oracle.tau, oracle.tau))
+            gap = float(num / max(den, 1e-300))
         return RunResult(exit_code=code, records=records, message=message, state=state, history=history,
                          oracle=oracle, tau=tau, measure=measure, oracle_gap=gap, substeps=substeps)
 
@@ -193,7 +197,7 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
             csv_fh.flush()  # a restart from this checkpoint finds every row up to it
         write_checkpoint(out_dir / "checkpoint", step=step, t=state.t, y_value=y_value, y_integrand=yi_prev,
                          u=state.psi_hat, history=history.payload[:history.live], n_slices=history.n_slices,
-                         oracle_tau=None if oracle is None else oracle.tau_hat)
+                         oracle_tau=None if oracle is None else symmetric_tensor(oracle.tau_hat))
 
     scan_args = (cfg.q, cfg.r, cfg.mu_min)
     try:
@@ -293,7 +297,7 @@ def _write_snapshots(out_dir: Path, step: int, state: FlowState, tau, history, c
     d = out_dir / f"snap_{step:06d}"
     d.mkdir(parents=True, exist_ok=True)
     write_field(d / "u.fld", state.u)
-    write_field(d / "tau.fld", tau)
+    write_field(d / "tau.fld", symmetric_tensor(tau))
     work = history.workspace.cut(1)  # free between steps
     for j in cfg.history_slices:  # physical fields, like every other snapshot
         write_field(d / f"g_{j:05d}.fld", row_fields(history.grid, history.slice(j)[None], work)[0])

@@ -1,8 +1,8 @@
 """Periodic 2D fields on [0, 2pi)^2 and their Fourier-space operators.
 
 Fields are plain float64 arrays with the two spatial axes last: scalars are
-``(n, n)``, vectors ``(2, n, n)``, 2-tensors ``(2, 2, n, n)``, and stacks of
-tensor fields prepend further axes.  Axis -2 carries the first coordinate,
+``(n, n)``, vectors ``(2, n, n)``, 2-tensors ``(2, 2, n, n)`` (a stress:
+``(3, n, n)``), and stacks of tensor fields prepend further axes.  Axis -2 carries the first coordinate,
 axis -1 the second.
 
 Every band-limited field (the velocity, the differential oracle's stress,

@@ -161,8 +161,8 @@ def _substep(state: FlowState, u: np.ndarray, stress_hat, forcing, h: float) -> 
 
 
 def _stress_hat(state: FlowState, tau: np.ndarray | None):
-    """psi's share of div tau for a symmetric stress, B (tau_22 - tau_11) - A tau_12."""
-    return None if tau is None else _mix(state, np.stack((tau[1, 1] - tau[0, 0], -tau[0, 1])))
+    """psi's share of div tau, B (tau_22 - tau_11) - A tau_12."""
+    return None if tau is None else _mix(state, np.stack((tau[2] - tau[0], -tau[1])))
 
 
 def step_velocity(state: FlowState, tau: np.ndarray | None, dt: float, forcing=None) -> FlowState:

@@ -67,9 +67,8 @@ class StackReduction:
     chunk's workspace ``work``, which it may overwrite, and
     ``add_identity()`` the newborn, age 0, as the identity (both in age
     order), weighted by the kernel mass the history's live count gives
-    them (:meth:`DeformationHistory.mass`).  A ``measure`` adds the stress
-    (:meth:`stress`: every catalog measure's has tau_21 == tau_12 bit for
-    bit, so tau_11, tau_12 and tau_22 are summed); ``scan = (q, r, mu)``
+    them (:meth:`DeformationHistory.mass`).  A ``measure`` adds the stress,
+    its three distinct components (:meth:`stress`); ``scan = (q, r, mu)``
     adds the y integrand and the det G and |G| minima, with grad G from
     ``psi`` on the history's grid.  Sums are compensated (Kahan) in age
     order, so the result is deterministic regardless of chunking, the
@@ -83,14 +82,15 @@ class StackReduction:
         self.grid = grid = history.grid
         k1, k2 = grid.k1_band, grid.k2_band
         self.hessian = (k1 * k1, math.sqrt(2.0) * k1 * k2, k2 * k2)  # d1 d1, sqrt 2 d1 d2, d2 d2 but the sign
-        self.tau = KahanSum((2, grid.n, grid.n)), KahanSum((1, grid.n, grid.n))  # (tau_11, tau_12), tau_22
+        self.tau = KahanSum((3, grid.n, grid.n))
         self.y = KahanSum()
         self.min_det = self.min_abs = math.inf
 
     def add_chunk(self, age: int, g: np.ndarray, psi: np.ndarray, work: ChunkWorkspace):
         mass = self.history.mass(age, len(g))
-        if self.measure is not None:
-            self._add_stress(mass, self.measure.stress_stack(g, out=work.prod))
+        if self.measure is not None:  # the chunk's stress in work.prod, 3 of a row's 4 fields
+            stress = work.prod.reshape(len(g), 4, *g.shape[-2:])[:, :3]
+            self.tau.add(mass, self.measure.stress_stack(g, out=stress))
         if self.scan is not None:
             self.y.add(mass, self._scan_chunk(g, psi, work))
 
@@ -99,25 +99,19 @@ class StackReduction:
         stress S(I), a y integrand of exactly 0 (grad I = 0), det G = 1 and
         |G| = sqrt(2), with no transform.  The terms are those
         :meth:`add_chunk` adds for the identity's fields: S(I) is a constant
-        field, so it is formed at one point, shape ``(1, 2, 2, 1, 1)``, which
+        field, so it is formed at one point, shape ``(1, 3, 1, 1)``, which
         the compensated sum broadcasts."""
         mass = self.history.mass(0, 1)
         if self.measure is not None:
-            self._add_stress(mass, self.measure.stress_stack(identity_stack(1, 1)))
+            self.tau.add(mass, self.measure.stress_stack(identity_stack(1, 1)))
         if self.scan is not None:
             self.y.add(mass, [0.0])
             self.min_det = min(self.min_det, 1.0)
             self.min_abs = min(self.min_abs, math.sqrt(2.0))
 
-    def _add_stress(self, mass: np.ndarray, stress: np.ndarray):
-        flat = stress.reshape(len(stress), 4, *stress.shape[-2:])  # tau_11, tau_12, tau_21, tau_22
-        self.tau[0].add(mass, flat[:, :2])
-        self.tau[1].add(mass, flat[:, 3:])
-
     def stress(self) -> np.ndarray:
-        """The stress summed so far, ``(2, 2, n, n)``, with tau_21 a copy of tau_12."""
-        (tau_11, tau_12), (tau_22,) = self.tau[0].total, self.tau[1].total
-        return np.stack((tau_11, tau_12, tau_12, tau_22)).reshape(2, 2, *tau_11.shape)
+        """The stress summed so far, ``(3, n, n)``: the sum's own buffer."""
+        return self.tau.total
 
     def _scan_chunk(self, g: np.ndarray, psi: np.ndarray, work: ChunkWorkspace) -> list[float]:
         """Per slice || |grad G| / |G| ||_{L^q}^r; updates the minima.  Of a row mean_j + (-d2 psi_j,
@@ -160,7 +154,7 @@ class StackReduction:
 def assemble_stress(history: DeformationHistory, measure) -> np.ndarray:
     """Age-integrate the strain measure over the history stack.
 
-    Returns the 2-tensor stress field, shape ``(2, 2, n, n)``.  Summation is
+    Returns the stress field, shape ``(3, n, n)``.  Summation is
     compensated (Kahan) over the age axis in a fixed order, so the result is
     deterministic regardless of chunking or FFT worker counts.
     """
@@ -184,20 +178,15 @@ def stress_gradient_norm(tau: np.ndarray, grid: SpectralGrid, q: float) -> float
 
     The components are forward-transformed once; then one derivative
     direction at a time is inverted and its squares added into one field,
-    in the order of ``einsum("djkyx,djkyx->yx")`` over :meth:`SpectralGrid.gradient`
-    (direction, then j, then k), whose bits it gives.  A symmetric ``tau``
-    (every catalog measure's is, bit for bit) has three distinct components;
-    only they are transformed, and tau[0, 1]'s derivative stands in for
-    tau[1, 0]'s: 3 forward and 6 inverse transforms, not 4 and 8."""
-    flat = tau.reshape(4, *tau.shape[2:])
-    if np.array_equal(tau[0, 1], tau[1, 0]):
-        f_hat, order = grid.fwd(flat[[0, 1, 3]]), (0, 1, 1, 2)  # of tau_00, tau_01, tau_11
-    else:
-        f_hat, order = grid.fwd(flat), range(4)
-    mag_sq = np.zeros(tau.shape[2:])
+    in the order of ``einsum("djkyx,djkyx->yx")`` over the gradient of the
+    2 x 2 tensor (direction, then j, then k), whose bits it gives, with
+    tau_12's derivative standing in for tau_21's: 3 forward and 6 inverse
+    transforms."""
+    f_hat = grid.fwd(tau)
+    mag_sq = np.zeros(tau.shape[1:])
     for d in (grid.d1, grid.d2):
         dtau = grid.inv(d * f_hat)
         dtau *= dtau
-        for c in order:
+        for c in (0, 1, 1, 2):
             mag_sq += dtau[c]
     return grid.lq_norm(np.sqrt(mag_sq, out=mag_sq), q)

@@ -1,5 +1,6 @@
-"""Smoke test of ``tools/bitgate.py`` on three cases at n = 16: two from rest, one of them through the
-fill-up and the wrap of its history, and one from an explicit history."""
+"""Smoke test of ``tools/bitgate.py`` on four cases at n = 16: three Oldroyd-B cases, two from rest, one of
+them through the fill-up and the wrap of its history, and one from an explicit history; and the bounded
+psm-raw measure from rest."""
 
 import importlib.util
 import json
@@ -20,7 +21,7 @@ def bitgate(*args):
 def manifest(tmp_path_factory):
     out = tmp_path_factory.mktemp("bitgate")
     proc = bitgate("run", out, "--n", "16", "--case", "oldroyd-oracle", "--case", "oldroyd-oracle-n32-explicit",
-                   "--case", "oldroyd-oracle-n32")
+                   "--case", "oldroyd-oracle-n32", "--case", "taylor-green-psm")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     return out
 
@@ -53,6 +54,14 @@ def test_history_through_fill_up_and_wrap_is_byte_identical(manifest):
     reference = alike_runs(manifest, "oldroyd-oracle-n32")
     assert {"diagnostics.csv", "checkpoint/history.fld", "snap_000120/g_00005.fld"} <= reference["files"].keys()
     assert len(reference["columns"]["t"]) == 121  # the initial record and 120 steps
+
+
+def test_bounded_measure_is_byte_identical(manifest):
+    # psm-raw's stress has no isotropic offset, Oldroyd-B's has one; both are written as their 2 x 2 tensor
+    reference = alike_runs(manifest, "taylor-green-psm")
+    assert {"diagnostics.csv", "checkpoint/history.fld", "snap_000024/tau.fld", "snap_000024/g_00005.fld"} \
+        <= reference["files"].keys()
+    assert len(reference["columns"]["t"]) == 26  # the initial record and 25 steps
 
 
 def test_manifest_holds_each_runs_peak_rss(manifest):

@@ -206,6 +206,10 @@ class TestConvergeCommand:
         assert out_csv.exists()
         assert "order[" in capsys.readouterr().out
 
+    def test_fewer_than_two_levels_exit_one(self, tmp_path, capsys):
+        assert main(["converge", write_cfg(tmp_path), "--levels", "1"]) == 1
+        assert capsys.readouterr().err == "config error: need at least two refinement levels, got 1\n"
+
     def test_failed_level_exit_code(self, tmp_path, capsys):
         p = tmp_path / "fatal.ini"
         p.write_text(CONFIG.format(model="oldroyd-b", outdir="").replace("n = 32", "n = 16")

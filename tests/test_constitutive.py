@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from memflow.constitutive import (
+    CATALOG,
     INI_MODELS,
     MemoryKernel,
     SingularOriginError,
@@ -12,6 +13,7 @@ from memflow.constitutive import (
     model_catalog,
     reptation_mode_kernel,
     single_exponential_kernel,
+    symmetric_tensor,
     verify_h1,
     verify_h2,
 )
@@ -132,7 +134,7 @@ class TestStrainMeasures:
         _, m = model_catalog("psm-raw")
         rng = np.random.default_rng(8)
         stack = rng.standard_normal((5, 2, 2, 3, 3))
-        out = m.stress_stack(stack)
+        out = symmetric_tensor(m.stress_stack(stack))
         for s in range(5):
             for y in range(3):
                 for x in range(3):
@@ -143,9 +145,28 @@ class TestStrainMeasures:
         stack = rng.standard_normal((4, 2, 2, 3, 3))
         for name in ("psm-raw", "oldroyd-b"):
             _, m = model_catalog(name)
-            buf = np.empty_like(stack)
+            buf = np.empty((4, 3, 3, 3))
             assert m.stress_stack(stack, out=buf) is buf
             np.testing.assert_array_equal(buf, m.stress_stack(stack))
+
+    @pytest.mark.parametrize("name", list(CATALOG))
+    def test_stress_stack_is_the_bits_of_the_tensor_einsum(self, name):
+        # the three components S11, S12 and S22 have the bits of one einsum over the 2 x 2 tensor
+        params = {"h": lambda x: 1.0 / (1.0 + x), "hp": lambda x: -1.0 / (1.0 + x) ** 2} if name == "kbkz-custom" else {}
+        _, m = model_catalog(name, **params)
+        rng = np.random.default_rng(10)
+        for shape in ((48, 2, 2, 32, 32), (3, 2, 2, 1, 1), (2, 2, 16, 16)):
+            g = 3.0 * rng.standard_normal(shape)
+            tensor = np.einsum("...liyx,...ljyx->...ijyx", g, g)
+            tensor *= m.h(np.einsum("...ijyx,...ijyx->...yx", g, g))[..., None, None, :, :]
+            if m.iso_offset != 0.0:
+                tensor[..., 0, 0, :, :] += m.iso_offset
+                tensor[..., 1, 1, :, :] += m.iso_offset
+            out = m.stress_stack(g)
+            assert out.shape == shape[:-4] + (3,) + shape[-2:]
+            for c, (j, k) in enumerate(((0, 0), (0, 1), (1, 1))):
+                assert out[..., c, :, :].tobytes() == tensor[..., j, k, :, :].tobytes(), (shape, j, k)
+            assert symmetric_tensor(out).tobytes() == tensor.tobytes()  # tau_21 is tau_12 bit for bit
 
 
 class TestAssumptionChecks:

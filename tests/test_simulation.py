@@ -450,6 +450,38 @@ class TestArtifacts:
         with pytest.raises(ConfigError, match="no oracle stress"):
             run(small_cfg(model_name="oldroyd-b", oracle=True), restart_from=tmp_path / "A" / "checkpoint")
 
+    def test_restart_under_another_dt_refused(self, tmp_path):
+        # both age grids have N_s = 94 rows, so the history fits; its rows are of another age spacing and
+        # its step of another time.  The resumed runs write elsewhere, with no diagnostics.csv to continue
+        chk = tmp_path / "A" / "checkpoint"
+        cfg = lambda dt, eps_tail, t_final, out: small_cfg(n=16, dt=dt, eps_tail=eps_tail, t_final=t_final,
+                                                           output_dir=str(tmp_path / out))
+        assert run(cfg(0.05, 1e-2, 0.5, "A")).exit_code == EXIT_OK  # its checkpoint is at step 10, t = 0.5
+        assert read_checkpoint(chk)["step"] == 10
+        with pytest.raises(ConfigError, match=r"cannot restart from .*: its time 0.5 is not its step 10 times dt = 0.1$"):
+            run(cfg(0.1, 1e-4, 2.0, "B"), restart_from=chk)
+        assert not (tmp_path / "B").exists()
+        res = run(cfg(0.05, 1e-2, 1.0, "C"), restart_from=chk)
+        assert res.exit_code == EXIT_OK and [rec.t for rec in res.records][:2] == [0.5, 0.55]
+
+    def test_oracle_restart_refuses_asymmetric_oracle_stress(self, tmp_path):
+        # oracle_tau.fld holds the 2 x 2 tensor; a restart takes its three distinct components, so a file
+        # whose tau_21 is not tau_12 bit for bit, here by the last bit of one word, is refused
+        out = tmp_path / "A"
+        cfg = lambda t_final: small_cfg(n=16, model_name="oldroyd-b", oracle=True, t_final=t_final,
+                                        output_dir=str(out))
+        assert run(cfg(0.25)).exit_code == EXIT_OK
+        path = out / "checkpoint" / "oracle_tau.fld"
+        tau_hat = read_field(path)
+        assert tau_hat.shape == (2, 2, 11, 6) and tau_hat[0, 1].tobytes() == tau_hat[1, 0].tobytes()
+        tau_hat[1, 0].view(np.uint64)[1, 2] ^= 1
+        write_field(path, tau_hat)
+        with pytest.raises(ConfigError, match="cannot restart from .*: its oracle stress is not symmetric"):
+            run(cfg(0.5), restart_from=out / "checkpoint")
+        tau_hat[1, 0] = tau_hat[0, 1]
+        write_field(path, tau_hat)
+        assert run(cfg(0.5), restart_from=out / "checkpoint").exit_code == EXIT_OK
+
 
 class TestTailRow:
     """A run from rest keeps its pre-start past as one tail row; the same run

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from memflow.constitutive import symmetric_tensor
 from memflow.diagnostics import OracleState, oldroyd_differential_step
 from memflow.spectral import SpectralGrid, random_band_limited_velocity, taylor_green
 from memflow.stepper import (
@@ -42,8 +43,8 @@ class TestTaylorGreen:
 
 class TestForcingAndStress:
     def test_constant_isotropic_stress_keeps_rest(self, grid):
-        tau = np.zeros((2, 2, grid.n, grid.n))
-        tau[0, 0] = tau[1, 1] = 2.5
+        tau = np.zeros((3, grid.n, grid.n))
+        tau[0] = tau[2] = 2.5
         state = FlowState(grid, np.zeros((2, grid.n, grid.n)), 1.0)
         for _ in range(5):
             step_velocity(state, tau, 1e-2)
@@ -107,7 +108,7 @@ class TestEnergyAndSubstepping:
 
     def test_nan_abort(self, grid):
         state = FlowState(grid, taylor_green(grid), 0.05)
-        bad = np.full((2, 2, grid.n, grid.n), np.nan)
+        bad = np.full((3, grid.n, grid.n), np.nan)
         with pytest.raises((FlowNaNError, FloatingPointError)):
             step_velocity(state, bad, 1e-2)
 
@@ -145,14 +146,13 @@ class TestConservativeAdvection:
     def test_matches_convective_reference(self, n, forced):
         grid = SpectralGrid(n)
         u0 = random_band_limited_velocity(grid, 7, 5)
-        tau = np.stack((np.stack((np.sin(grid.x1 + grid.x2), np.cos(grid.x2) * np.ones((n, n)))),
-                        np.stack((np.cos(grid.x2) * np.ones((n, n)), np.sin(2 * grid.x1) * np.cos(grid.x2)))))
+        tau = np.stack((np.sin(grid.x1 + grid.x2), np.cos(grid.x2) * np.ones((n, n)), np.sin(2 * grid.x1) * np.cos(grid.x2)))
         manufactured = lambda t, g: math.cos(3 * t) * np.stack((np.sin(g.x2) * np.cos(g.x1), np.sin(g.x1 - g.x2)))
         forcing = manufactured if forced else None
         state = FlowState(grid, u0, 0.05)
         ref_hat = leray_hat(grid, grid.band(u0))  # the reference holds the velocity's two components
         ref_jet, ref_t = grid.jet(ref_hat), 0.0
-        div_tau_hat = grid.divergence_hat(grid.band(tau))
+        div_tau_hat = grid.divergence_hat(grid.band(symmetric_tensor(tau)))
         for step in range(6):
             step_velocity(state, tau, 0.02, forcing=forcing)
             rhs = lambda jet, k: convective_rhs_hat(grid, jet, div_tau_hat, forcing, ref_t + 0.02 * k)
@@ -171,8 +171,7 @@ class TestConservativeAdvection:
     def test_jet_is_trace_free(self, grid):
         # d2 u2 is -d1 u1 bit for bit: div u = 0 holds exactly in the gradient the history and the oracle read
         state = FlowState(grid, random_band_limited_velocity(grid, 4, 8), 0.05)
-        tau = np.stack((np.stack((np.sin(grid.x1 + grid.x2), np.cos(grid.x2) * np.ones((64, 64)))),
-                        np.stack((np.cos(grid.x2) * np.ones((64, 64)), np.sin(2 * grid.x1) * np.cos(grid.x2)))))
+        tau = np.stack((np.sin(grid.x1 + grid.x2), np.cos(grid.x2) * np.ones((64, 64)), np.sin(2 * grid.x1) * np.cos(grid.x2)))
         for jet in (state.jet, step_velocity(state, tau, 1e-2).jet):
             assert jet[1, 0].tobytes() == np.negative(jet[2, 1]).tobytes()
         np.testing.assert_allclose(state.jet, grid.jet(grid.curl_hat(state.psi_hat)), rtol=0, atol=1e-13)
@@ -183,8 +182,8 @@ class TestConservativeAdvection:
         state = FlowState(grid, u0, 0.05)
         mean = state.psi_hat[0, 0]
         assert mean == pytest.approx(64**2 * complex(0.3, -0.7), rel=1e-14)
-        tau = np.zeros((2, 2, 64, 64))
-        tau[0, 1] = tau[1, 0] = np.sin(grid.x1 - 2 * grid.x2)
+        tau = np.zeros((3, 64, 64))
+        tau[1] = np.sin(grid.x1 - 2 * grid.x2)
         for _ in range(20):
             step_velocity(state, tau, 1e-2)
         assert state.psi_hat[0, 0].tobytes() == mean.tobytes()
@@ -253,7 +252,7 @@ class TestTransformCounts:
     def test_flow_substep(self, counted):
         grid = SpectralGrid(32)
         state = FlowState(grid, taylor_green(grid), 0.1)
-        tau = np.ones((2, 2, 32, 32))
+        tau = np.ones((3, 32, 32))
         counted.reset()
         step_velocity(state, tau, 1e-2)
         # forward: the stress 2 (once per base step) and the 2 velocity products per stage; inverse: the
@@ -263,7 +262,7 @@ class TestTransformCounts:
     def test_advance_flow(self, counted):
         grid = SpectralGrid(32)
         state = FlowState(grid, taylor_green(grid), 0.1)
-        tau = np.ones((2, 2, 32, 32))
+        tau = np.ones((3, 32, 32))
         counted.reset()
         s = advance_flow(state, tau, 0.5, 0.5)
         assert s >= 3  # CFL at unit speed forces substepping
@@ -273,8 +272,8 @@ class TestTransformCounts:
     def test_oracle_step(self, counted):
         grid = SpectralGrid(32)
         u = FlowState(grid, taylor_green(grid), 0.1).jet
-        oracle = OracleState(grid, np.zeros((2, 2, 32, 32)))
+        oracle = OracleState(grid, np.zeros((3, 32, 32)))
         counted.reset()
         oldroyd_differential_step(oracle, u, 0.9 * u, 1e-2)
-        # forward: the right-hand side 4 per stage; inverse: the 12-field jet of the stress per stage
-        assert (counted.fwd, counted.inv) == (2 * 4, 2 * 12)
+        # forward: the right-hand side's 3 distinct components per stage; inverse: their 9-field jet per stage
+        assert (counted.fwd, counted.inv) == (2 * 3, 2 * 9)

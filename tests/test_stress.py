@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from memflow.agegrid import KahanSum, build_age_grid
-from memflow.constitutive import INI_MODELS, StrainMeasure, model_catalog, single_exponential_kernel
+from memflow.agegrid import build_age_grid
+from memflow.constitutive import INI_MODELS, StrainMeasure, model_catalog, single_exponential_kernel, symmetric_tensor
 from memflow.snapshots import read_checkpoint, write_checkpoint
 from memflow.spectral import SpectralGrid, taylor_green
 from memflow.stepper import FlowState, advance_flow
@@ -56,9 +56,10 @@ class TestAssembly:
         h = init_history("identity", grid, age_grid)
         tau = assemble_stress(h, m)
         expect = 1.0 - age_grid.tail_error
-        assert abs(tau[0, 0].max() - expect) <= age_grid.quad_tol
-        assert abs(tau[1, 1].min() - expect) <= age_grid.quad_tol
-        assert np.abs(tau[0, 1]).max() == 0.0
+        assert tau.shape == (3, N, N)
+        assert abs(tau[0].max() - expect) <= age_grid.quad_tol
+        assert abs(tau[2].min() - expect) <= age_grid.quad_tol
+        assert np.abs(tau[1]).max() == 0.0
 
     def test_identity_history_oldroyd_zero(self, grid, age_grid):
         _, m = model_catalog("oldroyd-b")
@@ -68,7 +69,7 @@ class TestAssembly:
     def test_homogeneous_shear_gamma_integrals(self, grid, age_grid):
         # exp-kernel moments: integral of s exp(-s) is 1, of s^2 exp(-s) is 2
         _, m = model_catalog("oldroyd-b")
-        tau = assemble_stress(shear_history(grid, age_grid, 1.0), m)
+        tau = symmetric_tensor(assemble_stress(shear_history(grid, age_grid, 1.0), m))
         assert abs(tau[0, 0, 0, 0] - 2.0) < 1e-5
         assert abs(tau[0, 1, 0, 0] - 1.0) < 1e-5
         assert abs(tau[1, 0, 0, 0] - 1.0) < 1e-5
@@ -79,7 +80,7 @@ class TestAssembly:
         _, m = model_catalog("psm-raw")
         tau = assemble_stress(shear_history(grid, age_grid, 1.0), m)
         ref, _ = integrate.quad(lambda s: math.exp(-s) * s / (3.0 + s * s), 0, np.inf, epsabs=1e-13)
-        assert abs(tau[0, 1, 0, 0] - ref) < 1e-5
+        assert abs(tau[1, 0, 0] - ref) < 1e-5
 
     def test_linearity_in_measure(self, grid):
         ag = build_age_grid(single_exponential_kernel(), 0.05, 1e-5)
@@ -102,7 +103,7 @@ class TestAssembly:
         tau = assemble_stress(h, m)
         from memflow.transport import norm_field
 
-        assert norm_field(tau).max() <= m.s_inf * (1.0 - age_grid.tail_error) + age_grid.quad_tol
+        assert norm_field(symmetric_tensor(tau)).max() <= m.s_inf * (1.0 - age_grid.tail_error) + age_grid.quad_tol
 
 
 class TestYIntegrand:
@@ -148,12 +149,12 @@ class TestYIntegrand:
 
 class TestStressGradient:
     def test_constant_field_zero(self, grid):
-        tau = np.ones((2, 2, N, N))
+        tau = np.ones((3, N, N))
         assert stress_gradient_norm(tau, grid, 8) == 0.0
 
     def test_single_mode_l2(self, grid):
-        tau = np.zeros((2, 2, N, N))
-        tau[0, 0] = np.sin(grid.x1) * np.ones((N, N))
+        tau = np.zeros((3, N, N))
+        tau[0] = np.sin(grid.x1) * np.ones((N, N))
         got = stress_gradient_norm(tau, grid, 2)
         assert math.isclose(got, math.sqrt(2.0 * math.pi**2), rel_tol=1e-12)
 
@@ -228,22 +229,6 @@ class TestFusedPass:
         fused = StackReduction(h, m)
         stretch_advect_step(h, u, 0.9 * u, fused)
         np.testing.assert_array_equal(fused.stress(), transformed_pass(h, m).stress())
-
-    @pytest.mark.parametrize("name", ["psm-raw", "oldroyd-b"])
-    def test_three_component_sum_matches_four_component_sum(self, name):
-        # only tau_11, tau_12 and tau_22 are summed, and tau_21 is tau_12's sum: the bits of a compensated
-        # sum of all four components of the same fields in the same order, the newborn's at one point
-        grid = SpectralGrid(16)
-        ag = build_age_grid(single_exponential_kernel(), 0.05, 1e-2)
-        h = age_shift(perturbed_history(grid, ag, seed=7))  # the newborn is the identity
-        _, m = model_catalog(name)
-        reference = KahanSum((2, 2, 16, 16))
-        for age, psi, work in h.chunks():
-            g = identity_stack(1, 1) if age == 0 else row_fields(grid, psi, work)
-            reference.add(h.mass(age, len(g)), m.stress_stack(g))
-        tau = StackReduction(h, m).over_stack().stress()
-        assert tau.shape == (2, 2, 16, 16) and tau.tobytes() == reference.total.tobytes()
-        assert tau[1, 0].tobytes() == tau[0, 1].tobytes()
 
     def test_reduction_uses_only_the_buffers_it_is_handed(self):
         # with the history's workspace full of NaN, chunks reduced in spare buffers, one or two in
@@ -572,24 +557,22 @@ class TestFirstPass:
             assert not is_identity(bent, 16), index
 
 
-@pytest.mark.parametrize("name", [*INI_MODELS, "asymmetric"])
+@pytest.mark.parametrize("name", INI_MODELS)
 def test_stress_gradient_norm_of_symmetric_stress(counted, monkeypatch, name):
-    # the stress of every catalog measure is symmetric bit for bit: three components are transformed
-    # (3 forward and 6 inverse whole-spectrum transforms, not 4 and 8), one derivative direction at a time,
-    # and the pointwise norm has the bits of the einsum over all four; an asymmetric stress takes all four
+    # the stress is held as its three distinct components: they are transformed (3 forward and 6 inverse
+    # whole-spectrum transforms), one derivative direction at a time, and the pointwise norm has the bits of
+    # the einsum over the four components of the 2 x 2 tensor
     grid = SpectralGrid(32)
     ag = build_age_grid(single_exponential_kernel(), 0.05, 1e-2)
     h = perturbed_history(grid, ag, seed=9)
-    _, m = model_catalog(INI_MODELS[0] if name == "asymmetric" else name)
+    _, m = model_catalog(name)
     st = FlowState(grid, taylor_green(grid), 0.1)
     for _ in range(2):
         reduction = StackReduction(h, m)
         stretch_advect_step(h, st.jet, 0.9 * st.jet, reduction, u_old_psi=st.psi_hat)
     tau = reduction.stress()
-    assert tau[0, 1].tobytes() == tau[1, 0].tobytes() and np.abs(tau[0, 1]).max() > 1e-6
-    if name == "asymmetric":
-        tau[1, 0] *= 1.5
-    dtau = grid.gradient(tau)
+    assert tau.shape == (3, 32, 32) and np.abs(tau[1]).max() > 1e-6
+    dtau = grid.gradient(symmetric_tensor(tau))
     expected = np.sqrt(np.einsum("djkyx,djkyx->yx", dtau, dtau))
     norms, lq_norm = [], SpectralGrid.lq_norm
     monkeypatch.setattr(SpectralGrid, "lq_norm", lambda self, f, q: norms.append(f.tobytes()) or lq_norm(self, f, q))
@@ -597,4 +580,4 @@ def test_stress_gradient_norm_of_symmetric_stress(counted, monkeypatch, name):
         counted.reset()
         assert stress_gradient_norm(tau, grid, q) == lq_norm(grid, expected, q)
         assert norms.pop() == expected.tobytes()
-        assert (counted.fwd, counted.inv) == ((4, 8) if name == "asymmetric" else (3, 6))
+        assert (counted.fwd, counted.inv) == (3, 6)
