@@ -9,7 +9,9 @@ constant, so its growth is reported as a fitted slope, never asserted.
 The monitor reads the velocity gradient from the flow state's jet; it
 transforms only the divergence (one band inverse) and the stress, whose
 gradient (:func:`memflow.stress.stress_gradient_norm`) is the solver's one
-whole-spectrum transform.
+whole-spectrum transform: per derivative direction, an ``rfft`` and an
+``irfft`` along it of the 3 components, 12 real line passes in all, in the
+history's chunk workspace, which is free between steps.
 
 Two oracles are independent of the age-grid machinery: the differential
 upper-convected law stepped alongside the integral law on the same grid
@@ -90,7 +92,7 @@ def monitor(
     div_u = grid.field(grid.divergence_hat(grid.curl_hat(state.psi_hat)))
     divu_sup = float(np.max(np.abs(div_u))) / max(1.0, gradu_sup)
 
-    sgn = stress_gradient_norm(tau, grid, cfg.q)
+    sgn = stress_gradient_norm(tau, grid, cfg.q, history.workspace.cut(1))  # free between steps
 
     flags = []
     tail = history.age_grid.tail_error

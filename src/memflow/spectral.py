@@ -16,10 +16,14 @@ mode-wise multipliers, spectrally accurate.  A divergence-free field (the
 velocity, a history row) is held as its potential (:meth:`SpectralGrid.curl_hat`).
 
 The stress is not band-limited.  Its gradient (:meth:`SpectralGrid.gradient`)
-is the one transform of the whole Hermitian half spectrum (last axis
-``n//2 + 1``), by ``scipy.fft`` with a process-wide worker count;
-per-transform results do not depend on the worker count, which keeps every
-downstream reduction bit-deterministic.
+is the one transform of the whole spectrum, one axis at a time: an ``rfft``
+along the axis, the derivative on its n//2 + 1 modes and an ``irfft`` back,
+through ``numpy.fft`` into caller-supplied buffers.  So every transform
+the solver runs goes through ``numpy.fft`` on one thread.  The 2-D half
+spectrum (last axis ``n//2 + 1``) of :meth:`SpectralGrid.fwd` and
+:meth:`SpectralGrid.inv` without ``out``, which tests use as a reference,
+runs through ``scipy.fft`` with a process-wide worker count
+(:func:`set_workers`); its results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -87,14 +91,17 @@ class SpectralGrid:
         self.x2 = x[None, :]
         k1 = np.fft.fftfreq(n, d=1.0 / n)  # integer wavenumbers, full axis
         k2 = np.arange(n // 2 + 1, dtype=float)  # half axis
-        # first derivatives on the whole half spectrum, for gradient(): i k
-        # with the (ambiguous-sign) Nyquist mode zeroed
+        # first derivatives on the whole half spectrum: i k with the
+        # (ambiguous-sign) Nyquist mode zeroed.  d2 is spread over the half
+        # spectrum's shape, so gradient()'s product, which takes it along
+        # either axis, broadcasts over leading axes only: numpy runs that
+        # with no buffer
         d1 = 1j * k1
         d1[n // 2] = 0.0
         d2 = 1j * k2
         d2[-1] = 0.0
         self.d1 = d1[:, None]
-        self.d2 = d2[None, :]
+        self.d2 = np.ascontiguousarray(np.broadcast_to(d2, (n, n // 2 + 1)))
         # the band and its mode data; kc < n/2, so no Nyquist mode lies in it
         self.kc = kc = n // 3
         self.band_shape = band_shape(n)
@@ -209,22 +216,49 @@ class SpectralGrid:
 
     # -- whole half spectrum ----------------------------------------------------
 
-    def gradient(self, f: np.ndarray) -> np.ndarray:
-        """Stack (d1 f, d2 f) along a new leading axis.  The one whole-spectrum
-        path, for fields that are not band-limited (the stress)."""
-        f_hat = self.fwd(f)
-        return self.inv(np.stack((self.d1 * f_hat, self.d2 * f_hat)))
+    def gradient(self, f: np.ndarray, axis: int | None = None, out: np.ndarray | None = None,
+                 rows: np.ndarray | None = None) -> np.ndarray:
+        """The derivative of ``f`` along ``axis``: d1 f for -2, d2 f for -1;
+        without ``axis``, (d1 f, d2 f) stacked on a new leading axis.  The
+        whole-spectrum path, for fields that are not band-limited (the stress).
+
+        Per axis, one ``rfft`` along it, i k on its n//2 + 1 modes with the
+        Nyquist mode zeroed, and one ``irfft`` back: 2 real line passes per
+        field and axis.  Along axis -2 the field and ``out`` are taken
+        transposed, so the half spectrum is laid out alike for both axes and
+        :attr:`d2` serves both.  The result goes into ``out``; ``rows`` is
+        contiguous complex scratch of at least the half spectrum's size,
+        ``f``'s leading shape times n (n//2 + 1).  Both are allocated if not
+        given.
+        """
+        n = self.n
+        if axis is None:
+            out = np.empty((2,) + f.shape) if out is None else out
+            for i, a in enumerate((-2, -1)):
+                self.gradient(f, a, out[i], rows)
+            return out
+        out = np.empty(f.shape) if out is None else out
+        half = f.shape[:-2] + (n, n // 2 + 1)
+        if rows is not None:
+            rows = rows.reshape(-1, copy=False)[: math.prod(half)].reshape(half)
+        lines, derivative = (f, out) if axis == -1 else (f.swapaxes(-2, -1), out.swapaxes(-2, -1))
+        spec = np.fft.rfft(lines, axis=-1, out=rows)
+        spec *= self.d2
+        np.fft.irfft(spec, n=n, axis=-1, out=derivative)
+        return out
 
     # -- norms ----------------------------------------------------------------
 
-    def lq_norm(self, pointwise: np.ndarray, q: float):
+    def lq_norm(self, pointwise: np.ndarray, q: float, out=None):
         """Discrete L^q norm: grid average scaled by (2 pi)^(2/q).
 
         ``pointwise`` is the scalar magnitude field (already reduced over
         any component axes), or a stack of them: then a list, one norm per
-        field, with the same bits as one call per field.
+        field, with the same bits as one call per field.  ``out``, two
+        buffers of ``pointwise``'s shape, takes |pointwise|^q, which is then
+        allocated nowhere; the bits are the same.
         """
-        means = np.mean(_abs_pow(pointwise, q), axis=(-2, -1))
+        means = np.mean(_abs_pow(pointwise, q, out), axis=(-2, -1))
         if means.ndim == 0:
             return (TWO_PI**2 * float(means)) ** (1.0 / q)
         return [(TWO_PI**2 * m) ** (1.0 / q) for m in means.tolist()]
@@ -234,22 +268,31 @@ class SpectralGrid:
         return TWO_PI**2 * float(np.mean(f**2)) * float(np.prod(f.shape[:-2], dtype=float))
 
 
-def _abs_pow(x: np.ndarray, q) -> np.ndarray:
-    """|x|^q, via square-and-multiply for small integer q (hot path)."""
+def _abs_pow(x: np.ndarray, q, out=None) -> np.ndarray:
+    """|x|^q, via square-and-multiply for small integer q (hot path); with
+    ``out``, two buffers of x's shape, the powers of x go in the first and
+    their product in the second (or the first), with the same bits."""
+    base_out, acc_out = (None, None) if out is None else out
     qi = int(q)
     if qi != q or qi < 1 or qi > 64:
-        return np.abs(x) ** q
+        return np.power(np.abs(x, out=base_out), q, out=base_out)
     if qi % 2:
-        base, k = np.abs(x), qi
+        base, k = np.abs(x, out=base_out), qi
     else:
-        base, k = x * x, qi // 2
+        base, k = np.multiply(x, x, out=base_out), qi // 2
     acc = None
     while k:
         if k & 1:
-            acc = base if acc is None else acc * base
+            if acc is not None:
+                acc = np.multiply(acc, base, out=acc_out)
+            elif acc_out is None or k == 1:
+                acc = base
+            else:  # a copy: base is squared in place below
+                acc = acc_out
+                acc[...] = base
         k >>= 1
         if k:
-            base = base * base
+            base = np.multiply(base, base, out=base_out)
     return acc
 
 

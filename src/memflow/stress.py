@@ -48,7 +48,7 @@ import numpy as np
 from .agegrid import KahanSum
 from .constitutive import StrainMeasure
 from .spectral import SpectralGrid
-from .transport import ChunkWorkspace, DeformationHistory, det_field, identity_stack, is_identity, norm_field, row_fields
+from .transport import ChunkWorkspace, DeformationHistory, identity_stack, is_identity, row_fields
 
 
 class DegenerateDeformationError(FloatingPointError):
@@ -115,24 +115,34 @@ class StackReduction:
 
     def _scan_chunk(self, g: np.ndarray, psi: np.ndarray, work: ChunkWorkspace) -> list[float]:
         """Per slice || |grad G| / |G| ||_{L^q}^r; updates the minima.  Of a row mean_j + (-d2 psi_j,
-        d1 psi_j), |grad G_j|^2 = (d1 d1 psi_j)^2 + 2 (d1 d2 psi_j)^2 + (d2 d2 psi_j)^2."""
+        d1 psi_j), |grad G_j|^2 = (d1 d1 psi_j)^2 + 2 (d1 d2 psi_j)^2 + (d2 d2 psi_j)^2.  Every field
+        is formed in ``work.prod`` (the sum has already taken its stress), read as 4 contiguous blocks
+        of one field a row: 0 and 1 take the second derivatives, then serve as scratch, 2 takes
+        |grad G|^2 and then the ratio, 3 |G|."""
         q, r, mu = self.scan
-        grid, spec, dg, rows = self.grid, work.spec[:, 0], work.prod[:, 0], work.rows[:, 0]
-        grad_sq = 0.0
+        grid, spec, rows = self.grid, work.spec[:, 0], work.rows[:, 0]
+        fields = work.prod.reshape(4, len(g), *g.shape[-2:])
+        dg, s0, s1, grad_sq, g_mag = fields[:2], fields[0], fields[1], fields[2], fields[3]
+        grad_sq[...] = 0.0
         for d in self.hessian:
-            grid.inv(np.multiply(psi, d, out=spec), out=dg, rows=rows)
+            grid.inv(np.multiply(psi, d, out=spec), out=dg.swapaxes(0, 1), rows=rows)
             dg *= dg
-            grad_sq = grad_sq + dg.sum(axis=1)
-        g_mag = norm_field(g)
+            grad_sq += np.add(s0, s1, out=s0)
+        g11, g12, g21, g22 = g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1]
+        np.multiply(g11, g11, out=g_mag)
+        for c in (g12, g21, g22):
+            g_mag += np.multiply(c, c, out=s0)
+        np.sqrt(g_mag, out=g_mag)
         chunk_min = float(g_mag.min())
         self.min_abs = min(self.min_abs, chunk_min)
-        self.min_det = min(self.min_det, float(det_field(g).min()))
+        det = np.subtract(np.multiply(g11, g22, out=s0), np.multiply(g12, g21, out=s1), out=s0)
+        self.min_det = min(self.min_det, float(det.min()))
         floor = math.sqrt(2.0 * min(mu, 1.0)) / 2.0
         if chunk_min < floor:
             raise DegenerateDeformationError(f"deformation norm {chunk_min:.4g} fell below {floor:.4g}")
-        ratio = np.sqrt(grad_sq)
+        ratio = np.sqrt(grad_sq, out=grad_sq)
         ratio /= g_mag
-        return [norm**r for norm in grid.lq_norm(ratio, q)]
+        return [norm**r for norm in grid.lq_norm(ratio, q, out=(s0, s1))]
 
     def over_stack(self) -> "StackReduction":
         """Feed the stored live rows, unchanged, their fields transformed chunk
@@ -173,20 +183,27 @@ def history_scan(history: DeformationHistory, q: float, r: float, mu: float = 1.
     return StackReduction(history, None, (q, r, mu)).over_stack().scan_result()
 
 
-def stress_gradient_norm(tau: np.ndarray, grid: SpectralGrid, q: float) -> float:
+def stress_gradient_norm(tau: np.ndarray, grid: SpectralGrid, q: float, work: ChunkWorkspace | None = None) -> float:
     """Discrete L^q norm of the pointwise Frobenius norm of grad tau.
 
-    The components are forward-transformed once; then one derivative
-    direction at a time is inverted and its squares added into one field,
-    in the order of ``einsum("djkyx,djkyx->yx")`` over the gradient of the
-    2 x 2 tensor (direction, then j, then k), whose bits it gives, with
-    tau_12's derivative standing in for tau_21's: 3 forward and 6 inverse
-    transforms."""
-    f_hat = grid.fwd(tau)
-    mag_sq = np.zeros(tau.shape[1:])
-    for d in (grid.d1, grid.d2):
-        dtau = grid.inv(d * f_hat)
+    One derivative direction at a time, the three components take
+    :meth:`~memflow.spectral.SpectralGrid.gradient` along it (an ``rfft``
+    and an ``irfft`` each: 12 real line passes in all), and their squares
+    are added into one field, in the order of ``einsum("djkyx,djkyx->yx")``
+    over the gradient of the 2 x 2 tensor (direction, then j, then k), whose
+    bits it gives, with tau_12's derivative standing in for tau_21's.
+    The work goes in the buffers of a one-row chunk workspace ``work`` (a
+    new one if not given): ``g`` takes the derivatives, ``rows`` the half
+    spectrum and ``prod`` the magnitude and its power, so no field is
+    allocated."""
+    n = grid.n
+    work = ChunkWorkspace(1, n) if work is None else work
+    dtau, prod = work.g.reshape(-1, n, n, copy=False)[:3], work.prod.reshape(-1, n, n, copy=False)
+    mag_sq, power = prod[0], prod[1:3]
+    mag_sq[...] = 0.0
+    for axis in (-2, -1):
+        grid.gradient(tau, axis, out=dtau, rows=work.rows)
         dtau *= dtau
         for c in (0, 1, 1, 2):
             mag_sq += dtau[c]
-    return grid.lq_norm(np.sqrt(mag_sq, out=mag_sq), q)
+    return grid.lq_norm(np.sqrt(mag_sq, out=mag_sq), q, out=power)

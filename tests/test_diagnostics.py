@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from memflow.diagnostics import (
 )
 from memflow.spectral import SpectralGrid, taylor_green
 from memflow.stepper import FlowState
-from memflow.stress import assemble_stress, history_scan
+from memflow.stress import assemble_stress, history_scan, stress_gradient_norm
 from memflow.transport import identity_stack, init_history
 
 N = 32
@@ -100,7 +101,7 @@ class TestDifferentialOracle:
 
 def monitor_cfg(**over) -> SimulationConfig:
     """A run config with default tolerances unless given: the monitor reads its q, r, mu_min, det_tol and stress_tol."""
-    return SimulationConfig(n=N, viscosity=1.0, dt=0.05, t_final=0.05, model_name="psm-raw", **over)
+    return SimulationConfig(**{"n": N, **over}, viscosity=1.0, dt=0.05, t_final=0.05, model_name="psm-raw")
 
 
 class TestMonitor:
@@ -137,6 +138,31 @@ class TestMonitor:
         tau, cfg = assemble_stress(h, measure), monitor_cfg(stress_tol=-1.0)
         rec = monitor(st, h, tau, measure, cfg, 0.0, history_scan(h, cfg.q, cfg.r, cfg.mu_min))
         assert "stress" in rec.flags
+
+    def test_stress_gradient_goes_through_gradient_in_the_idle_workspace(self, monkeypatch):
+        # monitor() takes the stress gradient by SpectralGrid.gradient in the history's chunk workspace, free
+        # between steps; so taken, the gradient norm allocates less than one n x n field
+        n = 128
+        grid = SpectralGrid(n)
+        kernel, measure = model_catalog("psm-raw")
+        h = init_history("identity", grid, build_age_grid(kernel, 0.5, 1e-2))
+        st = FlowState(grid, taylor_green(grid), 1.0)
+        tau, cfg = assemble_stress(h, measure), monitor_cfg(n=n)
+        tau += np.random.default_rng(3).standard_normal(tau.shape)
+        stress_gradient_norm(tau, grid, cfg.q, h.workspace.cut(1))  # numpy's first-call setup
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sgn = stress_gradient_norm(tau, grid, cfg.q, h.workspace.cut(1))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
+        calls, gradient = [], SpectralGrid.gradient
+        monkeypatch.setattr(SpectralGrid, "gradient", lambda self, f, axis=None, **kw: calls.append(
+            np.shares_memory(kw["rows"], h.workspace.rows)) or gradient(self, f, axis, **kw))
+        rec = monitor(st, h, tau, measure, cfg, 0.0, history_scan(h, cfg.q, cfg.r, cfg.mu_min))
+        assert calls == [True, True] and rec.stress_grad_norm == sgn
 
     def test_csv_row_layout(self):
         rec = DiagnosticsRecord(0.5, 1, 1, math.sqrt(2), 0, 0, 0, 0, 0, 0, ("det", "stress"))

@@ -188,9 +188,9 @@ class TestRun:
 
     def test_run_holds_one_steps_working_set(self):
         # a from-rest run at n = 256 with N_s = 4 holds, beside the stack, its carry and the chunk workspace, the two
-        # velocity jets while the history steps (2 x 6 n^2 doubles: 3 tensor fields of 4 n^2), one stack
-        # pass's three compensated sums (3 fields) and in the monitor one derivative direction of the
-        # stress gradient (2-3 fields): 10 fields bound tracemalloc's peak
+        # velocity jets while the history steps (2 x 6 n^2 doubles: 3 tensor fields of 4 n^2) and one stack
+        # pass's three compensated sums (3 fields); the monitor takes the stress gradient in the chunk workspace
+        # and holds no field for it: 10 fields bound tracemalloc's peak
         n = 256
         cfg = SimulationConfig(n=n, viscosity=0.01, dt=0.02, t_final=0.02 * 6, cfl_safety=0.2, model_name="psm-raw",
                                model_params={"lam": 0.01}, eps_tail=1e-2, velocity_kind="random-band",

@@ -50,6 +50,32 @@ class TestDerivatives:
         np.testing.assert_allclose(d_num, d_exact, atol=1e-13)
 
 
+class TestGradient:
+    # the per-axis gradient against the 2-D whole-spectrum derivatives
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_matches_the_whole_spectrum_derivatives(self, n, lead):
+        g = SpectralGrid(n)
+        f = np.random.default_rng(n + len(lead)).standard_normal(lead + (n, n))  # not band-limited
+        grad = g.gradient(f)
+        for got, d in zip(grad, (g.d1, g.d2)):
+            expected = g.inv(d * g.fwd(f))
+            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_nyquist_modes_read_zero(self, n):
+        g = SpectralGrid(n)
+        f = field(g, lambda x1, x2: np.cos(n * x1 / 2) + np.cos(n * x2 / 2))
+        assert not g.gradient(f).any()
+
+    def test_writes_into_the_given_buffers(self, grid):
+        f = np.random.default_rng(4).standard_normal((3, 64, 64))
+        out, rows = np.empty((3, 64, 64)), np.empty(4 * 64 * 33, dtype=complex)
+        for i, axis in enumerate((-2, -1)):
+            assert grid.gradient(f, axis, out=out, rows=rows) is out
+            assert out.tobytes() == grid.gradient(f)[i].tobytes()
+
+
 class TestBandTransforms:
     @pytest.mark.parametrize("n", [16, 32, 64, 128])
     def test_band_is_the_dealiased_set(self, n):
@@ -174,6 +200,12 @@ class TestNormsAndFields:
         fs = np.abs(np.random.default_rng(5).standard_normal((3, grid.n, grid.n)))
         for q in (2, 3, 2.5):
             assert grid.lq_norm(fs, q) == [grid.lq_norm(f, q) for f in fs]
+
+    def test_lq_norm_in_given_buffers_has_the_same_bits(self, grid):
+        f = np.abs(np.random.default_rng(6).standard_normal((grid.n, grid.n)))
+        out = np.empty((2, grid.n, grid.n))
+        for q in (1, 2, 3, 6, 7, 8, 2.5):
+            assert grid.lq_norm(f, q, out=out) == grid.lq_norm(f, q)
 
     def test_random_band_limited_properties(self, grid):
         u = random_band_limited_velocity(grid, seed=11, band=4, amplitude=2.0)

@@ -559,9 +559,9 @@ class TestFirstPass:
 
 @pytest.mark.parametrize("name", INI_MODELS)
 def test_stress_gradient_norm_of_symmetric_stress(counted, monkeypatch, name):
-    # the stress is held as its three distinct components: they are transformed (3 forward and 6 inverse
-    # whole-spectrum transforms), one derivative direction at a time, and the pointwise norm has the bits of
-    # the einsum over the four components of the 2 x 2 tensor
+    # the stress is held as its three distinct components: they take one per-axis gradient per derivative
+    # direction (an rfft and an irfft along it, no 2-D transform), and the pointwise norm has the bits of the
+    # einsum over the four components of the 2 x 2 tensor
     grid = SpectralGrid(32)
     ag = build_age_grid(single_exponential_kernel(), 0.05, 1e-2)
     h = perturbed_history(grid, ag, seed=9)
@@ -574,10 +574,15 @@ def test_stress_gradient_norm_of_symmetric_stress(counted, monkeypatch, name):
     assert tau.shape == (3, 32, 32) and np.abs(tau[1]).max() > 1e-6
     dtau = grid.gradient(symmetric_tensor(tau))
     expected = np.sqrt(np.einsum("djkyx,djkyx->yx", dtau, dtau))
-    norms, lq_norm = [], SpectralGrid.lq_norm
-    monkeypatch.setattr(SpectralGrid, "lq_norm", lambda self, f, q: norms.append(f.tobytes()) or lq_norm(self, f, q))
+    norms, lq_norm, gradients, gradient = [], SpectralGrid.lq_norm, [], SpectralGrid.gradient
+    monkeypatch.setattr(SpectralGrid, "lq_norm",
+                        lambda self, f, q, out=None: norms.append(f.tobytes()) or lq_norm(self, f, q, out))
+    monkeypatch.setattr(SpectralGrid, "gradient", lambda self, f, axis=None, **kw:
+                        gradients.append((f.shape, axis)) or gradient(self, f, axis, **kw))
     for q in (2, 8):
         counted.reset()
         assert stress_gradient_norm(tau, grid, q) == lq_norm(grid, expected, q)
         assert norms.pop() == expected.tobytes()
-        assert (counted.fwd, counted.inv) == (3, 6)
+        assert (counted.fwd, counted.inv) == (0, 0)
+        assert gradients == [((3, 32, 32), -2), ((3, 32, 32), -1)]
+        gradients.clear()
