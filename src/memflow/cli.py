@@ -105,7 +105,7 @@ def main(argv=None) -> int:
         description="Pseudo-spectral 2D viscoelastic flow with fading-memory integral stress",
     )
     parser.add_argument("--threads", type=int, default=None,
-                        help="scipy.fft worker count (or MEMFLOW_THREADS); no solver transform uses it")
+                        help="FFT worker count (or MEMFLOW_THREADS); checked, but no transform uses it yet")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="run a simulation from a config file")

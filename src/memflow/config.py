@@ -88,6 +88,8 @@ def validate(cfg: SimulationConfig):
         raise ConfigError(f"velocity.kind {cfg.velocity_kind!r} unknown")
     if cfg.velocity_kind == "snapshot" and not cfg.velocity_path:
         raise ConfigError("velocity.path required for velocity.kind = snapshot")
+    if cfg.velocity_kind == "random-band" and cfg.velocity_band < 1:  # no mode 0 < max|k| <= band
+        raise ConfigError(f"velocity.band must be >= 1 for velocity.kind = random-band, got {cfg.velocity_band}")
     if not (isinstance(cfg.q, int) and isinstance(cfg.r, int)) or cfg.q < 1 or cfg.r < 1:
         raise ConfigError("diagnostics.q and diagnostics.r must be positive integers")
     if 1.0 / cfg.q + 1.0 / cfg.r >= 0.5:

@@ -21,9 +21,10 @@ fatal.  A restart continues the ``diagnostics.csv`` it finds in the output
 directory as the straight run writes it: the rows at this config's record
 steps up to the checkpoint's step are kept, their ``y_value`` summed again
 from their ``y_integrand``, and the rest dropped; a file that lacks one of
-those rows is refused.  Without the file a restart takes the checkpoint's y
-integral and logs its first record.  A checkpoint past ``t_final`` is
-refused, before any file is touched.
+those rows, or whose header or a complete row is malformed, is refused.
+Without the file a restart takes the checkpoint's y integral and logs its
+first record.  A checkpoint past ``t_final`` is refused, before any file is
+touched.
 A checkpoint holds the band spectra of the velocity's stream function, the
 history (its live rows' potentials, in age order) and the oracle stress,
 which a restart takes as they are: the history stores age j at row j, so
@@ -106,8 +107,8 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
     shape or below the ``mu_min`` det floor, an unknown history spec, a
     restart checkpoint that is unreadable, does not fit the config (another
     dt, an asymmetric oracle stress) or lies past ``t_final``, or a
-    ``diagnostics.csv`` to continue that lacks a row of this config up to
-    the checkpoint's step; and
+    ``diagnostics.csv`` to continue that is malformed or lacks a row of
+    this config up to the checkpoint's step; and
     :class:`~memflow.agegrid.HistoryTooLongError` when the age grid exceeds the memory cap.
     """
     if cfg.oracle and cfg.model_name != "oldroyd-b":
@@ -270,21 +271,36 @@ def _resume_diagnostics(path: Path, dt: float, step0: int, record_step) -> tuple
     ``y_integrand`` by the run's own trapezoid, and the trapezoid state after
     them: ``(rows, y_value, y_integrand, step)``.  Every number is written at
     17 digits, so it reads back to the bits the straight run summed.  Raises
-    :class:`ConfigError`, naming the step, if a record step has no row."""
+    :class:`ConfigError`, naming the step, if a record step has no row, and,
+    naming the line, if the first line is not the header or a complete row
+    has another column count, a ``t`` that is not finite or a ``y_integrand``
+    that does not parse."""
+    lines = path.read_text().splitlines(keepends=True)
+    header = ",".join(CSV_COLUMNS) + "\n"
+    if lines[:1] != [header]:
+        raise ConfigError(f"cannot continue {path}: line 1 is not the header {header.strip()!r}")
     rows = {}
-    for row in path.read_text().splitlines(keepends=True)[1:]:
-        if row.endswith("\n"):  # a row cut short by a killed run is not kept
-            t = float(row.split(",", 1)[0])
+    for number, row in enumerate(lines[1:], start=2):
+        if not row.endswith("\n"):  # a row cut short by a killed run is not kept
+            continue
+        cols = row.split(",")
+        if len(cols) != len(CSV_COLUMNS):
+            raise ConfigError(f"cannot continue {path}: line {number} has {len(cols)} columns, "
+                              f"not {len(CSV_COLUMNS)}")
+        try:
+            t, yi = float(cols[0]), float(cols[_Y_INTEGRAND])
             step = round(t / dt)
-            if step * dt == t:
-                rows[step] = row.split(",")
+        except (ValueError, OverflowError):  # round() of a NaN or an infinity
+            raise ConfigError(f"cannot continue {path}: line {number} has a t or y_integrand that does not "
+                              "parse") from None
+        if step * dt == t:
+            rows[step] = cols, yi
     kept, y_value, yi_prev, logged = [], 0.0, None, None
     for step in filter(record_step, range(step0 + 1)):
         if step not in rows:
             raise ConfigError(f"cannot continue {path} from step {step0}: it has no row at step {step} "
                               f"(t = {step * dt:.17g}), which this config records")
-        cols = rows[step]
-        yi = float(cols[_Y_INTEGRAND])
+        cols, yi = rows[step]
         if logged is not None:
             y_value = _trapezoid(y_value, (step - logged) * dt, yi_prev, yi)
         cols[_Y_VALUE] = f"{y_value:.17g}"

@@ -19,11 +19,9 @@ The stress is not band-limited.  Its gradient (:meth:`SpectralGrid.gradient`)
 is the one transform of the whole spectrum, one axis at a time: an ``rfft``
 along the axis, the derivative on its n//2 + 1 modes and an ``irfft`` back,
 through ``numpy.fft`` into caller-supplied buffers.  So every transform
-the solver runs goes through ``numpy.fft`` on one thread.  The 2-D half
-spectrum (last axis ``n//2 + 1``) of :meth:`SpectralGrid.fwd` and
-:meth:`SpectralGrid.inv` without ``out``, which tests use as a reference,
-runs through ``scipy.fft`` with a process-wide worker count
-(:func:`set_workers`); its results do not depend on the worker count.
+the solver runs goes through ``numpy.fft`` on one thread.  The worker count
+(:func:`set_workers`, ``--threads``, ``MEMFLOW_THREADS``) is validated and
+kept, but reaches no transform.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ import math
 import os
 
 import numpy as np
-import scipy.fft as _fft
 
 TWO_PI = 2.0 * math.pi
 
@@ -76,7 +73,7 @@ class SpectralGrid:
 
     ``n`` must be a power of two, at least 16.  Integer wavenumbers of the
     whole spectrum run over ``-n/2+1 .. n/2``; its first-derivative
-    multipliers zero the Nyquist mode.
+    multiplier zeroes the Nyquist mode.
     """
 
     def __init__(self, n: int):
@@ -91,16 +88,13 @@ class SpectralGrid:
         self.x2 = x[None, :]
         k1 = np.fft.fftfreq(n, d=1.0 / n)  # integer wavenumbers, full axis
         k2 = np.arange(n // 2 + 1, dtype=float)  # half axis
-        # first derivatives on the whole half spectrum: i k with the
-        # (ambiguous-sign) Nyquist mode zeroed.  d2 is spread over the half
-        # spectrum's shape, so gradient()'s product, which takes it along
-        # either axis, broadcasts over leading axes only: numpy runs that
-        # with no buffer
-        d1 = 1j * k1
-        d1[n // 2] = 0.0
+        # the first derivative along the half axis of the whole spectrum: i k
+        # with the (ambiguous-sign) Nyquist mode zeroed.  It is spread over
+        # the half spectrum's shape, so gradient()'s product, which takes it
+        # along either axis, broadcasts over leading axes only: numpy runs
+        # that with no buffer
         d2 = 1j * k2
         d2[-1] = 0.0
-        self.d1 = d1[:, None]
         self.d2 = np.ascontiguousarray(np.broadcast_to(d2, (n, n // 2 + 1)))
         # the band and its mode data; kc < n/2, so no Nyquist mode lies in it
         self.kc = kc = n // 3
@@ -115,17 +109,13 @@ class SpectralGrid:
 
     # -- transforms ---------------------------------------------------------
 
-    def fwd(self, f: np.ndarray, out: np.ndarray | None = None, rows: np.ndarray | None = None) -> np.ndarray:
-        """Forward transform over the two spatial axes.
-
-        Without ``out``: the half spectrum, shape ``(..., n, n//2 + 1)``.  With
-        ``out``, of shape ``(..., *band_shape)``: the band transform, a row
-        ``rfft`` into ``rows`` (complex scratch of the half-spectrum shape,
-        allocated if not given), then the column FFT of the kc + 1 kept
-        columns only, whose band rows are copied into ``out``.
+    def fwd(self, f: np.ndarray, out: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """Band transform over the two spatial axes into ``out``, of shape
+        ``(..., *band_shape)``: a row ``rfft`` into ``rows`` (complex scratch
+        of the half-spectrum shape ``(..., n, n//2 + 1)``, allocated if not
+        given), then the column FFT of the kc + 1 kept columns only, whose
+        band rows are copied into ``out``.
         """
-        if out is None:
-            return _fft.rfft2(f, axes=(-2, -1), workers=get_workers())
         n, kc = self.n, self.kc
         rows = np.fft.rfft(f, axis=-1, out=rows)
         cols = rows[..., : kc + 1]
@@ -134,19 +124,13 @@ class SpectralGrid:
         out[..., kc + 1 :, :] = cols[..., n - kc :, :]
         return out
 
-    def inv(self, f_hat: np.ndarray, out: np.ndarray | None = None, rows: np.ndarray | None = None) -> np.ndarray:
-        """Inverse of :meth:`fwd`, one axis at a time as in ``irfft2``.
-
-        Without ``out``: ``f_hat`` is a half spectrum, left intact.  With
-        ``out`` (the physical field, ``(..., n, n)``): ``f_hat`` is a band
-        spectrum, left intact; it is zero-padded into ``rows`` (as for
+    def inv(self, f_hat: np.ndarray, out: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """Inverse of :meth:`fwd` into ``out``, the physical field
+        ``(..., n, n)``, one axis at a time as in ``irfft2``: the band
+        spectrum ``f_hat``, left intact, is zero-padded into ``rows`` (as for
         :meth:`fwd`), the kept columns take the column iFFT and every row the
         ``irfft``.
         """
-        if out is None:
-            workers = get_workers()
-            f_hat = _fft.ifft(f_hat, axis=-2, workers=workers)
-            return _fft.irfft(f_hat, n=self.n, axis=-1, workers=workers, overwrite_x=True)
         n, kc = self.n, self.kc
         if rows is None:
             rows = np.empty(f_hat.shape[:-2] + (n, n // 2 + 1), dtype=complex)
@@ -216,27 +200,21 @@ class SpectralGrid:
 
     # -- whole half spectrum ----------------------------------------------------
 
-    def gradient(self, f: np.ndarray, axis: int | None = None, out: np.ndarray | None = None,
+    def gradient(self, f: np.ndarray, axis: int, out: np.ndarray | None = None,
                  rows: np.ndarray | None = None) -> np.ndarray:
-        """The derivative of ``f`` along ``axis``: d1 f for -2, d2 f for -1;
-        without ``axis``, (d1 f, d2 f) stacked on a new leading axis.  The
-        whole-spectrum path, for fields that are not band-limited (the stress).
+        """The derivative of ``f`` along ``axis``: d1 f for -2, d2 f for -1.
+        The whole-spectrum path, for fields that are not band-limited (the
+        stress).
 
-        Per axis, one ``rfft`` along it, i k on its n//2 + 1 modes with the
+        One ``rfft`` along the axis, i k on its n//2 + 1 modes with the
         Nyquist mode zeroed, and one ``irfft`` back: 2 real line passes per
-        field and axis.  Along axis -2 the field and ``out`` are taken
-        transposed, so the half spectrum is laid out alike for both axes and
-        :attr:`d2` serves both.  The result goes into ``out``; ``rows`` is
-        contiguous complex scratch of at least the half spectrum's size,
-        ``f``'s leading shape times n (n//2 + 1).  Both are allocated if not
-        given.
+        field.  Along axis -2 the field and ``out`` are taken transposed, so
+        the half spectrum is laid out alike for both axes and :attr:`d2`
+        serves both.  The result goes into ``out``; ``rows`` is contiguous
+        complex scratch of at least the half spectrum's size, ``f``'s
+        leading shape times n (n//2 + 1).  Both are allocated if not given.
         """
         n = self.n
-        if axis is None:
-            out = np.empty((2,) + f.shape) if out is None else out
-            for i, a in enumerate((-2, -1)):
-                self.gradient(f, a, out[i], rows)
-            return out
         out = np.empty(f.shape) if out is None else out
         half = f.shape[:-2] + (n, n // 2 + 1)
         if rows is not None:

@@ -24,7 +24,10 @@ Within one base (age) step the stress is frozen; the flow may take several
 substeps under its advective CFL bound.  A base step of s substeps takes
 2 + 4 s forward transforms (the frozen stress's two once) and 4 s + 3
 inverse ones (the jet's three Hessian fields once; its field is the last
-substep's u, the same bits).  The optional forcing hook of
+substep's u, the same bits).  A flow whose base-step advective number
+|u|_inf dt / dx, read at each substep, exceeds :data:`MAX_ADVECTIVE` has
+blown up: the history's Heun step is unstable above about 0.5, and the
+substeps would shrink without end.  The optional forcing hook of
 :func:`step_velocity` exists for manufactured-solution studies;
 :func:`advance_flow`, the solver's step, has none.
 """
@@ -36,6 +39,8 @@ import math
 import numpy as np
 
 from .spectral import SpectralGrid
+
+MAX_ADVECTIVE = 100.0  # the base step's |u|_inf dt / dx past which advance_flow gives up (module docstring)
 
 
 class FlowNaNError(FloatingPointError):
@@ -177,13 +182,20 @@ def advance_flow(state: FlowState, tau: np.ndarray | None, base_dt: float, safet
 
     The stress is held frozen across substeps, which carry the physical
     velocity only; the jet is formed once, from the final spectrum.  Returns
-    the substep count.
+    the substep count.  Raises ``FloatingPointError`` once the base step's
+    advective number exceeds :data:`MAX_ADVECTIVE`.
     """
     grid = state.grid
     stress_hat = _stress_hat(state, tau)
     u, remaining, n_sub = state.u, base_dt, 0
     while remaining > 1e-14 * base_dt:
-        h = min(cfl_dt(u, grid, safety, base_dt), remaining)
+        cfl = cfl_dt(u, grid, safety, base_dt)
+        advective = safety * base_dt / cfl  # |u|_inf base_dt / dx, or at most safety when cfl is capped
+        if advective > MAX_ADVECTIVE:
+            raise FloatingPointError(
+                f"flow blew up at t = {state.t:.6g}: |u|_inf = {advective * grid.dx / base_dt:.3g}, advective "
+                f"number {advective:.3g} > {MAX_ADVECTIVE:g} after {n_sub} substeps of this step")
+        h = min(cfl, remaining)
         u = _substep(state, u, stress_hat, None, h)
         remaining -= h
         n_sub += 1

@@ -280,16 +280,6 @@ def det_field(g: np.ndarray) -> np.ndarray:
     return g[..., 0, 0, :, :] * g[..., 1, 1, :, :] - g[..., 0, 1, :, :] * g[..., 1, 0, :, :]
 
 
-def norm_field(g: np.ndarray) -> np.ndarray:
-    """Pointwise Frobenius norm for arrays shaped (..., 2, 2, n, n)."""
-    return np.sqrt(
-        g[..., 0, 0, :, :] ** 2
-        + g[..., 0, 1, :, :] ** 2
-        + g[..., 1, 0, :, :] ** 2
-        + g[..., 1, 1, :, :] ** 2
-    )
-
-
 def age_shift(history: DeformationHistory) -> DeformationHistory:
     """Advance every slice one age index and inject the identity at age zero.
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from memflow.spectral import SpectralGrid
@@ -35,3 +36,8 @@ def counted(monkeypatch) -> TransformCounts:
     for name in ("fwd", "inv"):
         monkeypatch.setattr(SpectralGrid, name, counting(name))
     return counts
+
+
+def gradient_stack(grid: SpectralGrid, f):
+    """(d1 f, d2 f) stacked on a new leading axis: ``grid.gradient`` along each axis."""
+    return np.stack([grid.gradient(f, axis) for axis in (-2, -1)])

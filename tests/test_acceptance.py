@@ -250,5 +250,6 @@ def test_ac9_solver_fidelity(ac1_result, ac3_results):
         "AC-9",
         ok,
         f"vortex decay error {decay_rel:.2e} (tol 1e-4); max div residual {div_worst:.2e} (tol 1e-10); "
-        f"thread-count determinism {'bytewise' if rows1 == rows2 else 'BROKEN'}",
+        f"thread-count determinism {'bytewise' if rows1 == rows2 else 'BROKEN'} (no transform reads the worker "
+        "count yet, so this and tools/bitgate.py's threads 1 = 2 run one code path twice)",
     )

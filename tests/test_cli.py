@@ -9,6 +9,7 @@ import pytest
 from memflow.agegrid import build_age_grid
 from memflow.cli import main
 from memflow.constitutive import INI_MODELS, model_catalog
+from memflow.diagnostics import CSV_COLUMNS
 from memflow.snapshots import read_checkpoint, write_field
 from memflow.spectral import SpectralGrid
 from memflow.transport import identity_stack
@@ -92,13 +93,29 @@ class TestRunCommand:
         assert code == 0
 
     @pytest.mark.parametrize("case", ["other-grid", "corrupt-meta", "missing", "past-t-final", "four-field",
-                                      "two-component-velocity"])
+                                      "two-component-velocity", "csv-other-header", "csv-garbage-row", "csv-nan-t",
+                                      "csv-text-y-integrand"])
     def test_bad_restart_exit_one(self, tmp_path, capsys, case):
         out = tmp_path / "out"
         assert main(["run", write_cfg(tmp_path, outdir=str(out))]) == 0
         checkpoint = out / "checkpoint"
         cfg = write_cfg(tmp_path)
-        if case == "other-grid":  # an n = 32 checkpoint under an n = 64 config
+        csv = out / "diagnostics.csv"
+        if case.startswith("csv-"):  # a restart into the run's directory continues its diagnostics.csv
+            cfg = write_cfg(tmp_path, outdir=str(out))
+            lines = csv.read_text().splitlines(keepends=True)
+            cols = lines[3].split(",")
+            if case == "csv-other-header":
+                lines[0] = lines[0].replace("y_integrand", "y")
+            elif case == "csv-garbage-row":
+                lines[3] = "garbage\n"
+            else:
+                column, value = ("t", "nan") if case == "csv-nan-t" else ("y_integrand", "x")
+                cols[CSV_COLUMNS.index(column)] = value
+                lines[3] = ",".join(cols)
+            csv.write_text("".join(lines))
+            written = csv.read_bytes()
+        elif case == "other-grid":  # an n = 32 checkpoint under an n = 64 config
             cfg = tmp_path / "n64.ini"
             cfg.write_text(CONFIG.format(model="psm-raw", outdir="").replace("n = 32", "n = 64"))
         elif case == "past-t-final":  # a checkpoint at step 6 under a 2-step config
@@ -117,7 +134,14 @@ class TestRunCommand:
         capsys.readouterr()
         assert main(["run", str(cfg), "--restart", str(checkpoint)]) == 1
         err = capsys.readouterr().err
-        assert f"config error: cannot restart from {checkpoint}: " in err
+        if case.startswith("csv-"):
+            line = {"csv-other-header": f"line 1 is not the header {','.join(CSV_COLUMNS)!r}",
+                    "csv-garbage-row": f"line 4 has 1 columns, not {len(CSV_COLUMNS)}"}.get(
+                        case, "line 4 has a t or y_integrand that does not parse")
+            assert err == f"config error: cannot continue {csv}: {line}\n"
+            assert csv.read_bytes() == written  # refused before the file is touched
+        else:
+            assert f"config error: cannot restart from {checkpoint}: " in err
         if case == "two-component-velocity":
             assert "velocity must be the band spectrum" in err
 

@@ -96,6 +96,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match="eps_tail"):
             SimulationConfig(n=64, viscosity=1.0, dt=1e-3, t_final=1.0, model_name="oldroyd-b", eps_tail=0.5)
 
+    @pytest.mark.parametrize("band", [0, -1])
+    def test_random_band_without_modes_refused(self, band):
+        # a band below 1 holds no mode: the velocity would be zero
+        with pytest.raises(ConfigError, match=rf"velocity.band must be >= 1 for velocity.kind = random-band, "
+                                              rf"got {band}"):
+            SimulationConfig(n=64, viscosity=1.0, dt=1e-3, t_final=1.0, model_name="oldroyd-b",
+                             velocity_kind="random-band", velocity_band=band)
+
     def test_negative_history_slice_refused(self, tmp_path):
         with pytest.raises(ConfigError, match=r"output.history_slices must be >= 0, got \[0, -3\]"):
             parse_config(write(tmp_path, MINIMAL + "\n[output]\nhistory_slices = 0, -3\n"))

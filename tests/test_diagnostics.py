@@ -159,7 +159,7 @@ class TestMonitor:
             tracemalloc.stop()
         assert peak < n * n * 8
         calls, gradient = [], SpectralGrid.gradient
-        monkeypatch.setattr(SpectralGrid, "gradient", lambda self, f, axis=None, **kw: calls.append(
+        monkeypatch.setattr(SpectralGrid, "gradient", lambda self, f, axis, **kw: calls.append(
             np.shares_memory(kw["rows"], h.workspace.rows)) or gradient(self, f, axis, **kw))
         rec = monitor(st, h, tau, measure, cfg, 0.0, history_scan(h, cfg.q, cfg.r, cfg.mu_min))
         assert calls == [True, True] and rec.stress_grad_norm == sgn

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -76,6 +77,25 @@ class TestRun:
         res = run(small_cfg(velocity_kind="snapshot", velocity_path=str(path)))
         assert res.exit_code == EXIT_NAN
         assert "non-finite" in res.message
+
+    def test_blow_up_exit_code(self, monkeypatch):
+        # this flow stays finite as it blows up, so its CFL substeps shrink without end (2e-15 at t = 0.3)
+        # unless the advective bound stops it; the counter turns that hang into a failure
+        from memflow import stepper
+
+        calls, substep = [0], stepper._substep
+
+        def counted(*args):
+            calls[0] += 1
+            assert calls[0] <= 2000, "advance_flow does not leave the base step"
+            return substep(*args)
+
+        monkeypatch.setattr(stepper, "_substep", counted)
+        res = run(small_cfg(n=16, model_name="oldroyd-b", viscosity=0.01, dt=0.1, t_final=0.4, eps_tail=1e-2,
+                            velocity_amplitude=50.0))
+        assert res.exit_code == EXIT_NAN
+        assert re.fullmatch(r"flow blew up at t = \S+: \|u\|_inf = \S+, advective number \S+ > 100 "
+                            r"after \d+ substeps of this step", res.message)
 
     def test_violation_exit_code(self):
         res = run(small_cfg(stress_tol=-1.0, fatal_on_violation=True))
@@ -382,22 +402,24 @@ class TestArtifacts:
            eps_tail=st.sampled_from([5e-2, 1e-2, 1e-3]), cadence=st.integers(1, 3),
            snapshot_every=st.integers(1, 4), steps=st.integers(4, 30),
            kind=st.sampled_from(["taylor-green", "random-band"]), amplitude=st.sampled_from([0.5, 1.0, 3.0]),
-           data=st.data())
+           n=st.sampled_from([16, 32]), fatal=st.booleans(), data=st.data())
     def test_restart_at_any_step_reproduces_straight_csv(self, model, dt, eps_tail, cadence, snapshot_every,
-                                                         steps, kind, amplitude, data):
+                                                         steps, kind, amplitude, n, fatal, data):
         # a shorter run's final checkpoint, at any step, resumed into its directory writes the straight
         # run's diagnostics.csv, also when the cut is not a step the straight run records
         cut = data.draw(st.integers(1, steps - 1), label="cut")
         with tempfile.TemporaryDirectory() as tmp:
             straight, resumed = Path(tmp, "A"), Path(tmp, "B")
             cfg = lambda out, k: small_cfg(
-                n=16, model_name=model, dt=dt, t_final=dt * k, eps_tail=eps_tail, cadence=cadence,
-                snapshot_every=snapshot_every, velocity_kind=kind, velocity_amplitude=amplitude, output_dir=str(out))
+                n=n, model_name=model, dt=dt, t_final=dt * k, eps_tail=eps_tail, cadence=cadence,
+                snapshot_every=snapshot_every, velocity_kind=kind, velocity_amplitude=amplitude,
+                fatal_on_violation=fatal, output_dir=str(out))
             codes = [run(cfg(straight, steps)).exit_code, run(cfg(resumed, cut)).exit_code]
             if codes[1] == EXIT_OK:
                 codes.append(run(cfg(resumed, steps), restart_from=resumed / "checkpoint").exit_code)
             assert set(codes) <= {EXIT_OK, EXIT_NAN, EXIT_VIOLATION}
-            if codes == [EXIT_OK] * 3:
+            if len(codes) == 3:  # resumed: it ends as the straight run ends, a fatal violation or a blow-up too
+                assert codes[2] == codes[0]
                 assert (resumed / "diagnostics.csv").read_bytes() == (straight / "diagnostics.csv").read_bytes()
 
     @staticmethod

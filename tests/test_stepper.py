@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import gradient_stack
 
 from memflow.constitutive import symmetric_tensor
 from memflow.diagnostics import OracleState, oldroyd_differential_step
@@ -37,7 +38,7 @@ class TestTaylorGreen:
         for _ in range(20):
             step_velocity(state, None, 5e-3)
             div = grid.inv(grid.divergence_hat(grid.curl_hat(state.psi_hat)), out=np.empty((grid.n, grid.n)))
-            rel = np.abs(div).max() / max(1.0, np.abs(grid.gradient(state.u)).max())
+            rel = np.abs(div).max() / max(1.0, np.abs(gradient_stack(grid, state.u)).max())
             assert rel <= 1e-10
 
 
