@@ -8,6 +8,7 @@ fatal-on-violation set.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import spectral
@@ -62,6 +63,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if not 0.0 < args.tol < math.inf:
+        raise ConfigError(f"--tol must be a positive finite number, got {args.tol}")
     cfg = parse_config(args.config)
     if cfg.model_name != "oldroyd-b":
         print("oracle: config must use model.name = oldroyd-b", file=sys.stderr)
@@ -72,8 +75,8 @@ def cmd_oracle(args) -> int:
         print(f"oracle: run failed: {result.message}")
         return result.exit_code
     print(f"oracle gap (relative L2 between integral and differential stress): {result.oracle_gap:.4e}")
-    if result.oracle_gap > args.tol:
-        print(f"oracle: gap exceeds tolerance {args.tol:.1e}")
+    if not result.oracle_gap <= args.tol:  # a NaN gap fails too
+        print(f"oracle: gap not within tolerance {args.tol:.1e}")
         return 1
     return 0
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,6 +63,11 @@ class SimulationConfig:
 
 
 def validate(cfg: SimulationConfig):
+    numbers = [(f"{section}.{key}", getattr(cfg, name)) for section, keys in _INI_FIELDS.items()
+               for key, name in keys.items()] + [(f"model.{key}", v) for key, v in cfg.model_params.items()]
+    for key, value in numbers:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
     n = cfg.n
     if n < 16 or n & (n - 1):
         raise ConfigError(f"grid.n must be a power of two >= 16, got {n}")

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import optimize
 
 # Random-deformation sampler range for the empirical (H2) check: I1 stays
 # >= 2 for determinant-one transported states, and the tail end exercises
@@ -239,32 +238,29 @@ class H2Report:
 
 
 def _log_grid_sup(fn, lo: float = H_CRITERION_LO, hi: float = H2_GRID_HI, n: int = 4096):
-    """Supremum of fn over [lo, hi]: dense log grid plus local refinement.
+    """Supremum of fn over [lo, hi]: the largest finite value on a log grid
+    of n points, refined on a second one of n points between the grid
+    maximum's two neighbours; a non-finite value on the first grid makes the
+    supremum infinite.
 
-    Returns (sup, arg, unbounded_heuristic).  The heuristic flags a
-    maximum at the right edge whose log-log slope stays bounded away from
-    zero there: a function creeping up to a finite supremum (slope -> 0)
-    is bounded, a power-law growth is not.
+    Returns (sup, unbounded_heuristic).  The heuristic flags a maximum at
+    the right edge whose log-log slope stays bounded away from zero there:
+    a function creeping up to a finite supremum (slope -> 0) is bounded, a
+    power-law growth is not.
     """
     x = np.geomspace(lo, hi, n)
     with np.errstate(over="ignore", invalid="ignore"):
         y = np.asarray(fn(x), dtype=float)
-    y = np.where(np.isfinite(y), y, np.inf)
-    k = int(np.argmax(y))
-    if not math.isfinite(y[k]):
-        return math.inf, float(x[k]), True
-    growing = False
-    if k == n - 1 and y[-1] > 0 and y[-2] > 0:
-        end_slope = (math.log(y[-1]) - math.log(y[-2])) / (math.log(x[-1]) - math.log(x[-2]))
-        growing = end_slope > 0.02
-    a = x[max(k - 1, 0)]
-    b = x[min(k + 1, n - 1)]
-    if a < b:
-        res = optimize.minimize_scalar(lambda t: -fn(math.exp(t)), bounds=(math.log(a), math.log(b)), method="bounded")
-        best = max(float(y[k]), float(-res.fun))
-    else:
-        best = float(y[k])
-    return best, float(x[k]), growing
+        y = np.where(np.isfinite(y), y, np.inf)
+        k = int(np.argmax(y))
+        if not math.isfinite(y[k]):
+            return math.inf, True
+        growing = False
+        if k == n - 1 and y[-1] > 0 and y[-2] > 0:
+            end_slope = (math.log(y[-1]) - math.log(y[-2])) / (math.log(x[-1]) - math.log(x[-2]))
+            growing = end_slope > 0.02
+        fine = np.asarray(fn(np.geomspace(x[max(k - 1, 0)], x[min(k + 1, n - 1)], n)), dtype=float)
+    return float(np.max(fine, where=np.isfinite(fine), initial=y[k])), growing
 
 
 def separable_h2_bounds(c: float, cp: float) -> tuple[float, float]:
@@ -299,8 +295,8 @@ def verify_h2(measure: StrainMeasure) -> H2Report:
     gsp = np.sqrt(i1) * np.sqrt(np.sum(d * d, axis=(1, 2, 3)))
     s_sup, gsp_sup = float(s_norm.max()), float(gsp.max())
 
-    h_sup, _, g1 = _log_grid_sup(lambda x: x * np.abs(measure.h(x)))
-    hp_sup, _, g2 = _log_grid_sup(lambda x: x**2 * np.abs(measure.hp(x)))
+    h_sup, g1 = _log_grid_sup(lambda x: x * np.abs(measure.h(x)))
+    hp_sup, g2 = _log_grid_sup(lambda x: x**2 * np.abs(measure.hp(x)))
     growing = g1 or g2
     passed = (
         measure.h2_satisfied
@@ -398,8 +394,8 @@ def _kbkz_custom_measure(h, hp) -> StrainMeasure:
         hp = lambda x: (np.asarray(h(np.asarray(x) * (1 + eps))) - np.asarray(h(np.asarray(x) * (1 - eps)))) / (2 * eps * np.asarray(x))
     else:
         _validate_custom_derivative(h, hp)
-    c, _, grow_c = _log_grid_sup(lambda x: x * np.abs(np.asarray(h(x), dtype=float)))
-    cp, _, grow_cp = _log_grid_sup(lambda x: x**2 * np.abs(np.asarray(hp(x), dtype=float)))
+    c, grow_c = _log_grid_sup(lambda x: x * np.abs(np.asarray(h(x), dtype=float)))
+    cp, grow_cp = _log_grid_sup(lambda x: x**2 * np.abs(np.asarray(hp(x), dtype=float)))
     bounded = math.isfinite(c) and math.isfinite(cp) and not (grow_c or grow_cp)
     s_inf, sp_inf = separable_h2_bounds(c, cp) if bounded else (None, None)
     return StrainMeasure(

@@ -27,7 +27,6 @@ import warnings
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
-from scipy import integrate
 
 from .config import SimulationConfig
 from .constitutive import MemoryKernel, StrainMeasure
@@ -203,6 +202,8 @@ def _shear_tensor(gamma_dot: float, s) -> np.ndarray:
 def _quad(what: str, f, lo: float, hi: float, abs_tol: float) -> tuple[float, float]:
     """``integrate.quad`` of f over [lo, hi]: (value, error estimate); a
     warning or failure of the quadrature raises :class:`QuadratureError`."""
+    from scipy import integrate  # here, so that only the shear references load scipy
+
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:

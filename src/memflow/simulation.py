@@ -24,7 +24,10 @@ from their ``y_integrand``, and the rest dropped; a file that lacks one of
 those rows, or whose header or a complete row is malformed, is refused.
 Without the file a restart takes the checkpoint's y integral and logs its
 first record.  A checkpoint past ``t_final`` is refused, before any file is
-touched.
+touched, and so is one written under other physics: its ``meta.json``
+records the model and its parameters, ``viscosity``, ``cfl_safety``,
+``eps_tail``, ``mu_min``, ``q`` and ``r``, by INI key, and the first key
+whose value differs from this config's is named.
 A checkpoint holds the band spectra of the velocity's stream function, the
 history (its live rows' potentials, in age order) and the oracle stress,
 which a restart takes as they are: the history stores age j at row j, so
@@ -102,12 +105,13 @@ def initial_velocity(cfg: SimulationConfig, grid: SpectralGrid) -> np.ndarray:
 def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
     """Execute the configured simulation; never raises for solver failures.
 
-    Raises :class:`ConfigError` for a config it cannot run: an initial
-    history or velocity snapshot that is missing, unreadable, of the wrong
-    shape or below the ``mu_min`` det floor, an unknown history spec, a
-    restart checkpoint that is unreadable, does not fit the config (another
-    dt, an asymmetric oracle stress) or lies past ``t_final``, or a
-    ``diagnostics.csv`` to continue that is malformed or lacks a row of
+    Raises :class:`ConfigError` for a config it cannot run: a model
+    parameter the catalog refuses, an initial history or velocity snapshot
+    that is missing, unreadable, of the wrong shape or below the ``mu_min``
+    det floor, an unknown history spec, a restart checkpoint that is
+    unreadable, does not fit the config (another dt, an asymmetric oracle
+    stress, another value in its physics record) or lies past ``t_final``,
+    or a ``diagnostics.csv`` to continue that is malformed or lacks a row of
     this config up to the checkpoint's step; and
     :class:`~memflow.agegrid.HistoryTooLongError` when the age grid exceeds the memory cap.
     """
@@ -115,8 +119,16 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
         raise ConfigError("the differential oracle requires model.name = oldroyd-b")
 
     grid = SpectralGrid(cfg.n)
-    params = model_parameters(cfg.model_name, **{k: v for k, v in cfg.model_params.items() if v is not None})
-    kernel, measure = model_catalog(cfg.model_name, **params)
+    given = {k: v for k, v in cfg.model_params.items() if v is not None}
+    try:
+        params = model_parameters(cfg.model_name, **given)
+        kernel, measure = model_catalog(cfg.model_name, **params)
+    except ValueError as exc:  # a parameter the model refuses; the defaults are valid
+        keys = ", ".join(f"model.{k} = {v!r}" for k, v in given.items())
+        raise ConfigError(f"model {cfg.model_name!r} refuses {keys}: {exc}") from exc
+    physics = {"model.name": cfg.model_name, **{f"model.{k}": v for k, v in params.items()},
+               "flow.viscosity": cfg.viscosity, "flow.cfl_safety": cfg.cfl_safety, "history.eps_tail": cfg.eps_tail,
+               "history.mu_min": cfg.mu_min, "diagnostics.q": cfg.q, "diagnostics.r": cfg.r}
     age_grid = build_age_grid(kernel, cfg.dt, cfg.eps_tail, max_nodes=stack_rows_within(cfg.memory_cap_mb, cfg.n))
     past = [j for j in cfg.history_slices if j >= age_grid.n_nodes]
     if past:
@@ -152,6 +164,10 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
                 if tau_hat[0, 1].tobytes() != tau_hat[1, 0].tobytes():
                     raise ValueError("its oracle stress is not symmetric: tau_21 is not tau_12 bit for bit")
                 oracle = OracleState(grid, None, params["lam"], params["mu_p"], tau_hat=tau_hat[[0, 0, 1], [0, 1, 1]])
+            theirs = chk["physics"]
+            key = next((k for k in {**physics, **theirs} if physics.get(k) != theirs.get(k)), None)
+            if key is not None:
+                raise ValueError(f"it was written under {key} = {theirs.get(key)!r}, not {physics.get(key)!r}")
     except (OSError, KeyError, TypeError, ValueError) as exc:  # unreadable, or not of this config
         start = "build the initial state" if restart_from is None else f"restart from {restart_from}"
         raise ConfigError(f"cannot {start}: {exc}") from exc
@@ -198,6 +214,7 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
             csv_fh.flush()  # a restart from this checkpoint finds every row up to it
         write_checkpoint(out_dir / "checkpoint", step=step, t=state.t, y_value=y_value, y_integrand=yi_prev,
                          u=state.psi_hat, history=history.payload[:history.live], n_slices=history.n_slices,
+                         physics=physics,
                          oracle_tau=None if oracle is None else symmetric_tensor(oracle.tau_hat))
 
     scan_args = (cfg.q, cfg.r, cfg.mu_min)

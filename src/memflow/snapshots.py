@@ -122,7 +122,7 @@ def read_field(path, into=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def write_checkpoint(directory, *, step, t, y_value, y_integrand, u, history, n_slices, oracle_tau=None):
+def write_checkpoint(directory, *, step, t, y_value, y_integrand, u, history, n_slices, physics, oracle_tau=None):
     """Write a checkpoint into the sibling ``.<name>.new``, then swap it into
     place: ``<name>`` moves to ``.<name>.old``, the new one to ``<name>``, and
     the old one is deleted.  A process killed at any point leaves a complete
@@ -133,7 +133,8 @@ def write_checkpoint(directory, *, step, t, y_value, y_integrand, u, history, n_
     rows of :attr:`memflow.transport.DeformationHistory.payload`;
     ``history.fld`` holds them with their count in the header's N_s field,
     and ``meta.json`` has that count as ``"live"`` and the history's row
-    count ``n_slices`` as ``"n_slices"``."""
+    count ``n_slices`` as ``"n_slices"``.  ``physics``, a JSON-ready dict,
+    is stored as ``"physics"``: the settings a restart must share."""
     live = len(history)
     meta = {
         "step": int(step),
@@ -143,6 +144,7 @@ def write_checkpoint(directory, *, step, t, y_value, y_integrand, u, history, n_
         "live": live,
         "n_slices": int(n_slices),
         "has_oracle": oracle_tau is not None,
+        "physics": physics,
     }
     d = Path(directory)
     new, old = (d.with_name(f".{d.name}.{tag}") for tag in ("new", "old"))
@@ -170,7 +172,7 @@ def read_checkpoint(directory) -> dict:
     ``history.fld``, are the live ages in age order; the other rows stay
     unmapped.  A checkpoint without ``"n_slices"`` in its ``meta.json``, of an
     older layout that stored every row from a rotating start row, is
-    refused."""
+    refused, and so is one without ``"physics"``."""
     d = Path(directory)
     old = d.with_name(f".{d.name}.old")
     if not d.exists() and old.is_dir():  # a write was killed between its two renames
@@ -178,6 +180,8 @@ def read_checkpoint(directory) -> dict:
     meta = json.loads((d / "meta.json").read_text())
     if "n_slices" not in meta:
         raise SnapshotFormatError(f"{d}: history of an older layout (no \"n_slices\" in meta.json)")
+    if "physics" not in meta:
+        raise SnapshotFormatError(f"{d}: no physics record (no \"physics\" in meta.json)")
     n_s, live = int(meta["n_slices"]), int(meta["live"])
     stack = None
 
@@ -195,6 +199,7 @@ def read_checkpoint(directory) -> dict:
         "y_value": float.fromhex(meta["y_value"]),
         "y_integrand": float.fromhex(meta["y_integrand"]),
         "live": live,
+        "physics": meta["physics"],
         "u": read_field(d / "u.fld"),
         "history": stack,
         "oracle_tau": read_field(d / "oracle_tau.fld") if meta.get("has_oracle") else None,

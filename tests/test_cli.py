@@ -1,3 +1,5 @@
+import configparser
+import json
 import os
 import re
 import subprocess
@@ -86,6 +88,29 @@ class TestRunCommand:
         assert main(["run", str(p)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("flow.dt", "nan"), ("flow.t_final", "inf"), ("history.memory_cap_mb", "nan"), ("history.memory_cap_mb", "inf"),
+        ("model.lam", "0"), ("model.lam", "nan"), ("model.alpha", "0"), ("flow.viscosity", "nan"),
+        ("velocity.amplitude", "nan"), ("model.mu_p", "nan"), ("diagnostics.det_tol", "nan"),
+        ("diagnostics.stress_tol", "nan"),
+    ])
+    def test_unrunnable_number_exit_one(self, tmp_path, capsys, key, value):
+        # a number no run can use is refused before anything is written: not a traceback, exit 2 or a dead check
+        out = tmp_path / "out"
+        parser = configparser.ConfigParser()
+        parser.read_string(CONFIG.format(model="psm-raw" if key == "model.alpha" else "oldroyd-b", outdir=out))
+        section, name = key.split(".")
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, name, value)
+        p = tmp_path / "unrunnable.ini"
+        with open(p, "w") as fh:
+            parser.write(fh)
+        assert main(["run", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
+        assert not out.exists()
+
     def test_restart_flag(self, tmp_path):
         out = tmp_path / "out"
         assert main(["run", write_cfg(tmp_path, outdir=str(out))]) == 0
@@ -94,7 +119,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("case", ["other-grid", "corrupt-meta", "missing", "past-t-final", "four-field",
                                       "two-component-velocity", "csv-other-header", "csv-garbage-row", "csv-nan-t",
-                                      "csv-text-y-integrand"])
+                                      "csv-text-y-integrand", "other-model", "other-viscosity", "no-physics"])
     def test_bad_restart_exit_one(self, tmp_path, capsys, case):
         out = tmp_path / "out"
         assert main(["run", write_cfg(tmp_path, outdir=str(out))]) == 0
@@ -115,6 +140,16 @@ class TestRunCommand:
                 lines[3] = ",".join(cols)
             csv.write_text("".join(lines))
             written = csv.read_bytes()
+        elif case in ("other-model", "other-viscosity"):  # into the run's directory: refused before it is touched
+            text = CONFIG.format(model="psm-raw", outdir=out)
+            cfg = tmp_path / "other.ini"
+            cfg.write_text(text.replace("psm-raw", "oldroyd-b") if case == "other-model"
+                           else text.replace("viscosity = 0.1", "viscosity = 0.2"))
+            written = csv.read_bytes()
+        elif case == "no-physics":  # written before checkpoints recorded their physics
+            meta = json.loads((checkpoint / "meta.json").read_text())
+            del meta["physics"]
+            (checkpoint / "meta.json").write_text(json.dumps(meta))
         elif case == "other-grid":  # an n = 32 checkpoint under an n = 64 config
             cfg = tmp_path / "n64.ini"
             cfg.write_text(CONFIG.format(model="psm-raw", outdir="").replace("n = 32", "n = 64"))
@@ -144,6 +179,12 @@ class TestRunCommand:
             assert f"config error: cannot restart from {checkpoint}: " in err
         if case == "two-component-velocity":
             assert "velocity must be the band spectrum" in err
+        if case in ("other-model", "other-viscosity"):
+            differs = "model.name = 'psm-raw', not 'oldroyd-b'" if case == "other-model" else "flow.viscosity = 0.1, not 0.2"
+            assert err.endswith(f": it was written under {differs}\n")
+            assert csv.read_bytes() == written
+        if case == "no-physics":
+            assert 'no "physics" in meta.json' in err
 
     def test_degenerate_initial_history_exit_one(self, tmp_path, capsys):
         # an unusable initial history used to end in a traceback, not in exit code 1
@@ -162,6 +203,34 @@ class TestRunCommand:
         p.write_text(capped)
         assert main(["run", str(p)]) == 1
         assert "config error: history too long" in capsys.readouterr().err
+
+
+NO_SCIPY = """
+import sys
+from dataclasses import replace
+
+import memflow.cli  # noqa: F401 (the CLI's import graph)
+from memflow.config import parse_config
+from memflow.convergence import coupled_self_convergence
+from memflow.simulation import run
+from memflow.verification import run_verification
+
+cfg = replace(parse_config(sys.argv[1]), n=16, t_final=0.12, output_dir="")
+assert run(cfg).ok
+assert run_verification().passed
+coupled_self_convergence(cfg, 2)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_run_verify_and_converge_load_no_scipy():
+    # scipy serves only the homogeneous-shear quadrature references, which no command reaches
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY, str(root / "configs" / "taylor-green-psm.ini")], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 class TestVerifyCommand:
@@ -220,6 +289,28 @@ class TestOracleCommand:
 
     def test_oracle_requires_oldroyd(self, tmp_path, capsys):
         assert main(["oracle", write_cfg(tmp_path, model="psm-raw")]) == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tol_not_positive_finite_exit_one(self, tmp_path, capsys, tol):
+        # a NaN or infinite tolerance would pass every gap, a negative one fail every gap
+        assert main(["oracle", write_cfg(tmp_path, model="oldroyd-b"), "--tol", tol]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: --tol must be a positive finite number, got {float(tol)}\n"
+        assert captured.out == ""
+
+    def test_nan_gap_fails(self, tmp_path, capsys, monkeypatch):
+        from memflow import cli
+
+        inner = cli.run
+
+        def nan_gap(*args, **kwargs):
+            result = inner(*args, **kwargs)
+            result.oracle_gap = float("nan")
+            return result
+
+        monkeypatch.setattr(cli, "run", nan_gap)
+        assert main(["oracle", write_cfg(tmp_path, model="oldroyd-b"), "--tol", "0.05"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "oracle: gap not within tolerance 5.0e-02"
 
 
 class TestConvergeCommand:

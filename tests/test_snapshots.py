@@ -152,9 +152,11 @@ class TestCheckpoint:
             u=u,
             history=hist,
             n_slices=5,
+            physics={"model.name": "psm-raw", "flow.viscosity": 0.1, "diagnostics.q": 8},
         )
         chk = read_checkpoint(tmp_path / "chk")
         assert chk["step"] == 17
+        assert chk["physics"] == {"model.name": "psm-raw", "flow.viscosity": 0.1, "diagnostics.q": 8}
         assert chk["t"] == 17 * 0.05  # exact float round trip via hex
         assert chk["y_value"] == 0.123456789123456789
         assert chk["live"] == 5
@@ -171,7 +173,7 @@ class TestCheckpoint:
         stack = rng.standard_normal((7 + dead, 2, 2, 11, 6)) * (1 + 1j)
         rows = stack[:7]
         write_checkpoint(tmp_path / "chk", step=3, t=0.3, y_value=0.0, y_integrand=0.0, u=rows[0, 0],
-                         history=stack[:7], n_slices=7 + dead)
+                         history=stack[:7], n_slices=7 + dead, physics={})
         raw = (tmp_path / "chk" / "history.fld").read_bytes()
         assert struct.unpack("<6I", raw[8:32]) == (3, 11, 6, 4, 7, 1)  # N_s in the header is the live count
         assert raw[32:-8] == rows.tobytes()
@@ -186,7 +188,7 @@ class TestCheckpoint:
         meta_path = tmp_path / "chk" / "meta.json"
         for n_slices, live in ((3, 4), (5, 5)):  # more live rows than the history has; other rows than live
             write_checkpoint(tmp_path / "chk", step=1, t=0.1, y_value=0.0, y_integrand=0.0, u=stack[0, 0],
-                             history=stack, n_slices=n_slices)
+                             history=stack, n_slices=n_slices, physics={})
             meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), "live": live}))
             with pytest.raises(SnapshotFormatError, match=f"4 history rows for {live} live of {n_slices}"):
                 read_checkpoint(tmp_path / "chk")
@@ -194,7 +196,7 @@ class TestCheckpoint:
     def _write(self, directory, step):
         rng = np.random.default_rng(step)
         fields = dict(u=rng.standard_normal((2, 16, 16)), history=rng.standard_normal((5, 2, 2, 16, 16)))
-        write_checkpoint(directory, step=step, t=0.1 * step, y_value=0.0, y_integrand=0.0, n_slices=5, **fields)
+        write_checkpoint(directory, step=step, t=0.1 * step, y_value=0.0, y_integrand=0.0, n_slices=5, physics={}, **fields)
         return fields
 
     def test_rewrite_swaps_in_place(self, tmp_path):
@@ -268,7 +270,7 @@ class TestMemory:
         # the live rows (39 of 40) are read straight into the whole stack
         stack = np.random.default_rng(6).standard_normal(self.STACK)
         write_checkpoint(tmp_path / "chk", step=1, t=0.0, y_value=0.0, y_integrand=0.0, u=stack[0, 0],
-                         history=stack[:39], n_slices=40)
+                         history=stack[:39], n_slices=40, physics={})
         assert self._peak(read_checkpoint, tmp_path / "chk") <= 1.25 * stack.nbytes
 
     def test_write_copies_nothing(self, tmp_path):

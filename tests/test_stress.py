@@ -344,7 +344,7 @@ class TestIdentityRow:
             self.step(h, st, counted)
         assert h.live == min(k + 1, ag.n_nodes)  # k = 20: a full history, its oldest row dropped each step
         write_checkpoint(tmp_path / "chk", step=k, t=k * ag.ds, y_value=0.0, y_integrand=0.0, u=st.psi_hat,
-                         history=h.payload[:h.live], n_slices=h.n_slices)
+                         history=h.payload[:h.live], n_slices=h.n_slices, physics={})
         chk = read_checkpoint(tmp_path / "chk")
         resumed = DeformationHistory(chk["history"], ag, grid, generation=k, live=chk["live"])
         assert self.eye_bits(resumed)
@@ -465,7 +465,7 @@ class TestCarry:
             stretch_advect_step(h, jet, st.jet, reduction, psi)
             tau = reduction.stress()
         write_checkpoint(tmp_path / "chk", step=k, t=k * ag.ds, y_value=0.0, y_integrand=0.0, u=st.psi_hat,
-                         history=h.payload[:h.live], n_slices=n_s)
+                         history=h.payload[:h.live], n_slices=n_s, physics={})
         chk = read_checkpoint(tmp_path / "chk")
         resumed = DeformationHistory(chk["history"], ag, grid, generation=k, live=chk["live"])
         for step in range(k + 1, k + n_s + 2):
@@ -506,7 +506,7 @@ class TestFirstPass:
         for _ in range(k):
             TestIdentityRow.step(h, st, counted)
         write_checkpoint(tmp_path / "chk", step=k, t=k * ag.ds, y_value=0.0, y_integrand=0.0, u=st.psi_hat,
-                         history=h.payload[:h.live], n_slices=h.n_slices)
+                         history=h.payload[:h.live], n_slices=h.n_slices, physics={})
         chk = read_checkpoint(tmp_path / "chk")
         resumed = DeformationHistory(chk["history"], ag, grid, generation=k, live=chk["live"])
         assert resumed.live == min(k + 1, ag.n_nodes) > 1
