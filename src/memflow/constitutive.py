@@ -159,15 +159,15 @@ class StrainMeasure:
         i1 = float(np.sum(g * g))
         return float(self.h(i1)) * b + self.iso_offset * np.eye(2)
 
-    def stress_stack(self, g, out=None) -> np.ndarray:
+    def stress_stack(self, g, out=None, i1=None) -> np.ndarray:
         """Vectorized S(G) over arrays shaped (..., 2, 2, ny, nx), as its three
         distinct components (:func:`symmetric_tensor`), (..., 3, ny, nx).
 
         The spatial axes stay last and contiguous for FFT work elsewhere.
-        ``out``, of the result's shape, takes it in place of a new array.
+        ``out``, of the result's shape, and ``i1``, I1 = |G|^2 of ``g``, are used in place of new arrays.
         """
         g = np.asarray(g)
-        i1 = np.einsum("...ijyx,...ijyx->...yx", g, g)
+        i1 = np.einsum("...ijyx,...ijyx->...yx", g, g) if i1 is None else i1
         out = np.empty(g.shape[:-4] + (3,) + g.shape[-2:]) if out is None else out
         for j, k in ((0, 0), (0, 1), (1, 1)):  # (G^T G)_jk = sum_l G_lj G_lk
             np.einsum("...lyx,...lyx->...yx", g[..., j, :, :], g[..., k, :, :], out=out[..., j + k, :, :])

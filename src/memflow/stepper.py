@@ -190,7 +190,7 @@ def advance_flow(state: FlowState, tau: np.ndarray | None, base_dt: float, safet
     u, remaining, n_sub = state.u, base_dt, 0
     while remaining > 1e-14 * base_dt:
         cfl = cfl_dt(u, grid, safety, base_dt)
-        advective = safety * base_dt / cfl  # |u|_inf base_dt / dx, or at most safety when cfl is capped
+        advective = math.inf if cfl == 0.0 else safety * base_dt / cfl  # |u|_inf dt / dx; cfl 0: |u|^2 overflowed
         if advective > MAX_ADVECTIVE:
             raise FloatingPointError(
                 f"flow blew up at t = {state.t:.6g}: |u|_inf = {advective * grid.dx / base_dt:.3g}, advective "

@@ -88,11 +88,12 @@ class StackReduction:
 
     def add_chunk(self, age: int, g: np.ndarray, psi: np.ndarray, work: ChunkWorkspace):
         mass = self.history.mass(age, len(g))
-        if self.measure is not None:  # the chunk's stress in work.prod, 3 of a row's 4 fields
-            stress = work.prod.reshape(len(g), 4, *g.shape[-2:])[:, :3]
-            self.tau.add(mass, self.measure.stress_stack(g, out=stress))
+        blocks = work.prod.reshape(len(g), 4, *g.shape[-2:], copy=False)  # a row's 4 fields: 3 scratch, I1
+        i1 = np.einsum("...ijyx,...ijyx->...yx", g, g, out=blocks[:, 3])  # stress_stack's I1, bit for bit
+        if self.measure is not None:  # the chunk's stress in blocks 0-2
+            self.tau.add(mass, self.measure.stress_stack(g, out=blocks[:, :3], i1=i1))
         if self.scan is not None:
-            self.y.add(mass, self._scan_chunk(g, psi, work))
+            self.y.add(mass, self._scan_chunk(g, psi, work, blocks))
 
     def add_identity(self):
         """Add the newborn, age 0, as the identity a history step sets: its
@@ -113,28 +114,24 @@ class StackReduction:
         """The stress summed so far, ``(3, n, n)``: the sum's own buffer."""
         return self.tau.total
 
-    def _scan_chunk(self, g: np.ndarray, psi: np.ndarray, work: ChunkWorkspace) -> list[float]:
+    def _scan_chunk(self, g: np.ndarray, psi: np.ndarray, work: ChunkWorkspace, blocks: np.ndarray) -> list[float]:
         """Per slice || |grad G| / |G| ||_{L^q}^r; updates the minima.  Of a row mean_j + (-d2 psi_j,
         d1 psi_j), |grad G_j|^2 = (d1 d1 psi_j)^2 + 2 (d1 d2 psi_j)^2 + (d2 d2 psi_j)^2.  Every field
-        is formed in ``work.prod`` (the sum has already taken its stress), read as 4 contiguous blocks
-        of one field a row: 0 and 1 take the second derivatives, then serve as scratch, 2 takes
-        |grad G|^2 and then the ratio, 3 |G|."""
+        is formed in ``blocks``, ``work.prod`` as 4 fields a row (the sum has already taken its stress):
+        0 and 1 take the second derivatives, then serve as scratch, 2 takes |grad G|^2 and then the
+        ratio, and 3, which holds I1 = |G|^2, |G|."""
         q, r, mu = self.scan
         grid, spec, rows = self.grid, work.spec[:, 0], work.rows[:, 0]
-        fields = work.prod.reshape(4, len(g), *g.shape[-2:])
-        dg, s0, s1, grad_sq, g_mag = fields[:2], fields[0], fields[1], fields[2], fields[3]
+        dg, s0, s1, grad_sq = blocks[:, :2], blocks[:, 0], blocks[:, 1], blocks[:, 2]
+        g_mag = np.sqrt(blocks[:, 3], out=blocks[:, 3])
         grad_sq[...] = 0.0
         for d in self.hessian:
-            grid.inv(np.multiply(psi, d, out=spec), out=dg.swapaxes(0, 1), rows=rows)
+            grid.inv(np.multiply(psi, d, out=spec), out=dg, rows=rows)
             dg *= dg
             grad_sq += np.add(s0, s1, out=s0)
-        g11, g12, g21, g22 = g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1]
-        np.multiply(g11, g11, out=g_mag)
-        for c in (g12, g21, g22):
-            g_mag += np.multiply(c, c, out=s0)
-        np.sqrt(g_mag, out=g_mag)
         chunk_min = float(g_mag.min())
         self.min_abs = min(self.min_abs, chunk_min)
+        g11, g12, g21, g22 = g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1]
         det = np.subtract(np.multiply(g11, g22, out=s0), np.multiply(g12, g21, out=s1), out=s0)
         self.min_det = min(self.min_det, float(det.min()))
         floor = math.sqrt(2.0 * min(mu, 1.0)) / 2.0

@@ -167,17 +167,22 @@ class ChunkWorkspace:
     """Buffers every chunk of a stack pass reuses, each with one slice per row.
 
     ``g`` holds the chunk's physical fields and ``prod`` physical products
-    and scratch; ``rows`` is the row-transform scratch of band transforms;
-    ``rhs`` holds the potentials' stage spectra, two per row, and ``spec``
-    the four components' spectra of :func:`row_fields`.  A chunk is handed the
+    and scratch, 4 fields a row, read in per-row blocks (``(c, 4, n, n)``);
+    ``rows`` is the row-transform scratch of band transforms; ``rhs`` holds
+    the potentials' stage spectra, two per row, and ``spec`` the four
+    components' spectra of :func:`row_fields`.  A chunk is handed the
     workspace cut to its rows (:meth:`cut`).
     """
 
     def __init__(self, n_slices: int, n: int):
-        c = min(chunk_slices(n), n_slices)
-        self.g, self.prod = (np.empty((c, 2, 2, n, n)) for _ in range(2))
-        self.rows = np.empty((c, 2, 2, n, n // 2 + 1), dtype=complex)
-        self.rhs, self.spec = (np.empty((c, 2, 2, *band_shape(n)), dtype=complex) for _ in range(2))
+        for name, (shape, dtype) in self.buffers(min(chunk_slices(n), n_slices), n).items():
+            setattr(self, name, np.empty(shape, dtype))
+
+    @staticmethod
+    def buffers(c: int, n: int) -> dict:
+        """Each buffer's ``(shape, dtype)`` for ``c`` rows on an n x n grid."""
+        field, band = ((c, 2, 2, n, n), float), ((c, 2, 2, *band_shape(n)), complex)
+        return {"g": field, "prod": field, "rows": ((c, 2, 2, n, n // 2 + 1), complex), "rhs": band, "spec": band}
 
     def cut(self, rows: int) -> "ChunkWorkspace":
         """The workspace of a chunk of ``rows`` rows: views of the leading
@@ -188,9 +193,8 @@ class ChunkWorkspace:
 
     @staticmethod
     def nbytes_for(n: int) -> int:
-        """Bytes of the largest workspace on an n x n grid."""
-        rows, cols = band_shape(n)
-        return chunk_slices(n) * 4 * (2 * n * n * 8 + n * (n // 2 + 1) * 16 + 2 * rows * cols * 16)
+        """Bytes of the largest workspace on an n x n grid: those of the buffers :meth:`buffers` declares."""
+        return sum(math.prod(s) * np.dtype(t).itemsize for s, t in ChunkWorkspace.buffers(chunk_slices(n), n).values())
 
 
 def stack_rows_within(cap_mb: float, n: int) -> int:

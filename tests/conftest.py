@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from memflow.spectral import SpectralGrid
+from memflow.transport import identity_stack
 
 
 class TransformCounts:
@@ -41,3 +42,12 @@ def counted(monkeypatch) -> TransformCounts:
 def gradient_stack(grid: SpectralGrid, f):
     """(d1 f, d2 f) stacked on a new leading axis: ``grid.gradient`` along each axis."""
     return np.stack([grid.gradient(f, axis) for axis in (-2, -1)])
+
+
+def divergence_free_rows(grid, rng, count, amplitude):
+    """``count`` band-limited physical fields I + grad-perp psi_j, psi_j random: each row G_j =
+    e_j + (-d2 psi_j, d1 psi_j) is divergence-free; the perturbation is scaled to sup ``amplitude``."""
+    psi_hat = grid.band(rng.standard_normal((count, 2, grid.n, grid.n)))
+    g = grid.field(np.stack((-grid.d2_band * psi_hat, grid.d1_band * psi_hat), axis=2))  # g[:, j, l]
+    g *= amplitude / np.abs(g).max()
+    return identity_stack(count, grid.n) + g

@@ -289,6 +289,9 @@ class TestOracleCommand:
 
     def test_oracle_requires_oldroyd(self, tmp_path, capsys):
         assert main(["oracle", write_cfg(tmp_path, model="psm-raw")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "config error: the differential oracle requires model.name = oldroyd-b\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_tol_not_positive_finite_exit_one(self, tmp_path, capsys, tol):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import divergence_free_rows
 
 from memflow import simulation, snapshots, spectral
 from memflow.agegrid import HistoryTooLongError, build_age_grid
@@ -20,7 +21,8 @@ from memflow.config import ConfigError, SimulationConfig
 from memflow.constitutive import INI_MODELS, model_catalog
 from memflow.simulation import EXIT_NAN, EXIT_OK, EXIT_VIOLATION, run
 from memflow.snapshots import read_checkpoint, read_field, write_checkpoint, write_field
-from memflow.transport import ChunkWorkspace, identity_stack
+from memflow.spectral import SpectralGrid
+from memflow.transport import ChunkWorkspace, det_field, identity_stack
 
 
 def checkpoint_fields(chk, **fields):
@@ -96,6 +98,15 @@ class TestRun:
         assert res.exit_code == EXIT_NAN
         assert re.fullmatch(r"flow blew up at t = \S+: \|u\|_inf = \S+, advective number \S+ > 100 "
                             r"after \d+ substeps of this step", res.message)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("amplitude", [1e155, 1e160, 1e200, 1e300])
+    def test_velocity_overflow_exit_code(self, amplitude):
+        # |u|^2 overflows, so the CFL step is 0: the run exits as a blow-up, not with a ZeroDivisionError
+        res = run(small_cfg(n=16, model_name="oldroyd-b", velocity_amplitude=amplitude))
+        assert res.exit_code == EXIT_NAN
+        assert res.message == ("flow blew up at t = 0: |u|_inf = inf, advective number inf > 100 "
+                               "after 0 substeps of this step")
 
     def test_violation_exit_code(self):
         res = run(small_cfg(stress_tol=-1.0, fatal_on_violation=True))
@@ -397,23 +408,34 @@ class TestArtifacts:
             assert len((a / "diagnostics.csv").read_text().splitlines()) == 22
             assert res.oracle_gap == straight.oracle_gap and (res.oracle_gap is not None) == oracle
 
+    @pytest.mark.filterwarnings("ignore:age-zero slice", "ignore:overflow:RuntimeWarning")
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(model=st.sampled_from(INI_MODELS), dt=st.sampled_from([0.05, 0.1, 0.2]),
            eps_tail=st.sampled_from([5e-2, 1e-2, 1e-3]), cadence=st.integers(1, 3),
            snapshot_every=st.integers(1, 4), steps=st.integers(4, 30),
-           kind=st.sampled_from(["taylor-green", "random-band"]), amplitude=st.sampled_from([0.5, 1.0, 3.0]),
-           n=st.sampled_from([16, 32]), fatal=st.booleans(), data=st.data())
+           kind=st.sampled_from(["taylor-green", "random-band"]), amplitude=st.sampled_from([0.5, 1.0, 3.0, 1e160]),
+           n=st.sampled_from([16, 32]), fatal=st.booleans(), history=st.sampled_from([None, 1e-3, 5e-2]),
+           data=st.data())
     def test_restart_at_any_step_reproduces_straight_csv(self, model, dt, eps_tail, cadence, snapshot_every,
-                                                         steps, kind, amplitude, n, fatal, data):
+                                                         steps, kind, amplitude, n, fatal, history, data):
         # a shorter run's final checkpoint, at any step, resumed into its directory writes the straight
-        # run's diagnostics.csv, also when the cut is not a step the straight run records
+        # run's diagnostics.csv, also when the cut is not a step the straight run records.  Both start
+        # from rest (history None) or from an explicit stack, every row the identity plus a divergence-free
+        # perturbation of sup ``history``, with history.mu_min below its det G
         cut = data.draw(st.integers(1, steps - 1), label="cut")
         with tempfile.TemporaryDirectory() as tmp:
-            straight, resumed = Path(tmp, "A"), Path(tmp, "B")
+            straight, resumed, start = Path(tmp, "A"), Path(tmp, "B"), {}
+            if history is not None:
+                n_s = build_age_grid(model_catalog(model)[0], dt, eps_tail).n_nodes
+                seed = data.draw(st.integers(0, 2**16), label="seed")
+                stack = divergence_free_rows(SpectralGrid(n), np.random.default_rng(seed), n_s, history)
+                write_field(Path(tmp, "history.fld"), stack, n_s=n_s)
+                start = dict(initial_history=f"snapshot:{Path(tmp, 'history.fld')}",
+                             mu_min=0.9 * float(det_field(stack).min()))
             cfg = lambda out, k: small_cfg(
                 n=n, model_name=model, dt=dt, t_final=dt * k, eps_tail=eps_tail, cadence=cadence,
                 snapshot_every=snapshot_every, velocity_kind=kind, velocity_amplitude=amplitude,
-                fatal_on_violation=fatal, output_dir=str(out))
+                fatal_on_violation=fatal, output_dir=str(out), **start)
             codes = [run(cfg(straight, steps)).exit_code, run(cfg(resumed, cut)).exit_code]
             if codes[1] == EXIT_OK:
                 codes.append(run(cfg(resumed, steps), restart_from=resumed / "checkpoint").exit_code)

@@ -6,7 +6,7 @@ import pytest
 from conftest import gradient_stack
 from scipy import integrate
 
-from memflow.agegrid import build_age_grid
+from memflow.agegrid import KahanSum, build_age_grid
 from memflow.constitutive import INI_MODELS, StrainMeasure, model_catalog, single_exponential_kernel, symmetric_tensor
 from memflow.snapshots import read_checkpoint, write_checkpoint
 from memflow.spectral import SpectralGrid, taylor_green
@@ -145,6 +145,36 @@ class TestYIntegrand:
         yi, min_det, min_abs = history_scan(h, 8, 4, mu=0.5)
         assert math.isclose(min_det, 0.81, rel_tol=1e-12)
         assert math.isclose(min_abs, 0.9 * math.sqrt(2.0), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("model", [None, "psm-raw"])
+    def test_scan_bits_match_a_four_product_reference(self, grid, model):
+        # the stack pass takes |G| from the I1 that einsum forms for the stress, the reference from
+        # g11^2 + g12^2 + g21^2 + g22^2: a numpy whose einsum sums in another order fails here
+        ag = build_age_grid(single_exponential_kernel(), 0.1, 1e-3)  # 71 rows: chunks of 1, 1, 32, 32 and 5
+        h = perturbed_history(grid, ag, seed=3)
+        g_mag, expect = reference_scan(h, 8, 4)
+        fed = StackReduction(h, None if model is None else model_catalog(model)[1], (8, 4, 0.1))
+        for age, psi, work in h.chunks():  # the scan leaves each row's |G| in its last field of work.prod
+            fed.add_chunk(age, row_fields(grid, psi, work), psi, work)
+            assert work.prod.reshape(len(psi), 4, N, N)[:, 3].tobytes() == g_mag[age : age + len(psi)].tobytes()
+        assert fed.scan_result() == expect
+
+
+def reference_scan(history, q, r):
+    """|G| of the live rows and their (y integrand, min det G, min |G|), every field allocated: |G|^2 as
+    g11^2 + g12^2 + g21^2 + g22^2, and |grad G|^2 as the squared second derivatives of the potentials,
+    d1 d1, sqrt 2 d1 d2 and d2 d2 in turn, each pair of rows summed first."""
+    grid, psi = history.grid, history.payload[: history.live]
+    g = grid.field(grid.curl_hat(psi))
+    g11, g12, g21, g22 = g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1]
+    g_mag = np.sqrt(g11 * g11 + g12 * g12 + g21 * g21 + g22 * g22)
+    grad_sq = np.zeros_like(g_mag)
+    for d in (grid.k1_band**2, math.sqrt(2.0) * grid.k1_band * grid.k2_band, grid.k2_band**2):
+        dg = grid.field(psi * d)
+        grad_sq += dg[:, 0] * dg[:, 0] + dg[:, 1] * dg[:, 1]
+    norms = grid.lq_norm(np.sqrt(grad_sq) / g_mag, q)
+    y = KahanSum().add(history.mass(0, history.live), [norm**r for norm in norms]).total
+    return g_mag, (float(y), float((g11 * g22 - g12 * g21).min()), float(g_mag.min()))
 
 
 class TestStressGradient:

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import divergence_free_rows
 
 from memflow import transport
 from memflow.agegrid import build_age_grid
@@ -70,15 +71,6 @@ def with_slice(grid, age_grid, j, value, mu=1.0):
     stack = identity_stack(age_grid.n_nodes, N)
     stack[j] = value
     return init_history(stack, grid, age_grid, mu=mu)
-
-
-def divergence_free_rows(grid, rng, count, amplitude):
-    """``count`` band-limited physical fields I + grad-perp psi_j, psi_j random: each row G_j =
-    e_j + (-d2 psi_j, d1 psi_j) is divergence-free; the perturbation is scaled to sup ``amplitude``."""
-    psi_hat = grid.band(rng.standard_normal((count, 2, grid.n, grid.n)))
-    g = grid.field(np.stack((-grid.d2_band * psi_hat, grid.d1_band * psi_hat), axis=2))  # g[:, j, l]
-    g *= amplitude / np.abs(g).max()
-    return identity_stack(count, grid.n) + g
 
 
 def row_divergence(grid, g_hat):
