@@ -36,6 +36,7 @@ def cmd_run(args) -> int:
     history = result.history
     ages = history.age_grid
     print(f"history: N_s={history.n_slices}  s_max={ages.s_max:.6g}  tail_error={ages.tail_error:.4e}  "
+          f"quad_tol={ages.quad_tol:.4e}  carry={'off' if history.carry is None else 'on'}  "
           f"rows stepped in last step={history.live - 1 if history.generation else 0}")
     print(f"flow: substeps={result.substeps}")
     if result.records:

@@ -201,8 +201,10 @@ def _shear_tensor(gamma_dot: float, s) -> np.ndarray:
 
 def _quad(what: str, f, lo: float, hi: float, abs_tol: float) -> tuple[float, float]:
     """``integrate.quad`` of f over [lo, hi]: (value, error estimate); a
-    warning or failure of the quadrature raises :class:`QuadratureError`."""
-    from scipy import integrate  # here, so that only the shear references load scipy
+    warning or failure of the quadrature raises :class:`QuadratureError`.
+    scipy, a ``test`` extra and no dependency, is loaded here only: no
+    command reaches the shear references, their one caller."""
+    from scipy import integrate
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)

@@ -113,7 +113,10 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
     stress, another value in its physics record) or lies past ``t_final``,
     or a ``diagnostics.csv`` to continue that is malformed or lacks a row of
     this config up to the checkpoint's step; and
-    :class:`~memflow.agegrid.HistoryTooLongError` when the age grid exceeds the memory cap.
+    :class:`~memflow.agegrid.HistoryTooLongError` when the age grid's
+    potentials and the chunk workspace exceed the memory cap.  A history
+    whose carry does not fit beside them holds none (same bits, more
+    transforms a step: :func:`~memflow.transport.stretch_advect_step`).
     """
     if cfg.oracle and cfg.model_name != "oldroyd-b":
         raise ConfigError("the differential oracle requires model.name = oldroyd-b")
@@ -129,7 +132,9 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
     physics = {"model.name": cfg.model_name, **{f"model.{k}": v for k, v in params.items()},
                "flow.viscosity": cfg.viscosity, "flow.cfl_safety": cfg.cfl_safety, "history.eps_tail": cfg.eps_tail,
                "history.mu_min": cfg.mu_min, "diagnostics.q": cfg.q, "diagnostics.r": cfg.r}
-    age_grid = build_age_grid(kernel, cfg.dt, cfg.eps_tail, max_nodes=stack_rows_within(cfg.memory_cap_mb, cfg.n))
+    age_grid = build_age_grid(kernel, cfg.dt, cfg.eps_tail,
+                              max_nodes=stack_rows_within(cfg.memory_cap_mb, cfg.n, carry=False))
+    carry = age_grid.n_nodes <= stack_rows_within(cfg.memory_cap_mb, cfg.n)  # else each step forms its first stages
     past = [j for j in cfg.history_slices if j >= age_grid.n_nodes]
     if past:
         raise ConfigError(f"output.history_slices {past} outside 0 .. {age_grid.n_nodes - 1}: "
@@ -145,7 +150,7 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
             spec = cfg.initial_history
             if spec.startswith("snapshot:"):
                 spec = read_field(spec.split(":", 1)[1])
-            history = init_history(spec, grid, age_grid, mu=cfg.mu_min)
+            history = init_history(spec, grid, age_grid, mu=cfg.mu_min, carry=carry)
         else:  # the checkpoint's fields are the state: no initial velocity or history is built
             chk = read_checkpoint(restart_from)
             step0, y_value, yi_prev = chk["step"], chk["y_value"], chk["y_integrand"]
@@ -154,7 +159,8 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
             if step0 > cfg.n_steps:
                 raise ValueError(f"its step {step0} is past the last step, {cfg.n_steps}, of t_final = {cfg.t_final:g}")
             state = FlowState(grid, None, cfg.viscosity, t=chk["t"], psi_hat=chk["u"])
-            history = DeformationHistory(chk["history"], age_grid, grid, generation=step0, live=chk["live"])
+            history = DeformationHistory(chk["history"], age_grid, grid, generation=step0, live=chk["live"],
+                                         carry=carry)
             oracle = None
             if cfg.oracle:
                 tau_hat = chk["oracle_tau"]

@@ -112,12 +112,14 @@ class DeformationHistory:
     stepped row's next first-stage right-hand side, valid at the velocity jet
     ``carry_jet`` (None: at none), as :func:`stretch_advect_step` formed them;
     rows not yet live are never written, so their pages stay unmapped.
+    Without ``carry`` it is None, and every step forms each first stage
+    from the stored spectra.
     Single-writer: one stepper mutates the stack, readers see a consistent
     snapshot between steps.
     """
 
     def __init__(self, payload: np.ndarray, age_grid: AgeGrid, grid: SpectralGrid, generation: int = 0,
-                 live: int | None = None):
+                 live: int | None = None, carry: bool = True):
         grid.check_band(payload, (age_grid.n_nodes, 2), "history payload")
         self.payload = payload
         self.age_grid = age_grid
@@ -127,7 +129,7 @@ class DeformationHistory:
         if not 1 <= self.live <= age_grid.n_nodes:
             raise ValueError(f"live age count {self.live} outside 1 .. {age_grid.n_nodes}")
         self.workspace = ChunkWorkspace(self.n_slices, grid.n)
-        self.carry, self.carry_jet = np.zeros(payload.shape, dtype=payload.dtype), None
+        self.carry, self.carry_jet = np.zeros(payload.shape, dtype=payload.dtype) if carry else None, None
 
     @property
     def n_slices(self) -> int:
@@ -197,12 +199,12 @@ class ChunkWorkspace:
         return sum(math.prod(s) * np.dtype(t).itemsize for s, t in ChunkWorkspace.buffers(chunk_slices(n), n).values())
 
 
-def stack_rows_within(cap_mb: float, n: int) -> int:
+def stack_rows_within(cap_mb: float, n: int, carry: bool = True) -> int:
     """History rows that fit in ``cap_mb`` MiB on an n x n grid beside the
-    largest chunk workspace of a stack pass: a row is 4 band spectra of
-    complex128, its 2 potentials and their carry."""
+    largest chunk workspace of a stack pass: a row is band spectra of
+    complex128, its 2 potentials and, with ``carry``, 2 more for their carry."""
     free_bytes = cap_mb * 2**20 - ChunkWorkspace.nbytes_for(n)
-    return max(0, int(free_bytes // (4 * 16 * math.prod(band_shape(n)))))
+    return max(0, int(free_bytes // ((4 if carry else 2) * 16 * math.prod(band_shape(n)))))
 
 
 def identity_stack(n_slices: int, n: int) -> np.ndarray:
@@ -233,7 +235,8 @@ def row_fields(grid: SpectralGrid, psi: np.ndarray, work: "ChunkWorkspace") -> n
     return grid.inv(grid.curl_hat(psi, work.spec), out=work.g, rows=work.rows)
 
 
-def init_history(spec, grid: SpectralGrid, age_grid: AgeGrid, mu: float = 1.0) -> DeformationHistory:
+def init_history(spec, grid: SpectralGrid, age_grid: AgeGrid, mu: float = 1.0,
+                 carry: bool = True) -> DeformationHistory:
     """Build the initial history.
 
     ``spec`` is either the string ``"identity"`` (quiescent past: every
@@ -246,21 +249,22 @@ def init_history(spec, grid: SpectralGrid, age_grid: AgeGrid, mu: float = 1.0) -
     moves, or whose age-zero slice differs from the identity, is accepted
     with a warning.  That slice is not overwritten: the first
     step's shift carries it to age 1 and steps it like every other age, and
-    the identity enters as the new age 0.
+    the identity enters as the new age 0.  ``carry`` is
+    :class:`DeformationHistory`'s.
     """
     payload = np.zeros((age_grid.n_nodes, 2, *grid.band_shape), dtype=complex)
     if isinstance(spec, str):
         if spec != "identity":
             raise ValueError(f"unknown history spec {spec!r}")
         set_identity(payload[0], grid.n)  # the tail row: rows not yet live stay unmapped
-        return DeformationHistory(payload, age_grid, grid, live=1)
+        return DeformationHistory(payload, age_grid, grid, live=1, carry=carry)
     data = np.asarray(spec, dtype=float)
     expected = (age_grid.n_nodes, 2, 2, grid.n, grid.n)
     if data.shape != expected:
         raise ValueError(f"explicit history must have shape {expected}, got {data.shape}")
     if mu <= 0:
         raise ValueError("determinant floor mu must be positive")
-    history = DeformationHistory(payload, age_grid, grid)
+    history = DeformationHistory(payload, age_grid, grid, carry=carry)
     min_det, moved = math.inf, 0.0
     for age, psi, work in history.chunks():
         g_hat = grid.fwd(data[age : age + len(psi)], out=work.rhs, rows=work.rows)
@@ -287,16 +291,18 @@ def det_field(g: np.ndarray) -> np.ndarray:
 def age_shift(history: DeformationHistory) -> DeformationHistory:
     """Advance every slice one age index and inject the identity at age zero.
 
-    Each live row moves down one row with its carry, one at a time from the
-    oldest, so no second stack is needed; a full history overwrites its
-    oldest row, whose kernel mass is below the grid's tail tolerance by
-    construction.  Row 0 becomes the newborn, and ``live`` grows by it, up to
-    ``n_slices``; its carry is left as it was.
+    Each live row moves down one row with its carry, if the history holds
+    one, one at a time from the oldest, so no second stack is needed; a
+    full history overwrites its oldest row, whose kernel mass is below the
+    grid's tail tolerance by construction.  Row 0 becomes the newborn, and
+    ``live`` grows by it, up to ``n_slices``; its carry is left as it was.
     """
     payload, carry = history.payload, history.carry
     history.live = min(history.live + 1, history.n_slices)
     for j in range(history.live - 1, 0, -1):
-        payload[j], carry[j] = payload[j - 1], carry[j - 1]
+        payload[j] = payload[j - 1]
+        if carry is not None:
+            carry[j] = carry[j - 1]
     set_identity(payload[0], history.grid.n)
     return history
 
@@ -407,7 +413,8 @@ def stretch_advect_step(
     takes 12 transforms (18 with a bound scan's 6), the age-1 identity row
     8 (14).  Any other ``u_old``, as on a run's or a restart's first step,
     has its first stages formed from the stored spectra: 18 transforms a
-    row that forms a carry.
+    row that forms a carry.  A history without a carry forms none, and
+    forms every first stage so: 16 transforms a row (22 with a bound scan).
     """
     grid, dt = history.grid, history.age_grid.ds
     carried, carry = u_old is history.carry_jet, history.carry
@@ -427,11 +434,11 @@ def stretch_advect_step(
             bad = age + int(np.argwhere(~np.isfinite(g))[0, 0])
             raise HistoryNaNError(f"non-finite deformation at step {history.generation + 1}, age slice {bad}")
         psi[:] = r1
-        ahead = min(len(psi), history.n_slices - 1 - age)  # the rows the next shift keeps
+        ahead = 0 if carry is None else min(len(psi), history.n_slices - 1 - age)  # the rows the next shift keeps
         if ahead > 0:
             _react_rhs_hat(grid, g[:ahead], u_new, work.cut(ahead), carry[age : age + ahead])
         if reduction is not None:  # it may overwrite the scratch buffers, which this chunk no longer needs
             reduction.add_chunk(age, g, psi, work)
     history.generation += 1
-    history.carry_jet = u_new
+    history.carry_jet = None if carry is None else u_new
     return history

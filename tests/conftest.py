@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from memflow.spectral import SpectralGrid
-from memflow.transport import identity_stack
+from memflow.spectral import SpectralGrid, band_shape
+from memflow.transport import ChunkWorkspace, identity_stack
 
 
 class TransformCounts:
@@ -51,3 +51,10 @@ def divergence_free_rows(grid, rng, count, amplitude):
     g = grid.field(np.stack((-grid.d2_band * psi_hat, grid.d1_band * psi_hat), axis=2))  # g[:, j, l]
     g *= amplitude / np.abs(g).max()
     return identity_stack(count, grid.n) + g
+
+
+def memory_budgets(n: int, n_s: int) -> tuple[float, float]:
+    """The smallest ``memory_cap_mb`` whose history of N_s rows on an n x n grid runs, its potentials (2 band
+    spectra a row) beside the chunk workspace, and the smallest that holds their carry too (2 more a row)."""
+    row, work = 16 * math.prod(band_shape(n)), ChunkWorkspace.nbytes_for(n)
+    return (2 * n_s * row + work) / 2**20, (4 * n_s * row + work) / 2**20

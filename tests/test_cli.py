@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import memory_budgets
 
 from memflow.agegrid import build_age_grid
 from memflow.cli import main
@@ -55,9 +56,21 @@ class TestRunCommand:
         assert main(["run", write_cfg(tmp_path, outdir=str(out))]) == 0
         ages = build_age_grid(model_catalog("psm-raw")[0], 0.05, 1e-4)
         line = (f"history: N_s={ages.n_nodes}  s_max={ages.s_max:.6g}  tail_error={ages.tail_error:.4e}  "
+                f"quad_tol={ages.quad_tol:.4e}  carry=on  "
                 "rows stepped in last step=6")  # 6 steps from rest: 6 older rows; the newborn is set, not stepped
         assert line in capsys.readouterr().out.splitlines()
-        assert not re.search("N_s|rows stepped", (out / "diagnostics.csv").read_text())
+        assert not re.search("N_s|quad_tol|carry|rows stepped", (out / "diagnostics.csv").read_text())
+
+    def test_history_line_carry_off(self, tmp_path, capsys):
+        # a cap that fits the potentials but not their carry runs without the carry, and says so
+        ages = build_age_grid(model_catalog("psm-raw")[0], 0.05, 1e-4)
+        cap = sum(memory_budgets(32, ages.n_nodes)) / 2
+        p = tmp_path / "capped.ini"
+        capped = CONFIG.format(model="psm-raw", outdir="")
+        p.write_text(capped.replace("[history]\n", f"[history]\nmemory_cap_mb = {cap!r}\n"))
+        assert main(["run", str(p)]) == 0
+        line = next(row for row in capsys.readouterr().out.splitlines() if row.startswith("history: "))
+        assert f"  quad_tol={ages.quad_tol:.4e}  carry=off  rows stepped in last step=6" in line
 
     def test_substeps_line(self, tmp_path, capsys, monkeypatch):
         from memflow import simulation

@@ -1,21 +1,13 @@
 import numpy as np
 import pytest
 
-from memflow.agegrid import HistoryTooLongError
+from memflow.agegrid import HistoryTooLongError, build_age_grid, quadrate
 from memflow.config import SimulationConfig
-from memflow.convergence import (
-    coupled_self_convergence,
-    shear_history_stack,
-    shear_startup_study,
-    taylor_green_decay_study,
-)
+from memflow.constitutive import model_catalog
+from memflow.convergence import coupled_self_convergence, shear_history_stack
+from memflow.diagnostics import shear_startup_stress
 from memflow.snapshots import write_field
 from memflow.spectral import SpectralGrid, taylor_green
-
-
-@pytest.fixture(scope="module")
-def tg_report():
-    return taylor_green_decay_study(dts=(4e-3, 2e-3, 1e-3), n=32, eta=1.0, t_final=0.5)
 
 
 @pytest.fixture(scope="module")
@@ -27,47 +19,24 @@ def coupled_report():
     return coupled_self_convergence(cfg, n_levels=3)
 
 
-class TestTaylorGreenStudy:
-    def test_vortex_error_at_floor(self, tg_report):
-        report = tg_report
-        # the vortex nonlinearity projects away, so the integrating factor
-        # integrates it exactly at every step size
-        assert max(report.errors["taylor_green"]) < 1e-3
-        assert max(report.errors["taylor_green"]) < 1e-11
-
-    def test_forced_stage_second_order(self, tg_report):
-        report = tg_report
-        errs = report.errors["manufactured"]
-        assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
-        assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.15)
-        order, _ = report.orders["manufactured"]
-        assert 1.8 <= order <= 2.2
-
-    def test_spatial_refinement_at_floor(self, tg_report):
-        report = tg_report
-        assert max(report.extras["spatial_floor"]) <= 1e-11
-
-
 class TestShearStartupStudy:
     def test_age_quadrature_second_order(self):
-        rep = shear_startup_study("oldroyd-b", 1.0, ds_levels=(0.2, 0.1, 0.05), t_final=3.0)
-        errs = rep.errors["shear_stress"]
+        # homogeneous shear makes advection trivial and each row exact, so the grid stress against the
+        # adaptive-quadrature reference is pure age-quadrature error: second order in the spacing
+        ds_levels, t = (0.2, 0.1, 0.05), 3.0
+        kernel, m = model_catalog("oldroyd-b")
+        reference = shear_startup_stress(m, kernel, 1.0, t)
+        errs = []
+        for ds in ds_levels:
+            age = build_age_grid(kernel, ds, 1e-10)
+            stack = shear_history_stack(age.nodes, 1.0, t)
+            errs.append(float(np.max(np.abs(quadrate(age, np.stack([m.stress(g) for g in stack])) - reference))))
         assert errs[0] / errs[1] >= 3.0
         assert errs[1] / errs[2] >= 3.0
-        order, _ = rep.orders["shear_stress"]
-        assert order >= 1.8
-
-    def test_long_time_reaches_viscometric_values(self):
-        rep = shear_startup_study("oldroyd-b", 1.0, ds_levels=(0.02,), t_final=40.0)
-        oracle = rep.extras["oracle"]
-        assert oracle[0, 1] == pytest.approx(1.0, abs=1e-8)
-        assert oracle[0, 0] == pytest.approx(2.0, abs=1e-8)
+        assert np.polyfit(np.log(ds_levels), np.log(errs), 1)[0] >= 1.8
 
     def test_damping_caps_stress_at_high_rate(self):
         # the rational damping keeps |S| <= 1 while the linear law grows as rate^2
-        from memflow.agegrid import build_age_grid, quadrate
-        from memflow.constitutive import model_catalog
-
         gamma_dot, t = 10.0, 20.0
         for name, bounded in (("psm-raw", True), ("oldroyd-b", False)):
             kernel, m = model_catalog(name)

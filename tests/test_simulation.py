@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import divergence_free_rows
+from conftest import divergence_free_rows, memory_budgets
 
 from memflow import simulation, snapshots, spectral
 from memflow.agegrid import HistoryTooLongError, build_age_grid
@@ -205,17 +205,33 @@ class TestRun:
             run(small_cfg(n=16, dt=0.3, t_final=0.6, eps_tail=0.05, **over))
 
     def test_memory_cap_counts_chunk_workspace(self):
-        # a row is its potentials and their carry, 4 band spectra: a cap one row short of the stack, the
-        # carry and the workspace is refused
+        # a row's potentials are 2 band spectra: a cap one row short of the potentials and the workspace is
+        # refused, one that fits them runs without the carry (2 more spectra a row), one that fits both holds it
         history = run(small_cfg(t_final=0.05)).history
-        stack_bytes = history.payload.nbytes + history.carry.nbytes
+        stack_mib, row_mib = history.payload.nbytes / 2**20, history.payload[0].nbytes / 2**20
         with pytest.raises(HistoryTooLongError):
-            run(small_cfg(t_final=0.05, memory_cap_mb=stack_bytes / 2**20))
-        cap = (stack_bytes + ChunkWorkspace.nbytes_for(32)) / 2**20
-        row_mib = stack_bytes / history.n_slices / 2**20
+            run(small_cfg(t_final=0.05, memory_cap_mb=stack_mib))
+        cap = stack_mib + ChunkWorkspace.nbytes_for(32) / 2**20
         with pytest.raises(HistoryTooLongError):
             run(small_cfg(t_final=0.05, memory_cap_mb=cap - row_mib))
-        assert run(small_cfg(t_final=0.05, memory_cap_mb=cap)).exit_code == EXIT_OK
+        res = run(small_cfg(t_final=0.05, memory_cap_mb=cap))
+        assert res.exit_code == EXIT_OK and res.history.carry is None
+        assert run(small_cfg(t_final=0.05, memory_cap_mb=cap + stack_mib - 2 * row_mib)).history.carry is None
+        carried = run(small_cfg(t_final=0.05, memory_cap_mb=cap + stack_mib)).history
+        assert carried.carry.nbytes == carried.payload.nbytes
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_cap_between_budgets_runs_without_carry(self, tmp_path, n):
+        # a cap that fits the potentials and the workspace but not the carry runs, forming every first stage
+        # from the stored spectra, and writes the uncapped run's files byte for byte
+        cfg = lambda out, **over: small_cfg(n=n, output_dir=str(tmp_path / out), snapshot_every=4, checkpoint=True,
+                                            history_slices=(0, 3), **over)
+        free = run(cfg("free"))
+        capped = run(cfg("capped", memory_cap_mb=sum(memory_budgets(n, free.history.n_slices)) / 2))
+        assert capped.exit_code == free.exit_code == EXIT_OK
+        assert capped.history.carry is None and free.history.carry is not None
+        files = lambda out: {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert files(tmp_path / "capped") == files(tmp_path / "free")  # diagnostics.csv, snapshots, checkpoint
 
     def test_run_holds_one_steps_working_set(self):
         # a from-rest run at n = 256 with N_s = 4 holds, beside the stack, its carry and the chunk workspace, the two
@@ -443,6 +459,40 @@ class TestArtifacts:
             if len(codes) == 3:  # resumed: it ends as the straight run ends, a fatal violation or a blow-up too
                 assert codes[2] == codes[0]
                 assert (resumed / "diagnostics.csv").read_bytes() == (straight / "diagnostics.csv").read_bytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(model=st.sampled_from(INI_MODELS), dt=st.sampled_from([0.05, 0.1, 0.2]),
+           eps_tail=st.sampled_from([5e-2, 1e-2, 1e-3]), n=st.sampled_from([16, 32]), steps=st.integers(2, 12),
+           budget=st.sampled_from([0, 1]), rows=st.integers(-2, 2), half=st.booleans(), data=st.data())
+    def test_memory_cap_completes_or_refuses_at_setup(self, model, dt, eps_tail, n, steps, budget, rows, half,
+                                                      data):
+        # a cap drawn within a few rows of the potentials' budget (0) or of the carry's (1): a run under it
+        # either is refused with HistoryTooLongError before it writes a file, or completes, with the carry
+        # exactly when the cap fits it, and writes the uncapped run's diagnostics.csv, straight and resumed
+        # from a checkpoint at any step
+        cut = data.draw(st.integers(1, steps - 1), label="cut")
+        n_s = build_age_grid(model_catalog(model)[0], dt, eps_tail).n_nodes
+        lo, hi = memory_budgets(n, n_s)
+        row_mib = (hi - lo) / n_s * (1 + budget)  # a row at 2 band spectra, or at 4 with the carry
+        cap = (lo, hi)[budget] + (rows + 0.5 * half) * row_mib
+        with tempfile.TemporaryDirectory() as tmp:
+            free, straight, resumed = Path(tmp, "free"), Path(tmp, "A"), Path(tmp, "B")
+            cfg = lambda out, k, **over: small_cfg(n=n, model_name=model, dt=dt, t_final=dt * k, eps_tail=eps_tail,
+                                                   velocity_amplitude=3.0, output_dir=str(out), **over)
+            expected = run(cfg(free, steps)).exit_code
+            if cap < lo:
+                with pytest.raises(HistoryTooLongError):
+                    run(cfg(straight, steps, memory_cap_mb=cap))
+                assert not straight.exists()
+                return
+            res = run(cfg(straight, steps, memory_cap_mb=cap))
+            assert res.exit_code == expected and (res.history.carry is not None) == (cap >= hi)
+            assert (straight / "diagnostics.csv").read_bytes() == (free / "diagnostics.csv").read_bytes()
+            if run(cfg(resumed, cut, memory_cap_mb=cap)).exit_code == EXIT_OK:
+                res = run(cfg(resumed, steps, memory_cap_mb=cap), restart_from=resumed / "checkpoint")
+                assert res.exit_code == expected
+                assert (resumed / "diagnostics.csv").read_bytes() == (free / "diagnostics.csv").read_bytes()
 
     @staticmethod
     def oldroyd_cfg(out, steps, **over):

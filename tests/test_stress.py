@@ -459,6 +459,27 @@ class TestCarry:
             tau = fast.stress()
             assert tau.tobytes() == slow.stress().tobytes() and fast.scan_result() == slow.scan_result()
 
+    def test_history_without_carry(self, counted):
+        # a history that holds no carry, as run() builds one when only the potentials fit its memory cap, forms
+        # every first stage from the stored spectra: 16 transforms a stepped row (22 monitored) and 6 for the
+        # age-1 identity row (12), none for a carry, full or not; its rows, stress and scan are the carried bits
+        grid, ag, m, _, _ = TestTailRow.histories()
+        n_s = ag.n_nodes
+        for scan, first, per_row in ((None, 6, 16), (self.SCAN, 12, 22)):
+            carried, plain = (init_history("identity", grid, ag, carry=carry) for carry in (True, False))
+            st, tau = FlowState(grid, taylor_green(grid), 0.1), None
+            for k in range(1, 2 * n_s + 3):
+                jet, psi = self.flow(st, ag.ds, tau)
+                fast, slow = (StackReduction(h, m, scan) for h in (carried, plain))
+                stretch_advect_step(carried, jet, st.jet, fast, psi)
+                counted.reset()
+                stretch_advect_step(plain, jet, st.jet, slow, psi)
+                assert counted.total == first + per_row * (min(k + 1, n_s) - 2), k
+                assert plain.carry is None and plain.carry_jet is None and plain.live == carried.live
+                assert plain.payload[: plain.live].tobytes() == carried.payload[: carried.live].tobytes()
+                tau = fast.stress()
+                assert tau.tobytes() == slow.stress().tobytes() and fast.scan_result() == slow.scan_result()
+
     def test_carry_used_only_at_its_jet(self, counted):
         # a carry formed at the jet u is not used for another jet, 0.9 u: that step forms every first stage
         # from the spectra, 4 more inverse and 2 more forward transforms a row, and gives the bits of a
