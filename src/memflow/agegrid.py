@@ -131,7 +131,7 @@ def quadrate(grid: AgeGrid, samples):
     age axis, so the result is deterministic and independent of how outer
     loops are parallelized.
     """
-    samples = np.asarray(samples, dtype=float)
+    samples = np.array(samples, dtype=float)  # a copy: the sum scales its rows in place
     if samples.shape[0] != grid.n_nodes:
         raise ValueError(f"expected {grid.n_nodes} age samples, got {samples.shape[0]}")
     total = KahanSum(samples.shape[1:]).add(grid.node_mass, samples).total
@@ -143,23 +143,25 @@ class KahanSum:
     order (so chunked calls give the same bits), updated in place.  Every
     term, the first too, takes the textbook update y = c f - comp,
     t = total + y, comp = (t - total) - y, total = t: the same five
-    operations in three buffers.  t goes into the compensation's buffer,
-    which y has absorbed, and the new compensation into the old total's;
-    then the two swap names.  The first term, into total = comp = 0.0, takes
-    them on its own shape (one point for a constant field), then broadcast."""
+    operations in three buffers, the sample's among them.  y is formed in
+    the sample (an array sample is overwritten), t goes into the
+    compensation's buffer, which y has absorbed, and the new compensation
+    into the old total's; then the two swap names.  Samples have the sum's
+    shape but the first term, into total = comp = 0.0, which takes the
+    operations on its own shape (one point for a constant field), then
+    broadcast."""
 
     def __init__(self, shape=()):
-        self.total, self._comp, self._y = np.zeros(shape), np.zeros(shape), np.empty(shape)
+        self.total, self._comp = np.zeros(shape), np.zeros(shape)
         self._empty = True
 
     def add(self, coeffs, samples) -> "KahanSum":
-        y = self._y
         for c, f in zip(coeffs, samples):
             if self._empty:
                 first = np.multiply(f, c) - 0.0
                 self.total[...], self._comp[...], self._empty = 0.0 + first, (0.0 + first - 0.0) - first, False
                 continue
-            np.multiply(f, c, out=y)
+            y = np.multiply(f, c, out=f if isinstance(f, np.ndarray) else None)
             y -= self._comp
             t = np.add(self.total, y, out=self._comp)  # the compensation is dead once y holds it
             comp = np.subtract(t, self.total, out=self.total)

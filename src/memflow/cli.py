@@ -38,6 +38,9 @@ def cmd_run(args) -> int:
     print(f"history: N_s={history.n_slices}  s_max={ages.s_max:.6g}  tail_error={ages.tail_error:.4e}  "
           f"quad_tol={ages.quad_tol:.4e}  carry={'off' if history.carry is None else 'on'}  "
           f"rows stepped in last step={history.live - 1 if history.generation else 0}")
+    mib = lambda nbytes: f"{nbytes / 2**20:.3f} MiB"
+    carry = 0 if history.carry is None else history.carry.nbytes
+    print(f"memory: stack={mib(history.payload.nbytes)}  carry={mib(carry)}  workspace={mib(history.workspace.nbytes)}")
     print(f"flow: substeps={result.substeps}")
     if result.records:
         rec = result.records[-1]

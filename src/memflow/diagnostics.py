@@ -10,8 +10,9 @@ The monitor reads the velocity gradient from the flow state's jet; it
 transforms only the divergence (one band inverse) and the stress, whose
 gradient (:func:`memflow.stress.stress_gradient_norm`) is the solver's one
 whole-spectrum transform: per derivative direction, an ``rfft`` and an
-``irfft`` along it of the 3 components, 12 real line passes in all, in the
-history's chunk workspace, which is free between steps.
+``irfft`` along it of the 3 components, 12 real line passes in all.  Every
+field it forms is in the history's chunk workspace, which is free between
+steps.
 
 Two oracles are independent of the age-grid machinery: the differential
 upper-convected law stepped alongside the integral law on the same grid
@@ -82,16 +83,22 @@ def monitor(
     (y integrand, min det G, min |G|), which the step's stack pass computed.
     Flags never raise here; the simulation loop decides whether they are fatal.
     """
-    grid = state.grid
-    stress_sup = float(np.max(np.sqrt(tau[0] ** 2 + tau[1] ** 2 + tau[1] ** 2 + tau[2] ** 2)))  # Frobenius
+    grid, work = state.grid, history.workspace.cut(1)  # free between steps: every field is formed in it
+    prod = work.planes("prod")
+    sq = np.multiply(tau[0], tau[0], out=prod[0])  # the Frobenius norm: tau_12 counts twice, in this order
+    for c in (1, 1, 2):
+        sq += np.multiply(tau[c], tau[c], out=prod[1])
+    stress_sup = float(np.max(np.sqrt(sq, out=sq)))
     yi, min_det, min_abs = scan
 
     du = state.jet[1:]
-    gradu_sup = math.sqrt(np.max(np.einsum("icyx,icyx->yx", du, du)))  # the max before the sqrt, same bits
-    div_u = grid.field(grid.divergence_hat(grid.curl_hat(state.psi_hat)))
-    divu_sup = float(np.max(np.abs(div_u))) / max(1.0, gradu_sup)
+    gradu_sup = math.sqrt(np.max(np.einsum("icyx,icyx->yx", du, du, out=sq)))  # the max before the sqrt, same bits
+    curl = grid.curl_hat(state.psi_hat, work.planes("spec")[:2])
+    div_u = grid.inv(grid.divergence_hat(curl), out=sq, rows=work.planes("rows")[0])
+    divu_sup = float(np.max(np.abs(div_u, out=div_u))) / max(1.0, gradu_sup)
+    energy = kinetic_energy(grid, state.u, prod[:2])
 
-    sgn = stress_gradient_norm(tau, grid, cfg.q, history.workspace.cut(1))  # free between steps
+    sgn = stress_gradient_norm(tau, grid, cfg.q, work)
 
     flags = []
     tail = history.age_grid.tail_error
@@ -113,7 +120,7 @@ def monitor(
         stress_sup=stress_sup,
         min_detG=min_det,
         min_absG=min_abs,
-        energy=kinetic_energy(grid, state.u),
+        energy=energy,
         gradu_sup=gradu_sup,
         divu_sup=divu_sup,
         y_value=y_value,

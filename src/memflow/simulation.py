@@ -11,9 +11,13 @@ new stress and, on monitored steps, runs the bound scan that the monitor
 reports.  A step holds one step's working set at a time: the pass's sums
 are allocated after the flow step, once the old stress has gone; the old
 jet goes once the history and the oracle have used it, and the pass's
-scratch sums before the monitor runs.  The loop is single-writer; all
-reductions run in fixed order, so identical configurations produce
-byte-identical diagnostics regardless of the FFT worker count.
+compensation before the monitor runs.  The history's chunk workspace is
+idle outside the pass, and the flow step and the monitor form their
+fields in it, as the snapshots do the history rows', so the new jet and
+the pass's two sums are the only fields a step allocates.  The loop is
+single-writer; all reductions run in fixed order, so identical
+configurations produce byte-identical diagnostics regardless of the FFT
+worker count.
 
 Exit codes: 0 clean, 2 non-finite or degenerate state (the last periodic
 checkpoint is left on disk), 3 monitored-bound violation when configured
@@ -143,14 +147,14 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
     try:
         if restart_from is None:
             step0, y_value, yi_prev = 0, 0.0, None
-            state = FlowState(grid, initial_velocity(cfg, grid), cfg.viscosity)
-            oracle = None
-            if cfg.oracle:
-                oracle = OracleState(grid, np.zeros((3, grid.n, grid.n)), params["lam"], params["mu_p"])
             spec = cfg.initial_history
             if spec.startswith("snapshot:"):
                 spec = read_field(spec.split(":", 1)[1])
             history = init_history(spec, grid, age_grid, mu=cfg.mu_min, carry=carry)
+            state = FlowState(grid, initial_velocity(cfg, grid), cfg.viscosity, work=history.workspace.cut(1))
+            oracle = None
+            if cfg.oracle:
+                oracle = OracleState(grid, np.zeros((3, grid.n, grid.n)), params["lam"], params["mu_p"])
         else:  # the checkpoint's fields are the state: no initial velocity or history is built
             chk = read_checkpoint(restart_from)
             step0, y_value, yi_prev = chk["step"], chk["y_value"], chk["y_integrand"]
@@ -158,9 +162,9 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
                 raise ValueError(f"its time {chk['t']!r} is not its step {step0} times dt = {cfg.dt!r}")
             if step0 > cfg.n_steps:
                 raise ValueError(f"its step {step0} is past the last step, {cfg.n_steps}, of t_final = {cfg.t_final:g}")
-            state = FlowState(grid, None, cfg.viscosity, t=chk["t"], psi_hat=chk["u"])
             history = DeformationHistory(chk["history"], age_grid, grid, generation=step0, live=chk["live"],
                                          carry=carry)
+            state = FlowState(grid, None, cfg.viscosity, t=chk["t"], psi_hat=chk["u"], work=history.workspace.cut(1))
             oracle = None
             if cfg.oracle:
                 tau_hat = chk["oracle_tau"]
@@ -244,7 +248,7 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
             u_old, u_old_psi = state.jet, state.psi_hat  # advance_flow rebinds both
             snapshot, monitored = snapshot_step(step), record_step(step)
             try:
-                substeps += advance_flow(state, tau, cfg.dt, cfg.cfl_safety)
+                substeps += advance_flow(state, tau, cfg.dt, cfg.cfl_safety, history.workspace.cut(1))
                 state.t = step * cfg.dt  # re-pin against substep roundoff drift
                 tau = None  # the flow has used it: it goes before the pass's sums are allocated
                 stack_pass = StackReduction(history, measure, scan_args if monitored else None)
@@ -254,7 +258,7 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
             except FloatingPointError as exc:  # non-finite flow, history or oracle; degenerate history
                 return finish(EXIT_NAN, str(exc), None)
             tau, scan = stack_pass.stress(), stack_pass.scan_result() if monitored else None
-            del u_old, u_old_psi, stack_pass  # the old jet and the pass's scratch sums go before the monitor
+            del u_old, u_old_psi, stack_pass  # the old jet and the pass's compensation go before the monitor
 
             if monitored:
                 rec = monitor(state, history, tau, measure, cfg, y_value, scan)

@@ -19,9 +19,11 @@ The stress is not band-limited.  Its gradient (:meth:`SpectralGrid.gradient`)
 is the one transform of the whole spectrum, one axis at a time: an ``rfft``
 along the axis, the derivative on its n//2 + 1 modes and an ``irfft`` back,
 through ``numpy.fft`` into caller-supplied buffers.  So every transform
-the solver runs goes through ``numpy.fft`` on one thread.  The worker count
-(:func:`set_workers`, ``--threads``, ``MEMFLOW_THREADS``) is validated and
-kept, but reaches no transform.
+the solver runs goes through ``numpy.fft`` on one thread.  The buffers are
+a :class:`ChunkWorkspace`'s: the history's stack passes work in it, chunk
+by chunk, and the flow and the monitor in its one-row cut.  The worker
+count (:func:`set_workers`, ``--threads``, ``MEMFLOW_THREADS``) is
+validated and kept, but reaches no transform.
 """
 
 from __future__ import annotations
@@ -66,6 +68,63 @@ def band_shape(n: int) -> tuple[int, int]:
     """Trailing shape ``(2 kc + 1, kc + 1)`` of a band spectrum on an n x n grid."""
     kc = n // 3
     return 2 * kc + 1, kc + 1
+
+
+CHUNK_SLICES = 48  # most slices in one chunk of a stack pass
+CHUNK_BYTES = 2**20  # physical-field bytes of a chunk: small chunks keep a chunk's work in cache
+
+
+def chunk_slices(n: int) -> int:
+    """Slices per chunk of a stack pass on an n x n grid: ``CHUNK_BYTES`` of
+    fields, at least one and at most ``CHUNK_SLICES``."""
+    return max(1, min(CHUNK_SLICES, CHUNK_BYTES // (4 * n * n * 8)))
+
+
+class ChunkWorkspace:
+    """Buffers every chunk of a stack pass reuses, each with one slice per row.
+
+    ``g`` holds the chunk's physical fields and ``prod`` physical products
+    and scratch, 4 fields a row, read in per-row blocks (``(c, 4, n, n)``);
+    ``rows`` is the row-transform scratch of band transforms; ``rhs`` holds
+    the potentials' stage spectra, two per row, and ``spec`` the four
+    components' spectra of :func:`~memflow.transport.row_fields`.  A chunk
+    is handed the workspace cut to its rows (:meth:`cut`).  Between stack
+    passes the workspace is idle, and the flow, the monitor and the
+    snapshots of history rows work in its one-row cut, read as planes
+    (:meth:`planes`).
+    """
+
+    def __init__(self, n_slices: int, n: int):
+        for name, (shape, dtype) in self.buffers(min(chunk_slices(n), n_slices), n).items():
+            setattr(self, name, np.empty(shape, dtype))
+
+    @staticmethod
+    def buffers(c: int, n: int) -> dict:
+        """Each buffer's ``(shape, dtype)`` for ``c`` rows on an n x n grid."""
+        field, band = ((c, 2, 2, n, n), float), ((c, 2, 2, *band_shape(n)), complex)
+        return {"g": field, "prod": field, "rows": ((c, 2, 2, n, n // 2 + 1), complex), "rhs": band, "spec": band}
+
+    def cut(self, rows: int) -> "ChunkWorkspace":
+        """The workspace of a chunk of ``rows`` rows: views of the leading
+        ``rows`` slices of each buffer."""
+        work = object.__new__(ChunkWorkspace)
+        vars(work).update((name, buf[:rows]) for name, buf in vars(self).items())
+        return work
+
+    def planes(self, name: str) -> np.ndarray:
+        """Buffer ``name`` as a stack of its 2-D planes (fields, half spectra
+        or band spectra): a view, a row's 4 planes after another's."""
+        buf = getattr(self, name)
+        return buf.reshape(-1, *buf.shape[-2:], copy=False)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(buf.nbytes for buf in vars(self).values())
+
+    @staticmethod
+    def nbytes_for(n: int) -> int:
+        """Bytes of the largest workspace on an n x n grid: those of the buffers :meth:`buffers` declares."""
+        return sum(math.prod(s) * np.dtype(t).itemsize for s, t in ChunkWorkspace.buffers(chunk_slices(n), n).values())
 
 
 class SpectralGrid:
@@ -241,9 +300,10 @@ class SpectralGrid:
             return (TWO_PI**2 * float(means)) ** (1.0 / q)
         return [(TWO_PI**2 * m) ** (1.0 / q) for m in means.tolist()]
 
-    def l2_norm_sq(self, f: np.ndarray) -> float:
-        """Squared L^2 norm, summed over any leading component axes."""
-        return TWO_PI**2 * float(np.mean(f**2)) * float(np.prod(f.shape[:-2], dtype=float))
+    def l2_norm_sq(self, f: np.ndarray, out: np.ndarray | None = None) -> float:
+        """Squared L^2 norm, summed over any leading component axes; ``out``,
+        of ``f``'s shape, takes f^2, which is then allocated nowhere."""
+        return TWO_PI**2 * float(np.mean(np.multiply(f, f, out=out))) * float(np.prod(f.shape[:-2], dtype=float))
 
 
 def _abs_pow(x: np.ndarray, q, out=None) -> np.ndarray:

@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from .spectral import SpectralGrid
+from .spectral import ChunkWorkspace, SpectralGrid
 
 MAX_ADVECTIVE = 100.0  # the base step's |u|_inf dt / dx past which advance_flow gives up (module docstring)
 
@@ -54,10 +54,11 @@ class FlowState:
 
     ``FlowState(grid, u, eta)`` takes the stream function of a physical
     field ``u``'s divergence-free part on the band, mean included; with
-    ``psi_hat`` (and ``u`` None) the spectrum is taken as it is (a restart)."""
+    ``psi_hat`` (and ``u`` None) the spectrum is taken as it is (a restart).
+    The jet is formed in ``work``, as by :func:`advance_flow`."""
 
     def __init__(self, grid: SpectralGrid, u: np.ndarray | None, eta: float, t: float = 0.0,
-                 psi_hat: np.ndarray | None = None):
+                 psi_hat: np.ndarray | None = None, work: ChunkWorkspace | None = None):
         if eta <= 0:
             raise ValueError("viscosity must be positive")
         if psi_hat is None:
@@ -67,22 +68,30 @@ class FlowState:
         k1, k2 = grid.k1_band, grid.k2_band
         self.grid, self.eta, self.t = grid, eta, t
         self.mix = (k1 * k2 * grid.inv_k_sq_band, (k2 * k2 - k1 * k1) * grid.inv_k_sq_band)  # B, A
-        self.psi_hat, self.jet = psi_hat, _jet(grid, psi_hat)
+        self.psi_hat, self.jet = psi_hat, _jet(grid, psi_hat, ChunkWorkspace(1, grid.n) if work is None else work)
 
     @property
     def u(self) -> np.ndarray:
         return self.jet[0]
 
 
-def _jet(grid: SpectralGrid, psi_hat: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
-    """The velocity's jet ``(u, d1 u, d2 u)``: one inverse transform each of
-    d1 u1 = -d1 d2 psi, d1 u2 = d1 d1 psi and d2 u1 = -d2 d2 psi, and
-    d2 u2 = -d1 u1.  A given ``u``, the field of ``psi_hat``, is copied in."""
+def _jet(grid: SpectralGrid, psi_hat: np.ndarray, work: ChunkWorkspace, u: np.ndarray | None = None) -> np.ndarray:
+    """The velocity's jet ``(u, d1 u, d2 u)``, the one array a base step
+    allocates: one inverse transform each of d1 u1 = -d1 d2 psi,
+    d1 u2 = d1 d1 psi and d2 u1 = -d2 d2 psi, and d2 u2 = -d1 u1, their
+    spectra in ``work.spec`` and the row scratch in ``work.rows``.  A given
+    ``u``, the field of ``psi_hat``, is copied in."""
     k1, k2 = grid.k1_band, grid.k2_band
+    spec, rows = work.planes("spec"), work.planes("rows")
     jet = np.empty((3, 2, grid.n, grid.n))
-    jet[0] = grid.field(grid.curl_hat(psi_hat)) if u is None else u
+    if u is None:
+        grid.inv(grid.curl_hat(psi_hat, spec[:2]), out=jet[0], rows=rows[:2])
+    else:
+        jet[0] = u
     du = jet[1:].reshape(4, grid.n, grid.n)  # d1 u1, d1 u2, d2 u1, d2 u2
-    grid.inv(np.stack((k1 * k2 * psi_hat, -k1 * k1 * psi_hat, k2 * k2 * psi_hat)), out=du[:3])
+    for out, d in zip(spec, (k1 * k2, -k1 * k1, k2 * k2)):
+        np.multiply(d, psi_hat, out=out)
+    grid.inv(spec[:3], out=du[:3], rows=rows[:3])
     np.negative(du[0], out=du[3])
     return jet
 
@@ -113,37 +122,48 @@ def heun(y, y_hat, rhs, inv, dt: float, e=None, stage=None):
     return r1, inv(r1)
 
 
-def cfl_dt(u: np.ndarray, grid: SpectralGrid, safety: float, base_dt: float) -> float:
+def cfl_dt(u: np.ndarray, grid: SpectralGrid, safety: float, base_dt: float, out=None) -> float:
     """Advective step bound safety * dx / |u|_inf, capped at the base step.
 
     The cap keeps the flow substeps aligned with the age step; diffusion
-    imposes no constraint thanks to the integrating factor.
+    imposes no constraint thanks to the integrating factor.  ``out``, two
+    fields, takes u1^2 and u2^2, which are then allocated nowhere.
     """
     if not 0.0 < safety <= 1.0:
         raise ValueError("safety must lie in (0, 1]")
-    sup = math.sqrt(np.max(u[0] ** 2 + u[1] ** 2))  # sqrt is monotone: the sup of |u|, bit for bit
+    out = (None, None) if out is None else out
+    sq = np.multiply(u[0], u[0], out=out[0])
+    sq += np.multiply(u[1], u[1], out=out[1])
+    sup = math.sqrt(np.max(sq))  # sqrt is monotone: the sup of |u|, bit for bit
     return min(safety * grid.dx / max(sup, 1e-12), base_dt)
 
 
-def kinetic_energy(grid: SpectralGrid, u: np.ndarray) -> float:
-    """Half the squared discrete L^2 norm of the velocity."""
-    return 0.5 * grid.l2_norm_sq(u)
+def kinetic_energy(grid: SpectralGrid, u: np.ndarray, out: np.ndarray | None = None) -> float:
+    """Half the squared discrete L^2 norm of the velocity; ``out``, of its
+    shape, takes u^2 (:meth:`~memflow.spectral.SpectralGrid.l2_norm_sq`)."""
+    return 0.5 * grid.l2_norm_sq(u, out)
 
 
-def _mix(state: FlowState, parts: np.ndarray) -> np.ndarray:
-    """B p_1 + A p_2 of the band spectra of the two physical fields ``parts``: 2 forward transforms."""
-    (b, a), parts_hat = state.mix, state.grid.band(parts)
-    out = np.multiply(b, parts_hat[0])
+def _mix(state: FlowState, parts: np.ndarray, work: ChunkWorkspace, out: np.ndarray | None = None) -> np.ndarray:
+    """B p_1 + A p_2 of the band spectra of the two physical fields ``parts``
+    into ``out`` (allocated if not given): 2 forward transforms, their
+    spectra in ``work.rhs`` and the row scratch in ``work.rows``."""
+    (b, a), grid = state.mix, state.grid
+    parts_hat = grid.fwd(parts, out=work.planes("rhs")[:2], rows=work.planes("rows")[:2])
+    out = np.multiply(b, parts_hat[0], out=out)
     out += np.multiply(a, parts_hat[1], out=parts_hat[1])
     return out
 
 
-def _rhs_hat(state: FlowState, u: np.ndarray, stress_hat, forcing, t: float) -> np.ndarray:
+def _rhs_hat(state: FlowState, u: np.ndarray, stress_hat, forcing, t: float, work: ChunkWorkspace,
+             out: np.ndarray | None = None) -> np.ndarray:
     """psi's band right-hand side from the physical velocity (module
-    docstring), mean mode 0.0; a forcing adds its band potential, mean included."""
-    prod = np.multiply(u[0], u)  # c = u1 u1 - u2 u2, b = u1 u2
-    prod[0] -= u[1] * u[1]
-    rhs = _mix(state, prod)
+    docstring), mean mode 0.0, into ``out`` (allocated if not given); the
+    products are formed in ``work.g``.  A forcing adds its band potential,
+    mean included."""
+    prod = np.multiply(u[0], u, out=work.planes("g")[:2])  # c = u1 u1 - u2 u2, b = u1 u2
+    prod[0] -= np.multiply(u[1], u[1], out=work.planes("g")[2])
+    rhs = _mix(state, prod, work, out)
     if stress_hat is not None:
         rhs += stress_hat
     rhs[0, 0] = 0.0
@@ -152,52 +172,69 @@ def _rhs_hat(state: FlowState, u: np.ndarray, stress_hat, forcing, t: float) -> 
     return rhs
 
 
-def _substep(state: FlowState, u: np.ndarray, stress_hat, forcing, h: float) -> np.ndarray:
+def _substep(state: FlowState, u: np.ndarray, stress_hat, forcing, h: float, work: ChunkWorkspace) -> np.ndarray:
     """One Lawson-Heun substep of length h from ``u``, the physical field of
-    ``state.psi_hat``; returns the new one and leaves ``state.jet`` as it is."""
+    ``state.psi_hat``; returns the new one and leaves ``state.jet`` as it is.
+    Its fields live in ``work``: the predictor in ``prod``'s first two
+    planes, the new velocity in the other two (so ``u`` may be the last
+    substep's, as it is read first), the predictor's spectrum in ``rhs``."""
     grid, t = state.grid, state.t
-    rhs = lambda v, k: _rhs_hat(state, v, stress_hat, forcing, (t, t + h)[k])
-    inv = lambda f: grid.field(grid.curl_hat(f))
-    state.psi_hat, u = heun(u, state.psi_hat, rhs, inv, h, e=grid.viscous_factor(state.eta, h))
+    spec, rows, prod, stage = work.planes("spec"), work.planes("rows"), work.planes("prod"), work.planes("rhs")[2]
+    rhs = lambda v, k: _rhs_hat(state, v, stress_hat, forcing, (t, t + h)[k], work, (None, stage)[k])
+    halves = iter((prod[:2], prod[2:4]))  # the predictor, then the new velocity
+    inv = lambda f: grid.inv(grid.curl_hat(f, spec[:2]), out=next(halves), rows=rows[:2])
+    state.psi_hat, u = heun(u, state.psi_hat, rhs, inv, h, e=grid.viscous_factor(state.eta, h), stage=stage)
     state.t += h
     if not np.isfinite(u).all():
         raise FlowNaNError(f"non-finite velocity at t = {state.t:.6g}")
     return u
 
 
-def _stress_hat(state: FlowState, tau: np.ndarray | None):
-    """psi's share of div tau, B (tau_22 - tau_11) - A tau_12."""
-    return None if tau is None else _mix(state, np.stack((tau[2] - tau[0], -tau[1])))
+def _stress_hat(state: FlowState, tau: np.ndarray | None, work: ChunkWorkspace):
+    """psi's share of div tau, B (tau_22 - tau_11) - A tau_12, its two fields formed in ``work.g``."""
+    if tau is None:
+        return None
+    parts = work.planes("g")[:2]
+    np.subtract(tau[2], tau[0], out=parts[0])
+    np.negative(tau[1], out=parts[1])
+    return _mix(state, parts, work)
 
 
 def step_velocity(state: FlowState, tau: np.ndarray | None, dt: float, forcing=None) -> FlowState:
     """One substep of the momentum equation with the stress frozen."""
-    u = _substep(state, state.u, _stress_hat(state, tau), forcing, dt)
-    state.jet = _jet(state.grid, state.psi_hat, u)
+    work = ChunkWorkspace(1, state.grid.n)
+    u = _substep(state, state.u, _stress_hat(state, tau, work), forcing, dt, work)
+    state.jet = _jet(state.grid, state.psi_hat, work, u)
     return state
 
 
-def advance_flow(state: FlowState, tau: np.ndarray | None, base_dt: float, safety: float) -> int:
+def advance_flow(state: FlowState, tau: np.ndarray | None, base_dt: float, safety: float,
+                 work: ChunkWorkspace | None = None) -> int:
     """Advance one base step, substepping under the advective CFL bound.
 
     The stress is held frozen across substeps, which carry the physical
-    velocity only; the jet is formed once, from the final spectrum.  Returns
-    the substep count.  Raises ``FloatingPointError`` once the base step's
-    advective number exceeds :data:`MAX_ADVECTIVE`.
+    velocity only; the jet is formed once, from the final spectrum.  Every
+    field but the new jet is formed in ``work``, a chunk workspace idle for
+    the step (a run lends its history's, :meth:`ChunkWorkspace.cut` to one
+    row; a new one if not given), so a base step allocates only band
+    spectra besides the jet.  Returns the substep count.  Raises
+    ``FloatingPointError`` once the base step's advective number exceeds
+    :data:`MAX_ADVECTIVE`.
     """
     grid = state.grid
-    stress_hat = _stress_hat(state, tau)
+    work = ChunkWorkspace(1, grid.n) if work is None else work
+    stress_hat = _stress_hat(state, tau, work)
     u, remaining, n_sub = state.u, base_dt, 0
     while remaining > 1e-14 * base_dt:
-        cfl = cfl_dt(u, grid, safety, base_dt)
+        cfl = cfl_dt(u, grid, safety, base_dt, work.planes("g")[:2])
         advective = math.inf if cfl == 0.0 else safety * base_dt / cfl  # |u|_inf dt / dx; cfl 0: |u|^2 overflowed
         if advective > MAX_ADVECTIVE:
             raise FloatingPointError(
                 f"flow blew up at t = {state.t:.6g}: |u|_inf = {advective * grid.dx / base_dt:.3g}, advective "
                 f"number {advective:.3g} > {MAX_ADVECTIVE:g} after {n_sub} substeps of this step")
         h = min(cfl, remaining)
-        u = _substep(state, u, stress_hat, None, h)
+        u = _substep(state, u, stress_hat, None, h, work)
         remaining -= h
         n_sub += 1
-    state.jet = _jet(grid, state.psi_hat, u)
+    state.jet = _jet(grid, state.psi_hat, work, u)
     return n_sub

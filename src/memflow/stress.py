@@ -47,8 +47,8 @@ import numpy as np
 
 from .agegrid import KahanSum
 from .constitutive import StrainMeasure
-from .spectral import SpectralGrid
-from .transport import ChunkWorkspace, DeformationHistory, identity_stack, is_identity, row_fields
+from .spectral import ChunkWorkspace, SpectralGrid
+from .transport import DeformationHistory, identity_stack, is_identity, row_fields
 
 
 class DegenerateDeformationError(FloatingPointError):
@@ -90,7 +90,7 @@ class StackReduction:
         mass = self.history.mass(age, len(g))
         blocks = work.prod.reshape(len(g), 4, *g.shape[-2:], copy=False)  # a row's 4 fields: 3 scratch, I1
         i1 = np.einsum("...ijyx,...ijyx->...yx", g, g, out=blocks[:, 3])  # stress_stack's I1, bit for bit
-        if self.measure is not None:  # the chunk's stress in blocks 0-2
+        if self.measure is not None:  # the chunk's stress in blocks 0-2, which the sum scales in place
             self.tau.add(mass, self.measure.stress_stack(g, out=blocks[:, :3], i1=i1))
         if self.scan is not None:
             self.y.add(mass, self._scan_chunk(g, psi, work, blocks))
@@ -124,11 +124,13 @@ class StackReduction:
         grid, spec, rows = self.grid, work.spec[:, 0], work.rows[:, 0]
         dg, s0, s1, grad_sq = blocks[:, :2], blocks[:, 0], blocks[:, 1], blocks[:, 2]
         g_mag = np.sqrt(blocks[:, 3], out=blocks[:, 3])
-        grad_sq[...] = 0.0
-        for d in self.hessian:
+        for k, d in enumerate(self.hessian):  # the first sum goes straight into grad_sq: 0.0 + x is x
             grid.inv(np.multiply(psi, d, out=spec), out=dg, rows=rows)
             dg *= dg
-            grad_sq += np.add(s0, s1, out=s0)
+            if k == 0:
+                np.add(s0, s1, out=grad_sq)
+            else:
+                grad_sq += np.add(s0, s1, out=s0)
         chunk_min = float(g_mag.min())
         self.min_abs = min(self.min_abs, chunk_min)
         g11, g12, g21, g22 = g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1]
@@ -193,9 +195,8 @@ def stress_gradient_norm(tau: np.ndarray, grid: SpectralGrid, q: float, work: Ch
     new one if not given): ``g`` takes the derivatives, ``rows`` the half
     spectrum and ``prod`` the magnitude and its power, so no field is
     allocated."""
-    n = grid.n
-    work = ChunkWorkspace(1, n) if work is None else work
-    dtau, prod = work.g.reshape(-1, n, n, copy=False)[:3], work.prod.reshape(-1, n, n, copy=False)
+    work = ChunkWorkspace(1, grid.n) if work is None else work
+    dtau, prod = work.planes("g")[:3], work.planes("prod")
     mag_sq, power = prod[0], prod[1:3]
     mag_sq[...] = 0.0
     for axis in (-2, -1):

@@ -78,17 +78,8 @@ import warnings
 import numpy as np
 
 from .agegrid import AgeGrid
-from .spectral import SpectralGrid, band_shape
+from .spectral import ChunkWorkspace, SpectralGrid, band_shape, chunk_slices
 from .stepper import heun
-
-CHUNK_SLICES = 48  # most slices in one chunk of a stack pass
-CHUNK_BYTES = 2**20  # physical-field bytes of a chunk: small chunks keep a chunk's work in cache
-
-
-def chunk_slices(n: int) -> int:
-    """Slices per chunk of a stack pass on an n x n grid: ``CHUNK_BYTES`` of
-    fields, at least one and at most ``CHUNK_SLICES``."""
-    return max(1, min(CHUNK_SLICES, CHUNK_BYTES // (4 * n * n * 8)))
 
 
 class DegenerateHistoryError(ValueError):
@@ -163,40 +154,6 @@ class DeformationHistory:
         if age + count == self.live:
             mass = np.append(mass[:-1], grid.tail_mass[self.live - 1])
         return mass
-
-
-class ChunkWorkspace:
-    """Buffers every chunk of a stack pass reuses, each with one slice per row.
-
-    ``g`` holds the chunk's physical fields and ``prod`` physical products
-    and scratch, 4 fields a row, read in per-row blocks (``(c, 4, n, n)``);
-    ``rows`` is the row-transform scratch of band transforms; ``rhs`` holds
-    the potentials' stage spectra, two per row, and ``spec`` the four
-    components' spectra of :func:`row_fields`.  A chunk is handed the
-    workspace cut to its rows (:meth:`cut`).
-    """
-
-    def __init__(self, n_slices: int, n: int):
-        for name, (shape, dtype) in self.buffers(min(chunk_slices(n), n_slices), n).items():
-            setattr(self, name, np.empty(shape, dtype))
-
-    @staticmethod
-    def buffers(c: int, n: int) -> dict:
-        """Each buffer's ``(shape, dtype)`` for ``c`` rows on an n x n grid."""
-        field, band = ((c, 2, 2, n, n), float), ((c, 2, 2, *band_shape(n)), complex)
-        return {"g": field, "prod": field, "rows": ((c, 2, 2, n, n // 2 + 1), complex), "rhs": band, "spec": band}
-
-    def cut(self, rows: int) -> "ChunkWorkspace":
-        """The workspace of a chunk of ``rows`` rows: views of the leading
-        ``rows`` slices of each buffer."""
-        work = object.__new__(ChunkWorkspace)
-        vars(work).update((name, buf[:rows]) for name, buf in vars(self).items())
-        return work
-
-    @staticmethod
-    def nbytes_for(n: int) -> int:
-        """Bytes of the largest workspace on an n x n grid: those of the buffers :meth:`buffers` declares."""
-        return sum(math.prod(s) * np.dtype(t).itemsize for s, t in ChunkWorkspace.buffers(chunk_slices(n), n).values())
 
 
 def stack_rows_within(cap_mb: float, n: int, carry: bool = True) -> int:

@@ -64,7 +64,9 @@ def test_quadrate_tensor_samples():
     samples = np.zeros((grid.n_nodes, 2, 2))
     samples[:, 0, 0] = grid.nodes
     samples[:, 1, 1] = 1.0
+    given = samples.copy()
     out = quadrate(grid, samples)
+    assert samples.tobytes() == given.tobytes()  # the caller's samples stay as they were
     assert abs(out[0, 0] - 1.0) < 1e-5
     assert abs(out[1, 1] - (1.0 - grid.tail_error)) <= grid.quad_tol
     assert out[0, 1] == 0.0
@@ -125,9 +127,10 @@ def test_kahan_sum_scalar_path_matches_array_path():
 
 @pytest.mark.parametrize("shape", [(), (7,), (2, 3, 4)])
 def test_kahan_sum_three_buffers_match_four_buffer_reference(shape):
-    # t goes into the compensation's buffer and the new compensation into the old total's: the five
-    # operations of the four-buffer loop below, on the same operands in the same order, so the same bits;
-    # the terms mix signed zeros, subnormals and values near overflow into magnitudes from 1e-300 to 1e300
+    # y is formed in the sample, t goes into the compensation's buffer and the new compensation into the old
+    # total's: the five operations of the four-buffer loop below, on the same operands in the same order, so
+    # the same bits; the terms mix signed zeros, subnormals and values near overflow into magnitudes from
+    # 1e-300 to 1e300
     rng = np.random.default_rng(12)
     special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 4e307, -4e307, 1.0]
     samples = rng.standard_normal((60, *shape)) * 10.0 ** rng.integers(-300, 300, (60, *shape))
@@ -135,7 +138,7 @@ def test_kahan_sum_three_buffers_match_four_buffer_reference(shape):
     coeffs = rng.choice([1.0, 0.5, 0.25, 1e-3, 2.0 ** -1074], 60)
     total, t, comp, y = np.zeros(shape), np.empty(shape), np.zeros(shape), np.empty(shape)
     kahan = KahanSum(shape)
-    assert sum(isinstance(v, np.ndarray) for v in vars(kahan).values()) == 3
+    assert sum(isinstance(v, np.ndarray) for v in vars(kahan).values()) == 2  # the third buffer is the sample's
     for lo in range(0, 60, 7):
         for c, f in zip(coeffs[lo : lo + 7], samples[lo : lo + 7]):  # the textbook update, four buffers
             np.multiply(f, c, out=y)

@@ -15,7 +15,7 @@ from memflow.constitutive import INI_MODELS, model_catalog
 from memflow.diagnostics import CSV_COLUMNS
 from memflow.snapshots import read_checkpoint, write_field
 from memflow.spectral import SpectralGrid
-from memflow.transport import identity_stack
+from memflow.transport import ChunkWorkspace, identity_stack
 
 CONFIG = """
 [grid]
@@ -69,8 +69,28 @@ class TestRunCommand:
         capped = CONFIG.format(model="psm-raw", outdir="")
         p.write_text(capped.replace("[history]\n", f"[history]\nmemory_cap_mb = {cap!r}\n"))
         assert main(["run", str(p)]) == 0
-        line = next(row for row in capsys.readouterr().out.splitlines() if row.startswith("history: "))
+        lines = capsys.readouterr().out.splitlines()
+        line = next(row for row in lines if row.startswith("history: "))
         assert f"  quad_tol={ages.quad_tol:.4e}  carry=off  rows stepped in last step=6" in line
+        assert "  carry=0.000 MiB  " in next(row for row in lines if row.startswith("memory: "))
+
+    def test_memory_line(self, tmp_path, capsys, monkeypatch):
+        # the stack's, the carry's and the chunk workspace's bytes in MiB, the largest workspace as N_s > 32
+        from memflow import cli
+
+        inner, results = cli.run, []
+
+        def keeping(*args, **kwargs):
+            results.append(inner(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "run", keeping)
+        assert main(["run", write_cfg(tmp_path)]) == 0
+        history = results[0].history
+        sizes = (history.payload.nbytes, history.carry.nbytes, ChunkWorkspace.nbytes_for(32))
+        stack, carry, work = (f"{nbytes / 2**20:.3f} MiB" for nbytes in sizes)
+        assert history.n_slices > 32 and history.carry.nbytes == history.payload.nbytes
+        assert f"memory: stack={stack}  carry={carry}  workspace={work}" in capsys.readouterr().out.splitlines()
 
     def test_substeps_line(self, tmp_path, capsys, monkeypatch):
         from memflow import simulation

@@ -18,11 +18,11 @@ from conftest import divergence_free_rows, memory_budgets
 from memflow import simulation, snapshots, spectral
 from memflow.agegrid import HistoryTooLongError, build_age_grid
 from memflow.config import ConfigError, SimulationConfig
-from memflow.constitutive import INI_MODELS, model_catalog
+from memflow.constitutive import INI_MODELS, model_catalog, symmetric_tensor
 from memflow.simulation import EXIT_NAN, EXIT_OK, EXIT_VIOLATION, run
 from memflow.snapshots import read_checkpoint, read_field, write_checkpoint, write_field
 from memflow.spectral import SpectralGrid
-from memflow.transport import ChunkWorkspace, det_field, identity_stack
+from memflow.transport import ChunkWorkspace, det_field, identity_stack, row_fields
 
 
 def checkpoint_fields(chk, **fields):
@@ -236,8 +236,8 @@ class TestRun:
     def test_run_holds_one_steps_working_set(self):
         # a from-rest run at n = 256 with N_s = 4 holds, beside the stack, its carry and the chunk workspace, the two
         # velocity jets while the history steps (2 x 6 n^2 doubles: 3 tensor fields of 4 n^2) and one stack
-        # pass's three compensated sums (3 fields); the monitor takes the stress gradient in the chunk workspace
-        # and holds no field for it: 10 fields bound tracemalloc's peak
+        # pass's two compensated sums (2 x 3 n^2 doubles: 1.5 fields); the flow step and the monitor form their
+        # fields in the chunk workspace and hold none of their own: 6 fields bound tracemalloc's peak
         n = 256
         cfg = SimulationConfig(n=n, viscosity=0.01, dt=0.02, t_final=0.02 * 6, cfl_safety=0.2, model_name="psm-raw",
                                model_params={"lam": 0.01}, eps_tail=1e-2, velocity_kind="random-band",
@@ -252,7 +252,7 @@ class TestRun:
         assert res.exit_code == EXIT_OK and res.history.n_slices == 4
         stack = res.history.payload.nbytes + res.history.carry.nbytes
         fields = (peak - stack - ChunkWorkspace.nbytes_for(n)) / (4 * n * n * 8)
-        assert fields <= 10, f"{fields:.2f} tensor fields beside the stack, its carry and the workspace"
+        assert fields <= 6, f"{fields:.2f} tensor fields beside the stack, its carry and the workspace"
 
 
 def test_substeps_summed_over_the_run(tmp_path, monkeypatch):
@@ -313,6 +313,16 @@ class TestArtifacts:
         # the checkpoint swap leaves no temporary directory behind
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
             "checkpoint", "diagnostics.csv", "snap_000005", "snap_000010"]
+
+    def test_last_snapshot_holds_the_final_state(self, tmp_path):
+        # the history rows' snapshots are formed in the chunk workspace the flow and the monitor share: the
+        # files hold the final velocity, stress tensor and history rows bit for bit, not what a buffer held
+        res = run(small_cfg(output_dir=str(tmp_path / "out"), snapshot_every=5, history_slices=(0, 2)))
+        snap, grid = tmp_path / "out" / "snap_000010", SpectralGrid(32)
+        assert read_field(snap / "u.fld").tobytes() == res.state.u.tobytes()
+        assert read_field(snap / "tau.fld").tobytes() == symmetric_tensor(res.tau).tobytes()
+        g = row_fields(grid, res.history.slice(2)[None], ChunkWorkspace(1, 32))[0]
+        assert read_field(snap / "g_00002.fld").tobytes() == g.tobytes()
 
     def test_final_checkpoint_written_once(self, tmp_path, monkeypatch):
         # a 10-step run at snapshot_every = 2 used to write step 10 twice: from the loop and after it
@@ -435,14 +445,15 @@ class TestArtifacts:
     def test_restart_at_any_step_reproduces_straight_csv(self, model, dt, eps_tail, cadence, snapshot_every,
                                                          steps, kind, amplitude, n, fatal, history, data):
         # a shorter run's final checkpoint, at any step, resumed into its directory writes the straight
-        # run's diagnostics.csv, also when the cut is not a step the straight run records.  Both start
-        # from rest (history None) or from an explicit stack, every row the identity plus a divergence-free
-        # perturbation of sup ``history``, with history.mu_min below its det G
+        # run's diagnostics.csv, also when the cut is not a step the straight run records, and every
+        # snapshot after the cut (velocity, stress and the tail history row) byte for byte.  Both
+        # start from rest (history None) or from an explicit stack, every row the identity plus a
+        # divergence-free perturbation of sup ``history``, with history.mu_min below its det G
         cut = data.draw(st.integers(1, steps - 1), label="cut")
+        n_s = build_age_grid(model_catalog(model)[0], dt, eps_tail).n_nodes
         with tempfile.TemporaryDirectory() as tmp:
             straight, resumed, start = Path(tmp, "A"), Path(tmp, "B"), {}
             if history is not None:
-                n_s = build_age_grid(model_catalog(model)[0], dt, eps_tail).n_nodes
                 seed = data.draw(st.integers(0, 2**16), label="seed")
                 stack = divergence_free_rows(SpectralGrid(n), np.random.default_rng(seed), n_s, history)
                 write_field(Path(tmp, "history.fld"), stack, n_s=n_s)
@@ -450,8 +461,8 @@ class TestArtifacts:
                              mu_min=0.9 * float(det_field(stack).min()))
             cfg = lambda out, k: small_cfg(
                 n=n, model_name=model, dt=dt, t_final=dt * k, eps_tail=eps_tail, cadence=cadence,
-                snapshot_every=snapshot_every, velocity_kind=kind, velocity_amplitude=amplitude,
-                fatal_on_violation=fatal, output_dir=str(out), **start)
+                snapshot_every=snapshot_every, history_slices=(n_s - 1,), velocity_kind=kind,
+                velocity_amplitude=amplitude, fatal_on_violation=fatal, output_dir=str(out), **start)
             codes = [run(cfg(straight, steps)).exit_code, run(cfg(resumed, cut)).exit_code]
             if codes[1] == EXIT_OK:
                 codes.append(run(cfg(resumed, steps), restart_from=resumed / "checkpoint").exit_code)
@@ -459,6 +470,9 @@ class TestArtifacts:
             if len(codes) == 3:  # resumed: it ends as the straight run ends, a fatal violation or a blow-up too
                 assert codes[2] == codes[0]
                 assert (resumed / "diagnostics.csv").read_bytes() == (straight / "diagnostics.csv").read_bytes()
+                after = lambda out: {p.relative_to(out): p.read_bytes() for p in out.glob("snap_*/*.fld")
+                                     if int(p.parent.name[5:]) > cut}
+                assert after(resumed) == after(straight)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @settings(max_examples=20, deadline=None, derandomize=True)

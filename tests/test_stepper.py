@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from conftest import gradient_stack
 
 from memflow.constitutive import symmetric_tensor
 from memflow.diagnostics import OracleState, oldroyd_differential_step
-from memflow.spectral import SpectralGrid, random_band_limited_velocity, taylor_green
+from memflow.spectral import ChunkWorkspace, SpectralGrid, random_band_limited_velocity, taylor_green
 from memflow.stepper import (
     FlowNaNError,
     FlowState,
@@ -111,6 +112,35 @@ class TestEnergyAndSubstepping:
         n_sub = advance_flow(state, None, 0.2, 0.5)
         assert n_sub >= 2  # CFL at unit speed forces substepping
         assert math.isclose(state.t, 0.2, rel_tol=1e-12)
+
+    def test_base_step_allocates_only_its_jet(self):
+        # given an idle chunk workspace, a base step of several substeps at n = 256 forms every field in it: beside
+        # band spectra it allocates its new jet, 6 n^2 doubles (3 MiB), and nothing else of n^2
+        n = 256
+        grid = SpectralGrid(n)
+        state = FlowState(grid, random_band_limited_velocity(grid, 3, 8), 0.01)
+        tau = grid.field(grid.band(np.random.default_rng(1).standard_normal((3, n, n))))
+        work = ChunkWorkspace(1, n)
+        advance_flow(state, tau, 0.05, 0.5, work)  # a warm-up step, so one-time allocations do not count
+        tracemalloc.start()
+        try:
+            substeps = advance_flow(state, tau, 0.05, 0.5, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert substeps >= 2
+        assert peak <= 6 * n * n * 8 + 1.5 * 2**20, f"{(peak - 6 * n * n * 8) / 2**20:.2f} MiB beyond the jet"
+
+    def test_workspace_contents_do_not_reach_the_step(self, grid):
+        # every buffer is written before it is read: a workspace full of NaN gives a fresh one's bits
+        tau = grid.field(grid.band(np.random.default_rng(2).standard_normal((3, grid.n, grid.n))))
+        states = [FlowState(grid, taylor_green(grid), 0.05) for _ in range(2)]
+        stale = ChunkWorkspace(1, grid.n)
+        for buf in vars(stale).values():
+            buf.fill(np.nan)
+        assert advance_flow(states[0], tau, 0.2, 0.5, stale) == advance_flow(states[1], tau, 0.2, 0.5) >= 2
+        assert states[0].psi_hat.tobytes() == states[1].psi_hat.tobytes()
+        assert states[0].jet.tobytes() == states[1].jet.tobytes()
 
     def test_nan_abort(self, grid):
         state = FlowState(grid, taylor_green(grid), 0.05)

@@ -9,7 +9,7 @@ from scipy import integrate
 from memflow.agegrid import KahanSum, build_age_grid
 from memflow.constitutive import INI_MODELS, StrainMeasure, model_catalog, single_exponential_kernel, symmetric_tensor
 from memflow.snapshots import read_checkpoint, write_checkpoint
-from memflow.spectral import SpectralGrid, taylor_green
+from memflow.spectral import CHUNK_SLICES, SpectralGrid, taylor_green
 from memflow.stepper import FlowState, advance_flow
 from memflow.stress import (
     DegenerateDeformationError,
@@ -19,7 +19,6 @@ from memflow.stress import (
     stress_gradient_norm,
 )
 from memflow.transport import (
-    CHUNK_SLICES,
     ChunkWorkspace,
     DeformationHistory,
     age_shift,
