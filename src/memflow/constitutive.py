@@ -39,6 +39,7 @@ H2_SEED = 2024
 H2_TOL = 1e-6  # slack of a sampled supremum over its declared bound
 H1_SAMPLES = 200  # log-spaced ages of the (H1) check
 H1_MASS_TOL = 1e-12
+H_BLOCK_POINTS = 8192  # points of a field the damping function takes at once in stress_stack: 64 KiB of float64
 
 _SQRT6 = math.sqrt(6.0)
 
@@ -165,13 +166,17 @@ class StrainMeasure:
 
         The spatial axes stay last and contiguous for FFT work elsewhere.
         ``out``, of the result's shape, and ``i1``, I1 = |G|^2 of ``g``, are used in place of new arrays.
+        ``h``, pointwise, takes I1 in blocks of grid lines, about ``H_BLOCK_POINTS`` points of each field, so
+        its temporaries stay small.
         """
         g = np.asarray(g)
         i1 = np.einsum("...ijyx,...ijyx->...yx", g, g) if i1 is None else i1
         out = np.empty(g.shape[:-4] + (3,) + g.shape[-2:]) if out is None else out
         for j, k in ((0, 0), (0, 1), (1, 1)):  # (G^T G)_jk = sum_l G_lj G_lk
             np.einsum("...lyx,...lyx->...yx", g[..., j, :, :], g[..., k, :, :], out=out[..., j + k, :, :])
-        out *= self.h(i1)[..., None, :, :]
+        lines = max(1, H_BLOCK_POINTS // i1.shape[-1])
+        for y in range(0, i1.shape[-2], lines):
+            out[..., y : y + lines, :] *= self.h(i1[..., y : y + lines, :])[..., None, :, :]
         if self.iso_offset != 0.0:
             out[..., 0, :, :] += self.iso_offset
             out[..., 2, :, :] += self.iso_offset

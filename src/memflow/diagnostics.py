@@ -10,9 +10,9 @@ The monitor reads the velocity gradient from the flow state's jet; it
 transforms only the divergence (one band inverse) and the stress, whose
 gradient (:func:`memflow.stress.stress_gradient_norm`) is the solver's one
 whole-spectrum transform: per derivative direction, an ``rfft`` and an
-``irfft`` along it of the 3 components, 12 real line passes in all.  Every
-field it forms is in the history's chunk workspace, which is free between
-steps.
+``irfft`` along it of each of the 3 components, 12 real line passes in all.
+Every field it forms is in the history's chunk workspace, which is free
+between steps.
 
 Two oracles are independent of the age-grid machinery: the differential
 upper-convected law stepped alongside the integral law on the same grid
@@ -92,9 +92,11 @@ def monitor(
     yi, min_det, min_abs = scan
 
     du = state.jet[1:]
+    if len(du) != 2:  # a jet formed without its gradient would read as |grad u| = 0
+        raise ValueError("the monitor reads the velocity gradient: the flow step must form it (advance_flow gradient)")
     gradu_sup = math.sqrt(np.max(np.einsum("icyx,icyx->yx", du, du, out=sq)))  # the max before the sqrt, same bits
-    curl = grid.curl_hat(state.psi_hat, work.planes("spec")[:2])
-    div_u = grid.inv(grid.divergence_hat(curl), out=sq, rows=work.planes("rows")[0])
+    curl = grid.curl_hat(state.psi_hat, work.planes("rhs")[:2])
+    div_u = grid.inv(grid.divergence_hat(curl, out=work.planes("spec")[:2]), out=sq, rows=work.planes("rows")[0])
     divu_sup = float(np.max(np.abs(div_u, out=div_u))) / max(1.0, gradu_sup)
     energy = kinetic_energy(grid, state.u, prod[:2])
 

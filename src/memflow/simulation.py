@@ -5,7 +5,10 @@ Per base step: advance the velocity with the stress of the previous step
 the history and, when enabled, the differential oracle with the same pair of
 velocity samples, then monitor.  A sample is the velocity's jet (the field
 and its gradient, :class:`memflow.stepper.FlowState`), formed once per time
-level and shared by the flow, the history, the oracle and the monitor.  The
+level and shared by the flow, the history, the oracle and the monitor.  Its
+gradient is formed only where it is read: on monitored steps and when the
+oracle runs; otherwise the history's identity row forms from the spectrum
+the three gradient planes it needs, in the next step.  The
 history step is the step's only pass over the stack: it also assembles the
 new stress and, on monitored steps, runs the bound scan that the monitor
 reports.  A step holds one step's working set at a time: the pass's sums
@@ -248,7 +251,8 @@ def run(cfg: SimulationConfig, restart_from=None, progress=None) -> RunResult:
             u_old, u_old_psi = state.jet, state.psi_hat  # advance_flow rebinds both
             snapshot, monitored = snapshot_step(step), record_step(step)
             try:
-                substeps += advance_flow(state, tau, cfg.dt, cfg.cfl_safety, history.workspace.cut(1))
+                substeps += advance_flow(state, tau, cfg.dt, cfg.cfl_safety, history.workspace.cut(1),
+                                         gradient=monitored or oracle is not None)
                 state.t = step * cfg.dt  # re-pin against substep roundoff drift
                 tau = None  # the flow has used it: it goes before the pass's sums are allocated
                 stack_pass = StackReduction(history, measure, scan_args if monitored else None)

@@ -85,13 +85,16 @@ class ChunkWorkspace:
 
     ``g`` holds the chunk's physical fields and ``prod`` physical products
     and scratch, 4 fields a row, read in per-row blocks (``(c, 4, n, n)``);
-    ``rows`` is the row-transform scratch of band transforms; ``rhs`` holds
-    the potentials' stage spectra, two per row, and ``spec`` the four
-    components' spectra of :func:`~memflow.transport.row_fields`.  A chunk
-    is handed the workspace cut to its rows (:meth:`cut`).  Between stack
-    passes the workspace is idle, and the flow, the monitor and the
-    snapshots of history rows work in its one-row cut, read as planes
-    (:meth:`planes`).
+    ``rhs`` holds the potentials' stage spectra, two per row.  ``rows``, the
+    row-transform scratch of band transforms, and ``spec``, the spectra they
+    invert, hold two planes a row, one potential's fields: a row's four
+    fields are transformed one potential at a time
+    (:func:`~memflow.transport.row_fields`), and the velocity's three
+    gradient planes two and then one
+    (:func:`~memflow.stepper.velocity_gradient`).  A chunk is handed the
+    workspace cut to its rows (:meth:`cut`).  Between stack passes the
+    workspace is idle, and the flow, the monitor and the snapshots of
+    history rows work in its one-row cut, read as planes (:meth:`planes`).
     """
 
     def __init__(self, n_slices: int, n: int):
@@ -101,8 +104,9 @@ class ChunkWorkspace:
     @staticmethod
     def buffers(c: int, n: int) -> dict:
         """Each buffer's ``(shape, dtype)`` for ``c`` rows on an n x n grid."""
-        field, band = ((c, 2, 2, n, n), float), ((c, 2, 2, *band_shape(n)), complex)
-        return {"g": field, "prod": field, "rows": ((c, 2, 2, n, n // 2 + 1), complex), "rhs": band, "spec": band}
+        field, kb = ((c, 2, 2, n, n), float), band_shape(n)
+        return {"g": field, "prod": field, "rows": ((c, 2, n, n // 2 + 1), complex), "rhs": ((c, 2, 2, *kb), complex),
+                "spec": ((c, 2, *kb), complex)}
 
     def cut(self, rows: int) -> "ChunkWorkspace":
         """The workspace of a chunk of ``rows`` rows: views of the leading
@@ -113,7 +117,7 @@ class ChunkWorkspace:
 
     def planes(self, name: str) -> np.ndarray:
         """Buffer ``name`` as a stack of its 2-D planes (fields, half spectra
-        or band spectra): a view, a row's 4 planes after another's."""
+        or band spectra): a view, a row's planes after another's."""
         buf = getattr(self, name)
         return buf.reshape(-1, *buf.shape[-2:], copy=False)
 
@@ -254,8 +258,13 @@ class SpectralGrid:
     def viscous_factor(self, eta: float, dt: float) -> np.ndarray:
         return np.exp(-eta * dt * self.k_sq_band)
 
-    def divergence_hat(self, v_hat: np.ndarray) -> np.ndarray:
-        return self.d1_band * v_hat[0] + self.d2_band * v_hat[1]
+    def divergence_hat(self, v_hat: np.ndarray, out=None) -> np.ndarray:
+        """The band spectrum d1 v_1 + d2 v_2 of the band spectra ``v_hat``; ``out``, two band spectra of
+        ``v_hat[0]``'s shape, takes d1 v_1, which becomes the sum, and d2 v_2, so no spectrum is allocated."""
+        out = (None, None) if out is None else out
+        div = np.multiply(self.d1_band, v_hat[0], out=out[0])
+        div += np.multiply(self.d2_band, v_hat[1], out=out[1])
+        return div
 
     # -- whole half spectrum ----------------------------------------------------
 

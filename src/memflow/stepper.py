@@ -18,18 +18,21 @@ kept).  A stage transforms b and c forward and the new velocity back: 2 and
 2 transforms.  The symmetric stress adds B (tau_22 - tau_11) - A tau_12.
 The jet ``(u, d1 u, d2 u)`` (:attr:`FlowState.jet`) is formed once per base
 step, from the final spectrum, with d2 u2 = -d1 u1 bit for bit; its gradient
-is the one the history, the oracle and the monitor use.
+is the one the history, the oracle and the monitor use.  The gradient is
+formed only when asked for (the oracle and the monitor read it); without it
+the jet is the field alone, and the history's identity row forms the three
+gradient planes it needs from the spectrum (:func:`velocity_gradient`).
 
 Within one base (age) step the stress is frozen; the flow may take several
 substeps under its advective CFL bound.  A base step of s substeps takes
-2 + 4 s forward transforms (the frozen stress's two once) and 4 s + 3
-inverse ones (the jet's three Hessian fields once; its field is the last
-substep's u, the same bits).  A flow whose base-step advective number
-|u|_inf dt / dx, read at each substep, exceeds :data:`MAX_ADVECTIVE` has
-blown up: the history's Heun step is unstable above about 0.5, and the
-substeps would shrink without end.  The optional forcing hook of
-:func:`step_velocity` exists for manufactured-solution studies;
-:func:`advance_flow`, the solver's step, has none.
+2 + 4 s forward transforms (the frozen stress's two once) and 4 s inverse
+ones, and 3 more only when the gradient is formed (the jet's three Hessian
+fields; its field is the last substep's u, the same bits).  A flow whose
+base-step advective number |u|_inf dt / dx, read at each substep, exceeds
+:data:`MAX_ADVECTIVE` has blown up: the history's Heun step is unstable
+above about 0.5, and the substeps would shrink without end.  The optional
+forcing hook of :func:`step_velocity` exists for manufactured-solution
+studies; :func:`advance_flow`, the solver's step, has none.
 """
 
 from __future__ import annotations
@@ -49,13 +52,16 @@ class FlowNaNError(FloatingPointError):
 
 class FlowState:
     """Velocity state: the band spectrum ``psi_hat`` of the stream function
-    (module docstring), the physical jet ``(u, d1 u, d2 u)`` of shape
-    ``(3, 2, n, n)`` (formed at the end of each base step), and time.
+    (module docstring), the physical jet and time.  The jet, formed at the
+    end of each base step, is ``(u, d1 u, d2 u)``, of shape ``(3, 2, n, n)``,
+    when its gradient is asked for (:func:`advance_flow`), and ``(u,)``,
+    ``(1, 2, n, n)``, otherwise; the oracle and the monitor need the full
+    jet.
 
     ``FlowState(grid, u, eta)`` takes the stream function of a physical
     field ``u``'s divergence-free part on the band, mean included; with
     ``psi_hat`` (and ``u`` None) the spectrum is taken as it is (a restart).
-    The jet is formed in ``work``, as by :func:`advance_flow`."""
+    Its jet is full, formed in ``work``, as by :func:`advance_flow`."""
 
     def __init__(self, grid: SpectralGrid, u: np.ndarray | None, eta: float, t: float = 0.0,
                  psi_hat: np.ndarray | None = None, work: ChunkWorkspace | None = None):
@@ -75,24 +81,36 @@ class FlowState:
         return self.jet[0]
 
 
-def _jet(grid: SpectralGrid, psi_hat: np.ndarray, work: ChunkWorkspace, u: np.ndarray | None = None) -> np.ndarray:
-    """The velocity's jet ``(u, d1 u, d2 u)``, the one array a base step
-    allocates: one inverse transform each of d1 u1 = -d1 d2 psi,
-    d1 u2 = d1 d1 psi and d2 u1 = -d2 d2 psi, and d2 u2 = -d1 u1, their
-    spectra in ``work.spec`` and the row scratch in ``work.rows``.  A given
-    ``u``, the field of ``psi_hat``, is copied in."""
+def velocity_gradient(grid: SpectralGrid, psi_hat: np.ndarray, work: ChunkWorkspace, out: np.ndarray) -> np.ndarray:
+    """d1 u1 = -d1 d2 psi, d1 u2 = d1 d1 psi and d2 u1 = -d2 d2 psi of the
+    stream function's band spectrum ``psi_hat`` into the three planes
+    ``out`` (d2 u2 is -d1 u1): one inverse transform each, two and then one,
+    their spectra in ``work.spec`` and the row scratch in ``work.rows``."""
     k1, k2 = grid.k1_band, grid.k2_band
-    spec, rows = work.planes("spec"), work.planes("rows")
-    jet = np.empty((3, 2, grid.n, grid.n))
+    spec, rows = work.planes("spec")[:2], work.planes("rows")[:2]
+    np.multiply(k1 * k2, psi_hat, out=spec[0])
+    np.multiply(-k1 * k1, psi_hat, out=spec[1])
+    grid.inv(spec, out=out[:2], rows=rows)
+    np.multiply(k2 * k2, psi_hat, out=spec[0])
+    grid.inv(spec[:1], out=out[2:3], rows=rows[:1])
+    return out
+
+
+def _jet(grid: SpectralGrid, psi_hat: np.ndarray, work: ChunkWorkspace, u: np.ndarray | None = None,
+         gradient: bool = True) -> np.ndarray:
+    """The velocity's jet, the one array a base step allocates: ``(u, d1 u,
+    d2 u)``, with the three planes of :func:`velocity_gradient` and
+    d2 u2 = -d1 u1, or, without ``gradient``, ``(u,)``.  A given ``u``, the
+    field of ``psi_hat``, is copied in; else it is transformed in ``work``."""
+    jet = np.empty((3 if gradient else 1, 2, grid.n, grid.n))
     if u is None:
-        grid.inv(grid.curl_hat(psi_hat, spec[:2]), out=jet[0], rows=rows[:2])
+        grid.inv(grid.curl_hat(psi_hat, work.planes("spec")[:2]), out=jet[0], rows=work.planes("rows")[:2])
     else:
         jet[0] = u
-    du = jet[1:].reshape(4, grid.n, grid.n)  # d1 u1, d1 u2, d2 u1, d2 u2
-    for out, d in zip(spec, (k1 * k2, -k1 * k1, k2 * k2)):
-        np.multiply(d, psi_hat, out=out)
-    grid.inv(spec[:3], out=du[:3], rows=rows[:3])
-    np.negative(du[0], out=du[3])
+    if gradient:
+        du = jet[1:].reshape(4, grid.n, grid.n)  # d1 u1, d1 u2, d2 u1, d2 u2
+        velocity_gradient(grid, psi_hat, work, du[:3])
+        np.negative(du[0], out=du[3])
     return jet
 
 
@@ -209,11 +227,13 @@ def step_velocity(state: FlowState, tau: np.ndarray | None, dt: float, forcing=N
 
 
 def advance_flow(state: FlowState, tau: np.ndarray | None, base_dt: float, safety: float,
-                 work: ChunkWorkspace | None = None) -> int:
+                 work: ChunkWorkspace | None = None, gradient: bool = True) -> int:
     """Advance one base step, substepping under the advective CFL bound.
 
     The stress is held frozen across substeps, which carry the physical
-    velocity only; the jet is formed once, from the final spectrum.  Every
+    velocity only; the jet is formed once, from the final spectrum, with its
+    gradient only if ``gradient`` (3 inverse transforms): else it is
+    ``(1, 2, n, n)``, and the oracle and the monitor cannot read it.  Every
     field but the new jet is formed in ``work``, a chunk workspace idle for
     the step (a run lends its history's, :meth:`ChunkWorkspace.cut` to one
     row; a new one if not given), so a base step allocates only band
@@ -236,5 +256,5 @@ def advance_flow(state: FlowState, tau: np.ndarray | None, base_dt: float, safet
         u = _substep(state, u, stress_hat, None, h, work)
         remaining -= h
         n_sub += 1
-    state.jet = _jet(grid, state.psi_hat, work, u)
+    state.jet = _jet(grid, state.psi_hat, work, u, gradient)
     return n_sub

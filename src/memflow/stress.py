@@ -121,7 +121,7 @@ class StackReduction:
         0 and 1 take the second derivatives, then serve as scratch, 2 takes |grad G|^2 and then the
         ratio, and 3, which holds I1 = |G|^2, |G|."""
         q, r, mu = self.scan
-        grid, spec, rows = self.grid, work.spec[:, 0], work.rows[:, 0]
+        grid, spec, rows = self.grid, work.spec, work.rows
         dg, s0, s1, grad_sq = blocks[:, :2], blocks[:, 0], blocks[:, 1], blocks[:, 2]
         g_mag = np.sqrt(blocks[:, 3], out=blocks[:, 3])
         for k, d in enumerate(self.hessian):  # the first sum goes straight into grad_sq: 0.0 + x is x
@@ -185,23 +185,24 @@ def history_scan(history: DeformationHistory, q: float, r: float, mu: float = 1.
 def stress_gradient_norm(tau: np.ndarray, grid: SpectralGrid, q: float, work: ChunkWorkspace | None = None) -> float:
     """Discrete L^q norm of the pointwise Frobenius norm of grad tau.
 
-    One derivative direction at a time, the three components take
+    One derivative direction at a time, each of the three components takes
     :meth:`~memflow.spectral.SpectralGrid.gradient` along it (an ``rfft``
-    and an ``irfft`` each: 12 real line passes in all), and their squares
-    are added into one field, in the order of ``einsum("djkyx,djkyx->yx")``
-    over the gradient of the 2 x 2 tensor (direction, then j, then k), whose
-    bits it gives, with tau_12's derivative standing in for tau_21's.
-    The work goes in the buffers of a one-row chunk workspace ``work`` (a
-    new one if not given): ``g`` takes the derivatives, ``rows`` the half
-    spectrum and ``prod`` the magnitude and its power, so no field is
-    allocated."""
+    and an ``irfft``: 12 real line passes in all), and its square is added
+    into one field, in the order of ``einsum("djkyx,djkyx->yx")`` over the
+    gradient of the 2 x 2 tensor (direction, then j, then k), whose bits it
+    gives, with tau_12's derivative standing in for tau_21's.  The work goes
+    in the buffers of a one-row chunk workspace ``work`` (a new one if not
+    given): ``g`` takes the derivative, ``rows`` the half spectrum and
+    ``prod`` the magnitude and its power, so no field is allocated."""
     work = ChunkWorkspace(1, grid.n) if work is None else work
-    dtau, prod = work.planes("g")[:3], work.planes("prod")
+    dtau, prod = work.planes("g")[0], work.planes("prod")
     mag_sq, power = prod[0], prod[1:3]
     mag_sq[...] = 0.0
     for axis in (-2, -1):
-        grid.gradient(tau, axis, out=dtau, rows=work.rows)
-        dtau *= dtau
-        for c in (0, 1, 1, 2):
-            mag_sq += dtau[c]
+        for c in (0, 1, 2):
+            grid.gradient(tau[c], axis, out=dtau, rows=work.rows)
+            dtau *= dtau
+            mag_sq += dtau
+            if c == 1:  # tau_12 stands for tau_21 too
+                mag_sq += dtau
     return grid.lq_norm(np.sqrt(mag_sq, out=mag_sq), q, out=power)

@@ -42,7 +42,8 @@ deformation at age zero is the identity, F(t, t) = I.  So a step sets it
 and does not step it; step k from rest advances min(k, N_s - 1) rows.
 The next step finds that row, now age 1, still the identity, and takes
 its first Heun stage in closed form (:func:`_step_identity`): 6 transforms,
-where a row whose first stage is formed from its spectra takes 16.
+where a row whose first stage is formed from its spectra takes 16, and 9
+when its old velocity jet holds no gradient, whose 3 planes it then forms.
 
 Every other row's first stage is the right-hand side at its fields and the
 old velocity, and the row's last transform gave those fields one step
@@ -79,7 +80,7 @@ import numpy as np
 
 from .agegrid import AgeGrid
 from .spectral import ChunkWorkspace, SpectralGrid, band_shape, chunk_slices
-from .stepper import heun
+from .stepper import heun, velocity_gradient
 
 
 class DegenerateHistoryError(ValueError):
@@ -188,8 +189,11 @@ def is_identity(row: np.ndarray, n: int) -> bool:
 
 
 def row_fields(grid: SpectralGrid, psi: np.ndarray, work: "ChunkWorkspace") -> np.ndarray:
-    """The fields of a chunk's potentials in ``work.g``, through ``work.spec``: 4 inverse transforms a slice."""
-    return grid.inv(grid.curl_hat(psi, work.spec), out=work.g, rows=work.rows)
+    """The fields of a chunk's potentials in ``work.g``, through ``work.spec``: 4 inverse transforms a slice,
+    one potential's two at a time."""
+    for j in range(2):
+        grid.inv(grid.curl_hat(psi[:, j], work.spec), out=work.g[:, j], rows=work.rows)
+    return work.g
 
 
 def init_history(spec, grid: SpectralGrid, age_grid: AgeGrid, mu: float = 1.0,
@@ -224,10 +228,11 @@ def init_history(spec, grid: SpectralGrid, age_grid: AgeGrid, mu: float = 1.0,
     history = DeformationHistory(payload, age_grid, grid, carry=carry)
     min_det, moved = math.inf, 0.0
     for age, psi, work in history.chunks():
-        g_hat = grid.fwd(data[age : age + len(psi)], out=work.rhs, rows=work.rows)
-        min_det = np.minimum(min_det, det_field(row_fields(grid, grid.potential_hat(g_hat, psi), work)).min())
-        g_hat -= work.spec  # the part the row projection removed
-        moved = max(moved, float(np.abs(grid.inv(g_hat, out=work.prod, rows=work.rows)).max()))
+        for j in range(2):  # one row of G, a potential, at a time
+            g_hat = grid.fwd(data[age : age + len(psi), j], out=work.rhs[:, j], rows=work.rows)
+            g_hat -= grid.curl_hat(grid.potential_hat(g_hat, psi[:, j]), work.spec)  # the part the projection removed
+            moved = max(moved, float(np.abs(grid.inv(g_hat, out=work.prod[:, j], rows=work.rows)).max()))
+        min_det = np.minimum(min_det, det_field(row_fields(grid, psi, work)).min())
     if not min_det >= mu:  # NaN fails too
         raise DegenerateHistoryError(
             f"initial history has min det G = {min_det:.6g}, below the floor mu = {mu:.6g}"
@@ -270,13 +275,13 @@ def _react_rhs_hat(grid: SpectralGrid, g: np.ndarray, u_jet: np.ndarray, work: C
     ``(c, 2, *band_shape)``: the band part of each w_j = G_j1 u2 - G_j2 u1
     (module docstring) with its mean mode 0.0, as the means do not change.
     The products are formed in ``work.prod``, the chunk's workspace, and take
-    one forward band transform each.  ``u_jet`` is the velocity's jet
-    ``(u, d1 u, d2 u)``, of which the field is read; ``g`` is read, never
-    written."""
+    one forward band transform each.  ``u_jet`` is the velocity's jet, with
+    or without its gradient, of which the field is read; ``g`` is read,
+    never written."""
     u, w, scratch = u_jet[0], work.prod[:, 0], work.prod[:, 1]
     np.multiply(g[:, :, 0], u[1], out=w)
     w -= np.multiply(g[:, :, 1], u[0], out=scratch)
-    grid.fwd(w, out=out, rows=work.rows[:, 0])
+    grid.fwd(w, out=out, rows=work.rows)
     out[..., 0, 0] = 0.0
     return out
 
@@ -305,16 +310,21 @@ def _step_identity(grid: SpectralGrid, psi: np.ndarray, work: ChunkWorkspace, u_
     is their band spectra less their means, the gradient (d1 phi, d2 phi) of
     the old velocity's stream function, whose band spectrum is
     ``u_old_psi``, and the predictor field is I + dt times their curl
-    ``[[-d2 u2, d1 u2], [d2 u1, -d1 u1]]`` from its jet, with no transform.
-    The second stage and the new field take theirs: 6 transforms, where a
-    row of :func:`_step_chunk` takes 16."""
-    (d1u1, d1u2), (d2u1, d2u2) = u_old[1:]
+    ``[[-d2 u2, d1 u2], [d2 u1, -d1 u1]]``: from its jet, with no transform,
+    when the jet holds the gradient, and else formed from ``u_old_psi``
+    (:func:`~memflow.stepper.velocity_gradient`, with -d2 u2 = d1 u1 as in
+    a jet), 3 inverse transforms.  The second stage and the new field take
+    theirs: 6 transforms, or 9, where a row of :func:`_step_chunk` takes 16."""
     r1, pred = work.rhs[:, :, 0], work.g
     np.multiply(grid.d1_band, u_old_psi, out=r1[0, 0])
     np.multiply(grid.d2_band, u_old_psi, out=r1[0, 1])
     r1[..., 0, 0] = 0.0
-    np.negative(d2u2, out=pred[0, 0, 0])
-    pred[0, 0, 1], pred[0, 1, 0] = d1u2, d2u1
+    if len(u_old) == 3:  # the jet holds the gradient
+        (d1u1, d1u2), (d2u1, d2u2) = u_old[1:]
+        np.negative(d2u2, out=pred[0, 0, 0])
+        pred[0, 0, 1], pred[0, 1, 0] = d1u2, d2u1
+    else:  # d1 u1, d1 u2, d2 u1 into the first three planes
+        d1u1 = velocity_gradient(grid, u_old_psi, work, work.planes("g")[:3])[0]
     np.negative(d1u1, out=pred[0, 1, 1])
     pred *= dt
     pred[0, 0, 0] += 1.0
@@ -333,10 +343,10 @@ def stretch_advect_step(
     react-advect of every live slice but the newborn.
 
     The two Heun stages sample the velocity at the old and new time levels,
-    given as jets ``(u, d1 u, d2 u)`` (:attr:`memflow.stepper.FlowState.jet`),
-    which keeps the stage second-order accurate; the exact shift and the
-    identity injection make the age-zero boundary condition exact, and the
-    one-index shift is exact because the step is the age spacing ``ds``.
+    given as jets (:attr:`memflow.stepper.FlowState.jet`), which keeps the
+    stage second-order accurate; the exact shift and the identity injection
+    make the age-zero boundary condition exact, and the one-index shift is
+    exact because the step is the age spacing ``ds``.
     Slices are updated independently (data-parallel over age), and a
     non-finite result aborts with the offending slice's age (after the shift)
     located, before its chunk is stored.  The rows stepped are the rows live
@@ -354,7 +364,8 @@ def stretch_advect_step(
     (:attr:`memflow.stepper.FlowState.psi_hat`), the age-1
     chunk, when its row is bit for bit the identity the shift
     writes (:func:`is_identity`), takes its first stage in closed form
-    (:func:`_step_identity`): 6 transforms, not 16.  It is so after every
+    (:func:`_step_identity`): 6 transforms, not 16 (9 if ``u_old`` is a jet
+    without its gradient, ``(1, 2, n, n)``).  It is so after every
     step (the newborn that step set), in a history from rest (its tail row),
     after a restart and in an explicit identity stack, whose projection
     gives the identity's bits.  Without ``u_old_psi`` every chunk takes
@@ -387,7 +398,7 @@ def stretch_advect_step(
         else:  # the age-1 row, the last newborn when carried, has no carry
             first = carry[age : age + len(psi)] if carried and age > 1 else None
             r1, g = _step_chunk(grid, psi, work, u_old, u_new, dt, first)
-        if not np.isfinite(g).all():
+        if not (math.isfinite(g.min()) and math.isfinite(g.max())):  # all finite, with no n^2 buffer
             bad = age + int(np.argwhere(~np.isfinite(g))[0, 0])
             raise HistoryNaNError(f"non-finite deformation at step {history.generation + 1}, age slice {bad}")
         psi[:] = r1

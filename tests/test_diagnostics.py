@@ -139,6 +139,16 @@ class TestMonitor:
         rec = monitor(st, h, tau, measure, cfg, 0.0, history_scan(h, cfg.q, cfg.r, cfg.mu_min))
         assert "stress" in rec.flags
 
+    def test_jet_without_its_gradient_refused(self, grid):
+        # a flow step asked for no gradient leaves the jet (u,), from which |grad u| would read 0
+        kernel, measure = model_catalog("oldroyd-b")
+        h = init_history("identity", grid, build_age_grid(kernel, 0.05, 1e-4))
+        st = FlowState(grid, taylor_green(grid), 1.0)
+        st.jet = st.jet[:1]
+        tau, cfg = assemble_stress(h, measure), monitor_cfg()
+        with pytest.raises(ValueError, match="velocity gradient"):
+            monitor(st, h, tau, measure, cfg, 0.0, history_scan(h, cfg.q, cfg.r, cfg.mu_min))
+
     def test_stress_gradient_goes_through_gradient_in_the_idle_workspace(self, monkeypatch):
         # monitor() takes the stress gradient by SpectralGrid.gradient in the history's chunk workspace, free
         # between steps; so taken, the gradient norm allocates less than one n x n field
@@ -162,7 +172,7 @@ class TestMonitor:
         monkeypatch.setattr(SpectralGrid, "gradient", lambda self, f, axis, **kw: calls.append(
             np.shares_memory(kw["rows"], h.workspace.rows)) or gradient(self, f, axis, **kw))
         rec = monitor(st, h, tau, measure, cfg, 0.0, history_scan(h, cfg.q, cfg.r, cfg.mu_min))
-        assert calls == [True, True] and rec.stress_grad_norm == sgn
+        assert calls == [True] * 6 and rec.stress_grad_norm == sgn  # one per component and axis
 
     def test_csv_row_layout(self):
         rec = DiagnosticsRecord(0.5, 1, 1, math.sqrt(2), 0, 0, 0, 0, 0, 0, ("det", "stress"))

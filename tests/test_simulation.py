@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -233,15 +234,14 @@ class TestRun:
         files = lambda out: {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
         assert files(tmp_path / "capped") == files(tmp_path / "free")  # diagnostics.csv, snapshots, checkpoint
 
-    def test_run_holds_one_steps_working_set(self):
-        # a from-rest run at n = 256 with N_s = 4 holds, beside the stack, its carry and the chunk workspace, the two
-        # velocity jets while the history steps (2 x 6 n^2 doubles: 3 tensor fields of 4 n^2) and one stack
-        # pass's two compensated sums (2 x 3 n^2 doubles: 1.5 fields); the flow step and the monitor form their
-        # fields in the chunk workspace and hold none of their own: 6 fields bound tracemalloc's peak
+    @staticmethod
+    def working_set(cadence: int) -> float:
+        """tracemalloc's peak over a from-rest run at n = 256 with N_s = 4, 6 steps at ``cadence``, in tensor
+        fields of 4 n^2 doubles beside the stack, its carry and the chunk workspace."""
         n = 256
         cfg = SimulationConfig(n=n, viscosity=0.01, dt=0.02, t_final=0.02 * 6, cfl_safety=0.2, model_name="psm-raw",
                                model_params={"lam": 0.01}, eps_tail=1e-2, velocity_kind="random-band",
-                               velocity_band=8, cadence=1)
+                               velocity_band=8, cadence=cadence)
         run(cfg)  # a warm-up run, so one-time allocations do not count
         tracemalloc.start()
         try:
@@ -251,8 +251,35 @@ class TestRun:
             tracemalloc.stop()
         assert res.exit_code == EXIT_OK and res.history.n_slices == 4
         stack = res.history.payload.nbytes + res.history.carry.nbytes
-        fields = (peak - stack - ChunkWorkspace.nbytes_for(n)) / (4 * n * n * 8)
-        assert fields <= 6, f"{fields:.2f} tensor fields beside the stack, its carry and the workspace"
+        return (peak - stack - ChunkWorkspace.nbytes_for(n)) / (4 * n * n * 8)
+
+    def test_run_holds_one_steps_working_set(self):
+        # every step monitored: while the history steps, the old and the new velocity jet, each with its
+        # gradient (2 x 6 n^2 doubles: 3 tensor fields of 4 n^2), and one stack pass's two compensated sums
+        # (2 x 3 n^2 doubles: 1.5 fields); the flow step, the stack pass and the monitor form their fields in
+        # the chunk workspace and hold none of their own: 5.5 fields bound tracemalloc's peak
+        fields = self.working_set(1)
+        assert fields <= 5.5, f"{fields:.2f} tensor fields beside the stack, its carry and the workspace"
+
+    def test_unmonitored_steps_hold_no_velocity_gradient(self):
+        # at cadence 10 only the first and the last step are monitored: the other steps' jets are their field
+        # alone (2 n^2 doubles, 0.5 fields), so the most a step holds is the last step's old jet without its
+        # gradient and new jet with it (2 fields) beside the two sums (1.5 fields): 4.7 fields bound the peak
+        fields = self.working_set(10)
+        assert fields <= 4.7, f"{fields:.2f} tensor fields beside the stack, its carry and the workspace"
+
+    def test_unmonitored_steps_give_the_monitored_bits(self):
+        # at cadence 3 the jets of unmonitored steps hold no gradient, and the next step's identity row forms
+        # the three planes it needs from the old stream function: every record has the bits of the cadence-1
+        # run's record at its t but y_value, the time integral over the records, and so have the final history
+        # and stress
+        every, third = (run(small_cfg(cadence=cadence, velocity_amplitude=2.0)) for cadence in (1, 3))
+        assert every.ok and third.ok and len(every.records) == 11 and len(third.records) == 5  # steps 0, 3, 6, 9, 10
+        rows = {rec.t: dataclasses.replace(rec, y_value=0.0).csv_row() for rec in every.records}
+        for rec in third.records:
+            assert dataclasses.replace(rec, y_value=0.0).csv_row() == rows[rec.t], rec.t
+        assert third.history.payload.tobytes() == every.history.payload.tobytes()
+        assert third.tau.tobytes() == every.tau.tobytes()
 
 
 def test_substeps_summed_over_the_run(tmp_path, monkeypatch):

@@ -304,6 +304,12 @@ class TestTransformCounts:
         assert s >= 3  # CFL at unit speed forces substepping
         # per substep 4 forward and 4 inverse; once per base step the stress 2 forward and the jet 3 inverse
         assert (counted.fwd, counted.inv) == (2 + 4 * s, 4 * s + 3)
+        # a jet without its gradient skips those 3 and keeps the field's and the spectrum's bits
+        bare = FlowState(grid, taylor_green(grid), 0.1)
+        counted.reset()
+        assert advance_flow(bare, tau, 0.5, 0.5, gradient=False) == s
+        assert (counted.fwd, counted.inv) == (2 + 4 * s, 4 * s) and bare.jet.shape == (1, 2, 32, 32)
+        assert bare.jet[0].tobytes() == state.jet[0].tobytes() and bare.psi_hat.tobytes() == state.psi_hat.tobytes()
 
     def test_oracle_step(self, counted):
         grid = SpectralGrid(32)

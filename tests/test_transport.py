@@ -305,12 +305,29 @@ class TestStep:
         # norm lower bound follows from the determinant by AM-GM
         assert float(np.linalg.norm(g, axis=(-4, -3)).min()) >= math.sqrt(2.0 * (1.0 - dev)) - 1e-12
 
-    def test_nan_abort_locates_slice(self, grid, age_grid):
+    def test_nan_abort_locates_slice(self, grid, age_grid, monkeypatch):
         h = init_history(identity_stack(age_grid.n_nodes, N), grid, age_grid)  # every row live
         h.slice(5)[0, 0, 0] = np.nan  # psi_1's mean mode: NaN over the whole fields of row 1
         u0 = np.zeros((3, 2, N, N))  # the jet of the fluid at rest
         with pytest.raises(HistoryNaNError, match="step 1, age slice 6$"):  # its age after the shift
             stretch_advect_step(h, u0, u0)
+        # an infinity among finite fields, with no NaN beside it, aborts alike: planted in the new fields of the
+        # row at age 6 after the shift
+        step_chunk = transport._step_chunk
+        for value in (np.inf, -np.inf):
+            h = init_history(identity_stack(age_grid.n_nodes, N), grid, age_grid)
+
+            def planting(grid, psi, *args, bad=h.payload[6], value=value):
+                r1, g = step_chunk(grid, psi, *args)
+                for k in range(len(psi)):
+                    if np.shares_memory(psi[k], bad):
+                        g[k, 1, 0, 3, 5] = value
+                assert not np.isnan(g).any()
+                return r1, g
+
+            monkeypatch.setattr(transport, "_step_chunk", planting)
+            with pytest.raises(HistoryNaNError, match="step 1, age slice 6$"):
+                stretch_advect_step(h, u0, u0)
 
 
 class TestReactRhs:
@@ -378,6 +395,22 @@ class TestIdentityRow:
         assert np.abs(full - identity_stack(1, n)).max() > 1e-3
         for closed, transformed in ((fast_hat, full_hat), (fast, full)):
             np.testing.assert_allclose(closed, transformed, rtol=0, atol=1e-14 * np.abs(transformed).max())
+
+    def test_jet_without_gradient_gives_the_same_bits(self, counted):
+        # given the old jet's field alone, (1, 2, n, n), the row forms d1 u1, d1 u2 and d2 u1 from the old stream
+        # function (the 3 inverse transforms the flow skipped) and steps to the bits the full jet gives
+        n, dt = 32, 0.05
+        grid = SpectralGrid(n)
+        old, new = (FlowState(grid, random_band_limited_velocity(grid, seed=seed, band=6), eta=0.1)
+                    for seed in (n, n + 1))
+        eye_hat = np.empty((1, 2, *grid.band_shape), dtype=complex)
+        set_identity(eye_hat[0], n)
+        steps = []
+        for jet in (old.jet, old.jet[:1].copy()):
+            counted.reset()
+            new_hat, g = transport._step_identity(grid, eye_hat, ChunkWorkspace(1, n), jet, new.jet, old.psi_hat, dt)
+            steps.append((counted.total, new_hat.tobytes(), g.tobytes()))
+        assert steps[0][0] == 6 and steps[1] == (9, *steps[0][1:])
 
     def test_step_matches_transformed_path(self, grid):
         # with the velocity's stream function the age-1 row skips its first stage's transforms; the rows agree to roundoff

@@ -15,9 +15,11 @@ takes both bundled configs with ``snapshot_every = 4`` and
 from rest to ``t_final = 6``, so the history fills up, and to
 ``t_final = 3`` from an explicit identity stack of N_s rows, written by the
 checkout's own sources, so every row is live from step 0 and the first
-passes transform its extracted rows.  Each case runs straight and resumed
-from the final checkpoint of a run to its middle step, at 1 and at 2 FFT
-threads.  ``run`` exits 1 if a run fails, or if a case's files differ
+passes transform its extracted rows; and ``taylor-green-psm.ini`` at
+``cadence = 3``, the one case with unmonitored steps, whose velocity jets
+hold no gradient, so the history's identity row forms its own.  Each case
+runs straight and resumed from the final checkpoint of a run to its middle
+step, at 1 and at 2 FFT threads.  ``run`` exits 1 if a run fails, or if a case's files differ
 between 1 and 2 threads or between its straight and resumed runs.  ``--n``
 sets every case's grid size, for a quick check; ``--case`` runs only the
 named cases.
@@ -61,6 +63,7 @@ CASES = {
     "oldroyd-oracle-n32-explicit": ("oldroyd-oracle.ini", {
         "grid": {"n": "32"}, "history": {"eps_tail": "1e-2"}, "flow": {"t_final": "3"}, "output": OUTPUT,
     }),
+    "taylor-green-psm-cadence3": ("taylor-green-psm.ini", {"output": OUTPUT, "diagnostics": {"cadence": "3"}}),
 }
 # cases started from an explicit identity stack of N_s rows, so that every row is live from step 0
 EXPLICIT = {"oldroyd-oracle-n32-explicit"}
